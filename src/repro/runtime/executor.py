@@ -273,6 +273,10 @@ class PlanExecutor:
                              rows_materialized=rows,
                              output_rows=sum(len(r)
                                              for r in outputs.values()))
+                    if task.node.kind == "collect":
+                        collected = outputs[task.name]
+                        span.set(rows=len(collected),
+                                 resident=collected.resident)
                 except BaseException as exc:  # reported, re-raised centrally
                     error = exc
             if error is not None:
@@ -505,7 +509,9 @@ class PlanExecutor:
                 timings[done.name] = NodeTiming(
                     done.name, node.source, done.eval_seconds, finish,
                     output_rows, output_bytes, done.rows_materialized,
-                    modeled)
+                    modeled,
+                    resident=getattr(done.outputs.get(done.name),
+                                     "resident", False))
                 metrics.add(f"lane_busy_seconds.{done.lane}",
                             done.busy_seconds)
                 metrics.observe("node_latency_seconds",

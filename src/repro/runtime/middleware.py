@@ -792,7 +792,8 @@ class Middleware:
                                               root_inh, reuse=reuse)
                     if depth is not None:
                         strip_unfolding(document)
-                    tagging_span.set(document_nodes=document.size())
+                    document_nodes = document.size()
+                    tagging_span.set(document_nodes=document_nodes)
                     if reuse is not None:
                         tagging_span.set(subtrees_spliced=reuse.spliced,
                                          indexes_reused=reuse.tables_reused)
@@ -809,7 +810,7 @@ class Middleware:
                     store.memo = reuse.record if reuse is not None else None
             finally:
                 engine.cleanup()
-            tracer.metrics.set_gauge("document_nodes", document.size())
+            tracer.metrics.set_gauge("document_nodes", document_nodes)
             tracer.metrics.set_gauge("unfold_depth",
                                      0 if depth is None else depth)
             tracer.metrics.add("evaluations", 1)
