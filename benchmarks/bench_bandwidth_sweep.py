@@ -11,7 +11,7 @@ masking it.
 import pytest
 
 from repro.relational import Network
-from repro.runtime import Middleware
+from repro.runtime import Middleware, unfold_aig
 
 from conftest import dataset_for, sources_for
 
@@ -27,11 +27,9 @@ def measure(hospital_aig, mbps):
         date = dataset_for("medium").busiest_date()
         times = {}
         for merging in (False, True):
-            middleware = Middleware(hospital_aig, sources,
-                                    Network.mbps(mbps), merging=merging,
-                                    unfold_depth=LEVEL,
-                                    max_unfold_depth=LEVEL)
-            report = middleware._evaluate_at_depth({"date": date}, LEVEL)
+            middleware = Middleware(unfold_aig(hospital_aig, LEVEL), sources,
+                                    Network.mbps(mbps), merging=merging)
+            report = middleware.evaluate({"date": date})
             times[merging] = report.response_time
         _cache[mbps] = times
     return _cache[mbps]
@@ -68,10 +66,8 @@ def test_sweep_point(benchmark, hospital_aig, mbps):
     date = dataset_for("medium").busiest_date()
 
     def run():
-        middleware = Middleware(hospital_aig, sources, Network.mbps(mbps),
-                                merging=True, unfold_depth=LEVEL,
-                                max_unfold_depth=LEVEL)
-        return middleware._evaluate_at_depth({"date": date},
-                                             LEVEL).response_time
+        middleware = Middleware(unfold_aig(hospital_aig, LEVEL), sources,
+                                Network.mbps(mbps), merging=True)
+        return middleware.evaluate({"date": date}).response_time
 
     assert benchmark.pedantic(run, rounds=2, iterations=1) > 0

@@ -12,7 +12,7 @@ ordering.)
 import pytest
 
 from repro.relational import Network
-from repro.runtime import Middleware
+from repro.runtime import Middleware, unfold_aig
 
 from conftest import dataset_for, sources_for
 
@@ -33,10 +33,9 @@ def test_cost_model_tracks_reality(benchmark, hospital_aig):
         for scale, level, merging in CONFIGS:
             sources = sources_for(scale)
             date = dataset_for(scale).busiest_date()
-            middleware = Middleware(hospital_aig, sources, Network.mbps(1.0),
-                                    merging=merging, unfold_depth=level,
-                                    max_unfold_depth=level)
-            result = middleware._evaluate_at_depth({"date": date}, level)
+            middleware = Middleware(unfold_aig(hospital_aig, level), sources,
+                                    Network.mbps(1.0), merging=merging)
+            result = middleware.evaluate({"date": date})
             points.append((result.estimated_cost, result.response_time))
             label = f"{scale}/{level}/{'M' if merging else '-'}"
             lines.append(f"{label:>18s}{result.estimated_cost:13.2f}"

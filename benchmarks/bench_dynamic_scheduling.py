@@ -14,7 +14,7 @@ for.
 import pytest
 
 from repro.relational import Network, StatisticsCatalog, TableStats
-from repro.runtime import Middleware
+from repro.runtime import Middleware, unfold_aig
 
 from conftest import dataset_for, sources_for
 
@@ -32,10 +32,10 @@ def misleading_stats():
 def measure(hospital_aig, scheduling, stats=None):
     sources = sources_for("small")
     date = dataset_for("small").busiest_date()
-    middleware = Middleware(hospital_aig, sources, Network.mbps(1.0),
-                            scheduling=scheduling, stats=stats,
-                            unfold_depth=5, max_unfold_depth=5)
-    return middleware._evaluate_at_depth({"date": date}, 5)
+    middleware = Middleware(unfold_aig(hospital_aig, 5), sources,
+                            Network.mbps(1.0), scheduling=scheduling,
+                            stats=stats)
+    return middleware.evaluate({"date": date})
 
 
 def test_dynamic_scheduling_ablation(benchmark, hospital_aig):

@@ -13,7 +13,7 @@ grid and the magnitude discussion).
 import pytest
 
 from repro.relational import Network
-from repro.runtime import Middleware
+from repro.runtime import Middleware, unfold_aig
 
 from conftest import dataset_for, sources_for
 
@@ -28,13 +28,14 @@ def _cell(hospital_aig, scale, level):
     if key not in _grid_cache:
         sources = sources_for(scale)
         date = dataset_for(scale).busiest_date()
+        # The level-``level`` unfolding *is* the specification here: deeper
+        # recursion is truncated, never re-unrolled.
+        unfolded = unfold_aig(hospital_aig, level)
         results = {}
         for merging in (False, True):
-            middleware = Middleware(hospital_aig, sources, Network.mbps(1.0),
-                                    merging=merging, unfold_depth=level,
-                                    max_unfold_depth=level)
-            results[merging] = middleware._evaluate_at_depth(
-                {"date": date}, level)
+            middleware = Middleware(unfolded, sources, Network.mbps(1.0),
+                                    merging=merging)
+            results[merging] = middleware.evaluate({"date": date})
         assert results[False].document == results[True].document
         _grid_cache[key] = (results[False].response_time,
                             results[True].response_time)

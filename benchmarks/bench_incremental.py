@@ -3,8 +3,7 @@
 The paper's scenario is a *daily* report over slowly-changing hospital
 databases; most of the data is the same as yesterday's.  With
 ``Middleware(incremental=True)`` a re-evaluation replays version-stamped
-cached node results and splices clean subtrees of the previous document,
-so the cost of a re-run scales with the size of the delta, not the size
+cached node results and tags the document fresh from them, so the cost of a re-run scales with the size of the delta, not the size
 of the data:
 
 * **warm, no delta** — zero queries reach the sources (hard assertion)

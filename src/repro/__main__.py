@@ -177,8 +177,7 @@ def _demo(args) -> int:
                  / max(warm.measured_seconds, 1e-9))
         identical = warm.document == report.document
         print(f"incremental re-run: {warm.queries_executed} queries "
-              f"({warm.reused_nodes} node(s) reused, "
-              f"{warm.subtrees_spliced} subtree(s) spliced), "
+              f"({warm.reused_nodes} node(s) reused), "
               f"{warm.measured_seconds:.4f}s wall ({ratio:.0f}x faster), "
               f"identical={identical}")
     if injector is not None:

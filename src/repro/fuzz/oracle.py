@@ -228,9 +228,20 @@ def _delta_table(spec: ScenarioSpec):
     return None
 
 
+def _streamed(middleware, spec: ScenarioSpec, aig):
+    """``evaluate_stream`` → (xml, the streaming checker's verdict)."""
+    import io
+    buffer = io.StringIO()
+    result = middleware.evaluate_stream(dict(spec.root_values), buffer.write,
+                                        indent=2, constraints=aig.constraints)
+    return buffer.getvalue(), sorted(str(v) for v in
+                                     result.constraint_violations)
+
+
 def _check_incremental(report: OracleReport, spec: ScenarioSpec,
                        base_xml: str, base_verdict: list[str]) -> None:
-    """Cold, warm, and delta runs of one incremental middleware."""
+    """Cold, warm, and delta runs of one incremental middleware, the
+    delta document also streamed through it."""
     from repro.constraints import check_constraints
     from repro.runtime import Middleware
     from repro.xmlmodel import conforms_to, serialize
@@ -270,6 +281,10 @@ def _check_incremental(report: OracleReport, spec: ScenarioSpec,
     # mutate the live source the incremental middleware is watching
     sources[table.source].load_rows(table.name, [duplicated])
     run("delta", delta_xml, delta_verdict)
+    # byte equality with the conformant baseline implies conformance
+    _compare(report, "incremental-delta-stream",
+             *_streamed(middleware, spec, aig),
+             delta_xml, delta_verdict, conformant=True)
 
 
 def _check_fault_recovery(report: OracleReport, spec: ScenarioSpec,
@@ -321,21 +336,14 @@ def _check_streaming(report: OracleReport, spec: ScenarioSpec,
     columnar batches) must write byte-identical XML and the streaming
     constraint checker must return the same verdicts — without ever
     materializing the tree."""
-    import io
     from repro.runtime import Middleware
 
-    config = "streaming"
     aig, sources = build_scenario(spec)
     middleware = Middleware(aig, sources, violation_mode="report",
                             pushdown=True, columnar=256)
-    buffer = io.StringIO()
-    result = middleware.evaluate_stream(dict(spec.root_values), buffer.write,
-                                        indent=2,
-                                        constraints=aig.constraints)
-    verdict = sorted(str(v) for v in result.constraint_violations)
     # byte equality with the conformant baseline implies conformance
-    _compare(report, config, buffer.getvalue(), verdict, base_xml,
-             base_verdict, conformant=True)
+    _compare(report, "streaming", *_streamed(middleware, spec, aig),
+             base_xml, base_verdict, conformant=True)
 
 
 def _check_sharded(report: OracleReport, spec: ScenarioSpec,

@@ -22,9 +22,8 @@ variants), and for degraded runs ``degraded_runs``, ``nodes_skipped``,
 
 Incremental re-evaluation (``Middleware(incremental=True)``,
 docs/INCREMENTAL.md) adds counters ``incremental_cache_hits`` (nodes
-replayed from the result cache), ``incremental_cache_misses`` (nodes that
-executed with caching enabled), ``tagging_subtrees_spliced`` and
-``tagging_indexes_reused`` (tagging-phase reuse), plus per-run gauges
+replayed from the result cache) and ``incremental_cache_misses`` (nodes
+that executed with caching enabled), plus per-run gauges
 ``incremental_reused_nodes`` and ``incremental_tainted_nodes``.
 
 :data:`NULL_METRICS` is the no-op twin used by the null tracer so

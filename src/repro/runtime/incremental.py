@@ -2,8 +2,9 @@
 
 The paper's motivating workload (Section 7) re-runs one AIG daily against
 sources that change only slightly between runs.  ``Middleware.prepare``
-already amortizes *optimization*; this module amortizes *execution and
-tagging* across evaluations of the same prepared plan:
+already amortizes *optimization*; this module amortizes *execution*
+across evaluations of the same prepared plan (never tagging: a subtree
+memo measured slower than rebuilding, see docs/INCREMENTAL.md):
 
 * every base relation carries a monotonic **version counter**
   (:meth:`repro.relational.source.DataSource.table_version`), bumped by
@@ -21,14 +22,7 @@ tagging* across evaluations of the same prepared plan:
   differs from the cached one, and taint propagates to all transitive
   consumers (:meth:`~repro.optimizer.qdg.QueryDependencyGraph.taint_cone`).
   Merged nodes (Algorithm Merge) fingerprint over *all* members, so a
-  group is tainted — and re-runs whole — iff any member is;
-
-* the **tagging memo** keeps the previous document's subtrees and sort
-  indexes, so clean regions of the tree are spliced (deep-copied) instead
-  of re-sorted and re-built.  A subtree is spliceable only when every
-  query node its content depends on — iteration tables, choice-condition
-  tables, and text provenance up to ancestor anchors — is clean and every
-  root attribute it prints is unchanged.
+  group is tainted — and re-runs whole — iff any member is.
 
 Guards re-run whole whenever any of their inputs is tainted (the *full
 re-check fallback*: an inclusion constraint spanning a tainted and a clean
@@ -49,12 +43,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 
-from repro.compilation.occurrences import RootValue, TableColumn
 from repro.sqlq.ast import BaseTable
-
-#: Sentinel dependency that is never clean — marks subtrees whose text
-#: provenance cannot be proven stable (no backing table node).
-_NEVER_CLEAN = "__never-clean__"
 
 _ROOT_PLACEHOLDER = re.compile(r"\{root:(\w+)\}")
 
@@ -68,41 +57,10 @@ class CachedNodeResult:
 
 
 @dataclass
-class TaggingMemo:
-    """Tagging-phase state of the last committed run (one per depth).
-
-    ``elements`` maps ``(iteration-occurrence path, row __id)`` to the
-    element built for that row — splicing deep-copies these, so a caller
-    mutating a returned document does not corrupt later runs.  ``tables``
-    and ``condition_tables`` keep the group+sort indexes so clean
-    relations skip re-sorting.
-    """
-
-    root_inh: dict = field(default_factory=dict)
-    elements: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
-    condition_tables: dict = field(default_factory=dict)
-
-
-@dataclass
-class TaggingReuse:
-    """Reuse directives for one ``build_document`` call."""
-
-    memo: TaggingMemo | None        # previous committed run (None = cold)
-    record: TaggingMemo             # collector for this run's memo
-    splice_paths: set = field(default_factory=set)
-    table_paths: set = field(default_factory=set)
-    condition_paths: set = field(default_factory=set)
-    spliced: int = 0                # subtree instances grafted
-    tables_reused: int = 0          # sort indexes reused
-
-
-@dataclass
 class ResultCache:
     """The middleware's cross-evaluation cache for one unfold depth."""
 
     entries: dict = field(default_factory=dict)   # node name -> CachedNodeResult
-    memo: TaggingMemo | None = None
 
 
 @dataclass
@@ -245,70 +203,3 @@ def plan_increment(graph, entries: dict, fingerprints: dict
     reusable = {name: entries[name] for name in graph.nodes
                 if name not in tainted}
     return IncrementalPlan(fingerprints, reusable, tainted)
-
-
-def index_reuse_paths(graph, tagging_plan, tainted: set
-                      ) -> tuple[set, set]:
-    """Occurrence paths whose tagging sort/condition indexes are reusable
-    (their backing query node is clean)."""
-    tables = {path for path, name in tagging_plan.table_of.items()
-              if graph.resolve(name) not in tainted}
-    conditions = {path for path, name in tagging_plan.condition_of.items()
-                  if graph.resolve(name) not in tainted}
-    return tables, conditions
-
-
-def splice_paths_for(graph, tagging_plan, tainted: set, memo, root_inh: dict
-                     ) -> set:
-    """Iteration-occurrence paths whose subtrees may be spliced whole.
-
-    A path qualifies when *every* query node its subtree's content depends
-    on — its own table, nested iteration tables, choice-condition tables,
-    and the anchor tables its text provenance reads — is clean, and every
-    root attribute printed inside the subtree has the same value as when
-    the memo was recorded.  Anything else falls back to a normal rebuild,
-    which is always correct.
-    """
-    if memo is None:
-        return set()
-    cones: dict = {}
-    _subtree_dependencies(tagging_plan, tagging_plan.tree.root, cones)
-    paths = set()
-    for path in tagging_plan.table_of:
-        nodes, members = cones.get(path, ({_NEVER_CLEAN}, set()))
-        if _NEVER_CLEAN in nodes:
-            continue
-        if any(graph.resolve(name) in tainted for name in nodes):
-            continue
-        if any(memo.root_inh.get(member) != root_inh.get(member)
-               for member in members):
-            continue
-        paths.add(path)
-    return paths
-
-
-def _subtree_dependencies(plan, occurrence, cones: dict):
-    """Bottom-up (query nodes, root members) each subtree's content reads."""
-    nodes: set = set()
-    members: set = set()
-    path = occurrence.path
-    table_node = plan.table_of.get(path)
-    if table_node is not None:
-        nodes.add(table_node)
-    condition_node = plan.condition_of.get(path)
-    if condition_node is not None:
-        nodes.add(condition_node)
-    provenance = plan.text_of.get(path)
-    if isinstance(provenance, RootValue):
-        members.add(provenance.member)
-    elif isinstance(provenance, TableColumn):
-        anchor_table = plan.table_of.get(provenance.occurrence.path)
-        nodes.add(anchor_table if anchor_table is not None
-                  else _NEVER_CLEAN)
-    for child in occurrence.children:
-        child_nodes, child_members = _subtree_dependencies(plan, child,
-                                                           cones)
-        nodes |= child_nodes
-        members |= child_members
-    cones[path] = (nodes, members)
-    return nodes, members

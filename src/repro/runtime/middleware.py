@@ -10,8 +10,10 @@
    disabled to reproduce the Fig. 10 baseline);
 3. **execution** — the plan runs against the real SQLite sources with
    simulated communication (Section 5.1);
-4. **tagging** — cached relations are sort-merged into the final document,
-   unfolding suffixes stripped, so the output conforms to the original DTD.
+4. **tagging** — cached relations are sort-merged into the final document
+   (a tree for ``evaluate``, bytes for ``evaluate_stream``; one path,
+   ``Middleware._run``, with different sinks), unfolding suffixes
+   stripped, so the output conforms to the original DTD.
 
 If the recursion turned out deeper than estimated — the deepest unfolded
 level still finds expandable nodes — the run is repeated with a larger
@@ -25,13 +27,18 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import EvaluationError, RecursionDepthExceeded
-from repro.dtd.analysis import recursive_types
+from repro.errors import (
+    EvaluationError,
+    RecursionDepthExceeded,
+    RecursionTruncated,
+)
+from repro.dtd.analysis import base_name, recursive_types
 from repro.obs.tracer import NULL_TRACER
 from repro.relational.network import Network
 from repro.relational.source import DataSource, MEDIATOR_NAME, Mediator
 from repro.relational.statistics import StatisticsCatalog
 from repro.xmlmodel.node import XMLElement
+from repro.xmlmodel.serialize import StreamSerializer, serialize
 from repro.aig.grammar import AIG
 from repro.compilation.specialize import specialize
 from repro.optimizer.cost import CostModel, plan_cost
@@ -40,15 +47,11 @@ from repro.optimizer.qdg import build_qdg
 from repro.runtime.engine import Engine, EngineResult
 from repro.runtime.incremental import (
     ResultCache,
-    TaggingMemo,
-    TaggingReuse,
     compute_fingerprints,
-    index_reuse_paths,
     plan_increment,
-    splice_paths_for,
 )
-from repro.runtime.recursion import strip_unfolding, unfold_aig
-from repro.runtime.tagging import build_document
+from repro.runtime.recursion import unfold_aig
+from repro.runtime.tagging import NullEventSink, TreeSink, stream_document
 
 logger = logging.getLogger("repro.middleware")
 
@@ -80,9 +83,6 @@ class ExecutionReport:
     #: cold at this depth).
     reused_nodes: int = 0
     tainted_nodes: int = 0
-    #: Subtree instances of the previous document spliced by the tagging
-    #: phase instead of rebuilt.
-    subtrees_spliced: int = 0
     #: Sharded evaluation (``Middleware(shards=N)``, docs/SHARDING.md):
     #: worker-process count of the run (1 = single-process path), rows of
     #: the driving query each shard evaluated, parent-side reconcile wall
@@ -119,6 +119,22 @@ class StreamReport:
     violations: list = field(default_factory=list)
     constraint_violations: list = field(default_factory=list)
     failure_report: object = None
+    reused_nodes: int = 0           # as on ExecutionReport
+    tainted_nodes: int = 0
+
+
+@dataclass
+class _Run:
+    """What one successful pass of the evaluation driver produced, for
+    :meth:`Middleware.evaluate` / ``evaluate_stream`` to report from."""
+
+    graph: object
+    result: EngineResult
+    sinks: list                     # the event sinks that consumed it
+    elements: int                   # elements the tagger emitted
+    optimization_seconds: float
+    metrics_before: dict | None     # ledger baseline (None = no ledger)
+    report: dict                    # fields both report types share
 
 
 class Middleware:
@@ -297,7 +313,6 @@ class Middleware:
         (``qdg_nodes``, ``document_nodes``, ...) are never clobbered by a
         concurrent caller's run.
         """
-        from repro.errors import RecursionTruncated
         tracer = self.tracer if tracer is None else tracer
         if self.shards > 1:
             # Sharded path (docs/SHARDING.md).  Holds the run lock like a
@@ -310,174 +325,72 @@ class Middleware:
                 sharded = evaluate_sharded(self, dict(root_inh), tracer)
             if sharded is not None:
                 return sharded
-        recursive = bool(recursive_types(self.aig.dtd))
-        depth = self._initial_depth() if recursive else None
-        with self._run_lock:
-            while True:
-                try:
-                    report = self._evaluate_at_depth(root_inh, depth, tracer)
-                except RecursionTruncated:
-                    # A choice branch was cut off below the estimate: deepen
-                    # (the choice analogue of the star-rule blocked-query
-                    # test).
-                    report = None
-                if report is not None and (
-                        not recursive
-                        or not self._needs_deeper(report, depth)):
-                    return report
-                logger.warning("recursion deeper than unfolding estimate "
-                               "%s; re-unrolling at depth %s", depth,
-                               depth * 2)
-                tracer.metrics.add("recursion_reunrollings", 1)
-                depth = depth * 2
-                if depth > self.max_unfold_depth:
-                    raise RecursionDepthExceeded(
-                        f"recursion deeper than max_unfold_depth="
-                        f"{self.max_unfold_depth}")
+
+        def report(run: _Run) -> ExecutionReport:
+            document = run.sinks[0].root
+            tracer.metrics.set_gauge("document_nodes", document.size())
+            if self.ledger is not None:
+                self._record_run(
+                    "evaluate", run, tracer,
+                    document_bytes=len(serialize(document).encode("utf-8")),
+                    violations=run.result.violations)
+            return ExecutionReport(
+                document=document,
+                optimization_seconds=run.optimization_seconds,
+                parallel_speedup=run.result.parallel_speedup,
+                workers=run.result.workers,
+                **run.report)
+
+        # A fresh tree per depth attempt: a truncated one stays partial.
+        return self._run(root_inh, tracer, "evaluate", lambda: [TreeSink()],
+                         preflight=False, report=report)
 
     def evaluate_stream(self, root_inh: dict, write, indent: int | None = None,
                         constraints: list | None = None,
                         tracer=None) -> StreamReport:
         """Generate the document as a byte stream through ``write``.
 
-        The tagging phase runs as a sort-merge event stream
-        (:func:`~repro.runtime.tagging.stream_document`): serialized XML is
-        emitted incrementally through a
-        :class:`~repro.xmlmodel.serialize.StreamSerializer` and is
-        byte-identical to ``serialize(report.document, indent)`` of a
-        materialized :meth:`evaluate` run.  ``constraints`` (optional) are
+        The same evaluation as :meth:`evaluate` — including incremental
+        reuse of cached query results — with the tagging events going to a
+        :class:`~repro.xmlmodel.serialize.StreamSerializer` instead of a
+        tree: the bytes are identical to ``serialize(report.document,
+        indent)`` of a materialized run.  ``constraints`` (optional) are
         checked on the partial stream by a
         :class:`~repro.constraints.StreamingConstraintChecker` with verdicts
         identical to the tree checker's.
 
         For recursive AIGs each depth attempt first dry-runs the stream
-        against a null sink — truncation (and the blocked-query test) must
-        surface *before* any byte reaches ``write``, since a stream cannot
-        be retracted the way an unfinished tree can.  Incremental reuse is
-        skipped: splicing memoized subtrees requires a materialized tree.
+        against a null sink — truncation must surface *before* any byte
+        reaches ``write``, since a stream cannot be retracted the way an
+        unfinished tree can.
         """
-        tracer = self.tracer if tracer is None else tracer
-        recursive = bool(recursive_types(self.aig.dtd))
-        depth = self._initial_depth() if recursive else None
-        with self._run_lock:
-            while True:
-                report = self._stream_at_depth(root_inh, depth, write,
-                                               indent, constraints,
-                                               recursive, tracer)
-                if report is not None:
-                    return report
-                logger.warning("recursion deeper than unfolding estimate "
-                               "%s; re-unrolling at depth %s", depth,
-                               depth * 2)
-                tracer.metrics.add("recursion_reunrollings", 1)
-                depth = depth * 2
-                if depth > self.max_unfold_depth:
-                    raise RecursionDepthExceeded(
-                        f"recursion deeper than max_unfold_depth="
-                        f"{self.max_unfold_depth}")
-
-    def _stream_at_depth(self, root_inh: dict, depth: int | None, write,
-                         indent: int | None, constraints: list | None,
-                         recursive: bool, tracer=None) -> StreamReport | None:
-        from repro.errors import RecursionTruncated
-        from repro.dtd.analysis import base_name
         from repro.constraints import StreamingConstraintChecker
-        from repro.xmlmodel.serialize import StreamSerializer
-        from repro.runtime.tagging import NullEventSink, stream_document
 
         tracer = self.tracer if tracer is None else tracer
-        metrics_before = (tracer.metrics.snapshot()
-                          if self.ledger is not None else None)
-        with tracer.span("evaluate-stream", "pipeline", depth=depth):
-            graph, plan, tagging_plan, estimated_cost, estimates = \
-                self.prepare(depth, tracer=tracer)
-            scheduler = None
-            if self.scheduling == "dynamic":
-                from repro.runtime.dynamic import DynamicScheduler
-                scheduler = DynamicScheduler(graph, estimates, self.network)
-            engine = Engine(graph, plan, self.sources, self.network,
-                            mediator=self.mediator,
-                            query_overhead=self.query_overhead,
-                            dynamic_scheduler=scheduler,
-                            violation_mode=self.violation_mode,
-                            workers=self.workers,
-                            emulate_overheads=self.emulate_overheads,
-                            tracer=tracer,
-                            retry_policy=self.retry_policy,
-                            breakers=self.breakers,
-                            on_source_failure=self.on_source_failure,
-                            deadline=self.deadline,
-                            tagging_plan=tagging_plan,
-                            preleased=self._preleased)
-            try:
-                result = engine.run(root_inh)
-                self._last_result = result
-                self._last_tagging = tagging_plan
-                self._last_depth = depth
-                rename = base_name if depth is not None else None
-                if recursive:
-                    try:
-                        with tracer.span("tagging-dryrun", "tagging"):
-                            stream_document(tagging_plan, result.cache,
-                                            root_inh, NullEventSink(),
-                                            rename=rename)
-                    except RecursionTruncated:
-                        return None
-                    if self._needs_deeper(None, depth):
-                        return None
-                serializer = StreamSerializer(write, indent=indent)
-                sinks: list = [serializer]
-                checker = None
-                if constraints:
-                    checker = StreamingConstraintChecker(constraints)
-                    sinks.append(checker)
-                with tracer.span("tagging", "tagging") as span:
-                    elements = stream_document(tagging_plan, result.cache,
-                                               root_inh, *sinks,
-                                               rename=rename)
-                    span.set(elements=elements,
-                             characters=serializer.characters)
-            finally:
-                engine.cleanup()
-            tracer.metrics.set_gauge("streamed_elements", elements)
+        serializer = StreamSerializer(write, indent=indent)
+        checker = (StreamingConstraintChecker(constraints)
+                   if constraints else None)
+        sinks = [serializer] if checker is None else [serializer, checker]
+
+        def report(run: _Run) -> StreamReport:
+            found = checker.result() if checker is not None else []
+            tracer.metrics.set_gauge("streamed_elements", run.elements)
             tracer.metrics.set_gauge("document_characters",
                                      serializer.characters)
-            tracer.metrics.set_gauge("unfold_depth",
-                                     0 if depth is None else depth)
-            tracer.metrics.add("evaluations", 1)
-            tracer.metrics.observe("evaluation_latency_seconds",
-                                   result.measured_seconds)
-        self._last_graph = graph
-        self._last_estimates = estimates
-        if (self.cost_feedback is not None
-                and result.failure_report is None):
-            self.cost_feedback.observe_run(graph, result.timings)
-        stream_violations = (checker.result() if checker is not None else [])
-        if self.ledger is not None:
-            self._record_run(
-                "stream", graph, result, metrics_before,
-                plan_info={"estimated_cost": round(estimated_cost, 6),
-                           "response_time": round(result.response_time, 6),
-                           "node_count": len(graph),
-                           "unfold_depth": depth},
-                document_bytes=serializer.characters,
-                violations=list(result.violations) + list(stream_violations),
-                extra={"streamed_elements": elements},
-                tracer=tracer)
-        return StreamReport(
-            response_time=result.response_time,
-            estimated_cost=estimated_cost,
-            measured_seconds=result.measured_seconds,
-            queries_executed=result.queries_executed,
-            bytes_shipped=result.bytes_shipped,
-            node_count=len(graph),
-            merged=self.merging,
-            unfold_depth=depth,
-            elements=elements,
-            characters=serializer.characters,
-            violations=list(result.violations),
-            constraint_violations=stream_violations,
-            failure_report=result.failure_report)
+            if self.ledger is not None:
+                self._record_run(
+                    "stream", run, tracer,
+                    document_bytes=serializer.characters,
+                    violations=list(run.result.violations) + list(found),
+                    streamed_elements=run.elements)
+            return StreamReport(
+                elements=run.elements,
+                characters=serializer.characters,
+                constraint_violations=found,
+                **run.report)
+
+        return self._run(root_inh, tracer, "evaluate-stream", lambda: sinks,
+                         preflight=True, report=report)
 
     def _initial_depth(self) -> int:
         """The user estimate, or a data-driven one for ``"auto"``.
@@ -727,12 +640,44 @@ class Middleware:
                                  self._last_result.timings)
 
     # ------------------------------------------------------------------
-    def _evaluate_at_depth(self, root_inh: dict, depth: int | None,
-                           tracer=None) -> ExecutionReport:
-        tracer = self.tracer if tracer is None else tracer
+    def _run(self, root_inh: dict, tracer, span: str, open_sinks,
+             preflight: bool, report):
+        """The one evaluation path behind :meth:`evaluate` and
+        :meth:`evaluate_stream`: depth attempts under the run lock, the
+        unfolding doubled until the recursion fits (Section 5.5).
+
+        ``open_sinks()`` returns the event sinks that consume an attempt's
+        document; ``preflight`` says they cannot be retracted, so an attempt
+        must prove its depth sufficient before they see a single event.
+        ``report(run)`` fills the caller's report, gauges and ledger record.
+        """
+        recursive = bool(recursive_types(self.aig.dtd))
+        depth = self._initial_depth() if recursive else None
+        with self._run_lock:
+            while True:
+                run = self._run_at_depth(root_inh, depth, tracer, span,
+                                         open_sinks, preflight)
+                if run is not None:
+                    return report(run)
+                logger.warning("recursion deeper than unfolding estimate "
+                               "%s; re-unrolling at depth %s", depth,
+                               depth * 2)
+                tracer.metrics.add("recursion_reunrollings", 1)
+                depth = depth * 2
+                if depth > self.max_unfold_depth:
+                    raise RecursionDepthExceeded(
+                        f"recursion deeper than max_unfold_depth="
+                        f"{self.max_unfold_depth}")
+
+    def _run_at_depth(self, root_inh: dict, depth: int | None, tracer,
+                      span: str, open_sinks, preflight: bool) -> _Run | None:
+        """One attempt at one unfold depth; ``None`` when the unfolding
+        truncated live recursion and the attempt must be repeated deeper
+        (nothing was committed, counted, or shown to the sinks if
+        ``preflight``)."""
         metrics_before = (tracer.metrics.snapshot()
                           if self.ledger is not None else None)
-        with tracer.span("evaluate", "pipeline", depth=depth):
+        with tracer.span(span, "pipeline", depth=depth):
             optimization_started = time.perf_counter()
             graph, plan, tagging_plan, estimated_cost, estimates = \
                 self.prepare(depth, tracer=tracer)
@@ -775,89 +720,63 @@ class Middleware:
                             preleased=self._preleased)
             try:
                 result = engine.run(root_inh)
-                reuse = None
-                if increment is not None:
-                    table_paths, condition_paths = index_reuse_paths(
-                        graph, tagging_plan, increment.tainted)
-                    reuse = TaggingReuse(
-                        memo=store.memo,
-                        record=TaggingMemo(root_inh=dict(root_inh)),
-                        splice_paths=splice_paths_for(
-                            graph, tagging_plan, increment.tainted,
-                            store.memo, root_inh),
-                        table_paths=table_paths,
-                        condition_paths=condition_paths)
-                with tracer.span("tagging", "tagging") as tagging_span:
-                    document = build_document(tagging_plan, result.cache,
-                                              root_inh, reuse=reuse)
-                    if depth is not None:
-                        strip_unfolding(document)
-                    document_nodes = document.size()
-                    tagging_span.set(document_nodes=document_nodes)
-                    if reuse is not None:
-                        tagging_span.set(subtrees_spliced=reuse.spliced,
-                                         indexes_reused=reuse.tables_reused)
-                        tracer.metrics.add("tagging_subtrees_spliced",
-                                           reuse.spliced)
-                        tracer.metrics.add("tagging_indexes_reused",
-                                           reuse.tables_reused)
+                rename = base_name if depth is not None else None
+                try:
+                    if preflight and depth is not None:
+                        with tracer.span("tagging-dryrun", "tagging"):
+                            stream_document(tagging_plan, result.cache,
+                                            root_inh, NullEventSink(),
+                                            rename=rename)
+                    if self._needs_deeper(tagging_plan, result.cache, depth):
+                        return None
+                    sinks = open_sinks()
+                    with tracer.span("tagging", "tagging") as tagging_span:
+                        elements = stream_document(tagging_plan, result.cache,
+                                                   root_inh, *sinks,
+                                                   rename=rename)
+                        tagging_span.set(elements=elements)
+                except RecursionTruncated:
+                    # A choice branch was cut off below the estimate (the
+                    # choice analogue of the star-rule blocked-query test).
+                    return None
                 # Commit only after a fully successful, non-degraded run:
                 # a mid-run failure (or a skipped subtree) must never
                 # poison the cache — the next evaluation simply finds the
                 # previous (still fingerprint-valid) entries.
-                if (store is not None and result.failure_report is None):
+                if store is not None and result.failure_report is None:
                     store.entries.update(result.cache_entries)
-                    store.memo = reuse.record if reuse is not None else None
             finally:
                 engine.cleanup()
-            tracer.metrics.set_gauge("document_nodes", document_nodes)
             tracer.metrics.set_gauge("unfold_depth",
                                      0 if depth is None else depth)
             tracer.metrics.add("evaluations", 1)
             tracer.metrics.observe("evaluation_latency_seconds",
                                    result.measured_seconds)
         self._last_result = result
-        self._last_tagging = tagging_plan
         self._last_depth = depth
         self._last_graph = graph
         self._last_estimates = estimates
         if (self.cost_feedback is not None
                 and result.failure_report is None):
             self.cost_feedback.observe_run(graph, result.timings)
-        if self.ledger is not None:
-            from repro.xmlmodel.serialize import serialize
-            self._record_run(
-                "evaluate", graph, result, metrics_before,
-                plan_info={"estimated_cost": round(estimated_cost, 6),
-                           "response_time": round(result.response_time, 6),
-                           "node_count": len(graph),
-                           "unfold_depth": depth},
-                document_bytes=len(serialize(document).encode("utf-8")),
-                violations=result.violations,
-                extra={"reused_nodes": result.reused_nodes,
-                       "tainted_nodes": (len(increment.tainted)
-                                         if increment is not None else 0)},
-                tracer=tracer)
-        return ExecutionReport(
-            document=document,
-            response_time=result.response_time,
-            estimated_cost=estimated_cost,
-            measured_seconds=result.measured_seconds,
-            queries_executed=result.queries_executed,
-            bytes_shipped=result.bytes_shipped,
-            node_count=len(graph),
-            merged=self.merging,
-            unfold_depth=depth,
+        tainted_nodes = len(increment.tainted) if increment else 0
+        return _Run(
+            graph=graph, result=result, sinks=sinks, elements=elements,
             optimization_seconds=optimization_seconds,
-            violations=list(result.violations),
-            parallel_speedup=result.parallel_speedup,
-            workers=result.workers,
-            failure_report=result.failure_report,
-            reused_nodes=result.reused_nodes,
-            tainted_nodes=(len(increment.tainted) if increment is not None
-                           else 0),
-            subtrees_spliced=(reuse.spliced if increment is not None
-                              and reuse is not None else 0))
+            metrics_before=metrics_before,
+            report=dict(
+                response_time=result.response_time,
+                estimated_cost=estimated_cost,
+                measured_seconds=result.measured_seconds,
+                queries_executed=result.queries_executed,
+                bytes_shipped=result.bytes_shipped,
+                node_count=len(graph),
+                merged=self.merging,
+                unfold_depth=depth,
+                violations=list(result.violations),
+                failure_report=result.failure_report,
+                reused_nodes=result.reused_nodes,
+                tainted_nodes=tainted_nodes))
 
     # ------------------------------------------------------------------
     def _config_dict(self) -> dict:
@@ -882,12 +801,17 @@ class Middleware:
             "shards": self.shards,
         }
 
-    def _record_run(self, kind: str, graph, result, metrics_before,
-                    plan_info: dict, document_bytes: int,
-                    violations: list, extra: dict, tracer=None) -> None:
+    def _record_run(self, kind: str, run: _Run, tracer,
+                    document_bytes: int, violations: list, **extra) -> None:
         """Append one run record to the attached ledger."""
         from repro.obs.ledger import build_run_record, metrics_delta
-        tracer = self.tracer if tracer is None else tracer
+        result = run.result
+        plan_info = {
+            "estimated_cost": round(run.report["estimated_cost"], 6),
+            "response_time": round(result.response_time, 6),
+            "node_count": len(run.graph),
+            "unfold_depth": run.report["unfold_depth"],
+        }
         run_info = {
             "measured_seconds": round(result.measured_seconds, 6),
             "queries_executed": result.queries_executed,
@@ -895,21 +819,23 @@ class Middleware:
             "document_bytes": document_bytes,
             "degraded": result.failure_report is not None,
             "violations": len(violations),
+            "reused_nodes": result.reused_nodes,
+            "tainted_nodes": run.report["tainted_nodes"],
+            **extra,
         }
-        run_info.update(extra)
         constraint_records = [str(violation) for violation in violations]
         record = build_run_record(
-            kind, graph, result.timings,
+            kind, run.graph, result.timings,
             config=self._config_dict(),
             plan_info=plan_info,
             run_info=run_info,
-            metrics=metrics_delta(metrics_before,
+            metrics=metrics_delta(run.metrics_before,
                                   tracer.metrics.snapshot()),
             constraints=constraint_records)
         self.ledger.append(record)
 
     # ------------------------------------------------------------------
-    def _needs_deeper(self, report: ExecutionReport,
+    def _needs_deeper(self, tagging_plan, cache: dict,
                       depth: int | None) -> bool:
         """Did the unfolding truncate live recursion?
 
@@ -919,15 +845,12 @@ class Middleware:
         means an expandable node was cut off (Section 5.5's blocked-query
         test) and the unfolding must be extended.
         """
-        from repro.dtd.analysis import base_name
         from repro.dtd.model import Empty, Star
         from repro.aig.rules import StarRule
-        from repro.sqlq.analyze import scalar_params
 
         if depth is None:
             return False
-        cache = self._last_result.cache
-        tree = self._last_tagging.tree
+        tree = tagging_plan.tree
         for occurrence in tree.by_path.values():
             original_type = base_name(occurrence.element_type)
             if original_type == occurrence.element_type:
@@ -942,24 +865,22 @@ class Middleware:
             anchor = occurrence.anchor
             if anchor.parent is None:
                 continue
-            table_node = self._last_tagging.table_of.get(anchor.path)
+            table_node = tagging_plan.table_of.get(anchor.path)
             if table_node is None or not len(cache.get(table_node, [])):
                 continue
-            if self._probe_expandable(rule, occurrence, anchor, cache):
+            if self._probe_expandable(rule, cache[table_node]):
                 return True
         return False
 
-    def _probe_expandable(self, rule, occurrence, anchor, cache) -> bool:
-        """Does the truncated star query produce rows for any live parent?"""
+    def _probe_expandable(self, rule, rows) -> bool:
+        """Does the truncated star query produce rows for any live parent
+        (``rows``: the deepest level's cached anchor relation)?"""
         from repro.sqlq.analyze import scalar_params
         from repro.sqlq.render import render_sqlite
         from repro.sqlq.ast import (ColumnRef, Comparison, Param, Literal,
                                     Query, SelectItem, TempTable)
-        from repro.aig.functions import QueryFunc
         from repro.relational.source import Federation
 
-        table_node = self._last_tagging.table_of[anchor.path]
-        rows = cache[table_node]
         query = rule.child_query.query
         replacements = {}
         for param in scalar_params(query):
@@ -986,11 +907,16 @@ class Middleware:
             query.from_items + (TempTable("__probe_input", "__probe",
                                           tuple(rows.columns)),),
             tuple(new_where))
-        federation = Federation(list(self.sources.values()))
-        federation.create_temp_table(rows.columns, rows.rows,
-                                     "__probe_table")
         sql, params = render_sqlite(
             probe, bindings={"__probe_input": "__probe_table"},
             qualify_sources=True)
-        result = federation.execute(sql + " LIMIT 1", tuple(params))
+        # Per probe, and closed with it: on non-attachable backends a
+        # federation holds a copy of every base relation.
+        federation = Federation(list(self.sources.values()))
+        try:
+            federation.create_temp_table(rows.columns, rows.rows,
+                                         "__probe_table")
+            result = federation.execute(sql + " LIMIT 1", tuple(params))
+        finally:
+            federation.close()
         return bool(result.rows)

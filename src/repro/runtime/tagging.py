@@ -1,11 +1,12 @@
-"""The tagging phase (Section 5.1): relations -> XML tree.
+"""The tagging phase (Section 5.1): relations -> XML.
 
 Tagging runs entirely at the mediator, over the cached output relations.
-The occurrence tree drives a single top-down construction pass:
+The occurrence tree drives one top-down sort-merge traversal that emits
+``start(tag)`` / ``text(value)`` / ``end()`` events to its sinks:
 
-* star children materialize one element per table row whose ``__parent``
-  matches the current anchor row (rows sorted canonically, so both
-  evaluation paths produce identical sibling orders);
+* star children emit one element per table row whose ``__parent`` matches
+  the current anchor row (rows sorted canonically, so both evaluation
+  paths produce identical sibling orders);
 * sequence children recurse in production order;
 * choice occurrences consult the condition table for the current anchor row
   and emit only the selected alternative;
@@ -13,16 +14,18 @@ The occurrence tree drives a single top-down construction pass:
   compile time (a column of an enclosing anchor row, a root attribute
   member, or a constant).
 
-Internal-state nodes never enter the tree (decomposition steps are not
-element occurrences), and unfolding suffixes are stripped afterwards by
-:func:`repro.runtime.recursion.strip_unfolding`.
+Sinks decide what the events become: a tree (:class:`TreeSink`), bytes
+(:class:`~repro.xmlmodel.serialize.StreamSerializer`), constraint verdicts
+(:class:`~repro.constraints.StreamingConstraintChecker`), or nothing
+(:class:`NullEventSink`).  Internal-state nodes never produce events
+(decomposition steps are not element occurrences), and unfolding suffixes
+are stripped by the ``rename`` applied to every tag.
 """
 
 from __future__ import annotations
 
 from repro.errors import EvaluationError
 from repro.dtd.model import Choice, Empty, PCDATA, Sequence, Star
-from repro.relational.source import ResultSet
 from repro.xmlmodel.node import XMLElement, XMLText
 from repro.compilation.occurrences import (
     ConstValue,
@@ -65,193 +68,6 @@ class _Table:
         return row[self.columns.index(column)]
 
 
-def build_document(plan: TaggingPlan, cache: dict[str, ResultSet],
-                   root_inh: dict, reuse=None) -> XMLElement:
-    """Sort-merge the cached relations into the final XML tree.
-
-    ``reuse`` (a :class:`~repro.runtime.incremental.TaggingReuse`) enables
-    incremental tagging: clean relations keep their previous group+sort
-    index, and subtrees at ``reuse.splice_paths`` are deep-copied from the
-    previous document's memo instead of rebuilt; the run's own subtrees
-    and indexes are recorded into ``reuse.record`` either way.
-    """
-    builder = _TreeBuilder(plan, cache, root_inh, reuse)
-    return builder.build()
-
-
-class _TreeBuilder:
-    def __init__(self, plan: TaggingPlan, cache: dict[str, ResultSet],
-                 root_inh: dict, reuse=None):
-        self.plan = plan
-        self.cache = cache
-        self.root_inh = root_inh
-        self.reuse = reuse
-        self.aig = plan.tree.aig
-        memo = reuse.memo if reuse is not None else None
-        self.tables: dict[str, _Table] = {}
-        for path, node_name in plan.table_of.items():
-            if node_name not in cache:
-                raise EvaluationError(
-                    f"tagging input {node_name!r} was not produced")
-            table = None
-            if (reuse is not None and memo is not None
-                    and path in reuse.table_paths):
-                table = memo.tables.get(path)
-            if table is None:
-                table = _Table(cache[node_name],
-                               plan.sort_columns.get(path, []))
-            else:
-                reuse.tables_reused += 1
-            self.tables[path] = table
-            if reuse is not None:
-                reuse.record.tables[path] = table
-        self.conditions: dict[str, _Table] = {}
-        for path, node_name in plan.condition_of.items():
-            condition = None
-            if (reuse is not None and memo is not None
-                    and path in reuse.condition_paths):
-                condition = memo.condition_tables.get(path)
-            if condition is None:
-                condition = _Table(cache[node_name], [])
-            else:
-                reuse.tables_reused += 1
-            self.conditions[path] = condition
-            if reuse is not None:
-                reuse.record.condition_tables[path] = condition
-        #: current anchor row per iteration-occurrence path
-        self.anchor_rows: dict[str, tuple] = {}
-
-    # ------------------------------------------------------------------
-    def build(self) -> XMLElement:
-        root_occurrence = self.plan.tree.root
-        root = XMLElement(root_occurrence.element_type)
-        self._fill(root_occurrence, root)
-        return root
-
-    def _fill(self, occurrence: Occurrence, node: XMLElement) -> None:
-        """Populate ``node`` (an instance of ``occurrence``)."""
-        model = self.aig.dtd.production(occurrence.element_type)
-        if isinstance(model, PCDATA):
-            value = self._text_value(occurrence)
-            node.append(XMLText("" if value is None else str(value)))
-        elif isinstance(model, Empty):
-            return
-        elif isinstance(model, Star):
-            child = occurrence.children[0]
-            self._emit_iteration(child, node)
-        elif isinstance(model, Choice):
-            self._emit_choice(occurrence, node)
-        else:
-            assert isinstance(model, Sequence)
-            for child in occurrence.children:
-                child_node = XMLElement(child.element_type)
-                node.append(child_node)
-                self._fill(child, child_node)
-
-    def _emit_iteration(self, occurrence: Occurrence,
-                        parent_node: XMLElement) -> None:
-        table = self.tables[occurrence.path]
-        parent_anchor = occurrence.parent_anchor()
-        if parent_anchor.parent is None and parent_anchor.path not in \
-                self.anchor_rows:
-            parent_id = None
-        else:
-            parent_row = self.anchor_rows[parent_anchor.path]
-            parent_id = self.tables[parent_anchor.path].value(parent_row,
-                                                              ID_COLUMN)
-        reuse = self.reuse
-        splice_from = None
-        if reuse is not None:
-            if (reuse.memo is not None
-                    and occurrence.path in reuse.splice_paths):
-                splice_from = reuse.memo.elements
-            id_index = table.columns.index(ID_COLUMN)
-        for row in table.rows_for(parent_id):
-            if reuse is not None:
-                key = (occurrence.path, row[id_index])
-                if splice_from is not None and key in splice_from:
-                    # Clean subtree: graft a deep copy of the memo's
-                    # element and carry the *private* memo element itself
-                    # forward.  Only copies ever enter the returned
-                    # document, so caller-side mutation of a spliced
-                    # subtree can never reach the cache.
-                    parent_node.append(splice_from[key].copy())
-                    reuse.record.elements[key] = splice_from[key]
-                    reuse.spliced += 1
-                    continue
-            child_node = XMLElement(occurrence.element_type)
-            parent_node.append(child_node)
-            self.anchor_rows[occurrence.path] = row
-            self._fill(occurrence, child_node)
-            if reuse is not None:
-                # memoize a private copy, not the document-resident node:
-                # the caller owns the returned document and may mutate it
-                reuse.record.elements[key] = child_node.copy()
-        self.anchor_rows.pop(occurrence.path, None)
-
-    def _emit_choice(self, occurrence: Occurrence,
-                     node: XMLElement) -> None:
-        condition = self.conditions[occurrence.path]
-        anchor = occurrence.anchor
-        if anchor.parent is None:
-            rows = condition.rows_for(None)
-            if not rows:
-                rows = [row for group in condition.by_parent.values()
-                        for row in group]
-        else:
-            anchor_row = self.anchor_rows[anchor.path]
-            anchor_id = self.tables[anchor.path].value(anchor_row, ID_COLUMN)
-            rows = condition.rows_for(anchor_id)
-        if not rows:
-            raise EvaluationError(
-                f"condition query of {occurrence.element_type!r} returned "
-                f"no value for an instance at {occurrence.path}")
-        selector = rows[0][0]
-        try:
-            index = int(selector)
-        except (TypeError, ValueError):
-            raise EvaluationError(
-                f"condition query of {occurrence.element_type!r} returned "
-                f"non-integer {selector!r}") from None
-        rule = self.aig.rule_for(occurrence.element_type)
-        targets = rule.selector_targets(
-            [child.element_type for child in occurrence.children])
-        if not 1 <= index <= len(targets):
-            raise EvaluationError(
-                f"condition query of {occurrence.element_type!r} returned "
-                f"{index}, outside [1, {len(targets)}]")
-        chosen_name = targets[index - 1]
-        if chosen_name is None:
-            from repro.errors import RecursionTruncated
-            raise RecursionTruncated(
-                f"condition query of {occurrence.element_type!r} selected "
-                f"an alternative truncated by recursion unfolding; increase "
-                f"the unfold depth")
-        chosen = occurrence.child(chosen_name)
-        child_node = XMLElement(chosen.element_type)
-        node.append(child_node)
-        self._fill(chosen, child_node)
-
-    # ------------------------------------------------------------------
-    def _text_value(self, occurrence: Occurrence):
-        provenance = self.plan.text_of[occurrence.path]
-        if isinstance(provenance, ConstValue):
-            return provenance.value
-        if isinstance(provenance, RootValue):
-            return self.root_inh.get(provenance.member)
-        assert isinstance(provenance, TableColumn)
-        row = self.anchor_rows.get(provenance.occurrence.path)
-        if row is None:
-            raise EvaluationError(
-                f"no current row for {provenance.occurrence.path} while "
-                f"tagging {occurrence.path}")
-        return self.tables[provenance.occurrence.path].value(
-            row, provenance.column)
-
-
-# ----------------------------------------------------------------------
-# streaming tagging (docs/DATAPLANE.md)
-# ----------------------------------------------------------------------
 class NullEventSink:
     """Sink that discards events (used for truncation dry-runs)."""
 
@@ -265,41 +81,67 @@ class NullEventSink:
         pass
 
 
+class TreeSink:
+    """Sink that materializes the events as an :class:`XMLElement` tree,
+    left in ``root`` once the stream has ended."""
+
+    def __init__(self):
+        self.root: XMLElement | None = None
+        self._open: XMLElement | None = None    # innermost open element
+
+    def start(self, tag: str) -> None:
+        node = XMLElement(tag)
+        if self._open is None:
+            self.root = node
+        else:
+            self._open.append(node)
+        self._open = node
+
+    def text(self, value: str) -> None:
+        self._open.append(XMLText(value))
+
+    def end(self) -> None:
+        self._open = self._open.parent
+
+
 def stream_document(plan: TaggingPlan, cache: dict, root_inh: dict,
                     *sinks, rename=None) -> int:
-    """Emit the document as ``start``/``text``/``end`` events, in the exact
-    order :func:`build_document` would materialize it.
+    """Sort-merge the cached relations into ``start``/``text``/``end``
+    events, delivered to every sink in document order.
 
     ``sinks`` are objects with ``start(tag)`` / ``text(value)`` / ``end()``
-    methods — typically a :class:`repro.xmlmodel.serialize.StreamSerializer`
-    plus a :class:`repro.constraints.StreamingConstraintChecker`.
-    ``rename`` (usually :func:`repro.dtd.analysis.base_name`) is applied to
-    every emitted tag, replacing the post-hoc
-    :func:`~repro.runtime.recursion.strip_unfolding` pass — the whole
-    point of streaming is that no tree exists to rename afterwards.
+    methods.  ``rename`` (usually :func:`repro.dtd.analysis.base_name`) is
+    applied to every emitted tag, which is how unfolding suffixes are
+    stripped: a stream leaves no tree to rename afterwards.
 
-    Raises exactly the errors the materializing path raises (including
-    :class:`~repro.errors.RecursionTruncated` from a choice selecting a
-    truncated alternative), so callers can dry-run with a
-    :class:`NullEventSink` before committing bytes to a real writer.
-    Returns the number of elements emitted.
+    Raises :class:`~repro.errors.RecursionTruncated` when a choice selects
+    an alternative the unfolding cut off, so callers whose sink cannot be
+    retracted dry-run with a :class:`NullEventSink` before committing bytes
+    to a real writer.  Returns the number of elements emitted.
     """
-    builder = _StreamBuilder(plan, cache, root_inh, sinks, rename)
-    builder.build()
-    return builder.elements
+    tagger = _Tagger(plan, cache, root_inh, sinks, rename)
+    tagger.build()
+    return tagger.elements
 
 
-class _StreamBuilder:
-    """Mirrors :class:`_TreeBuilder`'s traversal, emitting events instead
-    of nodes; no XML tree, serialized string, or memo is ever built."""
+def build_document(plan: TaggingPlan, cache: dict, root_inh: dict,
+                   rename=None) -> XMLElement:
+    """The document as a materialized tree: :func:`stream_document` into
+    a :class:`TreeSink`."""
+    sink = TreeSink()
+    stream_document(plan, cache, root_inh, sink, rename=rename)
+    return sink.root
+
+
+class _Tagger:
+    """The one tagging traversal; everything downstream is a sink."""
 
     def __init__(self, plan: TaggingPlan, cache: dict, root_inh: dict,
                  sinks, rename=None):
         self.plan = plan
-        self.cache = cache
         self.root_inh = root_inh
         self.sinks = sinks
-        self.rename = rename or (lambda tag: tag)
+        self.rename = rename
         self.aig = plan.tree.aig
         self.elements = 0
         self.tables: dict[str, _Table] = {}
@@ -312,14 +154,16 @@ class _StreamBuilder:
         self.conditions: dict[str, _Table] = {}
         for path, node_name in plan.condition_of.items():
             self.conditions[path] = _Table(cache[node_name], [])
+        #: current anchor row per iteration-occurrence path
         self.anchor_rows: dict[str, tuple] = {}
 
     # -- event emission -------------------------------------------------
     def _start(self, tag: str) -> None:
         self.elements += 1
-        renamed = self.rename(tag)
+        if self.rename is not None:
+            tag = self.rename(tag)
         for sink in self.sinks:
-            sink.start(renamed)
+            sink.start(tag)
 
     def _text(self, value: str) -> None:
         for sink in self.sinks:
@@ -329,7 +173,7 @@ class _StreamBuilder:
         for sink in self.sinks:
             sink.end()
 
-    # -- traversal (kept in lockstep with _TreeBuilder) -----------------
+    # -- traversal -------------------------------------------------------
     def build(self) -> None:
         root_occurrence = self.plan.tree.root
         self._start(root_occurrence.element_type)

@@ -368,8 +368,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # Headers and body leave in one write: end_headers() would send
+        # the header block on its own, and a second small send on a
+        # keep-alive connection waits out Nagle + delayed ACK (~40 ms).
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _send_json(self, status: int, payload: dict,
                    extra_headers: dict | None = None) -> None:

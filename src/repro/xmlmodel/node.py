@@ -107,26 +107,6 @@ class XMLElement(XMLNode):
         child.parent = None
         self.children[index:index + 1] = grandchildren
 
-    def copy(self) -> "XMLElement":
-        """A deep, parentless copy of this subtree.
-
-        Iterative (explicit stack), so documents deeper than the Python
-        recursion limit copy fine.  Used by incremental tagging to splice
-        memoized subtrees without aliasing the previous document.
-        """
-        duplicate = XMLElement(self.tag)
-        stack: list[tuple[XMLElement, XMLElement]] = [(self, duplicate)]
-        while stack:
-            original, clone = stack.pop()
-            for child in original.children:
-                if isinstance(child, XMLElement):
-                    child_clone = XMLElement(child.tag)
-                    clone.append(child_clone)
-                    stack.append((child, child_clone))
-                else:
-                    clone.append(XMLText(child.value))
-        return duplicate
-
     # ------------------------------------------------------------------
     # navigation
     # ------------------------------------------------------------------

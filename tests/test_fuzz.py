@@ -29,15 +29,17 @@ def _seeded_bug(monkeypatch):
     engine bug that only a differential oracle notices."""
     import repro.runtime.middleware as middleware_module
 
-    real = middleware_module.build_document
+    real = middleware_module.stream_document
 
-    def buggy(plan, cache, root_inh, reuse=None):
-        document = real(plan, cache, root_inh, reuse)
-        if len(document.children) >= 2:
-            document.children.pop()
-        return document
+    def buggy(plan, cache, root_inh, *sinks, rename=None):
+        elements = real(plan, cache, root_inh, *sinks, rename=rename)
+        for sink in sinks:
+            document = getattr(sink, "root", None)
+            if document is not None and len(document.children) >= 2:
+                document.children.pop()
+        return elements
 
-    monkeypatch.setattr(middleware_module, "build_document", buggy)
+    monkeypatch.setattr(middleware_module, "stream_document", buggy)
 
 
 class TestGenerator:

@@ -2,8 +2,7 @@
 
 Version-stamped result caching must never change the answer.  A warm
 re-evaluation replays cached node results (zero queries on the sources)
-and splices clean subtrees of the previous document, yet the output stays
-byte-identical to a cold run — across worker counts, scheduling policies,
+and tags a fresh document from them, yet the output stays byte-identical to a cold run — across worker counts, scheduling policies,
 violation modes, root-attribute changes, and injected faults.  A failed
 run must never commit partial results into the cache.
 """
@@ -135,7 +134,7 @@ class TestDeltaReevaluation:
 
     def test_unmerged_delta_splices_clean_subtrees(self):
         # Algorithm Merge couples the hospital cones into shared merged
-        # nodes, so the clean-subtree splice shows best with merging off.
+        # nodes, so the clean cone is largest with merging off.
         sources, dataset = make_loaded_sources("tiny", seed=34)
         middleware = _middleware(sources, merging=False)
         date = dataset.busiest_date()
@@ -143,10 +142,51 @@ class TestDeltaReevaluation:
         sources["DB3"].execute(
             "UPDATE billing SET price = price + 1 WHERE rowid % 10 = 0")
         warm = middleware.evaluate({"date": date})
-        assert warm.subtrees_spliced > 0
         assert warm.reused_nodes > 0
         assert serialize(warm.document) == \
             _cold_document(sources, date, merging=False)
+
+
+class TestTaggingCost:
+    def test_one_element_construction_per_document_element(self, monkeypatch):
+        # Alternating root attributes is the traffic shape the deleted
+        # subtree memo lost on: every iteration subtree was deep-copied
+        # at every nesting level (~6x the document in constructions).
+        from repro.xmlmodel.node import XMLElement
+        constructed = []
+        real_init = XMLElement.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(XMLElement, "__init__", counting_init)
+        sources = make_sources()
+        load_tiny_hospital(sources)
+        middleware = _middleware(sources)
+        for date in ("d1", "d2", "d1", "d2"):
+            constructed.clear()
+            document = middleware.evaluate({"date": date}).document
+            assert len(constructed) == sum(1 for _ in document.iter())
+
+
+class TestStreamReuse:
+    def test_stream_after_source_write_reuses_and_matches_cold(self):
+        sources, dataset = make_loaded_sources("tiny", seed=35)
+        date = dataset.busiest_date()
+        middleware = _middleware(sources)
+        cold = middleware.evaluate_stream({"date": date}, lambda chunk: None,
+                                          indent=2)
+        sources["DB3"].execute(
+            "UPDATE billing SET price = price + 1 WHERE rowid % 10 = 0")
+        chunks: list[str] = []
+        warm = middleware.evaluate_stream({"date": date}, chunks.append,
+                                          indent=2)
+        assert 0 < warm.queries_executed < cold.queries_executed
+        fresh: list[str] = []
+        _middleware(sources, incremental=False).evaluate_stream(
+            {"date": date}, fresh.append, indent=2)
+        assert "".join(chunks) == "".join(fresh)
 
 
 class TestViolationModes:

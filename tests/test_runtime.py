@@ -123,6 +123,29 @@ class TestRecursionHandling:
             hospital_aig, list(tiny_sources.values())).evaluate({"date": "d1"})
         assert report.document == conceptual
 
+    def test_probe_federation_is_closed(self, hospital_aig, tiny_sources,
+                                        monkeypatch):
+        # The blocked-query probe federates the sources per call; on
+        # non-attachable backends that copies every base relation, so
+        # each one must be closed when its probe returns.
+        import sqlite3
+        import repro.relational.source as source_module
+        opened = []
+
+        class Recording(source_module.Federation):
+            def __init__(self, sources):
+                super().__init__(sources)
+                opened.append(self)
+
+        monkeypatch.setattr(source_module, "Federation", Recording)
+        middleware = Middleware(hospital_aig, tiny_sources,
+                                Network.mbps(1.0), unfold_depth=1)
+        assert middleware.evaluate({"date": "d1"}).unfold_depth > 1
+        assert opened, "expected the re-unrolling probe to run"
+        for federation in opened:
+            with pytest.raises(sqlite3.ProgrammingError):
+                federation.connection.execute("SELECT 1")
+
     def test_depth_cap(self, hospital_aig):
         sources = make_sources()
         load_tiny_hospital(sources, with_recursion=False)

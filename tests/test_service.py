@@ -314,6 +314,44 @@ class TestHTTPSurface:
         assert payload["status"] == "ok"
         assert "hospital" in payload["tenants"]
 
+    def test_one_write_per_plain_response(self, served, monkeypatch):
+        # Headers and body as two sends stall a keep-alive connection
+        # ~40 ms on Nagle + delayed ACK; every non-chunked response —
+        # JSON, XML, error — must leave as a single write.
+        from repro.service.server import ServiceRequestHandler
+        _, server, dataset = served
+        writes = []
+
+        class CountingWriter:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def write(self, data):
+                writes.append(len(data))
+                return self.inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        real_setup = ServiceRequestHandler.setup
+
+        def counting_setup(handler):
+            real_setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(ServiceRequestHandler, "setup", counting_setup)
+        for method, path, payload in (
+                ("GET", "/health", None),
+                ("GET", "/no-such-route", None),
+                ("POST", "/evaluate",
+                 {"tenant": "hospital",
+                  "root": {"date": dataset.busiest_date()}})):
+            writes.clear()
+            _, headers, body = _request(server, method, path, payload)
+            assert len(writes) == 1
+            assert int(headers["Content-Length"]) == len(body)
+            assert writes[0] > len(body)
+
     def test_evaluate_bytes_identical_to_in_process(self, served):
         _, server, dataset = served
         date = dataset.busiest_date()
