@@ -228,12 +228,30 @@ def _delta_table(spec: ScenarioSpec):
     return None
 
 
-def _streamed(middleware, spec: ScenarioSpec, aig):
-    """``evaluate_stream`` → (xml, the streaming checker's verdict)."""
+def _streamed(report: OracleReport, config: str, middleware,
+              spec: ScenarioSpec, aig):
+    """``evaluate_stream`` → (xml, the streaming checker's verdict).
+
+    That stream is pretty-printed with the checker beside the serializer.
+    A second one, compact with the serializer as the only sink — the path
+    on which fragments go straight from the tagging program into the
+    ``indent=None`` templates — is compared here, with the same
+    middleware's tree.
+    """
     import io
+    from repro.xmlmodel import serialize
+
+    root = spec.root_values
     buffer = io.StringIO()
-    result = middleware.evaluate_stream(dict(spec.root_values), buffer.write,
-                                        indent=2, constraints=aig.constraints)
+    result = middleware.evaluate_stream(dict(root), buffer.write, indent=2,
+                                        constraints=aig.constraints)
+    alone = io.StringIO()
+    middleware.evaluate_stream(dict(root), alone.write)
+    expected = serialize(middleware.evaluate(dict(root)).document)
+    if alone.getvalue() != expected:
+        report.divergences.append(Divergence(
+            config, "xml-compact",
+            _first_difference(expected, alone.getvalue())))
     return buffer.getvalue(), sorted(str(v) for v in
                                      result.constraint_violations)
 
@@ -283,7 +301,8 @@ def _check_incremental(report: OracleReport, spec: ScenarioSpec,
     run("delta", delta_xml, delta_verdict)
     # byte equality with the conformant baseline implies conformance
     _compare(report, "incremental-delta-stream",
-             *_streamed(middleware, spec, aig),
+             *_streamed(report, "incremental-delta-stream", middleware,
+                        spec, aig),
              delta_xml, delta_verdict, conformant=True)
 
 
@@ -342,7 +361,8 @@ def _check_streaming(report: OracleReport, spec: ScenarioSpec,
     middleware = Middleware(aig, sources, violation_mode="report",
                             pushdown=True, columnar=256)
     # byte equality with the conformant baseline implies conformance
-    _compare(report, "streaming", *_streamed(middleware, spec, aig),
+    _compare(report, "streaming",
+             *_streamed(report, "streaming", middleware, spec, aig),
              base_xml, base_verdict, conformant=True)
 
 

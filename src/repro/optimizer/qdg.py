@@ -231,7 +231,9 @@ class TaggingPlan:
     their table; ``sort_columns`` gives the canonical child order columns;
     ``text_of`` gives the PCDATA provenance per text occurrence;
     ``condition_of`` maps choice-production occurrence paths to their
-    condition node.
+    condition node.  ``_programs`` holds the plan compiled for tagging
+    (:class:`repro.runtime.tagging.TaggingProgram`), one per ``rename``, so
+    a compiled program lives exactly as long as the prepared plan.
     """
 
     tree: OccurrenceTree
@@ -239,6 +241,7 @@ class TaggingPlan:
     sort_columns: dict[str, list[str]] = field(default_factory=dict)
     text_of: dict[str, Provenance] = field(default_factory=dict)
     condition_of: dict[str, str] = field(default_factory=dict)
+    _programs: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_qdg(spec: SpecializedAIG,

@@ -731,10 +731,14 @@ class Middleware:
                         return None
                     sinks = open_sinks()
                     with tracer.span("tagging", "tagging") as tagging_span:
-                        elements = stream_document(tagging_plan, result.cache,
-                                                   root_inh, *sinks,
-                                                   rename=rename)
-                        tagging_span.set(elements=elements)
+                        count = stream_document(tagging_plan, result.cache,
+                                                root_inh, *sinks,
+                                                rename=rename)
+                        elements, in_fragments = int(count), count.in_fragments
+                        tagging_span.set(elements=elements,
+                                         fragment_elements=in_fragments)
+                    tracer.metrics.set_gauge("tagging_fragment_elements",
+                                             in_fragments)
                 except RecursionTruncated:
                     # A choice branch was cut off below the estimate (the
                     # choice analogue of the star-rule blocked-query test).

@@ -1,42 +1,69 @@
 """The tagging phase (Section 5.1): relations -> XML.
 
 Tagging runs entirely at the mediator, over the cached output relations.
-The occurrence tree drives one top-down sort-merge traversal that emits
-``start(tag)`` / ``text(value)`` / ``end()`` events to its sinks:
+What the occurrence tree fixes per *plan* is decided once, when the
+:class:`TaggingPlan` is compiled into a :class:`TaggingProgram`; what
+depends on the *document* (the cached relations, their column order, the
+root attributes) is bound per run; only the rows are walked per element:
 
 * star children emit one element per table row whose ``__parent`` matches
   the current anchor row (rows sorted canonically, so both evaluation
   paths produce identical sibling orders);
-* sequence children recurse in production order;
+* sequence children are emitted in production order;
 * choice occurrences consult the condition table for the current anchor row
   and emit only the selected alternative;
 * text nodes read their PCDATA through the copy-chain provenance computed at
   compile time (a column of an enclosing anchor row, a root attribute
   member, or a constant).
 
+Below a production with no star and no choice the DTD alone determines the
+shape of the subtree, so every maximal run of such siblings is folded into a
+:class:`Fragment` — a flat op list whose only row-dependent parts are its
+PCDATA slots — and handed to the sinks in one ``fragment(fragment, values)``
+call.
+
 Sinks decide what the events become: a tree (:class:`TreeSink`), bytes
 (:class:`~repro.xmlmodel.serialize.StreamSerializer`), constraint verdicts
 (:class:`~repro.constraints.StreamingConstraintChecker`), or nothing
-(:class:`NullEventSink`).  Internal-state nodes never produce events
-(decomposition steps are not element occurrences), and unfolding suffixes
-are stripped by the ``rename`` applied to every tag.
+(:class:`NullEventSink`).  The protocol is ``start(tag)`` / ``text(value)``
+/ ``end()`` plus the optional ``fragment``; a sink without it receives the
+fragment's events through :meth:`Fragment.replay`.  Internal-state nodes
+never produce events (decomposition steps are not element occurrences), and
+unfolding suffixes are stripped by the ``rename`` applied to every tag at
+compile time.
 """
 
 from __future__ import annotations
 
-from repro.errors import EvaluationError
-from repro.dtd.model import Choice, Empty, PCDATA, Sequence, Star
+from repro.errors import EvaluationError, RecursionTruncated
+from repro.dtd.model import Choice, PCDATA, Sequence, Star
 from repro.xmlmodel.node import XMLElement, XMLText
 from repro.compilation.occurrences import (
     ConstValue,
     Occurrence,
     RootValue,
-    TableColumn,
 )
 from repro.optimizer.qdg import TaggingPlan
 from repro.runtime.engine import ID_COLUMN
 
 PARENT_COLUMN = "__parent"
+
+_START, _TEXT, _VALUE, _END = range(4)
+
+
+def _pcdata(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _sort_key(indexes: list[int]):
+    """None-safe string order over the columns at ``indexes``."""
+    def key(row: tuple) -> list:
+        parts = []
+        for index in indexes:
+            value = row[index]
+            parts.append((value is not None, str(value)))
+        return parts
+    return key
 
 
 class _Table:
@@ -48,24 +75,66 @@ class _Table:
     """
 
     def __init__(self, result, sort_columns: list[str]):
-        self.columns = result.columns
+        columns = self.columns = result.columns
+        self.id_index = (columns.index(ID_COLUMN)
+                         if ID_COLUMN in columns else None)
         self.by_parent: dict[object, list[tuple]] = {}
-        parent_index = (result.columns.index(PARENT_COLUMN)
-                        if PARENT_COLUMN in result.columns else None)
-        sort_indexes = [result.columns.index(c) for c in sort_columns
-                        if c in result.columns]
-        for row in result:
-            key = row[parent_index] if parent_index is not None else None
-            self.by_parent.setdefault(key, []).append(row)
-        for rows in self.by_parent.values():
-            rows.sort(key=lambda row: tuple(
-                (row[i] is not None, str(row[i])) for i in sort_indexes))
+        if PARENT_COLUMN in columns:
+            parent_index = columns.index(PARENT_COLUMN)
+            by_parent = self.by_parent
+            for row in result:
+                group = by_parent.get(row[parent_index])
+                if group is None:
+                    by_parent[row[parent_index]] = [row]
+                else:
+                    group.append(row)
+        else:
+            self.by_parent[None] = list(result)
+        sort_indexes = [columns.index(c) for c in sort_columns
+                        if c in columns]
+        if sort_indexes:
+            key = _sort_key(sort_indexes)
+            for rows in self.by_parent.values():
+                rows.sort(key=key)
 
     def rows_for(self, parent_id) -> list[tuple]:
         return self.by_parent.get(parent_id, [])
 
-    def value(self, row: tuple, column: str):
-        return row[self.columns.index(column)]
+    def index_of(self, column: str) -> int:
+        return self.columns.index(column)
+
+
+class Fragment:
+    """A maximal run of sibling elements with no star or choice below it.
+
+    ``ops`` is the flat event list of the run — ``(_START, tag)``,
+    ``(_TEXT, constant)``, ``(_VALUE, slot)``, ``(_END, None)`` — and
+    ``sources`` names, per slot, the text occurrence and the provenance its
+    value is read from.  A sink that implements ``fragment(fragment,
+    values)`` receives the run in one call with one string per slot; every
+    other sink gets the same events through :meth:`replay`.
+    """
+
+    __slots__ = ("index", "ops", "elements", "sources")
+
+    def __init__(self, index: int):
+        self.index = index                  # position in program.fragments
+        self.ops: list[tuple[int, object]] = []
+        self.elements = 0
+        self.sources: list[tuple[str, object]] = []
+
+    def replay(self, sink, values) -> None:
+        """Expand into ``start``/``text``/``end`` events on ``sink``."""
+        start, text, end = sink.start, sink.text, sink.end
+        for op, argument in self.ops:
+            if op == _START:
+                start(argument)
+            elif op == _END:
+                end()
+            elif op == _VALUE:
+                text(values[argument])
+            else:
+                text(argument)
 
 
 class NullEventSink:
@@ -78,6 +147,9 @@ class NullEventSink:
         pass
 
     def end(self) -> None:
+        pass
+
+    def fragment(self, fragment: Fragment, values) -> None:
         pass
 
 
@@ -104,24 +176,70 @@ class TreeSink:
         self._open = self._open.parent
 
 
+def _fragment_writer(sink):
+    """``sink.fragment`` if the sink takes fragments natively, else the
+    shared replay onto its event methods."""
+    native = getattr(sink, "fragment", None)
+    if native is not None:
+        return native
+    return lambda fragment, values: fragment.replay(sink, values)
+
+
+class _Tee:
+    """Several sinks (or none) behind the one sink a program drives."""
+
+    def __init__(self, sinks):
+        self._sinks = sinks
+        self._writers = [_fragment_writer(sink) for sink in sinks]
+
+    def start(self, tag: str) -> None:
+        for sink in self._sinks:
+            sink.start(tag)
+
+    def text(self, value: str) -> None:
+        for sink in self._sinks:
+            sink.text(value)
+
+    def end(self) -> None:
+        for sink in self._sinks:
+            sink.end()
+
+    def fragment(self, fragment: Fragment, values) -> None:
+        for write in self._writers:
+            write(fragment, values)
+
+
+class ElementCount(int):
+    """Elements emitted by one tagging run; ``in_fragments`` of them were
+    delivered inside fragments."""
+
+    def __new__(cls, elements: int, in_fragments: int = 0):
+        count = super().__new__(cls, elements)
+        count.in_fragments = in_fragments
+        return count
+
+
 def stream_document(plan: TaggingPlan, cache: dict, root_inh: dict,
-                    *sinks, rename=None) -> int:
+                    *sinks, rename=None) -> ElementCount:
     """Sort-merge the cached relations into ``start``/``text``/``end``
-    events, delivered to every sink in document order.
+    events and fragments, delivered to every sink in document order.
 
     ``sinks`` are objects with ``start(tag)`` / ``text(value)`` / ``end()``
-    methods.  ``rename`` (usually :func:`repro.dtd.analysis.base_name`) is
-    applied to every emitted tag, which is how unfolding suffixes are
-    stripped: a stream leaves no tree to rename afterwards.
+    methods and optionally ``fragment(fragment, values)``.  ``rename``
+    (usually :func:`repro.dtd.analysis.base_name`) is applied to every
+    emitted tag, which is how unfolding suffixes are stripped: a stream
+    leaves no tree to rename afterwards.  The plan is compiled into a
+    :class:`TaggingProgram` on first use and the program kept on the plan.
 
     Raises :class:`~repro.errors.RecursionTruncated` when a choice selects
     an alternative the unfolding cut off, so callers whose sink cannot be
     retracted dry-run with a :class:`NullEventSink` before committing bytes
     to a real writer.  Returns the number of elements emitted.
     """
-    tagger = _Tagger(plan, cache, root_inh, sinks, rename)
-    tagger.build()
-    return tagger.elements
+    program = plan._programs.get(rename)
+    if program is None:
+        program = plan._programs[rename] = TaggingProgram(plan, rename)
+    return program.run(cache, root_inh, sinks)
 
 
 def build_document(plan: TaggingPlan, cache: dict, root_inh: dict,
@@ -133,141 +251,257 @@ def build_document(plan: TaggingPlan, cache: dict, root_inh: dict,
     return sink.root
 
 
-class _Tagger:
-    """The one tagging traversal; everything downstream is a sink."""
+class _Run:
+    """What one document binds a program to."""
 
-    def __init__(self, plan: TaggingPlan, cache: dict, root_inh: dict,
-                 sinks, rename=None):
+    __slots__ = ("sink", "emit", "tables", "conditions", "rows", "values",
+                 "elements", "fragment_elements")
+
+
+class TaggingProgram:
+    """A :class:`TaggingPlan` partially evaluated over its occurrence tree.
+
+    Every occurrence with a star or choice below it becomes a closure over
+    its renamed tag, its production kind, the slots of the anchor rows it
+    reads and its compiled children; everything else is folded into
+    :class:`Fragment`\\ s.  The program is immutable once built and shared by
+    every document (and thread) that runs the plan; per-document state
+    lives in a :class:`_Run`.
+    """
+
+    def __init__(self, plan: TaggingPlan, rename=None):
         self.plan = plan
-        self.root_inh = root_inh
-        self.sinks = sinks
-        self.rename = rename
-        self.aig = plan.tree.aig
-        self.elements = 0
-        self.tables: dict[str, _Table] = {}
-        for path, node_name in plan.table_of.items():
+        self._rename = rename
+        self._aig = plan.tree.aig
+        self.fragments: list[Fragment] = []
+        #: iteration-occurrence paths whose tables a run indexes; an
+        #: occurrence's position is the slot of its current row
+        self.anchors: list[str] = []
+        #: choice-production occurrence paths, by condition-table position
+        self.choices: list[str] = []
+        self._root = self._step(self._fold_runs([plan.tree.root])[0])
+
+    # -- compilation -----------------------------------------------------
+    def _tag(self, occurrence: Occurrence) -> str:
+        tag = occurrence.element_type
+        return tag if self._rename is None else self._rename(tag)
+
+    def _model(self, occurrence: Occurrence):
+        return self._aig.dtd.production(occurrence.element_type)
+
+    def _slot(self, anchor: Occurrence) -> int:
+        if anchor.path not in self.anchors:
+            self.anchors.append(anchor.path)
+        return self.anchors.index(anchor.path)
+
+    def _is_static(self, occurrence: Occurrence) -> bool:
+        model = self._model(occurrence)
+        if isinstance(model, (Star, Choice)):
+            return False
+        return all(self._is_static(child) for child in occurrence.children)
+
+    def _fold_runs(self, siblings: list[Occurrence]) -> list:
+        """``siblings`` in order, each maximal static run as one
+        :class:`Fragment` and each other element as ``(tag, content)``."""
+        items: list = []
+        fragment = None
+        for occurrence in siblings:
+            if self._is_static(occurrence):
+                if fragment is None:
+                    fragment = Fragment(len(self.fragments))
+                    self.fragments.append(fragment)
+                    items.append(fragment)
+                self._fold(occurrence, fragment)
+            else:
+                fragment = None
+                items.append((self._tag(occurrence),
+                              self._content(occurrence)))
+        return items
+
+    def _fold(self, occurrence: Occurrence, fragment: Fragment) -> None:
+        fragment.ops.append((_START, self._tag(occurrence)))
+        fragment.elements += 1
+        if isinstance(self._model(occurrence), PCDATA):
+            provenance = self.plan.text_of[occurrence.path]
+            if isinstance(provenance, ConstValue):
+                fragment.ops.append((_TEXT, _pcdata(provenance.value)))
+            else:
+                if not isinstance(provenance, RootValue):
+                    self._slot(provenance.occurrence)
+                fragment.ops.append((_VALUE, len(fragment.sources)))
+                fragment.sources.append((occurrence.path, provenance))
+        for child in occurrence.children:
+            self._fold(child, fragment)
+        fragment.ops.append((_END, None))
+
+    def _step(self, item):
+        """The closure emitting one item of :meth:`_fold_runs`."""
+        if isinstance(item, Fragment):
+            fragment, index, count = item, item.index, item.elements
+
+            def emit_fragment(run: _Run) -> None:
+                run.elements += count
+                run.fragment_elements += count
+                run.emit(fragment, run.values[index](run.rows))
+            return emit_fragment
+        tag, content = item
+
+        def emit_element(run: _Run) -> None:
+            run.elements += 1
+            sink = run.sink
+            sink.start(tag)
+            content(run)
+            sink.end()
+        return emit_element
+
+    def _content(self, occurrence: Occurrence):
+        """The closure emitting what lies between the tags of a non-static
+        ``occurrence``."""
+        model = self._model(occurrence)
+        if isinstance(model, Star):
+            return self._iteration(occurrence.children[0])
+        if isinstance(model, Choice):
+            return self._choice(occurrence)
+        assert isinstance(model, Sequence)
+        steps = [self._step(item)
+                 for item in self._fold_runs(occurrence.children)]
+
+        def emit_sequence(run: _Run) -> None:
+            for step in steps:
+                step(run)
+        return emit_sequence
+
+    def _anchor_id(self, anchor: Occurrence):
+        """Reader of the ``__id`` of ``anchor``'s current row (``None`` for
+        the root, which has no row)."""
+        if anchor.parent is None:
+            return lambda run: None
+        slot = self._slot(anchor)
+        return lambda run: run.rows[slot][run.tables[slot].id_index]
+
+    def _iteration(self, occurrence: Occurrence):
+        slot = self._slot(occurrence)
+        parent_id = self._anchor_id(occurrence.parent_anchor())
+        item = self._fold_runs([occurrence])[0]
+        if isinstance(item, Fragment):
+            fragment, index, count = item, item.index, item.elements
+
+            def emit_rows(run: _Run) -> None:
+                group = run.tables[slot].by_parent.get(parent_id(run))
+                if not group:
+                    return
+                run.elements += count * len(group)
+                run.fragment_elements += count * len(group)
+                rows, emit, values = run.rows, run.emit, run.values[index]
+                for row in group:
+                    rows[slot] = row
+                    emit(fragment, values(rows))
+                rows[slot] = None
+            return emit_rows
+        tag, content = item
+
+        def emit_elements(run: _Run) -> None:
+            group = run.tables[slot].by_parent.get(parent_id(run))
+            if not group:
+                return
+            run.elements += len(group)
+            rows, start, end = run.rows, run.sink.start, run.sink.end
+            for row in group:
+                rows[slot] = row
+                start(tag)
+                content(run)
+                end()
+            rows[slot] = None
+        return emit_elements
+
+    def _choice(self, occurrence: Occurrence):
+        position = len(self.choices)
+        self.choices.append(occurrence.path)
+        element_type, path = occurrence.element_type, occurrence.path
+        at_root = occurrence.anchor.parent is None
+        anchor_id = self._anchor_id(occurrence.anchor)
+        targets = self._aig.rule_for(element_type).selector_targets(
+            [child.element_type for child in occurrence.children])
+        branches = [
+            None if name is None else
+            self._step(self._fold_runs([occurrence.child(name)])[0])
+            for name in targets]
+
+        def emit_choice(run: _Run) -> None:
+            condition = run.conditions[position]
+            rows = condition.rows_for(anchor_id(run))
+            if at_root and not rows:
+                rows = [row for group in condition.by_parent.values()
+                        for row in group]
+            if not rows:
+                raise EvaluationError(
+                    f"condition query of {element_type!r} returned "
+                    f"no value for an instance at {path}")
+            selector = rows[0][0]
+            try:
+                index = int(selector)
+            except (TypeError, ValueError):
+                raise EvaluationError(
+                    f"condition query of {element_type!r} returned "
+                    f"non-integer {selector!r}") from None
+            if not 1 <= index <= len(branches):
+                raise EvaluationError(
+                    f"condition query of {element_type!r} returned "
+                    f"{index}, outside [1, {len(branches)}]")
+            branch = branches[index - 1]
+            if branch is None:
+                raise RecursionTruncated(
+                    f"condition query of {element_type!r} selected "
+                    f"an alternative truncated by recursion unfolding; "
+                    f"increase the unfold depth")
+            branch(run)
+        return emit_choice
+
+    # -- per-document binding -------------------------------------------
+    def run(self, cache: dict, root_inh: dict, sinks) -> ElementCount:
+        plan = self.plan
+        for node_name in plan.table_of.values():
             if node_name not in cache:
                 raise EvaluationError(
                     f"tagging input {node_name!r} was not produced")
-            self.tables[path] = _Table(cache[node_name],
-                                       plan.sort_columns.get(path, []))
-        self.conditions: dict[str, _Table] = {}
-        for path, node_name in plan.condition_of.items():
-            self.conditions[path] = _Table(cache[node_name], [])
-        #: current anchor row per iteration-occurrence path
-        self.anchor_rows: dict[str, tuple] = {}
+        run = _Run()
+        run.sink = sinks[0] if len(sinks) == 1 else _Tee(sinks)
+        run.emit = _fragment_writer(run.sink)
+        run.tables = [_Table(cache[plan.table_of[path]],
+                             plan.sort_columns.get(path, []))
+                      for path in self.anchors]
+        run.conditions = [_Table(cache[plan.condition_of[path]], [])
+                          for path in self.choices]
+        run.rows = [None] * len(self.anchors)
+        run.values = [self._values_reader(fragment, run.tables, root_inh)
+                      for fragment in self.fragments]
+        run.elements = run.fragment_elements = 0
+        self._root(run)
+        return ElementCount(run.elements, run.fragment_elements)
 
-    # -- event emission -------------------------------------------------
-    def _start(self, tag: str) -> None:
-        self.elements += 1
-        if self.rename is not None:
-            tag = self.rename(tag)
-        for sink in self.sinks:
-            sink.start(tag)
+    def _values_reader(self, fragment: Fragment, tables: list[_Table],
+                       root_inh: dict):
+        """``rows -> [str per slot]`` for ``fragment``, with root
+        attributes and column indexes resolved for this document."""
+        constants: list = [None] * len(fragment.sources)
+        columns = []
+        for position, (text_path, provenance) in enumerate(fragment.sources):
+            if isinstance(provenance, RootValue):
+                constants[position] = _pcdata(root_inh.get(provenance.member))
+            else:
+                slot = self.anchors.index(provenance.occurrence.path)
+                columns.append((position, slot, text_path,
+                                tables[slot].index_of(provenance.column)))
 
-    def _text(self, value: str) -> None:
-        for sink in self.sinks:
-            sink.text(value)
-
-    def _end(self) -> None:
-        for sink in self.sinks:
-            sink.end()
-
-    # -- traversal -------------------------------------------------------
-    def build(self) -> None:
-        root_occurrence = self.plan.tree.root
-        self._start(root_occurrence.element_type)
-        self._fill(root_occurrence)
-        self._end()
-
-    def _fill(self, occurrence: Occurrence) -> None:
-        model = self.aig.dtd.production(occurrence.element_type)
-        if isinstance(model, PCDATA):
-            value = self._text_value(occurrence)
-            self._text("" if value is None else str(value))
-        elif isinstance(model, Empty):
-            return
-        elif isinstance(model, Star):
-            self._emit_iteration(occurrence.children[0])
-        elif isinstance(model, Choice):
-            self._emit_choice(occurrence)
-        else:
-            assert isinstance(model, Sequence)
-            for child in occurrence.children:
-                self._start(child.element_type)
-                self._fill(child)
-                self._end()
-
-    def _emit_iteration(self, occurrence: Occurrence) -> None:
-        table = self.tables[occurrence.path]
-        parent_anchor = occurrence.parent_anchor()
-        if parent_anchor.parent is None and parent_anchor.path not in \
-                self.anchor_rows:
-            parent_id = None
-        else:
-            parent_row = self.anchor_rows[parent_anchor.path]
-            parent_id = self.tables[parent_anchor.path].value(parent_row,
-                                                              ID_COLUMN)
-        for row in table.rows_for(parent_id):
-            self._start(occurrence.element_type)
-            self.anchor_rows[occurrence.path] = row
-            self._fill(occurrence)
-            self._end()
-        self.anchor_rows.pop(occurrence.path, None)
-
-    def _emit_choice(self, occurrence: Occurrence) -> None:
-        condition = self.conditions[occurrence.path]
-        anchor = occurrence.anchor
-        if anchor.parent is None:
-            rows = condition.rows_for(None)
-            if not rows:
-                rows = [row for group in condition.by_parent.values()
-                        for row in group]
-        else:
-            anchor_row = self.anchor_rows[anchor.path]
-            anchor_id = self.tables[anchor.path].value(anchor_row, ID_COLUMN)
-            rows = condition.rows_for(anchor_id)
-        if not rows:
-            raise EvaluationError(
-                f"condition query of {occurrence.element_type!r} returned "
-                f"no value for an instance at {occurrence.path}")
-        selector = rows[0][0]
-        try:
-            index = int(selector)
-        except (TypeError, ValueError):
-            raise EvaluationError(
-                f"condition query of {occurrence.element_type!r} returned "
-                f"non-integer {selector!r}") from None
-        rule = self.aig.rule_for(occurrence.element_type)
-        targets = rule.selector_targets(
-            [child.element_type for child in occurrence.children])
-        if not 1 <= index <= len(targets):
-            raise EvaluationError(
-                f"condition query of {occurrence.element_type!r} returned "
-                f"{index}, outside [1, {len(targets)}]")
-        chosen_name = targets[index - 1]
-        if chosen_name is None:
-            from repro.errors import RecursionTruncated
-            raise RecursionTruncated(
-                f"condition query of {occurrence.element_type!r} selected "
-                f"an alternative truncated by recursion unfolding; increase "
-                f"the unfold depth")
-        chosen = occurrence.child(chosen_name)
-        self._start(chosen.element_type)
-        self._fill(chosen)
-        self._end()
-
-    def _text_value(self, occurrence: Occurrence):
-        provenance = self.plan.text_of[occurrence.path]
-        if isinstance(provenance, ConstValue):
-            return provenance.value
-        if isinstance(provenance, RootValue):
-            return self.root_inh.get(provenance.member)
-        assert isinstance(provenance, TableColumn)
-        row = self.anchor_rows.get(provenance.occurrence.path)
-        if row is None:
-            raise EvaluationError(
-                f"no current row for {provenance.occurrence.path} while "
-                f"tagging {occurrence.path}")
-        return self.tables[provenance.occurrence.path].value(
-            row, provenance.column)
+        def read(rows: list) -> list[str]:
+            values = constants.copy()
+            for position, slot, text_path, index in columns:
+                row = rows[slot]
+                if row is None:
+                    raise EvaluationError(
+                        f"no current row for {self.anchors[slot]} while "
+                        f"tagging {text_path}")
+                value = row[index]
+                values[position] = "" if value is None else str(value)
+            return values
+        return read

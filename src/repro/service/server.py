@@ -54,6 +54,10 @@ from repro.xmlmodel.serialize import serialize
 
 logger = logging.getLogger("repro.service")
 
+#: a streamed response leaves in HTTP chunk frames of at least this many
+#: bytes (the last one excepted), one ``wfile.write`` each
+STREAM_FRAME_BYTES = 16 * 1024
+
 
 class ServiceUnavailable(ReproError):
     """A tenant's open circuit breakers refuse work at admission (503)."""
@@ -499,14 +503,26 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
 
-        def write(text: str) -> None:
-            data = text.encode("utf-8")
-            if data:
-                self.wfile.write(f"{len(data):X}\r\n".encode("ascii"))
-                self.wfile.write(data)
-                self.wfile.write(b"\r\n")
+        # ``wfile`` is unbuffered, so serializer chunks are gathered into
+        # frames; a frame is never empty (that would be the terminator).
+        pending = bytearray()
 
-        self.service.evaluate_stream(tenant, root, write, indent=indent)
+        def flush() -> None:
+            if pending:
+                self.wfile.write(b"%X\r\n%b\r\n" % (len(pending), pending))
+                pending.clear()
+
+        def write(text: str) -> None:
+            pending.extend(text.encode("utf-8"))
+            if len(pending) >= STREAM_FRAME_BYTES:
+                flush()
+
+        try:
+            self.service.evaluate_stream(tenant, root, write, indent=indent)
+        finally:
+            # also on a mid-stream error: deliver what was produced
+            # before the truncation
+            flush()
         self.wfile.write(b"0\r\n\r\n")
 
 

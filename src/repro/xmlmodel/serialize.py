@@ -9,6 +9,8 @@ documents never contain those.
 
 from __future__ import annotations
 
+from itertools import count
+
 from repro.errors import ValidationError
 from repro.xmlmodel.node import XMLElement, XMLNode, XMLText
 
@@ -17,9 +19,10 @@ _ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"),
 
 
 def escape_text(value: str) -> str:
-    for raw, entity in _ESCAPES:
-        value = value.replace(raw, entity)
-    return value
+    # _ESCAPES spelled out: this runs once per PCDATA value of a document
+    return (value.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;")
+            .replace("'", "&apos;"))
 
 
 def unescape_text(value: str) -> str:
@@ -75,6 +78,12 @@ class StreamSerializer:
     elements under pretty-printing) are deferred here by buffering only
     the *current deepest* element's text until its first child or its end
     event — O(depth) state, not O(document).
+
+    A :class:`~repro.runtime.tagging.Fragment` is written natively
+    (:meth:`fragment`): its format depends only on its shape and the level
+    it starts at, so it is one ``%``-template per (fragment, level) —
+    derived from the event path above, which stays the only place that
+    knows the compact and pretty-printed formats — filled once per call.
     """
 
     def __init__(self, write, indent: int | None = None):
@@ -83,6 +92,7 @@ class StreamSerializer:
         #: frames of [tag, opened, buffered_text_values]
         self._stack: list[list] = []
         self.characters = 0
+        self._templates: dict[tuple, str] = {}
 
     def _emit(self, chunk: str) -> None:
         self.characters += len(chunk)
@@ -131,6 +141,42 @@ class StreamSerializer:
                        f"{self._nl}")
         else:
             self._emit(f"{self._pad(level)}<{tag}/>{self._nl}")
+
+    def fragment(self, fragment, values) -> None:
+        """Write a whole fragment: its template filled with the escaped
+        ``values`` (one string per PCDATA slot)."""
+        stack = self._stack
+        if stack and not stack[-1][1]:
+            self._open_top()
+        key = (fragment, len(stack))
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = self._template(*key)
+        chunk = template % tuple(map(escape_text, values))
+        self.characters += len(chunk)
+        self._out(chunk)
+
+    def _template(self, fragment, level: int) -> str:
+        """What the event path writes for ``fragment`` opened at ``level``,
+        with ``%s`` where each slot's escaped value goes.
+
+        The fragment is replayed through a serializer of the same
+        indentation standing at that level, with a marker character in
+        every slot.  The marker is chosen absent from what the same replay
+        writes around empty slots, and ``escape_text`` leaves it alone, so
+        it occurs in the output exactly once per slot.
+        """
+        def rendered(value: str) -> str:
+            parts: list[str] = []
+            at_level = StreamSerializer(parts.append, self.indent)
+            at_level._stack = [[None, True, []] for _ in range(level)]
+            fragment.replay(at_level, [value] * len(fragment.sources))
+            return "".join(parts)
+
+        constant = rendered("")
+        marker = next(c for c in map(chr, count(0xE000)) if c not in constant)
+        return "%s".join(piece.replace("%", "%%")
+                         for piece in rendered(marker).split(marker))
 
 
 def parse_xml(source: str) -> XMLElement:

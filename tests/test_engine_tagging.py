@@ -121,7 +121,7 @@ class TestTaggingTable:
         result = ResultSet(["v", "w", "__id"], [("x", "y", 1)])
         table = _Table(result, [])
         row = table.rows_for(None)[0]
-        assert table.value(row, "w") == "y"
+        assert row[table.index_of("w")] == "y"
 
 
 class TestTaggingDocument:

@@ -26,7 +26,7 @@ from repro.service import (
     TenantRegistry,
 )
 from repro.service.registry import version_vector
-from repro.service.server import start_background
+from repro.service.server import STREAM_FRAME_BYTES, start_background
 from repro.xmlmodel.serialize import serialize
 
 
@@ -305,6 +305,33 @@ def _request(server, method, path, payload=None, headers=None):
         conn.close()
 
 
+def _count_writes(monkeypatch) -> list:
+    """Wrap every handler's ``wfile``; returns the list that receives the
+    length of each write."""
+    from repro.service.server import ServiceRequestHandler
+    writes = []
+
+    class CountingWriter:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def write(self, data):
+            writes.append(len(data))
+            return self.inner.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    real_setup = ServiceRequestHandler.setup
+
+    def counting_setup(handler):
+        real_setup(handler)
+        handler.wfile = CountingWriter(handler.wfile)
+
+    monkeypatch.setattr(ServiceRequestHandler, "setup", counting_setup)
+    return writes
+
+
 class TestHTTPSurface:
     def test_health(self, served):
         _, server, _ = served
@@ -318,28 +345,8 @@ class TestHTTPSurface:
         # Headers and body as two sends stall a keep-alive connection
         # ~40 ms on Nagle + delayed ACK; every non-chunked response —
         # JSON, XML, error — must leave as a single write.
-        from repro.service.server import ServiceRequestHandler
         _, server, dataset = served
-        writes = []
-
-        class CountingWriter:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def write(self, data):
-                writes.append(len(data))
-                return self.inner.write(data)
-
-            def __getattr__(self, name):
-                return getattr(self.inner, name)
-
-        real_setup = ServiceRequestHandler.setup
-
-        def counting_setup(handler):
-            real_setup(handler)
-            handler.wfile = CountingWriter(handler.wfile)
-
-        monkeypatch.setattr(ServiceRequestHandler, "setup", counting_setup)
+        writes = _count_writes(monkeypatch)
         for method, path, payload in (
                 ("GET", "/health", None),
                 ("GET", "/no-such-route", None),
@@ -422,6 +429,22 @@ class TestHTTPSurface:
         assert status == 200
         assert headers.get("Transfer-Encoding") == "chunked"
         assert streamed == materialized
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_streaming_leaves_in_frames(self, served, monkeypatch, indent):
+        # ``wfile`` is unbuffered: one send per serializer chunk would be
+        # thousands of syscalls per document.  Headers, one frame per
+        # STREAM_FRAME_BYTES (plus the remainder), and the terminator.
+        _, server, dataset = served
+        request = {"tenant": "hospital", "indent": indent,
+                   "root": {"date": dataset.busiest_date()}}
+        _, _, materialized = _request(server, "POST", "/evaluate", request)
+        writes = _count_writes(monkeypatch)
+        status, _, streamed = _request(server, "POST", "/evaluate",
+                                       {**request, "stream": True})
+        assert status == 200
+        assert streamed == materialized
+        assert len(writes) <= len(streamed) / STREAM_FRAME_BYTES + 3
 
     def test_include_report_envelope(self, served):
         _, server, dataset = served

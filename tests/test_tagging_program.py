@@ -1,0 +1,285 @@
+"""The compiled tagging program (docs/INTERNALS.md, "Tagging").
+
+``stream_document`` compiles a ``TaggingPlan`` once into a
+``TaggingProgram`` and hands every star/choice-free run of siblings to the
+sinks as one ``Fragment``.  A sink may take fragments natively
+(``StreamSerializer``: one ``%``-template per row) or receive them through
+the shared ``Fragment.replay`` (``TreeSink``, the streaming checker).  The
+recursive ``serialize`` over the ``TreeSink`` tree shares no code with
+``StreamSerializer.fragment``, so byte equality of the two is the
+"fragment path == event path" property.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.aig import AIG, Const, assign, inh, query
+from repro.compilation.occurrences import RootValue, TableColumn
+from repro.constraints import StreamingConstraintChecker, check_constraints
+from repro.dtd import parse_dtd
+from repro.dtd.analysis import base_name
+from repro.hospital import build_hospital_aig, make_sources
+from repro.obs import Tracer
+from repro.relational import Catalog, DataSource, SourceSchema
+from repro.relational.schema import relation
+from repro.relational.source import ResultSet
+from repro.runtime import Middleware
+from repro.runtime.engine import Engine
+from repro.runtime import tagging
+from repro.runtime.tagging import (
+    NullEventSink,
+    build_document,
+    stream_document,
+)
+from repro.xmlmodel import StreamSerializer, serialize
+from tests.conftest import load_tiny_hospital
+from tests.test_mediator_resident import build_group_aig, group_sources
+
+# every PCDATA value of ``product`` is a query column; ``listing`` is
+# constant, one constant carrying what a %-template must escape and the
+# first slot marker ``StreamSerializer`` would otherwise pick
+CATALOG_DTD = """
+    <!ELEMENT catalog (product*)>
+    <!ELEMENT product (sku, title, price, listing)>
+    <!ELEMENT listing (currency, discount)>
+"""
+CATALOG_SCHEMA = SourceSchema("WH", (relation(
+    "items", "sku", "title", "price", "day"),))
+DISCOUNT = "5% off %s \ue000"
+
+
+def build_catalog_aig() -> AIG:
+    aig = AIG(parse_dtd(CATALOG_DTD), Catalog([CATALOG_SCHEMA]),
+              root_inh=("day",))
+    aig.inh("product", "sku", "title", "price")
+    aig.rule("catalog", inh={"product": query(
+        "select i.sku, i.title, i.price from WH:items i "
+        "where i.day = $day")})
+    aig.rule("product", inh={"sku": assign(val=inh("sku")),
+                             "title": assign(val=inh("title")),
+                             "price": assign(val=inh("price"))})
+    aig.rule("listing", inh={"currency": assign(val=Const("USD")),
+                             "discount": assign(val=Const(DISCOUNT))})
+    return aig.validate()
+
+
+def catalog_sources(rows: int = 12) -> dict:
+    source = DataSource(CATALOG_SCHEMA)
+    source.load_rows("items", [(f"sku{i:04d}", f"Widget {i} <&>", str(i), "d1")
+                               for i in range(rows)])
+    return {"WH": source}
+
+
+def hospital():
+    sources = make_sources()
+    load_tiny_hospital(sources)
+    return (build_hospital_aig(), sources, {"date": "d1"},
+            {"unfold_depth": 4})
+
+
+SCENARIOS = {
+    "hospital": hospital,     # choices, unfolded recursion, rename
+    "groups": lambda: (build_group_aig(), group_sources(), {"run": "1"}, {}),
+    "catalog": lambda: (build_catalog_aig(), catalog_sources(), {"day": "d1"},
+                        {}),
+}
+
+
+class Tagged:
+    """One scenario evaluated up to (not including) tagging."""
+
+    def __init__(self, name: str):
+        aig, sources, self.root, options = SCENARIOS[name]()
+        self.aig = aig
+        self.middleware = Middleware(aig, sources, **options)
+        depth = self.middleware.evaluate(dict(self.root)).unfold_depth
+        graph, plan, self.plan, _, _ = self.middleware.prepare(depth)
+        self.rename = base_name if depth is not None else None
+        self.engine = Engine(graph, plan, sources, self.middleware.network,
+                             mediator=self.middleware.mediator,
+                             tagging_plan=self.plan)
+        self.cache = dict(self.engine.run(dict(self.root)).cache)
+
+    def stream(self, *sinks):
+        return stream_document(self.plan, self.cache, dict(self.root),
+                               *sinks, rename=self.rename)
+
+    def tree(self):
+        return build_document(self.plan, self.cache, dict(self.root),
+                              rename=self.rename)
+
+    def written(self, indent, *beside) -> tuple[str, StreamSerializer, int]:
+        chunks: list[str] = []
+        serializer = StreamSerializer(chunks.append, indent=indent)
+        count = self.stream(serializer, *beside)
+        return "".join(chunks), serializer, count
+
+
+@pytest.fixture(params=sorted(SCENARIOS))
+def tagged(request):
+    scenario = Tagged(request.param)
+    yield scenario
+    scenario.engine.cleanup()
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    scenario = Tagged("catalog")
+    yield scenario
+    scenario.engine.cleanup()
+
+
+class TestFragmentPathEqualsEventPath:
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_serializer_alone(self, tagged, indent):
+        document = tagged.tree()
+        text, serializer, count = tagged.written(indent)
+        assert text == serialize(document, indent=indent)
+        assert serializer.characters == len(text)
+        assert count == sum(1 for _ in document.iter())
+        assert 0 < count.in_fragments <= count
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_serializer_beside_checker(self, tagged, indent):
+        # two sinks, one native and one on the shared replay
+        document = tagged.tree()
+        checker = StreamingConstraintChecker(tagged.aig.constraints)
+        text, _, _ = tagged.written(indent, checker)
+        assert text == serialize(document, indent=indent)
+        assert [str(v) for v in checker.result()] == \
+            [str(v) for v in check_constraints(document,
+                                               tagged.aig.constraints)]
+
+    def test_replay_is_the_event_path(self, tagged):
+        # a serializer stripped of its native method gets the same bytes
+        class EventsOnly:
+            def __init__(self, inner):
+                self.start, self.text, self.end = \
+                    inner.start, inner.text, inner.end
+
+        chunks: list[str] = []
+        tagged.stream(EventsOnly(StreamSerializer(chunks.append, indent=2)))
+        assert "".join(chunks) == tagged.written(2)[0]
+
+
+ADVERSARIAL = st.one_of(
+    st.sampled_from(["%", "%s", "%%", "%(x)s", "\x00", "&", "<", ">", '"',
+                     "'", "&amp;", "", " ", "", "a%sb<c>&d"]),
+    st.none(), st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="%s&<>\"'\x00 ab", max_size=6))
+
+
+class TestAdversarialValues:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(ADVERSARIAL, ADVERSARIAL, ADVERSARIAL),
+                         max_size=5),
+           indent=st.sampled_from([None, 2]),
+           percent_tags=st.booleans())
+    def test_values_constants_and_tags(self, catalog, rows, indent,
+                                       percent_tags):
+        scenario = catalog
+        node = scenario.plan.table_of["catalog/product"]
+        columns = scenario.cache[node].columns
+        assert {"sku", "title", "price", "__id"} <= set(columns)
+        cache = {**scenario.cache, node: ResultSet(columns, [
+            tuple({"sku": sku, "title": title, "price": price,
+                   "__id": number + 1}.get(name) for name in columns)
+            for number, (sku, title, price) in enumerate(rows)])}
+        rename = (lambda tag: tag + "%d") if percent_tags else None
+        document = build_document(scenario.plan, cache, {"day": "d1"},
+                                  rename=rename)
+        chunks: list[str] = []
+        stream_document(scenario.plan, cache, {"day": "d1"},
+                        StreamSerializer(chunks.append, indent=indent),
+                        rename=rename)
+        assert "".join(chunks) == serialize(document, indent=indent)
+        assert len(document.children) == len(rows)
+        for product in document.children:
+            discount = product.children[3].children[1]
+            assert discount.text_value() == DISCOUNT
+
+
+class TestProvenanceBeyondTheOwnRow:
+    def test_static_iteration_reads_enclosing_row_and_root(self):
+        # member's own row is the fast path; the general reader must serve
+        # a column of the enclosing group row and a root attribute too
+        scenario = Tagged("groups")
+        try:
+            tree = scenario.plan.tree
+            group = tree.by_path["root/group"]
+            mid = "root/group/members/member/mid"
+            score = "root/group/members/member/score"
+            scenario.plan.text_of[mid] = TableColumn(group, "gid")
+            scenario.plan.text_of[score] = RootValue("run")
+            scenario.plan._programs.clear()
+            document = scenario.tree()
+            text, _, count = scenario.written(2)
+            assert text == serialize(document, indent=2)
+            groups = document.children
+            assert len(groups) == 6
+            for element in groups:
+                gid = element.children[0].text_value()
+                members = element.children[1].children
+                assert len(members) == 3
+                for member in members:
+                    assert member.children[0].text_value() == gid
+                    assert member.children[1].text_value() == "1"
+            assert count.in_fragments == 6 * (1 + 3 * 3)
+        finally:
+            scenario.engine.cleanup()
+
+
+class TestCompileOnce:
+    def test_one_program_per_prepared_plan(self, monkeypatch):
+        compiled = []
+        real = tagging.TaggingProgram.__init__
+
+        def counting(self, plan, rename=None):
+            compiled.append(rename)
+            real(self, plan, rename)
+
+        monkeypatch.setattr(tagging.TaggingProgram, "__init__", counting)
+        sources = make_sources()
+        load_tiny_hospital(sources)
+        middleware = Middleware(build_hospital_aig(), sources,
+                                unfold_depth=4)
+        for _ in range(3):
+            middleware.evaluate({"date": "d1"})
+            middleware.evaluate_stream({"date": "d1"}, lambda chunk: None)
+        assert compiled == [base_name]
+        plan = middleware.prepare(4)[2]
+        assert list(plan._programs) == [base_name]
+        middleware.invalidate_plans()
+        fresh = middleware.prepare(4)[2]
+        assert fresh is not plan and not fresh._programs
+        middleware.evaluate({"date": "d1"})
+        assert compiled == [base_name, base_name]
+
+    def test_fragment_share_is_observable(self):
+        tracer = Tracer()
+        middleware = Middleware(build_catalog_aig(), catalog_sources(),
+                                tracer=tracer)
+        report = middleware.evaluate_stream({"day": "d1"},
+                                            lambda chunk: None)
+        assert report.elements == 1 + 12 * 7
+        assert tracer.metrics.gauge("tagging_fragment_elements") == 12 * 7
+        span = next(s for s in tracer.spans if s.name == "tagging")
+        assert span.attrs["elements"] == report.elements
+        assert span.attrs["fragment_elements"] == 12 * 7
+
+
+class TestOneWritePerRow:
+    def test_static_iteration_writes_once_per_row(self):
+        rows = 1000
+        middleware = Middleware(build_catalog_aig(), catalog_sources(rows))
+        writes: list[str] = []
+        report = middleware.evaluate_stream({"day": "d1"}, writes.append,
+                                            indent=2)
+        assert report.elements == 1 + rows * 7
+        assert len(writes) <= rows + 4
+        assert report.characters == sum(map(len, writes))
+
+    def test_null_sink_takes_fragments(self, catalog):
+        assert catalog.stream(NullEventSink()) == 1 + 12 * 7

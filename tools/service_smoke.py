@@ -13,7 +13,10 @@ TCP.  It checks the full loop a production probe would:
    prove the wave shared work instead of re-evaluating per request;
 5. exercise delta ingestion (``POST /tenants/hospital/load``) and
    confirm the version bump invalidates the response cache;
-6. terminate the child and require a clean exit.
+6. request the document as a chunked stream (``"stream": true``),
+   pretty-printed and compact: de-chunked it must equal the plain
+   response byte for byte, in frames of at least 16 KiB;
+7. terminate the child and require a clean exit.
 
 Usage (CI runs this after the unit suite)::
 
@@ -29,11 +32,14 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import socket
 import subprocess
 import sys
 import threading
 import time
 from http.client import HTTPConnection
+
+from repro.service.server import STREAM_FRAME_BYTES
 
 ADDRESS_RE = re.compile(r"listening on http://([0-9.]+):(\d+)")
 
@@ -49,6 +55,32 @@ def _request(host, port, method, path, payload=None, timeout=60):
             response.read()
     finally:
         conn.close()
+
+
+def _stream_request(host, port, payload, timeout=60):
+    """POST /evaluate over a raw socket so the chunk frames stay visible;
+    returns ``(status, de-chunked body, frame count)``."""
+    body = json.dumps(payload).encode("utf-8")
+    with socket.create_connection((host, port), timeout=timeout) as conn:
+        conn.sendall(b"POST /evaluate HTTP/1.1\r\nHost: smoke\r\n"
+                     b"Content-Type: application/json\r\n"
+                     b"Connection: close\r\n"
+                     b"Content-Length: %d\r\n\r\n%b" % (len(body), body))
+        reply = b"".join(iter(lambda: conn.recv(65536), b""))
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    status = int(head.split(None, 2)[1])
+    assert b"transfer-encoding: chunked" in head.lower(), head
+    document, frames = bytearray(), 0
+    while True:
+        size, _, rest = rest.partition(b"\r\n")
+        length = int(size, 16)
+        if length == 0:
+            assert rest == b"\r\n", "bytes after the chunk terminator"
+            return status, bytes(document), frames
+        document += rest[:length]
+        assert rest[length:length + 2] == b"\r\n", "malformed chunk frame"
+        rest = rest[length + 2:]
+        frames += 1
 
 
 def _wait_for_health(host, port, deadline_seconds=30.0):
@@ -171,6 +203,21 @@ def run_smoke(scale: str, clients: int) -> None:
         assert headers.get("X-Repro-Cache") == "miss", \
             headers.get("X-Repro-Cache")
         print("- delta ingestion invalidated the response cache")
+
+        for indent in (2, None):
+            request = {**payload, "indent": indent}
+            status, _, plain = _request(host, port, "POST", "/evaluate",
+                                        request)
+            assert status == 200, f"evaluate indent={indent} -> {status}"
+            status, streamed, frames = _stream_request(
+                host, port, {**request, "stream": True})
+            assert status == 200, f"stream indent={indent} -> {status}"
+            assert streamed == plain, \
+                f"streamed document differs at indent={indent}"
+            assert frames <= len(streamed) / STREAM_FRAME_BYTES + 1, \
+                f"{frames} chunk frames for {len(streamed)} bytes"
+            print(f"- streamed indent={indent}: {len(streamed)} bytes "
+                  f"identical to the plain response, {frames} frame(s)")
     finally:
         child.terminate()
         try:
