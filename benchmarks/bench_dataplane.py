@@ -1,4 +1,4 @@
-"""Data-plane benchmark: materialized tree vs streaming columnar plane.
+"""Data-plane benchmark: materialized tree vs streaming plane.
 
 A deliberately wide warehouse relation (13 columns, 5 referenced) feeds a
 flat ``catalog -> product*`` document plus a constant boilerplate subtree
@@ -6,15 +6,12 @@ per product.  Per scale we run both planes over identical data:
 
 * **materialized** — ``Middleware().evaluate`` builds the full XML tree,
   then ``serialize(..., indent=2)`` renders it in one string;
-* **streaming** — ``Middleware(pushdown=True, columnar=True)
-  .evaluate_stream`` pushes the day predicate / trims projections, ships
-  interned column batches, and emits bytes through ``StreamSerializer``
-  without ever holding the tree or the document.
+* **streaming** — ``Middleware().evaluate_stream`` emits bytes through
+  ``StreamSerializer`` without ever holding the tree or the document.
 
-Measured per scale: wall time -> rows/sec, tracemalloc peak (memory runs
-are separate from timing runs: tracing slows allocation several-fold),
-and the ``columns_read / columns_available`` gauge pair.  Hard
-assertions: byte-identical output (sha256), columns ratio < 1.0, the
+Measured per scale: wall time -> rows/sec and tracemalloc peak (memory
+runs are separate from timing runs: tracing slows allocation
+several-fold).  Hard assertions: byte-identical output (sha256), the
 ``large`` CI smoke (streaming peak < materialized peak) and the headline
 ``huge`` bound (materialized peak >= 5x streaming peak).  Results land in
 ``BENCH_dataplane.json`` at the repo root.
@@ -50,7 +47,7 @@ DTD_TEXT = """
 """
 
 #: 5 of the 13 columns are referenced (4 projected + the day predicate);
-#: u0..u7 exist only to give pushdown something to skip.
+#: u0..u7 make the relation wider than the query.
 UNUSED_COLUMNS = tuple(f"u{i}" for i in range(8))
 
 PRODUCTS_QUERY = """
@@ -112,12 +109,10 @@ def _materialized_pass(aig, sources):
 
 
 def _streaming_pass(aig, sources):
-    tracer = Tracer()
-    middleware = Middleware(aig, sources, tracer=tracer,
-                            pushdown=True, columnar=True)
     writer = _DigestWriter()
-    middleware.evaluate_stream({"day": DAY}, writer.write, indent=2)
-    return writer, tracer
+    Middleware(aig, sources).evaluate_stream({"day": DAY}, writer.write,
+                                             indent=2)
+    return writer
 
 
 def _timed(fn, *args):
@@ -140,18 +135,12 @@ def _run_scale(rows):
     aig, sources = build_scenario(rows)
 
     xml, wall_mat = _timed(_materialized_pass, aig, sources)
-    (writer, tracer), wall_stream = _timed(_streaming_pass, aig, sources)
+    writer, wall_stream = _timed(_streaming_pass, aig, sources)
 
     mat_digest = hashlib.sha256(xml.encode("utf-8")).hexdigest()
     assert writer.hexdigest() == mat_digest, \
         "streaming output diverged from serialized tree"
     assert writer.length == len(xml)
-
-    columns_read = tracer.metrics.gauge("columns_read")
-    columns_available = tracer.metrics.gauge("columns_available")
-    assert columns_available > 0
-    assert columns_read < columns_available, \
-        "pushdown should leave the unused warehouse columns unread"
 
     peak_mat = _traced_peak(_materialized_pass, aig, sources)
     peak_stream = _traced_peak(_streaming_pass, aig, sources)
@@ -160,9 +149,6 @@ def _run_scale(rows):
         "rows": rows,
         "document_chars": len(xml),
         "sha256": mat_digest,
-        "columns_read": columns_read,
-        "columns_available": columns_available,
-        "columns_read_ratio": round(columns_read / columns_available, 4),
         "materialized": {
             "wall_seconds": round(wall_mat, 4),
             "rows_per_sec": round(rows / wall_mat, 1),
@@ -183,10 +169,9 @@ def test_dataplane_planes(benchmark):
 
     grid = benchmark.pedantic(run_grid, rounds=1, iterations=1)
 
-    lines = ["Data plane: materialized tree vs streaming columnar",
+    lines = ["Data plane: materialized tree vs streaming",
              f"{'scale':>8s}{'rows':>8s}{'mat s':>9s}{'stream s':>10s}"
-             f"{'mat MiB':>10s}{'stream MiB':>12s}{'peak x':>8s}"
-             f"{'cols':>8s}"]
+             f"{'mat MiB':>10s}{'stream MiB':>12s}{'peak x':>8s}"]
     for scale, cell in grid.items():
         lines.append(
             f"{scale:>8s}{cell['rows']:>8d}"
@@ -194,8 +179,7 @@ def test_dataplane_planes(benchmark):
             f"{cell['streaming']['wall_seconds']:>10.3f}"
             f"{cell['materialized']['peak_tracked_bytes'] / 2**20:>10.2f}"
             f"{cell['streaming']['peak_tracked_bytes'] / 2**20:>12.2f}"
-            f"{cell['peak_ratio']:>8.2f}"
-            f"{cell['columns_read_ratio']:>8.2f}")
+            f"{cell['peak_ratio']:>8.2f}")
     report("dataplane", "\n".join(lines))
     record_json("dataplane", grid, path=BENCH_DATAPLANE_JSON)
 
@@ -209,7 +193,7 @@ def test_dataplane_planes(benchmark):
         f"peak ratio {grid['huge']['peak_ratio']} below " \
         f"{HUGE_PEAK_RATIO_FLOOR}x on huge"
 
-    # Throughput: batching must not tank rows/sec on the medium scale.
+    # Throughput: streaming must not tank rows/sec on the medium scale.
     medium = grid["medium"]
     floor = MEDIUM_THROUGHPUT_FLOOR * medium["materialized"]["rows_per_sec"]
     assert medium["streaming"]["rows_per_sec"] >= floor, \

@@ -13,10 +13,10 @@ keep that honest:
   cheap enough to sit on the per-node completion path (bound 20 µs per
   observation, in practice around a microsecond including the lock);
 * **macro comparisons** of full evaluations with the no-op tracer vs. a
-  recording :class:`Tracer` — for the materialized path, the streaming
-  path, and the streaming+columnar path — so the cost of *enabling*
-  tracing is on record for every execution mode (it is small: a tiny
-  hospital run opens a few dozen spans).
+  recording :class:`Tracer` — for the materialized path and the
+  streaming path — so the cost of *enabling* tracing is on record for
+  both execution modes (it is small: a tiny hospital run opens a few
+  dozen spans).
 
 All results land in ``BENCH_obs.json`` at the repo root, which
 ``tools/bench_regress.py`` diffs against the committed baseline in CI.
@@ -71,12 +71,12 @@ def _observe_seconds() -> float:
     return statistics.median(samples)
 
 
-def _middleware(tracer, **kwargs):
+def _middleware(tracer):
     from tests.conftest import load_tiny_hospital
     sources = make_sources()
     load_tiny_hospital(sources)
     return Middleware(build_hospital_aig(), sources, Network.mbps(1.0),
-                      workers=4, tracer=tracer, **kwargs)
+                      workers=4, tracer=tracer)
 
 
 def _evaluate(tracer):
@@ -86,8 +86,8 @@ def _evaluate(tracer):
     return time.perf_counter() - started
 
 
-def _evaluate_stream(tracer, **kwargs):
-    middleware = _middleware(tracer, **kwargs)
+def _evaluate_stream(tracer):
+    middleware = _middleware(tracer)
     started = time.perf_counter()
     middleware.evaluate_stream({"date": "d1"}, lambda _: None)
     return time.perf_counter() - started
@@ -127,12 +127,12 @@ def test_histogram_observe_overhead_guard(benchmark):
     assert per_observe < MAX_MEDIAN_OBSERVE_SECONDS, per_observe
 
 
-def _macro_pair(evaluate, **kwargs):
+def _macro_pair(evaluate):
     """Run disabled-vs-recording interleaved (warm caches), return stats."""
-    evaluate(None, **kwargs)
-    null_wall = evaluate(None, **kwargs)
+    evaluate(None)
+    null_wall = evaluate(None)
     tracer = Tracer()
-    recording_wall = evaluate(tracer, **kwargs)
+    recording_wall = evaluate(tracer)
     return null_wall, recording_wall, len(tracer.spans)
 
 
@@ -169,12 +169,3 @@ def test_streaming_recording_vs_null_macro(benchmark):
                   "Streaming wall: recording tracer vs. disabled",
                   null_wall, recording_wall, spans)
 
-
-def test_columnar_recording_vs_null_macro(benchmark):
-    """Streaming over the columnar plane with pushdown: tracing stays free."""
-    null_wall, recording_wall, spans = benchmark.pedantic(
-        lambda: _macro_pair(_evaluate_stream, pushdown=True, columnar=True),
-        rounds=1, iterations=1)
-    _report_macro("trace_overhead_columnar_macro",
-                  "Columnar streaming wall: recording tracer vs. disabled",
-                  null_wall, recording_wall, spans)

@@ -41,9 +41,6 @@ from repro.errors import EvaluationAborted, ReproError
 from repro.fuzz.spec import ScenarioSpec, build_scenario
 
 #: Middleware keyword grids compared byte-for-byte against the baseline.
-#: The ``pushdown``/``columnar`` axis (docs/DATAPLANE.md) exercises the
-#: projection/predicate pushdown pass and the batched columnar data plane:
-#: both must be invisible in the serialized document and the verdicts.
 GRID = [
     {"merging": True, "scheduling": "static", "workers": 1},
     {"merging": True, "scheduling": "static", "workers": 4},
@@ -51,25 +48,17 @@ GRID = [
     {"merging": True, "scheduling": "dynamic", "workers": 4},
     {"merging": False, "scheduling": "static", "workers": 1},
     {"merging": False, "scheduling": "dynamic", "workers": 4},
-    {"merging": True, "scheduling": "static", "workers": 1,
-     "pushdown": True},
-    {"merging": False, "scheduling": "static", "workers": 1,
-     "pushdown": True},
-    {"merging": True, "scheduling": "dynamic", "workers": 4,
-     "pushdown": True, "columnar": 128},
 ]
 
 
 def _config_name(kwargs: dict) -> str:
-    name = ("merged" if kwargs["merging"] else "unmerged") \
+    return ("merged" if kwargs["merging"] else "unmerged") \
         + f"-{kwargs['scheduling']}-w{kwargs['workers']}"
-    if kwargs.get("pushdown"):
-        name += "-push"
-    if kwargs.get("columnar"):
-        name += "-col"
-    return name
 
 
+#: The grid rows plus the special configurations; with the latter's
+#: sub-runs (incremental cold/warm/delta, 2/3/4 shards, backend mixes) one
+#: seed costs ~18 configuration runs.
 ALL_CONFIGS = tuple([_config_name(kwargs) for kwargs in GRID]
                     + ["abort-consistency", "incremental", "fault-recovery",
                        "streaming", "shards", "backends"])
@@ -351,15 +340,13 @@ def _check_fault_recovery(report: OracleReport, spec: ScenarioSpec,
 
 def _check_streaming(report: OracleReport, spec: ScenarioSpec,
                      base_xml: str, base_verdict: list[str]) -> None:
-    """The streaming data plane (``evaluate_stream`` with pushdown +
-    columnar batches) must write byte-identical XML and the streaming
-    constraint checker must return the same verdicts — without ever
-    materializing the tree."""
+    """The streaming data plane (``evaluate_stream``) must write
+    byte-identical XML and the streaming constraint checker must return
+    the same verdicts — without ever materializing the tree."""
     from repro.runtime import Middleware
 
     aig, sources = build_scenario(spec)
-    middleware = Middleware(aig, sources, violation_mode="report",
-                            pushdown=True, columnar=256)
+    middleware = Middleware(aig, sources, violation_mode="report")
     # byte equality with the conformant baseline implies conformance
     _compare(report, "streaming",
              *_streamed(report, "streaming", middleware, spec, aig),

@@ -16,7 +16,7 @@ Record schema (top-level keys, all sorted on disk):
   re-runs of the same plan — the join key for cross-run analysis;
 * ``config`` — the middleware knobs that shaped the run (merging,
   scheduling, workers, unfold depth, violation mode, incremental,
-  pushdown, columnar batch rows, query overhead, failure policy);
+  query overhead, failure policy);
 * ``plan`` — estimated cost, simulated response time, node count;
 * ``run`` — measured wall seconds, queries executed, bytes shipped,
   cache reuse (reused/tainted node counts), document bytes, violation
@@ -25,7 +25,7 @@ Record schema (top-level keys, all sorted on disk):
   kind, measured eval/overhead seconds, completion, output rows/bytes,
   and whether it was replayed from the incremental cache;
 * ``metrics`` — this run's delta of the tracer's counters (and final
-  gauges), e.g. retry/breaker/pushdown/incremental activity — empty when
+  gauges), e.g. retry/breaker/incremental activity — empty when
   tracing is off;
 * ``constraints`` — violation verdicts (name, kind, count per finding).
 

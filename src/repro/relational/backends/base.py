@@ -5,8 +5,8 @@ A :class:`Backend` owns everything engine-specific about one
 running statements, draining cursors into *tuple* rows, transaction
 control, deadline interruption, and bulk loading.  The ``DataSource``
 keeps the orchestration that is engine-agnostic — connection pooling,
-per-relation version counters, fault injection, timing metrics, the
-columnar batch plane — and delegates the rest here.
+per-relation version counters, fault injection, timing metrics — and
+delegates the rest here.
 
 Capability flags (:class:`BackendCapabilities`) tell the planner and the
 executor what a backend can do.  The two consequential ones:

@@ -11,9 +11,9 @@ results are cached and synthesized-attribute computations run.
 Engine specifics — opening connections, cursor semantics, transactions,
 deadline interruption, bulk loading — live in
 :mod:`repro.relational.backends` (docs/BACKENDS.md); this module keeps the
-engine-agnostic orchestration: pooling, version counters, fault injection,
-metrics, and the columnar batch plane.  ``DataSource(schema)`` without a
-``backend`` argument behaves exactly as the historical sqlite3-only class.
+engine-agnostic orchestration: pooling, version counters, fault injection
+and metrics.  ``DataSource(schema)`` without a ``backend`` argument behaves
+exactly as the historical sqlite3-only class.
 """
 
 from __future__ import annotations
@@ -175,173 +175,6 @@ class ResidentResult(ResultSet):
     rows = property(load)
 
 
-#: Default number of rows fetched per cursor round-trip in columnar mode.
-DEFAULT_BATCH_ROWS = 1024
-
-
-class ColumnBatch:
-    """A fixed-size slice of a result, stored one array per column.
-
-    Values are deduplicated through the owning result's intern pool, so a
-    column holding a handful of distinct strings keeps one object per
-    distinct value instead of one per row.
-    """
-
-    __slots__ = ("columns", "arrays")
-
-    def __init__(self, columns: list[str], arrays: list[list]):
-        self.columns = columns
-        self.arrays = arrays
-
-    def __len__(self) -> int:
-        return len(self.arrays[0]) if self.arrays else 0
-
-    def row(self, index: int) -> tuple:
-        return tuple(array[index] for array in self.arrays)
-
-    def iter_rows(self):
-        return zip(*self.arrays) if self.arrays else iter(())
-
-
-class BatchedResultSet:
-    """Columnar, batched drop-in for :class:`ResultSet`.
-
-    Holds the same logical relation as a ``ResultSet`` but stores it as a
-    sequence of :class:`ColumnBatch` objects (one array per column,
-    values interned).  The row-oriented API (`__iter__`, ``rows``,
-    ``column``, ``project``) is preserved so existing consumers work
-    unchanged; ``rows`` materializes tuples on demand and does **not**
-    cache them — hot paths should iterate instead.
-    """
-
-    def __init__(self, columns: list[str], batches: list[ColumnBatch],
-                 batch_rows: int = DEFAULT_BATCH_ROWS):
-        self.columns = columns
-        self.batches = batches
-        self.batch_rows = batch_rows
-        self._length = sum(len(batch) for batch in batches)
-        self._width_cache: int | None = None
-
-    # -- construction --------------------------------------------------
-    @classmethod
-    def from_cursor(cls, columns: list[str], cursor,
-                    batch_rows: int = DEFAULT_BATCH_ROWS,
-                    intern_pool: dict | None = None) -> "BatchedResultSet":
-        """Drain ``cursor`` with ``fetchmany`` into interned column arrays."""
-        pool = intern_pool if intern_pool is not None else {}
-        width = len(columns)
-        batches: list[ColumnBatch] = []
-        while True:
-            chunk = cursor.fetchmany(batch_rows)
-            if not chunk:
-                break
-            arrays: list[list] = [[] for _ in range(width)]
-            for row in chunk:
-                for index in range(width):
-                    value = row[index]
-                    if isinstance(value, str):
-                        value = pool.setdefault(value, value)
-                    arrays[index].append(value)
-            batches.append(ColumnBatch(columns, arrays))
-        return cls(columns, batches, batch_rows)
-
-    @classmethod
-    def from_rows(cls, columns: list[str], rows: list[tuple],
-                  batch_rows: int = DEFAULT_BATCH_ROWS) -> "BatchedResultSet":
-        width = len(columns)
-        batches = []
-        for start in range(0, len(rows), batch_rows):
-            chunk = rows[start:start + batch_rows]
-            arrays = [[row[i] for row in chunk] for i in range(width)]
-            batches.append(ColumnBatch(columns, arrays))
-        return cls(columns, batches, batch_rows)
-
-    # -- ResultSet-compatible API --------------------------------------
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self):
-        for batch in self.batches:
-            yield from batch.iter_rows()
-
-    @property
-    def rows(self) -> list[tuple]:
-        return list(self)
-
-    def iter_rows(self):
-        return iter(self)
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise EvaluationError(
-                f"result has no column {name!r} (has {self.columns})"
-            ) from None
-
-    def column(self, name: str) -> list:
-        index = self.column_index(name)
-        values: list = []
-        for batch in self.batches:
-            values.extend(batch.arrays[index])
-        return values
-
-    def as_dicts(self) -> list[dict]:
-        return [dict(zip(self.columns, row)) for row in self]
-
-    def project(self, names: list[str]) -> "ResultSet":
-        indexes = [self.column_index(n) for n in names]
-        return ResultSet(list(names),
-                         [tuple(row[i] for i in indexes) for row in self])
-
-    def materialize(self) -> ResultSet:
-        """A plain row-tuple :class:`ResultSet` with the same contents."""
-        return ResultSet(intern_columns(self.columns), list(self))
-
-    def width_bytes(self) -> int:
-        if self._width_cache is not None:
-            return self._width_cache
-        total = 0
-        for batch in self.batches:
-            for array in batch.arrays:
-                for value in array:
-                    if value is None:
-                        total += 1
-                    elif isinstance(value, (int, float)):
-                        total += 8
-                    else:
-                        total += len(str(value))
-            total += 2 * len(batch) * len(self.columns)
-        self._width_cache = total
-        return total
-
-    # -- columnar extensions -------------------------------------------
-    def with_id_column(self, name: str) -> "BatchedResultSet":
-        """Append a 1-based row-index column (the ``__id`` path encoding)."""
-        if name in self.columns:
-            return self
-        columns = intern_columns(self.columns + [name])
-        batches = []
-        next_id = 1
-        for batch in self.batches:
-            count = len(batch)
-            ids = list(range(next_id, next_id + count))
-            next_id += count
-            batches.append(ColumnBatch(columns, batch.arrays + [ids]))
-        return BatchedResultSet(columns, batches, self.batch_rows)
-
-
-def iter_result_rows(result):
-    """Row-tuple iterator over either result representation.
-
-    Plain :class:`ResultSet` rows are returned as the list itself (no
-    copy); batched results stream tuples batch by batch.
-    """
-    if isinstance(result, BatchedResultSet):
-        return result.iter_rows()
-    return result.rows
-
-
 class DataSource:
     """One logical relational source (its own database, backend-pluggable).
 
@@ -402,15 +235,6 @@ class DataSource:
         #: Optional :class:`repro.resilience.faults.FaultInjector` hook —
         #: consulted at the statement and lease boundaries when installed.
         self.fault_injector = None
-        #: Columnar data plane (docs/DATAPLANE.md): when set to a positive
-        #: int, :meth:`execute` drains cursors with ``fetchmany`` into
-        #: :class:`BatchedResultSet` batches of this many rows instead of
-        #: one ``fetchall`` list of tuples.  ``None`` keeps the legacy
-        #: row-tuple plane.
-        self.batch_rows: int | None = None
-        #: Per-source string intern pool for the columnar plane, bounded by
-        #: periodic reset (see :meth:`_intern_pool`).
-        self._value_pool: dict[str, str] = {}
         self._temp_counter = 0
         #: Per-relation monotonic version counters (see docs/INCREMENTAL.md):
         #: bumped on every committed write to a base relation, never by
@@ -595,13 +419,7 @@ class DataSource:
                     conn, start, deadline)
             try:
                 cursor = self.backend.execute(conn, sql, params)
-                if self.batch_rows:
-                    batched = BatchedResultSet.from_cursor(
-                        intern_columns(self.backend.describe(cursor)),
-                        cursor, self.batch_rows, self._intern_pool())
-                    rows = None
-                else:
-                    rows = self.backend.fetch_rows(cursor)
+                rows = self.backend.fetch_rows(cursor)
             except self._error_types as error:
                 if (deadline is not None
                         and self.backend.is_deadline_interrupt(error)
@@ -623,21 +441,8 @@ class DataSource:
         self.total_seconds += elapsed
         if not is_read:
             self._note_write(sql)
-        if rows is None:
-            return batched
         columns = intern_columns(self.backend.describe(cursor))
         return ResultSet(columns, rows)
-
-    def _intern_pool(self) -> dict:
-        """The per-source value intern pool, reset when it grows too large.
-
-        Eviction-by-reset is deliberately coarse: the pool only trades
-        duplicate string objects for shared ones, so dropping it costs
-        nothing but the dedup benefit of the next few batches.
-        """
-        if len(self._value_pool) > 1_000_000:
-            self._value_pool = {}
-        return self._value_pool
 
     def _faulted_sleep(self, delay: float, deadline: float | None,
                        start: float) -> None:
@@ -669,7 +474,7 @@ class DataSource:
     # ------------------------------------------------------------------
     # shipped inputs
     # ------------------------------------------------------------------
-    def create_temp_table(self, columns: list[str], rows,
+    def create_temp_table(self, columns: list[str], rows: list[tuple],
                           name: str | None = None,
                           connection: sqlite3.Connection | None = None) -> str:
         """Materialize shipped tuples as a temp table; returns its name.
@@ -678,9 +483,7 @@ class DataSource:
         (via the mediator) to every dependent site".  The whole shipment
         lands as one batch: DROP/CREATE plus a single ``executemany``
         insert inside one explicit transaction, so the engine journals the
-        table once instead of once per statement.  ``rows`` may be any
-        iterable of row tuples — the columnar plane streams batches
-        through without materializing a row list.
+        table once instead of once per statement.
 
         Backends without temp-table support never get here on the normal
         path — the execution engine rewrites their ships into inline
@@ -707,7 +510,7 @@ class DataSource:
             backend.begin(conn)
             backend.execute(conn, f'DROP TABLE IF EXISTS "{name}"')
             backend.execute(conn, f'CREATE TABLE "{name}" ({ddl_columns})')
-            if not isinstance(rows, list) or rows:
+            if rows:
                 placeholders = ", ".join("?" * len(columns))
                 backend.executemany(
                     conn, f'INSERT INTO "{name}" VALUES ({placeholders})',
@@ -772,9 +575,8 @@ class Mediator(DataSource):
     def cache_result(self, table_name: str, result,
                      connection: sqlite3.Connection | None = None) -> str:
         """Cache a shipped query output under ``table_name``."""
-        return self.create_temp_table(result.columns,
-                                      iter_result_rows(result), table_name,
-                                      connection=connection)
+        return self.create_temp_table(result.columns, result.rows,
+                                      table_name, connection=connection)
 
     def materialize_query(self, table_name: str, columns, id_column: str,
                           sql: str,

@@ -31,14 +31,12 @@ from repro.errors import EvaluationAborted, EvaluationError, PlanError
 from repro.obs.tracer import NULL_TRACER
 from repro.relational.network import Network
 from repro.relational.source import (
-    BatchedResultSet,
     DataSource,
     MEDIATOR_NAME,
     Mediator,
     ResidentResult,
     ResultSet,
     intern_columns,
-    iter_result_rows,
 )
 from repro.sqlq.analyze import temp_inputs
 from repro.sqlq.render import InlineTable, render_sqlite
@@ -387,7 +385,7 @@ class Engine:
 
         tagged: dict[str, list[tuple]] = {member.name: []
                                           for member in members}
-        for row in iter_result_rows(result):
+        for row in result.rows:
             tagged[row[0]].append(row)
         outputs: dict[str, ResultSet] = {}
         for member in members:
@@ -462,7 +460,7 @@ class Engine:
                 # Inline-literal rewrite: no table lands at the source, so
                 # there is nothing to ship-once; the modeled per-input-row
                 # charge still counts every consumer.
-                rows = list(iter_result_rows(result))
+                rows = result.rows
                 if len(rows) > INLINE_SHIP_ROW_CAP:
                     raise EvaluationError(
                         f"input {input_name!r} has {len(rows)} rows but "
@@ -487,7 +485,7 @@ class Engine:
                                           target=source.name,
                                           rows=len(result)):
                         table = source.create_temp_table(
-                            result.columns, iter_result_rows(result),
+                            result.columns, result.rows,
                             connection=connection)
                     if shipped is not None:
                         shipped[key] = table
@@ -541,11 +539,8 @@ def _normalize_condition(result, node_name: str):
     The conceptual semantics reads the selector through ``int(...)``; the
     optimized pipeline's gating joins compare it to integer literals, so the
     cached table must hold real integers (SQLite does not coerce TEXT '2' to
-    2 in equality).  Condition tables are tiny (one row per anchor), so a
-    batched result is simply materialized first.
+    2 in equality).
     """
-    if isinstance(result, BatchedResultSet):
-        result = result.materialize()
     if not result.rows:
         return result
     normalized = []
@@ -565,8 +560,6 @@ def _with_ids(result):
     """Append the ``__id`` path-encoding column (unique per table)."""
     if ID_COLUMN in result.columns:
         return result
-    if isinstance(result, BatchedResultSet):
-        return result.with_id_column(ID_COLUMN)
     columns = intern_columns(result.columns + [ID_COLUMN])
     rows = [row + (index + 1,) for index, row in enumerate(result.rows)]
     return ResultSet(columns, rows)

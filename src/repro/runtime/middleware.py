@@ -157,8 +157,6 @@ class Middleware:
                  on_source_failure: str = "abort",
                  breaker_policy=None,
                  incremental: bool = False,
-                 pushdown: bool = False,
-                 columnar: bool | int = False,
                  cost_feedback=None,
                  ledger=None,
                  shards: int = 1):
@@ -220,24 +218,6 @@ class Middleware:
         #: across runs, and ``invalidate_plans`` can actually drop stray
         #: cache tables (each run's own are dropped by ``Engine.cleanup``).
         self.mediator = Mediator()
-        #: Columnar data plane (docs/DATAPLANE.md): when set, every source
-        #: (and the mediator) drains cursors with ``fetchmany`` into
-        #: value-interned :class:`~repro.relational.source.BatchedResultSet`
-        #: batches of this many rows instead of ``fetchall`` tuple lists.
-        self.pushdown = pushdown
-        if columnar is True:
-            from repro.relational.source import DEFAULT_BATCH_ROWS
-            columnar = DEFAULT_BATCH_ROWS
-        if columnar is not False and (not isinstance(columnar, int)
-                                      or columnar < 1):
-            raise EvaluationError(
-                f"columnar must be False, True, or a positive batch size, "
-                f"got {columnar!r}")
-        self.batch_rows = columnar if columnar else None
-        if self.batch_rows:
-            for source in self.sources.values():
-                source.batch_rows = self.batch_rows
-            self.mediator.batch_rows = self.batch_rows
         #: Incremental re-evaluation (docs/INCREMENTAL.md): version-stamped
         #: result caching with delta-driven QDG invalidation.  One
         #: :class:`~repro.runtime.incremental.ResultCache` per unfold depth,
@@ -450,22 +430,6 @@ class Middleware:
             spec = specialize(working, self.stats, tracer=tracer)
             with tracer.span("build-qdg", "qdg"):
                 graph, tagging_plan = build_qdg(spec, self.stats)
-            if self.pushdown:
-                from repro.optimizer.pushdown import apply_pushdown
-                with tracer.span("pushdown", "optimize") as pushdown_span:
-                    pushed = apply_pushdown(graph, tagging_plan,
-                                            working.catalog)
-                    pushdown_span.set(
-                        columns_pruned=pushed.columns_pruned,
-                        predicates_moved=pushed.predicates_moved)
-                tracer.metrics.set_gauge("columns_read",
-                                         pushed.columns_read)
-                tracer.metrics.set_gauge("columns_available",
-                                         pushed.columns_available)
-                tracer.metrics.add("pushdown_columns_pruned",
-                                   pushed.columns_pruned)
-                tracer.metrics.add("pushdown_predicates_moved",
-                                   pushed.predicates_moved)
             model = CostModel(self.stats, overhead=self.query_overhead,
                               feedback=self.cost_feedback)
             with tracer.span("merge+schedule", "optimize",
@@ -793,8 +757,6 @@ class Middleware:
             "max_unfold_depth": self.max_unfold_depth,
             "violation_mode": self.violation_mode,
             "incremental": self.incremental,
-            "pushdown": self.pushdown,
-            "columnar_batch_rows": self.batch_rows,
             "query_overhead": self.query_overhead,
             "emulate_overheads": self.emulate_overheads,
             "on_source_failure": self.on_source_failure,

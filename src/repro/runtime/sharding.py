@@ -85,8 +85,7 @@ from repro.relational.schema import (
     RelationSchema,
     SourceSchema,
 )
-from repro.relational.source import (DataSource, Federation,
-                                     iter_result_rows)
+from repro.relational.source import DataSource, Federation
 from repro.sqlq.analyze import scalar_params, set_params
 from repro.sqlq.ast import BaseTable, ColumnRef, Query, SelectItem
 from repro.sqlq.render import render_sqlite
@@ -370,15 +369,8 @@ def _shard_aig(aig: AIG, spec: PartitionSpec, shard_source: str):
 #: caches that must not ride a pickle into another process.
 _WORKER_CONFIG_KEYS = (
     "merging", "scheduling", "workers", "unfold_depth",
-    "max_unfold_depth", "pushdown", "query_overhead", "emulate_overheads",
+    "max_unfold_depth", "query_overhead", "emulate_overheads",
 )
-
-
-def _worker_config(middleware) -> dict:
-    config = {key: getattr(middleware, key) for key in _WORKER_CONFIG_KEYS}
-    config["columnar"] = (middleware.batch_rows
-                         if middleware.batch_rows else False)
-    return config
 
 
 def build_shard_tasks(middleware, root_inh: dict,
@@ -415,11 +407,11 @@ def build_shard_tasks(middleware, root_inh: dict,
         for relation_schema in source.schema.relations:
             result = source.execute(
                 f'SELECT * FROM "{relation_schema.name}"')
-            relations[relation_schema.name] = list(iter_result_rows(result))
+            relations[relation_schema.name] = result.rows
         dumps[name] = (source.schema, relations)
     # One pickle pass; every task shares the same bytes object.
     source_dump = pickle.dumps(dumps, protocol=pickle.HIGHEST_PROTOCOL)
-    config = _worker_config(middleware)
+    config = {key: getattr(middleware, key) for key in _WORKER_CONFIG_KEYS}
     tasks = [ShardTask(aig=shard_aig, source_dump=source_dump,
                        shard_schema=shard_schema, chunk=chunk,
                        network=middleware.network,

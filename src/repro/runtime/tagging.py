@@ -67,12 +67,7 @@ def _sort_key(indexes: list[int]):
 
 
 class _Table:
-    """A cached relation indexed for tagging: rows grouped by parent id.
-
-    ``result`` may be a plain :class:`ResultSet` or a columnar
-    :class:`~repro.relational.source.BatchedResultSet`; grouping iterates
-    rows either way.
-    """
+    """A cached relation indexed for tagging: rows grouped by parent id."""
 
     def __init__(self, result, sort_columns: list[str]):
         columns = self.columns = result.columns

@@ -33,7 +33,7 @@ from repro.runtime.middleware import Middleware
 #: the config payload is rejected so typos fail loudly, not silently.
 ALLOWED_CONFIG = (
     "merging", "scheduling", "workers", "unfold_depth", "max_unfold_depth",
-    "violation_mode", "incremental", "pushdown", "columnar",
+    "violation_mode", "incremental",
     "query_overhead", "on_source_failure", "deadline", "retry_policy",
     "breaker_policy", "cost_feedback", "ledger", "shards",
 )

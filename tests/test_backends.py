@@ -142,17 +142,6 @@ class TestConformance:
             typed_source.release_connection(leased)
         assert typed_source.pool_size() >= 1
 
-    def test_batched_execute_round_trips(self, typed_source):
-        typed_source.batch_rows = 2
-        typed_source.load_rows(
-            "plain", [(f"k{i}", f"v{i % 3}") for i in range(7)])
-        result = typed_source.execute(
-            'SELECT "a", "b" FROM "plain" ORDER BY "a"')
-        rows = list(result.iter_rows())
-        assert len(rows) == 7
-        assert all(type(row) is tuple for row in rows)
-        assert rows[0] == ("k0", "v0")
-
 
 # ----------------------------------------------------------------------
 # affinity edge cases the strict engines cannot represent
@@ -273,10 +262,6 @@ class _SequenceCursor:
         rows, self._rows = self._rows, []
         return rows
 
-    def fetchmany(self, n):
-        chunk, self._rows = self._rows[:n], self._rows[n:]
-        return chunk
-
 
 class TestSequenceRows:
     ROWS = [("k1", 1), ("k2", 2), ("k3", 3)]
@@ -287,17 +272,6 @@ class TestSequenceRows:
         assert all(type(row) is tuple for row in rows)
         # the engine concatenates rows with id tuples — must not break
         assert rows[0] + (9,) == ("k1", 1, 9)
-
-    def test_batched_result_set_normalizes_to_tuples(self):
-        from repro.relational.source import BatchedResultSet
-
-        batched = BatchedResultSet.from_cursor(
-            ["a", "b"], _SequenceCursor(self.ROWS), batch_rows=2)
-        rows = list(batched.iter_rows())
-        assert rows == list(self.ROWS)
-        assert all(type(row) is tuple for row in rows)
-        with_ids = batched.with_id_column("__id")
-        assert list(with_ids.iter_rows())[0] == ("k1", 1, 1)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,7 @@
-"""The streaming columnar data plane (docs/DATAPLANE.md).
+"""The streaming data plane (docs/DATAPLANE.md).
 
-Covers the four layers the plane cuts through:
+Covers the layers the plane cuts through:
 
-* ``BatchedResultSet``/``ColumnBatch`` and the bounded column-name intern
-  cache in :mod:`repro.relational.source`;
-* projection/predicate pushdown: on/off byte-identity plus the
-  ``columns_read``/``columns_available`` gauge pair;
 * ``StreamSerializer``: property-tested byte equivalence with
   :func:`serialize` on arbitrary trees, and full-pipeline equivalence of
   ``evaluate_stream`` with ``serialize(evaluate().document)`` on star,
@@ -33,87 +29,13 @@ from repro.constraints import (
 )
 from repro.dtd import parse_dtd
 from repro.hospital import build_hospital_aig, make_sources
-from repro.obs import Tracer
 from repro.relational import Catalog, DataSource, SourceSchema
 from repro.relational.schema import relation
-from repro.relational.source import (
-    INTERN_CACHE_LIMIT,
-    BatchedResultSet,
-    intern_cache_size,
-    intern_columns,
-)
 from repro.runtime import Middleware
 from repro.runtime.tagging import NullEventSink, stream_document
 from repro.xmlmodel import StreamSerializer, XMLElement, XMLText, serialize
 from tests.conftest import load_tiny_hospital
 from tests.test_recursive_choice import TREE_ROWS, build_fs_aig, load
-
-
-# ---------------------------------------------------------------------------
-# batched result sets and the intern cache
-# ---------------------------------------------------------------------------
-
-class TestBatchedResultSet:
-    def make(self, n=10, batch_rows=4):
-        rows = [(f"k{i}", "shared", i) for i in range(n)]
-        return rows, BatchedResultSet.from_rows(
-            ["key", "label", "n"], rows, batch_rows=batch_rows)
-
-    def test_round_trip_and_batching(self):
-        rows, result = self.make()
-        assert len(result) == 10
-        assert list(result) == rows
-        assert list(result.iter_rows()) == rows
-        assert result.rows == rows
-        # 10 rows at batch_rows=4 -> 4+4+2
-        assert [len(b) for b in result.batches] == [4, 4, 2]
-
-    def test_interning_across_batches(self):
-        _, result = self.make()
-        labels = result.column("label")
-        assert len({id(v) for v in labels}) == 1
-
-    def test_column_api_matches_result_set(self):
-        rows, result = self.make()
-        materialized = result.materialize()
-        assert result.column_index("n") == 2
-        assert result.column("n") == materialized.column("n")
-        assert result.as_dicts() == materialized.as_dicts()
-        assert result.project(["n", "key"]).rows == \
-            materialized.project(["n", "key"]).rows
-        assert result.width_bytes() == materialized.width_bytes()
-        from repro.errors import EvaluationError
-        with pytest.raises(EvaluationError):
-            result.column_index("missing")
-        with pytest.raises(EvaluationError):
-            materialized.column_index("missing")
-
-    def test_with_id_column(self):
-        rows, result = self.make()
-        with_ids = result.with_id_column("__id")
-        assert with_ids.columns[-1] == "__id"
-        assert [row[-1] for row in with_ids] == list(range(1, 11))
-        assert [row[:-1] for row in with_ids] == rows
-
-    def test_from_cursor_drains_in_batches(self):
-        source = DataSource(SourceSchema(
-            "S", (relation("t", "a", "b"),)))
-        source.load_rows("t", [(str(i), "x") for i in range(7)])
-        source.batch_rows = 3
-        result = source.execute("SELECT a, b FROM t ORDER BY a")
-        assert isinstance(result, BatchedResultSet)
-        assert [len(b) for b in result.batches] == [3, 3, 1]
-        assert result.column("a") == [str(i) for i in range(7)]
-
-    def test_intern_cache_is_bounded(self):
-        for i in range(INTERN_CACHE_LIMIT + 50):
-            intern_columns([f"col_{i}", "b"])
-        assert intern_cache_size() <= INTERN_CACHE_LIMIT
-
-    def test_intern_cache_reuses_shapes(self):
-        first = intern_columns(["alpha", "beta"])
-        second = intern_columns(["alpha", "beta"])
-        assert [id(a) for a in first] == [id(b) for b in second]
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +119,7 @@ def _assert_stream_matches(aig, sources, root_inh, constraints=None,
                            **kwargs):
     materialized = Middleware(aig, dict(sources), **kwargs)
     result = materialized.evaluate(dict(root_inh))
-    streaming = Middleware(aig, dict(sources), pushdown=True,
-                           columnar=3, **kwargs)
+    streaming = Middleware(aig, dict(sources), **kwargs)
     for indent in (None, 2):
         expected = serialize(result.document, indent=indent)
         buffer = io.StringIO()
@@ -316,7 +237,7 @@ class TestStreamingConstraintChecker:
 
 
 # ---------------------------------------------------------------------------
-# pushdown: byte identity, gauges, and streaming-tagging memory bound
+# streaming-tagging memory bound
 # ---------------------------------------------------------------------------
 
 WIDE_DTD = """
@@ -326,7 +247,7 @@ WIDE_DTD = """
 
 
 def build_wide_scenario(rows=400, body_chars=600):
-    """2 of 7 warehouse columns feed the document; bodies are large."""
+    """A feed whose bodies are large (2 of 7 warehouse columns used)."""
     schema = SourceSchema("W", (relation(
         "stories", "name", "body", "day", "u0", "u1", "u2", "u3"),))
     aig = AIG(parse_dtd(WIDE_DTD), Catalog([schema]), root_inh=("day",))
@@ -346,30 +267,15 @@ def build_wide_scenario(rows=400, body_chars=600):
 
 
 class TestPushdown:
-    def test_bytes_identical_with_and_without_pushdown(self):
-        aig, sources = build_wide_scenario(rows=40, body_chars=30)
-        plain = Middleware(aig, sources).evaluate({"day": "d1"})
-        tracer = Tracer()
-        pushed = Middleware(aig, sources, pushdown=True,
-                            tracer=tracer).evaluate({"day": "d1"})
-        assert serialize(pushed.document, indent=2) == \
-            serialize(plain.document, indent=2)
-        read = tracer.metrics.gauge("columns_read")
-        available = tracer.metrics.gauge("columns_available")
-        assert 0 < read < available
-
-    def test_hospital_pushdown_byte_identical(self, hospital_aig):
-        sources = make_sources()
-        load_tiny_hospital(sources)
-        plain = Middleware(hospital_aig, sources).evaluate({"date": "d1"})
-        pushed = Middleware(hospital_aig, sources,
-                            pushdown=True, columnar=True)
-        result = pushed.evaluate({"date": "d1"})
-        assert serialize(result.document) == serialize(plain.document)
+    @pytest.mark.parametrize("knob", ["pushdown", "columnar"])
+    def test_removed_knobs_are_refused(self, knob):
+        aig, sources = build_wide_scenario(rows=1, body_chars=6)
+        with pytest.raises(TypeError, match=knob):
+            Middleware(aig, sources, **{knob: True})
 
     def test_streaming_tagging_peak_below_document_size(self):
         aig, sources = build_wide_scenario()
-        middleware = Middleware(aig, sources, pushdown=True, columnar=True)
+        middleware = Middleware(aig, sources)
         graph, plan, tagging_plan, _, _ = middleware.prepare(None)
         from repro.runtime.engine import Engine
         engine = Engine(graph, plan, sources, middleware.network,
@@ -401,187 +307,3 @@ class TestPushdown:
         sink.text("x")
         sink.end()
 
-
-# ---------------------------------------------------------------------------
-# the pushdown pass on hand-built QDGs
-# ---------------------------------------------------------------------------
-
-from repro.optimizer.pushdown import apply_pushdown  # noqa: E402
-from repro.optimizer.qdg import (  # noqa: E402
-    QueryDependencyGraph,
-    QueryNode,
-    TaggingPlan,
-)
-from repro.sqlq.ast import (  # noqa: E402
-    BaseTable,
-    ColumnRef,
-    Comparison,
-    Literal,
-    Param,
-    Query,
-    SelectItem,
-    TempTable,
-)
-
-_CATALOG = Catalog([SourceSchema("S", (relation("rel", "a", "b", "c", "d"),))])
-
-
-def _producer(name="P", **overrides):
-    query = Query(
-        select=tuple(SelectItem(ColumnRef("t", col), col)
-                     for col in ("a", "b", "c")),
-        from_items=(BaseTable("S", "rel", "t"),))
-    fields = dict(name=name, source="S", kind="step", query=query,
-                  output_columns=("a", "b", "c"))
-    fields.update(overrides)
-    return QueryNode(**fields)
-
-
-def _consumer(where=(), name="C", inputs=("P",), root_params=None,
-              **overrides):
-    query = Query(
-        select=(SelectItem(ColumnRef("p", "a"), "a"),),
-        from_items=(TempTable("P", "p", ("a", "b", "c")),),
-        where=tuple(where))
-    fields = dict(name=name, source="S", kind="step", query=query,
-                  inputs=inputs, output_columns=("a",),
-                  ship_to_mediator=True,
-                  root_params=dict(root_params or {}))
-    fields.update(overrides)
-    return QueryNode(**fields)
-
-
-def _graph(*nodes):
-    graph = QueryDependencyGraph()
-    for node in nodes:
-        graph.add(node)
-    return graph
-
-
-def _plan(**kwargs):
-    return TaggingPlan(tree=None, **kwargs)
-
-
-class TestPushdownPass:
-    def test_trims_unreferenced_producer_columns(self):
-        producer = _producer()
-        consumer = _consumer()
-        graph = _graph(producer, consumer)
-        report = apply_pushdown(graph, _plan(table_of={"/r": "C"}), _CATALOG)
-        assert [s.alias for s in producer.query.select] == ["a"]
-        assert producer.output_columns == ("a",)
-        assert report.columns_pruned == 2
-        # the consumer's TempTable reference follows the new shape
-        (item,) = consumer.query.from_items
-        assert item.columns == ("a",)
-
-    def test_where_column_is_kept(self):
-        producer = _producer()
-        consumer = _consumer(
-            where=(Comparison(ColumnRef("p", "b"), "=", Literal("x")),))
-        graph = _graph(producer, consumer)
-        apply_pushdown(graph, _plan(table_of={"/r": "C"}), _CATALOG)
-        assert [s.alias for s in producer.query.select] == ["a", "b"]
-
-    def test_tagging_read_nodes_are_never_trimmed(self):
-        producer = _producer()
-        consumer = _consumer()
-        graph = _graph(producer, consumer)
-        apply_pushdown(
-            graph, _plan(table_of={"/r": "C", "/r/x": "P"}), _CATALOG)
-        assert producer.output_columns == ("a", "b", "c")
-
-    def test_raw_sql_consumer_keeps_inputs_whole(self):
-        producer = _producer()
-        consumer = QueryNode("C", "Mediator", "collect",
-                             raw_sql="select a from {P}", inputs=("P",),
-                             output_columns=("a",), ship_to_mediator=True)
-        graph = _graph(producer, consumer)
-        report = apply_pushdown(graph, _plan(), _CATALOG)
-        assert producer.output_columns == ("a", "b", "c")
-        assert report.columns_pruned == 0
-
-    def test_distinct_producer_is_not_trimmed(self):
-        producer = _producer()
-        producer.query = Query(select=producer.query.select,
-                               from_items=producer.query.from_items,
-                               distinct=True)
-        consumer = _consumer()
-        graph = _graph(producer, consumer)
-        apply_pushdown(graph, _plan(table_of={"/r": "C"}), _CATALOG)
-        assert producer.output_columns == ("a", "b", "c")
-
-    def test_moves_literal_predicate_and_is_idempotent(self):
-        producer = _producer()
-        predicate = Comparison(ColumnRef("p", "b"), "=", Literal("x"))
-        consumer = _consumer(where=(predicate,))
-        graph = _graph(producer, consumer)
-        plan = _plan(table_of={"/r": "C"})
-        report = apply_pushdown(graph, plan, _CATALOG)
-        assert report.predicates_moved == 1
-        assert Comparison(ColumnRef("t", "b"), "=", Literal("x")) \
-            in producer.query.where
-        assert predicate in consumer.query.where  # consumer keeps its copy
-        again = apply_pushdown(graph, plan, _CATALOG)
-        assert again.predicates_moved == 0
-        assert len(producer.query.where) == 1
-
-    def test_moves_flipped_root_param_predicate(self):
-        producer = _producer()
-        consumer = _consumer(
-            where=(Comparison(Param("day"), "=", ColumnRef("p", "b")),),
-            root_params={"day": "date"})
-        graph = _graph(producer, consumer)
-        report = apply_pushdown(graph, _plan(table_of={"/r": "C"}), _CATALOG)
-        assert report.predicates_moved == 1
-        assert producer.root_params == {"day": "date"}
-        moved = producer.query.where[0]
-        assert moved.left == Param("day")  # orientation preserved
-
-    def test_param_collision_blocks_the_move(self):
-        producer = _producer(root_params={"day": "other"})
-        # the producer already binds $day to a *different* member
-        producer.query = Query(
-            select=producer.query.select,
-            from_items=producer.query.from_items,
-            where=(Comparison(ColumnRef("t", "a"), "=", Param("day")),))
-        consumer = _consumer(
-            where=(Comparison(ColumnRef("p", "b"), "=", Param("day")),),
-            root_params={"day": "date"})
-        graph = _graph(producer, consumer)
-        report = apply_pushdown(graph, _plan(table_of={"/r": "C"}), _CATALOG)
-        assert report.predicates_moved == 0
-        assert producer.query.where == (
-            Comparison(ColumnRef("t", "a"), "=", Param("day")),)
-        assert producer.root_params == {"day": "other"}
-
-    def test_shared_producer_blocks_the_move(self):
-        producer = _producer()
-        predicate = Comparison(ColumnRef("p", "b"), "=", Literal("x"))
-        consumer = _consumer(where=(predicate,))
-        other = _consumer(name="C2")
-        graph = _graph(producer, consumer, other)
-        report = apply_pushdown(
-            graph, _plan(table_of={"/r": "C", "/s": "C2"}), _CATALOG)
-        assert report.predicates_moved == 0
-        assert producer.query.where == ()
-        # trimming still applies across the union of both consumers' needs
-        assert producer.output_columns == ("a", "b")
-
-    def test_shipped_producer_is_left_alone(self):
-        producer = _producer(ship_to_mediator=True)
-        consumer = _consumer(
-            where=(Comparison(ColumnRef("p", "b"), "=", Literal("x")),))
-        graph = _graph(producer, consumer)
-        report = apply_pushdown(graph, _plan(table_of={"/r": "C"}), _CATALOG)
-        assert report.predicates_moved == 0
-        assert producer.output_columns == ("a", "b", "c")
-
-    def test_scan_width_measurement(self):
-        producer = _producer()   # reads a, b, c of the 4-column relation
-        consumer = _consumer()
-        graph = _graph(producer, consumer)
-        report = apply_pushdown(
-            graph, _plan(table_of={"/r": "C", "/r/x": "P"}), _CATALOG)
-        assert report.columns_available == 4
-        assert report.columns_read == 3

@@ -7,7 +7,14 @@ from repro.relational import Catalog, SourceSchema, StatisticsCatalog, TableStat
 from repro.relational.schema import relation
 from repro.sqlq import parse_query, plan_steps
 from repro.sqlq.analyze import sources_of, temp_inputs
-from repro.sqlq.ast import Comparison, InSet
+from repro.sqlq.ast import (
+    ColumnRef,
+    Comparison,
+    InSet,
+    Literal,
+    Param,
+    TempTable,
+)
 from repro.sqlq.planner import left_deep_order
 
 
@@ -85,3 +92,106 @@ class TestPredicatePlacement:
             "select b.x from S1:big b, S2:small s where b.k = s.k")
         order = left_deep_order(query, stats)
         assert order[0].alias == "s"
+
+
+# ---------------------------------------------------------------------------
+# the decomposer leaves nothing for a later pass to push down
+# ---------------------------------------------------------------------------
+
+def _column_refs(query):
+    """Every ``ColumnRef`` in the select list and ``where`` of ``query``."""
+    sides = [item.expr for item in query.select]
+    for predicate in query.where:
+        sides += ([predicate.left, predicate.right]
+                  if isinstance(predicate, Comparison)
+                  else [predicate.column])
+    return [side for side in sides if isinstance(side, ColumnRef)]
+
+
+def _intermediate_steps(graph, tagging_plan):
+    """Decomposition steps whose output only their consumers read."""
+    read_by_tagging = set(tagging_plan.table_of.values()) | set(
+        tagging_plan.condition_of.values())
+    return [node for node in graph.nodes.values()
+            if node.kind == "step" and not node.ship_to_mediator
+            and node.name not in read_by_tagging]
+
+
+def _pushdown_left_undone(graph, tagging_plan):
+    """``(steps looked at, what a pushdown pass could still rewrite)``."""
+    findings = []
+    steps = _intermediate_steps(graph, tagging_plan)
+    for step in steps:
+        consumers = graph.consumers(step.name)
+        assert consumers and all(c.query is not None for c in consumers)
+        used = set()
+        for consumer in consumers:
+            aliases = {item.alias for item in consumer.query.from_items
+                       if isinstance(item, TempTable)
+                       and item.producer == step.name}
+            refs = [ref for ref in _column_refs(consumer.query)
+                    if ref.table in aliases]
+            used.update(ref.column for ref in refs)
+            if len(consumers) > 1 or len(aliases) != 1 \
+                    or step.query.distinct:
+                continue
+            bare = {item.alias for item in step.query.select
+                    if isinstance(item.expr, ColumnRef)}
+            for predicate in consumer.query.where:
+                if not isinstance(predicate, Comparison):
+                    continue
+                for column, other in ((predicate.left, predicate.right),
+                                      (predicate.right, predicate.left)):
+                    constant = isinstance(other, Literal) or (
+                        isinstance(other, Param)
+                        and other.name in consumer.root_params)
+                    if constant and column in refs and column.column in bare:
+                        findings.append(f"{consumer.name}: {predicate} "
+                                        f"belongs in {step.name}")
+        for column in step.output_columns:
+            if column not in used:
+                findings.append(f"{step.name}: no consumer reads {column!r}")
+    return len(steps), findings
+
+
+def _hospital_plan(depth):
+    from repro.hospital import build_hospital_aig, make_sources
+    from repro.runtime.recursion import unfold_aig
+    from tests.conftest import load_tiny_hospital
+    sources = make_sources()
+    load_tiny_hospital(sources)
+    return [(unfold_aig(build_hospital_aig(), depth), sources)]
+
+
+def _fuzz_plans(seeds):
+    from repro.fuzz.generator import generate_scenario
+    from repro.fuzz.spec import build_scenario
+    return (build_scenario(generate_scenario(seed)) for seed in seeds)
+
+
+class TestDecomposerSubsumesPushdown:
+    """What ``optimizer/pushdown.py`` checked on hand-built graphs, on the
+    graphs ``build_qdg`` emits: §3.4's left-deep decomposition already
+    projects from every intermediate step exactly what later steps read,
+    and homes every predicate in the earliest step that covers it."""
+
+    @pytest.mark.parametrize("scenarios", [
+        pytest.param(lambda: _hospital_plan(2), id="hospital-depth-2"),
+        pytest.param(lambda: _hospital_plan(8), id="hospital-depth-8"),
+        pytest.param(lambda: _fuzz_plans(range(60)), id="fuzz-seeds-0-59"),
+    ])
+    def test_nothing_left_to_trim_or_move(self, scenarios):
+        from repro.dtd.analysis import recursive_types
+        from repro.runtime import Middleware
+        looked_at, findings = 0, []
+        for aig, sources in scenarios():
+            depth = 4 if recursive_types(aig.dtd) else None
+            graph, _, tagging_plan, _, _ = Middleware(
+                aig, sources, merging=False).prepare(depth)
+            steps, found = _pushdown_left_undone(graph, tagging_plan)
+            looked_at += steps
+            findings += found
+            for source in sources.values():
+                source.close()
+        assert looked_at >= 1, "no intermediate step: the check is vacuous"
+        assert findings == []

@@ -148,6 +148,38 @@ class TestMiddlewareLedger:
         assert records[1]["run"]["peak_rss_bytes"] is None or \
             records[1]["run"]["peak_rss_bytes"] > 0
 
+    #: One record as the commit before the data-plane knobs were removed
+    #: wrote it (``pushdown=True, columnar=True``; ``nodes`` emptied).
+    OLD_RECORD = (
+        '{"config": {"columnar_batch_rows": 1024, "cost_feedback": false, '
+        '"deadline": null, "emulate_overheads": false, "incremental": false, '
+        '"max_unfold_depth": 64, "merging": true, "on_source_failure": '
+        '"abort", "pushdown": true, "query_overhead": 0.25, "retries": null, '
+        '"scheduling": "static", "shards": 1, "unfold_depth": 4, '
+        '"violation_mode": "abort", "workers": 1}, "constraints": [], '
+        '"kind": "evaluate", "metrics": {"counters": {}, "gauges": {}, '
+        '"histograms": {}}, "nodes": [], "plan": {"estimated_cost": 1.354307, '
+        '"node_count": 10, "response_time": 1.133014, "unfold_depth": 4}, '
+        '"plan_fingerprint": "dc7f314d591bdfd2b62e81d4fe748f5e4b220bed97d4d2'
+        '4cdc1a2f069cc5c1ce", "run": {"bytes_shipped": 1051, "degraded": '
+        'false, "document_bytes": 668, "measured_seconds": 0.005671, '
+        '"peak_rss_bytes": 46485504, "queries_executed": 10, "reused_nodes": '
+        '0, "tainted_nodes": 0, "violations": 0}, "schema": 1, '
+        '"timestamp": 1790807767.388}\n')
+
+    def test_ledger_with_removed_knobs_still_loads(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(self.OLD_RECORD, encoding="utf-8")
+        fresh_middleware(ledger=str(path)).evaluate({"date": "d1"})
+        old, new = RunLedger(str(path)).records()
+        assert old["config"]["pushdown"] is True
+        assert "pushdown" not in new["config"]
+        assert "columnar_batch_rows" not in new["config"]
+        # the pass rewrote nothing, so the default plan is the plan the
+        # old record ran with ``pushdown=True``
+        assert new["plan_fingerprint"] == old["plan_fingerprint"]
+        assert new["run"]["document_bytes"] == old["run"]["document_bytes"]
+
     def test_streaming_run_recorded(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
         middleware = fresh_middleware(ledger=path)

@@ -17,7 +17,13 @@ from repro.relational import (
 )
 from repro.relational.network import MBPS
 from repro.relational.schema import Column, RelationSchema, relation
-from repro.relational.source import MEDIATOR_NAME, ResultSet
+from repro.relational.source import (
+    INTERN_CACHE_LIMIT,
+    MEDIATOR_NAME,
+    ResultSet,
+    intern_cache_size,
+    intern_columns,
+)
 
 
 def patient_source():
@@ -132,6 +138,16 @@ class TestResultSet:
         result = ResultSet(["a"], [(1,), (2,)])
         assert len(result) == 2
         assert list(result) == [(1,), (2,)]
+
+    def test_intern_cache_is_bounded(self):
+        for i in range(INTERN_CACHE_LIMIT + 50):
+            intern_columns([f"col_{i}", "b"])
+        assert intern_cache_size() <= INTERN_CACHE_LIMIT
+
+    def test_intern_cache_reuses_shapes(self):
+        first = intern_columns(["alpha", "beta"])
+        second = intern_columns(["alpha", "beta"])
+        assert [id(a) for a in first] == [id(b) for b in second]
 
 
 class TestFederation:

@@ -187,8 +187,12 @@ class TestRegistry:
         from repro.errors import EvaluationError
         aig, sources, _ = world
         registry = TenantRegistry()
-        with pytest.raises(EvaluationError):
-            registry.register("t", aig, sources, {"wrokers": 2})
+        # a typo, and the two data-plane knobs that no longer exist
+        for config in ({"wrokers": 2}, {"columnar": True},
+                       {"pushdown": True}):
+            with pytest.raises(EvaluationError,
+                               match=r"unknown middleware config key\(s\)"):
+                registry.register("t", aig, sources, config)
 
     def test_version_vector_moves_on_load(self, world):
         aig, sources, _ = world
