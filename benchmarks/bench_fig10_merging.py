@@ -66,12 +66,6 @@ def test_figure10_grid(benchmark, hospital_aig):
 
     ratios, text = benchmark.pedantic(build_grid, rounds=1, iterations=1)
     report("figure10_merging", "\n" + text)
-    from conftest import record_json
-    record_json("figure10_merging", {
-        "ratios": {f"{scale}/level{level}": round(ratio, 4)
-                   for (scale, level), ratio in ratios.items()},
-        "max_ratio": round(max(ratios.values()), 4),
-    })
     # Shape assertions: merging never hurts, and the deepest unfolding
     # benefits more than the shallowest at every scale.
     for (scale, level), ratio in ratios.items():

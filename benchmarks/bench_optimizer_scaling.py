@@ -64,7 +64,7 @@ def test_optimizer_scaling(benchmark):
         return schedule_times, "\n".join(lines)
 
     schedule_times, text = benchmark.pedantic(build, rounds=1, iterations=1)
-    report("optimizer_scaling", "\n" + text)
+    report("optimizer_scaling", "\n" + text, wall=True)
     # quadratic envelope for Schedule: doubling n -> at most ~8x (slack 2x)
     assert schedule_times[32] < schedule_times[8] * 16 * 4 + 5.0
 

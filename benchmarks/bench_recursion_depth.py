@@ -58,7 +58,7 @@ def test_recursion_depth_strategies(benchmark, hospital_aig):
 
     estimated, documents, rows, text = benchmark.pedantic(build, rounds=1,
                                                           iterations=1)
-    write_report("recursion_depth", "\n" + text)
+    write_report("recursion_depth", "\n" + text, wall=True)
     # every strategy delivers the identical document
     assert documents[0] == documents[1] == documents[2]
     # the auto estimate avoids any runtime re-unrolling

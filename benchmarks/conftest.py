@@ -5,7 +5,6 @@ computed once per session and cached; pytest-benchmark then times the
 representative kernels without re-running whole grids per round.
 """
 
-import json
 import pathlib
 
 import pytest
@@ -17,51 +16,24 @@ _DATASETS = {}
 _SOURCES = {}
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
-#: Machine-readable companions to the results/*.txt tables: one JSON object
-#: per benchmark (wall times, modeled response_time, parallel_speedup, …)
-#: so the perf trajectory is trackable across PRs.  They live at the repo
-#: root so CI artifact uploads and cross-PR diffs don't depend on the
-#: benchmark tree's layout.
-BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
-BENCH_INCREMENTAL_JSON = REPO_ROOT / "BENCH_incremental.json"
-BENCH_DATAPLANE_JSON = REPO_ROOT / "BENCH_dataplane.json"
-BENCH_OBS_JSON = REPO_ROOT / "BENCH_obs.json"
+#: First line of every table that reports the paper's simulated clock.
+MODELLED = ("modelled — simulated clock (`Network` + `QUERY_OVERHEAD`), "
+            "not wall time")
+MEASURED = "measured — wall time on the machine that ran it"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--quick", action="store_true", default=False,
-        help="reduced benchmark scale for CI smoke runs; quick results "
-             "are recorded under separate *_quick keys so they never "
-             "overwrite full-scale baselines")
+def report(name: str, text: str, wall: bool = False) -> str:
+    """Print a result table and persist it under benchmarks/results/.
 
-
-@pytest.fixture(scope="session")
-def quick(request):
-    return request.config.getoption("--quick")
-
-
-def report(name: str, text: str) -> str:
-    """Print a result table and persist it under benchmarks/results/."""
+    ``text`` starts with a newline; the line put before it says what kind
+    of number the table holds: the simulated clock of the paper's Section 6
+    unless the script measures ``wall`` time."""
+    text = f"\n{MEASURED if wall else MODELLED}{text}"
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     return text
-
-
-def record_json(name: str, payload: dict,
-                path: pathlib.Path = BENCH_JSON) -> None:
-    """Merge one benchmark's metrics into a root-level BENCH_*.json."""
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except ValueError:
-            data = {}   # corrupt file: start over rather than fail the bench
-    data[name] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def dataset_for(scale):

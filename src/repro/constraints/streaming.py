@@ -14,7 +14,11 @@ constraint-compilation path synthesizes key/inclusion bags bottom-up
 
 from __future__ import annotations
 
-from repro.constraints.checker import Violation
+from repro.constraints.checker import (
+    Violation,
+    inclusion_violation,
+    key_violation,
+)
 from repro.constraints.model import Constraint, InclusionConstraint, Key
 
 
@@ -168,21 +172,9 @@ class StreamingConstraintChecker:
     def _close_scope(self, index: int, scope: _Scope) -> None:
         constraint = self.constraints[index]
         if isinstance(constraint, Key):
-            duplicates = sorted(v for v, count in scope.counts.items()
-                                if count > 1)
-            if duplicates:
-                shown = [v[0] if len(v) == 1 else v for v in duplicates]
-                self._found[index].append((scope.order, Violation(
-                    constraint, scope.path,
-                    f"duplicate {'/'.join(constraint.fields)} value(s) "
-                    f"{shown} among {constraint.target} elements")))
+            violation = key_violation(constraint, scope.path, scope.counts)
         else:
-            missing = sorted(scope.sources - scope.available)
-            if missing:
-                shown = [v[0] if len(v) == 1 else v for v in missing]
-                self._found[index].append((scope.order, Violation(
-                    constraint, scope.path,
-                    f"{constraint.source}."
-                    f"{'/'.join(constraint.source_fields)} value(s) {shown} "
-                    f"have no matching {constraint.target}."
-                    f"{'/'.join(constraint.target_fields)}")))
+            violation = inclusion_violation(constraint, scope.path,
+                                            scope.sources, scope.available)
+        if violation is not None:
+            self._found[index].append((scope.order, violation))

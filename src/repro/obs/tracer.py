@@ -13,8 +13,8 @@ The default throughout the codebase is :data:`NULL_TRACER`, whose spans
 still *time* their interval (two ``perf_counter`` calls — the engine's
 simulated clock is built from span durations, so there is exactly one
 timing source of truth) but record nothing and carry no attributes.  The
-hot path is therefore unchanged when tracing is disabled; the guard
-benchmark ``benchmarks/bench_trace_overhead.py`` keeps it that way.
+hot path is therefore unchanged when tracing is disabled; the benchmark's
+``trace.overhead_x`` row (``benchmarks/e2e``) measures that it stays so.
 
 Everything here is stdlib-only (``threading`` + ``time``); exporters live
 in :mod:`repro.obs.export`.

@@ -119,7 +119,6 @@ class Engine:
                  dynamic_scheduler=None,
                  violation_mode: str = "abort",
                  workers: int | str = 1,
-                 emulate_overheads: bool = False,
                  tracer=None,
                  retry_policy=None,
                  breakers=None,
@@ -164,7 +163,6 @@ class Engine:
                             f"got {violation_mode!r}")
         self.violation_mode = violation_mode
         self.workers = workers
-        self.emulate_overheads = emulate_overheads
         #: Resilience (see :mod:`repro.resilience`): a
         #: :class:`~repro.resilience.retry.RetryPolicy` retries transient
         #: per-node failures; ``breakers`` (a

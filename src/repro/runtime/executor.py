@@ -30,12 +30,6 @@ Two execution modes share the coordinator:
   observes completions in real arrival order, so its simulated clock can
   differ run to run — the produced document, violations, and bytes shipped
   remain deterministic.
-
-``emulate_overheads=True`` makes workers *sleep* the modeled transfer and
-per-query deployment costs instead of only adding them to the simulated
-clock.  Sleeps release the GIL, so this mode demonstrates real wall-clock
-overlap of the modeled distributed deployment on plans that have width —
-useful for benchmarks on hardware where pure-SQLite work is GIL-bound.
 """
 
 from __future__ import annotations
@@ -86,7 +80,6 @@ class _Task:
     lane: str
     name: str
     node: object
-    pre_sleep: float = 0.0       # emulated input-transfer wait
 
 
 @dataclass
@@ -262,13 +255,7 @@ class PlanExecutor:
             eval_seconds, outputs, rows = 0.0, {}, 0
             with span:
                 try:
-                    if task.pre_sleep > 0.0:
-                        time.sleep(task.pre_sleep)
                     eval_seconds, outputs, rows = attempt_node(task, span)
-                    if engine.emulate_overheads:
-                        output_rows = sum(len(r) for r in outputs.values())
-                        time.sleep(engine.modeled_overhead(
-                            task.node, rows, output_rows))
                     span.set(eval_seconds=eval_seconds,
                              rows_materialized=rows,
                              output_rows=sum(len(r)
@@ -323,30 +310,13 @@ class PlanExecutor:
                     picks = picks[:1]
             return picks
 
-        def emulated_pre_sleep(node) -> float:
-            if not engine.emulate_overheads:
-                return 0.0
-            wait = 0.0
-            for input_name in node.inputs:
-                producer_name = graph.resolve(input_name)
-                if producer_name == node.name:
-                    continue
-                producer = graph.nodes[producer_name]
-                if producer.source == node.source:
-                    continue
-                nbytes = (cache[input_name].width_bytes()
-                          if input_name in cache else 0)
-                wait = max(wait, engine.network.trans_cost(
-                    producer.source, node.source, nbytes))
-            return wait
-
         def dispatch(lane: str, name: str) -> _Task:
             node = graph.nodes[name]
             ready.discard(name)
             if static:
                 lane_pos[lane] += 1
             in_flight[lane] = name
-            return _Task(lane, name, node, emulated_pre_sleep(node))
+            return _Task(lane, name, node)
 
         def shut_down():
             if not threads:

@@ -146,11 +146,9 @@ class Middleware:
                  merging: bool = True,
                  unfold_depth: int | str = 4,
                  max_unfold_depth: int = 64,
-                 query_overhead: float | None = None,
                  scheduling: str = "static",
                  violation_mode: str = "abort",
                  workers: int | str = 1,
-                 emulate_overheads: bool = False,
                  tracer=None,
                  retry_policy=None,
                  deadline: float | None = None,
@@ -173,9 +171,6 @@ class Middleware:
         self.merging = merging
         self.unfold_depth = unfold_depth
         self.max_unfold_depth = max_unfold_depth
-        from repro.optimizer.cost import QUERY_OVERHEAD
-        self.query_overhead = (QUERY_OVERHEAD if query_overhead is None
-                               else query_overhead)
         if scheduling not in ("static", "dynamic"):
             raise EvaluationError(
                 f"scheduling must be 'static' or 'dynamic', "
@@ -189,7 +184,6 @@ class Middleware:
                 f"workers must be a positive integer or 'auto', "
                 f"got {workers!r}")
         self.workers = workers
-        self.emulate_overheads = emulate_overheads
         from repro.resilience.retry import RetryPolicy
         if isinstance(retry_policy, int) and not isinstance(retry_policy,
                                                             bool):
@@ -430,8 +424,7 @@ class Middleware:
             spec = specialize(working, self.stats, tracer=tracer)
             with tracer.span("build-qdg", "qdg"):
                 graph, tagging_plan = build_qdg(spec, self.stats)
-            model = CostModel(self.stats, overhead=self.query_overhead,
-                              feedback=self.cost_feedback)
+            model = CostModel(self.stats, feedback=self.cost_feedback)
             with tracer.span("merge+schedule", "optimize",
                              merging=self.merging) as optimize_span:
                 if self.merging:
@@ -668,11 +661,9 @@ class Middleware:
                 self._last_root_inh = dict(root_inh)
             engine = Engine(graph, plan, self.sources, self.network,
                             mediator=self.mediator,
-                            query_overhead=self.query_overhead,
                             dynamic_scheduler=scheduler,
                             violation_mode=self.violation_mode,
                             workers=self.workers,
-                            emulate_overheads=self.emulate_overheads,
                             tracer=tracer,
                             retry_policy=self.retry_policy,
                             breakers=self.breakers,
@@ -757,8 +748,6 @@ class Middleware:
             "max_unfold_depth": self.max_unfold_depth,
             "violation_mode": self.violation_mode,
             "incremental": self.incremental,
-            "query_overhead": self.query_overhead,
-            "emulate_overheads": self.emulate_overheads,
             "on_source_failure": self.on_source_failure,
             "deadline": self.deadline,
             "retries": (self.retry_policy.retries

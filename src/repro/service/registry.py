@@ -34,7 +34,7 @@ from repro.runtime.middleware import Middleware
 ALLOWED_CONFIG = (
     "merging", "scheduling", "workers", "unfold_depth", "max_unfold_depth",
     "violation_mode", "incremental",
-    "query_overhead", "on_source_failure", "deadline", "retry_policy",
+    "on_source_failure", "deadline", "retry_policy",
     "breaker_policy", "cost_feedback", "ledger", "shards",
 )
 

@@ -19,7 +19,9 @@ from repro.aig import (
 from repro.constraints import check_constraints
 from repro.xmlmodel import conforms_to, element
 from tests.conftest import load_tiny_hospital
+from repro.datagen import make_loaded_sources
 from repro.hospital import make_sources
+from repro.runtime import Middleware
 
 
 class TestHospitalEvaluation:
@@ -78,6 +80,21 @@ class TestHospitalEvaluation:
         evaluator.evaluate({"date": "d1"})
         assert evaluator.stats.queries_executed > 0
         assert evaluator.stats.nodes_created > 10
+
+    def test_per_tuple_path_issues_over_50x_the_optimized_queries(
+            self, hospital_aig):
+        """Why the middleware exists (Sections 3.2 vs 5.1): one query per
+        node context against a fixed handful of set-oriented ones, for the
+        same document (recorded on small: 4 258 vs 10)."""
+        sources, dataset = make_loaded_sources("small")
+        root = {"date": dataset.busiest_date()}
+        evaluator = ConceptualEvaluator(hospital_aig, list(sources.values()))
+        conceptual = evaluator.evaluate(root)
+        report = Middleware(hospital_aig, sources,
+                            unfold_depth="auto").evaluate(root)
+        assert report.document == conceptual
+        assert evaluator.stats.queries_executed \
+            > 50 * report.queries_executed > 0
 
     def test_empty_database_gives_empty_report(self, hospital_aig):
         sources = make_sources()

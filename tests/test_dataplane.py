@@ -9,10 +9,11 @@ Covers the layers the plane cuts through:
   scenarios;
 * ``StreamingConstraintChecker``: verdicts identical to the tree checker,
   both replayed over crafted trees and through the full pipeline;
-* a tracemalloc bound: streaming tagging allocates less than the document
-  it emits.
+* tracemalloc bounds: streaming tagging allocates less than the document
+  it emits, and materializing peaks at >= 5x the whole streamed path.
 """
 
+import hashlib
 import io
 import tracemalloc
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig import AIG, assign, inh, query
+from repro.aig import AIG, Const, assign, inh, query
 from repro.constraints import (
     InclusionConstraint,
     Key,
@@ -242,15 +243,23 @@ class TestStreamingConstraintChecker:
 
 WIDE_DTD = """
     <!ELEMENT feed (entry*)>
-    <!ELEMENT entry (name, body)>
+    <!ELEMENT entry (name, body%s)>
 """
 
+#: The constant per-entry subtree of the wide-*catalog* shape: the tree
+#: pays a node per leaf and row, the stream one format string per row.
+LISTING = ("currency", "unit", "audited", "origin", "grade", "channel")
 
-def build_wide_scenario(rows=400, body_chars=600):
-    """A feed whose bodies are large (2 of 7 warehouse columns used)."""
+
+def build_wide_scenario(rows=400, body_chars=600, listing=()):
+    """A feed whose bodies are large (2 of 7 warehouse columns used);
+    ``listing`` names constant leaves appended to every entry."""
     schema = SourceSchema("W", (relation(
         "stories", "name", "body", "day", "u0", "u1", "u2", "u3"),))
-    aig = AIG(parse_dtd(WIDE_DTD), Catalog([schema]), root_inh=("day",))
+    dtd = WIDE_DTD % (", listing" if listing else "")
+    if listing:
+        dtd += f"<!ELEMENT listing ({', '.join(listing)})>"
+    aig = AIG(parse_dtd(dtd), Catalog([schema]), root_inh=("day",))
     aig.inh("entry", "name", "body")
     aig.rule("feed", inh={"entry": query(
         "select s.name, s.body from W:stories s where s.day = $day")})
@@ -258,6 +267,9 @@ def build_wide_scenario(rows=400, body_chars=600):
         "name": assign(val=inh("name")),
         "body": assign(val=inh("body")),
     })
+    if listing:
+        aig.rule("listing", inh={tag: assign(val=Const(tag))
+                                 for tag in listing})
     source = DataSource(schema)
     source.load_rows("stories", [
         (f"n{i:05d}", f"{i:06d}" * (body_chars // 6), "d1",
@@ -267,7 +279,8 @@ def build_wide_scenario(rows=400, body_chars=600):
 
 
 class TestPushdown:
-    @pytest.mark.parametrize("knob", ["pushdown", "columnar"])
+    @pytest.mark.parametrize("knob", ["pushdown", "columnar",
+                                      "query_overhead", "emulate_overheads"])
     def test_removed_knobs_are_refused(self, knob):
         aig, sources = build_wide_scenario(rows=1, body_chars=6)
         with pytest.raises(TypeError, match=knob):
@@ -300,6 +313,38 @@ class TestPushdown:
         assert peak < 0.8 * document_bytes, \
             f"streaming tagging peaked at {peak}B for a " \
             f"{document_bytes}B document"
+
+    def test_tree_peak_at_least_5x_streamed_peak(self):
+        """Materializing (tree + rendered string) peaks at >= 5x streaming
+        into a hashing writer, bytes equal: the floor the retired data-plane
+        bench held at 20 000 catalog rows (recorded ratios 5.9-8.5)."""
+        aig, sources = build_wide_scenario(rows=2000, body_chars=24,
+                                           listing=LISTING)
+
+        def materialized():
+            report = Middleware(aig, sources).evaluate({"day": "d1"})
+            return serialize(report.document, indent=2)
+
+        def streamed():
+            digest = hashlib.sha256()
+            Middleware(aig, sources).evaluate_stream(
+                {"day": "d1"},
+                lambda chunk: digest.update(chunk.encode("utf-8")), indent=2)
+            return digest.hexdigest()
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        xml, tree_peak = traced_peak(materialized)
+        stream_sha, stream_peak = traced_peak(streamed)
+        assert stream_sha == hashlib.sha256(xml.encode("utf-8")).hexdigest()
+        assert tree_peak >= 5 * stream_peak, \
+            f"tree path peaked at {tree_peak}B, streamed at {stream_peak}B " \
+            f"({tree_peak / stream_peak:.2f}x)"
 
     def test_null_event_sink_accepts_events(self):
         sink = NullEventSink()

@@ -27,7 +27,7 @@ from repro.runtime.engine import Engine, _with_ids
 from repro.xmlmodel import serialize
 from tests.conftest import load_tiny_hospital
 
-# the bench_shard / groups-constraints document: root -> group* -> member*
+# the groups-constraints document: root -> group* -> member*
 GROUP_DTD = """
 <!ELEMENT root (group*)>
 <!ELEMENT group (gid, members)>

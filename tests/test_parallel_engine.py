@@ -9,14 +9,19 @@ same configuration differ by scheduling noise; static-mode comparisons
 therefore use a small relative tolerance instead of exact equality.
 """
 
+from itertools import combinations
+
 import pytest
 
 from repro.errors import EvaluationError, PlanError, ReproError
-from repro.aig import ConceptualEvaluator
+from repro.aig import AIG, ConceptualEvaluator, assign, query
 from repro.datagen import make_loaded_sources
+from repro.dtd import parse_dtd
 from repro.hospital import build_hospital_aig, make_sources
-from repro.relational import DataSource, Network
+from repro.obs import Tracer
+from repro.relational import Catalog, DataSource, Network
 from repro.relational.schema import SourceSchema, relation
+from repro.resilience.faults import FaultClause, FaultInjector
 from repro.relational.source import ResultSet, intern_columns
 from repro.runtime import Middleware
 from repro.runtime.engine import Engine
@@ -28,12 +33,12 @@ SCALES = ("tiny", "small")
 RESPONSE_TOLERANCE = 0.10   # generous: CI runners inflate measured evals
 
 
-def _run(scale, scheduling, workers, emulate=False):
+def _run(scale, scheduling, workers):
     aig = build_hospital_aig()
     sources, dataset = make_loaded_sources(scale)
     middleware = Middleware(aig, sources, Network.mbps(1.0),
                             scheduling=scheduling, unfold_depth="auto",
-                            workers=workers, emulate_overheads=emulate)
+                            workers=workers)
     return middleware.evaluate({"date": dataset.busiest_date()})
 
 
@@ -77,11 +82,55 @@ class TestEquivalenceGrid:
         assert serialize(report.document) == serialize(baseline.document)
         assert report.workers >= 4   # DB1..DB4 + Mediator participate
 
-    def test_emulated_overheads_same_document(self, baselines):
-        baseline, _ = baselines["tiny"]
-        report = _run("tiny", "static", 4, emulate=True)
-        assert serialize(report.document) == serialize(baseline.document)
-        assert report.bytes_shipped == baseline.bytes_shipped
+
+def _fleet():
+    """Three independent single-source star sections: a plan with width
+    (the merged hospital plan is a chain, nothing in it can overlap)."""
+    names = ("A", "B", "C")
+    dtd = parse_dtd(
+        f"<!ELEMENT fleet ({', '.join('sec' + n for n in names)})>"
+        + "".join(f"<!ELEMENT sec{n} (row{n}*)><!ELEMENT row{n} (#PCDATA)>"
+                  for n in names))
+    schemas = [SourceSchema(f"DB{n}", (relation("rows", "v"),))
+               for n in names]
+    aig = AIG(dtd, Catalog(schemas))
+    aig.rule("fleet", inh={f"sec{n}": assign() for n in names})
+    sources = {}
+    for n, schema in zip(names, schemas):
+        aig.inh(f"row{n}", "val")
+        aig.rule(f"sec{n}", inh={
+            f"row{n}": query(f"select r.v as val from DB{n}:rows r")})
+        sources[schema.source] = DataSource(schema)
+        sources[schema.source].load_rows(
+            "rows", [(f"{n}{index}",) for index in range(3)])
+    return aig.validate(), sources
+
+
+class TestLaneOverlap:
+    def _overlapping_lane_pairs(self, workers):
+        aig, sources = _fleet()
+        tracer = Tracer()
+        middleware = Middleware(aig, sources, workers=workers, tracer=tracer)
+        middleware.prepare(None)
+        # A real wait inside each source's first statement of the run.
+        FaultInjector([FaultClause(name, "slow", 1, 0.02)
+                       for name in sources]).install(sources)
+        report = middleware.evaluate({})
+        lanes = [span for span in tracer.spans_by_category("query")
+                 if span.track in sources]
+        assert len(lanes) == len(sources)
+        pairs = [(a.track, b.track) for a, b in combinations(lanes, 2)
+                 if a.start < b.end and b.start < a.end]
+        return pairs, serialize(report.document)
+
+    def test_slow_sources_overlap_on_worker_lanes_only(self):
+        """Structural, not a speedup: with every source slow, lane spans
+        of different sources intersect at workers=4 and never inline."""
+        inline_pairs, inline_xml = self._overlapping_lane_pairs(1)
+        threaded_pairs, threaded_xml = self._overlapping_lane_pairs(4)
+        assert inline_pairs == []
+        assert threaded_pairs
+        assert threaded_xml == inline_xml
 
 
 class TestViolationEquivalence:

@@ -187,9 +187,9 @@ class TestRegistry:
         from repro.errors import EvaluationError
         aig, sources, _ = world
         registry = TenantRegistry()
-        # a typo, and the two data-plane knobs that no longer exist
+        # a typo, and the knobs that no longer exist
         for config in ({"wrokers": 2}, {"columnar": True},
-                       {"pushdown": True}):
+                       {"pushdown": True}, {"query_overhead": 0.1}):
             with pytest.raises(EvaluationError,
                                match=r"unknown middleware config key\(s\)"):
                 registry.register("t", aig, sources, config)

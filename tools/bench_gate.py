@@ -1,0 +1,131 @@
+"""The one performance gate: the repository benchmark on parent and change.
+
+Everything it compares comes from ``BENCHMARK.json``: the command, the
+workloads, the run length, and each end-to-end metric's direction and bound.
+The parent revision is unpacked (``git archive``) into a temporary
+directory; the change is the checkout this file sits in.  Per workload the
+two sides run in alternating order, in the driver's form, and the last
+stdout line of every run is the result::
+
+    python tools/bench_gate.py <base-rev> [--pairs N]
+
+Exit 1 iff, on some workload, an end-to-end median is worse than the
+parent's by more than its bound while the parent's own q1-q3 spread is
+inside that bound, or a larger share of operations failed.  Every other
+metric prints ``within``, or ``unresolved`` when the parent's runs spread
+wider than the bound (and not every run of the change reads better than
+every run of the parent): too noisy to call, which is not "unchanged".
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def one_run(tree: Path, spec: dict, workload: str) -> dict:
+    """The driver's invocation inside ``tree``; its last stdout line."""
+    command = [*spec["command"], "--workload", workload, "--seed", "1",
+               "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    done = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE,
+                          text=True, timeout=900)
+    try:
+        return json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        return {"attempted": 1, "failed": 1, "metrics": {}}
+
+
+def values(runs: list, name: str) -> list:
+    return [run["metrics"][name]["value"] for run in runs
+            if name in run["metrics"]]
+
+
+def quartiles(samples: list) -> tuple:
+    if len(samples) < 2:
+        return samples[0], samples[0], samples[0]
+    return tuple(statistics.quantiles(samples, n=4, method="inclusive"))
+
+
+def judge(metric: dict, parent: list, change: list) -> tuple:
+    """``(verdict, text)`` for one metric on one workload."""
+    if not parent or not change:
+        return "unresolved", "no value on one side"
+    sign = 1 if metric["better"] == "lower" else -1
+    q1, base, q3 = quartiles(parent)
+    median = statistics.median(change)
+    worse_by = sign * (median - base) / base
+    text = (f"{base:.4g} ({q1:.4g}-{q3:.4g}) -> {median:.4g}  "
+            f"{sign * worse_by:+.1%}")
+    if (q3 - q1) / base > metric["bound"]:
+        all_better = all(sign * new < sign * old
+                         for new in change for old in parent)
+        return ("within" if all_better else "unresolved"), text
+    return ("worse" if worse_by > metric["bound"] else "within"), text
+
+
+def failed_share(runs: list) -> float:
+    return (sum(run["failed"] for run in runs)
+            / sum(run["attempted"] for run in runs))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="git revision of the parent commit")
+    parser.add_argument("--pairs", type=int, default=5,
+                        help="parent/change pairs per workload (default 5)")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="bench-gate-") as parent_tree:
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
+                                 stdout=subprocess.PIPE, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", parent_tree], input=archive,
+                       check=True)
+        trees = {"parent": Path(parent_tree), "change": ROOT}
+        for workload in (entry["name"] for entry in spec["workloads"]):
+            runs = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 \
+                    else ("change", "parent")
+                for side in order:
+                    result = one_run(trees[side], spec, workload)
+                    runs[side].append(result)
+                    shown = " ".join(
+                        f"{name}={row['value']:.4g}"
+                        for name, row in result["metrics"].items())
+                    print(f"run {workload} pair {pair + 1} {side}: {shown} "
+                          f"failed={result['failed']}/{result['attempted']}",
+                          flush=True)
+            print(f"== {workload}: parent median (q1-q3) -> change "
+                  f"median, {args.pairs} pair(s) ==")
+            for metric in spec["end_to_end"]:
+                name = metric["name"]
+                verdict, text = judge(metric, values(runs["parent"], name),
+                                      values(runs["change"], name))
+                print(f"{name:<20}{text:<52}{verdict}")
+                if verdict == "worse":
+                    problems.append(f"{workload}: {name} {text} is worse "
+                                    f"by more than {metric['bound']:.0%}")
+            before, after = (failed_share(runs["parent"]),
+                             failed_share(runs["change"]))
+            print(f"{'failed_share':<20}{before:.4g} -> {after:.4g}\n",
+                  flush=True)
+            if after > before:
+                problems.append(f"{workload}: failed share rose "
+                                f"{before:.4g} -> {after:.4g}")
+    for problem in problems:
+        print(f"FAIL: {problem}", file=sys.stderr)
+    if not problems:
+        print("OK: no end-to-end metric outside its BENCHMARK.json bound")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
