@@ -2,7 +2,7 @@
 
 Commands:
 
-* ``demo [--scale S] [--date D] [--no-merge] [--dynamic] [--workers N]
+* ``demo [--scale S] [--date D] [--no-merge] [--workers N]
   [--shards N] [--trace FILE] [--metrics] [--metrics-json FILE]
   [--faults SPEC] [--retries N] [--deadline S] [--degrade]`` — generate a
   hospital dataset and produce one day's report through the middleware,
@@ -28,7 +28,7 @@ Commands:
 * ``fuzz [--seeds N] [--start N] [--violate-every N] [--seed-file FILE]
   [--shrink] [--out DIR]`` — differential fuzzing: seeded random AIGs
   evaluated under the full configuration grid (conceptual vs. middleware
-  × merging × scheduling × workers × incremental × fault-recovery),
+  × merging × workers × incremental × fault-recovery),
   writing a JSON repro file for any divergence (see docs/TESTING.md).
 * ``serve [--host H] [--port P] [--scale S] [--workers N] [--no-merge]
   [--no-incremental] [--max-inflight N] [--queue-depth N]
@@ -128,7 +128,6 @@ def _demo(args) -> int:
     middleware = Middleware(
         aig, sources, Network.mbps(args.mbps),
         merging=not args.no_merge,
-        scheduling="dynamic" if args.dynamic else "static",
         unfold_depth="auto",
         workers=args.workers,
         tracer=tracer,
@@ -519,7 +518,6 @@ def main(argv: list[str] | None = None) -> int:
                            "per-source pairs DB1=file,DB3=duckdb "
                            "(unlisted sources stay sqlite)")
     demo.add_argument("--no-merge", action="store_true")
-    demo.add_argument("--dynamic", action="store_true")
     demo.add_argument("--workers", type=_workers_value, default=1,
                       metavar="N|auto",
                       help="concurrent source lanes (default 1; 'auto' = "

@@ -5,8 +5,8 @@ document, serialized canonically, and its post-hoc constraint verdict
 define what *every* optimized configuration must reproduce.  The oracle
 evaluates one scenario under the full grid —
 
-* middleware with merging on/off × static/dynamic scheduling × 1/4
-  workers (all byte-compared against the conceptual document),
+* middleware with merging on/off × 1/4 workers (all byte-compared
+  against the conceptual document),
 * abort-mode consistency (``violation_mode="abort"`` must raise exactly
   when the report-mode verdict is non-empty),
 * incremental cold / warm / delta runs (the delta mutates the dataset by
@@ -42,23 +42,21 @@ from repro.fuzz.spec import ScenarioSpec, build_scenario
 
 #: Middleware keyword grids compared byte-for-byte against the baseline.
 GRID = [
-    {"merging": True, "scheduling": "static", "workers": 1},
-    {"merging": True, "scheduling": "static", "workers": 4},
-    {"merging": True, "scheduling": "dynamic", "workers": 1},
-    {"merging": True, "scheduling": "dynamic", "workers": 4},
-    {"merging": False, "scheduling": "static", "workers": 1},
-    {"merging": False, "scheduling": "dynamic", "workers": 4},
+    {"merging": True, "workers": 1},
+    {"merging": True, "workers": 4},
+    {"merging": False, "workers": 1},
+    {"merging": False, "workers": 4},
 ]
 
 
 def _config_name(kwargs: dict) -> str:
     return ("merged" if kwargs["merging"] else "unmerged") \
-        + f"-{kwargs['scheduling']}-w{kwargs['workers']}"
+        + f"-w{kwargs['workers']}"
 
 
 #: The grid rows plus the special configurations; with the latter's
 #: sub-runs (incremental cold/warm/delta, 2/3/4 shards, backend mixes) one
-#: seed costs ~18 configuration runs.
+#: seed costs ~16 configuration runs.
 ALL_CONFIGS = tuple([_config_name(kwargs) for kwargs in GRID]
                     + ["abort-consistency", "incremental", "fault-recovery",
                        "streaming", "shards", "backends"])

@@ -134,16 +134,16 @@ class CostFeedbackStore:
 
         ``timings`` maps executed node name ->
         :class:`~repro.runtime.engine.NodeTiming`.  Cache-replayed nodes
-        (zero measured evaluation *and* zero completion) carry no new
-        measurement and are skipped.  Returns the number of nodes
-        absorbed; bumps ``generation`` when any were.
+        (``timing.cached``) carry no new measurement and are skipped.
+        Returns the number of nodes absorbed; bumps ``generation`` when
+        any were.
         """
         absorbed = 0
         for name, timing in timings.items():
             node = graph.nodes.get(name)
             if node is None:
                 continue
-            if timing.eval_seconds == 0.0 and timing.completion == 0.0:
+            if timing.cached:
                 continue  # incremental cache replay: nothing measured
             self.observe(structural_fingerprint(node),
                          rows=timing.output_rows,

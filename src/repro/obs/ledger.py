@@ -225,8 +225,7 @@ def build_run_record(kind: str, graph, timings: dict, config: dict,
             "completion": round(timing.completion, 6),
             "output_rows": timing.output_rows,
             "output_bytes": timing.output_bytes,
-            "cached": (timing.eval_seconds == 0.0
-                       and timing.completion == 0.0),
+            "cached": timing.cached,
         }
         nodes.append(entry)
     run_info = dict(run_info)

@@ -103,8 +103,7 @@ def build_profile(graph, estimates: dict, timings: dict
             source=node.source,
             kind=node.kind,
             members=len(members) if members else 1,
-            cached=(timing.eval_seconds == 0.0
-                    and timing.completion == 0.0),
+            cached=timing.cached,
             est_rows=estimate.cardinality,
             actual_rows=timing.output_rows,
             est_bytes=estimate.size_bytes,

@@ -11,13 +11,14 @@ Two layers:
   as inputs — exactly the paper's "the API is able to accept cost estimates
   of Q' (e.g., cardinality information) as inputs".
 
-* :func:`plan_cost` — the paper's ``comp_time`` recursion and ``cost(P)``:
+* :func:`comp_time` — the paper's ``comp_time`` recursion and ``cost(P)``:
   the completion time of each query is its evaluation cost plus the later of
   (a) the completion of its predecessor on the same source and (b) the
   arrival of its inputs, priced by ``trans_cost``; the plan's response time
   is the maximum completion (including the final shipment of
   tagging-relevant outputs to the mediator), computed by dynamic programming
-  in at most quadratic time.
+  in at most quadratic time.  :func:`plan_cost` runs it over the estimates
+  to choose a plan, :func:`run_cost` over the measurements of a finished run.
 """
 
 from __future__ import annotations
@@ -47,10 +48,14 @@ from repro.sqlq.ast import (
 #: INSERTs — the dominant per-row cost, and the one merged queries avoid for
 #: inlined intermediates); PER_OUTPUT_ROW prices fetching/serializing a
 #: result row.  Local SQLite has none of these costs, so the simulated clock
-#: adds them explicitly from actual row counts.
+#: adds them explicitly from actual row counts (without them the 1 Mbps
+#: network would be the only cost and merging could show no evaluation-side
+#: benefit); mediator work pays only MEDIATOR_OVERHEAD, a statement with no
+#: network dispatch.
 QUERY_OVERHEAD = 0.25
 PER_INPUT_ROW = 5e-4
 PER_OUTPUT_ROW = 1e-4
+MEDIATOR_OVERHEAD = 0.01
 DEFAULT_COLUMN_BYTES = 8.0
 
 
@@ -276,18 +281,28 @@ class CostModel:
 
 
 # ----------------------------------------------------------------------
-# plan cost: comp_time and cost(P)
+# comp_time and cost(P): one recurrence, over estimates or measurements
 # ----------------------------------------------------------------------
-def plan_cost(graph, plan, estimates: dict[str, NodeEstimate],
-              network: Network) -> float:
-    """The paper's ``cost(P)``: response time of an execution plan.
+def comp_time(graph, plan, seconds: dict[str, float], size: dict[str, float],
+              network: Network, replayed=frozenset()
+              ) -> tuple[dict[str, float], float, float]:
+    """The paper's ``comp_time`` recurrence; the only copy.
 
-    ``plan`` maps each source to its ordered query sequence (node names).
-    Every node's output additionally ships to the mediator when the tagging
-    phase needs it (``ship_to_mediator``), and that final transfer is part
-    of the response time.
+    ``plan`` maps each source to its ordered query sequence (node names),
+    ``seconds`` each node to the time it occupies its source, ``size`` each
+    result (node or merged member) to its bytes.  A node absent from
+    ``seconds`` did not run (replayed from the incremental cache, or
+    skipped by degradation): it completes at 0 and occupies no lane, but
+    consumers still pay for its output's transfer.  Every node's output
+    additionally ships to the mediator when the tagging phase needs it
+    (``ship_to_mediator``) — unless ``replayed``, which is there already —
+    and that final transfer is part of the response time.
+
+    Returns ``(completion per node, response time, bytes shipped)``.
     """
     completion: dict[str, float] = {}
+    lane_free: dict[str, float] = {}
+    shipped = 0
     position: dict[str, tuple[str, int]] = {}
     for source, sequence in plan.items():
         for index, name in enumerate(sequence):
@@ -304,32 +319,32 @@ def plan_cost(graph, plan, estimates: dict[str, NodeEstimate],
         for name in list(pending):
             node = pending[name]
             source, index = position[name]
-            if index > 0:
-                predecessor = plan[source][index - 1]
-                if predecessor in pending:
-                    continue
+            if index > 0 and plan[source][index - 1] in pending:
+                continue
             if any(producer in pending
                    for producer in graph.producer_names(node)):
                 continue
-            start = 0.0
-            if index > 0:
-                start = completion[plan[source][index - 1]]
+            del pending[name]
+            progressed = True
+            if name not in seconds:
+                completion[name] = 0.0
+                continue
+            start = lane_free.get(source, 0.0)
             # Arrival of each input: the producing (possibly merged) node's
             # completion plus shipping of the consumer's slice.
             for input_name in node.inputs:
                 producer_name = graph.resolve(input_name)
-                if producer_name == node.name:
+                if producer_name == name:
                     continue
                 producer = graph.nodes[producer_name]
-                slice_bytes = estimates[input_name].size_bytes \
-                    if input_name in estimates \
-                    else estimates[producer_name].size_bytes
+                slice_bytes = size[input_name] if input_name in size \
+                    else size[producer_name]
+                if producer.source != node.source:
+                    shipped += slice_bytes
                 arrival = completion[producer_name] + network.trans_cost(
                     producer.source, node.source, slice_bytes)
                 start = max(start, arrival)
-            completion[name] = start + estimates[name].eval_seconds
-            del pending[name]
-            progressed = True
+            completion[name] = lane_free[source] = start + seconds[name]
     if pending:
         raise PlanError(f"plan is inconsistent with the dependency graph; "
                         f"stuck on {sorted(pending)}")
@@ -337,11 +352,52 @@ def plan_cost(graph, plan, estimates: dict[str, NodeEstimate],
     response = 0.0
     for node in ordered:
         finish = completion[node.name]
-        if node.ship_to_mediator and node.source != MEDIATOR_NAME:
-            finish += network.trans_cost(
-                node.source, MEDIATOR_NAME,
-                estimates[node.name].size_bytes)
+        if (node.ship_to_mediator and node.source != MEDIATOR_NAME
+                and node.name not in replayed):
+            shipped += size[node.name]
+            finish += network.trans_cost(node.source, MEDIATOR_NAME,
+                                         size[node.name])
         response = max(response, finish)
-    return response
+    return completion, response, shipped
 
 
+def plan_cost(graph, plan, estimates: dict[str, NodeEstimate],
+              network: Network) -> float:
+    """The paper's ``cost(P)``: predicted response time of an execution
+    plan, :func:`comp_time` over the cost model's estimates."""
+    seconds = {name: estimate.eval_seconds
+               for name, estimate in estimates.items()}
+    size = {name: estimate.size_bytes for name, estimate in estimates.items()}
+    return comp_time(graph, plan, seconds, size, network)[1]
+
+
+def run_cost(graph, plan, timings: dict, cache: dict, network: Network,
+             query_overhead: float = QUERY_OVERHEAD) -> tuple[float, int]:
+    """``cost(P)`` of a finished run: :func:`comp_time` over what the engine
+    measured (``timings``, its :class:`~repro.runtime.engine.NodeTiming`
+    per node; ``cache``, every result by name).  An executed node occupies
+    its source for its measured seconds plus the modeled deployment cost,
+    from *actual* row counts.  Fills each timing's ``overhead_seconds`` and
+    ``completion``; returns ``(response time, bytes shipped)``.
+    """
+    seconds: dict[str, float] = {}
+    replayed = set()
+    for name, timing in timings.items():
+        if timing.cached:
+            replayed.add(name)
+            continue
+        timing.overhead_seconds = (
+            MEDIATOR_OVERHEAD if timing.source == MEDIATOR_NAME
+            else query_overhead + PER_INPUT_ROW * timing.rows_materialized
+            + PER_OUTPUT_ROW * timing.output_rows)
+        seconds[name] = timing.eval_seconds + timing.overhead_seconds
+    size = {name: result.width_bytes() for name, result in cache.items()}
+    for node in graph.nodes.values():
+        if getattr(node, "members", None):  # ships its members' slices
+            size[node.name] = sum(size[member.name]
+                                  for member in node.members)
+    completion, response, shipped = comp_time(graph, plan, seconds, size,
+                                              network, replayed)
+    for name, timing in timings.items():
+        timing.completion = completion[name]
+    return response, shipped

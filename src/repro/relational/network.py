@@ -3,8 +3,8 @@
 Implements the paper's communication-cost function ``trans_cost(S1, S2, B)``:
 zero when ``S1 == S2``; otherwise the data travels source -> mediator ->
 source, i.e. two hops unless one endpoint *is* the mediator.  Each hop costs
-``latency + bytes / bandwidth``.  Bandwidths may be overridden per link; the
-paper's Figure 10 uses a uniform 1 Mbps.
+``latency + bytes / bandwidth``; the paper's Figure 10 uses a uniform
+1 Mbps.
 """
 
 from __future__ import annotations
@@ -19,54 +19,22 @@ class Network:
     """Topology + cost model for shipping data between sources."""
 
     def __init__(self, bandwidth_bytes_per_s: float = MBPS,
-                 latency_seconds: float = 0.01,
-                 link_bandwidths: dict[tuple[str, str], float] | None = None):
+                 latency_seconds: float = 0.01):
         if bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
         if latency_seconds < 0:
             raise ValueError("latency must be non-negative")
         self.bandwidth = bandwidth_bytes_per_s
         self.latency = latency_seconds
-        self.link_bandwidths = dict(link_bandwidths or {})
-        # (source, target) -> (fixed_seconds, seconds_per_byte).  The engine
-        # prices every QDG edge through trans_cost; the route and bandwidth
-        # lookups depend only on the endpoint pair, so they are resolved once.
-        self._pair_coefficients: dict[tuple[str, str],
-                                      tuple[float, float]] = {}
+        # (fixed_seconds, seconds_per_byte) of a one-hop and a two-hop route
+        self._one_hop = (latency_seconds, 1.0 / bandwidth_bytes_per_s)
+        self._two_hops = (2.0 * latency_seconds, 2.0 / bandwidth_bytes_per_s)
 
     @classmethod
     def mbps(cls, megabits_per_second: float,
              latency_seconds: float = 0.01) -> "Network":
         """Construct from a bandwidth in megabits/second (paper's unit)."""
         return cls(megabits_per_second * MBPS, latency_seconds)
-
-    def _hop_bandwidth(self, source: str, target: str) -> float:
-        key = (source, target)
-        if key in self.link_bandwidths:
-            return self.link_bandwidths[key]
-        return self.link_bandwidths.get((target, source), self.bandwidth)
-
-    def _hop_cost(self, source: str, target: str, nbytes: float) -> float:
-        return self.latency + nbytes / self._hop_bandwidth(source, target)
-
-    def _coefficients(self, source: str, target: str) -> tuple[float, float]:
-        """Resolved ``(fixed_seconds, seconds_per_byte)`` for a pair."""
-        key = (source, target)
-        cached = self._pair_coefficients.get(key)
-        if cached is not None:
-            return cached
-        if source == target:
-            coefficients = (0.0, 0.0)
-        elif source == MEDIATOR_NAME or target == MEDIATOR_NAME:
-            coefficients = (self.latency,
-                            1.0 / self._hop_bandwidth(source, target))
-        else:
-            coefficients = (
-                2.0 * self.latency,
-                1.0 / self._hop_bandwidth(source, MEDIATOR_NAME)
-                + 1.0 / self._hop_bandwidth(MEDIATOR_NAME, target))
-        self._pair_coefficients[key] = coefficients
-        return coefficients
 
     def trans_cost(self, source: str, target: str, nbytes: float) -> float:
         """Seconds to move ``nbytes`` from ``source`` to ``target``.
@@ -78,7 +46,8 @@ class Network:
             return 0.0
         if nbytes < 0:
             raise ValueError("byte count must be non-negative")
-        fixed, per_byte = self._coefficients(source, target)
+        fixed, per_byte = (self._one_hop if source == MEDIATOR_NAME
+                           or target == MEDIATOR_NAME else self._two_hops)
         return fixed + nbytes * per_byte
 
     def __repr__(self) -> str:

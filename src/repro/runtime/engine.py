@@ -5,11 +5,11 @@ as its inputs are available and its predecessor on the same source has
 finished; its output is cached at the mediator (every result ships there —
 the mediator is the router and the tagging phase's data store) and shipped
 on to dependent sources as needed.  Queries execute for real against the
-per-source SQLite databases; communication is priced by the
-:class:`~repro.relational.network.Network` simulator using the *actual*
-byte sizes of the shipped tables, and the reported response time combines
-measured evaluation times with simulated transfer times on the paper's
-``comp_time`` recursion.
+per-source SQLite databases.  The reported response time is computed after
+the run (:func:`~repro.optimizer.cost.run_cost`): measured evaluation times
+and the *actual* byte sizes of the shipped tables, priced by the
+:class:`~repro.relational.network.Network` simulator, go through the same
+``comp_time`` recursion the optimizer chose the plan by.
 
 Merged nodes (Algorithm Merge) render as a single statement — CTEs for the
 members in dependency order, outer-unioned with a ``__tag`` discriminator —
@@ -28,7 +28,8 @@ import logging
 from dataclasses import dataclass, field
 
 from repro.errors import EvaluationAborted, EvaluationError, PlanError
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import MAIN_TRACK, NULL_TRACER
+from repro.optimizer.cost import QUERY_OVERHEAD, run_cost
 from repro.relational.network import Network
 from repro.relational.source import (
     DataSource,
@@ -59,9 +60,9 @@ class NodeTiming:
     """Timing record for one executed node.
 
     Built from the node's execution span (:mod:`repro.obs.tracer`), so the
-    span model is the single timing source of truth; the two trailing
-    fields were added for cost-model calibration and default to zero for
-    backward compatibility.
+    span model is the single timing source of truth.  ``completion`` and
+    ``overhead_seconds`` are modeled, not measured: ``Engine.run`` fills
+    them after the run (:func:`~repro.optimizer.cost.run_cost`).
     """
 
     name: str
@@ -73,6 +74,7 @@ class NodeTiming:
     rows_materialized: int = 0    # input rows shipped into temp tables
     overhead_seconds: float = 0.0  # modeled deployment cost applied
     resident: bool = False        # output stayed in its mediator table
+    cached: bool = False          # replayed from the incremental cache
 
 
 @dataclass
@@ -113,10 +115,6 @@ class Engine:
     def __init__(self, graph, plan: dict, sources: dict[str, DataSource],
                  network: Network, mediator: Mediator | None = None,
                  query_overhead: float | None = None,
-                 mediator_overhead: float = 0.01,
-                 per_input_row_seconds: float | None = None,
-                 per_output_row_seconds: float | None = None,
-                 dynamic_scheduler=None,
                  violation_mode: str = "abort",
                  workers: int | str = 1,
                  tracer=None,
@@ -126,10 +124,7 @@ class Engine:
                  deadline: float | None = None,
                  tagging_plan=None,
                  reuse: dict | None = None,
-                 fingerprints: dict | None = None,
-                 preleased: dict | None = None):
-        from repro.optimizer.cost import (PER_INPUT_ROW, PER_OUTPUT_ROW,
-                                          QUERY_OVERHEAD)
+                 fingerprints: dict | None = None):
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.graph = graph
         self.plan = plan
@@ -137,27 +132,10 @@ class Engine:
         self.mediator = mediator or Mediator()
         self.sources[MEDIATOR_NAME] = self.mediator
         self.network = network
-        # The simulated clock combines the measured SQLite time with modeled
-        # per-query costs of the paper's distributed deployment, computed
-        # from *actual* row counts: dispatch overhead ("opening a connection,
-        # parsing and preparing the statement"), input temp-table population
-        # ("temporary tables may have to be created and populated with
-        # inputs"), and result fetching.  Local SQLite has none of these, so
-        # without them the 1 Mbps network would be the only cost and merging
-        # could show no evaluation-side benefit.  Mediator-resident work
-        # pays only a small statement overhead (no network dispatch).
+        #: Modeled per-query dispatch cost of the paper's distributed
+        #: deployment, charged by :func:`~repro.optimizer.cost.run_cost`.
         self.query_overhead = (QUERY_OVERHEAD if query_overhead is None
                                else query_overhead)
-        self.mediator_overhead = mediator_overhead
-        self.per_input_row = (PER_INPUT_ROW if per_input_row_seconds is None
-                              else per_input_row_seconds)
-        self.per_output_row = (PER_OUTPUT_ROW
-                               if per_output_row_seconds is None
-                               else per_output_row_seconds)
-        #: When set (see repro.runtime.dynamic), the static per-source order
-        #: of ``plan`` is ignored: after every completion the scheduler
-        #: re-ranks the ready queries using actual output sizes.
-        self.dynamic_scheduler = dynamic_scheduler
         if violation_mode not in ("abort", "report"):
             raise PlanError(f"violation_mode must be 'abort' or 'report', "
                             f"got {violation_mode!r}")
@@ -185,11 +163,6 @@ class Engine:
         #: fingerprints so fresh results can be cached for the next run.
         self.reuse = reuse or {}
         self.fingerprints = fingerprints
-        #: Connections already leased by the caller (``source name ->
-        #: connection``) — the executor uses them without acquiring or
-        #: releasing; ``evaluate_batch`` leases the mediator's once for a
-        #: whole batch.
-        self.preleased = dict(preleased) if preleased else {}
         self._physical: dict[str, str] = {}
         self._physical_counter = 0
         #: Results some node at a real source takes as input (they ship
@@ -211,27 +184,25 @@ class Engine:
 
         ``workers=1`` runs the event-driven coordinator inline — one node
         at a time, deterministically.  ``workers>1`` (or ``"auto"``) runs
-        one worker lane per data source so independent sources overlap;
-        the simulated clock is computed from completion events either way.
+        one worker lane per data source so independent sources overlap.
+        Either way the executor only measures; ``response_time``,
+        ``bytes_shipped`` and each timing's modeled fields follow from that.
         """
         from repro.runtime.executor import PlanExecutor
-        return PlanExecutor(self).run(root_inh)
-
-    # ------------------------------------------------------------------
-    def modeled_overhead(self, node, rows_materialized: int,
-                         output_rows: int) -> float:
-        """Modeled per-query deployment cost added to the simulated clock."""
-        if node.source == MEDIATOR_NAME:
-            return self.mediator_overhead
-        return (self.query_overhead
-                + self.per_input_row * rows_materialized
-                + self.per_output_row * output_rows)
-
-    def _member_names(self, node) -> list[str]:
-        members = getattr(node, "members", None)
-        if members:
-            return [member.name for member in members]
-        return [node.name]
+        executor = PlanExecutor(self)
+        metrics = self.tracer.metrics
+        with self.tracer.span("execute", "execute", track=MAIN_TRACK,
+                              workers=executor.workers,
+                              nodes=len(self.graph.nodes)) as run_span:
+            result = executor.run(root_inh, run_span)
+            result.response_time, result.bytes_shipped = run_cost(
+                self.graph, self.plan, result.timings, result.cache,
+                self.network, self.query_overhead)
+            run_span.set(bytes_shipped=result.bytes_shipped,
+                         response_time=result.response_time)
+        metrics.add("bytes_shipped", result.bytes_shipped)
+        metrics.set_gauge("response_time_seconds", result.response_time)
+        return result
 
     def _execute(self, node, cache: dict[str, ResultSet], root_inh: dict,
                  connection=None, shipped: dict | None = None

@@ -10,26 +10,24 @@ Lanes are single-flight — at most one query runs against a source at a
 time, matching both SQLite's comfort zone and the paper's model of one
 query processor per site.
 
-Two execution modes share the coordinator:
+Each lane follows the plan's static per-source schedule (Algorithm
+Schedule); two execution modes share the coordinator:
 
 * ``workers=1`` — every task runs inline on the calling thread, using each
-  source's main connection.  Static plans follow the per-source schedule
-  order; dynamic plans re-rank the ready set after every completion and
-  pick the single best node, which reproduces the sequential engine's
-  behavior exactly.
+  source's main connection.
 
 * ``workers>1`` (or ``"auto"``, one per source) — a pool of worker threads
   drains a task queue; each busy lane holds a leased pooled connection
   (see :meth:`~repro.relational.source.DataSource.acquire_connection`), so
   independent sources genuinely overlap.  Completion events arrive on a
-  FIFO queue; because a consumer is only dispatched after its producers'
-  events were processed, the simulated-clock recurrence sees producers
-  first and static-mode ``response_time`` is *identical* to sequential
-  execution (the recurrence depends only on per-source order and producer
-  completions, not on real interleaving).  Threaded dynamic scheduling
-  observes completions in real arrival order, so its simulated clock can
-  differ run to run — the produced document, violations, and bytes shipped
-  remain deterministic.
+  FIFO queue.
+
+There is one clock here, the real one: a completion records what was
+measured (seconds, rows, bytes) and nothing else.  The simulated
+``response_time`` is computed from those records after the run
+(:meth:`Engine.run <repro.runtime.engine.Engine.run>`); it depends only on
+per-source order and the measurements, not on real interleaving, so it is
+the same function of them under either mode.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from repro.errors import (
     PlanError,
     SourceUnavailableError,
 )
-from repro.obs.tracer import MAIN_TRACK
 from repro.relational.source import MEDIATOR_NAME, ResultSet, intern_columns
 from repro.resilience.report import DegradedSubtree, FailureReport
 from repro.resilience.retry import QueryDeadlineExceeded, is_transient
@@ -106,18 +103,9 @@ class PlanExecutor:
         self.workers = resolve_workers(engine.workers, engine.graph)
 
     # ------------------------------------------------------------------
-    def run(self, root_inh: dict) -> EngineResult:
-        engine = self.engine
-        graph = self.graph
-        tracer = engine.tracer
-        run_span = tracer.span("execute", "execute", track=MAIN_TRACK,
-                               workers=self.workers,
-                               nodes=len(graph.nodes))
-        with run_span:
-            result = self._run(root_inh, run_span)
-        return result
-
-    def _run(self, root_inh: dict, run_span) -> EngineResult:
+    def run(self, root_inh: dict, run_span) -> EngineResult:
+        """Execute every node; ``run_span`` is the engine's open
+        ``execute`` span, parent of the per-node lane spans."""
         engine = self.engine
         graph = self.graph
         tracer = engine.tracer
@@ -125,25 +113,17 @@ class PlanExecutor:
         started = time.perf_counter()
         pool_baseline = _pool_stats(engine.sources)
 
-        static = engine.dynamic_scheduler is None
         lane_sequences: dict[str, list[str]] = {}
-        if static:
-            scheduled: set[str] = set()
-            for lane, sequence in engine.plan.items():
-                members = [name for name in sequence if name in graph.nodes]
-                lane_sequences[lane] = members
-                scheduled.update(members)
-            for node_name in graph.nodes:
-                if node_name not in scheduled:
-                    raise PlanError(
-                        f"plan does not schedule node {node_name!r}")
-            lane_of = {name: lane for lane, seq in lane_sequences.items()
-                       for name in seq}
-        else:
-            lane_of = {name: node.source
-                       for name, node in graph.nodes.items()}
-        lane_order = list(lane_sequences) if static else sorted(
-            {node.source for node in graph.nodes.values()})
+        lane_of: dict[str, str] = {}
+        for lane, sequence in engine.plan.items():
+            members = [name for name in sequence if name in graph.nodes]
+            lane_sequences[lane] = members
+            lane_of.update((name, lane) for name in members)
+        for node_name in graph.nodes:
+            if node_name not in lane_of:
+                raise PlanError(
+                    f"plan does not schedule node {node_name!r}")
+        lane_order = list(lane_sequences)
         lane_pos = {lane: 0 for lane in lane_order}
 
         # --- ready-queue bookkeeping ----------------------------------
@@ -159,12 +139,9 @@ class PlanExecutor:
         # --- run state -------------------------------------------------
         cache: dict[str, ResultSet] = {}
         timings: dict[str, NodeTiming] = {}
-        completion_time: dict[str, float] = {}
-        source_ready: dict[str, float] = {}
         shipped: dict[tuple[str, str], str] = {}
         in_flight: dict[str, str] = {}          # lane -> node name
         remaining = set(graph.nodes)
-        bytes_shipped = 0
         queries = 0
         busy_total = 0.0
         violations: list = []
@@ -176,10 +153,7 @@ class PlanExecutor:
         done_queue: queue.SimpleQueue = queue.SimpleQueue()
         stop = threading.Event()
         threads: list[threading.Thread] = []
-        # Pre-leased connections (``Engine.preleased``) are used but never
-        # acquired or released here — only ``owned`` leases are ours.
-        connections: dict[str, object] = dict(engine.preleased)
-        owned: list[str] = []
+        connections: dict[str, object] = {}   # lane leases (threaded mode)
         skipped: set[str] = set()
         reused: set[str] = set()     # replayed from the incremental cache
         cache_entries: dict[str, CachedNodeResult] = {}
@@ -283,38 +257,24 @@ class PlanExecutor:
 
         def select_dispatches() -> list[tuple[str, str]]:
             picks: list[tuple[str, str]] = []
-            if static:
-                for lane in lane_order:
-                    if lane in in_flight:
-                        continue
-                    sequence = lane_sequences[lane]
-                    pos = lane_pos[lane]
-                    while pos < len(sequence) and (
-                            sequence[pos] in skipped
-                            or sequence[pos] in reused):
-                        pos += 1   # degraded/cache-replayed nodes never dispatch
-                    lane_pos[lane] = pos
-                    if pos < len(sequence) and sequence[pos] in ready:
-                        picks.append((lane, sequence[pos]))
-            else:
-                taken: set[str] = set()
-                for name in engine.dynamic_scheduler.order(sorted(ready)):
-                    lane = lane_of[name]
-                    if lane in in_flight or lane in taken:
-                        continue
-                    picks.append((lane, name))
-                    taken.add(lane)
-                if not threaded:
-                    # Sequential dynamic: one node at a time, re-ranking
-                    # after every completion (the original behavior).
-                    picks = picks[:1]
+            for lane in lane_order:
+                if lane in in_flight:
+                    continue
+                sequence = lane_sequences[lane]
+                pos = lane_pos[lane]
+                while pos < len(sequence) and (
+                        sequence[pos] in skipped
+                        or sequence[pos] in reused):
+                    pos += 1   # degraded/cache-replayed nodes never dispatch
+                lane_pos[lane] = pos
+                if pos < len(sequence) and sequence[pos] in ready:
+                    picks.append((lane, sequence[pos]))
             return picks
 
         def dispatch(lane: str, name: str) -> _Task:
             node = graph.nodes[name]
             ready.discard(name)
-            if static:
-                lane_pos[lane] += 1
+            lane_pos[lane] += 1
             in_flight[lane] = name
             return _Task(lane, name, node)
 
@@ -404,7 +364,6 @@ class PlanExecutor:
                 for out_name, result in _empty_outputs(
                         graph.nodes[name]).items():
                     cache[out_name] = result
-                completion_time[name] = 0.0
                 remaining.discard(name)
                 ready.discard(name)
                 for consumer in consumers[name]:
@@ -425,7 +384,7 @@ class PlanExecutor:
             return True
 
         def process(done: _Completion):
-            nonlocal bytes_shipped, queries, busy_total
+            nonlocal queries, busy_total
             in_flight.pop(done.lane, None)
             if done.error is not None:
                 if try_degrade(done):
@@ -438,63 +397,29 @@ class PlanExecutor:
             output_bytes = sum(r.width_bytes()
                                for r in done.outputs.values())
             if done.from_cache:
-                # A cache replay costs the clock nothing: the data is
-                # already at the mediator, no query ran and no lane was
-                # occupied.  Tainted consumers still pay the producer->
-                # consumer transfer (the result is re-shipped to them).
-                completion_time[done.name] = 0.0
+                # No query ran and no lane was occupied.
                 timings[done.name] = NodeTiming(
                     done.name, node.source, 0.0, 0.0,
-                    output_rows, output_bytes)
+                    output_rows, output_bytes, cached=True)
                 metrics.add("incremental_cache_hits", 1)
                 logger.debug("replayed %s from the incremental cache "
                              "(%d row(s))", done.name, output_rows)
             else:
                 queries += 1
                 busy_total += done.busy_seconds
-                # Simulated clock (Section 5.2): producers' completion
-                # events were processed before this node was dispatched,
-                # so their simulated times are known; per-lane order
-                # equals dispatch order, so ``source_ready`` advances
-                # like a serial per-site query processor.
-                start = source_ready.get(done.lane, 0.0)
-                for input_name in node.inputs:
-                    producer_name = graph.resolve(input_name)
-                    if producer_name == done.name:
-                        continue
-                    producer = graph.nodes[producer_name]
-                    slice_bytes = (cache[input_name].width_bytes()
-                                   if input_name in cache else 0)
-                    transfer = engine.network.trans_cost(
-                        producer.source, node.source, slice_bytes)
-                    if producer.source != node.source:
-                        bytes_shipped += slice_bytes
-                    start = max(start,
-                                completion_time[producer_name] + transfer)
-                modeled = engine.modeled_overhead(
-                    node, done.rows_materialized, output_rows)
-                finish = start + done.eval_seconds + modeled
-                completion_time[done.name] = finish
-                source_ready[done.lane] = finish
                 timings[done.name] = NodeTiming(
-                    done.name, node.source, done.eval_seconds, finish,
+                    done.name, node.source, done.eval_seconds, 0.0,
                     output_rows, output_bytes, done.rows_materialized,
-                    modeled,
                     resident=getattr(done.outputs.get(done.name),
                                      "resident", False))
                 metrics.add(f"lane_busy_seconds.{done.lane}",
                             done.busy_seconds)
-                metrics.observe("node_latency_seconds",
-                                done.eval_seconds + modeled)
+                metrics.observe("node_latency_seconds", done.eval_seconds)
                 metrics.observe(f"node_latency_seconds.{done.lane}",
-                                done.eval_seconds + modeled)
-                logger.debug("completed %s on %s: %d row(s), %.4fs eval, "
-                             "simulated finish %.3fs", done.name, done.lane,
-                             output_rows, done.eval_seconds, finish)
-                if engine.dynamic_scheduler is not None:
-                    engine.dynamic_scheduler.observe(
-                        done.name, output_rows, output_bytes,
-                        done.eval_seconds + modeled)
+                                done.eval_seconds)
+                logger.debug("completed %s on %s: %d row(s), %.4fs eval",
+                             done.name, done.lane, output_rows,
+                             done.eval_seconds)
                 if engine.fingerprints is not None:
                     fingerprint = engine.fingerprints.get(done.name)
                     if fingerprint is not None:
@@ -520,8 +445,7 @@ class PlanExecutor:
             # downward-closed cone of the DAG (a reused node's producers
             # are reused — fingerprints chain upstream), so all of them
             # can be processed up front in topological order.  The ready
-            # queue below then only ever dispatches tainted nodes, under
-            # static and dynamic scheduling alike.
+            # queue below then only ever dispatches tainted nodes.
             if engine.reuse:
                 for node in graph.topological_order():
                     entry = engine.reuse.get(node.name)
@@ -530,8 +454,8 @@ class PlanExecutor:
                     ready.discard(node.name)
                     reused.add(node.name)
                     process(_Completion(
-                        lane_of.get(node.name, node.source), node.name,
-                        node, outputs=dict(entry.outputs), from_cache=True))
+                        lane_of[node.name], node.name, node,
+                        outputs=dict(entry.outputs), from_cache=True))
                 logger.info("incremental replay: %d node(s) reused, "
                             "%d tainted", len(reused), len(remaining))
             if not remaining:
@@ -539,12 +463,9 @@ class PlanExecutor:
             if threaded:
                 for source_name in sorted(
                         {graph.nodes[name].source for name in remaining}):
-                    if source_name in connections:
-                        continue    # pre-leased by the caller
                     source = engine.sources.get(source_name)
                     if source is not None:
                         connections[source_name] = source.acquire_connection()
-                        owned.append(source_name)
                 threads = [threading.Thread(target=worker_loop,
                                             name=f"repro-exec-{index}",
                                             daemon=True)
@@ -587,33 +508,16 @@ class PlanExecutor:
                     process(perform(accepted[0]))
         finally:
             shut_down()
-            for source_name in owned:
-                engine.sources[source_name].release_connection(
-                    connections[source_name])
+            for source_name, connection in connections.items():
+                engine.sources[source_name].release_connection(connection)
             # Failure-path hygiene: shipped temp tables from completed steps
             # must not outlive the run (a mid-plan abort used to strand
             # ``__ship_N`` tables on every target source).
             _drop_shipped_tables(engine.sources, shipped)
 
-        # Final shipment of tagging-relevant outputs to the mediator.
-        response = 0.0
-        for name, node in graph.nodes.items():
-            finish = completion_time[name]
-            if (node.ship_to_mediator and node.source != MEDIATOR_NAME
-                    and name not in reused):
-                shipment = sum(
-                    cache[member].width_bytes()
-                    for member in engine._member_names(node)
-                    if member in cache)
-                finish += engine.network.trans_cost(
-                    node.source, MEDIATOR_NAME, shipment)
-                bytes_shipped += shipment
-            response = max(response, finish)
-
         measured = time.perf_counter() - started
         speedup = busy_total / measured if measured > 0 else 1.0
         metrics.add("queries_executed", queries)
-        metrics.add("bytes_shipped", bytes_shipped)
         metrics.add("rows_emitted",
                     sum(t.output_rows for t in timings.values()))
         metrics.add("rows_materialized",
@@ -624,26 +528,22 @@ class PlanExecutor:
         metrics.add("connection_pool_misses",
                     pool_misses - pool_baseline[1])
         metrics.set_gauge("workers", self.workers)
-        metrics.set_gauge("response_time_seconds", response)
         if failure_report is not None:
             failure_report.retry_attempts = retry_count
             metrics.add("degraded_runs", 1)
             run_span.set(degraded=True,
                          skipped_nodes=len(failure_report.skipped_nodes))
             logger.warning("run degraded: %s", failure_report.summary())
-        run_span.set(queries=queries, bytes_shipped=bytes_shipped,
-                     response_time=response)
+        run_span.set(queries=queries)
         if engine.fingerprints is not None:
             run_span.set(reused_nodes=len(reused))
-        logger.info("executed %d node(s) on %d lane(s): %.3fs wall, "
-                    "simulated response %.3fs, %d byte(s) shipped",
-                    queries, len(lane_order), measured, response,
-                    bytes_shipped)
+        logger.info("executed %d node(s) on %d lane(s): %.3fs wall",
+                    queries, len(lane_order), measured)
+        # response_time: modeled, so not known here — Engine.run fills it.
         return EngineResult(cache=cache, timings=timings,
-                            response_time=response,
+                            response_time=0.0,
                             measured_seconds=measured,
                             queries_executed=queries,
-                            bytes_shipped=bytes_shipped,
                             violations=violations,
                             parallel_speedup=speedup,
                             workers=self.workers,

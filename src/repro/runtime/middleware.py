@@ -8,8 +8,8 @@
 2. **optimization** — query-dependency-graph construction, cost estimation,
    Algorithm Merge + Algorithm Schedule (Sections 5.2–5.4; merging can be
    disabled to reproduce the Fig. 10 baseline);
-3. **execution** — the plan runs against the real SQLite sources with
-   simulated communication (Section 5.1);
+3. **execution** — the plan's static per-source schedules run against the
+   real SQLite sources; communication is simulated (Section 5.1);
 4. **tagging** — cached relations are sort-merged into the final document
    (a tree for ``evaluate``, bytes for ``evaluate_stream``; one path,
    ``Middleware._run``, with different sinks), unfolding suffixes
@@ -35,13 +35,13 @@ from repro.errors import (
 from repro.dtd.analysis import base_name, recursive_types
 from repro.obs.tracer import NULL_TRACER
 from repro.relational.network import Network
-from repro.relational.source import DataSource, MEDIATOR_NAME, Mediator
+from repro.relational.source import DataSource, Mediator
 from repro.relational.statistics import StatisticsCatalog
 from repro.xmlmodel.node import XMLElement
 from repro.xmlmodel.serialize import StreamSerializer, serialize
 from repro.aig.grammar import AIG
 from repro.compilation.specialize import specialize
-from repro.optimizer.cost import CostModel, plan_cost
+from repro.optimizer.cost import CostModel
 from repro.optimizer.merge import merge as merge_graph, unmerged_plan
 from repro.optimizer.qdg import build_qdg
 from repro.runtime.engine import Engine, EngineResult
@@ -142,11 +142,9 @@ class Middleware:
 
     def __init__(self, aig: AIG, sources: dict[str, DataSource],
                  network: Network | None = None,
-                 stats: StatisticsCatalog | None = None,
                  merging: bool = True,
                  unfold_depth: int | str = 4,
                  max_unfold_depth: int = 64,
-                 scheduling: str = "static",
                  violation_mode: str = "abort",
                  workers: int | str = 1,
                  tracer=None,
@@ -166,16 +164,10 @@ class Middleware:
         self.aig = aig
         self.sources = sources
         self.network = network or Network()
-        self.stats = stats or StatisticsCatalog.from_sources(
-            list(sources.values()))
+        self.stats = StatisticsCatalog.from_sources(list(sources.values()))
         self.merging = merging
         self.unfold_depth = unfold_depth
         self.max_unfold_depth = max_unfold_depth
-        if scheduling not in ("static", "dynamic"):
-            raise EvaluationError(
-                f"scheduling must be 'static' or 'dynamic', "
-                f"got {scheduling!r}")
-        self.scheduling = scheduling
         self.violation_mode = violation_mode
         if workers != "auto" and (isinstance(workers, bool)
                                   or not isinstance(workers, int)
@@ -244,8 +236,6 @@ class Middleware:
             raise EvaluationError(
                 f"shards must be a positive integer, got {shards!r}")
         self.shards = shards
-        #: Connections pre-leased for a whole batch (``evaluate_batch``).
-        self._preleased: dict = {}
         #: Concurrency control (docs/SERVICE.md).  ``_prepare_lock`` guards
         #: the prepared-plan cache: the check-then-insert and the
         #: stale-generation sweep must be atomic or two concurrent callers
@@ -302,7 +292,8 @@ class Middleware:
 
         def report(run: _Run) -> ExecutionReport:
             document = run.sinks[0].root
-            tracer.metrics.set_gauge("document_nodes", document.size())
+            if tracer.enabled:   # the gauge costs a walk of the whole tree
+                tracer.metrics.set_gauge("document_nodes", document.size())
             if self.ledger is not None:
                 self._record_run(
                     "evaluate", run, tracer,
@@ -479,25 +470,15 @@ class Middleware:
 
         The paper's scenario is a *daily* report: same AIG, same sources,
         different ``date``.  Optimization (specialize -> QDG -> merge ->
-        schedule) runs once; only execution and tagging repeat.  The
-        mediator connection is leased once for the whole batch — every
-        entry's engine runs its mediator-side nodes over the same pooled
-        connection instead of re-acquiring per evaluation.
+        schedule) runs once; only execution and tagging repeat.
 
         Holds the run lock across the whole batch (it is reentrant, so the
-        member evaluations nest): ``_preleased`` is instance state, and a
-        concurrent ``evaluate`` interleaving with the batch would ride the
-        batch's mediator lease from another thread.
+        member evaluations nest): no other caller's evaluation interleaves
+        with the batch.
         """
         with self._run_lock:
-            lease = self.mediator.acquire_connection()
-            self._preleased = {MEDIATOR_NAME: lease}
-            try:
-                return [self.evaluate(dict(values), tracer=tracer)
-                        for values in root_inh_values]
-            finally:
-                self._preleased = {}
-                self.mediator.release_connection(lease)
+            return [self.evaluate(dict(values), tracer=tracer)
+                    for values in root_inh_values]
 
     def explain(self, depth: int | None = None) -> str:
         """A human-readable report of the optimization decisions.
@@ -640,10 +621,6 @@ class Middleware:
                 self.prepare(depth, tracer=tracer)
             optimization_seconds = (time.perf_counter()
                                     - optimization_started)
-            scheduler = None
-            if self.scheduling == "dynamic":
-                from repro.runtime.dynamic import DynamicScheduler
-                scheduler = DynamicScheduler(graph, estimates, self.network)
             store = None
             increment = None
             fingerprints = None
@@ -661,7 +638,6 @@ class Middleware:
                 self._last_root_inh = dict(root_inh)
             engine = Engine(graph, plan, self.sources, self.network,
                             mediator=self.mediator,
-                            dynamic_scheduler=scheduler,
                             violation_mode=self.violation_mode,
                             workers=self.workers,
                             tracer=tracer,
@@ -671,8 +647,7 @@ class Middleware:
                             deadline=self.deadline,
                             tagging_plan=tagging_plan,
                             reuse=increment.reusable if increment else None,
-                            fingerprints=fingerprints,
-                            preleased=self._preleased)
+                            fingerprints=fingerprints)
             try:
                 result = engine.run(root_inh)
                 rename = base_name if depth is not None else None
@@ -742,7 +717,6 @@ class Middleware:
         """The middleware knobs that shaped a run (ledger ``config``)."""
         return {
             "merging": self.merging,
-            "scheduling": self.scheduling,
             "workers": self.workers,
             "unfold_depth": self.unfold_depth,
             "max_unfold_depth": self.max_unfold_depth,

@@ -368,7 +368,7 @@ def _shard_aig(aig: AIG, spec: PartitionSpec, shard_source: str):
 #: they hold process-local handles (files, sqlite, locks) or cross-run
 #: caches that must not ride a pickle into another process.
 _WORKER_CONFIG_KEYS = (
-    "merging", "scheduling", "workers", "unfold_depth", "max_unfold_depth",
+    "merging", "workers", "unfold_depth", "max_unfold_depth",
 )
 
 

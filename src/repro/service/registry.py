@@ -32,7 +32,7 @@ from repro.runtime.middleware import Middleware
 #: Middleware knobs a tenant may set at registration; anything else in
 #: the config payload is rejected so typos fail loudly, not silently.
 ALLOWED_CONFIG = (
-    "merging", "scheduling", "workers", "unfold_depth", "max_unfold_depth",
+    "merging", "workers", "unfold_depth", "max_unfold_depth",
     "violation_mode", "incremental",
     "on_source_failure", "deadline", "retry_policy",
     "breaker_policy", "cost_feedback", "ledger", "shards",

@@ -67,15 +67,17 @@ class TestBatchEvaluation:
         assert reports[0] is not reports[1]
 
     def test_batch_leases_one_mediator_connection(self, world):
-        # Regression: the batch used to lease a fresh mediator connection
-        # per entry; now one lease is acquired up front and shared by
-        # every entry's engine.
+        # Each entry's engine leases the mediator and gives it back: the
+        # batch opens at most one connection, every later lease is a pool
+        # hit on it, and none is left outstanding.
         aig, sources, dataset = world
         dates = sorted({row[2] for row in dataset.visit_info})[:3]
         middleware = Middleware(aig, sources, Network.mbps(1.0),
                                 unfold_depth=8, workers=4)
         mediator = middleware.mediator
-        before = mediator.pool_hits + mediator.pool_misses
+        hits, misses = mediator.pool_hits, mediator.pool_misses
         middleware.evaluate_batch([{"date": d} for d in dates])
-        assert mediator.pool_hits + mediator.pool_misses == before + 1
+        assert mediator.pool_misses - misses <= 1
+        assert (mediator.pool_hits - hits
+                + mediator.pool_misses - misses) == len(dates)
         assert mediator.leases_outstanding == 0

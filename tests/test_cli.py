@@ -22,9 +22,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "<report>" in out
 
-    def test_demo_no_merge_dynamic(self, capsys):
-        assert main(["demo", "--scale", "tiny", "--no-merge",
-                     "--dynamic"]) == 0
+    def test_demo_no_merge(self, capsys):
+        assert main(["demo", "--scale", "tiny", "--no-merge"]) == 0
         assert "merging off" in capsys.readouterr().out
 
     def test_demo_workers(self, capsys):

@@ -1,6 +1,5 @@
 """Tests for the paper's extension / future-work features:
 
-* dynamic scheduling (Section 5.5 / 7),
 * data-driven recursion-depth estimation (Section 7),
 * composite (multi-field) keys and inclusion constraints (Section 2's
   "the same framework can be used to handle constraints in XML Schema"),
@@ -25,55 +24,6 @@ from repro.runtime import Middleware
 from repro.runtime.recursion import estimate_recursion_depth
 from repro.xmlmodel import conforms_to, element
 from tests.conftest import load_tiny_hospital
-
-
-class TestDynamicScheduling:
-    def test_same_document_as_static(self, hospital_aig, tiny_sources):
-        static = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
-                            scheduling="static").evaluate({"date": "d1"})
-        dynamic = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
-                             scheduling="dynamic").evaluate({"date": "d1"})
-        assert static.document == dynamic.document
-
-    def test_dynamic_with_merging(self, hospital_aig, tiny_sources):
-        report = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
-                            merging=True,
-                            scheduling="dynamic").evaluate({"date": "d1"})
-        assert conforms_to(report.document, hospital_aig.dtd)
-
-    def test_dynamic_on_generated_data(self, hospital_aig):
-        sources, dataset = make_loaded_sources("tiny", seed=5)
-        date = dataset.busiest_date()
-        static = Middleware(hospital_aig, sources, Network.mbps(1.0),
-                            scheduling="static").evaluate({"date": date})
-        dynamic = Middleware(hospital_aig, sources, Network.mbps(1.0),
-                             scheduling="dynamic").evaluate({"date": date})
-        assert static.document == dynamic.document
-        # dynamic may reorder but never violates dependencies (would raise)
-        assert dynamic.response_time > 0
-
-    def test_invalid_mode_rejected(self, hospital_aig, tiny_sources):
-        with pytest.raises(EvaluationError):
-            Middleware(hospital_aig, tiny_sources, scheduling="magic")
-
-    def test_scheduler_observe_updates_priorities(self, hospital_aig,
-                                                  tiny_sources):
-        from repro.optimizer import CostModel, build_qdg
-        from repro.relational import StatisticsCatalog
-        from repro.runtime import unfold_aig
-        from repro.compilation import specialize
-        from repro.runtime.dynamic import DynamicScheduler
-        stats = StatisticsCatalog.from_sources(list(tiny_sources.values()))
-        spec = specialize(unfold_aig(hospital_aig, 2), stats)
-        graph, _ = build_qdg(spec, stats)
-        estimates = CostModel(stats).estimate_graph(graph)
-        scheduler = DynamicScheduler(graph, estimates, Network.mbps(1.0))
-        ready = [n.name for n in graph.topological_order()[:1]]
-        first = scheduler.pick(ready)
-        before = scheduler.priority(first)
-        scheduler.observe(first, actual_rows=10 ** 6,
-                          actual_bytes=10 ** 8, actual_eval_seconds=50.0)
-        assert scheduler.priority(first) != before
 
 
 class TestDepthEstimation:

@@ -140,14 +140,13 @@ class TestPartialStateIsolation:
         assert report.document.tag == "report"
 
 
-def _evaluate_with_faults(workers, faults=None, retries=0, scheduling=None):
+def _evaluate_with_faults(workers, faults=None, retries=0):
     """One full evaluation on a fresh tiny dataset, optional fault spec."""
     sources = make_sources()
     load_tiny_hospital(sources)
     middleware = Middleware(
         build_hospital_aig(), sources, Network.mbps(1.0),
         workers=workers,
-        scheduling=scheduling or "static",
         retry_policy=RetryPolicy(retries=retries, base_delay=0.001)
         if retries else None)
     injector = None
@@ -186,17 +185,16 @@ class TestTransientRecovery:
 class TestFailureCleanup:
     """Satellites: a mid-plan crash must not leak temp tables or leases."""
 
-    @pytest.mark.parametrize("workers,scheduling", [
-        (1, "static"), (4, "static"), (4, "dynamic")])
-    def test_shipped_tables_cleaned_after_midplan_failure(
-            self, workers, scheduling):
+    # ids keep the "static" of the former scheduling axis
+    @pytest.mark.parametrize("workers", [pytest.param(1, id="1-static"),
+                                         pytest.param(4, id="4-static")])
+    def test_shipped_tables_cleaned_after_midplan_failure(self, workers):
         sources = make_sources()
         load_tiny_hospital(sources)
         baseline = {name: source.table_names()
                     for name, source in sources.items()}
         middleware = Middleware(build_hospital_aig(), sources,
-                                Network.mbps(1.0), workers=workers,
-                                scheduling=scheduling)
+                                Network.mbps(1.0), workers=workers)
         injector = FaultInjector.from_spec("DB4:down@1").install(sources)
         try:
             with pytest.raises(EvaluationError):
@@ -206,13 +204,12 @@ class TestFailureCleanup:
         for name, source in sources.items():
             assert source.table_names() == baseline[name], name
 
-    @pytest.mark.parametrize("scheduling", ["static", "dynamic"])
-    def test_leases_released_after_threaded_abort(self, scheduling):
+    @pytest.mark.parametrize("workers", [pytest.param(4, id="static")])
+    def test_leases_released_after_threaded_abort(self, workers):
         sources = make_sources()
         load_tiny_hospital(sources)
         middleware = Middleware(build_hospital_aig(), sources,
-                                Network.mbps(1.0), workers=4,
-                                scheduling=scheduling)
+                                Network.mbps(1.0), workers=workers)
         injector = FaultInjector.from_spec("DB4:down@1").install(sources)
         try:
             with pytest.raises(EvaluationError):

@@ -66,7 +66,7 @@ class TestGenerator:
     def test_violation_injection_yields_violations(self):
         spec = generate_scenario(3, violate=True)
         assert spec.notes["violated"] in ("key", "inclusion")
-        report = run_oracle(spec, configs=("merged-static-w1",
+        report = run_oracle(spec, configs=("merged-w1",
                                            "abort-consistency"))
         assert report.ok
         assert report.baseline_violations
@@ -89,7 +89,7 @@ class TestOracle:
     def test_seeded_engine_bug_is_caught(self, monkeypatch):
         _seeded_bug(monkeypatch)
         report = run_oracle(generate_scenario(0),
-                            configs=("merged-static-w1",))
+                            configs=("merged-w1",))
         assert not report.ok
         assert any(d.kind == "xml" for d in report.divergences)
 

@@ -217,6 +217,72 @@ class TestSchedule:
         serial = sum(e.eval_seconds for e in estimates.values())
         assert cost < serial * 0.75
 
+    def test_recurrence_over_the_measurements_of_a_finished_run(self):
+        """``run_cost`` on a hand-built plan with fixed timings — no clock.
+
+        1000 B/s, 0.5 s latency: a hop to or from the mediator costs
+        0.5 + B/1000, source to source twice that.  Overhead is 0.25 per
+        query + 5e-4 per input row + 1e-4 per output row; 0.01 at the
+        mediator.
+
+            DB1: a (replayed from the cache), b <- a
+            DB2: m = merge(c+d) <- b, then e <- d
+            Mediator: g <- c, a
+        """
+        from repro.optimizer.cost import run_cost
+        from repro.relational.source import ResultSet
+        from repro.runtime.engine import NodeTiming
+
+        graph = QueryDependencyGraph()
+        graph.add(QueryNode("a", "DB1", "step", ship_to_mediator=True))
+        graph.add(QueryNode("b", "DB1", "step", inputs=("a",)))
+        members = (QueryNode("c", "DB2", "step", ship_to_mediator=True),
+                   QueryNode("d", "DB2", "step"))
+        graph.add(MergedNode("m", "DB2", "merged", inputs=("b",),
+                             ship_to_mediator=True, members=members))
+        graph.aliases.update(c="m", d="m")
+        graph.add(QueryNode("e", "DB2", "step", inputs=("d",),
+                            ship_to_mediator=True))
+        graph.add(QueryNode("g", MEDIATOR_NAME, "collect",
+                            inputs=("c", "a")))
+        plan = {"DB1": ["a", "b"], "DB2": ["m", "e"], MEDIATOR_NAME: ["g"]}
+
+        def result(rows):           # 10 bytes a row
+            return ResultSet(["v"], [("x" * 8,)] * rows)
+
+        cache = {"a": result(10), "b": result(50), "c": result(30),
+                 "d": result(20), "m": result(2), "e": result(25),
+                 "g": result(1)}
+        timings = {
+            "a": NodeTiming("a", "DB1", 0.0, 0.0, 10, 100, cached=True),
+            "b": NodeTiming("b", "DB1", 2.0, 0.0, 0, 500),
+            "m": NodeTiming("m", "DB2", 1.0, 0.0, 2500, 520,
+                            rows_materialized=1000),
+            "e": NodeTiming("e", "DB2", 0.5, 0.0, 0, 250),
+            "g": NodeTiming("g", MEDIATOR_NAME, 0.1, 0.0, 0, 10),
+        }
+        response, shipped = run_cost(graph, plan, timings, cache,
+                                     Network(1000.0, 0.5))
+
+        overheads = {name: t.overhead_seconds for name, t in timings.items()}
+        assert overheads == pytest.approx(
+            {"a": 0.0, "b": 0.25, "m": 0.25 + 0.5 + 0.25, "e": 0.25,
+             "g": 0.01})
+        completions = {name: t.completion for name, t in timings.items()}
+        assert completions == pytest.approx({
+            "a": 0.0,                    # replayed: done at 0, lane free
+            "b": 0.0 + 2.0 + 0.25,       # a is local, DB1 idle
+            # b's 500 B cross DB1 -> Mediator -> DB2: 2 * (0.5 + 0.5)
+            "m": 2.25 + 2.0 + 1.0 + 1.0,
+            "e": 6.25 + 0.5 + 0.25,      # waits for m on its lane; d local
+            # c's 300 B arrive at 6.25 + 0.8; a's 100 B at 0 + 0.6
+            "g": 7.05 + 0.1 + 0.01,
+        })
+        # final hops: m ships its members' 300 + 200 B (7.25), e 250 B
+        # (7.0 + 0.75); a is already at the mediator, b and g never ship
+        assert response == pytest.approx(7.75)
+        assert shipped == 500 + (300 + 100) + 500 + 250
+
 
 class TestMerge:
     def setup_method(self):

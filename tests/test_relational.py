@@ -196,11 +196,9 @@ class TestNetwork:
         assert network.bandwidth == pytest.approx(MBPS)
 
     def test_link_override(self):
-        network = Network(bandwidth_bytes_per_s=1000, latency_seconds=0.0,
-                          link_bandwidths={("DB1", MEDIATOR_NAME): 10_000.0})
-        fast = network.trans_cost("DB1", MEDIATOR_NAME, 10_000)
-        slow = network.trans_cost("DB2", MEDIATOR_NAME, 10_000)
-        assert fast < slow
+        # one uniform bandwidth: the per-link override argument is gone
+        with pytest.raises(TypeError):
+            Network(1000, 0.0, {("DB1", MEDIATOR_NAME): 10_000.0})
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

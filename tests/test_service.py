@@ -189,7 +189,8 @@ class TestRegistry:
         registry = TenantRegistry()
         # a typo, and the knobs that no longer exist
         for config in ({"wrokers": 2}, {"columnar": True},
-                       {"pushdown": True}, {"query_overhead": 0.1}):
+                       {"pushdown": True}, {"query_overhead": 0.1},
+                       {"scheduling": "static"}):
             with pytest.raises(EvaluationError,
                                match=r"unknown middleware config key\(s\)"):
                 registry.register("t", aig, sources, config)
