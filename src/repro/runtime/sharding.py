@@ -89,7 +89,7 @@ from repro.relational.source import DataSource, Federation
 from repro.sqlq.analyze import scalar_params, set_params
 from repro.sqlq.ast import BaseTable, ColumnRef, Query, SelectItem
 from repro.sqlq.render import render_sqlite
-from repro.xmlmodel.node import XMLElement
+from repro.xmlmodel.node import XMLElement, new_element, new_text
 
 #: Relation name of the per-shard key-range table.
 SHARD_RELATION = "rows"
@@ -451,38 +451,30 @@ def encode_document(root: XMLElement) -> tuple[list, list]:
 def decode_document(labels: list, shape: list) -> XMLElement:
     """Rebuild the tree from :func:`encode_document` output.
 
-    Constructs nodes via ``__new__`` and wires parent/child links
-    directly — the validation and re-parenting logic in
-    ``XMLElement.append`` is redundant here and would dominate the
-    parent's serial merge cost on large documents.
+    The labels were a tree's own tags and values a moment ago, so the
+    nodes come from the trusted constructors (``xmlmodel/node.py``): the
+    validation and re-parenting in ``XMLElement.append`` would dominate
+    the parent's serial merge cost on large documents.
     """
-    from repro.xmlmodel.node import XMLText
-
+    malformed = EvaluationError("sharded merge: malformed encoded document")
     root: XMLElement | None = None
     #: (element, children still to attach) — pre-order frontier.
     stack: list[list] = []
     for label, count in zip(labels, shape):
-        if count == -1:
-            node = XMLText.__new__(XMLText)
-            node.value = label
-        else:
-            node = XMLElement.__new__(XMLElement)
-            node.tag = label
-            node.children = []
         if stack:
             top = stack[-1]
-            node.parent = top[0]
-            top[0].children.append(node)
+            node = (new_text if count == -1 else new_element)(label, top[0])
             top[1] -= 1
             if top[1] == 0:
                 stack.pop()
+        elif root is None and count != -1:
+            node = root = new_element(label, None)
         else:
-            node.parent = None
-            root = node
+            raise malformed     # a text node, or a second tree, at the top
         if count > 0:
             stack.append([node, count])
     if root is None or stack:
-        raise EvaluationError("sharded merge: malformed encoded document")
+        raise malformed
     return root
 
 

@@ -37,7 +37,10 @@ from __future__ import annotations
 
 from repro.errors import EvaluationError, RecursionTruncated
 from repro.dtd.model import Choice, PCDATA, Sequence, Star
-from repro.xmlmodel.node import XMLElement, XMLText
+# the trusted constructors are reached through the module, so that what
+# builds a tree can be counted in one place (tests/test_incremental.py)
+from repro.xmlmodel import node as xmlnode
+from repro.xmlmodel.node import XMLElement
 from repro.compilation.occurrences import (
     ConstValue,
     Occurrence,
@@ -48,7 +51,7 @@ from repro.runtime.engine import ID_COLUMN
 
 PARENT_COLUMN = "__parent"
 
-_START, _TEXT, _VALUE, _END = range(4)
+_OPEN, _CLOSE, _LEAF, _SLOT = range(4)
 
 
 def _pcdata(value) -> str:
@@ -102,34 +105,45 @@ class _Table:
 class Fragment:
     """A maximal run of sibling elements with no star or choice below it.
 
-    ``ops`` is the flat event list of the run — ``(_START, tag)``,
-    ``(_TEXT, constant)``, ``(_VALUE, slot)``, ``(_END, None)`` — and
-    ``sources`` names, per slot, the text occurrence and the provenance its
-    value is read from.  A sink that implements ``fragment(fragment,
-    values)`` receives the run in one call with one string per slot; every
-    other sink gets the same events through :meth:`replay`.
+    ``ops`` is the run as a flat program of ``(op, tag, argument)`` steps,
+    compiled once with the :class:`TaggingProgram`.  Text only ever occurs
+    as the one child of a PCDATA element, so a leaf is a single step:
+    ``(_SLOT, tag, slot)`` is ``<tag>values[slot]</tag>`` and ``(_LEAF, tag,
+    text)`` is ``<tag>text</tag>`` for a constant (``<tag/>`` when ``text``
+    is ``None``); ``(_OPEN, tag, None)`` ... ``(_CLOSE, None, None)``
+    bracket an element with element children.  ``sources`` names, per slot,
+    the text occurrence and the provenance its value is read from.  A sink
+    that implements ``fragment(fragment, values)`` receives the run in one
+    call with one string per slot; every other sink gets the same events
+    through :meth:`replay`.
     """
 
-    __slots__ = ("index", "ops", "elements", "sources")
+    __slots__ = ("index", "ops", "elements", "texts", "sources")
 
     def __init__(self, index: int):
         self.index = index                  # position in program.fragments
-        self.ops: list[tuple[int, object]] = []
+        self.ops: list[tuple[int, object, object]] = []
         self.elements = 0
+        self.texts = 0
         self.sources: list[tuple[str, object]] = []
 
     def replay(self, sink, values) -> None:
         """Expand into ``start``/``text``/``end`` events on ``sink``."""
         start, text, end = sink.start, sink.text, sink.end
-        for op, argument in self.ops:
-            if op == _START:
-                start(argument)
-            elif op == _END:
-                end()
-            elif op == _VALUE:
+        for op, tag, argument in self.ops:
+            if op == _SLOT:
+                start(tag)
                 text(values[argument])
+                end()
+            elif op == _LEAF:
+                start(tag)
+                if argument is not None:
+                    text(argument)
+                end()
+            elif op == _OPEN:
+                start(tag)
             else:
-                text(argument)
+                end()
 
 
 class NullEventSink:
@@ -150,25 +164,47 @@ class NullEventSink:
 
 class TreeSink:
     """Sink that materializes the events as an :class:`XMLElement` tree,
-    left in ``root`` once the stream has ended."""
+    left in ``root`` once the stream has ended.
+
+    Every node comes from the trusted constructors of
+    :mod:`repro.xmlmodel.node`.  A fragment is instantiated as a unit from
+    its compiled ops: its tags were checked when the program was compiled
+    and its values are ``str`` from the program's reader.  ``start`` and
+    ``text`` check their argument, because any driver can call them.
+    """
 
     def __init__(self):
         self.root: XMLElement | None = None
         self._open: XMLElement | None = None    # innermost open element
 
     def start(self, tag: str) -> None:
-        node = XMLElement(tag)
+        node = xmlnode.new_element(xmlnode.check_tag(tag), self._open)
         if self._open is None:
             self.root = node
-        else:
-            self._open.append(node)
         self._open = node
 
     def text(self, value: str) -> None:
-        self._open.append(XMLText(value))
+        xmlnode.new_text(xmlnode.check_text(value), self._open)
 
     def end(self) -> None:
         self._open = self._open.parent
+
+    def fragment(self, fragment: Fragment, values) -> None:
+        parent = self._open
+        if parent is None:
+            # the document is this one fragment: only ``start`` sets a root
+            fragment.replay(self, values)
+            return
+        new_element = xmlnode.new_element
+        for op, tag, argument in fragment.ops:
+            if op == _SLOT:
+                new_element(tag, parent, values[argument])
+            elif op == _LEAF:
+                new_element(tag, parent, argument)
+            elif op == _OPEN:
+                parent = new_element(tag, parent)
+            else:
+                parent = parent.parent
 
 
 def _fragment_writer(sink):
@@ -206,11 +242,14 @@ class _Tee:
 
 class ElementCount(int):
     """Elements emitted by one tagging run; ``in_fragments`` of them were
-    delivered inside fragments."""
+    delivered inside fragments, beside ``texts`` text nodes (all of them:
+    PCDATA elements are always folded), so a materialized document has
+    ``elements + texts`` nodes."""
 
-    def __new__(cls, elements: int, in_fragments: int = 0):
+    def __new__(cls, elements: int, in_fragments: int = 0, texts: int = 0):
         count = super().__new__(cls, elements)
         count.in_fragments = in_fragments
+        count.texts = texts
         return count
 
 
@@ -250,7 +289,7 @@ class _Run:
     """What one document binds a program to."""
 
     __slots__ = ("sink", "emit", "tables", "conditions", "rows", "values",
-                 "elements", "fragment_elements")
+                 "elements", "fragment_elements", "texts")
 
 
 class TaggingProgram:
@@ -279,7 +318,10 @@ class TaggingProgram:
     # -- compilation -----------------------------------------------------
     def _tag(self, occurrence: Occurrence) -> str:
         tag = occurrence.element_type
-        return tag if self._rename is None else self._rename(tag)
+        if self._rename is not None:
+            tag = self._rename(tag)
+        # checked here, once: fragments hand their tags to sinks as trusted
+        return xmlnode.check_tag(tag)
 
     def _model(self, occurrence: Occurrence):
         return self._aig.dtd.production(occurrence.element_type)
@@ -314,29 +356,36 @@ class TaggingProgram:
         return items
 
     def _fold(self, occurrence: Occurrence, fragment: Fragment) -> None:
-        fragment.ops.append((_START, self._tag(occurrence)))
+        tag = self._tag(occurrence)
         fragment.elements += 1
         if isinstance(self._model(occurrence), PCDATA):
+            fragment.texts += 1
             provenance = self.plan.text_of[occurrence.path]
             if isinstance(provenance, ConstValue):
-                fragment.ops.append((_TEXT, _pcdata(provenance.value)))
+                fragment.ops.append((_LEAF, tag, _pcdata(provenance.value)))
             else:
                 if not isinstance(provenance, RootValue):
                     self._slot(provenance.occurrence)
-                fragment.ops.append((_VALUE, len(fragment.sources)))
+                fragment.ops.append((_SLOT, tag, len(fragment.sources)))
                 fragment.sources.append((occurrence.path, provenance))
-        for child in occurrence.children:
-            self._fold(child, fragment)
-        fragment.ops.append((_END, None))
+        elif not occurrence.children:
+            fragment.ops.append((_LEAF, tag, None))
+        else:
+            fragment.ops.append((_OPEN, tag, None))
+            for child in occurrence.children:
+                self._fold(child, fragment)
+            fragment.ops.append((_CLOSE, None, None))
 
     def _step(self, item):
         """The closure emitting one item of :meth:`_fold_runs`."""
         if isinstance(item, Fragment):
             fragment, index, count = item, item.index, item.elements
+            texts = item.texts
 
             def emit_fragment(run: _Run) -> None:
                 run.elements += count
                 run.fragment_elements += count
+                run.texts += texts
                 run.emit(fragment, run.values[index](run.rows))
             return emit_fragment
         tag, content = item
@@ -380,6 +429,7 @@ class TaggingProgram:
         item = self._fold_runs([occurrence])[0]
         if isinstance(item, Fragment):
             fragment, index, count = item, item.index, item.elements
+            texts = item.texts
 
             def emit_rows(run: _Run) -> None:
                 group = run.tables[slot].by_parent.get(parent_id(run))
@@ -387,6 +437,7 @@ class TaggingProgram:
                     return
                 run.elements += count * len(group)
                 run.fragment_elements += count * len(group)
+                run.texts += texts * len(group)
                 rows, emit, values = run.rows, run.emit, run.values[index]
                 for row in group:
                     rows[slot] = row
@@ -470,9 +521,9 @@ class TaggingProgram:
         run.rows = [None] * len(self.anchors)
         run.values = [self._values_reader(fragment, run.tables, root_inh)
                       for fragment in self.fragments]
-        run.elements = run.fragment_elements = 0
+        run.elements = run.fragment_elements = run.texts = 0
         self._root(run)
-        return ElementCount(run.elements, run.fragment_elements)
+        return ElementCount(run.elements, run.fragment_elements, run.texts)
 
     def _values_reader(self, fragment: Fragment, tables: list[_Table],
                        root_inh: dict):

@@ -43,9 +43,7 @@ class XMLText(XMLNode):
 
     def __init__(self, value: str):
         super().__init__()
-        if not isinstance(value, str):
-            raise TypeError(f"text node value must be str, got {type(value).__name__}")
-        self.value = value
+        self.value = check_text(value)
 
     def __repr__(self) -> str:
         return f"XMLText({self.value!r})"
@@ -64,9 +62,7 @@ class XMLElement(XMLNode):
 
     def __init__(self, tag: str, children: Sequence[XMLNode] = ()):
         super().__init__()
-        if not tag or not isinstance(tag, str):
-            raise TypeError("element tag must be a non-empty string")
-        self.tag = tag
+        self.tag = check_tag(tag)
         self.children: list[XMLNode] = []
         for child in children:
             self.append(child)
@@ -79,7 +75,8 @@ class XMLElement(XMLNode):
         if not isinstance(child, XMLNode):
             raise TypeError(f"child must be an XMLNode, got {type(child).__name__}")
         if child.parent is not None:
-            child.parent.children.remove(child)
+            siblings = child.parent.children
+            del siblings[_position(siblings, child)]
         child.parent = self
         self.children.append(child)
         return child
@@ -89,7 +86,7 @@ class XMLElement(XMLNode):
             self.append(child)
 
     def remove(self, child: XMLNode) -> None:
-        self.children.remove(child)
+        del self.children[_position(self.children, child)]
         child.parent = None
 
     def replace_with_children(self, child: "XMLElement") -> None:
@@ -99,7 +96,7 @@ class XMLElement(XMLNode):
         states behave like element types during computation but are removed
         from the final tree.
         """
-        index = self.children.index(child)
+        index = _position(self.children, child)
         grandchildren = list(child.children)
         for grandchild in grandchildren:
             grandchild.parent = self
@@ -193,6 +190,72 @@ class XMLElement(XMLNode):
 
     def __repr__(self) -> str:
         return f"XMLElement({self.tag!r}, {len(self.children)} children)"
+
+
+def _position(children: list, child: XMLNode) -> int:
+    """Index of ``child`` itself: nodes compare structurally, so
+    ``list.index`` would find the first *equal* sibling instead."""
+    for index, candidate in enumerate(children):
+        if candidate is child:
+            return index
+    raise ValueError(f"{child!r} is not a child of this element")
+
+
+def check_tag(tag) -> str:
+    """``tag`` if it can label an element, :class:`TypeError` otherwise."""
+    if not tag or not isinstance(tag, str):
+        raise TypeError("element tag must be a non-empty string")
+    return tag
+
+
+def check_text(value) -> str:
+    """``value`` if a text node can carry it, :class:`TypeError` otherwise."""
+    if not isinstance(value, str):
+        raise TypeError(f"text node value must be str, got {type(value).__name__}")
+    return value
+
+
+# ----------------------------------------------------------------------
+# trusted construction
+# ----------------------------------------------------------------------
+# The one place a node is made without ``__init__``.  For callers that
+# build a whole tree out of labels they have already checked (the tagging
+# phase's TreeSink: tags checked when the program is compiled, values str
+# from its reader; the shard codec: labels it encoded itself), and whose
+# nodes are brand new, so there is no tag to validate again and no previous
+# parent to detach from.  Anything else goes through ``XMLElement(...)``,
+# ``XMLText(...)`` and ``append``.
+
+_new = object.__new__
+
+
+def new_element(tag: str, parent: Optional[XMLElement],
+                text: Optional[str] = None) -> XMLElement:
+    """A fresh ``tag`` element appended under ``parent`` (``None``: a
+    root), holding one text child when ``text`` is given — the
+    ``<tag>text</tag>`` leaf in one step."""
+    node = _new(XMLElement)
+    node.tag = tag
+    node.parent = parent
+    if text is None:
+        node.children = []
+    else:
+        leaf = _new(XMLText)
+        leaf.value = text
+        leaf.parent = node
+        node.children = [leaf]
+    if parent is not None:
+        parent.children.append(node)
+    return node
+
+
+def new_text(value: str, parent: XMLElement) -> XMLText:
+    """A fresh text node appended under ``parent``."""
+    node = _new(XMLText)
+    node.value = value
+    node.parent = parent
+    parent.children.append(node)
+    return node
 
 
 def element(tag: str, *children: Union[XMLNode, str]) -> XMLElement:

@@ -38,33 +38,53 @@ def serialize(node: XMLNode, indent: int | None = None) -> str:
     with an integer it is pretty-printed, with text-only elements kept on one
     line so PCDATA round-trips exactly.
     """
+    newline = "" if indent is None else "\n"
+    if isinstance(node, XMLText):
+        return escape_text(node.value) + newline
     parts: list[str] = []
-    _write(node, parts, indent, 0)
+    _write(node, parts.append, indent or 0, newline, 0)
     return "".join(parts)
 
 
-def _is_text_only(node: XMLElement) -> bool:
-    return all(isinstance(c, XMLText) for c in node.children)
-
-
-def _write(node: XMLNode, parts: list[str], indent: int | None, level: int) -> None:
-    pad = "" if indent is None else " " * (indent * level)
-    newline = "" if indent is None else "\n"
-    if isinstance(node, XMLText):
-        parts.append(pad + escape_text(node.value) + newline)
+def _write(node: XMLElement, out, indent: int, newline: str,
+           level: int) -> None:
+    """One pass over ``node.children``.  A text-only element is one line
+    and anything else one line per child, which compact output — no pad,
+    no newline — does not tell apart; so text is held back until the first
+    element child (or the end) decides which.  Empty and one-text-child
+    children are written here rather than by a call of their own.
+    """
+    tag, children = node.tag, node.children
+    pad = " " * (indent * level)
+    if not children:
+        out(f"{pad}<{tag}/>{newline}")
         return
-    assert isinstance(node, XMLElement)
-    if not node.children:
-        parts.append(f"{pad}<{node.tag}/>{newline}")
-    elif indent is not None and _is_text_only(node):
-        content = "".join(escape_text(c.value) for c in node.children
-                          if isinstance(c, XMLText))
-        parts.append(f"{pad}<{node.tag}>{content}</{node.tag}>{newline}")
+    inner = " " * (indent * (level + 1))
+    held: list[str] | None = []       # None once the start tag is written
+    for child in children:
+        if isinstance(child, XMLText):
+            if held is None:
+                out(f"{inner}{escape_text(child.value)}{newline}")
+            else:
+                held.append(escape_text(child.value))
+            continue
+        if held is not None:
+            out(f"{pad}<{tag}>{newline}")
+            for value in held:
+                out(f"{inner}{value}{newline}")
+            held = None
+        below = child.children
+        if not below:
+            out(f"{inner}<{child.tag}/>{newline}")
+        elif len(below) == 1 and isinstance(below[0], XMLText):
+            out(f"{inner}<{child.tag}>{escape_text(below[0].value)}"
+                f"</{child.tag}>{newline}")
+        else:
+            _write(child, out, indent, newline, level + 1)
+    if held is None:
+        out(f"{pad}</{tag}>{newline}")
     else:
-        parts.append(f"{pad}<{node.tag}>{newline}")
-        for child in node.children:
-            _write(child, parts, indent, level + 1)
-        parts.append(f"{pad}</{node.tag}>{newline}")
+        out(f"{pad}<{tag}>{''.join(held)}</{tag}>{newline}")
 
 
 class StreamSerializer:

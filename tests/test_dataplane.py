@@ -86,7 +86,7 @@ _trees = st.recursive(
 class TestStreamSerializer:
     @settings(max_examples=200, deadline=None)
     @given(tree=st.builds(lambda t: XMLElement("root", [t]), _trees),
-           indent=st.sampled_from([None, 1, 2, 4]))
+           indent=st.sampled_from([None, 0, 1, 2, 4]))
     def test_equivalent_to_serialize(self, tree, indent):
         assert stream_bytes(tree, indent) == serialize(tree, indent=indent)
 

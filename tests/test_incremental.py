@@ -153,22 +153,29 @@ class TestTaggingCost:
         # Alternating root attributes is the traffic shape the deleted
         # subtree memo lost on: every iteration subtree was deep-copied
         # at every nesting level (~6x the document in constructions).
-        from repro.xmlmodel.node import XMLElement
+        # An element is made by XMLElement(...) or by the trusted
+        # constructor the tree sink uses; both are counted.
+        from repro.xmlmodel import node
         constructed = []
-        real_init = XMLElement.__init__
+        real_init, real_new = node.XMLElement.__init__, node.new_element
 
         def counting_init(self, *args, **kwargs):
             constructed.append(1)
             real_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(XMLElement, "__init__", counting_init)
+        def counting_new(*args):
+            constructed.append(1)
+            return real_new(*args)
+
+        monkeypatch.setattr(node.XMLElement, "__init__", counting_init)
+        monkeypatch.setattr(node, "new_element", counting_new)
         sources = make_sources()
         load_tiny_hospital(sources)
         middleware = _middleware(sources)
         for date in ("d1", "d2", "d1", "d2"):
             constructed.clear()
             document = middleware.evaluate({"date": date}).document
-            assert len(constructed) == sum(1 for _ in document.iter())
+            assert len(constructed) == sum(1 for _ in document.iter()) > 1
 
 
 class TestStreamReuse:

@@ -297,6 +297,10 @@ class TestInstrumentedRun:
         assert metrics.gauge("workers") == report.workers
         assert metrics.gauge("response_time_seconds") == pytest.approx(
             report.response_time)
+        # elements + text nodes, set from the tagger's counts
+        assert metrics.gauge("document_nodes") == report.document.size()
+        assert metrics.gauge("document_nodes") > \
+            sum(1 for _ in report.document.iter())
 
     def test_chrome_trace_shape(self, run):
         _, tracer, _ = run

@@ -3,11 +3,13 @@
 ``stream_document`` compiles a ``TaggingPlan`` once into a
 ``TaggingProgram`` and hands every star/choice-free run of siblings to the
 sinks as one ``Fragment``.  A sink may take fragments natively
-(``StreamSerializer``: one ``%``-template per row) or receive them through
-the shared ``Fragment.replay`` (``TreeSink``, the streaming checker).  The
+(``StreamSerializer``: one ``%``-template per row; ``TreeSink``: the
+fragment's ops run over the trusted node constructors) or receive them
+through the shared ``Fragment.replay`` (the streaming checker).  The
 recursive ``serialize`` over the ``TreeSink`` tree shares no code with
 ``StreamSerializer.fragment``, so byte equality of the two is the
-"fragment path == event path" property.
+"fragment path == event path" property; ``ValidatedTreeSink`` below is the
+tree the same events make through ``XMLElement(...)`` / ``append``.
 """
 
 import pytest
@@ -29,10 +31,12 @@ from repro.runtime.engine import Engine
 from repro.runtime import tagging
 from repro.runtime.tagging import (
     NullEventSink,
+    TaggingProgram,
+    TreeSink,
     build_document,
     stream_document,
 )
-from repro.xmlmodel import StreamSerializer, serialize
+from repro.xmlmodel import StreamSerializer, XMLElement, XMLText, serialize
 from tests.conftest import load_tiny_hospital
 from tests.test_mediator_resident import build_group_aig, group_sources
 
@@ -78,11 +82,26 @@ def hospital():
             {"unfold_depth": 4})
 
 
+def build_card_aig() -> AIG:
+    # no star and no choice anywhere: the root itself is a fragment
+    aig = AIG(parse_dtd("""
+        <!ELEMENT card (name, info)>
+        <!ELEMENT info (currency, blank, note)>
+        <!ELEMENT blank EMPTY>
+    """), Catalog([CATALOG_SCHEMA]), root_inh=("who",))
+    aig.rule("card", inh={"name": assign(val=inh("who"))})
+    aig.rule("info", inh={"currency": assign(val=Const("USD")),
+                          "note": assign(val=Const(DISCOUNT))})
+    return aig.validate()
+
+
 SCENARIOS = {
     "hospital": hospital,     # choices, unfolded recursion, rename
     "groups": lambda: (build_group_aig(), group_sources(), {"run": "1"}, {}),
     "catalog": lambda: (build_catalog_aig(), catalog_sources(), {"day": "d1"},
                         {}),
+    "card": lambda: (build_card_aig(), catalog_sources(0), {"who": "a<b"},
+                     {}),
 }
 
 
@@ -116,6 +135,44 @@ class Tagged:
         return "".join(chunks), serializer, count
 
 
+class ValidatedTreeSink:
+    """Events only, every node through the validating constructors."""
+
+    def __init__(self):
+        self.root = self._open = None
+
+    def start(self, tag):
+        node = XMLElement(tag)
+        if self._open is None:
+            self.root = node
+        else:
+            self._open.append(node)
+        self._open = node
+
+    def text(self, value):
+        self._open.append(XMLText(value))
+
+    def end(self):
+        self._open = self._open.parent
+
+
+def assert_well_formed(document, validated) -> None:
+    """``document`` (trusted constructors) is the tree ``validated`` is,
+    with every parent link and every PCDATA value what ``append`` and
+    ``XMLText(...)`` would have made them."""
+    assert document == validated and document.parent is None
+    stack = [document]
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            assert child.parent is node
+            if isinstance(child, XMLText):
+                assert type(child.value) is str
+            else:
+                assert type(child.tag) is str and child.tag
+                stack.append(child)
+
+
 @pytest.fixture(params=sorted(SCENARIOS))
 def tagged(request):
     scenario = Tagged(request.param)
@@ -139,6 +196,7 @@ class TestFragmentPathEqualsEventPath:
         assert serializer.characters == len(text)
         assert count == sum(1 for _ in document.iter())
         assert 0 < count.in_fragments <= count
+        assert count + count.texts == document.size()
 
     @pytest.mark.parametrize("indent", [None, 2])
     def test_serializer_beside_checker(self, tagged, indent):
@@ -150,6 +208,35 @@ class TestFragmentPathEqualsEventPath:
         assert [str(v) for v in checker.result()] == \
             [str(v) for v in check_constraints(document,
                                                tagged.aig.constraints)]
+
+    def test_trusted_tree_is_the_validated_tree(self, tagged):
+        trusted, validated = TreeSink(), ValidatedTreeSink()
+        tagged.stream(trusted, validated)
+        assert_well_formed(trusted.root, validated.root)
+        for indent in (None, 0, 2):
+            assert serialize(trusted.root, indent=indent) == \
+                tagged.written(indent)[0]
+
+    def test_tree_beside_serializer_both_native(self, tagged, monkeypatch):
+        # behind the tee each sink takes a fragment in one native call: the
+        # tree sink sees ``start`` only for elements outside fragments
+        started = []
+        real_start = TreeSink.start
+
+        def counting_start(self, tag):
+            started.append(tag)
+            real_start(self, tag)
+
+        monkeypatch.setattr(TreeSink, "start", counting_start)
+        sink = TreeSink()
+        text, _, count = tagged.written(2, sink)
+        assert text == serialize(sink.root, indent=2)
+        if count.in_fragments == count:
+            # "card": the document is one fragment, delivered with no open
+            # element — replayed, because only ``start`` sets a root
+            assert len(started) == count
+        else:
+            assert len(started) == count - count.in_fragments
 
     def test_replay_is_the_event_path(self, tagged):
         # a serializer stripped of its native method gets the same bytes
@@ -191,14 +278,42 @@ class TestAdversarialValues:
         document = build_document(scenario.plan, cache, {"day": "d1"},
                                   rename=rename)
         chunks: list[str] = []
+        validated = ValidatedTreeSink()
         stream_document(scenario.plan, cache, {"day": "d1"},
                         StreamSerializer(chunks.append, indent=indent),
-                        rename=rename)
+                        validated, rename=rename)
         assert "".join(chunks) == serialize(document, indent=indent)
+        assert_well_formed(document, validated.root)
         assert len(document.children) == len(rows)
         for product in document.children:
             discount = product.children[3].children[1]
             assert discount.text_value() == DISCOUNT
+
+
+class TestTagsAreCheckedOnce:
+    @pytest.mark.parametrize("bad", ["", 1, None])
+    def test_bad_tag_refused_at_compile_time_and_by_start(self, catalog,
+                                                          bad):
+        # a fragment hands its tags to the tree sink unchecked, so the
+        # check is where the program is compiled ...
+        with pytest.raises(TypeError):
+            TaggingProgram(catalog.plan, rename=lambda tag: bad)
+        with pytest.raises(TypeError):      # ... for one tag as for all
+            TaggingProgram(catalog.plan, rename=lambda tag: (
+                bad if tag == "discount" else tag))
+        # ... and in the event methods, which any driver can call
+        with pytest.raises(TypeError):
+            TreeSink().start(bad)
+
+    def test_text_event_takes_str_only(self):
+        sink = TreeSink()
+        sink.start("a")
+        for value in (1, None, b"x"):
+            with pytest.raises(TypeError):
+                sink.text(value)
+        sink.text("x")
+        sink.end()
+        assert serialize(sink.root) == "<a>x</a>"
 
 
 class TestProvenanceBeyondTheOwnRow:

@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.aig import AIG, ConceptualEvaluator, assign, inh, query
 from repro.errors import ValidationError
 from repro.dtd import parse_dtd
+from repro.relational import Catalog, DataSource, SourceSchema
+from repro.relational.schema import relation
 from repro.xmlmodel import (
     XMLElement,
     XMLText,
@@ -15,6 +18,7 @@ from repro.xmlmodel import (
     text,
     validate_tree,
 )
+from repro.xmlmodel.node import new_element, new_text
 
 
 class TestNodes:
@@ -78,6 +82,40 @@ class TestNodes:
         assert [c.tag for c in tree.child_elements()] == ["pre", "x", "y", "post"]
         assert tree.children[1].parent is tree
 
+    # Nodes compare structurally, so the child an operation is handed has
+    # to be found by identity: with two equal siblings ``list.index`` /
+    # ``list.remove`` pick the first one.
+    @staticmethod
+    def equal_siblings():
+        first, second = (element("state", element("k", "1"))
+                         for _ in range(2))
+        assert first == second and first is not second
+        return element("p", first, second), first, second
+
+    def test_replace_with_children_splices_the_child_passed(self):
+        tree, first, second = self.equal_siblings()
+        tree.replace_with_children(second)
+        assert serialize(tree) == "<p><state><k>1</k></state><k>1</k></p>"
+        assert tree.children[0] is first and first.parent is tree
+        assert second.parent is None and second.children == []
+        assert all(child.parent is tree for child in tree.children)
+
+    def test_remove_detaches_the_child_passed(self):
+        tree, first, second = self.equal_siblings()
+        tree.remove(second)
+        assert len(tree.children) == 1 and tree.children[0] is first
+        assert first.parent is tree and second.parent is None
+        with pytest.raises(ValueError):
+            tree.remove(second)     # equal to ``first``, but not a child
+
+    def test_append_reparents_the_child_passed(self):
+        tree, first, second = self.equal_siblings()
+        other = element("q")
+        other.append(second)
+        assert len(tree.children) == 1 and tree.children[0] is first
+        assert first.parent is tree
+        assert other.children[0] is second and second.parent is other
+
     def test_path(self):
         tree = element("a", element("b", element("c")))
         c = tree.children[0].children[0]
@@ -89,13 +127,47 @@ class TestNodes:
         assert tree.size() == 4
 
     def test_bad_tag_rejected(self):
-        with pytest.raises(TypeError):
-            XMLElement("")
+        for tag in ("", 1, None):
+            with pytest.raises(TypeError):
+                XMLElement(tag)
         with pytest.raises(TypeError):
             XMLText(7)
+        with pytest.raises(TypeError):
+            element("a").append("x")
+
+    def test_trusted_constructors_build_what_the_validated_ones_do(self):
+        root = new_element("a", None)
+        leaf = new_element("b", root, "x")
+        empty = new_element("c", root)
+        tail = new_text("y", root)
+        assert root == element("a", element("b", "x"), element("c"), "y")
+        assert root.parent is None and root.children == [leaf, empty, tail]
+        assert all(child.parent is root for child in root.children)
+        assert leaf.children[0].parent is leaf and empty.children == []
+        assert serialize(root, indent=2) == \
+            "<a>\n  <b>x</b>\n  <c/>\n  y\n</a>\n"
 
     def test_subelement_value_missing_is_none(self):
         assert element("a").subelement_value("b") is None
+
+
+class TestInternalStates:
+    def test_equal_sibling_states_are_each_spliced_once(self):
+        # two rows with the same k make two equal ``state`` siblings; the
+        # conceptual evaluator erases them with replace_with_children
+        schema = SourceSchema("S", (relation("t", "n", "k"),))
+        aig = AIG(parse_dtd("<!ELEMENT p (state*)>\n<!ELEMENT state (k)>"),
+                  Catalog([schema]))
+        aig.inh("state", "k")
+        aig.rule("p", inh={"state": query("select t.k from S:t t")})
+        aig.rule("state", inh={"k": assign(val=inh("k"))})
+        aig.internal_states.add("state")
+        aig.validate()
+        source = DataSource(schema)
+        source.load_rows("t", [("a", "1"), ("b", "1"), ("c", "2")])
+        tree = ConceptualEvaluator(aig, [source]).evaluate({})
+        assert serialize(tree) == "<p><k>1</k><k>1</k><k>2</k></p>"
+        assert all(child.parent is tree for child in tree.children)
 
 
 class TestSerialize:
@@ -116,6 +188,20 @@ class TestSerialize:
     def test_empty_element_self_closes(self):
         assert serialize(element("a")) == "<a/>"
         assert parse_xml("<a/>") == element("a")
+
+    def test_mixed_content_and_indent_zero(self):
+        # text-only stays on one line; text beside an element gets a line
+        # of its own; indent=0 breaks lines without padding
+        tree = element("a", "x", "<", element("b", "1", "2"), element("c"),
+                       "y", element("d", element("e")))
+        assert serialize(tree) == \
+            "<a>x&lt;<b>12</b><c/>y<d><e/></d></a>"
+        assert serialize(tree, indent=0) == \
+            "<a>\nx\n&lt;\n<b>12</b>\n<c/>\ny\n<d>\n<e/>\n</d>\n</a>\n"
+        assert serialize(tree, indent=1) == (
+            "<a>\n x\n &lt;\n <b>12</b>\n <c/>\n y\n <d>\n  <e/>\n"
+            " </d>\n</a>\n")
+        assert serialize(text("<"), indent=2) == "&lt;\n"
 
     def test_mismatched_tags_rejected(self):
         with pytest.raises(ValidationError):

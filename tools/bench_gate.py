@@ -8,6 +8,7 @@ two sides run in alternating order, in the driver's form, and the last
 stdout line of every run is the result::
 
     python tools/bench_gate.py <base-rev> [--pairs N]
+                               [--claim METRIC@WORKLOAD ...]
 
 Exit 1 iff, on some workload, an end-to-end median is worse than the
 parent's by more than its bound while the parent's own q1-q3 spread is
@@ -15,6 +16,12 @@ inside that bound, or a larger share of operations failed.  Every other
 metric prints ``within``, or ``unresolved`` when the parent's runs spread
 wider than the bound (and not every run of the change reads better than
 every run of the parent): too noisy to call, which is not "unchanged".
+
+``--claim`` (repeatable) also judges a gain the change claims, by the
+rule for a small sandbox: the change wins at least nine tenths of the
+pairs run (a tie is a win for neither side) and the medians differ by more
+than the distance between the parent's own quartiles.  A claim that is
+not met exits 1 like a regression.
 """
 
 from __future__ import annotations
@@ -70,6 +77,29 @@ def judge(metric: dict, parent: list, change: list) -> tuple:
     return ("worse" if worse_by > metric["bound"] else "within"), text
 
 
+def judge_claim(metric: dict, pairs: list) -> tuple:
+    """``(met, text)`` for a claimed gain on one metric of one workload.
+
+    ``pairs`` holds one ``(parent, change)`` value per pair of runs, a
+    side that produced no value as ``None`` (such a pair is no win).
+    """
+    sign = 1 if metric["better"] == "lower" else -1
+    wins = sum(1 for old, new in pairs
+               if old is not None and new is not None
+               and sign * new < sign * old)
+    parent = [old for old, _ in pairs if old is not None]
+    change = [new for _, new in pairs if new is not None]
+    if not parent or not change:
+        return False, f"wins {wins}/{len(pairs)}, no value on one side"
+    q1, base, q3 = quartiles(parent)
+    median = statistics.median(change)
+    gap = sign * (base - median)
+    met = 10 * wins >= 9 * len(pairs) and gap > q3 - q1
+    return met, (f"wins {wins}/{len(pairs)}, median {base:.4g} -> "
+                 f"{median:.4g}  {(median - base) / base:+.1%}, gap "
+                 f"{gap:.4g} vs parent q1-q3 distance {q3 - q1:.4g}")
+
+
 def failed_share(runs: list) -> float:
     return (sum(run["failed"] for run in runs)
             / sum(run["attempted"] for run in runs))
@@ -80,8 +110,21 @@ def main(argv=None) -> int:
     parser.add_argument("base", help="git revision of the parent commit")
     parser.add_argument("--pairs", type=int, default=5,
                         help="parent/change pairs per workload (default 5)")
+    parser.add_argument("--claim", action="append", default=[],
+                        metavar="METRIC@WORKLOAD",
+                        help="a gain the change claims; exit 1 unless it "
+                             "wins >= 9/10 of the pairs and the medians "
+                             "differ by more than the parent's q1-q3 "
+                             "distance (repeatable)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
+    claims = [tuple(claim.partition("@")[::2]) for claim in args.claim]
+    for name, workload in claims:
+        if name not in metrics or workload not in (
+                entry["name"] for entry in spec["workloads"]):
+            parser.error(f"--claim {name}@{workload}: not an end-to-end "
+                         f"metric and a workload of BENCHMARK.json")
     problems = []
     with tempfile.TemporaryDirectory(prefix="bench-gate-") as parent_tree:
         archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
@@ -113,6 +156,18 @@ def main(argv=None) -> int:
                 if verdict == "worse":
                     problems.append(f"{workload}: {name} {text} is worse "
                                     f"by more than {metric['bound']:.0%}")
+            for name, where in claims:
+                if where != workload:
+                    continue
+                met, text = judge_claim(metrics[name], [
+                    tuple(run["metrics"].get(name, {}).get("value")
+                          for run in pair)
+                    for pair in zip(runs["parent"], runs["change"])])
+                print(f"claim {name}: {text}  "
+                      f"{'met' if met else 'NOT MET'}")
+                if not met:
+                    problems.append(f"{workload}: claimed gain on {name} "
+                                    f"not met ({text})")
             before, after = (failed_share(runs["parent"]),
                              failed_share(runs["change"]))
             print(f"{'failed_share':<20}{before:.4g} -> {after:.4g}\n",
@@ -123,7 +178,8 @@ def main(argv=None) -> int:
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     if not problems:
-        print("OK: no end-to-end metric outside its BENCHMARK.json bound")
+        print("OK: no end-to-end metric outside its BENCHMARK.json bound"
+              + (f", {len(claims)} claim(s) met" if claims else ""))
     return 1 if problems else 0
 
 
