@@ -21,6 +21,7 @@ from repro.constraints.model import Constraint
 class UniqueGuard:
     """``unique(Syn(element).member)`` — true iff the bag has no duplicates."""
 
+    kind = "unique"
     element: str
     member: str
     constraint: Constraint
@@ -38,6 +39,7 @@ class UniqueGuard:
 class SubsetGuard:
     """``subset(Syn(element).left, Syn(element).right)`` — left ⊆ right."""
 
+    kind = "subset"
     element: str
     left: str
     right: str

@@ -5,11 +5,11 @@
 query-dependency graph in topological order, each node annotated with
 estimated vs measured rows, bytes, and seconds, the per-node q-error,
 and its execution status (merged group and member count, incremental
-cache replay, guard/collect kind, collect output left resident in its
-mediator table).  The worst offenders — the nodes
-where the cost model was most wrong on time — are flagged inline and
-recapped at the bottom, because those are exactly the nodes where
-Algorithm Merge and Algorithm Schedule were optimizing against fiction.
+cache replay, guard/collect kind, the constraint a guard checks).  The
+worst offenders — the nodes where the cost model was most wrong on time —
+are flagged inline and recapped at the bottom, because those are exactly
+the nodes where Algorithm Merge and Algorithm Schedule were optimizing
+against fiction.
 
 :func:`profile_evaluation` is the one-call driver behind
 ``repro profile`` and ``repro explain --analyze``: evaluate under the
@@ -44,7 +44,7 @@ class ProfiledNode:
     actual_bytes: int
     est_seconds: float
     actual_seconds: float
-    resident: bool = False       # output stayed in its mediator table
+    checks: str = ""             # a guard's kind and constraint
 
     @property
     def rows_q(self) -> float:
@@ -62,16 +62,14 @@ class ProfiledNode:
         if self.cached:
             flags.append("cached")
         if self.kind in ("guard", "collect", "condition"):
-            flags.append(self.kind)
-        if self.resident:
-            flags.append("resident")
+            flags.append(f"{self.kind} {self.checks}".rstrip())
         return ",".join(flags)
 
     def to_dict(self) -> dict:
         return {
             "name": self.name, "source": self.source, "kind": self.kind,
             "members": self.members, "cached": self.cached,
-            "resident": self.resident,
+            "checks": self.checks,
             "est_rows": round(self.est_rows, 3),
             "actual_rows": self.actual_rows,
             "rows_q_error": round(self.rows_q, 4),
@@ -110,7 +108,8 @@ def build_profile(graph, estimates: dict, timings: dict
             actual_bytes=timing.output_bytes,
             est_seconds=estimate.eval_seconds,
             actual_seconds=timing.eval_seconds + timing.overhead_seconds,
-            resident=timing.resident,
+            checks=(f"{node.guard.kind} {node.guard.constraint}"
+                    if node.kind == "guard" else ""),
         ))
     return profiled
 

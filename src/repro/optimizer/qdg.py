@@ -13,17 +13,19 @@ and turns every query site into *set-oriented*, single-source queries:
   row knows which ancestor row it belongs to.  Multi-source rewritten
   queries are decomposed by the left-deep planner into single-source steps.
 
-* Each **collection use** (a set parameter, or a guard input) becomes a
-  mediator-side *collect* node: a UNION ALL over extractions from the
-  relevant occurrence tables, each row tagged with the ``__group`` ancestor
-  row id (found by joining ``__parent`` chains).
+* Each **collection** is a UNION ALL over extractions from the relevant
+  occurrence tables, each row tagged with the ``__group`` ancestor row id
+  (found by joining ``__parent`` chains).  One that a query reads as a set
+  parameter becomes a mediator-side *collect* node; one that a guard checks
+  has that single reader and is a derived table of the guard's statement.
 
 * Each **choice production occurrence** gets a *condition* node computing
   the branch selector per anchor row.
 
-* Each **guard** becomes a mediator-side node whose non-empty result aborts
-  evaluation (``unique``: duplicate detection with GROUP BY/HAVING;
-  ``subset``: anti-join).
+* Each **guard** becomes a mediator-side node over the step / condition
+  tables its collections read, whose non-empty result aborts evaluation
+  (``unique``: duplicate detection with GROUP BY/HAVING; ``subset``:
+  anti-join).
 
 The result is a DAG over named nodes — "the DAG structure reflects the fact
 that an AIG generally specifies sharing of a query output among multiple
@@ -518,56 +520,41 @@ class _Builder:
             owner = parent
             extractions = self.occurrences.expand_inh_collection(owner,
                                                                  ref.member)
-            cache_key = (owner.path, "inh", ref.member)
+            schema = self.aig.inh_schema(owner.element_type)
         else:
             owner = parent.child(ref.element)
             extractions = self.occurrences.expand_syn_collection(owner,
                                                                  ref.member)
-            cache_key = (owner.path, "syn", ref.member)
-        group = owner.anchor if not owner.is_iteration else owner
-        if cache_key in self._collect_cache:
-            return self._collect_cache[cache_key], group
-        fields = self._fields_of(ref, owner)
-        distinct = self._is_set_member(ref, owner)
-        name = f"collect:{cache_key[1]}:{owner.path}.{ref.member}"
-        node = self._build_collect(name, extractions, fields, group, distinct)
-        self._collect_cache[cache_key] = node.name
-        return node.name, group
+            schema = self.aig.syn_schema(owner.element_type)
+        cache_key = (owner.path, ref.kind, ref.member)
+        group = _group_of(owner)
+        if cache_key not in self._collect_cache:
+            fields = schema.collection_fields(ref.member)
+            inputs: set[str] = set()
+            union_sql, _ = self._union_sql(extractions, fields, group, inputs)
+            distinct = "" if schema.is_bag(ref.member) else "DISTINCT "
+            node = self.graph.add(QueryNode(
+                name=f"collect:{ref.kind}:{owner.path}.{ref.member}",
+                source=MEDIATOR_NAME, kind="collect",
+                raw_sql=f"SELECT {distinct}* FROM ({union_sql})",
+                inputs=tuple(sorted(inputs)),
+                output_columns=tuple(fields) + ("__group",),
+                ship_to_mediator=True))
+            self._collect_cache[cache_key] = node.name
+        return self._collect_cache[cache_key], group
 
-    def _fields_of(self, ref: AttrRef, owner: Occurrence) -> tuple[str, ...]:
-        schema = (self.aig.inh_schema(owner.element_type) if ref.kind == "inh"
-                  else self.aig.syn_schema(owner.element_type))
-        return schema.collection_fields(ref.member)
-
-    def _is_set_member(self, ref: AttrRef, owner: Occurrence) -> bool:
-        schema = (self.aig.inh_schema(owner.element_type) if ref.kind == "inh"
-                  else self.aig.syn_schema(owner.element_type))
-        return not schema.is_bag(ref.member)
-
-    def _build_collect(self, name: str, extractions: list[Extraction],
-                       fields: tuple[str, ...], group: Occurrence,
-                       distinct: bool) -> QueryNode:
-        """A mediator UNION ALL over the extractions, grouped by ``group``."""
-        branches: list[str] = []
-        inputs: set[str] = set()
-        for extraction in extractions:
-            branches.append(self._extraction_sql(extraction, fields, group,
-                                                 inputs))
-        if branches:
-            union_sql = " UNION ALL ".join(branches)
-        else:
+    def _union_sql(self, extractions: list[Extraction],
+                   fields: tuple[str, ...], group: Occurrence,
+                   inputs: set[str]) -> tuple[str, bool]:
+        """A collection as SQL: the UNION ALL of its extractions, each row
+        tagged with its ``group`` row id; the tables read are added to
+        ``inputs``.  Returns ``(sql, is it a compound select)``."""
+        branches = [self._extraction_sql(extraction, fields, group, inputs)
+                    for extraction in extractions]
+        if not branches:
             columns = ", ".join(f"NULL AS \"{f}\"" for f in fields)
-            union_sql = (f"SELECT {columns}, NULL AS __group WHERE 0")
-        if distinct:
-            sql = f"SELECT DISTINCT * FROM ({union_sql})"
-        else:
-            sql = f"SELECT * FROM ({union_sql})"
-        node = QueryNode(
-            name=name, source=MEDIATOR_NAME, kind="collect", raw_sql=sql,
-            inputs=tuple(sorted(inputs)),
-            output_columns=tuple(fields) + ("__group",),
-            ship_to_mediator=True)
-        return self.graph.add(node)
+            return f"SELECT {columns}, NULL AS __group WHERE 0", False
+        return " UNION ALL ".join(branches), len(branches) > 1
 
     def _extraction_sql(self, extraction: Extraction,
                         fields: tuple[str, ...], group: Occurrence,
@@ -686,58 +673,62 @@ class _Builder:
                 self._build_guard(occurrence, guard)
 
     def _build_guard(self, occurrence: Occurrence, guard) -> None:
+        """A guard reads its collections in place: each one has this single
+        reader, so its UNION ALL is a derived table of the guard statement
+        (not a node) and the guard's inputs are the step / condition tables
+        the branches read."""
         self._guard_counter += 1
-        name = f"guard:{occurrence.path}:{self._guard_counter}"
+        schema = self.aig.syn_schema(occurrence.element_type)
+        inputs: set[str] = set()
+
+        def collection(member: str) -> tuple[str, bool]:
+            return self._union_sql(
+                self.occurrences.expand_syn_collection(occurrence, member),
+                schema.collection_fields(member), _group_of(occurrence),
+                inputs)
+
         if isinstance(guard, UniqueGuard):
-            collect_name, _ = self._collect_node_for(
-                AttrRef("syn", occurrence.element_type, guard.member),
-                _SelfParent(occurrence))
-            fields = self.graph.nodes[collect_name].output_columns
-            value_columns = ", ".join(f'"{f}"' for f in fields
-                                      if f != "__group")
+            bag, _ = collection(guard.member)
+            if not schema.is_bag(guard.member):
+                bag = f"SELECT DISTINCT * FROM ({bag})"
+            value_columns = ", ".join(
+                f'"{f}"' for f in schema.collection_fields(guard.member))
             sql = (f"SELECT __group, {value_columns}, COUNT(*) AS n "
-                   f"FROM {{{collect_name}}} "
+                   f"FROM ({bag}) "
                    f"GROUP BY __group, {value_columns} HAVING COUNT(*) > 1 "
                    f"LIMIT 1")
-            inputs = (collect_name,)
         else:
             assert isinstance(guard, SubsetGuard)
-            left_name, _ = self._collect_node_for(
-                AttrRef("syn", occurrence.element_type, guard.left),
-                _SelfParent(occurrence))
-            right_name, _ = self._collect_node_for(
-                AttrRef("syn", occurrence.element_type, guard.right),
-                _SelfParent(occurrence))
-            left_fields = [f for f in self.graph.nodes[left_name]
-                           .output_columns if f != "__group"]
+            # No DISTINCT on either side: an anti-join tests existence.
+            left, left_compound = collection(guard.left)
+            right, right_compound = collection(guard.right)
+            left_fields = schema.collection_fields(guard.left)
             conditions = " AND ".join(
                 [f'l."{f}" = r."{f}"' for f in left_fields]
                 + ["l.__group = r.__group"])
             first = left_fields[0]
-            sql = (f"SELECT l.* FROM {{{left_name}}} l "
-                   f"LEFT JOIN {{{right_name}}} r ON {conditions} "
+            # SQLite pushes the join into every branch of a compound left
+            # side and would build the right side once per branch; hoisted
+            # into a materialized CTE it is built once.
+            if left_compound or right_compound:
+                hoist, right = f"WITH r AS MATERIALIZED ({right}) ", "r"
+            else:
+                hoist, right = "", f"({right}) r"
+            sql = (f"{hoist}SELECT l.* FROM ({left}) l "
+                   f"LEFT JOIN {right} ON {conditions} "
                    f'WHERE r."{first}" IS NULL AND l."{first}" IS NOT NULL '
                    f"LIMIT 1")
-            inputs = (left_name, right_name)
-        node = QueryNode(name=name, source=MEDIATOR_NAME, kind="guard",
-                         raw_sql=sql, inputs=inputs,
+        node = QueryNode(name=f"guard:{occurrence.path}:{self._guard_counter}",
+                         source=MEDIATOR_NAME, kind="guard", raw_sql=sql,
+                         inputs=tuple(sorted(inputs)),
                          output_columns=("violation",))
         node.guard = guard
         self.graph.add(node)
 
 
-class _SelfParent:
-    """Adapter: lets ``_collect_node_for`` expand a syn member of
-    ``occurrence`` itself by presenting it as a child of a pseudo-parent."""
-
-    def __init__(self, occurrence: Occurrence):
-        self._occurrence = occurrence
-        self.anchor = occurrence.anchor
-        self.path = occurrence.path
-
-    def child(self, element_type: str) -> Occurrence:
-        assert element_type == self._occurrence.element_type
-        return self._occurrence
+def _group_of(owner: Occurrence) -> Occurrence:
+    """The occurrence whose rows a collection of ``owner`` is grouped by."""
+    return owner if owner.is_iteration else owner.anchor
 
 
 class _ContextJoins:

@@ -137,44 +137,6 @@ class ResultSet:
         return total
 
 
-class ResidentResult(ResultSet):
-    """A result left in the mediator table that computed it.
-
-    ``columns``, ``len()`` and ``width_bytes()`` answer from figures taken
-    in SQL (:meth:`Mediator.materialize_query`), so pricing and
-    bookkeeping never touch the rows.  ``rows`` pulls them into Python on
-    first use — through ``fetch(connection)``, once — for the consumers
-    that sit outside the mediator; until then ``resident`` is true.
-    """
-
-    def __init__(self, columns: list[str], length: int, width: int, fetch):
-        self.columns = columns
-        self._length = length
-        self._width_cache = width
-        self._fetch = fetch
-        self._rows: list[tuple] | None = None
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __repr__(self) -> str:
-        return (f"ResidentResult(columns={self.columns!r}, "
-                f"rows={self._length}, resident={self.resident})")
-
-    @property
-    def resident(self) -> bool:
-        return self._fetch is not None
-
-    def load(self, connection=None) -> list[tuple]:
-        """The rows, fetched over ``connection`` if still resident."""
-        if self._fetch is not None:
-            self._rows = self._fetch(connection)
-            self._fetch = None
-        return self._rows
-
-    rows = property(load)
-
-
 class DataSource:
     """One logical relational source (its own database, backend-pluggable).
 
@@ -577,54 +539,6 @@ class Mediator(DataSource):
         """Cache a shipped query output under ``table_name``."""
         return self.create_temp_table(result.columns, result.rows,
                                       table_name, connection=connection)
-
-    def materialize_query(self, table_name: str, columns, id_column: str,
-                          sql: str,
-                          connection: sqlite3.Connection | None = None,
-                          deadline: float | None = None
-                          ) -> tuple[float, int, int]:
-        """Keep the output of ``sql`` as ``table_name`` without the rows
-        leaving SQLite; returns ``(seconds, rows, width bytes)``.
-
-        One transaction creates the table and fills it with ``INSERT ...
-        SELECT``; ``id_column`` is the rowid, so it numbers the rows 1..n
-        in the statement's output order, as the engine's ``__id`` does.
-        The columns are untyped (no affinity): every value is stored as
-        the SELECT produced it.  The width is the
-        :meth:`ResultSet.width_bytes` formula evaluated as one aggregate
-        over the new table.  Both statements go through :meth:`execute`,
-        so fault injection, the deadline and the query counters apply;
-        ``seconds`` is the INSERT's time.
-        """
-        conn = connection if connection is not None else self.connection
-        backend = self.backend
-        quoted = ", ".join(f'"{c}"' for c in columns)
-        try:
-            backend.begin(conn)
-            backend.execute(conn, f'DROP TABLE IF EXISTS "{table_name}"')
-            backend.execute(
-                conn, f'CREATE TABLE "{table_name}" ({quoted}, '
-                      f'"{id_column}" INTEGER PRIMARY KEY)')
-            self.execute(f'INSERT INTO "{table_name}" ({quoted}) {sql}',
-                         connection=connection, deadline=deadline)
-            backend.commit(conn)
-        except BaseException as error:
-            backend.rollback_open(conn)
-            if isinstance(error, self._error_types):
-                raise EvaluationError(
-                    f"source {self.name!r}: materializing {table_name!r} "
-                    f"failed: {error}") from error
-            raise
-        seconds = self.last_execution_seconds
-        value_bytes = " + ".join(
-            f"CASE typeof(\"{c}\") WHEN 'null' THEN 1 WHEN 'integer' THEN 8 "
-            f"WHEN 'real' THEN 8 ELSE LENGTH(\"{c}\") END" for c in columns)
-        length, total = self.execute(
-            f'SELECT COUNT(*), SUM({value_bytes}) FROM "{table_name}"',
-            connection=connection, deadline=deadline).rows[0]
-        # + the integer id (8) and 2 framing bytes per value, id included
-        width = (total or 0) + length * (8 + 2 * (len(columns) + 1))
-        return seconds, length, width
 
 
 class Federation:

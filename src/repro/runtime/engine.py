@@ -16,10 +16,10 @@ members in dependency order, outer-unioned with a ``__tag`` discriminator —
 and the result is split back into per-member cached tables, so consumers and
 the tagging phase are oblivious to merging.
 
-Collect and guard nodes run at the mediator.  A collect node's output is
-written straight into a mediator table and stays there for the guards that
-read it (:meth:`Engine._collect_resident`); a non-empty guard result aborts
-the run with :class:`~repro.errors.EvaluationAborted`.
+Collect and guard nodes run at the mediator as raw SQL templates over the
+cached tables of their inputs (a guard reads its collections in place, see
+:mod:`repro.optimizer.qdg`); a non-empty guard result aborts the run with
+:class:`~repro.errors.EvaluationAborted`.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from repro.relational.source import (
     DataSource,
     MEDIATOR_NAME,
     Mediator,
-    ResidentResult,
     ResultSet,
     intern_columns,
 )
+from repro.runtime.incremental import ROOT_PLACEHOLDER
 from repro.sqlq.analyze import temp_inputs
 from repro.sqlq.render import InlineTable, render_sqlite
 
@@ -73,7 +73,6 @@ class NodeTiming:
     output_bytes: int
     rows_materialized: int = 0    # input rows shipped into temp tables
     overhead_seconds: float = 0.0  # modeled deployment cost applied
-    resident: bool = False        # output stayed in its mediator table
     cached: bool = False          # replayed from the incremental cache
 
 
@@ -165,11 +164,6 @@ class Engine:
         self.fingerprints = fingerprints
         self._physical: dict[str, str] = {}
         self._physical_counter = 0
-        #: Results some node at a real source takes as input (they ship
-        #: out of the mediator, so resident ones must be fetched).
-        self._remote_inputs = {
-            input_name for node in graph.nodes.values()
-            if node.source != MEDIATOR_NAME for input_name in node.inputs}
 
     def breaker_for(self, source_name: str):
         """The circuit breaker guarding ``source_name`` (None when breakers
@@ -251,55 +245,23 @@ class Engine:
         for input_name in node.inputs:
             physical = self._cache_table(input_name, cache, connection)
             sql = sql.replace(f"{{{input_name}}}", f'"{physical}"')
-        for member, value in root_inh.items():
-            sql = sql.replace(f"{{root:{member}}}", _sql_literal(value))
-        if node.kind == "collect":
-            return self._collect_resident(node, sql, connection)
-        result = self.mediator.execute(sql, connection=connection,
+        # Root attribute values are request input: they are bound, never
+        # spliced, in one pass over the template (a value that looks like
+        # a slot is data).
+        params: list = []
+
+        def bind(match):
+            if match.group(1) is None:
+                return match.group(0)        # a string literal of the plan
+            params.append(root_inh[match.group(1)])
+            return "?"
+
+        sql = ROOT_PLACEHOLDER.sub(bind, sql)
+        result = self.mediator.execute(sql, tuple(params),
+                                       connection=connection,
                                        deadline=self.deadline)
         output = _with_ids(result)
         return self.mediator.last_execution_seconds, {node.name: output}, 0
-
-    def _collect_resident(self, node, sql, connection=None):
-        """Run a collect node's SQL into its own mediator table.
-
-        The output stays there (guards and other mediator nodes bind to
-        the table; nothing is shipped) and the run's cache gets a
-        :class:`~repro.relational.source.ResidentResult`.  The rows are
-        pulled into Python here, on the mediator lane, only when someone
-        outside the mediator will read them: a consumer at another source
-        (its lane's thread must not touch the mediator's connection), or
-        the incremental store, whose entry outlives :meth:`cleanup`.
-        """
-        # Registered before the statements run, and reused by a retry, so
-        # that cleanup() drops whatever a failed attempt left behind.
-        physical = self._physical.get(node.name)
-        if physical is None:
-            self._physical_counter += 1
-            physical = f"cache_{self._physical_counter}"
-            self._physical[node.name] = physical
-        seconds, length, width = self.mediator.materialize_query(
-            physical, node.output_columns, ID_COLUMN, sql,
-            connection=connection, deadline=self.deadline)
-        metrics = self.tracer.metrics
-
-        def fetch(connection):
-            rows = self.mediator.execute(
-                f'SELECT * FROM "{physical}" ORDER BY "{ID_COLUMN}"',
-                connection=connection, deadline=self.deadline).rows
-            metrics.add("mediator_rows_fetched", len(rows))
-            return rows
-
-        output = ResidentResult(
-            intern_columns(list(node.output_columns) + [ID_COLUMN]),
-            length, width, fetch)
-        kept_by_store = (self.fingerprints is not None
-                         and self.fingerprints.get(node.name) is not None)
-        if kept_by_store or node.name in self._remote_inputs:
-            output.load(connection)
-        metrics.add("mediator_cache_tables", 1)
-        metrics.add("mediator_resident_results", 1)
-        return seconds, {node.name: output}, 0
 
     # -- merged nodes -----------------------------------------------------
     def _execute_merged(self, node, source, cache, root_inh,
@@ -466,9 +428,8 @@ class Engine:
         return bindings, rows_materialized
 
     def _cache_table(self, input_name: str, cache, connection=None) -> str:
-        """The mediator-resident physical table for a cached result:
-        the table a resident collect output already lives in, else the
-        result is shipped into a new one.
+        """The mediator table holding a cached result, shipped into a new
+        one on first use.
 
         Only the mediator lane calls this (all mediator-resident nodes run
         single-flight there), so ``_physical`` needs no lock.
@@ -532,12 +493,3 @@ def _with_ids(result):
     columns = intern_columns(result.columns + [ID_COLUMN])
     rows = [row + (index + 1,) for index, row in enumerate(result.rows)]
     return ResultSet(columns, rows)
-
-
-def _sql_literal(value) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, (int, float)):
-        return str(value)
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"

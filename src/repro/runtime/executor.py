@@ -234,10 +234,6 @@ class PlanExecutor:
                              rows_materialized=rows,
                              output_rows=sum(len(r)
                                              for r in outputs.values()))
-                    if task.node.kind == "collect":
-                        collected = outputs[task.name]
-                        span.set(rows=len(collected),
-                                 resident=collected.resident)
                 except BaseException as exc:  # reported, re-raised centrally
                     error = exc
             if error is not None:
@@ -409,9 +405,7 @@ class PlanExecutor:
                 busy_total += done.busy_seconds
                 timings[done.name] = NodeTiming(
                     done.name, node.source, done.eval_seconds, 0.0,
-                    output_rows, output_bytes, done.rows_materialized,
-                    resident=getattr(done.outputs.get(done.name),
-                                     "resident", False))
+                    output_rows, output_bytes, done.rows_materialized)
                 metrics.add(f"lane_busy_seconds.{done.lane}",
                             done.busy_seconds)
                 metrics.observe("node_latency_seconds", done.eval_seconds)

@@ -45,7 +45,9 @@ from dataclasses import dataclass, field
 
 from repro.sqlq.ast import BaseTable
 
-_ROOT_PLACEHOLDER = re.compile(r"\{root:(\w+)\}")
+#: A ``{root:member}`` slot of a raw SQL template, or (group 1 unset) one
+#: of the template's own string literals, whose text is never a slot.
+ROOT_PLACEHOLDER = re.compile(r"'(?:[^']|'')*'|\{root:(\w+)\}")
 
 
 @dataclass
@@ -96,7 +98,7 @@ def compute_fingerprints(graph, sources, root_inh: dict) -> dict:
             if member.raw_sql is not None:
                 parts.append(member.raw_sql)
                 for name in sorted(set(
-                        _ROOT_PLACEHOLDER.findall(member.raw_sql))):
+                        ROOT_PLACEHOLDER.findall(member.raw_sql)) - {""}):
                     parts.append((name, repr(root_inh.get(name))))
             for param, inh_member in sorted(member.root_params.items()):
                 parts.append((param, repr(root_inh.get(inh_member))))

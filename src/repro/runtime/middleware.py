@@ -513,6 +513,9 @@ class Middleware:
             if members:
                 for member in members:
                     lines.append(f"      + {member.name}")
+            if node.kind == "guard":
+                lines.append(f"      {node.guard.kind}  "
+                             f"{node.guard.constraint}")
             for producer in node.inputs:
                 lines.append(f"      <- {producer}")
         lines.append("")

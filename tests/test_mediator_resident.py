@@ -1,17 +1,19 @@
-"""Mediator-resident collect results (docs/INTERNALS.md, "Collect nodes
+"""Mediator-side collections and guards (docs/INTERNALS.md, "Collect nodes
 and guards").
 
-A collect node's output stays in the mediator table that computed it; the
-engine cache holds a handle.  These tests pin the handle to what the old
-fetch + ``_with_ids`` path produced, show that nothing round-trips through
-Python when every consumer is at the mediator, that the rows *are* pulled
-for consumers outside it (another source, the incremental store), and that
-no failure path strands a ``cache_*`` table.
+A guard reads its collections in place — one mediator statement per
+constraint, no collect node, no table of its own; a collection that stays
+a node (a set parameter some query reads) is one fetched statement.  These
+tests pin that plan shape on the groups AIG, that a source-side reader and
+the incremental store get the collected rows, and that no failure path
+strands a ``cache_*`` table.
 """
 
 import pytest
 
 from repro.aig import AIG, ConceptualEvaluator, assign, inh, query
+from repro.aig.functions import Const
+from repro.compilation import specialize
 from repro.dtd import parse_dtd
 from repro.errors import EvaluationAborted, EvaluationError
 from repro.hospital import build_hospital_aig, make_sources
@@ -20,7 +22,7 @@ from repro.optimizer.qdg import QueryDependencyGraph, QueryNode
 from repro.relational import Network
 from repro.relational.schema import Catalog, SourceSchema, relation
 from repro.relational.source import (MEDIATOR_NAME, DataSource, Mediator,
-                                     ResidentResult)
+                                     ResultSet)
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.runtime import Middleware
 from repro.runtime.engine import Engine, _with_ids
@@ -79,8 +81,28 @@ def cache_tables(mediator) -> list[str]:
             if name.startswith("cache_")]
 
 
+def watch_mediator(middleware, observe) -> None:
+    """Call ``observe(sql, params, run)`` in place of every statement the
+    mediator executes; ``run()`` executes it."""
+    execute = middleware.mediator.execute
+
+    def watched(sql, params=(), **kwargs):
+        return observe(sql, params,
+                       lambda: execute(sql, params, **kwargs))
+
+    middleware.mediator.execute = watched
+
+
+def log_statements(middleware) -> list:
+    """The ``(sql, params)`` of every mediator statement, as they run."""
+    statements = []
+    watch_mediator(middleware, lambda sql, params, run: (
+        statements.append((sql, params)), run())[1])
+    return statements
+
+
 # ----------------------------------------------------------------------
-# (a) the handle equals what execute + _with_ids produced
+# (a) a collect node's output is the statement's rows plus __id
 # ----------------------------------------------------------------------
 MIXED_ROWS = [(None, 1, "a"), (7, 2.5, "héllo wörld ✓"), (-3, None, ""),
               (2 ** 40, 1e-9, "日本語"), (0, 0.0, None), (-3, None, "")]
@@ -98,23 +120,17 @@ def test_handle_equals_fetched_result(distinct):
     graph.add(QueryNode(name="c", source=MEDIATOR_NAME, kind="collect",
                         raw_sql=sql,
                         output_columns=("x", "y", "z", "__group")))
-    tracer = Tracer()
     engine = Engine(graph, {MEDIATOR_NAME: ["c"]}, {}, Network.mbps(1.0),
-                    mediator=mediator, tracer=tracer)
+                    mediator=mediator)
     try:
-        handle = engine.run({}).cache["c"]
-        assert isinstance(handle, ResidentResult) and handle.resident
-        assert handle.columns == expected.columns
-        assert len(handle) == len(expected) == (12 if not distinct else 10)
-        assert handle.width_bytes() == expected.width_bytes()
-        assert tracer.metrics.counter("mediator_rows_fetched") == 0
-        assert handle.rows == expected.rows     # pulls them, once
-        assert not handle.resident
-        assert [type(v) for row in handle.rows for v in row] == \
+        output = engine.run({}).cache["c"]
+        assert type(output) is ResultSet
+        assert output.columns == expected.columns
+        assert len(output) == len(expected) == (12 if not distinct else 10)
+        assert output.width_bytes() == expected.width_bytes()
+        assert output.rows == expected.rows
+        assert [type(v) for row in output.rows for v in row] == \
             [type(v) for row in expected.rows for v in row]
-        assert tracer.metrics.counter("mediator_rows_fetched") == \
-            len(expected)
-        assert handle.rows is handle.rows
     finally:
         engine.cleanup()
     assert cache_tables(mediator) == []
@@ -130,44 +146,41 @@ def test_empty_collect_prices_to_zero():
     engine = Engine(graph, {MEDIATOR_NAME: ["c"]}, {}, Network.mbps(1.0),
                     mediator=mediator)
     try:
-        handle = engine.run({}).cache["c"]
-        assert (len(handle), handle.width_bytes(), handle.rows) == (0, 0, [])
+        output = engine.run({}).cache["c"]
+        assert (len(output), output.width_bytes(), output.rows) == (0, 0, [])
     finally:
         engine.cleanup()
     mediator.close()
 
 
 # ----------------------------------------------------------------------
-# (b) collect -> guard never round-trips through Python
+# (b) a guard is one statement over the cached source outputs
 # ----------------------------------------------------------------------
 def test_guards_read_collects_without_a_round_trip():
     tracer = Tracer()
     middleware = Middleware(build_group_aig(), group_sources(),
                             tracer=tracer)
+    statements = log_statements(middleware)
     report = middleware.evaluate({"run": "r"})
     assert report.violations == []
     graph = middleware._last_graph
-    collects = [n for n in graph.nodes.values() if n.kind == "collect"]
+    guards = [n for n in graph.nodes.values() if n.kind == "guard"]
     # a merged node caches one slice per member
     source_outputs = [member for n in graph.nodes.values()
                       if n.source != MEDIATOR_NAME
                       for member in getattr(n, "members", None) or (n,)]
-    assert len(collects) == 10
+    assert not [n for n in graph.nodes.values() if n.kind == "collect"]
+    # one mediator statement per constraint, each reading source outputs
+    assert len(statements) == len(guards) == \
+        len(middleware.aig.constraints) == 7
+    assert not [sql for sql, _ in statements if "INSERT" in sql.upper()]
+    for guard in guards:
+        assert {graph.node_for(name).source for name in guard.inputs} == {"S"}
     metrics = tracer.metrics
-    assert metrics.counter("mediator_rows_fetched") == 0
-    assert metrics.counter("mediator_resident_results") == len(collects)
     # only what the sources produced is shipped into the mediator ...
-    assert metrics.counter("mediator_cache_tables") == \
-        len(collects) + len(source_outputs)
+    assert metrics.counter("mediator_cache_tables") == len(source_outputs)
     # ... and nothing is shipped anywhere else
     assert metrics.counter("temp_tables_created") == 0
-    for span in tracer.spans_by_category("collect"):
-        assert span.attrs["resident"] is True
-        assert span.attrs["rows"] == span.attrs["output_rows"]
-    timings = middleware._last_result.timings
-    assert all(timings[node.name].resident for node in collects)
-    assert sum(timing.resident for timing in timings.values()) == \
-        len(collects)
     assert cache_tables(middleware.mediator) == []
     conceptual = ConceptualEvaluator(
         middleware.aig, list(middleware.sources.values())).evaluate(
@@ -203,8 +216,8 @@ def test_source_side_set_parameter_gets_the_rows(workers):
                    if graph.node_for(name).kind == "collect"}
     assert shipped_out, "the hospital bill query takes a collected trIdS"
     for name in shipped_out:
-        assert not cache[name].resident
-    assert tracer.metrics.counter("mediator_rows_fetched") == \
+        assert cache[name].rows
+    assert tracer.metrics.counter("rows_shipped") >= \
         sum(len(cache[name]) for name in shipped_out)
     assert cache_tables(middleware.mediator) == []
 
@@ -216,16 +229,15 @@ def test_workers_do_not_change_the_document():
 
 
 # ----------------------------------------------------------------------
-# (d) the incremental store never keeps a handle to a dropped table
+# (d) the incremental store replays a collect's rows
 # ----------------------------------------------------------------------
 def test_delta_run_replays_a_clean_collect_into_a_tainted_consumer():
     middleware, sources, tracer = _hospital(1, incremental=True)
     cold = middleware.evaluate({"date": "d1"})
     store = middleware._result_caches[cold.unfold_depth]
-    kept = [result for entry in store.entries.values()
-            for result in entry.outputs.values()
-            if isinstance(result, ResidentResult)]
-    assert kept and not any(result.resident for result in kept)
+    kept = [entry.outputs[name] for name, entry in store.entries.items()
+            if name.startswith("collect:")]
+    assert kept and all(result.rows for result in kept)
 
     # billing feeds the bill query (tainted); the trIdS it takes as a set
     # parameter is collected from DB4 (clean, replayed from the store)
@@ -268,8 +280,7 @@ def test_report_mode_violation_leaves_no_cache_tables():
 
 
 def test_mediator_fault_at_every_statement_leaves_no_cache_tables():
-    """Fail the N-th mediator statement for every N the run reaches —
-    including the INSERT and the pricing aggregate of each collect."""
+    """Fail the N-th mediator statement for every N the run reaches."""
     failures = 0
     for index in range(1, 200):
         middleware = Middleware(build_group_aig(), group_sources())
@@ -285,8 +296,8 @@ def test_mediator_fault_at_every_statement_leaves_no_cache_tables():
             break
     else:
         pytest.fail("the run never got past the injected fault")
-    # 2 sources' outputs cached + 10 collects x 2 + 7 guards, at least
-    assert failures >= 29
+    # 2 source outputs cached + 7 guards
+    assert failures == 9
 
 
 def test_retry_after_a_mediator_fault_reuses_the_table_and_recovers():
@@ -306,3 +317,68 @@ def test_retry_after_a_mediator_fault_reuses_the_table_and_recovers():
             break
     else:
         pytest.fail("the run never got past the injected fault")
+
+
+# ----------------------------------------------------------------------
+# (f) root attribute values are bound into mediator SQL, never spliced
+# ----------------------------------------------------------------------
+HDR_DTD = """
+<!ELEMENT root (hdr, items)>
+<!ELEMENT hdr (a, b)>
+<!ELEMENT items (item*)>
+<!ELEMENT a (#PCDATA)>
+<!ELEMENT b (#PCDATA)>
+<!ELEMENT item (#PCDATA)>
+"""
+HDR_SCHEMA = SourceSchema("S", (relation("t", "x"),))
+
+
+def hdr_middleware(a=inh("p")):
+    """``hdr(a, b)`` copied from the root attributes ``p`` and ``q``, under
+    the key ``root(hdr.(a, b) -> hdr)`` whose bag is made of root values;
+    returns the middleware and the mediator statements it runs."""
+    aig = AIG(parse_dtd(HDR_DTD), Catalog([HDR_SCHEMA]), root_inh=("p", "q"))
+    aig.inh("hdr", "p", "q")
+    aig.rule("root", inh={"hdr": assign(p=inh("p"), q=inh("q")),
+                          "items": assign()})
+    aig.rule("hdr", inh={"a": assign(val=a), "b": assign(val=inh("q"))})
+    aig.rule("items", inh={"item": query("select t.x as val from S:t t")})
+    aig.key("root", "hdr", ("a", "b"))
+    source = DataSource(HDR_SCHEMA)
+    source.load_rows("t", [("1",), ("2",)])
+    middleware = Middleware(aig.validate(), {"S": source},
+                            violation_mode="report")
+    return middleware, log_statements(middleware)
+
+
+def conceptual(middleware, root):
+    evaluator = ConceptualEvaluator(
+        specialize(middleware.aig).aig, list(middleware.sources.values()),
+        violation_mode="report")
+    return serialize(evaluator.evaluate(dict(root))), evaluator.violations
+
+
+@pytest.mark.parametrize("q", [
+    "z", " || (SELECT group_concat(name) FROM sqlite_master) || "])
+def test_a_root_value_that_names_a_slot_is_data(q):
+    root = {"p": "{root:q}", "q": q}
+    middleware, statements = hdr_middleware()
+    report = middleware.evaluate(dict(root))
+    document = serialize(report.document)
+    assert f"<a>{{root:q}}</a><b>{q}</b>" in document
+    # the bag is the two values as bound, in one pass over the template
+    ((sql, params),) = statements
+    assert params == ("{root:q}", q) and sql.count("?") == 2
+    assert q not in sql and "{root:" not in sql
+    assert (document, report.violations) == conceptual(middleware, root)
+
+
+def test_a_plan_constant_that_names_a_slot_is_text():
+    root = {"p": "unused", "q": "z"}
+    middleware, statements = hdr_middleware(a=Const("it's {root:q}"))
+    report = middleware.evaluate(dict(root))
+    document = serialize(report.document)
+    assert "<a>it&apos;s {root:q}</a><b>z</b>" in document
+    ((sql, params),) = statements
+    assert params == ("z",) and "'it''s {root:q}'" in sql
+    assert (document, report.violations) == conceptual(middleware, root)

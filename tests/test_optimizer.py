@@ -84,8 +84,15 @@ class TestQDGConstruction:
     def test_collect_nodes_shared(self, hospital_aig):
         graph, _ = hospital_qdg(hospital_aig)
         collects = [n for n in graph.nodes.values() if n.kind == "collect"]
-        # bill.trIdS + key bag + ic src + ic tgt
-        assert len(collects) == 4
+        # only the set parameter a query reads; the key bag and the
+        # inclusion's two sides are read in place by their guards
+        assert [n.name.rsplit(".", 1)[-1] for n in collects] == ["trIdS"]
+        guards = [n for n in graph.nodes.values() if n.kind == "guard"]
+        assert len(guards) == 2
+        for guard in guards:
+            assert guard.inputs
+            assert {graph.node_for(name).kind
+                    for name in guard.inputs} == {"step"}
 
     def test_recursive_aig_rejected(self, hospital_aig):
         spec = specialize(hospital_aig)

@@ -175,9 +175,8 @@ class TestMiddlewareLedger:
         assert old["config"]["pushdown"] is True
         assert "pushdown" not in new["config"]
         assert "columnar_batch_rows" not in new["config"]
-        # the pass rewrote nothing, so the default plan is the plan the
-        # old record ran with ``pushdown=True``
-        assert new["plan_fingerprint"] == old["plan_fingerprint"]
+        # the same document, though not the same plan: guards have since
+        # been fused with their collections (fewer nodes, new fingerprint)
         assert new["run"]["document_bytes"] == old["run"]["document_bytes"]
 
     def test_streaming_run_recorded(self, tmp_path):
@@ -287,6 +286,10 @@ class TestExplainAnalyze:
             shown = node.name if len(node.name) <= 37 else node.name[:34]
             assert shown in rendered_names
             json.dumps(node.to_dict())
+        assert sorted(node.checks for node in profiled if node.checks) == [
+            "subset patient(treatment.trId ⊆ item.trId)",
+            "unique patient(item.trId -> item)"]
+        assert "guard unique patient(item.trId -> item)" in text
 
     def test_worst_offenders_flagged_cold(self):
         middleware = fresh_middleware()

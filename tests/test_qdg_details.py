@@ -1,16 +1,25 @@
 """Detail tests for QDG construction: path encoding, context chains,
 collect grouping, guards as SQL, and the DOT export."""
 
+import re
+
 import pytest
 
+from repro.aig import AIG, ConceptualEvaluator, assign, inh, query
 from repro.compilation import specialize
+from repro.dtd import parse_dtd
+from repro.hospital import build_hospital_aig
 from repro.optimizer import CostModel, build_qdg
 from repro.relational import Network, StatisticsCatalog
-from repro.relational.source import MEDIATOR_NAME
+from repro.relational.schema import Catalog, SourceSchema, relation
+from repro.relational.source import MEDIATOR_NAME, DataSource, ResultSet
 from repro.runtime import Middleware, unfold_aig
 from repro.runtime.engine import Engine, ID_COLUMN
 from repro.optimizer.schedule import schedule
 from repro.sqlq.analyze import temp_inputs
+from tests.test_mediator_resident import (build_group_aig, group_sources,
+                                          watch_mediator)
+from tests.test_recursive_choice import TREE_ROWS, build_fs_aig, load as load_fs
 
 
 def pipeline(hospital_aig, sources, depth=3):
@@ -137,3 +146,281 @@ class TestStructure:
             graph, _ = build_qdg(spec, stats)
             sizes.append(len(graph))
         assert sizes[0] < sizes[1] < sizes[2]
+
+
+# ----------------------------------------------------------------------
+# fused guards: the statement's verdict is the conceptual guard's
+# ----------------------------------------------------------------------
+REF_DTD = """
+<!ELEMENT root (group*)>
+<!ELEMENT group (gid, members, refs)>
+<!ELEMENT members (member*)>
+<!ELEMENT refs (ref*)>
+<!ELEMENT member (mid, score)>
+<!ELEMENT ref (mid, score)>
+<!ELEMENT gid (#PCDATA)>
+<!ELEMENT mid (#PCDATA)>
+<!ELEMENT score (#PCDATA)>
+"""
+REF_SCHEMA = SourceSchema("S", (relation("groups", "gid"),
+                                relation("members", "gid", "mid", "score"),
+                                relation("refs", "gid", "mid", "score")))
+GROUPS = ("g1", "g2")
+
+
+def build_ref_aig(constrain) -> AIG:
+    """root -> group* -> (member*, ref*), one constraint under test."""
+    aig = AIG(parse_dtd(REF_DTD), Catalog([REF_SCHEMA]))
+    aig.inh("group", "gid")
+    aig.inh("members", "gid")
+    aig.inh("refs", "gid")
+    aig.inh("member", "mid", "score")
+    aig.inh("ref", "mid", "score")
+    aig.rule("root", inh={"group": query("select g.gid from S:groups g")})
+    aig.rule("group", inh={"gid": assign(val=inh("gid")),
+                           "members": assign(gid=inh("gid")),
+                           "refs": assign(gid=inh("gid"))})
+    aig.rule("members", inh={"member": query(
+        "select m.mid, m.score from S:members m where m.gid = $gid")})
+    aig.rule("refs", inh={"ref": query(
+        "select r.mid, r.score from S:refs r where r.gid = $gid")})
+    for leaf in ("member", "ref"):
+        aig.rule(leaf, inh={"mid": assign(val=inh("mid")),
+                            "score": assign(val=inh("score"))})
+    constrain(aig)
+    return aig.validate()
+
+
+def key_mid(aig):
+    aig.key("group", "member", "mid")
+
+
+def key_pair(aig):
+    aig.key("group", "member", ("mid", "score"))
+
+
+def ref_mid(aig):
+    aig.inclusion("group", "ref", "mid", "member", "mid")
+
+
+def ref_pair(aig):
+    aig.inclusion("group", "ref", ("mid", "score"),
+                  "member", ("mid", "score"))
+
+
+def no_target(aig):
+    # no ref below members: the right side is the static ``WHERE 0`` branch
+    aig.inclusion("members", "member", "mid", "ref", "mid")
+
+
+#: (constraint, member rows, ref rows, holds?, ask the conceptual guard?).
+#: Rows are (gid, mid, score).  The NULL rows are not given to the
+#: conceptual evaluator (a NULL has no PCDATA text) and two of them are
+#: where SQL and ``holds`` part: ``NULL ⊆ {}`` passes for a NULL first
+#: field, ``(a, NULL) ⊆ {(a, NULL)}`` fails for a later one.  Both are the
+#: verdicts of the statements before the guards were fused, pinned as is.
+VERDICT_CASES = {
+    "key: distinct mids": (
+        key_mid, [("g1", "a", "1"), ("g1", "b", "1")], [], True, True),
+    "key: duplicate within a group": (
+        key_mid, [("g1", "a", "1"), ("g2", "b", "1"), ("g1", "a", "2")], [],
+        False, True),
+    "key: duplicate across groups only": (
+        key_mid, [("g1", "a", "1"), ("g2", "a", "1")], [], True, True),
+    "key: empty bag": (key_mid, [], [], True, True),
+    "key: NULL mids collide": (
+        key_mid, [("g1", None, "1"), ("g1", None, "2")], [], False, False),
+    "pair key: same mid, other score": (
+        key_pair, [("g1", "a", "1"), ("g1", "a", "2")], [], True, True),
+    "pair key: same pair": (
+        key_pair, [("g2", "a", "1"), ("g2", "a", "1")], [], False, True),
+    "pair key: NULL scores collide": (
+        key_pair, [("g1", "a", None), ("g1", "a", None)], [], False, False),
+    "inclusion: every ref has its member": (
+        ref_mid, [("g1", "a", "1"), ("g2", "b", "1")],
+        [("g1", "a", "9"), ("g2", "b", "9")], True, True),
+    "inclusion: the member is in another group": (
+        ref_mid, [("g1", "a", "1"), ("g2", "b", "1")], [("g1", "b", "1")],
+        False, True),
+    "inclusion: duplicates on both sides": (
+        ref_mid, [("g1", "a", "1"), ("g1", "a", "2")],
+        [("g1", "a", "1"), ("g1", "a", "1")], True, True),
+    "inclusion: empty left": (ref_mid, [("g1", "a", "1")], [], True, True),
+    "inclusion: empty right": (ref_mid, [], [("g1", "a", "1")], False, True),
+    "inclusion: both empty": (ref_mid, [], [], True, True),
+    "inclusion: NULL first field is not checked": (
+        ref_mid, [], [("g1", None, "1")], True, False),
+    "pair inclusion: pairs match": (
+        ref_pair, [("g1", "a", "1"), ("g1", "b", "2")], [("g1", "b", "2")],
+        True, True),
+    "pair inclusion: mid matches, score does not": (
+        ref_pair, [("g1", "a", "1")], [("g1", "a", "2")], False, True),
+    "pair inclusion: NULL later field never matches": (
+        ref_pair, [("g1", "a", None)], [("g1", "a", None)], False, False),
+    "static empty right: a member": (
+        no_target, [("g1", "a", "1")], [], False, True),
+    "static empty right: no member": (no_target, [], [], True, True),
+}
+
+
+def step_tables(graph, members, refs) -> dict:
+    """What the three step nodes would have produced for these rows."""
+    group_ids = {gid: index + 1 for index, gid in enumerate(GROUPS)}
+
+    def child_rows(name, rows):
+        assert graph.nodes[name].output_columns == ("mid", "score",
+                                                    "__parent")
+        return ResultSet(["mid", "score", "__parent", ID_COLUMN],
+                         [(mid, score, group_ids[gid], index + 1)
+                          for index, (gid, mid, score) in enumerate(rows)])
+
+    return {
+        "root/group": ResultSet(["gid", ID_COLUMN],
+                                list(group_ids.items())),
+        "root/group/members/member": child_rows(
+            "root/group/members/member", members),
+        "root/group/refs/ref": child_rows("root/group/refs/ref", refs),
+    }
+
+
+@pytest.mark.parametrize("label", VERDICT_CASES)
+def test_fused_guard_verdict_is_the_conceptual_guards(label):
+    constrain, members, refs, holds, ask = VERDICT_CASES[label]
+    spec = specialize(build_ref_aig(constrain))
+    graph, _ = build_qdg(spec)
+    assert not [n for n in graph.nodes.values() if n.kind == "collect"]
+    (guard,) = [n for n in graph.nodes.values() if n.kind == "guard"]
+    engine = Engine(graph, {}, {}, Network.mbps(1.0))
+    try:
+        _, outputs, _ = engine._execute(
+            guard, step_tables(graph, members, refs), {})
+    finally:
+        engine.cleanup()
+        engine.mediator.close()
+    assert (len(outputs[guard.name]) == 0) is holds
+    if ask:
+        source = DataSource(REF_SCHEMA)
+        source.load_rows("groups", [(gid,) for gid in GROUPS])
+        source.load_rows("members", members)
+        source.load_rows("refs", refs)
+        evaluator = ConceptualEvaluator(spec.aig, [source],
+                                        violation_mode="report")
+        evaluator.evaluate({})
+        assert (not evaluator.violations) is holds
+        source.close()
+
+
+def compound_hospital(violated: bool) -> AIG:
+    """σ0 with a key and an inclusion over ``treatment``, which unfolding
+    spreads over one branch per level on *both* sides of the inclusion."""
+    aig = build_hospital_aig(with_constraints=False)
+    aig.key("patient", "treatment", "trId")
+    aig.inclusion("patient", "treatment", "trId",
+                  "treatment", "tname" if violated else "trId")
+    return aig.validate()
+
+
+@pytest.mark.parametrize("violated", [False, True])
+def test_fused_guards_over_multi_branch_collections(tiny_sources, violated):
+    aig = compound_hospital(violated)
+    middleware = Middleware(aig, tiny_sources, unfold_depth=3,
+                            violation_mode="report")
+    report = middleware.evaluate({"date": "d1"})
+    guards = [n for n in middleware._last_graph.nodes.values()
+              if n.kind == "guard"]
+    assert len(guards) == 2
+    for guard in guards:
+        assert guard.raw_sql.count(" UNION ALL ") >= 2
+    assert sum("WITH r AS MATERIALIZED" in g.raw_sql for g in guards) == 1
+    evaluator = ConceptualEvaluator(
+        specialize(aig).aig, list(tiny_sources.values()),
+        violation_mode="report")
+    evaluator.evaluate({"date": "d1"})
+    assert {str(v) for v in report.violations} == \
+        {str(v) for v in evaluator.violations}
+    assert bool(report.violations) is violated
+
+
+@pytest.mark.parametrize("duplicate", [None, "main", "readme"])
+def test_fused_guard_over_choice_gated_branches(duplicate):
+    """``fs(node.fname -> node)``: every nested node sits behind the
+    ``content -> (file | dir)`` choice, so its branch joins the condition
+    table of each enclosing choice."""
+    rows = [(id_, parent, duplicate if id_ == "n5" and duplicate else fname,
+             kind, size) for id_, parent, fname, kind, size in TREE_ROWS]
+    aig, source = build_fs_aig(), load_fs(rows)
+    middleware = Middleware(aig, {"FS": source}, unfold_depth=3,
+                            violation_mode="report")
+    report = middleware.evaluate({})
+    (guard,) = [n for n in middleware._last_graph.nodes.values()
+                if n.kind == "guard"]
+    assert " JOIN {cond:" in guard.raw_sql
+    assert any(name.startswith("cond:") for name in guard.inputs)
+    evaluator = ConceptualEvaluator(specialize(aig).aig, [source],
+                                    violation_mode="report")
+    evaluator.evaluate({})
+    assert bool(report.violations) is bool(evaluator.violations) \
+        is (duplicate is not None)
+
+
+# ----------------------------------------------------------------------
+# guard cost, counted: VM steps and query plans, not seconds
+# ----------------------------------------------------------------------
+def guard_steps(groups: int) -> dict[str, int]:
+    """SQLite VM steps (in progress-handler callbacks, one per 50
+    instructions) of each guard statement of one groups document."""
+    members = tuple((f"m{i}", str(10 + i)) for i in range(8))
+    middleware = Middleware(build_group_aig(),
+                            group_sources(groups=groups, members=members))
+    connection = middleware.mediator.connection
+    steps: dict[str, int] = {}
+
+    def count(sql, params, run):
+        ticks = [0]
+
+        def tick():
+            ticks[0] += 1
+            return 0
+
+        connection.set_progress_handler(tick, 50)
+        try:
+            return run()
+        finally:
+            connection.set_progress_handler(None, 0)
+            steps[re.sub(r'"cache_\d+"', "cache", sql)] = ticks[0]
+
+    watch_mediator(middleware, count)
+    assert middleware.evaluate({"run": "r"}).violations == []
+    return steps
+
+
+def test_guard_statements_scale_linearly_in_vm_steps():
+    """A quadratic plan (``NOT EXISTS`` ran as a correlated scan per row)
+    reads about 4x the steps at twice the rows."""
+    small, large = guard_steps(1000), guard_steps(2000)
+    assert len(small) == 7 and set(small) == set(large)
+    for sql, steps in small.items():
+        assert 0 < steps and large[sql] <= 2.6 * steps, sql
+
+
+@pytest.mark.parametrize("build", [
+    build_hospital_aig, lambda: compound_hospital(False)],
+    ids=["paper-constraints", "both-sides-compound"])
+def test_no_guard_plan_materializes_a_subquery_twice(tiny_sources, build):
+    """With a compound left side SQLite pushes the anti-join into every
+    branch; an inlined compound right side is then built once per branch."""
+    middleware = Middleware(build(), tiny_sources, unfold_depth=3)
+    plans = []
+
+    def explain(sql, params, run):
+        plans.append([row[3] for row in middleware.mediator.connection
+                      .execute("EXPLAIN QUERY PLAN " + sql, params)])
+        return run()
+
+    watch_mediator(middleware, explain)
+    middleware.evaluate({"date": "d1"})
+    assert len(plans) >= 2
+    for plan in plans:
+        materialized = [step for step in plan
+                        if step.startswith("MATERIALIZE")]
+        assert len(materialized) == len(set(materialized)), plan

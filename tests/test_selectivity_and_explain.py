@@ -89,6 +89,9 @@ class TestExplain:
         assert "predicted cost(P)" in text
         assert "unfolded to depth 3" in text
         assert "guard" in text and "collect" in text
+        # a guard line says what it checks, in the constraint's own words
+        assert "      unique  patient(item.trId -> item)\n" in text
+        assert "      subset  patient(treatment.trId ⊆ item.trId)\n" in text
 
     def test_explain_shows_merges(self, hospital_aig, tiny_sources):
         merged = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
