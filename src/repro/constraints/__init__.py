@@ -16,7 +16,6 @@ from repro.constraints.model import Key, InclusionConstraint, Constraint, foreig
 from repro.constraints.checker import (
     check_constraint,
     check_constraints,
-    find_violations,
     Violation,
 )
 from repro.constraints.streaming import StreamingConstraintChecker
@@ -28,7 +27,6 @@ __all__ = [
     "foreign_key",
     "check_constraint",
     "check_constraints",
-    "find_violations",
     "StreamingConstraintChecker",
     "Violation",
 ]

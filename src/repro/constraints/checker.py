@@ -56,16 +56,6 @@ def check_constraints(tree: XMLElement,
     return violations
 
 
-def find_violations(tree: XMLElement,
-                    constraints: list[Constraint]) -> list[Violation]:
-    """Alias of :func:`check_constraints` (reads better at call sites)."""
-    return check_constraints(tree, constraints)
-
-
-def satisfies(tree: XMLElement, constraints: list[Constraint]) -> bool:
-    return not check_constraints(tree, constraints)
-
-
 def _field_tuple(node: XMLElement, fields: tuple[str, ...]):
     """The node's (f1,...,fk) subelement value tuple; None if any absent."""
     values = tuple(node.subelement_value(f) for f in fields)
@@ -79,9 +69,9 @@ def key_violation(key: Key, context_path: str,
     """The violation for one key context given its value counts, if any.
 
     ``counts`` maps each target field tuple to its multiplicity inside the
-    context; the cross-shard reconcile pass (:mod:`repro.constraints.
-    reconcile`) builds these counts by summing per-shard counters, so the
-    wording here must stay byte-identical to the tree checker's.
+    context.  Every checker words a key violation through this function —
+    the tree walk below and the streaming checker's scopes, which is also
+    what a sharded run's verdict is judged on.
     """
     duplicates = sorted(v for v, count in counts.items() if count > 1)
     if not duplicates:
@@ -99,8 +89,7 @@ def inclusion_violation(ic: InclusionConstraint, context_path: str,
 
     ``source_values``/``target_values`` are the field tuples observed for
     the context (``None`` entries, from nodes missing a field, are
-    ignored).  Shared with the cross-shard reconcile pass, which unions the
-    per-shard sets before calling this.
+    ignored).  Shared by every checker, like :func:`key_violation`.
     """
     available = set(target_values)
     available.discard(None)

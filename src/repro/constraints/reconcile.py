@@ -1,346 +1,202 @@
 """Cross-shard constraint reconciliation (the sharded engine's verdict).
 
-When a document is evaluated in shards (:mod:`repro.runtime.sharding`),
-each worker holds only its slice of the partition production's children,
-so no worker can decide a key or inclusion constraint on its own: a key
-value may be unique within every shard yet duplicated across two of
-them, and an inclusion source may find its matching target only in
-another shard's slice.  Reconciliation splits the decision:
+Each worker of a sharded run (:mod:`repro.runtime.sharding`) holds one
+*slice* of the partition element's children, so a key value unique in
+every shard may be duplicated across two of them and an inclusion source
+may find its target only in another shard.  The verdict is still that of
+the one scope engine, :mod:`repro.constraints.streaming`; this module
+only splits its work:
 
-* **collect** (worker side, :func:`collect_evidence`): for *shared*
-  contexts (the partition production and its ancestors and siblings —
-  identical structure in every shard) one walk gathers, per constraint
-  and per context node, the field tuples the tree checker would have
-  extracted — counts for key targets, value sets for inclusion
-  sources/targets.  *Local* contexts (strictly inside this shard's
-  slice) contain every target the checker would inspect, so the worker
-  judges them on the spot and ships only the non-``None`` violations
-  (:class:`LocalVerdict`) — shipping per-value evidence there would
-  make IPC scale with document size instead of violation count.  A
-  constraint whose engine guard query stayed clean provably has no
-  local violation, so its local scan is skipped entirely (``suspects``;
-  degraded runs fall back to the full scan).  Contexts are addressed by
-  their *order path* (the tuple of child indices from the root), which
-  is stable across shards for everything outside the partition subtree.
-* **reconcile** (parent side, :func:`reconcile`): shared-context
-  evidence is merged — key counts from inside the partition subtree are
-  summed across shards on top of the outside counts taken once,
-  inclusion sets are unioned — and judged by the exact same value-level
-  helpers the tree checker uses
-  (:func:`repro.constraints.checker.key_violation` /
-  :func:`~repro.constraints.checker.inclusion_violation`); local
-  verdicts are re-addressed by offsetting their order path at the
-  splice depth by the number of partition children in earlier shards.
-  The result is string-identical to running the checker on the merged
-  document.
+* **worker** (:func:`shard_evidence`): the finished shard document goes
+  once through the streaming checker.  A scope that opens and closes
+  inside the slice sees everything its verdict depends on and is judged
+  on the spot, as in any stream — and only for the *suspects*, the
+  constraints whose engine guard fired on this shard (a clean guard
+  proves the shard's own document has no violation).  A scope outside
+  the slice (the partition element, its ancestors, their other
+  descendants — identical in every shard) is shipped unjudged as it
+  closed, its key counts split into what the slice contributed
+  (``inside``) and the replicated rest (``counts``).
+* **parent** (:func:`reconcile`): shipped scopes are merged by position
+  — the paper's bag union: slice parts summed on one copy of the rest,
+  inclusion sets unioned — and judged by the same checker's
+  ``_close_scope``; the verdicts judged in the slices are interleaved
+  in document order.  The result equals ``check_constraints`` on the
+  merged document, string for string and in the same order.
 
-Pre-order traversal of a tree equals lexicographic order of order
-paths, so sorting merged contexts by (adjusted) order path reproduces
-the single-process checker's violation order exactly.
+A *position* is the checker's pre-order index ``_order``, counted over
+the elements the pass enters: only subtrees whose element type can, by
+the DTD, contain a context, target, source or field of a constraint live
+at that point — every constraint outside the slice (so a shared scope's
+position is the same in every shard), the suspects plus the constraints
+with a shared scope open inside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.constraints.checker import (
-    Violation,
-    _field_tuple,
-    inclusion_violation,
-    key_violation,
-)
-from repro.constraints.model import Constraint, InclusionConstraint, Key
+from repro.constraints.checker import Violation
+from repro.constraints.model import Constraint
+from repro.constraints.streaming import StreamingConstraintChecker, _Scope
 from repro.xmlmodel.node import XMLElement
 
 
 @dataclass
-class KeyEvidence:
-    """One key context's value counts in one shard document.
-
-    ``outside`` counts targets that are not inside the partition subtree
-    (replicated identically in every shard — merged by taking the first
-    shard's copy); ``inside`` counts targets within this shard's slice
-    (merged by summation).
-    """
-
-    order_path: tuple[int, ...]
-    context_path: str
-    local: bool
-    outside: dict = field(default_factory=dict)
-    inside: dict = field(default_factory=dict)
-
-
-@dataclass
-class InclusionEvidence:
-    """One inclusion context's source/target value sets in one shard.
-
-    Sets union idempotently, so inclusion evidence needs no
-    outside/inside split — replicated values collapse on merge.
-    """
-
-    order_path: tuple[int, ...]
-    context_path: str
-    local: bool
-    sources: set = field(default_factory=set)
-    targets: set = field(default_factory=set)
-
-
-@dataclass
-class LocalVerdict:
-    """A violation already decided inside one shard.
-
-    A *local* context lives strictly inside one shard's slice, so every
-    target/source the checker would inspect is in the same shard: the
-    worker judges it on the spot and ships only the outcome.  Shipping
-    per-value evidence for local contexts would make IPC and the
-    parent's reconcile pass scale with document size instead of with
-    the (usually tiny) number of violations.
-    """
-
-    order_path: tuple[int, ...]
-    violation: Violation
-
-
-@dataclass
 class ShardEvidence:
-    """All constraint evidence from one shard document.
+    """What one shard document contributes to the verdict.
 
-    ``per_constraint[i]`` lists the evidence entries for
-    ``constraints[i]`` (same order as the AIG's constraint list);
-    ``partition_children`` is the number of children the shard
-    contributed at the splice node, which fixes the order-path offsets
-    during reconciliation.
+    ``shared[i]`` holds the unjudged scopes of ``constraints[i]`` that
+    closed outside the slice, ``local[i]`` the ``(position, violation)``
+    pairs judged inside it.  The slice occupies the positions
+    ``slice_start .. slice_start + slice_elements - 1`` of this shard's
+    pass (both 0 when the pass had no reason to enter the partition
+    element).
     """
 
-    per_constraint: list
-    partition_children: int
+    shared: list
+    local: list
+    slice_start: int = 0
+    slice_elements: int = 0
 
 
-def _shared_paths(tree: XMLElement, splice: XMLElement | None):
-    """Order paths for every element *outside* the partition subtree.
-
-    The walk does not descend into ``splice`` (its children are the
-    shard's slice — the bulk of the document), so this is O(shared
-    part), not O(document).  An element is local exactly when its id is
-    absent from the returned map.  Also returns the shared elements
-    themselves, so callers can enumerate shared contexts without a
-    full-document scan.
-    """
-    paths: dict[int, tuple[int, ...]] = {id(tree): ()}
-    nodes: list[XMLElement] = [tree]
-    if tree is splice:
-        return paths, nodes
-    stack: list = [(tree, ())]
-    while stack:
-        node, path = stack.pop()
-        index = 0
-        for child in node.children:
-            if not isinstance(child, XMLElement):
-                continue
-            child_path = path + (index,)
-            paths[id(child)] = child_path
-            nodes.append(child)
-            if child is not splice:
-                stack.append((child, child_path))
-            index += 1
-    return paths, nodes
+def _reaching(graph: dict[str, set[str]], goals: set[str]) -> set[str]:
+    """The element types from which some type in ``goals`` is reachable
+    (``goals`` included) in the DTD's element graph."""
+    reach = set(goals)
+    grown = True
+    while grown:
+        grown = False
+        for tag, children in graph.items():
+            if tag not in reach and not children.isdisjoint(reach):
+                reach.add(tag)
+                grown = True
+    return reach
 
 
-def _order_path(node: XMLElement) -> tuple[int, ...]:
-    """One element's child-index path, by walking up to the root.
+class _ShardPass(StreamingConstraintChecker):
+    """The streaming checker fed one shard document, pruned by type."""
 
-    Linear in tree depth plus sibling counts along the way — used only
-    for *violating* local contexts, which are rare; the non-violating
-    bulk never pays for path construction.
-    """
-    path: list[int] = []
-    while node.parent is not None:
-        index = 0
-        for sibling in node.parent.children:
-            if sibling is node:
-                break
-            if isinstance(sibling, XMLElement):
-                index += 1
-        path.append(index)
-        node = node.parent
-    return tuple(reversed(path))
+    def __init__(self, constraints, splice, suspects, graph):
+        super().__init__(constraints)
+        self._splice = splice
+        self._graph = graph
+        self._suspects = {index for index, constraint
+                          in enumerate(self.constraints)
+                          if suspects is None or constraint in suspects}
+        self._in_slice = False
+        self._wanted = _reaching(
+            graph, set(self._context_of) | set(self._roles))
+        self.evidence = ShardEvidence(
+            [[] for _ in self.constraints], self._found)
 
-
-def collect_evidence(tree: XMLElement, constraints: list[Constraint],
-                     splice: XMLElement | None,
-                     suspects=None) -> ShardEvidence:
-    """Gather one shard document's per-context constraint evidence.
-
-    ``splice`` is the partition production's element in this shard (its
-    children are the shard's slice); ``None`` means the whole document
-    is shared (the degenerate single-shard case).
-
-    ``suspects``, when given, is the set of constraints whose engine
-    guard query fired on this shard document.  A guard is a whole-
-    document check, so a clean guard proves no context — shared or
-    local — violates within this shard; local contexts (whose verdict
-    depends on this shard alone) then need no scan at all.  Shared
-    contexts are always collected: their verdict depends on other
-    shards' slices, which the guard cannot see.  Pass ``None`` when
-    guard outcomes are unavailable or untrustworthy (e.g. a degraded
-    run may have skipped guard nodes), which scans everything.
-    """
-    shared, shared_nodes = _shared_paths(tree, splice)
-    per_constraint: list = []
-    for constraint in constraints:
-        entries = []
-        scan_local = (splice is not None
-                      and (suspects is None or constraint in suspects))
-        if isinstance(constraint, Key):
-            for context in shared_nodes:
-                if context.tag != constraint.context:
-                    continue
-                entry = KeyEvidence(shared[id(context)],
-                                    context.path(), False)
-                for target in context.iter(constraint.target):
-                    value = _field_tuple(target, constraint.fields)
-                    if value is None:
-                        continue
-                    bucket = (entry.outside if id(target) in shared
-                              else entry.inside)
-                    bucket[value] = bucket.get(value, 0) + 1
-                entries.append(entry)
-            if scan_local:
-                for context in splice.iter(constraint.context):
-                    if context is splice:
-                        continue
-                    # Local context: every target is in this shard —
-                    # judge here, ship only a non-None outcome.
-                    counts: dict = {}
-                    for target in context.iter(constraint.target):
-                        value = _field_tuple(target, constraint.fields)
-                        if value is not None:
-                            counts[value] = counts.get(value, 0) + 1
-                    violation = key_violation(constraint, context.path(),
-                                              counts)
-                    if violation is not None:
-                        entries.append(LocalVerdict(
-                            _order_path(context), violation))
-        elif isinstance(constraint, InclusionConstraint):
-            for context in shared_nodes:
-                if context.tag != constraint.context:
-                    continue
-                entry = InclusionEvidence(shared[id(context)],
-                                          context.path(), False)
-                for node in context.iter(constraint.source):
-                    value = _field_tuple(node, constraint.source_fields)
-                    if value is not None:
-                        entry.sources.add(value)
-                for node in context.iter(constraint.target):
-                    value = _field_tuple(node, constraint.target_fields)
-                    if value is not None:
-                        entry.targets.add(value)
-                entries.append(entry)
-            if scan_local:
-                for context in splice.iter(constraint.context):
-                    if context is splice:
-                        continue
-                    sources: set = set()
-                    targets: set = set()
-                    for node in context.iter(constraint.source):
-                        value = _field_tuple(node,
-                                             constraint.source_fields)
-                        if value is not None:
-                            sources.add(value)
-                    for node in context.iter(constraint.target):
-                        value = _field_tuple(node,
-                                             constraint.target_fields)
-                        if value is not None:
-                            targets.add(value)
-                    violation = inclusion_violation(
-                        constraint, context.path(), sources, targets)
-                    if violation is not None:
-                        entries.append(LocalVerdict(
-                            _order_path(context), violation))
+    def _close_scope(self, index: int, scope: _Scope) -> None:
+        if self._in_slice:
+            super()._close_scope(index, scope)
         else:
-            raise TypeError(f"unknown constraint type "
-                            f"{type(constraint).__name__}")
-        per_constraint.append(entries)
-    children = len([c for c in (splice.children if splice is not None
-                                else [])
-                    if isinstance(c, XMLElement)])
-    return ShardEvidence(per_constraint, children)
+            self.evidence.shared[index].append(scope)
+
+    def feed(self, node: XMLElement) -> None:
+        self.start(node.tag)
+        if node is self._splice:
+            self._feed_slice(node)
+        else:
+            self._feed_children(node)
+        self.end()
+
+    def _feed_children(self, node: XMLElement) -> None:
+        # Text matters only to a field capture, and a field is entered
+        # whatever its type can contain (its whole subtree is its value).
+        capturing = bool(self._captures)
+        fields = self._need_fields.get(node.tag, ())
+        wanted = self._wanted
+        for child in node.children:
+            if isinstance(child, XMLElement):
+                if capturing or child.tag in wanted or child.tag in fields:
+                    self.feed(child)
+            elif capturing:
+                self.text(child.value)
+
+    def _feed_slice(self, splice: XMLElement) -> None:
+        """The partition element's children, with only the live
+        constraints switched on; its open scopes (all shared) count the
+        slice's key values apart from the replicated ones."""
+        shared = [scope for scopes in self._scopes for scope in scopes]
+        live = self._suspects | {index for index, scopes
+                                 in enumerate(self._scopes) if scopes}
+        saved = self._context_of, self._roles, self._wanted
+        self._context_of = {
+            tag: kept for tag, indexes in self._context_of.items()
+            if (kept := [i for i in indexes if i in self._suspects])}
+        self._roles = {
+            tag: kept for tag, roles in self._roles.items()
+            if (kept := [role for role in roles if role[0] in live])}
+        self._wanted = _reaching(
+            self._graph, set(self._context_of) | set(self._roles))
+        for scope in shared:    # count into the (empty) ``inside`` dict
+            scope.counts, scope.inside = scope.inside, scope.counts
+        self.evidence.slice_start = self._order
+        self._in_slice = True
+        self._feed_children(splice)
+        # Back outside before the partition element records its own
+        # values: it is shared.
+        self._in_slice = False
+        self.evidence.slice_elements = self._order - self.evidence.slice_start
+        self._context_of, self._roles, self._wanted = saved
+        for scope in shared:
+            scope.counts, scope.inside = scope.inside, scope.counts
 
 
-def _adjusted(entry, offset: int, splice_depth: int) -> tuple[int, ...]:
-    """A local context's order path in the *merged* document."""
-    if not entry.local or offset == 0:
-        return entry.order_path
-    path = list(entry.order_path)
-    path[splice_depth] += offset
-    return tuple(path)
+def shard_evidence(document: XMLElement, constraints: list[Constraint],
+                   splice: XMLElement, suspects,
+                   graph: dict[str, set[str]]) -> ShardEvidence:
+    """One shard document's contribution to the reconciled verdict.
+
+    ``splice`` is the partition element of ``document`` (its children
+    are the slice), ``graph`` the element graph of the DTD the document
+    conforms to.  ``suspects`` is the set of constraints whose guard
+    fired on this shard, or ``None`` when guard outcomes cannot be
+    trusted (a degraded run may have skipped guard nodes): then every
+    constraint is judged in the slice.
+    """
+    shard_pass = _ShardPass(constraints, splice, suspects, graph)
+    shard_pass.feed(document)
+    return shard_pass.evidence
 
 
 def reconcile(constraints: list[Constraint],
-              evidences: list[ShardEvidence],
-              splice_depth: int) -> list[Violation]:
-    """Merge per-shard evidence into the global constraint verdict.
+              evidences: list[ShardEvidence]) -> list[Violation]:
+    """Merge per-shard evidence, in shard order, into the global verdict.
 
-    ``evidences`` must be in shard order (shard 0's partition children
-    come first in the merged document); ``splice_depth`` is the length
-    of the chain from the root to the partition production, i.e. the
-    order-path index at which local contexts need offsetting.
+    A position before a shard's slice is already its position in the
+    merged document; one inside it moves by the slice sizes of the
+    earlier shards, one after it by those of all the other shards.
     """
-    offsets = []
-    total = 0
+    checker = StreamingConstraintChecker(constraints)
+    merged: list[dict[int, _Scope]] = [{} for _ in constraints]
+    total = sum(evidence.slice_elements for evidence in evidences)
+    earlier = 0
     for evidence in evidences:
-        offsets.append(total)
-        total += evidence.partition_children
-    violations: list[Violation] = []
-    for index, constraint in enumerate(constraints):
-        merged: dict[tuple[int, ...], object] = {}
-        for evidence, offset in zip(evidences, offsets):
-            for entry in evidence.per_constraint[index]:
-                if isinstance(entry, LocalVerdict):
-                    # Already judged in its shard; only its order path
-                    # needs re-addressing into the merged document.
-                    if offset == 0:
-                        merged[entry.order_path] = entry
-                    else:
-                        path = list(entry.order_path)
-                        path[splice_depth] += offset
-                        merged[tuple(path)] = entry
-                    continue
-                path = _adjusted(entry, offset, splice_depth)
-                existing = merged.get(path)
-                if existing is None:
-                    if isinstance(entry, KeyEvidence):
-                        merged[path] = KeyEvidence(
-                            path, entry.context_path, entry.local,
-                            dict(entry.outside), dict(entry.inside))
-                    else:
-                        merged[path] = InclusionEvidence(
-                            path, entry.context_path, entry.local,
-                            set(entry.sources), set(entry.targets))
-                elif isinstance(entry, KeyEvidence):
-                    # outside counts are replicated per shard: keep the
-                    # first copy; inside counts are disjoint slices: sum
-                    for value, count in entry.inside.items():
-                        existing.inside[value] = (
-                            existing.inside.get(value, 0) + count)
-                else:
-                    existing.sources |= entry.sources
-                    existing.targets |= entry.targets
-        for path in sorted(merged):
-            entry = merged[path]
-            if isinstance(entry, LocalVerdict):
-                violations.append(entry.violation)
-                continue
-            if isinstance(entry, KeyEvidence):
-                counts = dict(entry.outside)
-                for value, count in entry.inside.items():
-                    counts[value] = counts.get(value, 0) + count
-                violation = key_violation(constraint, entry.context_path,
-                                          counts)
-            else:
-                violation = inclusion_violation(
-                    constraint, entry.context_path,
-                    entry.sources, entry.targets)
-            if violation is not None:
-                violations.append(violation)
-    return violations
+        slice_end = evidence.slice_start + evidence.slice_elements
+        others = total - evidence.slice_elements
+        for index, scopes in enumerate(evidence.shared):
+            for scope in scopes:
+                position = scope.order + (others if scope.order >= slice_end
+                                          else 0)
+                target = merged[index].get(position)
+                if target is None:
+                    target = merged[index][position] = _Scope(scope.path,
+                                                              position)
+                    target.counts.update(scope.counts)
+                for value, count in scope.inside.items():
+                    target.counts[value] = target.counts.get(value, 0) + count
+                target.sources |= scope.sources
+                target.available |= scope.available
+            checker._found[index].extend(
+                (position + earlier, violation)
+                for position, violation in evidence.local[index])
+        earlier += evidence.slice_elements
+    for index, scopes in enumerate(merged):
+        for scope in scopes.values():
+            checker._close_scope(index, scope)
+    return checker.result()

@@ -10,6 +10,10 @@ State is bounded by document depth plus the constraint bags themselves
 (per-context key counts and inclusion value sets), mirroring how the
 constraint-compilation path synthesizes key/inclusion bags bottom-up
 (Section 3.3): a partial stream is enough to accumulate them.
+
+Sharded runs use this engine too (:mod:`repro.constraints.reconcile`):
+a worker feeds it its shard document and ships the scopes its slice
+cannot decide; the parent judges them, merged, through ``_close_scope``.
 """
 
 from __future__ import annotations
@@ -40,12 +44,14 @@ class _Frame:
 class _Scope:
     """One open context subtree of one constraint."""
 
-    __slots__ = ("path", "order", "counts", "available", "sources")
+    __slots__ = ("path", "order", "counts", "inside", "available", "sources")
 
     def __init__(self, path: str, order: int):
         self.path = path
         self.order = order
         self.counts: dict[tuple, int] = {}   # Key: field tuple -> multiplicity
+        #: the part of ``counts`` a shard's slice contributed (reconcile.py)
+        self.inside: dict[tuple, int] = {}
         self.available: set[tuple] = set()   # Inclusion: target tuples
         self.sources: set[tuple] = set()     # Inclusion: source tuples
 

@@ -71,7 +71,10 @@ class ExecutionReport:
     merged: bool
     unfold_depth: int | None
     optimization_seconds: float = 0.0
-    violations: list = field(default_factory=list)  # report-mode findings
+    #: Report-mode findings: single-process, the violated ``Constraint``s
+    #: (the guards that fired); sharded, the located ``Violation``s of the
+    #: reconciled verdict, as ``check_constraints`` lists them.
+    violations: list = field(default_factory=list)
     parallel_speedup: float = 1.0   # sequential-sum ÷ measured wall time
     workers: int = 1                # resolved lane count of the run
     #: :class:`~repro.resilience.report.FailureReport` when the run was
@@ -86,14 +89,13 @@ class ExecutionReport:
     #: Sharded evaluation (``Middleware(shards=N)``, docs/SHARDING.md):
     #: worker-process count of the run (1 = single-process path), rows of
     #: the driving query each shard evaluated, parent-side reconcile wall
-    #: time, pickled bytes shipped to/from workers, per-shard worker
-    #: peak RSS (KiB) and per-shard process CPU seconds.
+    #: time, pickled bytes shipped to/from workers and per-shard worker
+    #: peak RSS (KiB).
     shards: int = 1
     shard_rows: list = field(default_factory=list)
     reconcile_seconds: float = 0.0
     ipc_bytes: int = 0
     shard_peak_rss: list = field(default_factory=list)
-    shard_cpu_seconds: list = field(default_factory=list)
 
 
 @dataclass

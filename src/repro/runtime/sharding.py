@@ -28,14 +28,15 @@ The pipeline:
    task holds a sqlite3 connection, tracer, ledger, or feedback store.
 3. :func:`_shard_worker` (in the worker process) rebuilds the sources,
    runs a fresh :class:`~repro.runtime.middleware.Middleware` in
-   report mode, and returns its document plus per-context constraint
-   *evidence* (:func:`repro.constraints.reconcile.collect_evidence`).
+   report mode, and returns its document plus the constraint
+   *evidence* of one pass of the streaming checker over it
+   (:func:`repro.constraints.reconcile.shard_evidence`).
 4. :func:`evaluate_sharded` (back in the parent) splices the shard
    documents at the partition production — order-preserving, so the
    result is byte-identical to the single-process document — and
    reconciles the constraint evidence across shards
-   (:func:`repro.constraints.reconcile.reconcile`): keys need global
-   duplicate detection, inclusions a global containment pass.
+   (:func:`repro.constraints.reconcile.reconcile`): the scopes no slice
+   could decide are merged and judged by the same streaming checker.
 
 Workers always run in report mode: a guard aborting inside one shard
 could fire on a constraint that another shard's rows satisfy (or miss
@@ -75,8 +76,8 @@ from repro.aig.rules import (
     SequenceRule,
     StarRule,
 )
-from repro.constraints.reconcile import collect_evidence, reconcile
-from repro.dtd.analysis import recursive_types
+from repro.constraints.reconcile import reconcile, shard_evidence
+from repro.dtd.analysis import element_graph, recursive_types
 from repro.dtd.model import Sequence, Star
 from repro.errors import EvaluationAborted, EvaluationError
 from repro.relational.schema import (
@@ -100,16 +101,13 @@ class PartitionSpec:
     """Where and how a document can be partitioned.
 
     ``chain`` is the element-type path from the DTD root to the
-    partition production (inclusive); ``splice_depth`` is the child
-    index position at which shard-local order paths differ, i.e.
-    ``len(chain) - 1``.
+    partition production (inclusive).
     """
 
     chain: tuple[str, ...]
     star_type: str
     query: Query
     bindings: QueryFunc
-    splice_depth: int
 
 
 @dataclass
@@ -148,8 +146,6 @@ class ShardResult:
     evidence: object
     response_time: float
     estimated_cost: float
-    measured_seconds: float
-    cpu_seconds: float
     queries_executed: int
     bytes_shipped: int
     node_count: int
@@ -283,7 +279,7 @@ def find_partition(aig: AIG) -> PartitionSpec | None:
             if not _query_eligible(rule.child_query):
                 continue
             return PartitionSpec(chain, element, rule.child_query.query,
-                                 rule.child_query, len(chain) - 1)
+                                 rule.child_query)
         if isinstance(model, Sequence):
             if rule is not None and not isinstance(rule, SequenceRule):
                 continue
@@ -506,13 +502,6 @@ def _shard_worker(payload: bytes) -> bytes:
     verdict is meaningless before reconciliation — and returns the
     evidence the parent needs for the global constraint pass.
     """
-    import gc
-
-    # The CPU window spans the whole worker body: unpickling, source
-    # rebuild, plan compilation, evaluation, evidence collection, and
-    # result pickling are all per-worker work that overlaps across
-    # processes on a multi-core host.
-    cpu_started = time.process_time()
     # Pause the cyclic collector for the task body: evaluation garbage
     # is acyclic (freed by refcount) while the document tree is cyclic
     # (parent <-> children) but alive until the result ships, so every
@@ -522,15 +511,15 @@ def _shard_worker(payload: bytes) -> bytes:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _shard_worker_body(payload, cpu_started)
+        return _shard_worker_body(payload)
     finally:
         if gc_was_enabled:
             gc.enable()
         gc.collect()
 
 
-def _shard_worker_body(payload: bytes, cpu_started: float) -> bytes:
-    """The metered body of :func:`_shard_worker` (GC paused around it)."""
+def _shard_worker_body(payload: bytes) -> bytes:
+    """The body of :func:`_shard_worker` (GC paused around it)."""
     import resource
 
     from repro.runtime.middleware import Middleware
@@ -552,31 +541,26 @@ def _shard_worker_body(payload: bytes, cpu_started: float) -> bytes:
     middleware = Middleware(task.aig, sources, task.network,
                             violation_mode="report", **task.config)
     report = middleware.evaluate(dict(task.root_inh))
-    splice = _locate_splice(report.document, task.chain)
     # The engine's guard queries already scanned this shard's whole
     # document: constraints whose guard stayed clean cannot have a
-    # local violation, so the evidence pass skips their local contexts.
-    # A degraded run may have skipped guard nodes — fall back to the
-    # full scan rather than trust an unchecked guard.
+    # violation local to the slice, so the checker is told to judge only
+    # the others there.  A degraded run may have skipped guard nodes —
+    # judge everything rather than trust an unchecked guard.
     suspects = (None if report.failure_report is not None
                 else set(report.violations))
-    evidence = collect_evidence(report.document, task.aig.constraints,
-                                splice, suspects)
+    evidence = shard_evidence(
+        report.document, task.aig.constraints,
+        _locate_splice(report.document, task.chain), suspects,
+        element_graph(task.aig.dtd))
     encoded = encode_document(report.document)
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     for source in sources.values():
         source.close()
-    # Result pickling cannot meter itself, so the window closes here;
-    # the cost of the final dumps (single-digit milliseconds) is the
-    # only worker CPU left uncounted.
-    cpu_seconds = time.process_time() - cpu_started
     return pickle.dumps(ShardResult(
         document=encoded,
         evidence=evidence,
         response_time=report.response_time,
         estimated_cost=report.estimated_cost,
-        measured_seconds=report.measured_seconds,
-        cpu_seconds=cpu_seconds,
         queries_executed=report.queries_executed,
         bytes_shipped=report.bytes_shipped,
         node_count=report.node_count,
@@ -704,12 +688,15 @@ def evaluate_sharded(middleware, root_inh: dict, tracer):
     reconcile_started = time.perf_counter()
     with tracer.span("shard-reconcile", "shard"):
         violations = reconcile(middleware.aig.constraints,
-                               [result.evidence for result in results],
-                               spec.splice_depth)
+                               [result.evidence for result in results])
     reconcile_seconds = time.perf_counter() - reconcile_started
+    if middleware.violation_mode == "abort" and violations:
+        raise EvaluationAborted(violations)
+    measured_seconds = time.perf_counter() - started
 
     tracer.metrics.add("sharded_evaluations", 1)
     tracer.metrics.add("evaluations", 1)
+    tracer.metrics.observe("evaluation_latency_seconds", measured_seconds)
     tracer.metrics.set_gauge("shard_count", shards)
     tracer.metrics.set_gauge("shard_reconcile_seconds", reconcile_seconds)
     tracer.metrics.set_gauge("shard_ipc_bytes", ipc_bytes)
@@ -717,9 +704,6 @@ def evaluate_sharded(middleware, root_inh: dict, tracer):
         tracer.metrics.set_gauge(f"shard_rows.{index}", result.rows)
         tracer.metrics.set_gauge(f"shard_peak_rss.{index}",
                                  result.peak_rss_kb)
-    if middleware.violation_mode == "abort" and violations:
-        raise EvaluationAborted(violations)
-    measured_seconds = time.perf_counter() - started
     return ExecutionReport(
         document=document,
         response_time=(driving_seconds
@@ -739,5 +723,4 @@ def evaluate_sharded(middleware, root_inh: dict, tracer):
         shard_rows=[result.rows for result in results],
         reconcile_seconds=reconcile_seconds,
         ipc_bytes=ipc_bytes,
-        shard_peak_rss=[result.peak_rss_kb for result in results],
-        shard_cpu_seconds=[result.cpu_seconds for result in results])
+        shard_peak_rss=[result.peak_rss_kb for result in results])
