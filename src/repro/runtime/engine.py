@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import count
+from operator import add
 
 from repro.errors import EvaluationAborted, EvaluationError, PlanError
 from repro.obs.tracer import MAIN_TRACK, NULL_TRACER
@@ -491,5 +493,4 @@ def _with_ids(result):
     if ID_COLUMN in result.columns:
         return result
     columns = intern_columns(result.columns + [ID_COLUMN])
-    rows = [row + (index + 1,) for index, row in enumerate(result.rows)]
-    return ResultSet(columns, rows)
+    return ResultSet(columns, list(map(add, result.rows, zip(count(1)))))

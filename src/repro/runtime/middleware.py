@@ -335,6 +335,17 @@ class Middleware:
         from repro.constraints import StreamingConstraintChecker
 
         tracer = self.tracer if tracer is None else tracer
+        encoded = 0
+        if self.ledger is not None:
+            # the ledger records bytes, as ``evaluate`` does: counted per
+            # written chunk (an ASCII chunk is as many bytes as characters)
+            deliver = write
+
+            def write(chunk: str) -> None:
+                nonlocal encoded
+                encoded += (len(chunk) if chunk.isascii()
+                            else len(chunk.encode("utf-8")))
+                deliver(chunk)
         serializer = StreamSerializer(write, indent=indent)
         checker = (StreamingConstraintChecker(constraints)
                    if constraints else None)
@@ -348,7 +359,7 @@ class Middleware:
             if self.ledger is not None:
                 self._record_run(
                     "stream", run, tracer,
-                    document_bytes=serializer.characters,
+                    document_bytes=encoded,
                     violations=list(run.result.violations) + list(found),
                     streamed_elements=run.elements)
             return StreamReport(

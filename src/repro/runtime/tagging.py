@@ -19,21 +19,24 @@ root attributes) is bound per run; only the rows are walked per element:
 Below a production with no star and no choice the DTD alone determines the
 shape of the subtree, so every maximal run of such siblings is folded into a
 :class:`Fragment` — a flat op list whose only row-dependent parts are its
-PCDATA slots — and handed to the sinks in one ``fragment(fragment, values)``
-call.
+PCDATA slots — and handed to the sinks a whole sibling group at a time, in
+one ``fragments(fragment, count, columns)`` call.
 
 Sinks decide what the events become: a tree (:class:`TreeSink`), bytes
 (:class:`~repro.xmlmodel.serialize.StreamSerializer`), constraint verdicts
 (:class:`~repro.constraints.StreamingConstraintChecker`), or nothing
 (:class:`NullEventSink`).  The protocol is ``start(tag)`` / ``text(value)``
-/ ``end()`` plus the optional ``fragment``; a sink without it receives the
-fragment's events through :meth:`Fragment.replay`.  Internal-state nodes
+/ ``end()`` plus the optional ``fragments``; a sink without it receives the
+group's events through :meth:`Fragment.replay`.  Internal-state nodes
 never produce events (decomposition steps are not element occurrences), and
 unfolding suffixes are stripped by the ``rename`` applied to every tag at
 compile time.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import itemgetter
 
 from repro.errors import EvaluationError, RecursionTruncated
 from repro.dtd.model import Choice, PCDATA, Sequence, Star
@@ -58,8 +61,16 @@ def _pcdata(value) -> str:
     return "" if value is None else str(value)
 
 
-def _sort_key(indexes: list[int]):
-    """None-safe string order over the columns at ``indexes``."""
+def _sort_key(indexes: list[int], types: list[set]):
+    """None-safe string order over the columns at ``indexes``.
+
+    Where every one of them holds only ``str`` (``types``:
+    :meth:`ResultSet.column_types`) the values compare exactly as their
+    ``(True, str(value))`` pairs do, so the key is read at C level.
+    """
+    if all(types[index] <= {str} for index in indexes):
+        return itemgetter(*indexes)
+
     def key(row: tuple) -> list:
         parts = []
         for index in indexes:
@@ -74,6 +85,7 @@ class _Table:
 
     def __init__(self, result, sort_columns: list[str]):
         columns = self.columns = result.columns
+        self.types = result.column_types()
         self.id_index = (columns.index(ID_COLUMN)
                          if ID_COLUMN in columns else None)
         self.by_parent: dict[object, list[tuple]] = {}
@@ -91,7 +103,7 @@ class _Table:
         sort_indexes = [columns.index(c) for c in sort_columns
                         if c in columns]
         if sort_indexes:
-            key = _sort_key(sort_indexes)
+            key = _sort_key(sort_indexes, self.types)
             for rows in self.by_parent.values():
                 rows.sort(key=key)
 
@@ -112,10 +124,11 @@ class Fragment:
     text)`` is ``<tag>text</tag>`` for a constant (``<tag/>`` when ``text``
     is ``None``); ``(_OPEN, tag, None)`` ... ``(_CLOSE, None, None)``
     bracket an element with element children.  ``sources`` names, per slot,
-    the text occurrence and the provenance its value is read from.  A sink
-    that implements ``fragment(fragment, values)`` receives the run in one
-    call with one string per slot; every other sink gets the same events
-    through :meth:`replay`.
+    the text occurrence and the provenance its value is read from.  Sinks
+    get a fragment one sibling group at a time — ``count`` instances, one
+    column of ``count`` strings per slot, a lone fragment being a group of
+    one: natively through ``fragments(fragment, count, columns)``, or as
+    the same events through :meth:`replay`.
     """
 
     __slots__ = ("index", "ops", "elements", "texts", "sources")
@@ -127,23 +140,31 @@ class Fragment:
         self.texts = 0
         self.sources: list[tuple[str, object]] = []
 
-    def replay(self, sink, values) -> None:
-        """Expand into ``start``/``text``/``end`` events on ``sink``."""
+    def replay(self, sink, count: int, columns) -> None:
+        """Expand a group into ``start``/``text``/``end`` events on
+        ``sink``."""
         start, text, end = sink.start, sink.text, sink.end
-        for op, tag, argument in self.ops:
-            if op == _SLOT:
-                start(tag)
-                text(values[argument])
-                end()
-            elif op == _LEAF:
-                start(tag)
-                if argument is not None:
-                    text(argument)
-                end()
-            elif op == _OPEN:
-                start(tag)
-            else:
-                end()
+        ops = self.ops
+        for values in _instances(count, columns):
+            for op, tag, argument in ops:
+                if op == _SLOT:
+                    start(tag)
+                    text(values[argument])
+                    end()
+                elif op == _LEAF:
+                    start(tag)
+                    if argument is not None:
+                        text(argument)
+                    end()
+                elif op == _OPEN:
+                    start(tag)
+                else:
+                    end()
+
+
+def _instances(count: int, columns):
+    """The slot values of each instance of a group, in order."""
+    return zip(*columns) if columns else repeat((), count)
 
 
 class NullEventSink:
@@ -158,7 +179,7 @@ class NullEventSink:
     def end(self) -> None:
         pass
 
-    def fragment(self, fragment: Fragment, values) -> None:
+    def fragments(self, fragment: Fragment, count: int, columns) -> None:
         pass
 
 
@@ -167,10 +188,11 @@ class TreeSink:
     left in ``root`` once the stream has ended.
 
     Every node comes from the trusted constructors of
-    :mod:`repro.xmlmodel.node`.  A fragment is instantiated as a unit from
-    its compiled ops: its tags were checked when the program was compiled
-    and its values are ``str`` from the program's reader.  ``start`` and
-    ``text`` check their argument, because any driver can call them.
+    :mod:`repro.xmlmodel.node`.  A group of fragments is instantiated as a
+    unit from the compiled ops: the tags were checked when the program was
+    compiled and the values are ``str`` from the program's reader.
+    ``start`` and ``text`` check their argument, because any driver can
+    call them.
     """
 
     def __init__(self):
@@ -189,31 +211,34 @@ class TreeSink:
     def end(self) -> None:
         self._open = self._open.parent
 
-    def fragment(self, fragment: Fragment, values) -> None:
+    def fragments(self, fragment: Fragment, count: int, columns) -> None:
         parent = self._open
         if parent is None:
             # the document is this one fragment: only ``start`` sets a root
-            fragment.replay(self, values)
+            fragment.replay(self, count, columns)
             return
         new_element = xmlnode.new_element
-        for op, tag, argument in fragment.ops:
-            if op == _SLOT:
-                new_element(tag, parent, values[argument])
-            elif op == _LEAF:
-                new_element(tag, parent, argument)
-            elif op == _OPEN:
-                parent = new_element(tag, parent)
-            else:
-                parent = parent.parent
+        ops = fragment.ops
+        for values in _instances(count, columns):
+            for op, tag, argument in ops:
+                if op == _SLOT:
+                    new_element(tag, parent, values[argument])
+                elif op == _LEAF:
+                    new_element(tag, parent, argument)
+                elif op == _OPEN:
+                    parent = new_element(tag, parent)
+                else:
+                    parent = parent.parent
 
 
 def _fragment_writer(sink):
-    """``sink.fragment`` if the sink takes fragments natively, else the
+    """``sink.fragments`` if the sink takes groups natively, else the
     shared replay onto its event methods."""
-    native = getattr(sink, "fragment", None)
+    native = getattr(sink, "fragments", None)
     if native is not None:
         return native
-    return lambda fragment, values: fragment.replay(sink, values)
+    return lambda fragment, count, columns: fragment.replay(sink, count,
+                                                            columns)
 
 
 class _Tee:
@@ -235,9 +260,9 @@ class _Tee:
         for sink in self._sinks:
             sink.end()
 
-    def fragment(self, fragment: Fragment, values) -> None:
+    def fragments(self, fragment: Fragment, count: int, columns) -> None:
         for write in self._writers:
-            write(fragment, values)
+            write(fragment, count, columns)
 
 
 class ElementCount(int):
@@ -259,9 +284,9 @@ def stream_document(plan: TaggingPlan, cache: dict, root_inh: dict,
     events and fragments, delivered to every sink in document order.
 
     ``sinks`` are objects with ``start(tag)`` / ``text(value)`` / ``end()``
-    methods and optionally ``fragment(fragment, values)``.  ``rename``
-    (usually :func:`repro.dtd.analysis.base_name`) is applied to every
-    emitted tag, which is how unfolding suffixes are stripped: a stream
+    methods and optionally ``fragments(fragment, count, columns)``.
+    ``rename`` (usually :func:`repro.dtd.analysis.base_name`) is applied to
+    every emitted tag, which is how unfolding suffixes are stripped: a stream
     leaves no tree to rename afterwards.  The plan is compiled into a
     :class:`TaggingProgram` on first use and the program kept on the plan.
 
@@ -288,7 +313,7 @@ def build_document(plan: TaggingPlan, cache: dict, root_inh: dict,
 class _Run:
     """What one document binds a program to."""
 
-    __slots__ = ("sink", "emit", "tables", "conditions", "rows", "values",
+    __slots__ = ("sink", "emit", "tables", "conditions", "rows", "columns",
                  "elements", "fragment_elements", "texts")
 
 
@@ -386,7 +411,7 @@ class TaggingProgram:
                 run.elements += count
                 run.fragment_elements += count
                 run.texts += texts
-                run.emit(fragment, run.values[index](run.rows))
+                run.emit(fragment, 1, run.columns[index](run.rows))
             return emit_fragment
         tag, content = item
 
@@ -438,11 +463,8 @@ class TaggingProgram:
                 run.elements += count * len(group)
                 run.fragment_elements += count * len(group)
                 run.texts += texts * len(group)
-                rows, emit, values = run.rows, run.emit, run.values[index]
-                for row in group:
-                    rows[slot] = row
-                    emit(fragment, values(rows))
-                rows[slot] = None
+                run.emit(fragment, len(group),
+                         run.columns[index](run.rows, slot, group))
             return emit_rows
         tag, content = item
 
@@ -519,35 +541,50 @@ class TaggingProgram:
         run.conditions = [_Table(cache[plan.condition_of[path]], [])
                           for path in self.choices]
         run.rows = [None] * len(self.anchors)
-        run.values = [self._values_reader(fragment, run.tables, root_inh)
-                      for fragment in self.fragments]
+        run.columns = [self._columns_reader(fragment, run.tables, root_inh)
+                       for fragment in self.fragments]
         run.elements = run.fragment_elements = run.texts = 0
         self._root(run)
         return ElementCount(run.elements, run.fragment_elements, run.texts)
 
-    def _values_reader(self, fragment: Fragment, tables: list[_Table],
-                       root_inh: dict):
-        """``rows -> [str per slot]`` for ``fragment``, with root
-        attributes and column indexes resolved for this document."""
-        constants: list = [None] * len(fragment.sources)
-        columns = []
-        for position, (text_path, provenance) in enumerate(fragment.sources):
+    def _columns_reader(self, fragment: Fragment, tables: list[_Table],
+                        root_inh: dict):
+        """``(rows, own, group) -> [column of str per slot]`` for
+        ``fragment``, with root attributes and column indexes resolved for
+        this document.  ``group`` holds the rows the iteration at anchor
+        ``own`` is emitting (a lone fragment passes neither): a slot read
+        from that anchor is a column of the group, taken as it is where the
+        table holds only ``str``; one read from an enclosing anchor's
+        current row or a root attribute is one constant for the group.
+        """
+        sources = []
+        for text_path, provenance in fragment.sources:
             if isinstance(provenance, RootValue):
-                constants[position] = _pcdata(root_inh.get(provenance.member))
+                sources.append((_pcdata(root_inh.get(provenance.member)),
+                                None, None, None, text_path))
             else:
                 slot = self.anchors.index(provenance.occurrence.path)
-                columns.append((position, slot, text_path,
-                                tables[slot].index_of(provenance.column)))
+                index = tables[slot].index_of(provenance.column)
+                sources.append((None, slot, itemgetter(index),
+                                tables[slot].types[index] <= {str},
+                                text_path))
 
-        def read(rows: list) -> list[str]:
-            values = constants.copy()
-            for position, slot, text_path, index in columns:
-                row = rows[slot]
-                if row is None:
+        def read(rows: list, own: int | None = None,
+                 group=(None,)) -> list[list[str]]:
+            columns = []
+            for constant, slot, value_of, is_str, text_path in sources:
+                if slot is None:
+                    column = [constant] * len(group)
+                elif slot == own:
+                    column = map(value_of, group)
+                    column = list(column if is_str
+                                  else map(_pcdata, column))
+                elif rows[slot] is None:
                     raise EvaluationError(
                         f"no current row for {self.anchors[slot]} while "
                         f"tagging {text_path}")
-                value = row[index]
-                values[position] = "" if value is None else str(value)
-            return values
+                else:
+                    column = [_pcdata(value_of(rows[slot]))] * len(group)
+                columns.append(column)
+            return columns
         return read

@@ -9,7 +9,7 @@ documents never contain those.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, repeat
 
 from repro.errors import ValidationError
 from repro.xmlmodel.node import XMLElement, XMLNode, XMLText
@@ -23,6 +23,23 @@ def escape_text(value: str) -> str:
     return (value.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;").replace('"', "&quot;")
             .replace("'", "&apos;"))
+
+
+#: Rows of a fragment group written per ``write`` call: a large group
+#: leaves as a few big chunks, never as one document-sized string.
+GROUP_WRITE_ROWS = 64
+
+#: Joins a column of values so one ``escape_text`` pass escapes them all.
+_SEPARATOR = "\x1f"
+
+
+def _escape_column(values: list[str]) -> list[str]:
+    """``escape_text`` of every value, in one pass over their join — or
+    value by value when the data itself holds the separator."""
+    escaped = escape_text(_SEPARATOR.join(values)).split(_SEPARATOR)
+    if len(escaped) != len(values):
+        return list(map(escape_text, values))
+    return escaped
 
 
 def unescape_text(value: str) -> str:
@@ -99,11 +116,13 @@ class StreamSerializer:
     the *current deepest* element's text until its first child or its end
     event — O(depth) state, not O(document).
 
-    A :class:`~repro.runtime.tagging.Fragment` is written natively
-    (:meth:`fragment`): its format depends only on its shape and the level
-    it starts at, so it is one ``%``-template per (fragment, level) —
-    derived from the event path above, which stays the only place that
-    knows the compact and pretty-printed formats — filled once per call.
+    A :class:`~repro.runtime.tagging.Fragment` group is written
+    natively (:meth:`fragments`): a fragment's format depends only on its
+    shape and the level it starts at, so it is one ``%``-template per
+    (fragment, level) — derived from the event path above, which stays the
+    only place that knows the compact and pretty-printed formats — filled
+    once per instance and written :data:`GROUP_WRITE_ROWS` instances at a
+    time.
     """
 
     def __init__(self, write, indent: int | None = None):
@@ -162,19 +181,28 @@ class StreamSerializer:
         else:
             self._emit(f"{self._pad(level)}<{tag}/>{self._nl}")
 
-    def fragment(self, fragment, values) -> None:
-        """Write a whole fragment: its template filled with the escaped
-        ``values`` (one string per PCDATA slot)."""
+    def fragments(self, fragment, count: int, columns) -> None:
+        """Write a group of ``count`` instances of ``fragment``: its
+        template filled from ``columns`` (one list of ``count`` strings per
+        PCDATA slot), each escaped in one pass per batch."""
         stack = self._stack
-        if stack and not stack[-1][1]:
+        if count and stack and not stack[-1][1]:
             self._open_top()
         key = (fragment, len(stack))
         template = self._templates.get(key)
         if template is None:
             template = self._templates[key] = self._template(*key)
-        chunk = template % tuple(map(escape_text, values))
-        self.characters += len(chunk)
-        self._out(chunk)
+        if count == 1:
+            # a lone fragment (most calls on nested documents): no batch
+            self._emit(template % tuple([escape_text(column[0])
+                                         for column in columns]))
+            return
+        for start in range(0, count, GROUP_WRITE_ROWS):
+            stop = min(start + GROUP_WRITE_ROWS, count)
+            values = zip(*[_escape_column(column[start:stop])
+                           for column in columns]
+                         ) if columns else repeat((), stop - start)
+            self._emit("".join(map(template.__mod__, values)))
 
     def _template(self, fragment, level: int) -> str:
         """What the event path writes for ``fragment`` opened at ``level``,
@@ -190,7 +218,7 @@ class StreamSerializer:
             parts: list[str] = []
             at_level = StreamSerializer(parts.append, self.indent)
             at_level._stack = [[None, True, []] for _ in range(level)]
-            fragment.replay(at_level, [value] * len(fragment.sources))
+            fragment.replay(at_level, 1, [[value]] * len(fragment.sources))
             return "".join(parts)
 
         constant = rendered("")

@@ -85,3 +85,9 @@ class TestJudgeClaim:
             bench_gate.main(["HEAD", "--claim", claim])
         assert refused.value.code == 2
         assert "--claim" in capsys.readouterr().err
+
+
+class TestParallelCapacity:
+    def test_one_reading_per_alternation(self):
+        readings = bench_gate.parallel_capacity(alternations=2, work=20_000)
+        assert len(readings) == 2 and all(r > 0 for r in readings)

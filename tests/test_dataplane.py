@@ -160,6 +160,18 @@ class TestStreamingPipeline:
             constraints=aig.constraints, violation_mode="report")
         assert stream.constraint_violations  # the seeded defect is seen
 
+    def test_fragment_groups_beside_the_checker(self):
+        # a star of fragments reaches the serializer as one group and the
+        # checker, behind the same tee, as the group's replayed events
+        from tests.test_mediator_resident import (build_group_aig,
+                                                  group_sources)
+        aig = build_group_aig()
+        members = [(f"m{n % 70}", str(n)) for n in range(100)]
+        _, stream = _assert_stream_matches(
+            aig, group_sources(3, members), {"run": "1"},
+            constraints=aig.constraints, violation_mode="report")
+        assert len(stream.constraint_violations) == 3    # one per group
+
     def test_streaming_key_violation_matches_tree_checker(self):
         aig = build_fs_aig()
         rows = TREE_ROWS + [("n6", "n4", "readme", "1", "3")]  # dup fname

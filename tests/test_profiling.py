@@ -186,9 +186,43 @@ class TestMiddlewareLedger:
         report = middleware.evaluate_stream({"date": "d1"}, chunks.append)
         (record,) = RunLedger(path).records()
         assert record["kind"] == "stream"
-        assert record["run"]["document_bytes"] == report.characters
+        assert record["run"]["document_bytes"] == \
+            len("".join(chunks).encode("utf-8"))
         assert record["run"]["streamed_elements"] == report.elements
         assert record["plan_fingerprint"]
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_stream_and_evaluate_record_the_same_bytes(self, tmp_path,
+                                                       indent):
+        # non-ASCII PCDATA: 2-, 3- and 4-byte UTF-8 sequences, so
+        # characters and bytes differ (the streamed record used to hold
+        # the character count)
+        from tests.test_tagging_program import (CATALOG_SCHEMA,
+                                                build_catalog_aig)
+        from repro.relational import DataSource
+        source = DataSource(CATALOG_SCHEMA)
+        source.load_rows("items", [
+            ("sku1", "caf\u00e9", "1", "d1"),
+            ("sku2", "\u65e5\u672c", "2", "d1"),
+            ("sku3", "\U0001f600 <&>", "3", "d1")])
+        path = str(tmp_path / "ledger.jsonl")
+        tracer = Tracer()
+        middleware = Middleware(build_catalog_aig(), {"WH": source},
+                                ledger=path, tracer=tracer)
+        document = middleware.evaluate({"day": "d1"}).document
+        chunks: list[str] = []
+        report = middleware.evaluate_stream({"day": "d1"}, chunks.append,
+                                            indent=indent)
+        body = "".join(chunks)
+        evaluated, streamed = RunLedger(path).records()
+        compact = len(serialize(document).encode("utf-8"))
+        assert evaluated["run"]["document_bytes"] == compact
+        assert streamed["run"]["document_bytes"] == len(body.encode("utf-8"))
+        if indent is None:
+            assert streamed["run"]["document_bytes"] == compact
+        # the gauge keeps its meaning: characters, fewer than bytes here
+        assert report.characters == len(body) < len(body.encode("utf-8"))
+        assert tracer.metrics.gauge("document_characters") == len(body)
 
     def test_ledger_never_changes_the_document(self, tmp_path):
         plain = fresh_middleware().evaluate({"date": "d1"})

@@ -2,12 +2,12 @@
 
 ``stream_document`` compiles a ``TaggingPlan`` once into a
 ``TaggingProgram`` and hands every star/choice-free run of siblings to the
-sinks as one ``Fragment``.  A sink may take fragments natively
-(``StreamSerializer``: one ``%``-template per row; ``TreeSink``: the
-fragment's ops run over the trusted node constructors) or receive them
-through the shared ``Fragment.replay`` (the streaming checker).  The
-recursive ``serialize`` over the ``TreeSink`` tree shares no code with
-``StreamSerializer.fragment``, so byte equality of the two is the
+sinks as one ``Fragment``, a sibling group at a time.  A sink may take
+groups natively (``StreamSerializer``: one ``%``-template per row;
+``TreeSink``: the fragment's ops run over the trusted node constructors) or
+receive them through the shared ``Fragment.replay`` (the streaming checker).
+The recursive ``serialize`` over the ``TreeSink`` tree shares no code with
+``StreamSerializer.fragments``, so byte equality of the two is the
 "fragment path == event path" property; ``ValidatedTreeSink`` below is the
 tree the same events make through ``XMLElement(...)`` / ``append``.
 """

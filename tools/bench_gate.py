@@ -22,6 +22,11 @@ rule for a small sandbox: the change wins at least nine tenths of the
 pairs run (a tie is a win for neither side) and the medians differ by more
 than the distance between the parent's own quartiles.  A claim that is
 not met exits 1 like a regression.
+
+Before the verdicts it prints ``parallel_capacity_x``: how much work two
+CPU-bound processes finish per second against one, five alternating
+readings (2.0 = a second core is free, 1.0 = the box delivers one), so a
+claim about parallelism is read against what the box delivers.
 """
 
 from __future__ import annotations
@@ -35,6 +40,37 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+#: a child that spins for a fixed amount of interpreter work and prints
+#: the seconds it took
+_SPIN = ("import time; start = time.perf_counter(); "
+         "sum(i * i for i in range({work})); "
+         "print(time.perf_counter() - start)")
+
+
+def parallel_capacity(alternations: int = 5, work: int = 4_000_000) -> list:
+    """Per alternation, ``2 x seconds of one spinning process / seconds of
+    two spinning side by side`` (the slower of the two)."""
+    def spin(processes: int) -> float:
+        children = [subprocess.Popen(
+            [sys.executable, "-c", _SPIN.format(work=work)],
+            stdout=subprocess.PIPE, text=True) for _ in range(processes)]
+        try:
+            return max(float(child.communicate(timeout=300)[0])
+                       for child in children)
+        finally:
+            for child in children:
+                child.kill()        # a no-op once it has exited
+
+    readings = []
+    for alternation in range(alternations):
+        if alternation % 2 == 0:
+            one, two = spin(1), spin(2)
+        else:
+            two, one = spin(2), spin(1)
+        readings.append(2 * one / two)
+    return readings
 
 
 def one_run(tree: Path, spec: dict, workload: str) -> dict:
@@ -125,6 +161,9 @@ def main(argv=None) -> int:
                 entry["name"] for entry in spec["workloads"]):
             parser.error(f"--claim {name}@{workload}: not an end-to-end "
                          f"metric and a workload of BENCHMARK.json")
+    print("parallel_capacity_x " + " ".join(
+        f"{reading:.2f}" for reading in parallel_capacity())
+        + "  (2 x one-process seconds / two-process seconds)", flush=True)
     problems = []
     with tempfile.TemporaryDirectory(prefix="bench-gate-") as parent_tree:
         archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
