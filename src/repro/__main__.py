@@ -250,6 +250,7 @@ def _profile(args) -> int:
               f"max {aggregates['seconds_q_error']['max']:.2f})")
         if run < args.runs:
             print()
+    print("statistics read:", *middleware.stats.describe_reads(), sep="\n")
     if args.json:
         profiled = build_profile(middleware._last_graph,
                                  middleware._last_estimates,

@@ -171,16 +171,11 @@ class CostModel:
                         estimates: dict[str, NodeEstimate]) -> NodeEstimate:
         cards: dict[str, float] = {}
         distincts: dict[str, dict[str, float]] = {}
-        widths: dict[str, float] = {}
         base_stats: dict[str, object] = {}
         for item in query.from_items:
             if isinstance(item, BaseTable):
                 table_stats = self.stats.table(item.source, item.relation)
                 cards[item.alias] = max(1.0, table_stats.cardinality)
-                distincts[item.alias] = {
-                    column: table_stats.distinct_count(column)
-                    for column in table_stats.distinct}
-                widths[item.alias] = table_stats.avg_row_bytes
                 base_stats[item.alias] = table_stats
             elif isinstance(item, TempTable):
                 producer = estimates.get(item.producer)
@@ -189,15 +184,15 @@ class CostModel:
                         f"estimating a query before its input "
                         f"{item.producer!r}")
                 cards[item.alias] = max(1.0, producer.cardinality)
-                distincts[item.alias] = dict(producer.distinct)
-                widths[item.alias] = producer.row_bytes
+                distincts[item.alias] = producer.distinct
             else:
                 assert isinstance(item, SetParamTable)
                 cards[item.alias] = 100.0  # unresolved set parameter
-                distincts[item.alias] = {}
-                widths[item.alias] = 3 * DEFAULT_COLUMN_BYTES
 
         def distinct_of(ref: ColumnRef) -> float:
+            if ref.table in base_stats:  # asks for this column, no other
+                return max(1.0,
+                           base_stats[ref.table].distinct_count(ref.column))
             return max(1.0, distincts.get(ref.table, {}).get(
                 ref.column, cards.get(ref.table, 100.0)))
 

@@ -525,6 +525,24 @@ class DataSource:
     def row_count(self, table: str) -> int:
         return self.execute(f'SELECT COUNT(*) FROM "{table}"').rows[0][0]
 
+    def read_catalog(self, sql: str) -> list[tuple]:
+        """Answer one statistics read (:mod:`repro.relational.statistics`),
+        not a plan statement: on a connection of its own, outside
+        ``execute``'s accounting and the fault injector's hooks."""
+        if self._closed:
+            raise EvaluationError(f"source {self.name!r} is closed")
+        try:
+            connection = self._connect()
+            try:
+                return self.backend.fetch_rows(
+                    self.backend.execute(connection, sql))
+            finally:
+                self.backend.close_connection(connection)
+        except self._error_types as error:
+            raise EvaluationError(
+                f"source {self.name!r}: statistics read failed: {error}\n"
+                f"  {sql}") from error
+
     def reset_metrics(self) -> None:
         self.last_execution_seconds = 0.0
         self.total_queries = 0

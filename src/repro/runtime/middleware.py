@@ -167,7 +167,9 @@ class Middleware:
         self.aig = aig
         self.sources = sources
         self.network = network or Network()
+        #: Reads nothing yet: the ``prepare`` that asks for a statistic does.
         self.stats = StatisticsCatalog.from_sources(list(sources.values()))
+        self._chain_depth: tuple = (None, None)  # (table versions, depth)
         self.merging = merging
         self.unfold_depth = unfold_depth
         self.max_unfold_depth = max_unfold_depth
@@ -371,21 +373,29 @@ class Middleware:
         return self._run(root_inh, tracer, "evaluate-stream", lambda: sinks,
                          preflight=True, report=report)
 
-    def _initial_depth(self) -> int:
-        """The user estimate, or a data-driven one for ``"auto"``.
+    def _initial_depth(self) -> int | None:
+        """The user estimate, or a data-driven one for ``"auto"`` (``None``
+        without recursion).
 
         "auto" implements Section 7's chain-statistics idea via
-        :func:`repro.runtime.recursion.estimate_recursion_depth`; when the
-        recursive queries do not match the probe pattern, a conservative
-        default of 4 is used and the runtime re-unrolling loop covers the
-        rest.
+        :func:`repro.runtime.recursion.estimate_recursion_depth`, read
+        again only after a write to a chain relation; when the recursive
+        queries do not match the probe pattern, a conservative default of
+        4 is used and the runtime re-unrolling loop covers the rest.
         """
+        if not recursive_types(self.aig.dtd):
+            return None
         if self.unfold_depth != "auto":
             return int(self.unfold_depth)
-        from repro.runtime.recursion import estimate_recursion_depth
-        estimated = estimate_recursion_depth(self.aig, self.sources,
-                                             self.max_unfold_depth)
-        return estimated if estimated else 4
+        from repro.runtime.recursion import (chain_queries,
+                                             estimate_recursion_depth)
+        versions = [self.stats.table_version(item.source, item.relation)
+                    for query in chain_queries(self.aig)
+                    for item in query.from_items]
+        if self._chain_depth[0] != versions:
+            self._chain_depth = (versions, estimate_recursion_depth(
+                self.aig, self.sources, self.max_unfold_depth))
+        return self._chain_depth[1] or 4
 
     def prepare(self, depth: int | None = None, tracer=None):
         """Pre-processing + optimization only: returns (graph, plan,
@@ -412,10 +422,13 @@ class Middleware:
         entry = self._prepared.get(key)
         if entry is not None:
             return entry
-        with self._prepare_lock:
+        # A miss reads statistics; sources are single-flight, so it waits
+        # for a running evaluation (run lock first, as invalidate_plans).
+        with self._run_lock, self._prepare_lock:
             entry = self._prepared.get(key)
             if entry is not None:
                 return entry
+            self.stats.tracer = tracer  # this prepare's reads are its spans
             # Stale generations of the same depth are never consulted
             # again — drop them so feedback-driven re-prepares don't grow
             # the cache without bound.
@@ -450,8 +463,8 @@ class Middleware:
             return entry
 
     def invalidate_plans(self) -> None:
-        """Drop cached plans, incremental result caches, and any cached
-        temp tables left on the mediator.
+        """Drop cached plans and the statistics read for them, incremental
+        result caches, and any cached temp tables left on the mediator.
 
         Call after the sources' data changes enough to shift statistics —
         the plans stay correct either way, only their cost-optimality is
@@ -470,6 +483,7 @@ class Middleware:
         with self._run_lock:
             with self._prepare_lock:
                 self._prepared = {}
+                self.stats.invalidate()
             self._result_caches = {}
             for table in self.mediator.table_names():
                 try:
@@ -502,10 +516,9 @@ class Middleware:
         with its estimated cardinality, the per-source schedules with ℓevel
         priorities, the merges chosen, and the predicted ``cost(P)``.
         """
-        from repro.dtd.analysis import recursive_types
         from repro.optimizer.schedule import levels
 
-        if depth is None and recursive_types(self.aig.dtd):
+        if depth is None:
             depth = self._initial_depth()
         graph, plan, tagging_plan, cost, estimates = self.prepare(depth)
         priority = levels(graph, estimates, self.network)
@@ -541,6 +554,9 @@ class Middleware:
         lines.append(f"predicted cost(P): {cost:.3f}s "
                      f"(merging {'on' if self.merging else 'off'}, "
                      f"{self.network})")
+        lines.append("")
+        lines.append("-- statistics read (asked of the sources so far) --")
+        lines.extend(self.stats.describe_reads())
         if self.incremental:
             lines.append("")
             lines.append("-- incremental cache state --")
@@ -606,9 +622,8 @@ class Middleware:
         must prove its depth sufficient before they see a single event.
         ``report(run)`` fills the caller's report, gauges and ledger record.
         """
-        recursive = bool(recursive_types(self.aig.dtd))
-        depth = self._initial_depth() if recursive else None
         with self._run_lock:
+            depth = self._initial_depth()
             while True:
                 run = self._run_at_depth(root_inh, depth, tracer, span,
                                          open_sinks, preflight)

@@ -245,19 +245,40 @@ def estimate_recursion_depth(aig: AIG, sources, max_depth: int = 64,
     plus runtime re-unrolling).
     """
     from repro.relational.source import Federation
-    from repro.sqlq.analyze import scalar_params, set_params
-    from repro.sqlq.ast import (ColumnRef, Comparison, Param, Query,
-                                SelectItem)
     from repro.sqlq.render import render_sqlite
 
-    recursive = recursive_types(aig.dtd)
-    if not recursive:
+    if not recursive_types(aig.dtd):
         return 0
-    source_list = (list(sources.values()) if isinstance(sources, dict)
-                   else list(sources))
-    federation = Federation(source_list)
-    estimated = None
-    for element_type in sorted(recursive):
+    queries = chain_queries(aig)
+    if not queries:
+        return None
+    by_name = (sources if isinstance(sources, dict)
+               else {source.name: source for source in sources})
+    # Only the sources the chains live in: a federation copies every base
+    # relation of a source it cannot ATTACH.
+    federation = Federation([by_name[name] for name in sorted(
+        {item.source for query in queries for item in query.from_items})
+        if name in by_name])
+    try:
+        estimated = 0
+        for edge_query in queries:
+            sql, params = render_sqlite(edge_query, qualify_sources=True)
+            rows = federation.execute(sql, tuple(params)).rows
+            estimated = max(estimated, _longest_chain(rows, max_depth))
+    finally:
+        federation.close()
+    return min(estimated + margin, max_depth)
+
+
+def chain_queries(aig: AIG) -> list:
+    """The (src, dst) edge query of every recursive star rule whose
+    iteration query matches the feedback pattern — what
+    :func:`estimate_recursion_depth` reads, and from which relations."""
+    from repro.sqlq.analyze import scalar_params, set_params
+    from repro.sqlq.ast import Query, SelectItem
+
+    queries = []
+    for element_type in sorted(recursive_types(aig.dtd)):
         rule = aig.rules.get(element_type)
         if not isinstance(rule, StarRule):
             continue
@@ -270,16 +291,10 @@ def estimate_recursion_depth(aig: AIG, sources, max_depth: int = 64,
         param_name, src_col, dst_col, remaining = feedback
         if scalar_params(query) - {param_name}:
             continue  # other unbound parameters: cannot probe statically
-        edge_query = Query(
+        queries.append(Query(
             (SelectItem(src_col, "src"), SelectItem(dst_col, "dst")),
-            query.from_items, remaining, distinct=True)
-        sql, params = render_sqlite(edge_query, qualify_sources=True)
-        rows = federation.execute(sql, tuple(params)).rows
-        depth = _longest_chain(rows, max_depth)
-        estimated = max(estimated or 0, depth)
-    if estimated is None:
-        return None
-    return min(estimated + margin, max_depth)
+            query.from_items, remaining, distinct=True))
+    return queries
 
 
 def _feedback_pattern(query):

@@ -79,6 +79,10 @@ class TenantState:
         merged = dict(DEFAULT_CONFIG)
         merged.update(self.config)
         self.middleware = Middleware(aig, sources, **merged)
+        # Registration is where a tenant's sources are first touched: the
+        # plan is prepared here so the first request does not inherit the
+        # statistics reads.
+        self.middleware.prepare(self.middleware._initial_depth())
 
     def coalesce_key(self, root_inh: dict, indent: int | None) -> tuple:
         """Identity of one request's bytes: tenant + plan + inputs +

@@ -39,7 +39,8 @@ class TestMissingData:
 
     def test_dropped_table_middleware(self, hospital_aig, tiny_sources):
         tiny_sources["DB4"].execute_script("DROP TABLE procedure")
-        # the failure surfaces at statistics collection already
+        # the statistics read fails quietly (advisory); the plan's own
+        # statement at DB4 raises
         with pytest.raises(EvaluationError):
             Middleware(hospital_aig, tiny_sources,
                        Network.mbps(1.0)).evaluate({"date": "d1"})

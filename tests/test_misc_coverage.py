@@ -95,16 +95,6 @@ class TestPlanCostProperties:
 
 
 class TestStatisticsDetails:
-    def test_avg_row_bytes_reflects_data(self):
-        from repro.relational.statistics import collect_stats
-        schema = SourceSchema("DB", (relation("t", "a"),))
-        narrow = DataSource(schema)
-        narrow.load_rows("t", [("x",)] * 10)
-        wide = DataSource(schema)
-        wide.load_rows("t", [("x" * 500,)] * 10)
-        assert collect_stats(wide)["t"].avg_row_bytes > \
-            collect_stats(narrow)["t"].avg_row_bytes
-
     def test_distinct_counts(self):
         from repro.relational.statistics import collect_stats
         schema = SourceSchema("DB", (relation("t", "a", "b"),))
