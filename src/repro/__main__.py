@@ -2,19 +2,18 @@
 
 Commands:
 
-* ``demo [--scale S] [--date D] [--no-merge] [--workers N]
+* ``demo [--scale S] [--date D] [--no-merge]
   [--shards N] [--trace FILE] [--metrics] [--metrics-json FILE]
   [--faults SPEC] [--retries N] [--deadline S] [--degrade]`` — generate a
   hospital dataset and produce one day's report through the middleware,
   printing summary statistics (add ``--xml`` to dump the document;
-  ``--workers N`` or ``--workers auto`` executes per-source query
-  sequences concurrently; ``--shards N`` partitions the document by key
+  ``--shards N`` partitions the document by key
   range and evaluates in N worker processes — see docs/SHARDING.md;
   ``--trace`` writes a Chrome trace-event JSON loadable in Perfetto /
-  ``chrome://tracing`` with one track per worker lane; ``--faults``
+  ``chrome://tracing`` with one track per source; ``--faults``
   injects deterministic failures, recovered by ``--retries``/``--degrade``
   — see docs/RESILIENCE.md).
-* ``calibrate [--scale S] [--workers N] [--json FILE]`` — run one report
+* ``calibrate [--scale S] [--json FILE]`` — run one report
   and print the cost-model calibration: the optimizer's modeled
   ``eval_cost``/``size`` per QDG node joined against measured wall time
   and bytes, with q-error aggregates (see docs/OBSERVABILITY.md).
@@ -28,13 +27,13 @@ Commands:
 * ``fuzz [--seeds N] [--start N] [--violate-every N] [--seed-file FILE]
   [--shrink] [--out DIR]`` — differential fuzzing: seeded random AIGs
   evaluated under the full configuration grid (conceptual vs. middleware
-  × merging × workers × incremental × fault-recovery),
+  × merging × incremental × fault-recovery),
   writing a JSON repro file for any divergence (see docs/TESTING.md).
-* ``serve [--host H] [--port P] [--scale S] [--workers N] [--no-merge]
+* ``serve [--host H] [--port P] [--scale S] [--no-merge]
   [--no-incremental] [--max-inflight N] [--queue-depth N]
   [--max-tenants N] [--tenant-ttl S] [--ledger FILE] [--feedback FILE]``
   — run the long-lived multi-tenant evaluation service (docs/SERVICE.md):
-  compiled plans, incremental caches, pooled connections, breakers, and
+  compiled plans, incremental caches, source connections, breakers, and
   cost-feedback state stay warm across HTTP requests; a hospital tenant
   is pre-registered; ``--max-tenants``/``--tenant-ttl`` bound the
   registry with LRU + idle-TTL eviction.
@@ -129,7 +128,6 @@ def _demo(args) -> int:
         aig, sources, Network.mbps(args.mbps),
         merging=not args.no_merge,
         unfold_depth="auto",
-        workers=args.workers,
         tracer=tracer,
         retry_policy=retry_policy,
         deadline=args.deadline,
@@ -159,9 +157,7 @@ def _demo(args) -> int:
           f"unfold depth {report.unfold_depth}); "
           f"simulated response {report.response_time:.2f}s at "
           f"{args.mbps:g} Mbps, {report.bytes_shipped} bytes shipped")
-    print(f"execution: {report.workers} worker lane(s), "
-          f"{report.measured_seconds:.3f}s wall, "
-          f"parallel speedup {report.parallel_speedup:.2f}x")
+    print(f"execution: {report.measured_seconds:.3f}s wall")
     if report.shards > 1:
         rss = (max(report.shard_peak_rss) if report.shard_peak_rss else 0)
         print(f"sharding: {report.shards} process(es), rows/shard "
@@ -201,8 +197,7 @@ def _calibrate(args) -> int:
     date = args.date or dataset.busiest_date()
     middleware = Middleware(aig, sources, Network.mbps(args.mbps),
                             merging=not args.no_merge,
-                            unfold_depth="auto",
-                            workers=args.workers)
+                            unfold_depth="auto")
     middleware.evaluate({"date": date})
     report = middleware.calibration_report()
     print(report.to_text())
@@ -233,7 +228,6 @@ def _profile(args) -> int:
     middleware = Middleware(aig, sources, Network.mbps(args.mbps),
                             merging=not args.no_merge,
                             unfold_depth="auto",
-                            workers=args.workers,
                             tracer=tracer,
                             cost_feedback=feedback,
                             ledger=args.ledger)
@@ -417,7 +411,6 @@ def _serve(args) -> int:
     sources, _ = make_loaded_sources(args.scale)
     config = {"merging": not args.no_merge,
               "incremental": not args.no_incremental,
-              "workers": args.workers,
               "unfold_depth": "auto"}
     if args.ledger:
         config["ledger"] = args.ledger
@@ -439,21 +432,6 @@ def _faults_value(text: str) -> str:
     except SpecError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
     return text
-
-
-def _workers_value(text: str):
-    """argparse type for ``--workers``: a positive int or ``auto``."""
-    if text == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {text!r}")
-    return value
 
 
 def _shards_value(text: str) -> int:
@@ -519,10 +497,6 @@ def main(argv: list[str] | None = None) -> int:
                            "per-source pairs DB1=file,DB3=duckdb "
                            "(unlisted sources stay sqlite)")
     demo.add_argument("--no-merge", action="store_true")
-    demo.add_argument("--workers", type=_workers_value, default=1,
-                      metavar="N|auto",
-                      help="concurrent source lanes (default 1; 'auto' = "
-                           "one per source)")
     demo.add_argument("--shards", type=_shards_value, default=1, metavar="N",
                       help="evaluate in N worker processes by key-range "
                            "document partitioning (default 1 = off; see "
@@ -573,8 +547,6 @@ def main(argv: list[str] | None = None) -> int:
     calibrate.add_argument("--date", default=None)
     calibrate.add_argument("--mbps", type=float, default=1.0)
     calibrate.add_argument("--no-merge", action="store_true")
-    calibrate.add_argument("--workers", type=_workers_value, default=1,
-                           metavar="N|auto")
     calibrate.add_argument("--json", default=None, metavar="FILE",
                            help="also write the report as JSON")
     calibrate.set_defaults(handler=_calibrate)
@@ -588,8 +560,6 @@ def main(argv: list[str] | None = None) -> int:
     profile.add_argument("--date", default=None)
     profile.add_argument("--mbps", type=float, default=1.0)
     profile.add_argument("--no-merge", action="store_true")
-    profile.add_argument("--workers", type=_workers_value, default=1,
-                         metavar="N|auto")
     profile.add_argument("--runs", type=int, default=1, metavar="N",
                          help="evaluate N times; with >1 run a cost-"
                               "feedback store is enabled so later runs "
@@ -664,8 +634,6 @@ def main(argv: list[str] | None = None) -> int:
                        choices=["tiny", "small", "medium", "large"],
                        help="dataset scale for the pre-registered "
                             "hospital tenant")
-    serve.add_argument("--workers", type=_workers_value, default=1,
-                       metavar="N|auto")
     serve.add_argument("--no-merge", action="store_true")
     serve.add_argument("--no-incremental", action="store_true",
                        help="disable the cross-request result cache "

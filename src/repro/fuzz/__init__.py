@@ -12,7 +12,7 @@ instead of the single hand-built hospital grammar:
 * :mod:`repro.fuzz.generator` — seeded random scenarios (grammar +
   schemas + rules + constraint-satisfying or violation-injected data).
 * :mod:`repro.fuzz.oracle` — the cross-configuration equivalence oracle
-  (conceptual vs. middleware × workers × merging × incremental ×
+  (conceptual vs. middleware × merging × incremental ×
   fault-recovery).
 * :mod:`repro.fuzz.shrink` — minimizes a diverging scenario to a small
   repro file.

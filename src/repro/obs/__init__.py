@@ -3,12 +3,12 @@ profiling, and cross-run persistence.
 
 Zero-dependency (stdlib only).  The subsystem's pieces:
 
-* :mod:`repro.obs.tracer` — hierarchical spans with per-lane tracks; the
+* :mod:`repro.obs.tracer` — hierarchical spans with per-source tracks; the
   no-op :data:`NULL_TRACER` is the default everywhere, so tracing costs
   nothing unless a recording :class:`Tracer` is passed to
   ``Middleware(tracer=...)``.
 * :mod:`repro.obs.metrics` — named counters, gauges, and histograms
-  (rows materialized, bytes shipped, pool hits, per-node latency
+  (rows materialized, bytes shipped, per-node latency
   distributions, …), owned by the tracer.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``), metrics JSON, the Prometheus text exposition

@@ -4,9 +4,9 @@ Four formats, all derived from one :class:`~repro.obs.tracer.Tracer`:
 
 * :func:`chrome_trace` — the Chrome trace-event JSON format (open the file
   in Perfetto / ``chrome://tracing``).  Every span becomes a complete
-  ("X") event; every track (the coordinator plus one per worker lane)
-  becomes its own thread row via ``thread_name`` metadata events, so
-  concurrent per-lane execution renders as parallel timelines.
+  ("X") event; every track (the main one plus one per source) becomes
+  its own thread row via ``thread_name`` metadata events, so each
+  source's statements render on their own timeline.
 * :func:`metrics_dict` / :func:`write_metrics` — machine-readable counters,
   gauges, and histogram summaries plus per-category span rollups.
 * :func:`prometheus_text` / :func:`write_prometheus` — the Prometheus text

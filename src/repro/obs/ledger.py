@@ -14,9 +14,9 @@ Record schema (top-level keys, all sorted on disk):
 * ``plan_fingerprint`` — structural SHA-256 of the executed QDG
   (:func:`repro.runtime.incremental.plan_fingerprint`), identical across
   re-runs of the same plan — the join key for cross-run analysis;
-* ``config`` — the middleware knobs that shaped the run (merging,
-  scheduling, workers, unfold depth, violation mode, incremental,
-  query overhead, failure policy);
+* ``config`` — the middleware knobs that shaped the run (merging, unfold
+  depth, violation mode, incremental, failure policy, shards); records
+  written by older versions carry more keys, which readers ignore;
 * ``plan`` — estimated cost, simulated response time, node count;
 * ``run`` — measured wall seconds, queries executed, bytes shipped,
   cache reuse (reused/tainted node counts), document bytes, violation

@@ -3,9 +3,8 @@
 A :class:`MetricsRegistry` is a flat, thread-safe map of named numbers:
 
 * **counters** accumulate (``add``) — rows materialized, bytes shipped,
-  connection-pool hits, queries executed, violations found, per-lane busy
-  seconds (dotted names like ``lane_busy_seconds.DB1`` scope a metric to
-  one lane/source);
+  queries executed, violations found, per-source busy seconds (dotted
+  names like ``lane_busy_seconds.DB1`` scope a metric to one source);
 * **gauges** hold the latest value (``set_gauge``) — QDG size, predicted
   plan cost, merge savings, document size, unfolding depth;
 * **histograms** accumulate a distribution (``observe``) — per-node and

@@ -3,11 +3,11 @@
 A :class:`Tracer` records *spans* — named, categorized intervals measured on
 ``time.perf_counter`` relative to the tracer's epoch — for every pipeline
 stage: recursion unfolding, constraint compilation, decomposition, QDG
-construction, merge/schedule, per-query execution per worker lane, input
+construction, merge/schedule, per-query execution per source, input
 shipping, tagging, and constraint checking.  Spans nest: each thread keeps
 its own stack, so a span opened while another is active on the same thread
-becomes its child; cross-thread parents (the executor's per-lane query
-spans under the coordinator's ``execute`` span) are passed explicitly.
+becomes its child; a parent on another track (the executor's per-source
+query spans under the ``execute`` span) is passed explicitly.
 
 The default throughout the codebase is :data:`NULL_TRACER`, whose spans
 still *time* their interval (two ``perf_counter`` calls — the engine's
@@ -28,7 +28,7 @@ import time
 
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 
-#: Default track for spans opened outside any lane (coordinator thread).
+#: Default track for spans opened outside any source's track.
 MAIN_TRACK = "main"
 
 
@@ -36,7 +36,7 @@ class Span:
     """One recorded interval.  Use as a context manager.
 
     ``start``/``end`` are seconds relative to the owning tracer's epoch;
-    ``track`` names the timeline the span renders on (one per worker lane,
+    ``track`` names the timeline the span renders on (one per source,
     plus :data:`MAIN_TRACK`); ``attrs`` are free-form key/values carried
     into the trace export.
     """
@@ -129,10 +129,10 @@ class Tracer:
              parent: Span | None = None, **attrs) -> Span:
         """A new span, to be entered with ``with``.
 
-        ``track`` pins the span to a named timeline (worker lane); when
+        ``track`` pins the span to a named timeline (a source's); when
         omitted it inherits the enclosing span's track, falling back to
         :data:`MAIN_TRACK`.  ``parent`` overrides the thread-local nesting
-        — used when a worker-thread span belongs under a coordinator span.
+        — used when a span on one track belongs under a span on another.
         """
         return Span(self, name, category,
                     next(self._ids),

@@ -4,7 +4,7 @@ A :class:`Backend` owns everything engine-specific about one
 :class:`~repro.relational.source.DataSource`: opening connections,
 running statements, draining cursors into *tuple* rows, transaction
 control, deadline interruption, and bulk loading.  The ``DataSource``
-keeps the orchestration that is engine-agnostic — connection pooling,
+keeps the orchestration that is engine-agnostic —
 per-relation version counters, fault injection, timing metrics — and
 delegates the rest here.
 
@@ -170,10 +170,8 @@ class Backend:
     def rollback_open(self, connection) -> bool:
         """Roll back an open transaction; True if the connection is clean.
 
-        Called when a leased connection is returned (it may have been
-        abandoned mid-shipment) and after a failed temp-table load.  A
-        False return means even the rollback failed and the connection
-        must be discarded rather than pooled.
+        Called after a failed temp-table load.  A False return means even
+        the rollback failed: the connection is left mid-transaction.
         """
         try:
             connection.execute("ROLLBACK")

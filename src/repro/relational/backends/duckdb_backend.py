@@ -1,6 +1,6 @@
 """DuckDB backend: one in-memory DuckDB database per source.
 
-Pooled "connections" are cursors of one root connection
+"Connections" are cursors of one root connection
 (``duckdb.connect(":memory:")``), which share the database the way
 shared-cache URIs do for SQLite.  Differences from the default backend
 that the adapter papers over:

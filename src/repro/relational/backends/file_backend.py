@@ -84,8 +84,8 @@ class FileBackend(Sqlite3Backend):
     """Read-only CSV/Parquet source (see module docstring).
 
     Subclasses the sqlite3 backend because the scan engine *is* an
-    embedded SQLite session — connection pooling, deadline interruption,
-    and cursor semantics are inherited; storage, capabilities, and the
+    embedded SQLite session — connections, deadline interruption and
+    cursor semantics are inherited; storage, capabilities, and the
     write paths are replaced.
     """
 

@@ -2,7 +2,7 @@
 
 This is the original ``DataSource`` engine extracted behind the backend
 protocol, byte-for-byte: a named shared-cache in-memory database (other
-connections in the process — pooled worker leases, the Federation — open
+connections in the process — statistics reads, the Federation — open
 or ATTACH it by URI and see the same data), autocommit connections with
 ``synchronous=OFF``, a warm compiled-statement cache, and deadline
 interruption through SQLite's progress handler.
@@ -50,9 +50,9 @@ class Sqlite3Backend(Backend):
     def connect(self) -> sqlite3.Connection:
         # Autocommit (isolation_level=None): shared-cache readers must not
         # hold transactions open, or cross-connection access deadlocks.
-        # check_same_thread=False because the pool hands a connection to
-        # whichever worker thread serves the source; exclusivity is
-        # enforced by the executor, not by SQLite.
+        # check_same_thread=False because the service evaluates on
+        # whichever request thread holds the run lock; exclusivity is
+        # enforced by that lock, not by SQLite.
         connection = sqlite3.connect(
             self.uri, uri=True, isolation_level=None,
             check_same_thread=False,

@@ -11,8 +11,8 @@ results are cached and synthesized-attribute computations run.
 Engine specifics — opening connections, cursor semantics, transactions,
 deadline interruption, bulk loading — live in
 :mod:`repro.relational.backends` (docs/BACKENDS.md); this module keeps the
-engine-agnostic orchestration: pooling, version counters, fault injection
-and metrics.  ``DataSource(schema)`` without a ``backend`` argument behaves
+engine-agnostic orchestration: version counters, fault injection and
+metrics.  ``DataSource(schema)`` without a ``backend`` argument behaves
 exactly as the historical sqlite3-only class.
 """
 
@@ -175,13 +175,11 @@ class DataSource:
     shorthand for a file-backed database and cannot be combined with an
     explicit backend.
 
-    Thread-safety rules (see docs/INTERNALS.md, "Execution concurrency
-    model"): a source is *single-flight* — at most one query may run against
-    it at a time — but that query may come from any thread.  The concurrent
-    executor acquires a pooled connection per source worker
-    (:meth:`acquire_connection`) and returns it afterwards; pooled
-    connections keep their caches warm across runs.  Exclusivity is
-    enforced by the executor, not by the engine.
+    Thread-safety rules (see docs/INTERNALS.md, "Execution order"): a
+    source is *single-flight* — at most one statement may run against it at
+    a time, on its one connection — but that statement may come from any
+    thread (the service evaluates from many).  Exclusivity is enforced by
+    the caller (``Middleware``'s run lock), not here.
     """
 
     def __init__(self, schema: SourceSchema, path: str | None = None,
@@ -208,17 +206,12 @@ class DataSource:
         self._error_types = tuple(dict.fromkeys(
             (*backend.error_types, sqlite3.Error)))
         self._closed = False
-        self._pool: list[sqlite3.Connection] = []
-        self._pool_lock = threading.Lock()
         self.connection = self._connect()
         self.last_execution_seconds = 0.0
         self.total_queries = 0
         self.total_seconds = 0.0
-        self.pool_hits = 0       # leases served from the pool (reuse)
-        self.pool_misses = 0     # leases that had to open a connection
-        self.leases_outstanding = 0  # acquired but not yet released
         #: Optional :class:`repro.resilience.faults.FaultInjector` hook —
-        #: consulted at the statement and lease boundaries when installed.
+        #: consulted at the statement boundary when installed.
         self.fault_injector = None
         self._temp_counter = 0
         #: Per-relation monotonic version counters (see docs/INCREMENTAL.md):
@@ -238,67 +231,6 @@ class DataSource:
 
     def _connect(self):
         return self.backend.connect()
-
-    # ------------------------------------------------------------------
-    # connection pool (one leased connection per concurrent worker)
-    # ------------------------------------------------------------------
-    def acquire_connection(self) -> sqlite3.Connection:
-        """Lease a connection to this source's database.
-
-        Reuses a pooled connection when one is free (keeping its prepared
-        statements) and opens a fresh one otherwise.  The caller must give
-        it back with :meth:`release_connection`.
-        """
-        if self._closed:
-            raise EvaluationError(
-                f"source {self.name!r} is closed")
-        if self.fault_injector is not None:
-            try:
-                self.fault_injector.on_acquire(self.name)
-            except self._error_types as error:
-                raise EvaluationError(
-                    f"source {self.name!r}: acquiring a connection failed: "
-                    f"{error}") from error
-        with self._pool_lock:
-            if self._pool:
-                self.pool_hits += 1
-                self.leases_outstanding += 1
-                return self._pool.pop()
-            self.pool_misses += 1
-        # Open outside the lock; count the lease only once the connection
-        # exists — a failed open would otherwise leak the counter forever
-        # (there is no connection for the caller to release).
-        connection = self._connect()
-        with self._pool_lock:
-            self.leases_outstanding += 1
-        return connection
-
-    def release_connection(self, connection) -> None:
-        """Return a leased connection to the pool for later reuse.
-
-        A connection handed back mid-transaction (a shipment or query was
-        aborted between BEGIN and COMMIT — deadline interrupt, injected
-        fault, thread crash) is rolled back first; pooling it dirty would
-        poison the next lease with "cannot start a transaction within a
-        transaction".  If even the rollback fails the connection is closed
-        instead of pooled.
-        """
-        dirty = not self.backend.rollback_open(connection)
-        if dirty:
-            logger.warning("source %s: rollback of a returned pooled "
-                           "connection failed; closing it instead of "
-                           "pooling", self.name)
-        with self._pool_lock:
-            self.leases_outstanding = max(0, self.leases_outstanding - 1)
-            if self._closed or dirty:
-                self.backend.close_connection(connection)
-            else:
-                self._pool.append(connection)
-
-    def pool_size(self) -> int:
-        """Idle pooled connections (excludes outstanding leases)."""
-        with self._pool_lock:
-            return len(self._pool)
 
     def _create_base_tables(self) -> None:
         self.backend.create_base_tables(self.connection)
@@ -363,12 +295,9 @@ class DataSource:
     # execution
     # ------------------------------------------------------------------
     def execute(self, sql: str, params: tuple = (),
-                connection=None,
                 deadline: float | None = None) -> ResultSet:
         """Run a SELECT, returning a ResultSet; timing is recorded.
 
-        ``connection`` selects a leased pool connection (concurrent
-        executor); the source's own connection is used by default.
         ``deadline`` bounds *in-flight* work in seconds: on backends that
         support interruption (``capabilities.supports_deadlines``) the
         running statement is aborted once it elapses, and injected slow
@@ -384,7 +313,7 @@ class DataSource:
         Read-only backends (``supports_writes=False``) reject write
         statements here; their data arrives through :meth:`load_rows`.
         """
-        conn = connection if connection is not None else self.connection
+        conn = self.connection
         head = sql.lstrip()[:16].upper()
         is_read = head.startswith(("SELECT", "WITH", "PRAGMA", "EXPLAIN"))
         if not is_read and not self.backend.capabilities.supports_writes:
@@ -460,8 +389,7 @@ class DataSource:
     # shipped inputs
     # ------------------------------------------------------------------
     def create_temp_table(self, columns: list[str], rows: list[tuple],
-                          name: str | None = None,
-                          connection: sqlite3.Connection | None = None) -> str:
+                          name: str | None = None) -> str:
         """Materialize shipped tuples as a temp table; returns its name.
 
         This is the landing step of the paper's "results are then shipped
@@ -481,7 +409,7 @@ class DataSource:
                 f"{self.backend.capabilities.backend!r} cannot receive "
                 f"shipped temp tables (the engine should have rewritten "
                 f"this ship inline)")
-        conn = connection if connection is not None else self.connection
+        conn = self.connection
         if name is None:
             self._temp_counter += 1
             name = f"__ship_{self._temp_counter}"
@@ -547,15 +475,9 @@ class DataSource:
         self.last_execution_seconds = 0.0
         self.total_queries = 0
         self.total_seconds = 0.0
-        self.pool_hits = 0
-        self.pool_misses = 0
 
     def close(self) -> None:
-        with self._pool_lock:
-            self._closed = True
-            pooled, self._pool = self._pool, []
-        for connection in pooled:
-            self.backend.close_connection(connection)
+        self._closed = True
         self.backend.close_connection(self.connection)
         self.backend.close()
 
@@ -575,11 +497,10 @@ class Mediator(DataSource):
     def __init__(self):
         super().__init__(SourceSchema(MEDIATOR_NAME, ()))
 
-    def cache_result(self, table_name: str, result,
-                     connection: sqlite3.Connection | None = None) -> str:
+    def cache_result(self, table_name: str, result) -> str:
         """Cache a shipped query output under ``table_name``."""
         return self.create_temp_table(result.columns, result.rows,
-                                      table_name, connection=connection)
+                                      table_name)
 
 
 class Federation:

@@ -7,14 +7,14 @@ production half of the failure story:
 * :mod:`repro.resilience.faults` — a deterministic, programmable
   fault-injection harness installed on :class:`~repro.relational.source.
   DataSource` (transient errors, slow queries, dropped connections,
-  outages), addressed by per-source statement index so sequential and
-  threaded runs see identical failures.
+  outages), addressed by per-source statement index so every run of a plan
+  sees identical failures.
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy` (exponential
   backoff, seeded jitter, per-query attempt budget) and per-query
   deadlines enforced through SQLite's progress handler.
 * :mod:`repro.resilience.breaker` — per-source circuit breakers
-  (closed -> open -> half-open) consulted by the executor's lane
-  dispatcher before dispatch.
+  (closed -> open -> half-open) consulted by the executor before
+  it issues a node.
 * :mod:`repro.resilience.report` — :class:`FailureReport`: the structured
   record of skipped subtrees and unchecked guards a degraded run emits.
 

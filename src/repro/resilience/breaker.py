@@ -2,8 +2,8 @@
 
 A breaker guards one data source.  While *closed* it only counts
 consecutive failures; once they reach ``failure_threshold`` it *opens* and
-every call is rejected without touching the source (the executor's lane
-dispatcher consults :meth:`CircuitBreaker.blocked` before dispatch, so an
+every call is rejected without touching the source (the executor
+consults :meth:`CircuitBreaker.would_block` before it issues a node, so an
 open source costs nothing per node).  After ``cooldown`` seconds the
 breaker admits a single *half-open* probe: success closes it, failure
 re-opens it and restarts the cooldown.
@@ -82,7 +82,7 @@ class CircuitBreaker:
 
         Unlike :meth:`blocked` this never leases the half-open probe, so
         it is safe to consult without committing to execute.  The
-        executor's lane dispatcher peeks here; the retry loop that
+        executor's dispatch loop peeks here; the retry loop that
         actually runs the query then claims the probe with
         :meth:`blocked`.  (Consulting the leasing call twice for one task
         would wedge the breaker: the second call sees the probe taken,

@@ -1,17 +1,14 @@
 """Deterministic fault injection for :class:`~repro.relational.source.DataSource`.
 
 A :class:`FaultInjector` is installed on a set of sources and fires
-programmable faults at the two boundaries every query crosses — the
-``execute``/``create_temp_table`` statement boundary and the
-``acquire_connection`` pool boundary — so the sequential engine and the
-threaded executor see exactly the same failures.
+programmable faults at the boundary every query crosses: the
+``execute``/``create_temp_table`` statement boundary.
 
 Faults are addressed by a *per-source operation index* (1-based, counted
 from the moment the injector is installed), which makes every run with the
-same plan and the same spec reproducible: the static executor issues each
-source's queries in schedule order regardless of worker count, so "the 3rd
-statement on DB2" names the same query under ``workers=1`` and
-``workers=8``.
+same plan and the same spec reproducible: the executor issues each source's
+queries in schedule order, so "the 3rd statement on DB2" names the same
+query in every run.
 
 Spec grammar (see docs/RESILIENCE.md)::
 
@@ -21,7 +18,6 @@ Spec grammar (see docs/RESILIENCE.md)::
               | "slow"        -- delay the N-th statement by ARG seconds
               | "drop"        -- simulate a dropped connection on the N-th statement
               | "down"        -- every statement from the N-th on fails (outage)
-              | "acquire"     -- fail the N-th connection lease
 
     e.g.  "DB2:error@3,DB1:slow@2:0.05,DB3:down@1"
 
@@ -40,9 +36,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import SpecError
 
-#: Statement-boundary fault kinds (``acquire`` is the lease boundary).
+#: The fault kinds, all fired at the statement boundary.
 STATEMENT_KINDS = ("error", "slow", "drop", "down")
-ALL_KINDS = STATEMENT_KINDS + ("acquire",)
 
 
 class InjectedFault(sqlite3.OperationalError):
@@ -55,7 +50,7 @@ class FaultClause:
     """One parsed clause of a fault spec."""
 
     source: str
-    kind: str            # 'error' | 'slow' | 'drop' | 'down' | 'acquire'
+    kind: str            # 'error' | 'slow' | 'drop' | 'down'
     at: int              # 1-based operation index on that source
     arg: float = 0.0     # seconds for 'slow'
 
@@ -88,10 +83,10 @@ def parse_fault_spec(spec: str) -> list[FaultClause]:
             raise SpecError(
                 f"malformed fault clause {clause!r} (expected "
                 f"SOURCE:kind@N[:ARG])") from None
-        if kind not in ALL_KINDS:
+        if kind not in STATEMENT_KINDS:
             raise SpecError(
                 f"unknown fault kind {kind!r} in {clause!r} "
-                f"(expected one of {', '.join(ALL_KINDS)})")
+                f"(expected one of {', '.join(STATEMENT_KINDS)})")
         if at < 1:
             raise SpecError(
                 f"fault index must be >= 1 in {clause!r} (indices are "
@@ -120,7 +115,6 @@ class FaultInjector:
     def __post_init__(self):
         self._lock = threading.Lock()
         self._statement_counts: dict[str, int] = {}
-        self._acquire_counts: dict[str, int] = {}
         self.fired: list[tuple[str, FaultClause]] = []
         self._by_source: dict[str, list[FaultClause]] = {}
         for clause in self.clauses:
@@ -156,7 +150,7 @@ class FaultInjector:
         with self._lock:
             index = self._statement_counts.get(source_name, 0) + 1
             self._statement_counts[source_name] = index
-            hit = self._match(source_name, index, STATEMENT_KINDS)
+            hit = self._match(source_name, index)
             if hit is not None:
                 self.fired.append((source_name, hit))
         if hit is None:
@@ -173,27 +167,9 @@ class FaultInjector:
         raise InjectedFault(
             f"injected fault {hit}: transient failure on {source_name!r}")
 
-    def on_acquire(self, source_name: str) -> None:
-        """Called on each connection lease from ``source_name``'s pool."""
-        if source_name not in self._by_source:
-            return
-        with self._lock:
-            index = self._acquire_counts.get(source_name, 0) + 1
-            self._acquire_counts[source_name] = index
-            hit = self._match(source_name, index, ("acquire",))
-            if hit is not None:
-                self.fired.append((source_name, hit))
-        if hit is not None:
-            raise InjectedFault(
-                f"injected fault {hit}: could not open a connection to "
-                f"{source_name!r}")
-
     # ------------------------------------------------------------------
-    def _match(self, source_name: str, index: int,
-               kinds: tuple[str, ...]) -> FaultClause | None:
+    def _match(self, source_name: str, index: int) -> FaultClause | None:
         for clause in self._by_source.get(source_name, ()):
-            if clause.kind not in kinds:
-                continue
             if clause.kind == "down":
                 if index >= clause.at:
                     return clause
@@ -205,5 +181,4 @@ class FaultInjector:
         """Zero the operation counters (faults can fire again)."""
         with self._lock:
             self._statement_counts.clear()
-            self._acquire_counts.clear()
             self.fired.clear()

@@ -4,8 +4,7 @@ The executor wraps every node execution in
 :func:`repro.runtime.executor.PlanExecutor` with a retry loop governed by a
 :class:`RetryPolicy`.  Backoff delays are deterministic: the jitter for
 attempt *k* of node *n* is drawn from an RNG seeded with ``(seed, n, k)``,
-so a run with a fixed fault spec and policy replays byte-identically
-regardless of thread interleaving.
+so a run with a fixed fault spec and policy replays byte-identically.
 
 Deadlines are enforced inside :meth:`DataSource.execute
 <repro.relational.source.DataSource.execute>` through SQLite's progress

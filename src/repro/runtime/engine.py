@@ -89,10 +89,6 @@ class EngineResult:
     queries_executed: int = 0
     bytes_shipped: int = 0
     violations: list = field(default_factory=list)
-    #: Sum of per-node execution time (what a one-at-a-time run would have
-    #: spent) divided by the measured wall time of this run.
-    parallel_speedup: float = 1.0
-    workers: int = 1
     #: :class:`~repro.resilience.report.FailureReport` of a degraded run
     #: (None when every node executed).
     failure_report: object = None
@@ -117,7 +113,6 @@ class Engine:
                  network: Network, mediator: Mediator | None = None,
                  query_overhead: float | None = None,
                  violation_mode: str = "abort",
-                 workers: int | str = 1,
                  tracer=None,
                  retry_policy=None,
                  breakers=None,
@@ -141,12 +136,11 @@ class Engine:
             raise PlanError(f"violation_mode must be 'abort' or 'report', "
                             f"got {violation_mode!r}")
         self.violation_mode = violation_mode
-        self.workers = workers
         #: Resilience (see :mod:`repro.resilience`): a
         #: :class:`~repro.resilience.retry.RetryPolicy` retries transient
         #: per-node failures; ``breakers`` (a
         #: :class:`~repro.resilience.breaker.BreakerBoard`) is consulted by
-        #: the lane dispatcher before dispatch; ``deadline`` bounds each
+        #: the executor before each node; ``deadline`` bounds each
         #: statement's wall time; ``on_source_failure="degrade"`` skips
         #: DTD-optional subtrees of a dead source instead of aborting
         #: (requires ``tagging_plan`` to prove optionality).
@@ -176,21 +170,16 @@ class Engine:
 
     # ------------------------------------------------------------------
     def run(self, root_inh: dict) -> EngineResult:
-        """Execute the plan (see :mod:`repro.runtime.executor`).
-
-        ``workers=1`` runs the event-driven coordinator inline — one node
-        at a time, deterministically.  ``workers>1`` (or ``"auto"``) runs
-        one worker lane per data source so independent sources overlap.
-        Either way the executor only measures; ``response_time``,
-        ``bytes_shipped`` and each timing's modeled fields follow from that.
+        """Execute the plan, one node at a time in the plan's dispatch
+        order (see :mod:`repro.runtime.executor`).  The executor only
+        measures; ``response_time``, ``bytes_shipped`` and each timing's
+        modeled fields follow from that.
         """
         from repro.runtime.executor import PlanExecutor
-        executor = PlanExecutor(self)
         metrics = self.tracer.metrics
         with self.tracer.span("execute", "execute", track=MAIN_TRACK,
-                              workers=executor.workers,
                               nodes=len(self.graph.nodes)) as run_span:
-            result = executor.run(root_inh, run_span)
+            result = PlanExecutor(self).run(root_inh, run_span)
             result.response_time, result.bytes_shipped = run_cost(
                 self.graph, self.plan, result.timings, result.cache,
                 self.network, self.query_overhead)
@@ -201,13 +190,12 @@ class Engine:
         return result
 
     def _execute(self, node, cache: dict[str, ResultSet], root_inh: dict,
-                 connection=None, shipped: dict | None = None
+                 shipped: dict | None = None
                  ) -> tuple[float, dict[str, ResultSet], int]:
         """Run one node.
 
         Returns ``(measured seconds, outputs per name, rows materialized)``.
-        ``connection`` selects a leased per-lane connection (concurrent
-        execution); ``shipped`` is the run's ship-once registry mapping
+        ``shipped`` is the run's ship-once registry mapping
         ``(source, input)`` to an already-landed temp table.
         """
         source = self.sources.get(node.source)
@@ -215,26 +203,22 @@ class Engine:
             raise EvaluationError(f"no data source named {node.source!r}")
         if getattr(node, "members", None):
             return self._execute_merged(node, source, cache, root_inh,
-                                        connection, shipped)
+                                        shipped)
         if node.raw_sql is not None:
-            return self._execute_raw(node, source, cache, root_inh,
-                                     connection)
-        return self._execute_query(node, source, cache, root_inh,
-                                   connection, shipped)
+            return self._execute_raw(node, source, cache, root_inh)
+        return self._execute_query(node, source, cache, root_inh, shipped)
 
     # -- plain AST queries ---------------------------------------------
-    def _execute_query(self, node, source, cache, root_inh,
-                       connection=None, shipped=None):
+    def _execute_query(self, node, source, cache, root_inh, shipped=None):
         with self.tracer.span("materialize", "ship",
                               node=node.name) as materialize_span:
             bindings, rows_materialized = self._materialize_inputs(
-                node.inputs, source, cache, connection, shipped)
+                node.inputs, source, cache, shipped)
         materialize_seconds = materialize_span.duration
         scalar_values = {param: root_inh[member]
                          for param, member in node.root_params.items()}
         sql, params = render_sqlite(node.query, scalar_values, bindings)
-        result = source.execute(sql, tuple(params), connection=connection,
-                                deadline=self.deadline)
+        result = source.execute(sql, tuple(params), deadline=self.deadline)
         if node.kind == "condition":
             result = _normalize_condition(result, node.name)
         output = _with_ids(result)
@@ -242,10 +226,10 @@ class Engine:
         return elapsed, {node.name: output}, rows_materialized
 
     # -- mediator raw SQL (collect / guard nodes) ------------------------
-    def _execute_raw(self, node, source, cache, root_inh, connection=None):
+    def _execute_raw(self, node, source, cache, root_inh):
         sql = node.raw_sql
         for input_name in node.inputs:
-            physical = self._cache_table(input_name, cache, connection)
+            physical = self._cache_table(input_name, cache)
             sql = sql.replace(f"{{{input_name}}}", f'"{physical}"')
         # Root attribute values are request input: they are bound, never
         # spliced, in one pass over the template (a value that looks like
@@ -260,20 +244,18 @@ class Engine:
 
         sql = ROOT_PLACEHOLDER.sub(bind, sql)
         result = self.mediator.execute(sql, tuple(params),
-                                       connection=connection,
                                        deadline=self.deadline)
         output = _with_ids(result)
         return self.mediator.last_execution_seconds, {node.name: output}, 0
 
     # -- merged nodes -----------------------------------------------------
-    def _execute_merged(self, node, source, cache, root_inh,
-                        connection=None, shipped=None):
+    def _execute_merged(self, node, source, cache, root_inh, shipped=None):
         members = self._topo_members(node)
         external_inputs = [name for name in node.inputs]
         with self.tracer.span("materialize", "ship",
                               node=node.name) as materialize_span:
             bindings, rows_materialized = self._materialize_inputs(
-                external_inputs, source, cache, connection, shipped)
+                external_inputs, source, cache, shipped)
         materialize_seconds = materialize_span.duration
         member_names = {member.name for member in members}
         cte_names = {member.name: f"__m{index}"
@@ -312,7 +294,6 @@ class Engine:
         statement = ("WITH " + ", ".join(with_parts) + " "
                      + " UNION ALL ".join(union_parts))
         result = source.execute(statement, tuple(all_params),
-                                connection=connection,
                                 deadline=self.deadline)
         elapsed = source.last_execution_seconds + materialize_seconds
 
@@ -357,7 +338,7 @@ class Engine:
 
     # ------------------------------------------------------------------
     def _materialize_inputs(self, input_names, source, cache,
-                            connection=None, shipped: dict | None = None
+                            shipped: dict | None = None
                             ) -> tuple[dict[str, str], int]:
         """Create local temp tables for a node's inputs.
 
@@ -387,8 +368,7 @@ class Engine:
                 raise PlanError(f"input {input_name!r} not yet available")
             result = cache[input_name]
             if source.name == MEDIATOR_NAME:
-                bindings[input_name] = self._cache_table(input_name, cache,
-                                                         connection)
+                bindings[input_name] = self._cache_table(input_name, cache)
             elif not temp_tables_ok:
                 # Inline-literal rewrite: no table lands at the source, so
                 # there is nothing to ship-once; the modeled per-input-row
@@ -417,9 +397,8 @@ class Engine:
                     with self.tracer.span(f"ship:{input_name}", "ship",
                                           target=source.name,
                                           rows=len(result)):
-                        table = source.create_temp_table(
-                            result.columns, result.rows,
-                            connection=connection)
+                        table = source.create_temp_table(result.columns,
+                                                         result.rows)
                     if shipped is not None:
                         shipped[key] = table
                     metrics.add("temp_tables_created", 1)
@@ -429,21 +408,16 @@ class Engine:
                 bindings[input_name] = table
         return bindings, rows_materialized
 
-    def _cache_table(self, input_name: str, cache, connection=None) -> str:
+    def _cache_table(self, input_name: str, cache) -> str:
         """The mediator table holding a cached result, shipped into a new
-        one on first use.
-
-        Only the mediator lane calls this (all mediator-resident nodes run
-        single-flight there), so ``_physical`` needs no lock.
-        """
+        one on first use."""
         if input_name not in self._physical:
             self._physical_counter += 1
             physical = f"cache_{self._physical_counter}"
             with self.tracer.span(f"cache:{input_name}", "ship",
                                   target=MEDIATOR_NAME,
                                   rows=len(cache[input_name])):
-                self.mediator.cache_result(physical, cache[input_name],
-                                           connection=connection)
+                self.mediator.cache_result(physical, cache[input_name])
             self.tracer.metrics.add("mediator_cache_tables", 1)
             self._physical[input_name] = physical
         return self._physical[input_name]

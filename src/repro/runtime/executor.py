@@ -1,42 +1,25 @@
-"""Event-driven plan execution: sequential and concurrent (one lane per
-source).
+"""Plan execution: one statement at a time, in one dispatch order.
 
-The coordinator replaces the engine's former O(n²) retry loop with a
-ready-queue over the :class:`~repro.optimizer.qdg.QueryDependencyGraph`:
-producer→consumer edges are counted once up front, every completion event
-decrements its consumers' in-degrees, and a node is dispatched the moment
-its producers are done and its *lane* (the executing data source) is free.
-Lanes are single-flight — at most one query runs against a source at a
-time, matching both SQLite's comfort zone and the paper's model of one
-query processor per site.
+:func:`dispatch_order` turns the
+:class:`~repro.optimizer.qdg.QueryDependencyGraph` and the plan's static
+per-source schedules (Algorithm Schedule) into the linear order a run
+issues its nodes in; :meth:`PlanExecutor.run` is one loop over that order on
+the calling thread, stepping over nodes replayed from the incremental cache
+or skipped by degradation.  The paper's inter-source parallelism is the
+cost model's (:func:`repro.optimizer.cost.comp_time`); per-source worker
+lanes were measured against this loop and won on no workload
+(docs/INTERNALS.md, "Execution order").
 
-Each lane follows the plan's static per-source schedule (Algorithm
-Schedule); two execution modes share the coordinator:
-
-* ``workers=1`` — every task runs inline on the calling thread, using each
-  source's main connection.
-
-* ``workers>1`` (or ``"auto"``, one per source) — a pool of worker threads
-  drains a task queue; each busy lane holds a leased pooled connection
-  (see :meth:`~repro.relational.source.DataSource.acquire_connection`), so
-  independent sources genuinely overlap.  Completion events arrive on a
-  FIFO queue.
-
-There is one clock here, the real one: a completion records what was
-measured (seconds, rows, bytes) and nothing else.  The simulated
-``response_time`` is computed from those records after the run
-(:meth:`Engine.run <repro.runtime.engine.Engine.run>`); it depends only on
-per-source order and the measurements, not on real interleaving, so it is
-the same function of them under either mode.
+There is one clock here, the real one: a node records what was measured
+(seconds, rows, bytes) and nothing else.  The simulated ``response_time``
+is computed from those records after the run (:meth:`Engine.run
+<repro.runtime.engine.Engine.run>`).
 """
 
 from __future__ import annotations
 
 import logging
-import queue
-import threading
 import time
-from dataclasses import dataclass, field
 
 from repro.errors import (
     EvaluationAborted,
@@ -57,41 +40,49 @@ SPAN_CATEGORY = {"step": "query", "merged": "query", "collect": "collect",
                  "condition": "condition", "guard": "guard"}
 
 
-def resolve_workers(workers, graph) -> int:
-    """Resolve a ``workers`` setting (positive int or ``"auto"``) against a
-    concrete graph; ``"auto"`` means one lane per participating source."""
-    if workers == "auto":
-        return max(1, len(graph.sources()))
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise PlanError(
-            f"workers must be a positive integer or 'auto', got {workers!r}")
-    if workers < 1:
-        raise PlanError(f"workers must be >= 1, got {workers}")
-    return workers
+def dispatch_order(graph, plan: dict) -> list[str]:
+    """Every node of ``graph`` once, after all of its producers and in its
+    source's schedule order: the first source (in plan order) whose next
+    scheduled node has every producer placed goes next.
+
+    Raises :class:`PlanError` for a node no schedule lists and for a
+    schedule that contradicts an edge — before a run issues anything.
+    """
+    sequences = [[name for name in sequence if name in graph.nodes]
+                 for sequence in plan.values()]
+    scheduled = {name for sequence in sequences for name in sequence}
+    unscheduled = sorted(graph.nodes.keys() - scheduled)
+    if unscheduled:
+        raise PlanError(f"plan does not schedule node {unscheduled[0]!r}")
+    in_degree = {name: len(graph.producer_names(node))
+                 for name, node in graph.nodes.items()}
+    consumers = _consumers(graph)
+    heads = [0] * len(sequences)
+    order: list[str] = []
+    while len(order) < len(scheduled):
+        for lane, sequence in enumerate(sequences):
+            if (heads[lane] < len(sequence)
+                    and in_degree[sequence[heads[lane]]] == 0):
+                break
+        else:
+            raise PlanError(
+                f"schedule contradicts the dependency graph; pending nodes "
+                f"{sorted(scheduled.difference(order))}")
+        name = sequence[heads[lane]]
+        heads[lane] += 1
+        order.append(name)
+        for consumer in consumers[name]:
+            in_degree[consumer] -= 1
+    return order
 
 
-@dataclass
-class _Task:
-    """One dispatched node: executed by a worker (or inline)."""
-
-    lane: str
-    name: str
-    node: object
-
-
-@dataclass
-class _Completion:
-    """A finished task, reported back to the coordinator."""
-
-    lane: str
-    name: str
-    node: object
-    eval_seconds: float = 0.0
-    outputs: dict = field(default_factory=dict)
-    rows_materialized: int = 0
-    busy_seconds: float = 0.0    # wall time the lane was occupied
-    error: BaseException | None = None
-    from_cache: bool = False     # replayed from the incremental cache
+def _consumers(graph) -> dict[str, list[str]]:
+    """Node name -> names of the nodes that read its output."""
+    consumers: dict[str, list[str]] = {name: [] for name in graph.nodes}
+    for name, node in graph.nodes.items():
+        for producer in graph.producer_names(node):
+            consumers[producer].append(name)
+    return consumers
 
 
 class PlanExecutor:
@@ -99,69 +90,32 @@ class PlanExecutor:
 
     def __init__(self, engine):
         self.engine = engine
-        self.graph = engine.graph
-        self.workers = resolve_workers(engine.workers, engine.graph)
 
-    # ------------------------------------------------------------------
     def run(self, root_inh: dict, run_span) -> EngineResult:
         """Execute every node; ``run_span`` is the engine's open
-        ``execute`` span, parent of the per-node lane spans."""
+        ``execute`` span, parent of the per-node spans."""
         engine = self.engine
-        graph = self.graph
+        graph = engine.graph
         tracer = engine.tracer
         metrics = tracer.metrics
         started = time.perf_counter()
-        pool_baseline = _pool_stats(engine.sources)
-
-        lane_sequences: dict[str, list[str]] = {}
-        lane_of: dict[str, str] = {}
-        for lane, sequence in engine.plan.items():
-            members = [name for name in sequence if name in graph.nodes]
-            lane_sequences[lane] = members
-            lane_of.update((name, lane) for name in members)
-        for node_name in graph.nodes:
-            if node_name not in lane_of:
-                raise PlanError(
-                    f"plan does not schedule node {node_name!r}")
-        lane_order = list(lane_sequences)
-        lane_pos = {lane: 0 for lane in lane_order}
-
-        # --- ready-queue bookkeeping ----------------------------------
-        indegree: dict[str, int] = {}
-        consumers: dict[str, list[str]] = {name: [] for name in graph.nodes}
-        for name, node in graph.nodes.items():
-            producers = graph.producer_names(node)
-            indegree[name] = len(producers)
-            for producer in producers:
-                consumers[producer].append(name)
-        ready = {name for name, degree in indegree.items() if degree == 0}
+        order = dispatch_order(graph, engine.plan)
+        reuse = engine.reuse         # replayed from the incremental cache
+        lane_of = {name: lane for lane, sequence in engine.plan.items()
+                   for name in sequence}
 
         # --- run state -------------------------------------------------
         cache: dict[str, ResultSet] = {}
         timings: dict[str, NodeTiming] = {}
         shipped: dict[tuple[str, str], str] = {}
-        in_flight: dict[str, str] = {}          # lane -> node name
-        remaining = set(graph.nodes)
         queries = 0
-        busy_total = 0.0
         violations: list = []
-
-        threaded = (self.workers > 1 and len(lane_order) > 1
-                    and len(graph.nodes) > 1)
-        worker_count = min(self.workers, len(lane_order)) if threaded else 1
-        task_queue: queue.SimpleQueue = queue.SimpleQueue()
-        done_queue: queue.SimpleQueue = queue.SimpleQueue()
-        stop = threading.Event()
-        threads: list[threading.Thread] = []
-        connections: dict[str, object] = {}   # lane leases (threaded mode)
         skipped: set[str] = set()
-        reused: set[str] = set()     # replayed from the incremental cache
         cache_entries: dict[str, CachedNodeResult] = {}
         failure_report: FailureReport | None = None
         retry_count = 0
-        retry_count_lock = threading.Lock()  # incremented from worker threads
 
-        def attempt_node(task: _Task, span):
+        def attempt_node(name: str, node, span):
             """``engine._execute`` under the retry policy and breaker.
 
             Transient failures (see :func:`repro.resilience.retry.
@@ -170,7 +124,6 @@ class PlanExecutor:
             open breaker short-circuits remaining attempts.
             """
             nonlocal retry_count
-            node = task.node
             policy = engine.retry_policy
             attempts = policy.attempts if policy is not None else 1
             breaker = engine.breaker_for(node.source)
@@ -179,13 +132,11 @@ class PlanExecutor:
                 if breaker is not None and breaker.blocked():
                     raise SourceUnavailableError(
                         f"source {node.source!r}: circuit breaker is "
-                        f"{breaker.state}; refusing {task.name!r}"
+                        f"{breaker.state}; refusing {name!r}"
                     ) from last_error
                 try:
-                    result = engine._execute(
-                        node, cache, root_inh,
-                        connection=connections.get(node.source),
-                        shipped=shipped)
+                    result = engine._execute(node, cache, root_inh,
+                                             shipped=shipped)
                 except Exception as error:
                     last_error = error
                     if breaker is not None:
@@ -193,15 +144,14 @@ class PlanExecutor:
                     if _caused_by(error, QueryDeadlineExceeded):
                         metrics.add("deadline_aborts", 1)
                     if attempt < attempts and is_transient(error):
-                        delay = policy.delay(attempt, task.name)
-                        with retry_count_lock:
-                            retry_count += 1
+                        delay = policy.delay(attempt, name)
+                        retry_count += 1
                         metrics.add("retry_attempts", 1)
                         metrics.add(f"retry_attempts.{node.source}", 1)
                         span.set(retried=attempt)
                         logger.warning(
                             "node %s on %s failed (attempt %d/%d): %s; "
-                            "retrying in %.3fs", task.name, node.source,
+                            "retrying in %.3fs", name, node.source,
                             attempt, attempts, error, delay)
                         time.sleep(delay)
                         continue
@@ -217,74 +167,9 @@ class PlanExecutor:
                     return result
             raise AssertionError("unreachable")  # pragma: no cover
 
-        def perform(task: _Task) -> _Completion:
-            # The span *is* the lane-busy stopwatch (one timing source of
-            # truth): ``busy_seconds`` below is its duration, and with a
-            # recording tracer the same interval renders on the lane track.
-            span = tracer.span(task.name, SPAN_CATEGORY.get(task.node.kind,
-                                                            "query"),
-                               track=task.lane, parent=run_span,
-                               source=task.node.source, kind=task.node.kind)
-            error: BaseException | None = None
-            eval_seconds, outputs, rows = 0.0, {}, 0
-            with span:
-                try:
-                    eval_seconds, outputs, rows = attempt_node(task, span)
-                    span.set(eval_seconds=eval_seconds,
-                             rows_materialized=rows,
-                             output_rows=sum(len(r)
-                                             for r in outputs.values()))
-                except BaseException as exc:  # reported, re-raised centrally
-                    error = exc
-            if error is not None:
-                return _Completion(task.lane, task.name, task.node,
-                                   busy_seconds=span.duration, error=error)
-            return _Completion(task.lane, task.name, task.node,
-                               eval_seconds, outputs, rows, span.duration)
-
-        def worker_loop():
-            while True:
-                task = task_queue.get()
-                if task is None:
-                    return
-                if stop.is_set():
-                    continue
-                done_queue.put(perform(task))
-
-        def select_dispatches() -> list[tuple[str, str]]:
-            picks: list[tuple[str, str]] = []
-            for lane in lane_order:
-                if lane in in_flight:
-                    continue
-                sequence = lane_sequences[lane]
-                pos = lane_pos[lane]
-                while pos < len(sequence) and (
-                        sequence[pos] in skipped
-                        or sequence[pos] in reused):
-                    pos += 1   # degraded/cache-replayed nodes never dispatch
-                lane_pos[lane] = pos
-                if pos < len(sequence) and sequence[pos] in ready:
-                    picks.append((lane, sequence[pos]))
-            return picks
-
-        def dispatch(lane: str, name: str) -> _Task:
-            node = graph.nodes[name]
-            ready.discard(name)
-            lane_pos[lane] += 1
-            in_flight[lane] = name
-            return _Task(lane, name, node)
-
-        def shut_down():
-            if not threads:
-                return
-            stop.set()
-            for _ in threads:
-                task_queue.put(None)
-            for thread in threads:
-                thread.join()
-
         def consumer_closure(name: str) -> list[str]:
             """``name`` plus every transitive consumer (all not yet run)."""
+            consumers = _consumers(graph)
             closure = [name]
             seen = {name}
             frontier = [name]
@@ -296,7 +181,7 @@ class PlanExecutor:
                         frontier.append(consumer)
             return closure
 
-        def try_degrade(done: _Completion) -> bool:
+        def try_degrade(failed: str, error: BaseException) -> bool:
             """Skip the failed node's subtree if the DTD allows its absence.
 
             Degradation is legal only when every tagging table the closure
@@ -306,7 +191,6 @@ class PlanExecutor:
             the closure are skipped but reported as *unchecked*.
             """
             nonlocal failure_report
-            error = done.error
             if engine.on_source_failure != "degrade":
                 return False
             if isinstance(error, EvaluationAborted):
@@ -320,7 +204,7 @@ class PlanExecutor:
                 logger.error("on_source_failure='degrade' needs the tagging "
                              "plan to prove subtree optionality; aborting")
                 return False
-            closure = consumer_closure(done.name)
+            closure = consumer_closure(failed)
             table_paths: dict[str, list[str]] = {}
             for path, producer in plan_info.table_of.items():
                 table_paths.setdefault(graph.resolve(producer),
@@ -332,7 +216,7 @@ class PlanExecutor:
             for name in closure:
                 if name in condition_nodes:
                     logger.error("cannot degrade %s: choice condition %s "
-                                 "would be lost", done.name, name)
+                                 "would be lost", failed, name)
                     return False
                 node = graph.nodes[name]
                 if node.kind == "guard":
@@ -343,27 +227,22 @@ class PlanExecutor:
                     if occurrence.kind != "star":
                         logger.error(
                             "cannot degrade %s: subtree at %s is required "
-                            "by the DTD (%s occurrence)", done.name, path,
+                            "by the DTD (%s occurrence)", failed, path,
                             occurrence.kind)
                         return False
                     subtrees.append(DegradedSubtree(
                         path, occurrence.element_type, name))
             if failure_report is None:
                 failure_report = FailureReport()
-            failure_report.failed_nodes[done.name] = (
+            failure_report.failed_nodes[failed] = (
                 f"{type(error).__name__}: {error}")
-            if (done.node.source != MEDIATOR_NAME and done.node.source
-                    not in failure_report.sources_down):
-                failure_report.sources_down.append(done.node.source)
+            source = graph.nodes[failed].source
+            if (source != MEDIATOR_NAME
+                    and source not in failure_report.sources_down):
+                failure_report.sources_down.append(source)
+            skipped.update(closure)
             for name in closure:
-                skipped.add(name)
-                for out_name, result in _empty_outputs(
-                        graph.nodes[name]).items():
-                    cache[out_name] = result
-                remaining.discard(name)
-                ready.discard(name)
-                for consumer in consumers[name]:
-                    indegree[consumer] -= 1
+                cache.update(_empty_outputs(graph.nodes[name]))
             failure_report.skipped_nodes.extend(closure)
             failure_report.degraded_subtrees.extend(subtrees)
             for constraint in unchecked:
@@ -375,153 +254,117 @@ class PlanExecutor:
             logger.warning(
                 "degrading after failure of %s on %s: skipping %d node(s), "
                 "%d subtree(s) emitted empty, %d guard(s) unchecked (%s)",
-                done.name, done.node.source, len(closure), len(subtrees),
+                failed, source, len(closure), len(subtrees),
                 len(unchecked), error)
             return True
 
-        def process(done: _Completion):
-            nonlocal queries, busy_total
-            in_flight.pop(done.lane, None)
-            if done.error is not None:
-                if try_degrade(done):
-                    return
-                raise done.error
-            node = done.node
-            for out_name, result in done.outputs.items():
-                cache[out_name] = result
-            output_rows = sum(len(r) for r in done.outputs.values())
-            output_bytes = sum(r.width_bytes()
-                               for r in done.outputs.values())
-            if done.from_cache:
-                # No query ran and no lane was occupied.
-                timings[done.name] = NodeTiming(
-                    done.name, node.source, 0.0, 0.0,
-                    output_rows, output_bytes, cached=True)
-                metrics.add("incremental_cache_hits", 1)
-                logger.debug("replayed %s from the incremental cache "
-                             "(%d row(s))", done.name, output_rows)
-            else:
-                queries += 1
-                busy_total += done.busy_seconds
-                timings[done.name] = NodeTiming(
-                    done.name, node.source, done.eval_seconds, 0.0,
-                    output_rows, output_bytes, done.rows_materialized)
-                metrics.add(f"lane_busy_seconds.{done.lane}",
-                            done.busy_seconds)
-                metrics.observe("node_latency_seconds", done.eval_seconds)
-                metrics.observe(f"node_latency_seconds.{done.lane}",
-                                done.eval_seconds)
-                logger.debug("completed %s on %s: %d row(s), %.4fs eval",
-                             done.name, done.lane, output_rows,
-                             done.eval_seconds)
-                if engine.fingerprints is not None:
-                    fingerprint = engine.fingerprints.get(done.name)
-                    if fingerprint is not None:
-                        cache_entries[done.name] = CachedNodeResult(
-                            fingerprint, dict(done.outputs))
-                        metrics.add("incremental_cache_misses", 1)
-            primary = done.outputs.get(done.name)
+        def fail(name: str, error: BaseException) -> None:
+            if not try_degrade(name, error):
+                raise error
+
+        def complete(node, outputs: dict, eval_seconds: float = 0.0,
+                     rows_materialized: int = 0, cached: bool = False) -> int:
+            """Keep a node's outputs and timing record (returns the rows it
+            put out); a guard that found rows is a violation."""
+            cache.update(outputs)
+            output_rows = sum(len(r) for r in outputs.values())
+            timings[node.name] = NodeTiming(
+                node.name, node.source, eval_seconds, 0.0, output_rows,
+                sum(r.width_bytes() for r in outputs.values()),
+                rows_materialized, cached=cached)
+            primary = outputs.get(node.name)
             if node.kind == "guard" and primary is not None and len(primary):
                 logger.warning("constraint guard %s found a violation of %s",
                                node.name, node.guard.constraint)
                 if engine.violation_mode == "abort":
                     raise EvaluationAborted([node.guard.constraint])
                 violations.append(node.guard.constraint)
-            remaining.discard(done.name)
-            for consumer in consumers[done.name]:
-                indegree[consumer] -= 1
-                if indegree[consumer] == 0 and consumer not in skipped:
-                    ready.add(consumer)
+            return output_rows
+
+        def execute(name: str, node) -> None:
+            nonlocal queries
+            # The span *is* the busy stopwatch (one timing source of
+            # truth): ``lane_busy_seconds`` is its duration, and with a
+            # recording tracer the same interval renders on the source's
+            # track.
+            lane = lane_of[name]
+            span = tracer.span(name, SPAN_CATEGORY.get(node.kind, "query"),
+                               track=lane, parent=run_span,
+                               source=node.source, kind=node.kind)
+            error: BaseException | None = None
+            with span:
+                try:
+                    eval_seconds, outputs, rows = attempt_node(name, node,
+                                                               span)
+                    span.set(eval_seconds=eval_seconds,
+                             rows_materialized=rows,
+                             output_rows=sum(len(r)
+                                             for r in outputs.values()))
+                except BaseException as exc:   # judged outside the span
+                    error = exc
+            if error is not None:
+                return fail(name, error)
+            queries += 1
+            metrics.add(f"lane_busy_seconds.{lane}", span.duration)
+            metrics.observe("node_latency_seconds", eval_seconds)
+            metrics.observe(f"node_latency_seconds.{lane}", eval_seconds)
+            if engine.fingerprints is not None:
+                fingerprint = engine.fingerprints.get(name)
+                if fingerprint is not None:
+                    cache_entries[name] = CachedNodeResult(fingerprint,
+                                                           dict(outputs))
+                    metrics.add("incremental_cache_misses", 1)
+            output_rows = complete(node, outputs, eval_seconds, rows)
+            logger.debug("completed %s on %s: %d row(s), %.4fs eval",
+                         name, lane, output_rows, eval_seconds)
 
         # --- main loop -------------------------------------------------
         try:
             # Incremental replay (docs/INCREMENTAL.md): clean nodes form a
             # downward-closed cone of the DAG (a reused node's producers
             # are reused — fingerprints chain upstream), so all of them
-            # can be processed up front in topological order.  The ready
-            # queue below then only ever dispatches tainted nodes.
-            if engine.reuse:
+            # are replayed up front in topological order — no query runs,
+            # no source is occupied — and the loop below only ever issues
+            # tainted nodes.
+            if reuse:
                 for node in graph.topological_order():
-                    entry = engine.reuse.get(node.name)
-                    if entry is None:
-                        continue
-                    ready.discard(node.name)
-                    reused.add(node.name)
-                    process(_Completion(
-                        lane_of[node.name], node.name, node,
-                        outputs=dict(entry.outputs), from_cache=True))
+                    if node.name in reuse:
+                        rows = complete(node, dict(reuse[node.name].outputs),
+                                        cached=True)
+                        metrics.add("incremental_cache_hits", 1)
+                        logger.debug("replayed %s from the incremental "
+                                     "cache (%d row(s))", node.name, rows)
                 logger.info("incremental replay: %d node(s) reused, "
-                            "%d tainted", len(reused), len(remaining))
-            if not remaining:
-                threaded = False
-            if threaded:
-                for source_name in sorted(
-                        {graph.nodes[name].source for name in remaining}):
-                    source = engine.sources.get(source_name)
-                    if source is not None:
-                        connections[source_name] = source.acquire_connection()
-                threads = [threading.Thread(target=worker_loop,
-                                            name=f"repro-exec-{index}",
-                                            daemon=True)
-                           for index in range(worker_count)]
-                for thread in threads:
-                    thread.start()
-            while remaining:
-                picks = select_dispatches()
-                if not picks and not in_flight:
-                    raise PlanError(
-                        f"execution stuck; pending nodes {sorted(remaining)}")
-                # The dispatcher peeks at each lane's circuit breaker first
-                # (the non-leasing would_block — attempt_node's blocked()
-                # call is the one that claims the half-open probe): nodes
-                # bound for an open source fail immediately (and, in
-                # degrade mode, skip their subtree) without occupying a
-                # worker or waiting out retries.
-                rejected: list[_Completion] = []
-                accepted: list[_Task] = []
-                for lane, name in (picks if threaded else picks[:1]):
-                    node = graph.nodes[name]
-                    breaker = engine.breaker_for(node.source)
-                    task = dispatch(lane, name)
-                    if breaker is not None and breaker.would_block():
-                        rejected.append(_Completion(
-                            lane, name, node,
-                            error=SourceUnavailableError(
-                                f"source {node.source!r}: circuit breaker "
-                                f"is {breaker.state}; refusing {name!r}")))
-                        continue
-                    accepted.append(task)
-                for completion in rejected:
-                    process(completion)
-                if threaded:
-                    for task in accepted:
-                        task_queue.put(task)
-                    if not rejected and in_flight:
-                        process(done_queue.get())
-                elif accepted:
-                    process(perform(accepted[0]))
+                            "%d tainted", len(reuse), len(order) - len(reuse))
+            for name in order:
+                if name in reuse or name in skipped:
+                    continue
+                node = graph.nodes[name]
+                # Peek at the source's circuit breaker first (the
+                # non-leasing would_block — attempt_node's blocked() call
+                # is the one that claims the half-open probe): a node bound
+                # for an open source fails immediately (and, in degrade
+                # mode, skips its subtree) without waiting out retries.
+                breaker = engine.breaker_for(node.source)
+                if breaker is not None and breaker.would_block():
+                    fail(name, SourceUnavailableError(
+                        f"source {node.source!r}: circuit breaker is "
+                        f"{breaker.state}; refusing {name!r}"))
+                else:
+                    execute(name, node)
         finally:
-            shut_down()
-            for source_name, connection in connections.items():
-                engine.sources[source_name].release_connection(connection)
             # Failure-path hygiene: shipped temp tables from completed steps
             # must not outlive the run (a mid-plan abort used to strand
             # ``__ship_N`` tables on every target source).
             _drop_shipped_tables(engine.sources, shipped)
 
         measured = time.perf_counter() - started
-        speedup = busy_total / measured if measured > 0 else 1.0
         metrics.add("queries_executed", queries)
         metrics.add("rows_emitted",
                     sum(t.output_rows for t in timings.values()))
         metrics.add("rows_materialized",
                     sum(t.rows_materialized for t in timings.values()))
         metrics.add("violations_found", len(violations))
-        pool_hits, pool_misses = _pool_stats(engine.sources)
-        metrics.add("connection_pool_hits", pool_hits - pool_baseline[0])
-        metrics.add("connection_pool_misses",
-                    pool_misses - pool_baseline[1])
-        metrics.set_gauge("workers", self.workers)
         if failure_report is not None:
             failure_report.retry_attempts = retry_count
             metrics.add("degraded_runs", 1)
@@ -530,20 +373,15 @@ class PlanExecutor:
             logger.warning("run degraded: %s", failure_report.summary())
         run_span.set(queries=queries)
         if engine.fingerprints is not None:
-            run_span.set(reused_nodes=len(reused))
-        logger.info("executed %d node(s) on %d lane(s): %.3fs wall",
-                    queries, len(lane_order), measured)
+            run_span.set(reused_nodes=len(reuse))
+        logger.info("executed %d node(s) on %d source(s): %.3fs wall",
+                    queries, len(engine.plan), measured)
         # response_time: modeled, so not known here — Engine.run fills it.
-        return EngineResult(cache=cache, timings=timings,
-                            response_time=0.0,
-                            measured_seconds=measured,
-                            queries_executed=queries,
-                            violations=violations,
-                            parallel_speedup=speedup,
-                            workers=self.workers,
-                            failure_report=failure_report,
-                            reused_nodes=len(reused),
-                            cache_entries=cache_entries)
+        return EngineResult(
+            cache=cache, timings=timings, response_time=0.0,
+            measured_seconds=measured, queries_executed=queries,
+            violations=violations, failure_report=failure_report,
+            reused_nodes=len(reuse), cache_entries=cache_entries)
 
 
 def _empty_outputs(node) -> dict[str, ResultSet]:
@@ -590,12 +428,3 @@ def _caused_by(error: BaseException, exc_type: type) -> bool:
             return True
         current = current.__cause__
     return False
-
-
-def _pool_stats(sources: dict) -> tuple[int, int]:
-    """Summed (pool hits, pool misses) across a run's data sources."""
-    hits = sum(getattr(source, "pool_hits", 0)
-               for source in sources.values())
-    misses = sum(getattr(source, "pool_misses", 0)
-                 for source in sources.values())
-    return hits, misses

@@ -75,8 +75,6 @@ class ExecutionReport:
     #: (the guards that fired); sharded, the located ``Violation``s of the
     #: reconciled verdict, as ``check_constraints`` lists them.
     violations: list = field(default_factory=list)
-    parallel_speedup: float = 1.0   # sequential-sum ÷ measured wall time
-    workers: int = 1                # resolved lane count of the run
     #: :class:`~repro.resilience.report.FailureReport` when the run was
     #: degraded (subtrees skipped after a source failure), else ``None``.
     failure_report: object = None
@@ -149,7 +147,6 @@ class Middleware:
                  unfold_depth: int | str = 4,
                  max_unfold_depth: int = 64,
                  violation_mode: str = "abort",
-                 workers: int | str = 1,
                  tracer=None,
                  retry_policy=None,
                  deadline: float | None = None,
@@ -174,13 +171,6 @@ class Middleware:
         self.unfold_depth = unfold_depth
         self.max_unfold_depth = max_unfold_depth
         self.violation_mode = violation_mode
-        if workers != "auto" and (isinstance(workers, bool)
-                                  or not isinstance(workers, int)
-                                  or workers < 1):
-            raise EvaluationError(
-                f"workers must be a positive integer or 'auto', "
-                f"got {workers!r}")
-        self.workers = workers
         from repro.resilience.retry import RetryPolicy
         if isinstance(retry_policy, int) and not isinstance(retry_policy,
                                                             bool):
@@ -205,7 +195,7 @@ class Middleware:
             self.breakers = BreakerBoard(
                 breaker_policy, listener=self._on_breaker_transition)
         #: The middleware owns one persistent mediator shared by every
-        #: evaluation: pooled connections and compiled statements stay warm
+        #: evaluation: its connection and compiled statements stay warm
         #: across runs, and ``invalidate_plans`` can actually drop stray
         #: cache tables (each run's own are dropped by ``Engine.cleanup``).
         self.mediator = Mediator()
@@ -307,8 +297,6 @@ class Middleware:
             return ExecutionReport(
                 document=document,
                 optimization_seconds=run.optimization_seconds,
-                parallel_speedup=run.result.parallel_speedup,
-                workers=run.result.workers,
                 **run.report)
 
         # A fresh tree per depth attempt: a truncated one stays partial.
@@ -671,7 +659,6 @@ class Middleware:
             engine = Engine(graph, plan, self.sources, self.network,
                             mediator=self.mediator,
                             violation_mode=self.violation_mode,
-                            workers=self.workers,
                             tracer=tracer,
                             retry_policy=self.retry_policy,
                             breakers=self.breakers,
@@ -750,7 +737,6 @@ class Middleware:
         """The middleware knobs that shaped a run (ledger ``config``)."""
         return {
             "merging": self.merging,
-            "workers": self.workers,
             "unfold_depth": self.unfold_depth,
             "max_unfold_depth": self.max_unfold_depth,
             "violation_mode": self.violation_mode,
@@ -839,8 +825,8 @@ class Middleware:
         (``rows``: the deepest level's cached anchor relation)?"""
         from repro.sqlq.analyze import scalar_params
         from repro.sqlq.render import render_sqlite
-        from repro.sqlq.ast import (ColumnRef, Comparison, Param, Literal,
-                                    Query, SelectItem, TempTable)
+        from repro.sqlq.ast import (BaseTable, ColumnRef, Comparison, Param,
+                                    Literal, Query, SelectItem, TempTable)
         from repro.relational.source import Federation
 
         query = rule.child_query.query
@@ -872,9 +858,12 @@ class Middleware:
         sql, params = render_sqlite(
             probe, bindings={"__probe_input": "__probe_table"},
             qualify_sources=True)
-        # Per probe, and closed with it: on non-attachable backends a
-        # federation holds a copy of every base relation.
-        federation = Federation(list(self.sources.values()))
+        # Per probe, closed with it, and only the sources the star query
+        # reads: a federation copies every base relation of a source it
+        # cannot ATTACH.
+        federation = Federation([self.sources[name] for name in sorted(
+            {item.source for item in query.from_items
+             if isinstance(item, BaseTable)})])
         try:
             federation.create_temp_table(rows.columns, rows.rows,
                                          "__probe_table")

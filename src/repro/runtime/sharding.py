@@ -150,7 +150,6 @@ class ShardResult:
     bytes_shipped: int
     node_count: int
     unfold_depth: int | None
-    workers: int
     peak_rss_kb: int
     rows: int
 
@@ -364,7 +363,7 @@ def _shard_aig(aig: AIG, spec: PartitionSpec, shard_source: str):
 #: they hold process-local handles (files, sqlite, locks) or cross-run
 #: caches that must not ride a pickle into another process.
 _WORKER_CONFIG_KEYS = (
-    "merging", "workers", "unfold_depth", "max_unfold_depth",
+    "merging", "unfold_depth", "max_unfold_depth",
 )
 
 
@@ -565,7 +564,6 @@ def _shard_worker_body(payload: bytes) -> bytes:
         bytes_shipped=report.bytes_shipped,
         node_count=report.node_count,
         unfold_depth=report.unfold_depth,
-        workers=report.workers,
         peak_rss_kb=peak_rss_kb,
         rows=len(task.chunk)))
 
@@ -718,7 +716,6 @@ def evaluate_sharded(middleware, root_inh: dict, tracer):
         merged=middleware.merging,
         unfold_depth=results[0].unfold_depth,
         violations=violations,
-        workers=results[0].workers,
         shards=shards,
         shard_rows=[result.rows for result in results],
         reconcile_seconds=reconcile_seconds,

@@ -32,16 +32,14 @@ from repro.runtime.middleware import Middleware
 #: Middleware knobs a tenant may set at registration; anything else in
 #: the config payload is rejected so typos fail loudly, not silently.
 ALLOWED_CONFIG = (
-    "merging", "workers", "unfold_depth", "max_unfold_depth",
+    "merging", "unfold_depth", "max_unfold_depth",
     "violation_mode", "incremental",
     "on_source_failure", "deadline", "retry_policy",
     "breaker_policy", "cost_feedback", "ledger", "shards",
 )
 
-#: Service defaults: incremental on (warm requests replay caches) and one
-#: worker lane (sources are single-flight; parallelism comes from
-#: multiple tenants plus coalescing, see docs/SERVICE.md).
-DEFAULT_CONFIG = {"incremental": True, "workers": 1}
+#: Service default: incremental on (warm requests replay caches).
+DEFAULT_CONFIG = {"incremental": True}
 
 
 def config_key(config: dict) -> str:
@@ -110,7 +108,6 @@ class TenantState:
             "prepared_plans": len(middleware._prepared),
             "prepare_count": middleware.prepare_count,
             "incremental": middleware.incremental,
-            "workers": middleware.workers,
             "breakers": (middleware.breakers.states()
                          if middleware.breakers is not None else {}),
         }

@@ -131,17 +131,6 @@ class TestConformance:
         names = typed_source.table_names()
         assert {"typed", "plain"} <= set(names)
 
-    def test_pooled_connections_share_the_database(self, typed_source):
-        typed_source.load_rows("plain", [("k1", "v1")])
-        leased = typed_source.acquire_connection()
-        try:
-            result = typed_source.execute('SELECT "a" FROM "plain"',
-                                          connection=leased)
-            assert result.rows == [("k1",)]
-        finally:
-            typed_source.release_connection(leased)
-        assert typed_source.pool_size() >= 1
-
 
 # ----------------------------------------------------------------------
 # affinity edge cases the strict engines cannot represent

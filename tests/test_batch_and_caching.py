@@ -66,18 +66,3 @@ class TestBatchEvaluation:
         assert reports[0].document == reports[1].document
         assert reports[0] is not reports[1]
 
-    def test_batch_leases_one_mediator_connection(self, world):
-        # Each entry's engine leases the mediator and gives it back: the
-        # batch opens at most one connection, every later lease is a pool
-        # hit on it, and none is left outstanding.
-        aig, sources, dataset = world
-        dates = sorted({row[2] for row in dataset.visit_info})[:3]
-        middleware = Middleware(aig, sources, Network.mbps(1.0),
-                                unfold_depth=8, workers=4)
-        mediator = middleware.mediator
-        hits, misses = mediator.pool_hits, mediator.pool_misses
-        middleware.evaluate_batch([{"date": d} for d in dates])
-        assert mediator.pool_misses - misses <= 1
-        assert (mediator.pool_hits - hits
-                + mediator.pool_misses - misses) == len(dates)
-        assert mediator.leases_outstanding == 0

@@ -26,20 +26,15 @@ class TestCLI:
         assert main(["demo", "--scale", "tiny", "--no-merge"]) == 0
         assert "merging off" in capsys.readouterr().out
 
-    def test_demo_workers(self, capsys):
-        assert main(["demo", "--scale", "tiny", "--workers", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "4 worker lane(s)" in out and "parallel speedup" in out
-
-    def test_demo_workers_auto(self, capsys):
-        assert main(["demo", "--scale", "tiny", "--workers", "auto"]) == 0
-        assert "worker lane(s)" in capsys.readouterr().out
-
-    def test_demo_workers_invalid(self):
-        with pytest.raises(SystemExit):
-            main(["demo", "--workers", "0"])
-        with pytest.raises(SystemExit):
-            main(["demo", "--workers", "many"])
+    def test_demo_workers_invalid(self, capsys):
+        # the option went with the threaded executor: every value is
+        # refused by argparse, on each command that had it
+        for command in ("demo", "calibrate", "profile", "serve"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--workers", "4"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --workers" in \
+                capsys.readouterr().err
 
     def test_check(self, capsys):
         assert main(["check", "--scale", "tiny"]) == 0

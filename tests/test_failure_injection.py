@@ -141,13 +141,12 @@ class TestPartialStateIsolation:
         assert report.document.tag == "report"
 
 
-def _evaluate_with_faults(workers, faults=None, retries=0):
+def _evaluate_with_faults(faults=None, retries=0):
     """One full evaluation on a fresh tiny dataset, optional fault spec."""
     sources = make_sources()
     load_tiny_hospital(sources)
     middleware = Middleware(
         build_hospital_aig(), sources, Network.mbps(1.0),
-        workers=workers,
         retry_policy=RetryPolicy(retries=retries, base_delay=0.001)
         if retries else None)
     injector = None
@@ -166,36 +165,34 @@ class TestTransientRecovery:
 
     With a fixed fault seed and retry policy, the recovered run must
     produce a byte-identical document and violation list to the fault-free
-    run — under both the sequential engine and the threaded executor.
+    run.
     """
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_retried_run_is_byte_identical(self, workers):
-        baseline, _, _ = _evaluate_with_faults(workers)
+    def test_retried_run_is_byte_identical(self):
+        baseline, _, _ = _evaluate_with_faults()
         recovered, _, injector = _evaluate_with_faults(
-            workers, faults="DB1:error@1,DB2:error@2", retries=2)
-        assert injector.fired, "faults never fired — spec indexes are stale"
+            faults="DB1:error@1,DB2:error@2", retries=2)
+        # the clauses, in the order the dispatch order reaches them
+        assert [(name, str(clause)) for name, clause in injector.fired] == [
+            ("DB1", "DB1:error@1"), ("DB2", "DB2:error@2")]
         assert serialize(recovered.document) == serialize(baseline.document)
         assert recovered.violations == baseline.violations
 
     def test_retries_exhausted_still_fails_loudly(self):
         with pytest.raises(EvaluationError):
-            _evaluate_with_faults(1, faults="DB1:down@1", retries=2)
+            _evaluate_with_faults(faults="DB1:down@1", retries=2)
 
 
 class TestFailureCleanup:
-    """Satellites: a mid-plan crash must not leak temp tables or leases."""
+    """Satellite: a mid-plan crash must not leak temp tables."""
 
-    # ids keep the "static" of the former scheduling axis
-    @pytest.mark.parametrize("workers", [pytest.param(1, id="1-static"),
-                                         pytest.param(4, id="4-static")])
-    def test_shipped_tables_cleaned_after_midplan_failure(self, workers):
+    def test_shipped_tables_cleaned_after_midplan_failure(self):
         sources = make_sources()
         load_tiny_hospital(sources)
         baseline = {name: source.table_names()
                     for name, source in sources.items()}
         middleware = Middleware(build_hospital_aig(), sources,
-                                Network.mbps(1.0), workers=workers)
+                                Network.mbps(1.0))
         injector = FaultInjector.from_spec("DB4:down@1").install(sources)
         try:
             with pytest.raises(EvaluationError):
@@ -205,25 +202,11 @@ class TestFailureCleanup:
         for name, source in sources.items():
             assert source.table_names() == baseline[name], name
 
-    @pytest.mark.parametrize("workers", [pytest.param(4, id="static")])
-    def test_leases_released_after_threaded_abort(self, workers):
-        sources = make_sources()
-        load_tiny_hospital(sources)
-        middleware = Middleware(build_hospital_aig(), sources,
-                                Network.mbps(1.0), workers=workers)
-        injector = FaultInjector.from_spec("DB4:down@1").install(sources)
-        try:
-            with pytest.raises(EvaluationError):
-                middleware.evaluate({"date": "d1"})
-        finally:
-            injector.uninstall(sources)
-        for name, source in sources.items():
-            assert source.leases_outstanding == 0, name
         # sources stay usable: the same plan succeeds once the fault clears
         report = middleware.evaluate({"date": "d1"})
         assert report.document.tag == "report"
         for name, source in sources.items():
-            assert source.leases_outstanding == 0, name
+            assert source.table_names() == baseline[name], name
 
 
 class _BrokenRollbackConnection:
@@ -231,7 +214,6 @@ class _BrokenRollbackConnection:
 
     def __init__(self, real):
         self._real = real
-        self.closed = False
 
     @property
     def in_transaction(self):
@@ -246,9 +228,6 @@ class _BrokenRollbackConnection:
 
     def executemany(self, *args):
         return self._real.executemany(*args)
-
-    def close(self):
-        self.closed = True
 
 
 @pytest.fixture
@@ -274,43 +253,16 @@ class TestRollbackFailureSurfaces:
                                                     caplog,
                                                     repro_log_propagation):
         source = tiny_sources["DB2"]
-        real = source.acquire_connection()
-        proxy = _BrokenRollbackConnection(real)
+        real = source.connection
+        source.connection = _BrokenRollbackConnection(real)
         try:
             with caplog.at_level(logging.WARNING, logger="repro.source"):
                 with pytest.raises(EvaluationError) as excinfo:
-                    source.create_temp_table(["a"], [("x",)], name="__t",
-                                             connection=proxy)
+                    source.create_temp_table(["a"], [("x",)], name="__t")
             assert "disk I/O error" in str(excinfo.value)
             assert "rollback after failed shipment" in caplog.text
             assert "DB2" in caplog.text
         finally:
+            source.connection = real
             if real.in_transaction:
                 real.execute("ROLLBACK")
-            source.release_connection(real)
-
-    def test_release_rolls_back_dirty_connection(self, tiny_sources):
-        source = tiny_sources["DB1"]
-        conn = source.acquire_connection()
-        conn.execute("BEGIN")
-        assert conn.in_transaction
-        source.release_connection(conn)
-        assert not conn.in_transaction        # rolled back before pooling
-        assert source.pool_size() == 1
-        assert source.leases_outstanding == 0
-
-    def test_release_closes_connection_when_rollback_fails(
-            self, tiny_sources, caplog, repro_log_propagation):
-        source = tiny_sources["DB3"]
-        real = source.acquire_connection()
-        real.execute("BEGIN")
-        proxy = _BrokenRollbackConnection(real)
-        before = source.pool_size()
-        with caplog.at_level(logging.WARNING, logger="repro.source"):
-            source.release_connection(proxy)
-        assert proxy.closed                   # not pooled dirty
-        assert source.pool_size() == before
-        assert "rollback of a returned pooled connection failed" \
-            in caplog.text
-        real.execute("ROLLBACK")
-        real.close()

@@ -86,12 +86,9 @@ class TestVersionCounters:
 
 
 class TestWarmReuse:
-    # ids keep the "static" of the former scheduling axis
-    @pytest.mark.parametrize("workers", [pytest.param(1, id="1-static"),
-                                         pytest.param(4, id="4-static")])
-    def test_no_delta_rerun_executes_zero_queries(self, workers):
+    def test_no_delta_rerun_executes_zero_queries(self):
         sources, dataset = make_loaded_sources("tiny", seed=31)
-        middleware = _middleware(sources, workers=workers)
+        middleware = _middleware(sources)
         date = dataset.busiest_date()
         cold = middleware.evaluate({"date": date})
         warm = middleware.evaluate({"date": date})
@@ -241,11 +238,10 @@ class TestFaultInterplay:
         assert injector.fired, "fault never fired — spec index is stale"
         assert serialize(recovered.document) == _cold_document(sources, "d1")
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_hard_failure_leaves_cache_usable(self, workers):
+    def test_hard_failure_leaves_cache_usable(self):
         sources = make_sources()
         load_tiny_hospital(sources)
-        middleware = _middleware(sources, workers=workers)
+        middleware = _middleware(sources)
         middleware.evaluate({"date": "d1"})
         sources["DB3"].execute(
             "UPDATE billing SET price='999' WHERE trId='t1'")

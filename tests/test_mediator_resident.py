@@ -191,19 +191,17 @@ def test_guards_read_collects_without_a_round_trip():
 # ----------------------------------------------------------------------
 # (c) a collect read by a source-side set parameter still ships its rows
 # ----------------------------------------------------------------------
-def _hospital(workers, **kwargs):
+def _hospital(**kwargs):
     sources = make_sources()
     load_tiny_hospital(sources)
     tracer = Tracer()
     middleware = Middleware(build_hospital_aig(), sources, Network.mbps(1.0),
-                            unfold_depth=8, workers=workers, tracer=tracer,
-                            **kwargs)
+                            unfold_depth=8, tracer=tracer, **kwargs)
     return middleware, sources, tracer
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_source_side_set_parameter_gets_the_rows(workers):
-    middleware, sources, tracer = _hospital(workers)
+def test_source_side_set_parameter_gets_the_rows():
+    middleware, sources, tracer = _hospital()
     report = middleware.evaluate({"date": "d1"})
     conceptual = ConceptualEvaluator(
         middleware.aig, list(sources.values())).evaluate({"date": "d1"})
@@ -222,17 +220,11 @@ def test_source_side_set_parameter_gets_the_rows(workers):
     assert cache_tables(middleware.mediator) == []
 
 
-def test_workers_do_not_change_the_document():
-    documents = {serialize(_hospital(workers)[0].evaluate(
-        {"date": "d1"}).document) for workers in (1, 4)}
-    assert len(documents) == 1
-
-
 # ----------------------------------------------------------------------
 # (d) the incremental store replays a collect's rows
 # ----------------------------------------------------------------------
 def test_delta_run_replays_a_clean_collect_into_a_tainted_consumer():
-    middleware, sources, tracer = _hospital(1, incremental=True)
+    middleware, sources, tracer = _hospital(incremental=True)
     cold = middleware.evaluate({"date": "d1"})
     store = middleware._result_caches[cold.unfold_depth]
     kept = [entry.outputs[name] for name, entry in store.entries.items()

@@ -31,14 +31,13 @@ from repro.__main__ import main
 from tests.conftest import load_tiny_hospital
 
 
-def traced_middleware(workers=1, violation_mode="abort", sources=None):
+def traced_middleware(violation_mode="abort", sources=None):
     if sources is None:
         sources = make_sources()
         load_tiny_hospital(sources)
     tracer = Tracer()
     middleware = Middleware(build_hospital_aig(), sources, Network.mbps(1.0),
-                            workers=workers, violation_mode=violation_mode,
-                            tracer=tracer)
+                            violation_mode=violation_mode, tracer=tracer)
     return middleware, tracer
 
 
@@ -239,7 +238,7 @@ class TestInstrumentedRun:
 
     @pytest.fixture(scope="class")
     def run(self):
-        middleware, tracer = traced_middleware(workers=4)
+        middleware, tracer = traced_middleware()
         report = middleware.evaluate({"date": "d1"})
         return middleware, tracer, report
 
@@ -280,11 +279,10 @@ class TestInstrumentedRun:
         _, tracer, _ = run
         snap = tracer.metrics.snapshot()
         for counter in ("queries_executed", "bytes_shipped", "rows_emitted",
-                        "rows_materialized", "violations_found",
-                        "connection_pool_hits", "connection_pool_misses"):
+                        "rows_materialized", "violations_found"):
             assert counter in snap["counters"], counter
         for gauge in ("qdg_nodes", "plan_cost_estimate_seconds",
-                      "optimizer_merge_savings_seconds", "workers",
+                      "optimizer_merge_savings_seconds",
                       "response_time_seconds", "document_nodes"):
             assert gauge in snap["gauges"], gauge
         assert len(snap["counters"]) + len(snap["gauges"]) >= 10
@@ -294,7 +292,6 @@ class TestInstrumentedRun:
         metrics = tracer.metrics
         assert metrics.counter("bytes_shipped") == report.bytes_shipped
         assert metrics.counter("queries_executed") == report.node_count
-        assert metrics.gauge("workers") == report.workers
         assert metrics.gauge("response_time_seconds") == pytest.approx(
             report.response_time)
         # elements + text nodes, set from the tagger's counts
@@ -342,15 +339,13 @@ class TestInstrumentedRun:
 class TestTracingEquivalence:
     """Tracing must not change a single observable output."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_document_and_bytes_identical(self, workers):
+    def test_document_and_bytes_identical(self):
         results = []
         for tracer in (None, Tracer()):
             sources = make_sources()
             load_tiny_hospital(sources)
             middleware = Middleware(build_hospital_aig(), sources,
-                                    Network.mbps(1.0), workers=workers,
-                                    tracer=tracer)
+                                    Network.mbps(1.0), tracer=tracer)
             results.append(middleware.evaluate({"date": "d1"}))
         off, on = results
         assert serialize(on.document) == serialize(off.document)
@@ -359,15 +354,13 @@ class TestTracingEquivalence:
         assert on.response_time == pytest.approx(off.response_time,
                                                  rel=0.05)
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_streaming_bytes_identical(self, workers):
+    def test_streaming_bytes_identical(self):
         outputs = []
         for tracer in (None, Tracer()):
             sources = make_sources()
             load_tiny_hospital(sources)
             middleware = Middleware(build_hospital_aig(), sources,
-                                    Network.mbps(1.0), workers=workers,
-                                    tracer=tracer)
+                                    Network.mbps(1.0), tracer=tracer)
             chunks: list[str] = []
             report = middleware.evaluate_stream({"date": "d1"},
                                                 chunks.append)
@@ -382,7 +375,7 @@ class TestTracingEquivalence:
         load_tiny_hospital(sources)
         tracer = Tracer()
         middleware = Middleware(build_hospital_aig(), sources,
-                                Network.mbps(1.0), workers=4, tracer=tracer)
+                                Network.mbps(1.0), tracer=tracer)
         middleware.evaluate_stream({"date": "d1"}, lambda _: None)
         categories = tracer.categories()
         # same taxonomy as evaluate(): no streaming-only category names
@@ -397,8 +390,7 @@ class TestTracingEquivalence:
         assert snap["histograms"]["evaluation_latency_seconds"]["count"] == 1
         assert snap["histograms"]["node_latency_seconds"]["count"] > 0
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_violations_identical(self, workers):
+    def test_violations_identical(self):
         results = []
         for tracer in (None, Tracer()):
             sources = make_sources()
@@ -406,7 +398,7 @@ class TestTracingEquivalence:
             sources["DB3"].execute_script(
                 "DELETE FROM billing WHERE trId='t4'")
             middleware = Middleware(build_hospital_aig(), sources,
-                                    Network.mbps(1.0), workers=workers,
+                                    Network.mbps(1.0),
                                     violation_mode="report", tracer=tracer)
             results.append(middleware.evaluate({"date": "d1"}))
         off, on = results
@@ -469,8 +461,7 @@ class TestCli:
     def test_demo_trace_and_metrics(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.json"
-        code = main(["demo", "--workers", "auto",
-                     "--trace", str(trace_path),
+        code = main(["demo", "--trace", str(trace_path),
                      "--metrics", "--metrics-json", str(metrics_path)])
         assert code == 0
         out = capsys.readouterr().out

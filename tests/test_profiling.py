@@ -149,7 +149,8 @@ class TestMiddlewareLedger:
             records[1]["run"]["peak_rss_bytes"] > 0
 
     #: One record as the commit before the data-plane knobs were removed
-    #: wrote it (``pushdown=True, columnar=True``; ``nodes`` emptied).
+    #: wrote it (``pushdown=True, columnar=True``; ``nodes`` emptied) —
+    #: also the last shape to carry ``config.workers``.
     OLD_RECORD = (
         '{"config": {"columnar_batch_rows": 1024, "cost_feedback": false, '
         '"deadline": null, "emulate_overheads": false, "incremental": false, '
@@ -175,6 +176,8 @@ class TestMiddlewareLedger:
         assert old["config"]["pushdown"] is True
         assert "pushdown" not in new["config"]
         assert "columnar_batch_rows" not in new["config"]
+        assert old["config"]["workers"] == 1
+        assert "workers" not in new["config"]
         # the same document, though not the same plan: guards have since
         # been fused with their collections (fewer nodes, new fingerprint)
         assert new["run"]["document_bytes"] == old["run"]["document_bytes"]
@@ -354,6 +357,17 @@ class TestExplainAnalyze:
         assert payload["nodes"]
         assert payload["calibration"]["seconds_q_error"]["median"] < 2.0
 
+    def test_cli_profile_appends_to_a_ledger_with_removed_knobs(
+            self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(TestMiddlewareLedger.OLD_RECORD, encoding="utf-8")
+        assert main(["profile", "--ledger", str(path)]) == 0
+        assert "1 record(s) appended" in capsys.readouterr().out
+        old, new = RunLedger(str(path)).records()
+        assert old["config"]["workers"] == 1
+        assert "workers" not in new["config"]
+        assert new["plan_fingerprint"] and new["nodes"]
+
     def test_cli_explain_analyze(self, capsys):
         assert main(["explain", "--analyze"]) == 0
         out = capsys.readouterr().out
@@ -365,7 +379,7 @@ class TestPrometheusExport:
     @pytest.fixture(scope="class")
     def traced_run(self):
         tracer = Tracer()
-        middleware = fresh_middleware(tracer=tracer, workers=4)
+        middleware = fresh_middleware(tracer=tracer)
         middleware.evaluate({"date": "d1"})
         return tracer
 

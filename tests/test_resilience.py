@@ -41,7 +41,7 @@ class TestFaultSpec:
                            FaultClause("DB3", "down", 1)]
 
     def test_clause_roundtrips_through_str(self):
-        for text in ("DB2:error@3", "DB1:slow@2:0.05", "DB4:acquire@1"):
+        for text in ("DB2:error@3", "DB1:slow@2:0.05", "DB4:drop@1"):
             (clause,) = parse_fault_spec(text)
             assert str(clause) == text
 
@@ -60,6 +60,13 @@ class TestFaultSpec:
     def test_malformed_specs_raise_spec_error(self, bad):
         with pytest.raises(SpecError):
             parse_fault_spec(bad)
+
+    def test_the_lease_kind_went_with_the_pool(self):
+        """``acquire`` named the connection-lease boundary; with one
+        connection per source there is none, and the spelling is refused
+        with the kinds that remain."""
+        with pytest.raises(SpecError, match="error, slow, drop, down"):
+            FaultInjector.from_spec("DB3:acquire@1")
 
 
 class TestFaultInjector:
@@ -82,19 +89,6 @@ class TestFaultInjector:
             for _ in range(3):
                 with pytest.raises(EvaluationError):
                     tiny_sources["DB2"].execute("SELECT 1")
-        finally:
-            injector.uninstall(tiny_sources)
-
-    def test_acquire_fault_hits_the_pool_boundary(self, tiny_sources):
-        injector = FaultInjector.from_spec(
-            "DB3:acquire@1").install(tiny_sources)
-        try:
-            with pytest.raises(EvaluationError):
-                tiny_sources["DB3"].acquire_connection()
-            # statement path untouched, and the next lease works
-            tiny_sources["DB3"].execute("SELECT 1")
-            conn = tiny_sources["DB3"].acquire_connection()
-            tiny_sources["DB3"].release_connection(conn)
         finally:
             injector.uninstall(tiny_sources)
 
@@ -297,27 +291,6 @@ class TestDeadline:
         result = tiny_sources["DB1"].execute(
             "SELECT COUNT(*) FROM patient", deadline=0.05)
         assert result.rows[0][0] == 2
-
-
-class TestPoolLeaseAccounting:
-    def test_failed_open_does_not_leak_the_lease_counter(
-            self, tiny_sources, monkeypatch):
-        source = tiny_sources["DB1"]
-        assert source.pool_size() == 0        # next lease must open fresh
-        baseline = source.leases_outstanding
-
-        def exploding_connect():
-            raise sqlite3.OperationalError("unable to open database file")
-
-        monkeypatch.setattr(source, "_connect", exploding_connect)
-        with pytest.raises(sqlite3.OperationalError):
-            source.acquire_connection()
-        assert source.leases_outstanding == baseline
-        monkeypatch.undo()
-        connection = source.acquire_connection()
-        assert source.leases_outstanding == baseline + 1
-        source.release_connection(connection)
-        assert source.leases_outstanding == baseline
 
 
 class TestDegradation:

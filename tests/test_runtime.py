@@ -19,7 +19,7 @@ from repro.aig import ConceptualEvaluator
 from repro.constraints import check_constraints
 from repro.hospital import build_hospital_aig, make_sources
 from repro.runtime import Middleware
-from repro.xmlmodel import conforms_to
+from repro.xmlmodel import conforms_to, serialize
 from tests.conftest import load_tiny_hospital
 
 
@@ -145,6 +145,43 @@ class TestRecursionHandling:
         for federation in opened:
             with pytest.raises(sqlite3.ProgrammingError):
                 federation.connection.execute("SELECT 1")
+
+    def test_probe_federates_only_the_sources_its_query_reads(
+            self, hospital_aig, monkeypatch):
+        # Q3 reads DB4 (procedure, treatment): each of the two probes on
+        # the way from depth 2 to 8 attaches DB4 alone, so on a backend a
+        # federation must copy, no other source is read beyond its plan.
+        import repro.relational.source as source_module
+        from repro.datagen import make_loaded_sources
+        attached = []
+
+        class Recording(source_module.Federation):
+            def __init__(self, sources):
+                attached.append(sorted(source.name for source in sources))
+                super().__init__(sources)
+
+        monkeypatch.setattr(source_module, "Federation", Recording)
+        sources, dataset = make_loaded_sources("tiny", backend="file:csv")
+        root = {"date": dataset.busiest_date()}
+        fixed = Middleware(hospital_aig, sources, Network.mbps(1.0),
+                           unfold_depth=8).evaluate(root)
+        assert attached == []
+        asked = {name: source.total_queries
+                 for name, source in sources.items()}
+        middleware = Middleware(hospital_aig, sources, Network.mbps(1.0),
+                                unfold_depth=2)
+        report = middleware.evaluate(root)
+        assert report.unfold_depth == 8
+        assert attached == [["DB4"], ["DB4"]]
+        assert serialize(report.document) == serialize(fixed.document)
+        plan_statements = {
+            name: sum(len(middleware.prepare(depth)[1][name])
+                      for depth in (2, 4, 8)) for name in sources}
+        copies = {"DB4": 2 * len(sources["DB4"].schema.relations)}
+        assert {name: source.total_queries - asked[name]
+                for name, source in sources.items()} == {
+            name: plan_statements[name] + copies.get(name, 0)
+            for name in sources}
 
     def test_depth_cap(self, hospital_aig):
         sources = make_sources()

@@ -162,16 +162,16 @@ class TestRegistry:
     def test_warm_reuse_on_identical_registration(self, world):
         aig, sources, _ = world
         registry = TenantRegistry()
-        first = registry.register("t", aig, sources, {"workers": 1})
+        first = registry.register("t", aig, sources, {"unfold_depth": 4})
         first.middleware.prepare(4)
-        again = registry.register("t", aig, sources, {"workers": 1})
+        again = registry.register("t", aig, sources, {"unfold_depth": 4})
         assert again is first
         assert again.middleware.prepare_count == 1  # plans stayed warm
 
     def test_config_change_swaps_instance(self, world):
         aig, sources, _ = world
         registry = TenantRegistry()
-        first = registry.register("t", aig, sources, {"workers": 1})
+        first = registry.register("t", aig, sources, {"unfold_depth": 4})
         changed = registry.register("t", aig, sources, {"merging": False})
         assert changed is not first
         assert changed.plan_key != first.plan_key
@@ -190,7 +190,7 @@ class TestRegistry:
         # a typo, and the knobs that no longer exist
         for config in ({"wrokers": 2}, {"columnar": True},
                        {"pushdown": True}, {"query_overhead": 0.1},
-                       {"scheduling": "static"}):
+                       {"scheduling": "static"}, {"workers": 4}):
             with pytest.raises(EvaluationError,
                                match=r"unknown middleware config key\(s\)"):
                 registry.register("t", aig, sources, config)
@@ -517,6 +517,21 @@ class TestHTTPSurface:
         assert status == 200
         status, _, _ = _request(server, "DELETE", "/tenants/hospital2")
         assert status == 404
+
+    def test_removed_config_key_is_refused_naming_it(self, served):
+        # the registry's unknown-key refusal, as every ReproError: a 422
+        _, server, _ = served
+        status, _, body = _request(
+            server, "POST", "/tenants",
+            {"name": "lanes",
+             "scenario": {"kind": "hospital", "scale": "tiny"},
+             "config": {"workers": 4}})
+        assert status == 422
+        assert "unknown middleware config key" in body.decode()
+        assert "workers" in body.decode()
+        status, _, body = _request(server, "GET", "/tenants")
+        assert "lanes" not in [t["name"]
+                               for t in json.loads(body)["tenants"]]
 
     def test_invalidate_endpoint(self, served):
         service, server, dataset = served

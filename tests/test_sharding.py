@@ -254,7 +254,7 @@ class TestSpawnSafety:
             payload = pickle.dumps(task)
             clone = pickle.loads(payload)
             assert set(clone.config) == {
-                "merging", "workers", "unfold_depth", "max_unfold_depth"}
+                "merging", "unfold_depth", "max_unfold_depth"}
 
     def test_sharded_run_with_feedback_matches_plain(self, tmp_path):
         from repro.obs import CostFeedbackStore, Tracer
