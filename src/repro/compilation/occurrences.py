@@ -26,7 +26,7 @@ are built on:
   symbolically evaluates a synthesized set/bag member into a union of
   :class:`Extraction`\\ s — "take these columns from the table of that
   iteration occurrence, grouped under this anchor" — which the optimizer
-  turns into mediator-side SQL for synthesized attributes and guards.
+  compiles into the collection programs of collect nodes and guards.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 * :mod:`repro.optimizer.qdg` — set-oriented rewriting of every query site
   into the **query dependency graph** (a DAG of single-source queries plus
-  mediator-side collection/condition/guard queries), together with the
-  tagging plan.
+  mediator-site collection programs and guards), together with the tagging
+  plan.
 * :mod:`repro.optimizer.cost` — cardinality/size/evaluation-cost estimation
   (the sources' "costing API") and the paper's ``comp_time``/``cost(P)``
   plan-cost function.

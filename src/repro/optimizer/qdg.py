@@ -13,19 +13,21 @@ and turns every query site into *set-oriented*, single-source queries:
   row knows which ancestor row it belongs to.  Multi-source rewritten
   queries are decomposed by the left-deep planner into single-source steps.
 
-* Each **collection** is a UNION ALL over extractions from the relevant
-  occurrence tables, each row tagged with the ``__group`` ancestor row id
-  (found by joining ``__parent`` chains).  One that a query reads as a set
-  parameter becomes a mediator-side *collect* node; one that a guard checks
-  has that single reader and is a derived table of the guard's statement.
+* Each **collection** compiles to a :class:`CollectionProgram`: per
+  extraction of the relevant occurrence tables, a :class:`Branch` that
+  climbs ``__parent`` → ``__id`` to the ``__group`` ancestor row, passes the
+  choice gates and picks its fields.  The engine runs programs in process
+  over the result sets it holds (:mod:`repro.runtime.collect`).  One that a
+  query reads as a set parameter becomes a mediator-site *collect* node;
+  one that a guard checks has that single reader and belongs to the guard.
 
 * Each **choice production occurrence** gets a *condition* node computing
   the branch selector per anchor row.
 
-* Each **guard** becomes a mediator-side node over the step / condition
-  tables its collections read, whose non-empty result aborts evaluation
-  (``unique``: duplicate detection with GROUP BY/HAVING; ``subset``:
-  anti-join).
+* Each **guard** becomes a mediator-site node over the step / condition
+  tables its collections read, whose violation aborts evaluation
+  (``unique``: a duplicate ``(group, values…)`` tuple; ``subset``: a left
+  tuple missing on the right).
 
 The result is a DAG over named nodes — "the DAG structure reflects the fact
 that an AIG generally specifies sharing of a query output among multiple
@@ -73,6 +75,45 @@ from repro.compilation.specialize import SpecializedAIG
 CONTEXT_ALIAS = "__ctx"
 
 
+@dataclass(frozen=True)
+class Branch:
+    """One extraction of a collection, as the engine runs it.
+
+    Rows come from the table ``table`` (``None``: the one row of the
+    root).  Level 0 is that row; level *k* is the row its ``__parent``
+    names in ``climb[k-1]``, the tables of its ancestor anchors in climbing
+    order.  A row whose parent is missing is dropped, as an inner join
+    drops it.  ``group`` is where the ``__group`` id is read: ``(level,
+    column)``, or ``None`` under the root (id 0).  Each gate
+    ``(condition table, selector column, branch index, level)`` keeps a row
+    once per condition row that picked the branch for the level's ``__id``
+    (``level`` ``None``: the root's condition, with no ``__parent``).  Per
+    field, ``values`` holds ``("column", level, name)``, ``("root",
+    member)`` or ``("const", value)``.
+    """
+
+    table: str | None
+    climb: tuple[str, ...]
+    group: tuple[int, str] | None
+    gates: tuple[tuple[str, str, int, int | None], ...]
+    values: tuple[tuple, ...]
+
+
+@dataclass(frozen=True)
+class CollectionProgram:
+    """A collection: the bag of its branches' rows, each ``(values…,
+    __group)``; ``distinct`` for a set member."""
+
+    fields: tuple[str, ...]
+    branches: tuple[Branch, ...]
+    distinct: bool
+
+    def root_members(self) -> list[str]:
+        """The root attributes the program reads, sorted."""
+        return sorted({value[1] for branch in self.branches
+                       for value in branch.values if value[0] == "root"})
+
+
 @dataclass
 class QueryNode:
     """One node of the query dependency graph."""
@@ -81,7 +122,9 @@ class QueryNode:
     source: str                      # executing source ("Mediator" allowed)
     kind: str                        # 'step' | 'collect' | 'condition' | 'guard'
     query: Query | None = None       # AST payload (step/condition nodes)
-    raw_sql: str | None = None       # mediator SQL template ({node} -> table)
+    #: collect nodes: their one program; guards: the bag (``unique``) or
+    #: the left and right sides (``subset``) — all run in process
+    collections: tuple[CollectionProgram, ...] = ()
     inputs: tuple[str, ...] = ()     # producer node names
     output_columns: tuple[str, ...] = ()
     ship_to_mediator: bool = False   # needed by the tagging phase
@@ -512,7 +555,7 @@ class _Builder:
         return tuple(self.graph.nodes[node_name].output_columns)
 
     # ------------------------------------------------------------------
-    # collect nodes (synthesized / inherited collections at the mediator)
+    # collect nodes (synthesized / inherited collections a query reads)
     # ------------------------------------------------------------------
     def _collect_node_for(self, ref: AttrRef, parent: Occurrence
                           ) -> tuple[str, Occurrence]:
@@ -531,77 +574,66 @@ class _Builder:
         if cache_key not in self._collect_cache:
             fields = schema.collection_fields(ref.member)
             inputs: set[str] = set()
-            union_sql, _ = self._union_sql(extractions, fields, group, inputs)
-            distinct = "" if schema.is_bag(ref.member) else "DISTINCT "
+            program = self._collection(extractions, fields, group,
+                                       not schema.is_bag(ref.member), inputs)
             node = self.graph.add(QueryNode(
                 name=f"collect:{ref.kind}:{owner.path}.{ref.member}",
                 source=MEDIATOR_NAME, kind="collect",
-                raw_sql=f"SELECT {distinct}* FROM ({union_sql})",
+                collections=(program,),
                 inputs=tuple(sorted(inputs)),
                 output_columns=tuple(fields) + ("__group",),
                 ship_to_mediator=True))
             self._collect_cache[cache_key] = node.name
         return self._collect_cache[cache_key], group
 
-    def _union_sql(self, extractions: list[Extraction],
-                   fields: tuple[str, ...], group: Occurrence,
-                   inputs: set[str]) -> tuple[str, bool]:
-        """A collection as SQL: the UNION ALL of its extractions, each row
+    def _collection(self, extractions: list[Extraction],
+                    fields: tuple[str, ...], group: Occurrence,
+                    distinct: bool, inputs: set[str]) -> CollectionProgram:
+        """A collection as a program: one branch per extraction, each row
         tagged with its ``group`` row id; the tables read are added to
-        ``inputs``.  Returns ``(sql, is it a compound select)``."""
-        branches = [self._extraction_sql(extraction, fields, group, inputs)
-                    for extraction in extractions]
-        if not branches:
-            columns = ", ".join(f"NULL AS \"{f}\"" for f in fields)
-            return f"SELECT {columns}, NULL AS __group WHERE 0", False
-        return " UNION ALL ".join(branches), len(branches) > 1
+        ``inputs``.  The branches are in a canonical order (a bag does not
+        depend on it), so equal collections have equal programs."""
+        return CollectionProgram(
+            tuple(fields),
+            tuple(sorted((self._branch(extraction, fields, group, inputs)
+                          for extraction in extractions), key=repr)),
+            distinct)
 
-    def _extraction_sql(self, extraction: Extraction,
-                        fields: tuple[str, ...], group: Occurrence,
-                        inputs: set[str]) -> str:
-        """One UNION branch: rows of the source table mapped to their group.
+    def _branch(self, extraction: Extraction, fields: tuple[str, ...],
+                group: Occurrence, inputs: set[str]) -> Branch:
+        """One extraction: rows of the source table mapped to their group.
 
-        The ``__parent`` chain of iteration tables is joined from the source
-        occurrence up to (but excluding) the group occurrence; the group row
-        id is the last link's ``__parent`` (or the source's own ``__id``
-        when the source *is* the group, or 0 when grouped under the root).
+        The ``__parent`` chain of iteration tables is climbed from the
+        source occurrence up to (but excluding) the group occurrence; the
+        group row id is the last link's ``__parent`` (or the source's own
+        ``__id`` when the source *is* the group, or 0 when grouped under
+        the root).
         """
         source_occ = extraction.source
-        source_table = self.plan.table_of.get(source_occ.path)
-        provenance_by_field = dict(extraction.columns)
-        aliases = {source_occ.path: "s0"}
-        joins: list[str] = []
+        table = self.plan.table_of.get(source_occ.path)  # None: the root
+        if table is not None:
+            inputs.add(table)
         chain: list[Occurrence] = [source_occ]
-        if source_table is not None:
-            inputs.add(source_table)
-            from_clause = f"{{{source_table}}} s0"
-        else:
-            from_clause = "(SELECT 1 AS __one) s0"  # root/const extraction
+        climb: list[str] = []
 
-        def climb_to(target: Occurrence) -> str:
-            """Join anchor tables upward until ``target``; its alias."""
-            while chain[-1] is not target:
+        def climb_to(target: Occurrence) -> int:
+            """Climb anchor tables upward until ``target``; its level."""
+            while target not in chain:
                 current = chain[-1]
                 if current.parent is None:
                     raise CompilationError(
                         f"{target.path} is not an ancestor of "
                         f"{source_occ.path}")
                 up = current.parent.anchor
-                if up.path not in aliases:
-                    alias = f"s{len(chain)}"
-                    table = self.plan.table_of[up.path]
-                    inputs.add(table)
-                    joins.append(
-                        f" JOIN {{{table}}} {alias} ON "
-                        f"{aliases[current.path]}.__parent = {alias}.__id")
-                    aliases[up.path] = alias
+                climb.append(self.plan.table_of[up.path])
+                inputs.add(climb[-1])
                 chain.append(up)
-            return aliases[target.path]
+            return chain.index(target)
 
         if group.parent is None:
-            group_expr = "0"
+            group_at = None
         elif source_occ is group:
-            group_expr = "s0.__id"
+            group_at = (0, "__id")
         else:
             # group row id = __parent of the deepest occurrence just below
             # the group on the anchor chain
@@ -611,41 +643,36 @@ class _Builder:
             if below.parent is None:
                 raise CompilationError(
                     f"{group.path} is not an ancestor of {source_occ.path}")
-            group_expr = f"{climb_to(below)}.__parent"
+            group_at = (climb_to(below), "__parent")
 
-        # Choice-branch gates: join each condition table on its selector.
-        # (extraction.conditions name the choice-PRODUCTION occurrence.)
-        for gate_index, (choice_occ, branch_index) in enumerate(
-                extraction.conditions):
+        # Choice-branch gates: the condition table's selector must pick the
+        # branch (extraction.conditions name the choice-PRODUCTION occurrence)
+        gates = []
+        for choice_occ, branch_index in extraction.conditions:
             condition_node = self.plan.condition_of[choice_occ.path]
             inputs.add(condition_node)
-            selector = self.graph.nodes[condition_node].output_columns[0]
-            alias = f"c{gate_index}"
             gate_anchor = choice_occ.anchor
-            on_parts = [f'{alias}."{selector}" = {branch_index}']
-            if gate_anchor.parent is not None:
-                anchor_expr = f"{climb_to(gate_anchor)}.__id"
-                on_parts.append(f"{alias}.__parent = {anchor_expr}")
-            joins.append(f" JOIN {{{condition_node}}} {alias} ON "
-                         + " AND ".join(on_parts))
+            gates.append((
+                condition_node,
+                self.graph.nodes[condition_node].output_columns[0],
+                branch_index,
+                None if gate_anchor.parent is None else climb_to(gate_anchor)))
 
-        select_parts = []
+        provenance_by_field = dict(extraction.columns)
+        values = []
         for field_name in fields:
             provenance = provenance_by_field[field_name]
             if isinstance(provenance, TableColumn):
-                alias = aliases.get(provenance.occurrence.path, "s0")
-                select_parts.append(
-                    f'{alias}."{provenance.column}" AS "{field_name}"')
+                level = (chain.index(provenance.occurrence)
+                         if provenance.occurrence in chain else 0)
+                values.append(("column", level, provenance.column))
             elif isinstance(provenance, RootValue):
-                select_parts.append(
-                    f"{{root:{provenance.member}}} AS \"{field_name}\"")
+                values.append(("root", provenance.member))
             else:
                 assert isinstance(provenance, ConstValue)
-                select_parts.append(
-                    f"{_sql_literal(provenance.value)} AS \"{field_name}\"")
-        return (f"SELECT {', '.join(select_parts)}, {group_expr} AS __group "
-                f"FROM {from_clause}{''.join(joins)}")
-
+                values.append(("const", provenance.value))
+        return Branch(table, tuple(climb), group_at, tuple(gates),
+                      tuple(values))
 
     # ------------------------------------------------------------------
     # condition nodes (choice productions)
@@ -674,52 +701,26 @@ class _Builder:
 
     def _build_guard(self, occurrence: Occurrence, guard) -> None:
         """A guard reads its collections in place: each one has this single
-        reader, so its UNION ALL is a derived table of the guard statement
-        (not a node) and the guard's inputs are the step / condition tables
-        the branches read."""
+        reader, so it is a program of the guard (not a node) and the
+        guard's inputs are the step / condition tables the branches read."""
         self._guard_counter += 1
         schema = self.aig.syn_schema(occurrence.element_type)
         inputs: set[str] = set()
 
-        def collection(member: str) -> tuple[str, bool]:
-            return self._union_sql(
+        def collection(member: str) -> CollectionProgram:
+            return self._collection(
                 self.occurrences.expand_syn_collection(occurrence, member),
                 schema.collection_fields(member), _group_of(occurrence),
-                inputs)
+                not schema.is_bag(member), inputs)
 
         if isinstance(guard, UniqueGuard):
-            bag, _ = collection(guard.member)
-            if not schema.is_bag(guard.member):
-                bag = f"SELECT DISTINCT * FROM ({bag})"
-            value_columns = ", ".join(
-                f'"{f}"' for f in schema.collection_fields(guard.member))
-            sql = (f"SELECT __group, {value_columns}, COUNT(*) AS n "
-                   f"FROM ({bag}) "
-                   f"GROUP BY __group, {value_columns} HAVING COUNT(*) > 1 "
-                   f"LIMIT 1")
+            collections = (collection(guard.member),)
         else:
             assert isinstance(guard, SubsetGuard)
-            # No DISTINCT on either side: an anti-join tests existence.
-            left, left_compound = collection(guard.left)
-            right, right_compound = collection(guard.right)
-            left_fields = schema.collection_fields(guard.left)
-            conditions = " AND ".join(
-                [f'l."{f}" = r."{f}"' for f in left_fields]
-                + ["l.__group = r.__group"])
-            first = left_fields[0]
-            # SQLite pushes the join into every branch of a compound left
-            # side and would build the right side once per branch; hoisted
-            # into a materialized CTE it is built once.
-            if left_compound or right_compound:
-                hoist, right = f"WITH r AS MATERIALIZED ({right}) ", "r"
-            else:
-                hoist, right = "", f"({right}) r"
-            sql = (f"{hoist}SELECT l.* FROM ({left}) l "
-                   f"LEFT JOIN {right} ON {conditions} "
-                   f'WHERE r."{first}" IS NULL AND l."{first}" IS NOT NULL '
-                   f"LIMIT 1")
+            collections = (collection(guard.left), collection(guard.right))
         node = QueryNode(name=f"guard:{occurrence.path}:{self._guard_counter}",
-                         source=MEDIATOR_NAME, kind="guard", raw_sql=sql,
+                         source=MEDIATOR_NAME, kind="guard",
+                         collections=collections,
                          inputs=tuple(sorted(inputs)),
                          output_columns=("violation",))
         node.guard = guard
@@ -781,12 +782,3 @@ class _ContextJoins:
                 ColumnRef(child_alias, "__parent"), "=",
                 ColumnRef(parent_alias, "__id")))
         return predicates
-
-
-def _sql_literal(value) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, (int, float)):
-        return str(value)
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"

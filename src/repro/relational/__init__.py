@@ -5,8 +5,8 @@ different systems and may even reside in different sites".  Here each logical
 source is a :class:`DataSource` behind a pluggable storage backend
 (``sqlite3`` by default; DuckDB and a read-only file backend live in
 :mod:`repro.relational.backends`, see docs/BACKENDS.md), plus a
-distinguished :class:`Mediator` source where shipped results are cached and
-synthesized attributes are computed.  Inter-site data transfer is simulated by
+distinguished :class:`Mediator` source that joins shipped results for the
+sources that cannot receive them.  Inter-site data transfer is simulated by
 :class:`Network` (the paper, too, *simulated* transfers at configurable
 bandwidths).  :mod:`repro.relational.statistics` implements the per-source
 "query costing API" inputs: table cardinalities, distinct counts, and widths.

@@ -5,8 +5,8 @@ the paper's per-site DB2 instances (see DESIGN.md, substitutions).  The
 interface mirrors what the middleware needs: execute a query, create and
 populate a temporary table with shipped inputs, and expose timing so measured
 evaluation costs can feed the cost model.  The :class:`Mediator` is itself a
-source (the paper treats it as "a special data source Mediator") where query
-results are cached and synthesized-attribute computations run.
+source (the paper treats it as "a special data source Mediator"); it runs
+the mediator-site join steps of sources that cannot receive temp tables.
 
 Engine specifics — opening connections, cursor semantics, transactions,
 deadline interruption, bulk loading — live in
@@ -486,12 +486,15 @@ class DataSource:
 
 
 class Mediator(DataSource):
-    """The middleware's own cache/compute engine.
+    """The middleware's own SQL engine, for the join steps no source can run.
 
     The paper's prototype did middleware processing in application code and
     suggested adding "a relational query-processor on the middleware" as a
-    simple extension; we take that extension (an SQLite engine) so that
-    synthesized-attribute collection and guard checks are plain SQL.
+    simple extension.  Collect nodes and guards are middleware processing
+    in application code here too (:mod:`repro.runtime.collect`); this
+    SQLite engine runs only the mediator-site joins that
+    :func:`repro.sqlq.planner.plan_steps` plans around a source that cannot
+    receive temp tables, over inputs shipped in by ``cache_result``.
     """
 
     def __init__(self):

@@ -7,6 +7,8 @@ phases (Sections 5.1, 5.5).
   sequences, temp-table shipping through the mediator, and a simulated clock
   that prices communication with the :class:`~repro.relational.network.
   Network` model.
+* :mod:`repro.runtime.collect` — collect nodes and guard verdicts, computed
+  in process over the result sets a run holds.
 * :mod:`repro.runtime.tagging` — the tagging plan: sort-merge the cached
   output relations into the final XML tree, erase internal states and
   unfolding suffixes, check guards.

@@ -16,15 +16,16 @@ members in dependency order, outer-unioned with a ``__tag`` discriminator —
 and the result is split back into per-member cached tables, so consumers and
 the tagging phase are oblivious to merging.
 
-Collect and guard nodes run at the mediator as raw SQL templates over the
-cached tables of their inputs (a guard reads its collections in place, see
-:mod:`repro.optimizer.qdg`); a non-empty guard result aborts the run with
-:class:`~repro.errors.EvaluationAborted`.
+Collect and guard nodes keep the mediator site in the plan but issue no
+statement: their collection programs run in process over the result sets
+of their inputs (:mod:`repro.runtime.collect`); a guard that finds a
+witness aborts the run with :class:`~repro.errors.EvaluationAborted`.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from itertools import count
 from operator import add
@@ -40,8 +41,7 @@ from repro.relational.source import (
     ResultSet,
     intern_columns,
 )
-from repro.runtime.incremental import ROOT_PLACEHOLDER
-from repro.sqlq.analyze import temp_inputs
+from repro.runtime.collect import RunCollections, guard_output
 from repro.sqlq.render import InlineTable, render_sqlite
 
 #: Hidden row-identity column appended to every cached table.
@@ -158,6 +158,8 @@ class Engine:
         #: fingerprints so fresh results can be cached for the next run.
         self.reuse = reuse or {}
         self.fingerprints = fingerprints
+        #: this run's shared indexes and collections (one engine per run)
+        self.collections = RunCollections(self.tracer.metrics)
         self._physical: dict[str, str] = {}
         self._physical_counter = 0
 
@@ -204,8 +206,8 @@ class Engine:
         if getattr(node, "members", None):
             return self._execute_merged(node, source, cache, root_inh,
                                         shipped)
-        if node.raw_sql is not None:
-            return self._execute_raw(node, source, cache, root_inh)
+        if node.collections:
+            return self._execute_in_process(node, cache, root_inh)
         return self._execute_query(node, source, cache, root_inh, shipped)
 
     # -- plain AST queries ---------------------------------------------
@@ -225,28 +227,19 @@ class Engine:
         elapsed = source.last_execution_seconds + materialize_seconds
         return elapsed, {node.name: output}, rows_materialized
 
-    # -- mediator raw SQL (collect / guard nodes) ------------------------
-    def _execute_raw(self, node, source, cache, root_inh):
-        sql = node.raw_sql
-        for input_name in node.inputs:
-            physical = self._cache_table(input_name, cache)
-            sql = sql.replace(f"{{{input_name}}}", f'"{physical}"')
-        # Root attribute values are request input: they are bound, never
-        # spliced, in one pass over the template (a value that looks like
-        # a slot is data).
-        params: list = []
-
-        def bind(match):
-            if match.group(1) is None:
-                return match.group(0)        # a string literal of the plan
-            params.append(root_inh[match.group(1)])
-            return "?"
-
-        sql = ROOT_PLACEHOLDER.sub(bind, sql)
-        result = self.mediator.execute(sql, tuple(params),
-                                       deadline=self.deadline)
-        output = _with_ids(result)
-        return self.mediator.last_execution_seconds, {node.name: output}, 0
+    # -- collect / guard nodes: in process ------------------------------
+    def _execute_in_process(self, node, cache, root_inh):
+        """A collect node's rows or a guard's witness, from the result
+        sets in ``cache``; root attribute values are Python values."""
+        started = time.perf_counter()
+        if node.kind == "guard":
+            output = guard_output(node, self.collections, cache, root_inh)
+        else:
+            (program,) = node.collections
+            output = ResultSet(intern_columns(node.output_columns),
+                               self.collections.rows(program, cache,
+                                                     root_inh))
+        return time.perf_counter() - started, {node.name: _with_ids(output)}, 0
 
     # -- merged nodes -----------------------------------------------------
     def _execute_merged(self, node, source, cache, root_inh, shipped=None):

@@ -30,6 +30,7 @@ from repro.errors import (
 from repro.relational.source import MEDIATOR_NAME, ResultSet, intern_columns
 from repro.resilience.report import DegradedSubtree, FailureReport
 from repro.resilience.retry import QueryDeadlineExceeded, is_transient
+from repro.runtime.collect import describe_witness
 from repro.runtime.engine import ID_COLUMN, EngineResult, NodeTiming
 from repro.runtime.incremental import CachedNodeResult
 
@@ -263,9 +264,11 @@ class PlanExecutor:
                 raise error
 
         def complete(node, outputs: dict, eval_seconds: float = 0.0,
-                     rows_materialized: int = 0, cached: bool = False) -> int:
+                     rows_materialized: int = 0, cached: bool = False,
+                     span=None) -> int:
             """Keep a node's outputs and timing record (returns the rows it
-            put out); a guard that found rows is a violation."""
+            put out); a guard that found a witness is a violation, and the
+            witness goes on its ``span`` and into the warning."""
             cache.update(outputs)
             output_rows = sum(len(r) for r in outputs.values())
             timings[node.name] = NodeTiming(
@@ -274,8 +277,12 @@ class PlanExecutor:
                 rows_materialized, cached=cached)
             primary = outputs.get(node.name)
             if node.kind == "guard" and primary is not None and len(primary):
-                logger.warning("constraint guard %s found a violation of %s",
-                               node.name, node.guard.constraint)
+                witness = describe_witness(node, primary)
+                if span is not None:
+                    span.set(witness=witness)
+                logger.warning("constraint guard %s found a violation of "
+                               "%s: %s", node.name, node.guard.constraint,
+                               witness)
                 if engine.violation_mode == "abort":
                     raise EvaluationAborted([node.guard.constraint])
                 violations.append(node.guard.constraint)
@@ -314,7 +321,8 @@ class PlanExecutor:
                     cache_entries[name] = CachedNodeResult(fingerprint,
                                                            dict(outputs))
                     metrics.add("incremental_cache_misses", 1)
-            output_rows = complete(node, outputs, eval_seconds, rows)
+            output_rows = complete(node, outputs, eval_seconds, rows,
+                                   span=span)
             logger.debug("completed %s on %s: %d row(s), %.4fs eval",
                          name, lane, output_rows, eval_seconds)
 

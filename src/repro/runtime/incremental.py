@@ -11,12 +11,13 @@ memo measured slower than rebuilding, see docs/INCREMENTAL.md):
   loads and writes, never by temp-table shipments;
 
 * every QDG node gets a **content fingerprint** — a hash over its rendered
-  SQL, the root-attribute values it reads, the ``(source, relation,
-  version)`` of every base table it scans, and the fingerprints of its
-  producers.  Fingerprints chain upstream, so a node whose fingerprint is
-  unchanged provably has clean producers all the way down: the clean set
-  is a downward-closed cone of the DAG and cached results can be replayed
-  in topological order before any query is dispatched;
+  SQL or its collection programs, the root-attribute values it reads, the
+  ``(source, relation, version)`` of every base table it scans, and the
+  fingerprints of its producers.  Fingerprints chain upstream, so a node
+  whose fingerprint is unchanged provably has clean producers all the way
+  down: the clean set is a downward-closed cone of the DAG and cached
+  results can be replayed in topological order before any query is
+  dispatched;
 
 * **taint** is the complement: a node is tainted when its fingerprint
   differs from the cached one, and taint propagates to all transitive
@@ -40,14 +41,9 @@ anything that changed).
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 
 from repro.sqlq.ast import BaseTable
-
-#: A ``{root:member}`` slot of a raw SQL template, or (group 1 unset) one
-#: of the template's own string literals, whose text is never a slot.
-ROOT_PLACEHOLDER = re.compile(r"'(?:[^']|'')*'|\{root:(\w+)\}")
 
 
 @dataclass
@@ -78,9 +74,10 @@ def compute_fingerprints(graph, sources, root_inh: dict) -> dict:
     """Content fingerprint per QDG node, in topological order.
 
     The hash covers everything that determines a node's output: its SQL
-    text (AST-rendered or raw), the root-attribute values bound into it,
-    the versions of the base relations it scans, and — transitively, via
-    the producers' fingerprints — the same for everything upstream.
+    text or collection programs, the root-attribute values it reads (a
+    value is hashed as data, whatever it looks like), the versions of the
+    base relations it scans, and — transitively, via the producers'
+    fingerprints — the same for everything upstream.
     """
     fingerprints: dict = {}
     for node in graph.topological_order():
@@ -95,10 +92,9 @@ def compute_fingerprints(graph, sources, root_inh: dict) -> dict:
                         version = (source.table_version(item.relation)
                                    if source is not None else -1)
                         parts.append((item.source, item.relation, version))
-            if member.raw_sql is not None:
-                parts.append(member.raw_sql)
-                for name in sorted(set(
-                        ROOT_PLACEHOLDER.findall(member.raw_sql)) - {""}):
+            for program in member.collections:
+                parts.append(repr(program))
+                for name in program.root_members():
                     parts.append((name, repr(root_inh.get(name))))
             for param, inh_member in sorted(member.root_params.items()):
                 parts.append((param, repr(root_inh.get(inh_member))))
@@ -113,9 +109,10 @@ def structural_fingerprint(node) -> str:
     """Version- and value-*independent* hash of one QDG node's shape.
 
     Unlike :func:`compute_fingerprints`, this covers only what the node
-    *is* — kind, source, member names, SQL text, input names — never what
-    the data currently holds (no table versions, no root-attribute
-    values, no producer chaining).  Two evaluations of the same prepared
+    *is* — kind, source, member names, SQL text or collection programs,
+    input names — never what the data currently holds (no table versions,
+    no root-attribute values, no producer chaining).  Two evaluations of
+    the same prepared
     plan therefore key identical nodes identically even after source
     updates, which is exactly what the cost-feedback store
     (:mod:`repro.obs.feedback`) and the run ledger need: measured costs
@@ -127,8 +124,7 @@ def structural_fingerprint(node) -> str:
         parts.append(member.name)
         if member.query is not None:
             parts.append(str(member.query))
-        if member.raw_sql is not None:
-            parts.append(member.raw_sql)
+        parts.extend(repr(program) for program in member.collections)
         parts.append(tuple(member.inputs))
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 

@@ -38,7 +38,7 @@ from repro.relational.network import Network
 from repro.relational.source import DataSource, Mediator
 from repro.relational.statistics import StatisticsCatalog
 from repro.xmlmodel.node import XMLElement
-from repro.xmlmodel.serialize import StreamSerializer, serialize
+from repro.xmlmodel.serialize import StreamSerializer
 from repro.aig.grammar import AIG
 from repro.compilation.specialize import specialize
 from repro.optimizer.cost import CostModel
@@ -121,6 +121,21 @@ class StreamReport:
     failure_report: object = None
     reused_nodes: int = 0           # as on ExecutionReport
     tainted_nodes: int = 0
+
+
+class _ByteCount:
+    """A writer counting the UTF-8 bytes of what passes through it to
+    ``deliver`` (an ASCII chunk is as many bytes as characters)."""
+
+    def __init__(self, deliver=None):
+        self.deliver = deliver
+        self.bytes = 0
+
+    def write(self, chunk: str) -> None:
+        self.bytes += (len(chunk) if chunk.isascii()
+                       else len(chunk.encode("utf-8")))
+        if self.deliver is not None:
+            self.deliver(chunk)
 
 
 @dataclass
@@ -285,6 +300,8 @@ class Middleware:
             if sharded is not None:
                 return sharded
 
+        counted = _ByteCount()
+
         def report(run: _Run) -> ExecutionReport:
             document = run.sinks[0].root
             # from the tagger's counts: no walk of the tree
@@ -292,15 +309,23 @@ class Middleware:
             if self.ledger is not None:
                 self._record_run(
                     "evaluate", run, tracer,
-                    document_bytes=len(serialize(document).encode("utf-8")),
+                    document_bytes=counted.bytes,
                     violations=run.result.violations)
             return ExecutionReport(
                 document=document,
                 optimization_seconds=run.optimization_seconds,
                 **run.report)
 
-        # A fresh tree per depth attempt: a truncated one stays partial.
-        return self._run(root_inh, tracer, "evaluate", lambda: [TreeSink()],
+        def open_sinks() -> list:
+            # A fresh tree per depth attempt: a truncated one stays partial.
+            if self.ledger is None:
+                return [TreeSink()]
+            # the ledger's compact bytes, counted by a serializer sink of
+            # the same tagging pass instead of writing the tree again
+            counted.bytes = 0
+            return [TreeSink(), StreamSerializer(counted.write)]
+
+        return self._run(root_inh, tracer, "evaluate", open_sinks,
                          preflight=False, report=report)
 
     def evaluate_stream(self, root_inh: dict, write, indent: int | None = None,
@@ -325,17 +350,9 @@ class Middleware:
         from repro.constraints import StreamingConstraintChecker
 
         tracer = self.tracer if tracer is None else tracer
-        encoded = 0
+        counted = _ByteCount(write)
         if self.ledger is not None:
-            # the ledger records bytes, as ``evaluate`` does: counted per
-            # written chunk (an ASCII chunk is as many bytes as characters)
-            deliver = write
-
-            def write(chunk: str) -> None:
-                nonlocal encoded
-                encoded += (len(chunk) if chunk.isascii()
-                            else len(chunk.encode("utf-8")))
-                deliver(chunk)
+            write = counted.write    # the ledger records bytes
         serializer = StreamSerializer(write, indent=indent)
         checker = (StreamingConstraintChecker(constraints)
                    if constraints else None)
@@ -349,7 +366,7 @@ class Middleware:
             if self.ledger is not None:
                 self._record_run(
                     "stream", run, tracer,
-                    document_bytes=encoded,
+                    document_bytes=counted.bytes,
                     violations=list(run.result.violations) + list(found),
                     streamed_elements=run.elements)
             return StreamReport(

@@ -7,6 +7,7 @@ shared runners make per-example timing meaningless) and derandomizes so
 a red CI run is reproducible locally; ``nightly`` burns more examples.
 """
 
+import logging
 import os
 
 import pytest
@@ -63,3 +64,18 @@ def tiny_sources():
     sources = make_sources()
     load_tiny_hospital(sources)
     return sources
+
+
+@pytest.fixture
+def repro_log_propagation():
+    """Route ``repro.*`` records to the root logger for caplog.
+
+    The CLI's ``configure_logging`` (exercised by other test modules)
+    attaches its own handler and disables propagation; caplog listens on
+    the root logger, so re-enable propagation for the test's duration.
+    """
+    logger = logging.getLogger("repro")
+    previous = logger.propagate
+    logger.propagate = True
+    yield
+    logger.propagate = previous

@@ -5,9 +5,11 @@ A run is one loop over ``dispatch_order(graph, plan)``.  On every plan the
 repository produces — hospital merged and unmerged at depths 2-8, the three
 in-process benchmark AIGs, 45 fuzz specs x {merged, unmerged} — that order
 lists every node once, after all of its producers and in its source's
-schedule order; the statements the sources receive arrive in exactly that
-order, on the caller's thread; and a plan the order cannot be built for is
-refused before any source sees a statement.
+schedule order; the nodes are executed in exactly that order, on the
+caller's thread, and the statements the sources receive follow it — collect
+and guard nodes keep their slot but run in process and issue none; and a
+plan the order cannot be built for is refused before any source sees a
+statement.
 """
 
 import re
@@ -43,9 +45,11 @@ def checked_order(graph, plan) -> list[str]:
     return order
 
 
-def run_recorded(middleware, graph, plan, tagging_plan, root) -> list:
-    """One engine run; every statement a source's ``execute`` is handed, as
-    ``(source, node being executed)``."""
+def run_recorded(middleware, graph, plan, tagging_plan,
+                 root) -> tuple[list, list]:
+    """One engine run: the nodes in the order they were executed, and every
+    statement a source's ``execute`` is handed, as ``(source, node being
+    executed)``."""
     engine = Engine(graph, plan, middleware.sources, middleware.network,
                     mediator=middleware.mediator, tagging_plan=tagging_plan)
     received, current = [], []
@@ -68,16 +72,20 @@ def run_recorded(middleware, graph, plan, tagging_plan, root) -> list:
         engine.cleanup()
         for source in engine.sources.values():
             del source.execute
-    return received
+    return current, received
 
 
 def prepared_and_run(middleware, depth, root) -> list[str]:
-    """The checked order of the plan at ``depth``, after a run whose
-    statements arrived in it, each at its node's source."""
+    """The checked order of the plan at ``depth``, after a run that executed
+    its nodes in it and whose statements arrived in it, each at its node's
+    source — one per node, none for a node run in process."""
     graph, plan, tagging_plan, _, _ = middleware.prepare(depth)
     order = checked_order(graph, plan)
-    received = run_recorded(middleware, graph, plan, tagging_plan, root)
-    assert received == [(graph.nodes[name].source, name) for name in order]
+    executed, received = run_recorded(middleware, graph, plan, tagging_plan,
+                                      root)
+    assert executed == order
+    assert received == [(graph.nodes[name].source, name) for name in order
+                        if not graph.nodes[name].collections]
     return order
 
 
@@ -121,7 +129,8 @@ class TestOrderOnEveryPlan:
 class TestOneThread:
     def test_thread_count_is_flat_across_evaluate(self):
         """Before, at every statement, and after: the same live threads —
-        the run starts none (unmerged: 15 nodes over five sources)."""
+        the run starts none (unmerged: 15 nodes over five sources, three of
+        them collect and guard nodes run in process)."""
         sources = make_sources()
         load_tiny_hospital(sources)
         middleware = Middleware(build_hospital_aig(), sources,
@@ -135,7 +144,10 @@ class TestOneThread:
             source.execute = sampling
         before = threading.active_count()
         report = middleware.evaluate({"date": "d1"})
-        assert len(during) == report.queries_executed >= 15
+        in_process = [node for node in middleware._last_graph.nodes.values()
+                      if node.collections]
+        assert len(in_process) == 3
+        assert len(during) == report.queries_executed - 3 >= 12
         assert set(during) == {before}
         assert threading.active_count() == before
 

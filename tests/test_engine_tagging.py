@@ -6,7 +6,9 @@ from repro.errors import PlanError
 from repro.compilation import specialize
 from repro.optimizer import CostModel, build_qdg, merge, schedule
 from repro.optimizer.merge import merge_pair, MergedNode
-from repro.relational import Network, ResultSet, StatisticsCatalog
+from repro.relational import (DataSource, Network, ResultSet,
+                              SourceSchema, StatisticsCatalog)
+from repro.relational.schema import relation
 from repro.relational.source import MEDIATOR_NAME
 from repro.runtime import Middleware, unfold_aig
 from repro.runtime.engine import Engine, ID_COLUMN, _with_ids
@@ -96,6 +98,22 @@ class TestEngine:
         mediator_nodes = [t for t in result.timings.values()
                           if t.source == MEDIATOR_NAME]
         assert mediator_nodes  # collect + guard nodes
+
+
+class TestShipOnce:
+    def test_shared_registry_creates_table_once(self):
+        source = DataSource(SourceSchema("P", (relation("r", "a"),)))
+        engine = Engine.__new__(Engine)   # only _materialize_inputs needed
+        cache = {"n": ResultSet(["a"], [(1,), (2,)])}
+        shipped = {}
+        first, rows_first = engine._materialize_inputs(
+            ["n"], source, cache, shipped)
+        second, rows_second = engine._materialize_inputs(
+            ["n"], source, cache, shipped)
+        assert first == second                   # same physical table reused
+        assert rows_first == rows_second == 2    # modeled charge per consumer
+        assert source._temp_counter == 1
+        source.close()
 
 
 class TestTaggingTable:

@@ -230,21 +230,6 @@ class _BrokenRollbackConnection:
         return self._real.executemany(*args)
 
 
-@pytest.fixture
-def repro_log_propagation():
-    """Route ``repro.*`` records to the root logger for caplog.
-
-    The CLI's ``configure_logging`` (exercised by other test modules)
-    attaches its own handler and disables propagation; caplog listens on
-    the root logger, so re-enable propagation for the test's duration.
-    """
-    logger = logging.getLogger("repro")
-    previous = logger.propagate
-    logger.propagate = True
-    yield
-    logger.propagate = previous
-
-
 class TestRollbackFailureSurfaces:
     """Satellite bugfix: a failed post-shipment rollback is logged, not
     silently swallowed."""

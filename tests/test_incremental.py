@@ -10,15 +10,28 @@ results into the cache.
 
 import pytest
 
+from repro.aig import AIG, assign, inh, query, singleton
+from repro.aig.functions import Const
+from repro.dtd import parse_dtd
 from repro.errors import EvaluationAborted, EvaluationError
 from repro.hospital import build_hospital_aig, make_sources
 from repro.datagen import make_loaded_sources
-from repro.relational import Network
+from repro.relational import Catalog, DataSource, Network
 from repro.relational.statistics import StatisticsCatalog
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.runtime import Middleware
+from repro.runtime.incremental import compute_fingerprints, plan_increment
 from repro.xmlmodel import serialize
 from tests.conftest import load_tiny_hospital
+from tests.test_mediator_resident import (HDR_SCHEMA, conceptual,
+                                          hdr_middleware)
+
+ITEMS_DTD = """
+<!ELEMENT root (items, all)>
+<!ELEMENT items (item*)>
+<!ELEMENT all (item*)>
+<!ELEMENT item (#PCDATA)>
+"""
 
 
 def _middleware(sources, **kwargs):
@@ -277,3 +290,63 @@ class TestInvalidation:
         recold = middleware.evaluate({"date": date})
         assert recold.queries_executed == cold.queries_executed
         assert serialize(recold.document) == serialize(cold.document)
+
+
+class TestProgramFingerprints:
+    """A collect or guard node is fingerprinted by its collection programs
+    and the values of the root attributes they name — read by name, hashed
+    as data."""
+
+    @staticmethod
+    def tainted(middleware, before: dict, after: dict) -> set:
+        """The nodes a change of root attributes re-taints, after a run."""
+        middleware.evaluate(dict(before))
+        graph = middleware._last_graph
+        store = middleware._result_caches[middleware._last_depth]
+        fingerprints = compute_fingerprints(graph, middleware.sources, after)
+        return plan_increment(graph, store.entries, fingerprints).tainted
+
+    def test_a_root_attribute_only_a_guard_reads_taints_its_cone(self):
+        middleware, _ = hdr_middleware(incremental=True)
+        before, after = {"p": "x", "q": "y"}, {"p": "x2", "q": "y"}
+        tainted = self.tainted(middleware, before, after)
+        (guard,) = [n for n in middleware._last_graph.nodes.values()
+                    if n.kind == "guard"]
+        assert tainted == middleware._last_graph.taint_cone(
+            [guard.name]) == {guard.name}
+        report = middleware.evaluate(dict(after))
+        assert (report.queries_executed, report.reused_nodes) == (1, 1)
+        assert (serialize(report.document), report.violations) == \
+            conceptual(middleware, after)
+
+    def test_a_root_attribute_only_a_collect_reads_taints_its_cone(self):
+        aig = AIG(parse_dtd(ITEMS_DTD), Catalog([HDR_SCHEMA]),
+                  root_inh=("p",))
+        aig.inh("items", sets={"vals": ("x",)})
+        aig.rule("root", inh={"items": assign(vals=singleton(x=inh("p"))),
+                              "all": assign()})
+        aig.rule("items", inh={"item": query(
+            "select t.x as val from S:t t where t.x in $vals")})
+        aig.rule("all", inh={"item": query("select t.x as val from S:t t")})
+        source = DataSource(HDR_SCHEMA)
+        source.load_rows("t", [("1",), ("2",)])
+        middleware = Middleware(aig.validate(), {"S": source},
+                                merging=False, incremental=True)
+        tainted = self.tainted(middleware, {"p": "1"}, {"p": "2"})
+        graph = middleware._last_graph
+        (collect,) = [n for n in graph.nodes.values() if n.kind == "collect"]
+        assert collect.collections[0].root_members() == ["p"]
+        assert tainted == graph.taint_cone([collect.name])
+        assert collect.name in tainted and len(tainted) < len(graph)
+        report = middleware.evaluate({"p": "2"})
+        assert "<items><item>2</item></items>" in serialize(report.document)
+        assert report.reused_nodes == len(graph) - len(tainted)
+
+    def test_a_root_value_that_looks_like_a_slot_is_hashed_as_data(self):
+        # the guard reads ``p`` only; ``p``'s value names ``q`` as text
+        middleware, _ = hdr_middleware(b=Const("k"), incremental=True)
+        before = {"p": "{root:q}", "q": "1"}
+        assert self.tainted(middleware, before,
+                            {"p": "{root:q}", "q": "2"}) == set()
+        assert self.tainted(middleware, before,
+                            {"p": "{root:q2}", "q": "1"}) != set()

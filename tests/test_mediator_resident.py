@@ -1,13 +1,17 @@
-"""Mediator-side collections and guards (docs/INTERNALS.md, "Collect nodes
-and guards").
+"""Collections and guards at the mediator site (docs/INTERNALS.md, "Collect
+nodes and guards").
 
-A guard reads its collections in place — one mediator statement per
-constraint, no collect node, no table of its own; a collection that stays
-a node (a set parameter some query reads) is one fetched statement.  These
-tests pin that plan shape on the groups AIG, that a source-side reader and
-the incremental store get the collected rows, and that no failure path
-strands a ``cache_*`` table.
+A guard reads its collections in place — no collect node, no table of its
+own; a collection that stays a node (a set parameter some query reads) is
+a collect node.  Both run in process, over the result sets the engine
+holds: no mediator statement.  These tests pin that on the groups and
+hospital AIGs, that a collection program's rows are SQLite's over the
+same table, that a source-side reader and the incremental store get the
+collected rows, and that no failure path of the mediator joins that
+remain strands a ``cache_*`` table.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
@@ -15,10 +19,12 @@ from repro.aig import AIG, ConceptualEvaluator, assign, inh, query
 from repro.aig.functions import Const
 from repro.compilation import specialize
 from repro.dtd import parse_dtd
+from repro.datagen import make_loaded_sources
 from repro.errors import EvaluationAborted, EvaluationError
 from repro.hospital import build_hospital_aig, make_sources
 from repro.obs import Tracer
-from repro.optimizer.qdg import QueryDependencyGraph, QueryNode
+from repro.optimizer.qdg import (Branch, CollectionProgram,
+                                 QueryDependencyGraph, QueryNode)
 from repro.relational import Network
 from repro.relational.schema import Catalog, SourceSchema, relation
 from repro.relational.source import (MEDIATOR_NAME, DataSource, Mediator,
@@ -28,6 +34,7 @@ from repro.runtime import Middleware
 from repro.runtime.engine import Engine, _with_ids
 from repro.xmlmodel import serialize
 from tests.conftest import load_tiny_hospital
+from tests.test_capabilities import restricted_hospital_aig
 
 # the groups-constraints document: root -> group* -> member*
 GROUP_DTD = """
@@ -81,111 +88,121 @@ def cache_tables(mediator) -> list[str]:
             if name.startswith("cache_")]
 
 
-def watch_mediator(middleware, observe) -> None:
-    """Call ``observe(sql, params, run)`` in place of every statement the
-    mediator executes; ``run()`` executes it."""
-    execute = middleware.mediator.execute
-
-    def watched(sql, params=(), **kwargs):
-        return observe(sql, params,
-                       lambda: execute(sql, params, **kwargs))
-
-    middleware.mediator.execute = watched
-
-
-def log_statements(middleware) -> list:
-    """The ``(sql, params)`` of every mediator statement, as they run."""
-    statements = []
-    watch_mediator(middleware, lambda sql, params, run: (
-        statements.append((sql, params)), run())[1])
-    return statements
-
-
 # ----------------------------------------------------------------------
-# (a) a collect node's output is the statement's rows plus __id
+# (a) a collect node's output is its program's rows plus __id
 # ----------------------------------------------------------------------
 MIXED_ROWS = [(None, 1, "a"), (7, 2.5, "héllo wörld ✓"), (-3, None, ""),
               (2 ** 40, 1e-9, "日本語"), (0, 0.0, None), (-3, None, "")]
 
 
+def _collect_node(branches, distinct, fields=("x", "y", "z")):
+    graph = QueryDependencyGraph()
+    graph.add(QueryNode(
+        name="c", source=MEDIATOR_NAME, kind="collect",
+        collections=(CollectionProgram(fields, branches, distinct),),
+        inputs=tuple(sorted({branch.table for branch in branches})),
+        output_columns=fields + ("__group",)))
+    return graph
+
+
 @pytest.mark.parametrize("distinct", ["", "DISTINCT "])
 def test_handle_equals_fetched_result(distinct):
+    """Two branches over one table, grouped under the root (0) and under
+    the row's ``__parent`` (1): the rows, their types and their price are
+    SQLite's ``SELECT [DISTINCT]`` over the same table."""
+    rows = [row + (1,) for row in MIXED_ROWS]
     mediator = Mediator()
-    mediator.create_temp_table(["x", "y", "z"], MIXED_ROWS, "src")
-    sql = (f'SELECT {distinct}* FROM (SELECT "x", "y", "z", 0 AS __group '
-           f'FROM "src" UNION ALL SELECT "x", "y", "z", 1 FROM "src")')
-    expected = _with_ids(mediator.execute(sql))
-
-    graph = QueryDependencyGraph()
-    graph.add(QueryNode(name="c", source=MEDIATOR_NAME, kind="collect",
-                        raw_sql=sql,
-                        output_columns=("x", "y", "z", "__group")))
-    engine = Engine(graph, {MEDIATOR_NAME: ["c"]}, {}, Network.mbps(1.0),
-                    mediator=mediator)
-    try:
-        output = engine.run({}).cache["c"]
-        assert type(output) is ResultSet
-        assert output.columns == expected.columns
-        assert len(output) == len(expected) == (12 if not distinct else 10)
-        assert output.width_bytes() == expected.width_bytes()
-        assert output.rows == expected.rows
-        assert [type(v) for row in output.rows for v in row] == \
-            [type(v) for row in expected.rows for v in row]
-    finally:
-        engine.cleanup()
-    assert cache_tables(mediator) == []
+    mediator.create_temp_table(["x", "y", "z", "__parent"], rows, "src")
+    expected = _with_ids(mediator.execute(
+        f'SELECT {distinct}* FROM (SELECT "x", "y", "z", 0 AS __group '
+        f'FROM "src" UNION ALL SELECT "x", "y", "z", "__parent" FROM "src")'))
     mediator.close()
+
+    values = tuple(("column", 0, name) for name in ("x", "y", "z"))
+    graph = _collect_node((Branch("src", (), None, (), values),
+                           Branch("src", (), (0, "__parent"), (), values)),
+                          distinct=bool(distinct))
+    engine = Engine(graph, {MEDIATOR_NAME: ["c"]}, {}, Network.mbps(1.0))
+    cache = {"src": _with_ids(ResultSet(["x", "y", "z", "__parent"], rows))}
+    _, outputs, _ = engine._execute(graph.nodes["c"], cache, {})
+    output = outputs["c"]
+    assert type(output) is ResultSet
+    assert output.columns == expected.columns
+    assert len(output) == len(expected) == (12 if not distinct else 10)
+    assert output.width_bytes() == expected.width_bytes()
+    # order aside (ids follow it), the same values of the same types
+    assert sorted(map(repr, (row[:-1] for row in output.rows))) == \
+        sorted(map(repr, (row[:-1] for row in expected.rows)))
+    assert engine.mediator.table_names() == []
+    engine.mediator.close()
 
 
 def test_empty_collect_prices_to_zero():
-    mediator = Mediator()
-    graph = QueryDependencyGraph()
-    graph.add(QueryNode(name="c", source=MEDIATOR_NAME, kind="collect",
-                        raw_sql="SELECT NULL AS v, NULL AS __group WHERE 0",
-                        output_columns=("v", "__group")))
-    engine = Engine(graph, {MEDIATOR_NAME: ["c"]}, {}, Network.mbps(1.0),
-                    mediator=mediator)
+    graph = _collect_node((), distinct=False, fields=("v",))
+    engine = Engine(graph, {MEDIATOR_NAME: ["c"]}, {}, Network.mbps(1.0))
     try:
         output = engine.run({}).cache["c"]
         assert (len(output), output.width_bytes(), output.rows) == (0, 0, [])
     finally:
         engine.cleanup()
-    mediator.close()
+        engine.mediator.close()
 
 
 # ----------------------------------------------------------------------
-# (b) a guard is one statement over the cached source outputs
+# (b) guards and collects issue no mediator call
 # ----------------------------------------------------------------------
-def test_guards_read_collects_without_a_round_trip():
+def count_mediator_calls(middleware) -> list:
+    """One entry per call into the middleware's mediator (a statement, a
+    shipped or cached table, a drop), outermost calls only."""
+    calls, depth = [], [0]
+    mediator = middleware.mediator
+    for method in ("execute", "create_temp_table", "cache_result",
+                   "drop_table"):
+        def counted(*args, _inner=getattr(mediator, method),
+                    _method=method, **kwargs):
+            if not depth[0]:
+                calls.append(_method)
+            depth[0] += 1
+            try:
+                return _inner(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        setattr(mediator, method, counted)
+    return calls
+
+
+def test_guards_read_collects_without_a_round_trip(tiny_sources):
+    """Zero mediator calls per document on the groups AIG (7 guards over
+    one merged source output) and on the hospital AIG (a collect node and
+    two guards over the unfolded treatment chain)."""
     tracer = Tracer()
     middleware = Middleware(build_group_aig(), group_sources(),
                             tracer=tracer)
-    statements = log_statements(middleware)
+    calls = count_mediator_calls(middleware)
     report = middleware.evaluate({"run": "r"})
     assert report.violations == []
     graph = middleware._last_graph
     guards = [n for n in graph.nodes.values() if n.kind == "guard"]
-    # a merged node caches one slice per member
-    source_outputs = [member for n in graph.nodes.values()
-                      if n.source != MEDIATOR_NAME
-                      for member in getattr(n, "members", None) or (n,)]
     assert not [n for n in graph.nodes.values() if n.kind == "collect"]
-    # one mediator statement per constraint, each reading source outputs
-    assert len(statements) == len(guards) == \
-        len(middleware.aig.constraints) == 7
-    assert not [sql for sql, _ in statements if "INSERT" in sql.upper()]
+    assert len(guards) == len(middleware.aig.constraints) == 7
     for guard in guards:
         assert {graph.node_for(name).source for name in guard.inputs} == {"S"}
-    metrics = tracer.metrics
-    # only what the sources produced is shipped into the mediator ...
-    assert metrics.counter("mediator_cache_tables") == len(source_outputs)
-    # ... and nothing is shipped anywhere else
-    assert metrics.counter("temp_tables_created") == 0
-    assert cache_tables(middleware.mediator) == []
+    assert calls == []
+    assert tracer.metrics.counter("mediator_cache_tables") == 0
+    assert tracer.metrics.counter("temp_tables_created") == 0
     conceptual = ConceptualEvaluator(
         middleware.aig, list(middleware.sources.values())).evaluate(
             {"run": "r"})
     assert serialize(report.document) == serialize(conceptual)
+
+    middleware = Middleware(build_hospital_aig(), tiny_sources,
+                            unfold_depth=8)
+    calls = count_mediator_calls(middleware)
+    report = middleware.evaluate({"date": "d1"})
+    kinds = [n.kind for n in middleware._last_graph.nodes.values()]
+    assert (kinds.count("collect"), kinds.count("guard")) == (1, 2)
+    assert report.queries_executed == len(kinds)
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
@@ -271,40 +288,59 @@ def test_report_mode_violation_leaves_no_cache_tables():
     assert cache_tables(middleware.mediator) == []
 
 
+@contextmanager
+def restricted_mix(**kwargs):
+    """σ0 over a catalog where DB2 takes no temp tables, DB2 on the CSV
+    backend: its join steps split into a fetch at DB2 and a join at the
+    mediator, which receives the fetched rows and the other inputs."""
+    sources, dataset = make_loaded_sources("tiny", backend={"DB2": "file"})
+    try:
+        yield (Middleware(restricted_hospital_aig("DB2"), sources,
+                          Network.mbps(1.0), **kwargs),
+               {"date": dataset.busiest_date()})
+    finally:
+        for source in sources.values():
+            source.close()
+
+
 def test_mediator_fault_at_every_statement_leaves_no_cache_tables():
     """Fail the N-th mediator statement for every N the run reaches."""
     failures = 0
     for index in range(1, 200):
-        middleware = Middleware(build_group_aig(), group_sources())
-        injector = FaultInjector.from_spec(
-            f"{MEDIATOR_NAME}:error@{index}").install(
-                {MEDIATOR_NAME: middleware.mediator})
-        try:
-            middleware.evaluate({"run": "r"})
-        except EvaluationError:
-            failures += 1
-        assert cache_tables(middleware.mediator) == [], f"statement {index}"
-        if not injector.fired:
-            break
+        with restricted_mix() as (middleware, root):
+            injector = FaultInjector.from_spec(
+                f"{MEDIATOR_NAME}:error@{index}").install(
+                    {MEDIATOR_NAME: middleware.mediator})
+            try:
+                middleware.evaluate(root)
+            except EvaluationError:
+                failures += 1
+            assert cache_tables(middleware.mediator) == [], \
+                f"statement {index}"
+            if not injector.fired:      # a clean run: count its joins
+                joins = [n for n in middleware._last_graph.nodes.values()
+                         if n.source == MEDIATOR_NAME and n.kind == "step"]
+                break
     else:
         pytest.fail("the run never got past the injected fault")
-    # 2 source outputs cached + 7 guards
-    assert failures == 9
+    # each shipped input and each join is a statement whose fault aborts
+    assert joins and failures == index - 1 > len(joins)
 
 
 def test_retry_after_a_mediator_fault_reuses_the_table_and_recovers():
-    expected = serialize(Middleware(build_group_aig(), group_sources())
-                         .evaluate({"run": "r"}).document)
+    with restricted_mix() as (middleware, root):
+        expected = serialize(middleware.evaluate(root).document)
     for index in range(1, 200):
-        middleware = Middleware(
-            build_group_aig(), group_sources(),
-            retry_policy=RetryPolicy(retries=1, base_delay=0.0001))
-        injector = FaultInjector.from_spec(
-            f"{MEDIATOR_NAME}:error@{index}").install(
-                {MEDIATOR_NAME: middleware.mediator})
-        report = middleware.evaluate({"run": "r"})
-        assert serialize(report.document) == expected, f"statement {index}"
-        assert cache_tables(middleware.mediator) == [], f"statement {index}"
+        with restricted_mix(retry_policy=RetryPolicy(
+                retries=1, base_delay=0.0001)) as (middleware, root):
+            injector = FaultInjector.from_spec(
+                f"{MEDIATOR_NAME}:error@{index}").install(
+                    {MEDIATOR_NAME: middleware.mediator})
+            report = middleware.evaluate(root)
+            assert serialize(report.document) == expected, \
+                f"statement {index}"
+            assert cache_tables(middleware.mediator) == [], \
+                f"statement {index}"
         if not injector.fired:
             break
     else:
@@ -312,7 +348,7 @@ def test_retry_after_a_mediator_fault_reuses_the_table_and_recovers():
 
 
 # ----------------------------------------------------------------------
-# (f) root attribute values are bound into mediator SQL, never spliced
+# (f) root attribute values are Python values, never text
 # ----------------------------------------------------------------------
 HDR_DTD = """
 <!ELEMENT root (hdr, items)>
@@ -325,22 +361,22 @@ HDR_DTD = """
 HDR_SCHEMA = SourceSchema("S", (relation("t", "x"),))
 
 
-def hdr_middleware(a=inh("p")):
+def hdr_middleware(a=inh("p"), b=inh("q"), **kwargs):
     """``hdr(a, b)`` copied from the root attributes ``p`` and ``q``, under
     the key ``root(hdr.(a, b) -> hdr)`` whose bag is made of root values;
-    returns the middleware and the mediator statements it runs."""
+    returns the middleware and the mediator calls it makes."""
     aig = AIG(parse_dtd(HDR_DTD), Catalog([HDR_SCHEMA]), root_inh=("p", "q"))
     aig.inh("hdr", "p", "q")
     aig.rule("root", inh={"hdr": assign(p=inh("p"), q=inh("q")),
                           "items": assign()})
-    aig.rule("hdr", inh={"a": assign(val=a), "b": assign(val=inh("q"))})
+    aig.rule("hdr", inh={"a": assign(val=a), "b": assign(val=b)})
     aig.rule("items", inh={"item": query("select t.x as val from S:t t")})
     aig.key("root", "hdr", ("a", "b"))
     source = DataSource(HDR_SCHEMA)
     source.load_rows("t", [("1",), ("2",)])
     middleware = Middleware(aig.validate(), {"S": source},
-                            violation_mode="report")
-    return middleware, log_statements(middleware)
+                            violation_mode="report", **kwargs)
+    return middleware, count_mediator_calls(middleware)
 
 
 def conceptual(middleware, root):
@@ -350,27 +386,34 @@ def conceptual(middleware, root):
     return serialize(evaluator.evaluate(dict(root))), evaluator.violations
 
 
+def the_guard(middleware):
+    (guard,) = [node for node in middleware._last_graph.nodes.values()
+                if node.kind == "guard"]
+    return guard
+
+
 @pytest.mark.parametrize("q", [
     "z", " || (SELECT group_concat(name) FROM sqlite_master) || "])
 def test_a_root_value_that_names_a_slot_is_data(q):
     root = {"p": "{root:q}", "q": q}
-    middleware, statements = hdr_middleware()
+    middleware, calls = hdr_middleware()
     report = middleware.evaluate(dict(root))
     document = serialize(report.document)
     assert f"<a>{{root:q}}</a><b>{q}</b>" in document
-    # the bag is the two values as bound, in one pass over the template
-    ((sql, params),) = statements
-    assert params == ("{root:q}", q) and sql.count("?") == 2
-    assert q not in sql and "{root:" not in sql
+    # the bag is the two values as given, read by name from the root
+    (program,) = the_guard(middleware).collections
+    assert program.root_members() == ["p", "q"] and calls == []
     assert (document, report.violations) == conceptual(middleware, root)
 
 
 def test_a_plan_constant_that_names_a_slot_is_text():
     root = {"p": "unused", "q": "z"}
-    middleware, statements = hdr_middleware(a=Const("it's {root:q}"))
+    middleware, calls = hdr_middleware(a=Const("it's {root:q}"))
     report = middleware.evaluate(dict(root))
     document = serialize(report.document)
     assert "<a>it&apos;s {root:q}</a><b>z</b>" in document
-    ((sql, params),) = statements
-    assert params == ("z",) and "'it''s {root:q}'" in sql
+    (program,) = the_guard(middleware).collections
+    assert program.root_members() == ["q"] and calls == []
+    ((branch),) = program.branches
+    assert ("const", "it's {root:q}") in branch.values
     assert (document, report.violations) == conceptual(middleware, root)

@@ -227,6 +227,35 @@ class TestMiddlewareLedger:
         assert report.characters == len(body) < len(body.encode("utf-8"))
         assert tracer.metrics.gauge("document_characters") == len(body)
 
+    def test_evaluate_counts_bytes_without_serializing(self, tmp_path,
+                                                       monkeypatch):
+        """The recorded bytes are the compact document's, on hospital and on
+        non-ASCII text, and ``evaluate`` writes the tree zero times."""
+        import importlib
+        from tests.test_tagging_program import (CATALOG_SCHEMA,
+                                                build_catalog_aig)
+        from repro.relational import DataSource
+
+        module = importlib.import_module("repro.xmlmodel.serialize")
+        calls = []
+        real = module.serialize
+        monkeypatch.setattr(module, "serialize", lambda *args, **kwargs: (
+            calls.append(args), real(*args, **kwargs))[1])
+        source = DataSource(CATALOG_SCHEMA)
+        source.load_rows("items", [("sku1", "café \U0001f600", "1", "d1"),
+                                   ("sku2", "<&>", "2", "d1")])
+        cases = [(fresh_middleware, {"date": "d1"}),
+                 (lambda **kwargs: Middleware(build_catalog_aig(),
+                                              {"WH": source}, **kwargs),
+                  {"day": "d1"})]
+        for make, root in cases:
+            path = str(tmp_path / f"{len(root)}{sorted(root)[0]}.jsonl")
+            document = make(ledger=path).evaluate(root).document
+            assert calls == []
+            (record,) = RunLedger(path).records()
+            assert record["run"]["document_bytes"] == \
+                len(serialize(document).encode("utf-8"))
+
     def test_ledger_never_changes_the_document(self, tmp_path):
         plain = fresh_middleware().evaluate({"date": "d1"})
         ledgered = fresh_middleware(

@@ -1,14 +1,16 @@
 """Detail tests for QDG construction: path encoding, context chains,
-collect grouping, guards as SQL, and the DOT export."""
+collect grouping, guards as collection programs, and the DOT export."""
 
-import re
+import logging
 
 import pytest
 
 from repro.aig import AIG, ConceptualEvaluator, assign, inh, query
 from repro.compilation import specialize
 from repro.dtd import parse_dtd
+from repro.errors import EvaluationAborted
 from repro.hospital import build_hospital_aig
+from repro.obs import Tracer
 from repro.optimizer import CostModel, build_qdg
 from repro.relational import Network, StatisticsCatalog
 from repro.relational.schema import Catalog, SourceSchema, relation
@@ -17,8 +19,7 @@ from repro.runtime import Middleware, unfold_aig
 from repro.runtime.engine import Engine, ID_COLUMN
 from repro.optimizer.schedule import schedule
 from repro.sqlq.analyze import temp_inputs
-from tests.test_mediator_resident import (build_group_aig, group_sources,
-                                          watch_mediator)
+from tests.test_mediator_resident import build_group_aig, group_sources
 from tests.test_recursive_choice import TREE_ROWS, build_fs_aig, load as load_fs
 
 
@@ -310,6 +311,35 @@ def test_fused_guard_verdict_is_the_conceptual_guards(label):
         source.close()
 
 
+@pytest.mark.parametrize("label, witness", [
+    ("key: duplicate within a group", "group row __id=1, duplicated ('a',)"),
+    ("pair inclusion: mid matches, score does not",
+     "group row __id=1, missing ('a', '2')"),
+])
+def test_a_violated_guard_names_its_witness(label, witness, caplog,
+                                            repro_log_propagation):
+    """The first witness — the group row and the duplicated or missing
+    value tuple — goes on the guard's span and into its warning; the
+    aborted evaluation still lists only the constraint."""
+    constrain, members, refs, holds, _ = VERDICT_CASES[label]
+    assert not holds
+    source = DataSource(REF_SCHEMA)
+    source.load_rows("groups", [(gid,) for gid in GROUPS])
+    source.load_rows("members", members)
+    source.load_rows("refs", refs)
+    tracer = Tracer()
+    middleware = Middleware(build_ref_aig(constrain), {"S": source},
+                            tracer=tracer)
+    with caplog.at_level(logging.WARNING, logger="repro.executor"):
+        with pytest.raises(EvaluationAborted) as aborted:
+            middleware.evaluate({})
+    assert aborted.value.violations == middleware.aig.constraints
+    assert witness in caplog.text
+    (span,) = tracer.spans_by_category("guard")
+    assert span.attrs["witness"] == witness
+    source.close()
+
+
 def compound_hospital(violated: bool) -> AIG:
     """σ0 with a key and an inclusion over ``treatment``, which unfolding
     spreads over one branch per level on *both* sides of the inclusion."""
@@ -329,9 +359,10 @@ def test_fused_guards_over_multi_branch_collections(tiny_sources, violated):
     guards = [n for n in middleware._last_graph.nodes.values()
               if n.kind == "guard"]
     assert len(guards) == 2
-    for guard in guards:
-        assert guard.raw_sql.count(" UNION ALL ") >= 2
-    assert sum("WITH r AS MATERIALIZED" in g.raw_sql for g in guards) == 1
+    for guard in guards:      # one branch per unfolded treatment level
+        assert all(len(program.branches) >= 3
+                   for program in guard.collections)
+    assert sorted(len(g.collections) for g in guards) == [1, 2]
     evaluator = ConceptualEvaluator(
         specialize(aig).aig, list(tiny_sources.values()),
         violation_mode="report")
@@ -354,7 +385,9 @@ def test_fused_guard_over_choice_gated_branches(duplicate):
     report = middleware.evaluate({})
     (guard,) = [n for n in middleware._last_graph.nodes.values()
                 if n.kind == "guard"]
-    assert " JOIN {cond:" in guard.raw_sql
+    (program,) = guard.collections
+    gates = [gate for branch in program.branches for gate in branch.gates]
+    assert gates and all(table.startswith("cond:") for table, *_ in gates)
     assert any(name.startswith("cond:") for name in guard.inputs)
     evaluator = ConceptualEvaluator(specialize(aig).aig, [source],
                                     violation_mode="report")
@@ -364,63 +397,38 @@ def test_fused_guard_over_choice_gated_branches(duplicate):
 
 
 # ----------------------------------------------------------------------
-# guard cost, counted: VM steps and query plans, not seconds
+# shared work, counted: collections and indexes built per run
 # ----------------------------------------------------------------------
-def guard_steps(groups: int) -> dict[str, int]:
-    """SQLite VM steps (in progress-handler callbacks, one per 50
-    instructions) of each guard statement of one groups document."""
+def test_each_collection_and_index_is_built_once_per_run(tiny_sources):
+    """A guard or collect node that reads a collection already built this
+    run reuses it, and a climb reads one ``__id`` index per table."""
+    tracer = Tracer()
     members = tuple((f"m{i}", str(10 + i)) for i in range(8))
     middleware = Middleware(build_group_aig(),
-                            group_sources(groups=groups, members=members))
-    connection = middleware.mediator.connection
-    steps: dict[str, int] = {}
+                            group_sources(groups=50, members=members),
+                            tracer=tracer)
+    middleware.evaluate({"run": "r"})
+    guards = [n for n in middleware._last_graph.nodes.values()
+              if n.kind == "guard"]
+    assert len(guards) == 7
+    assert tracer.metrics.counter("collections_built") == 4
+    assert tracer.metrics.counter("collection_indexes_built") == 0
 
-    def count(sql, params, run):
-        ticks = [0]
-
-        def tick():
-            ticks[0] += 1
-            return 0
-
-        connection.set_progress_handler(tick, 50)
-        try:
-            return run()
-        finally:
-            connection.set_progress_handler(None, 0)
-            steps[re.sub(r'"cache_\d+"', "cache", sql)] = ticks[0]
-
-    watch_mediator(middleware, count)
-    assert middleware.evaluate({"run": "r"}).violations == []
-    return steps
-
-
-def test_guard_statements_scale_linearly_in_vm_steps():
-    """A quadratic plan (``NOT EXISTS`` ran as a correlated scan per row)
-    reads about 4x the steps at twice the rows."""
-    small, large = guard_steps(1000), guard_steps(2000)
-    assert len(small) == 7 and set(small) == set(large)
-    for sql, steps in small.items():
-        assert 0 < steps and large[sql] <= 2.6 * steps, sql
-
-
-@pytest.mark.parametrize("build", [
-    build_hospital_aig, lambda: compound_hospital(False)],
-    ids=["paper-constraints", "both-sides-compound"])
-def test_no_guard_plan_materializes_a_subquery_twice(tiny_sources, build):
-    """With a compound left side SQLite pushes the anti-join into every
-    branch; an inlined compound right side is then built once per branch."""
-    middleware = Middleware(build(), tiny_sources, unfold_depth=3)
-    plans = []
-
-    def explain(sql, params, run):
-        plans.append([row[3] for row in middleware.mediator.connection
-                      .execute("EXPLAIN QUERY PLAN " + sql, params)])
-        return run()
-
-    watch_mediator(middleware, explain)
+    # hospital at depth 8: the collect bill.trIdS and guard 2 read the same
+    # treatment chain, climbed through seven tables
+    tracer = Tracer()
+    middleware = Middleware(build_hospital_aig(), tiny_sources,
+                            unfold_depth=8, tracer=tracer)
     middleware.evaluate({"date": "d1"})
-    assert len(plans) >= 2
-    for plan in plans:
-        materialized = [step for step in plan
-                        if step.startswith("MATERIALIZE")]
-        assert len(materialized) == len(set(materialized)), plan
+    graph = middleware._last_graph
+    (collect,) = [n for n in graph.nodes.values() if n.kind == "collect"]
+    chain = {table for node in graph.nodes.values()
+             for program in node.collections
+             for branch in program.branches for table in branch.climb}
+    (left, _) = next(node.collections for node in graph.nodes.values()
+                     if len(node.collections) == 2)
+    assert left.branches == collect.collections[0].branches
+    assert len(chain) == 7
+    assert tracer.metrics.counter("collection_indexes_built") == 7
+    # the treatment chain once, the bill items once
+    assert tracer.metrics.counter("collections_built") == 2

@@ -150,6 +150,25 @@ class TestResultSet:
         assert [id(a) for a in first] == [id(b) for b in second]
 
 
+class TestResultSetInterning:
+    def test_execute_interns_columns(self):
+        source = DataSource(SourceSchema("P", (relation("r", "a", "b"),)))
+        source.load_rows("r", [(1, 2)])
+        first = source.execute("SELECT a, b FROM r")
+        second = source.execute("SELECT a, b FROM r")
+        assert first.columns is second.columns
+        source.close()
+
+    def test_intern_columns_identity(self):
+        assert intern_columns(["x", "y"]) is intern_columns(("x", "y"))
+
+    def test_width_bytes_cached(self):
+        result = ResultSet(["a"], [(1,), ("xy",)])
+        first = result.width_bytes()
+        result.rows.append(("should-not-count",))
+        assert result.width_bytes() == first
+
+
 class TestFederation:
     def test_cross_source_join(self):
         db1 = patient_source()
