@@ -51,7 +51,8 @@ from repro.runtime.incremental import (
     plan_increment,
 )
 from repro.runtime.recursion import unfold_aig
-from repro.runtime.tagging import NullEventSink, TreeSink, stream_document
+from repro.runtime.tagging import (NullEventSink, TreeSink, stream_document,
+                                   tagging_program)
 
 logger = logging.getLogger("repro.middleware")
 
@@ -342,10 +343,13 @@ class Middleware:
         :class:`~repro.constraints.StreamingConstraintChecker` with verdicts
         identical to the tree checker's.
 
-        For recursive AIGs each depth attempt first dry-runs the stream
-        against a null sink — truncation must surface *before* any byte
-        reaches ``write``, since a stream cannot be retracted the way an
-        unfinished tree can.
+        Where the unfolding cut off a choice alternative
+        (:attr:`~repro.runtime.tagging.TaggingProgram.truncatable`), each
+        depth attempt first dry-runs the stream against a null sink —
+        truncation must surface *before* any byte reaches ``write``, since
+        a stream cannot be retracted the way an unfinished tree can.  Any
+        other unfolding is answered before tagging (a truncated star, by
+        the blocked-query probe) or cannot truncate, and is tagged once.
         """
         from repro.constraints import StreamingConstraintChecker
 
@@ -688,7 +692,10 @@ class Middleware:
                 result = engine.run(root_inh)
                 rename = base_name if depth is not None else None
                 try:
-                    if preflight and depth is not None:
+                    # only a choice cut off by the unfolding raises
+                    # mid-document; a truncated star is _needs_deeper's
+                    if (preflight and tagging_program(tagging_plan,
+                                                      rename).truncatable):
                         with tracer.span("tagging-dryrun", "tagging"):
                             stream_document(tagging_plan, result.cache,
                                             root_inh, NullEventSink(),

@@ -291,14 +291,22 @@ def stream_document(plan: TaggingPlan, cache: dict, root_inh: dict,
     :class:`TaggingProgram` on first use and the program kept on the plan.
 
     Raises :class:`~repro.errors.RecursionTruncated` when a choice selects
-    an alternative the unfolding cut off, so callers whose sink cannot be
-    retracted dry-run with a :class:`NullEventSink` before committing bytes
-    to a real writer.  Returns the number of elements emitted.
+    an alternative the unfolding cut off; only a program that is
+    :attr:`TaggingProgram.truncatable` can, so callers whose sink cannot be
+    retracted dry-run such a program with a :class:`NullEventSink` before
+    committing bytes to a real writer.  Returns the number of elements
+    emitted.
     """
+    return tagging_program(plan, rename).run(cache, root_inh, sinks)
+
+
+def tagging_program(plan: TaggingPlan, rename=None) -> "TaggingProgram":
+    """``plan``'s :class:`TaggingProgram` for ``rename``, compiled on first
+    use and kept on the plan."""
     program = plan._programs.get(rename)
     if program is None:
         program = plan._programs[rename] = TaggingProgram(plan, rename)
-    return program.run(cache, root_inh, sinks)
+    return program
 
 
 def build_document(plan: TaggingPlan, cache: dict, root_inh: dict,
@@ -338,6 +346,9 @@ class TaggingProgram:
         self.anchors: list[str] = []
         #: choice-production occurrence paths, by condition-table position
         self.choices: list[str] = []
+        #: some choice has an alternative the unfolding cut off, so a run
+        #: may raise :class:`~repro.errors.RecursionTruncated` mid-document
+        self.truncatable = False
         self._root = self._step(self._fold_runs([plan.tree.root])[0])
 
     # -- compilation -----------------------------------------------------
@@ -494,6 +505,8 @@ class TaggingProgram:
             None if name is None else
             self._step(self._fold_runs([occurrence.child(name)])[0])
             for name in targets]
+        if None in branches:
+            self.truncatable = True
 
         def emit_choice(run: _Run) -> None:
             condition = run.conditions[position]

@@ -35,7 +35,7 @@ ALLOWED_CONFIG = (
     "merging", "unfold_depth", "max_unfold_depth",
     "violation_mode", "incremental",
     "on_source_failure", "deadline", "retry_policy",
-    "breaker_policy", "cost_feedback", "ledger", "shards",
+    "breaker_policy", "cost_feedback", "ledger",
 )
 
 #: Service default: incremental on (warm requests replay caches).

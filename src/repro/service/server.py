@@ -17,10 +17,12 @@ Endpoints (JSON unless noted):
   ``scenario`` is ``{"kind": "hospital", "scale": ...}`` or
   ``{"kind": "spec", "spec": <fuzz ScenarioSpec dict>}``;
 * ``POST /evaluate`` — ``{"tenant", "root", "indent", "stream",
-  "include_report"}`` → the serialized XML document (byte-identical to
-  an in-process ``Middleware.evaluate`` + ``serialize``); with
-  ``stream`` the body arrives chunked straight off ``evaluate_stream``;
-  with ``include_report`` a JSON envelope adds run statistics;
+  "include_report"}`` → the serialized XML document.  Every evaluation
+  is one ``Middleware.evaluate_stream``, its bytes delivered two ways:
+  buffered into the (cached) plain body, or with ``stream`` chunked as
+  they are written.  Either is byte-identical to an in-process
+  ``Middleware.evaluate`` + ``serialize``, the oracle the tests hold it
+  to; with ``include_report`` a JSON envelope adds run statistics;
 * ``POST /tenants/<name>/load`` — delta ingestion:
   ``{"source", "relation", "rows"}`` bumps table versions so the next
   evaluation re-runs exactly the tainted cone;
@@ -38,6 +40,7 @@ exactly as they do in-process.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import threading
@@ -50,13 +53,27 @@ from repro.obs import Tracer, prometheus_text
 from repro.service.admission import AdmissionController, AdmissionRejected
 from repro.service.coalesce import RequestCoalescer
 from repro.service.registry import TenantRegistry, TenantState
-from repro.xmlmodel.serialize import serialize
 
 logger = logging.getLogger("repro.service")
 
 #: a streamed response leaves in HTTP chunk frames of at least this many
 #: bytes (the last one excepted), one ``wfile.write`` each
 STREAM_FRAME_BYTES = 16 * 1024
+
+
+def utf8_writer(buffer: bytearray, frame=None):
+    """The document writer of both deliveries: ``write(chunk)`` appends
+    the chunk's UTF-8 bytes to ``buffer``, and ``frame()`` (optional) is
+    called whenever the buffer holds at least :data:`STREAM_FRAME_BYTES`."""
+    extend = buffer.extend
+    if frame is None:
+        return lambda chunk: extend(chunk.encode("utf-8"))
+
+    def write(chunk: str) -> None:
+        extend(chunk.encode("utf-8"))
+        if len(buffer) >= STREAM_FRAME_BYTES:
+            frame()
+    return write
 
 
 class ServiceUnavailable(ReproError):
@@ -81,8 +98,8 @@ class EvaluationService:
     a hit can never serve stale bytes — any ``load_rows`` bumps a table
     version and misses.  Without it, a warm request arriving just after
     a flight completed would become a fresh leader and re-run a full
-    (GIL-holding) evaluate+serialize that is guaranteed to produce the
-    bytes the service already holds."""
+    (GIL-holding) evaluation that is guaranteed to produce the bytes the
+    service already holds."""
 
     def __init__(self, max_inflight: int = 8, max_queued: int = 64,
                  response_cache: int = 64,
@@ -205,15 +222,31 @@ class EvaluationService:
             return "warm"
         return "delta"
 
+    def _evaluate_into(self, state: TenantState, root_inh: dict, write,
+                       indent: int | None):
+        """One admitted evaluation of ``state``'s document under a
+        per-request tracer, its text to ``write``; returns the
+        :class:`~repro.runtime.middleware.StreamReport`."""
+        with self.admission.slot(state.name):
+            tracer = Tracer()
+            with tracer.span("service-request", "service",
+                             tenant=state.name):
+                report = state.middleware.evaluate_stream(
+                    dict(root_inh), write, indent=indent, tracer=tracer)
+            self.metrics.add("service_evaluations", 1)
+        return report
+
     def evaluate(self, tenant: str, root_inh: dict,
                  indent: int | None = None):
-        """One materialized evaluation; returns ``(body_bytes, info)``.
+        """One buffered evaluation; returns ``(body_bytes, info)``.
 
-        Identical concurrent requests coalesce onto one evaluation (the
-        coalescing key pins plan, root attributes, *and* source
-        versions); every caller — leader or follower — receives the same
-        serialized bytes, which are byte-identical to an in-process
-        ``serialize(middleware.evaluate(root).document, indent)``.
+        The body is the bytes ``evaluate_stream`` wrote, gathered into
+        one buffer: no tree is built.  Identical concurrent requests
+        coalesce onto one evaluation (the coalescing key pins plan, root
+        attributes, *and* source versions); every caller — leader or
+        follower — receives the same bytes, which are byte-identical to
+        an in-process ``serialize(middleware.evaluate(root).document,
+        indent)``.
 
         The coalescer wraps admission, not the other way round: only the
         flight *leader* takes an admission slot, so a thousand identical
@@ -244,16 +277,10 @@ class EvaluationService:
             return body, dict(template, seconds=round(elapsed, 6))
 
         def compute():
-            with self.admission.slot(tenant):
-                tracer = Tracer()
-                with tracer.span("service-request", "service",
-                                 tenant=tenant):
-                    report = state.middleware.evaluate(dict(root_inh),
-                                                       tracer=tracer)
-                body = serialize(report.document,
-                                 indent=indent).encode("utf-8")
-                self.metrics.add("service_evaluations", 1)
-                return body, self._phase(report), report
+            body = bytearray()
+            report = self._evaluate_into(state, root_inh, utf8_writer(body),
+                                         indent)
+            return bytes(body), self._phase(report), report
 
         (body, phase, report), coalesced = self.coalescer.run(
             key, compute)
@@ -294,12 +321,7 @@ class EvaluationService:
         self._check_breakers(state)
         self.metrics.add("service_requests", 1)
         arrived = time.perf_counter()
-        with self.admission.slot(tenant):
-            tracer = Tracer()
-            with tracer.span("service-request", "service", tenant=tenant):
-                report = state.middleware.evaluate_stream(
-                    dict(root_inh), write, indent=indent, tracer=tracer)
-            self.metrics.add("service_evaluations", 1)
+        report = self._evaluate_into(state, root_inh, write, indent)
         elapsed = time.perf_counter() - arrived
         self.metrics.observe("service_latency_seconds", elapsed)
         self.metrics.observe("service_latency_seconds.stream", elapsed)
@@ -367,15 +389,22 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, body: bytes, content_type: str,
               extra_headers: dict | None = None) -> None:
+        self._send_head(status, content_type,
+                        {"Content-Length": str(len(body)),
+                         **(extra_headers or {})}, body)
+
+    def _send_head(self, status: int, content_type: str, headers: dict,
+                   first: bytes) -> None:
+        """The status line and headers, in one write with ``first`` (the
+        whole body, or a chunked body's first frame)."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
+        for name, value in headers.items():
             self.send_header(name, value)
         # Headers and body leave in one write: end_headers() would send
         # the header block on its own, and a second small send on a
         # keep-alive connection waits out Nagle + delayed ACK (~40 ms).
-        self._headers_buffer.append(b"\r\n" + body)
+        self._headers_buffer.append(b"\r\n" + first)
         self.flush_headers()
 
     def _send_json(self, status: int, payload: dict,
@@ -477,6 +506,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         root = payload.get("root", {})
         indent = payload.get("indent")
+        # bool is an int; a negative indent would write the bytes of 0
+        # under a cache key of its own
+        if indent is not None and (type(indent) is not int or indent < 0):
+            self._error(400, f"'indent' must be null or a non-negative "
+                             f"integer, got {indent!r}")
+            return
         if payload.get("stream"):
             self._evaluate_stream(tenant, root, indent)
             return
@@ -493,37 +528,47 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _evaluate_stream(self, tenant: str, root: dict,
                          indent: int | None) -> None:
-        # Headers must go out before the first chunk, so admission and
-        # breaker checks run eagerly; an EvaluationError after the first
-        # byte can only truncate the chunked stream (the client sees a
-        # missing terminator, never a silently short document).
-        self.service.registry.get(tenant)  # 404 before headers
-        self.send_response(200)
-        self.send_header("Content-Type", "application/xml")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-
-        # ``wfile`` is unbuffered, so serializer chunks are gathered into
-        # frames; a frame is never empty (that would be the terminator).
+        # The status line leaves with the first frame (or the terminator),
+        # so a refusal before it — unknown tenant, breaker, admission,
+        # constraint abort, an error in the first frame's worth of
+        # tagging — gets its own status from do_POST.  A failure after it
+        # can only truncate: the client sees a missing terminator, never
+        # a silently short document or a second response.
         pending = bytearray()
+        started = False
 
-        def flush() -> None:
-            if pending:
-                self.wfile.write(b"%X\r\n%b\r\n" % (len(pending), pending))
-                pending.clear()
+        def send(data: bytes) -> None:
+            nonlocal started
+            if started:
+                self.wfile.write(data)
+                return
+            started = True
+            self._send_head(200, "application/xml",
+                            {"Transfer-Encoding": "chunked"}, data)
 
-        def write(text: str) -> None:
-            pending.extend(text.encode("utf-8"))
-            if len(pending) >= STREAM_FRAME_BYTES:
-                flush()
+        def framed() -> bytes:
+            # ``wfile`` is unbuffered, so serializer chunks are gathered
+            # into frames; a frame is never empty (that is the terminator)
+            data = (b"%X\r\n%b\r\n" % (len(pending), pending)
+                    if pending else b"")
+            pending.clear()
+            return data
 
         try:
-            self.service.evaluate_stream(tenant, root, write, indent=indent)
-        finally:
-            # also on a mid-stream error: deliver what was produced
-            # before the truncation
-            flush()
-        self.wfile.write(b"0\r\n\r\n")
+            self.service.evaluate_stream(
+                tenant, root, utf8_writer(pending, lambda: send(framed())),
+                indent=indent)
+        except Exception as error:
+            if not started:
+                raise
+            logger.warning("stream for tenant %r truncated: %s", tenant,
+                           error, exc_info=True)
+            self.close_connection = True
+            with contextlib.suppress(OSError):
+                # what was produced before the truncation
+                self.wfile.write(framed())
+            return
+        send(framed() + b"0\r\n\r\n")
 
 
 def make_server(service: EvaluationService, host: str = "127.0.0.1",

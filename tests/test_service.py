@@ -7,14 +7,18 @@ ephemeral port: tenancy CRUD, evaluation byte-identity vs an in-process
 the metrics endpoints.
 """
 
+import contextlib
 import json
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.datagen import make_loaded_sources
-from repro.hospital import build_hospital_aig
+from repro.errors import EvaluationError
+from repro.hospital import build_hospital_aig, make_sources
+from repro.obs import RunLedger
 from repro.relational import Network
 from repro.runtime import Middleware
 from repro.runtime.incremental import aig_fingerprint
@@ -28,6 +32,7 @@ from repro.service import (
 from repro.service.registry import version_vector
 from repro.service.server import STREAM_FRAME_BYTES, start_background
 from repro.xmlmodel.serialize import serialize
+from tests.conftest import load_tiny_hospital
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +200,14 @@ class TestRegistry:
                                match=r"unknown middleware config key\(s\)"):
                 registry.register("t", aig, sources, config)
 
+    def test_shards_key_rejected(self, world):
+        # the stream every evaluation runs on has never sharded
+        aig, sources, _ = world
+        with pytest.raises(EvaluationError,
+                           match=r"unknown middleware config key\(s\): "
+                                 r"shards"):
+            TenantRegistry().register("t", aig, sources, {"shards": 2})
+
     def test_version_vector_moves_on_load(self, world):
         aig, sources, _ = world
         before = version_vector(sources)
@@ -335,6 +348,76 @@ def _count_writes(monkeypatch) -> list:
 
     monkeypatch.setattr(ServiceRequestHandler, "setup", counting_setup)
     return writes
+
+
+@contextlib.contextmanager
+def _saturated(controller: AdmissionController, tenant: str):
+    """The tenant's quota fully in flight and its queue full of parked
+    waiters: the next request that needs a slot sheds with 429."""
+    for _ in range(controller.max_inflight):
+        controller.admit(tenant)
+    hold = threading.Event()
+    parked = []
+
+    def parker():
+        with controller.slot(tenant):
+            hold.wait()
+
+    for _ in range(controller.max_queued):
+        thread = threading.Thread(target=parker, daemon=True)
+        thread.start()
+        parked.append(thread)
+    deadline = time.time() + 5
+    while (controller.snapshot()[tenant]["queued"]
+           < controller.max_queued and time.time() < deadline):
+        time.sleep(0.01)
+    try:
+        yield
+    finally:
+        hold.set()
+        for _ in range(controller.max_inflight):
+            controller.release(tenant)
+        for thread in parked:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in parked)
+
+
+def _raw_post(server, payload) -> bytes:
+    """``POST /evaluate`` on a socket of its own, read until the server
+    closes it: everything the server wrote, status lines included."""
+    body = json.dumps(payload).encode("utf-8")
+    address = ("127.0.0.1", server.server_address[1])
+    with socket.create_connection(address, timeout=60) as conn:
+        conn.sendall(b"POST /evaluate HTTP/1.1\r\nHost: test\r\n"
+                     b"Connection: close\r\n"
+                     b"Content-Length: %d\r\n\r\n%b" % (len(body), body))
+        return b"".join(iter(lambda: conn.recv(65536), b""))
+
+
+def _one_response(reply: bytes) -> tuple[int, dict, bytes]:
+    """``(status, lower-cased headers, body)`` of a reply that holds
+    exactly one response."""
+    assert reply.count(b"HTTP/1.1 ") == 1, reply[:300]
+    head, _, body = reply.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict((name.strip().lower(), value.strip()) for name, value
+                   in (line.split(":", 1) for line in lines[1:]))
+    return int(lines[0].split()[1]), headers, body
+
+
+def _dechunk(body: bytes) -> tuple[bytes, bool]:
+    """A chunked body's payload, and whether it ended in the terminator."""
+    payload = bytearray()
+    while body:
+        size, _, body = body.partition(b"\r\n")
+        length = int(size, 16)
+        if length == 0:
+            assert body == b"\r\n", "bytes after the terminator"
+            return bytes(payload), True
+        payload += body[:length]
+        assert body[length:length + 2] == b"\r\n", "malformed frame"
+        body = body[length + 2:]
+    return bytes(payload), False
 
 
 class TestHTTPSurface:
@@ -595,27 +678,7 @@ class TestHTTPSurface:
 
     def test_admission_shed_returns_429(self, served):
         service, server, dataset = served
-        # saturate the shared controller: quota fully in flight, queue
-        # full of parked waiters -> the next HTTP request sheds with 429
-        controller = service.admission
-        for _ in range(controller.max_inflight):
-            controller.admit("hospital")
-        hold = threading.Event()
-        parked = []
-
-        def parker():
-            with controller.slot("hospital"):
-                hold.wait()
-
-        for _ in range(controller.max_queued):
-            thread = threading.Thread(target=parker, daemon=True)
-            thread.start()
-            parked.append(thread)
-        deadline = time.time() + 5
-        while (controller.snapshot()["hospital"]["queued"]
-               < controller.max_queued and time.time() < deadline):
-            time.sleep(0.01)
-        try:
+        with _saturated(service.admission, "hospital"):
             # a never-evaluated root: the request cannot be served from
             # the response cache, so it must take the leader path and
             # shed at admission
@@ -628,13 +691,6 @@ class TestHTTPSurface:
             rejections = service.metrics.snapshot()["counters"] \
                 .get("service_rejections", 0)
             assert rejections >= 1
-        finally:
-            hold.set()
-            for _ in range(controller.max_inflight):
-                controller.release("hospital")
-            for thread in parked:
-                thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in parked)
 
     def test_malformed_body_400(self, served):
         from http.client import HTTPConnection
@@ -669,3 +725,234 @@ class TestBreakersAtAdmission:
             service.evaluate("frail", {"date": dataset.busiest_date()})
         counters = service.metrics.snapshot()["counters"]
         assert counters.get("service_breaker_rejections", 0) == 1
+
+
+# ----------------------------------------------------------------------
+# one evaluation path, two deliveries
+# ----------------------------------------------------------------------
+def tiny_world(violating: bool = False, non_ascii: bool = False) -> dict:
+    """The hand-checked tiny hospital (date ``d1``: two patients and a
+    recursive chain).  ``violating`` un-bills t4, which the chain's bill
+    items reference; ``non_ascii`` renames a patient and a treatment."""
+    sources = make_sources()
+    load_tiny_hospital(sources)
+    if violating:
+        sources["DB3"].execute_script("DELETE FROM billing WHERE trId='t4'")
+    if non_ascii:
+        sources["DB1"].execute_script(
+            "UPDATE patient SET pname='Zoë ☃ <€>' WHERE SSN='s1'")
+        sources["DB4"].execute_script(
+            "UPDATE treatment SET tname='röntgen ✓' WHERE trId='t2'")
+    return sources
+
+
+@contextlib.contextmanager
+def _serving(service: EvaluationService):
+    server, _ = start_background(service)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestOneEvaluationPath:
+    """A miss is one ``evaluate_stream`` into a buffer: no tree, yet the
+    bytes and the report of an in-process ``evaluate`` + ``serialize``."""
+
+    @pytest.mark.parametrize("non_ascii", [False, True])
+    def test_buffered_miss_is_the_tree_serialized(self, monkeypatch,
+                                                  non_ascii):
+        reference = Middleware(build_hospital_aig(),
+                               tiny_world(non_ascii=non_ascii),
+                               unfold_depth=4)
+        document = reference.evaluate({"date": "d1"}).document
+        service = EvaluationService()
+        service.register_tenant("t", build_hospital_aig(),
+                                tiny_world(non_ascii=non_ascii),
+                                {"unfold_depth": 4})
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a service miss built a tree")
+
+        monkeypatch.setattr(Middleware, "evaluate", no_tree)
+        monkeypatch.setattr("repro.runtime.middleware.TreeSink", no_tree)
+        for indent in (None, 0, 2):
+            body, info = service.evaluate("t", {"date": "d1"},
+                                          indent=indent)
+            assert not info["cached"]
+            assert body == serialize(document, indent=indent).encode("utf-8")
+            assert info["document_bytes"] == len(body)
+            assert body.isascii() is not non_ascii
+
+    @pytest.mark.parametrize("mode", ["abort", "report"])
+    def test_info_and_headers_match_in_process_evaluate(self, mode):
+        config = {"unfold_depth": 4, "violation_mode": mode}
+        violating = mode == "report"
+        reference_sources = tiny_world(violating=violating)
+        reference = Middleware(build_hospital_aig(), reference_sources,
+                               incremental=True, **config)
+        service = EvaluationService()
+        service.register_tenant("t", build_hospital_aig(),
+                                tiny_world(violating=violating), config)
+        request = {"tenant": "t", "root": {"date": "d1"}, "indent": 2,
+                   "include_report": True}
+
+        def expected() -> tuple[str, dict]:
+            report = reference.evaluate({"date": "d1"})
+            document = serialize(report.document, indent=2)
+            return document, {
+                "phase": EvaluationService._phase(report),
+                "queries_executed": report.queries_executed,
+                "reused_nodes": report.reused_nodes,
+                "violations": [str(v) for v in report.violations],
+                "document_bytes": len(document.encode("utf-8"))}
+
+        with _serving(service) as server:
+            def served() -> tuple[str, dict]:
+                status, headers, body = _request(server, "POST",
+                                                 "/evaluate", request)
+                assert status == 200
+                payload = json.loads(body)
+                info = payload["report"]
+                assert headers["X-Repro-Phase"] == info["phase"]
+                assert headers["X-Repro-Cache"] == \
+                    ("hit" if info["cached"] else "miss")
+                return payload["document"], info
+
+            def assert_miss() -> tuple[str, dict]:
+                document, info = served()
+                want_document, want = expected()
+                assert document == want_document
+                assert not info["cached"]
+                assert {key: info[key] for key in want} == want
+                return document, info
+
+            assert_miss()                                   # cold
+            reference_sources["DB3"].load_rows("billing", [("t77", "9")])
+            status, _, _ = _request(
+                server, "POST", "/tenants/t/load",
+                {"source": "DB3", "relation": "billing",
+                 "rows": [["t77", "9"]]})
+            assert status == 200
+            document, miss = assert_miss()                  # the write's
+            hit_document, hit = served()
+            assert hit_document == document
+            assert hit == dict(miss, phase="warm", cached=True,
+                               queries_executed=0, response_time=0.0,
+                               seconds=hit["seconds"])
+        assert miss["phase"] == "delta"
+        assert bool(miss["violations"]) is violating
+
+
+@pytest.fixture(scope="module")
+def refusing():
+    """A service whose ``clean`` tenant admits one evaluation and queues
+    one, beside a tenant that violates a constraint in abort mode."""
+    service = EvaluationService(max_inflight=1, max_queued=1)
+    for name, violating in (("clean", False), ("violating", True)):
+        service.register_tenant(name, build_hospital_aig(),
+                                tiny_world(violating=violating),
+                                {"unfold_depth": 4})
+    with _serving(service) as server:
+        yield service, server
+
+
+class TestStreamStatus:
+    """The status line of a chunked response leaves with its first frame:
+    a refusal before it is a response of its own, a failure after it
+    truncates the one response."""
+
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("indent", ["x", -1, True, 1.5, [2]])
+    def test_bad_indent_is_400(self, refusing, stream, indent):
+        _, server = refusing
+        status, _, body = _one_response(_raw_post(server, {
+            "tenant": "clean", "root": {"date": "d1"}, "indent": indent,
+            "stream": stream}))
+        assert status == 400
+        assert "'indent' must be null or a non-negative integer" in \
+            json.loads(body)["error"]
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_constraint_abort_is_409(self, refusing, stream):
+        _, server = refusing
+        status, headers, body = _one_response(_raw_post(server, {
+            "tenant": "violating", "root": {"date": "d1"},
+            "stream": stream}))
+        assert status == 409
+        assert headers["content-type"] == "application/json"
+        assert json.loads(body)["error"].startswith("constraint violation")
+
+    def test_exhausted_admission_on_stream_is_429(self, refusing):
+        service, server = refusing
+        with _saturated(service.admission, "clean"):
+            status, headers, body = _one_response(_raw_post(server, {
+                "tenant": "clean", "root": {"date": "d1"},
+                "stream": True}))
+        assert status == 429
+        assert headers["retry-after"] == "1"
+        assert "over capacity" in json.loads(body)["error"]
+
+    def test_stream_is_the_plain_body_terminated(self, refusing):
+        _, server = refusing
+        request = {"tenant": "clean", "root": {"date": "d1"}, "indent": 2}
+        _, _, plain = _one_response(_raw_post(server, request))
+        status, headers, body = _one_response(
+            _raw_post(server, {**request, "stream": True}))
+        assert status == 200
+        assert headers["transfer-encoding"] == "chunked"
+        assert _dechunk(body) == (plain, True)
+
+    @pytest.mark.parametrize("frames", [0, 1])
+    def test_failure_before_or_after_the_first_frame(self, refusing,
+                                                     monkeypatch, frames):
+        service, server = refusing
+        head = "<report>" + "x" * (STREAM_FRAME_BYTES * frames)
+
+        def failing(tenant, root, write, indent=None):
+            write(head)
+            write("<patient>")
+            raise EvaluationError("source DB1 went away")
+
+        monkeypatch.setattr(service, "evaluate_stream", failing)
+        status, headers, body = _one_response(_raw_post(server, {
+            "tenant": "clean", "root": {"date": "d1"}, "stream": True}))
+        if frames == 0:
+            # nothing left before the failure: its own status
+            assert status == 422
+            assert "went away" in json.loads(body)["error"]
+            return
+        assert status == 200
+        assert headers["transfer-encoding"] == "chunked"
+        # what was produced arrives, but never the terminator
+        assert _dechunk(body) == ((head + "<patient>").encode(), False)
+
+
+class TestServedMissObservability:
+    def test_stream_gauges_and_ledger_record(self, tmp_path, monkeypatch):
+        from repro.service import server as server_module
+        tracers = []
+
+        class Recorded(server_module.Tracer):
+            def __init__(self):
+                super().__init__()
+                tracers.append(self)
+
+        monkeypatch.setattr(server_module, "Tracer", Recorded)
+        path = str(tmp_path / "runs.jsonl")
+        service = EvaluationService()
+        service.register_tenant("t", build_hospital_aig(),
+                                tiny_world(non_ascii=True),
+                                {"unfold_depth": 4, "ledger": path})
+        body, _ = service.evaluate("t", {"date": "d1"}, indent=2)
+        (record,) = RunLedger(path).records()
+        assert record["kind"] == "stream"
+        assert record["run"]["document_bytes"] == len(body)
+        (tracer,) = tracers
+        gauges = tracer.metrics.snapshot()["gauges"]
+        assert "document_nodes" not in gauges
+        assert gauges["document_characters"] == len(body.decode("utf-8")) \
+            < len(body)
+        assert gauges["streamed_elements"] == \
+            record["run"]["streamed_elements"] > 0

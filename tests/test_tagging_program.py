@@ -39,6 +39,7 @@ from repro.runtime.tagging import (
 from repro.xmlmodel import StreamSerializer, XMLElement, XMLText, serialize
 from tests.conftest import load_tiny_hospital
 from tests.test_mediator_resident import build_group_aig, group_sources
+from tests.test_recursive_choice import TREE_ROWS, build_fs_aig, load
 
 # every PCDATA value of ``product`` is a query column; ``listing`` is
 # constant, one constant carrying what a %-template must escape and the
@@ -398,3 +399,65 @@ class TestOneWritePerRow:
 
     def test_null_sink_takes_fragments(self, catalog):
         assert catalog.stream(NullEventSink()) == 1 + 12 * 7
+
+
+class TestDryRunOnlyWhereAChoiceCanTruncate:
+    """Only a choice whose alternative the unfolding cut off raises
+    ``RecursionTruncated`` mid-document, so only such a program is
+    dry-run before a stream's first byte."""
+
+    def test_hospital_is_not_truncatable_at_any_depth(self):
+        sources = make_sources()
+        load_tiny_hospital(sources)
+        middleware = Middleware(build_hospital_aig(), sources)
+        for depth in range(1, 9):
+            plan = middleware.prepare(depth)[2]
+            assert not TaggingProgram(plan, base_name).truncatable, depth
+
+    @pytest.mark.parametrize("depth", [1, 3, 5])
+    def test_recursion_through_a_choice_is_truncatable(self, depth):
+        middleware = Middleware(build_fs_aig(), {"FS": load(TREE_ROWS)})
+        plan = middleware.prepare(depth)[2]
+        assert TaggingProgram(plan, base_name).truncatable
+
+    def test_hospital_stream_is_tagged_once(self):
+        sources = make_sources()
+        load_tiny_hospital(sources)
+        expected = serialize(Middleware(build_hospital_aig(), sources,
+                                        unfold_depth=4)
+                             .evaluate({"date": "d1"}).document, indent=2)
+        tracer = Tracer()
+        chunks: list[str] = []
+        Middleware(build_hospital_aig(), sources, unfold_depth=4,
+                   tracer=tracer).evaluate_stream({"date": "d1"},
+                                                  chunks.append, indent=2)
+        names = [span.name for span in tracer.spans]
+        assert "tagging-dryrun" not in names
+        assert names.count("tagging") == 1
+        assert "".join(chunks) == expected
+
+    @pytest.mark.parametrize("estimate", [1, 5])
+    def test_truncating_choice_reaches_the_writer_once(self, estimate):
+        # The data nests three deep.  An odd unfolding cuts ``dir`` off at
+        # the choice (truncatable), an even one at the star below it
+        # (answered by the probe): from 1 the attempts are 1, 2, 4, 8, and
+        # 5 fits at once.  Each truncatable attempt is dry-run; only the
+        # attempt that fits writes.
+        aig, source = build_fs_aig(), load(TREE_ROWS)
+        expected = serialize(Middleware(aig, {"FS": source})
+                             .evaluate({}).document, indent=2)
+        tracer = Tracer()
+        chunks: list[str] = []
+        middleware = Middleware(aig, {"FS": source}, unfold_depth=estimate,
+                                tracer=tracer)
+        middleware.evaluate_stream({}, chunks.append, indent=2)
+        assert "".join(chunks) == expected
+        names = [span.name for span in tracer.spans]
+        assert names.count("tagging") == 1
+        attempts = [span.attrs["depth"] for span in tracer.spans
+                    if span.name == "evaluate-stream"]
+        assert attempts == ([1, 2, 4, 8] if estimate == 1 else [5])
+        truncatable = [TaggingProgram(middleware.prepare(depth)[2],
+                                      base_name).truncatable
+                       for depth in attempts]
+        assert names.count("tagging-dryrun") == sum(truncatable) >= 1

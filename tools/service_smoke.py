@@ -13,10 +13,17 @@ TCP.  It checks the full loop a production probe would:
    prove the wave shared work instead of re-evaluating per request;
 5. exercise delta ingestion (``POST /tenants/hospital/load``) and
    confirm the version bump invalidates the response cache;
-6. request the document as a chunked stream (``"stream": true``),
-   pretty-printed and compact: de-chunked it must equal the plain
-   response byte for byte, in frames of at least 16 KiB;
-7. terminate the child and require a clean exit.
+6. request the document pretty-printed and compact, plain and as a
+   chunked stream (``"stream": true``).  Both deliveries share one
+   evaluation path, so the plain body is held to an independent oracle:
+   an in-process ``Middleware.evaluate`` + ``serialize`` over the same
+   ``--scale`` data set (with step 5's row).  De-chunked, the stream
+   must equal the plain body byte for byte, in frames of at least
+   16 KiB;
+7. send a chunked request with a bad ``indent``: it must be refused
+   with 400 as the one response on the socket, never a ``200`` header
+   followed by a second response;
+8. terminate the child and require a clean exit.
 
 Usage (CI runs this after the unit suite)::
 
@@ -39,9 +46,15 @@ import threading
 import time
 from http.client import HTTPConnection
 
+from repro.datagen import make_loaded_sources
+from repro.hospital import build_hospital_aig
+from repro.runtime import Middleware
 from repro.service.server import STREAM_FRAME_BYTES
+from repro.xmlmodel import serialize
 
 ADDRESS_RE = re.compile(r"listening on http://([0-9.]+):(\d+)")
+#: step 5's delta: a cover row no patient's policy matches
+DELTA_ROW = ("P99999", "T99999")
 
 
 def _request(host, port, method, path, payload=None, timeout=60):
@@ -57,16 +70,22 @@ def _request(host, port, method, path, payload=None, timeout=60):
         conn.close()
 
 
-def _stream_request(host, port, payload, timeout=60):
-    """POST /evaluate over a raw socket so the chunk frames stay visible;
-    returns ``(status, de-chunked body, frame count)``."""
+def _raw_post(host, port, payload, timeout=60) -> bytes:
+    """POST /evaluate over a raw socket; returns everything the server
+    wrote before closing it, status lines included."""
     body = json.dumps(payload).encode("utf-8")
     with socket.create_connection((host, port), timeout=timeout) as conn:
         conn.sendall(b"POST /evaluate HTTP/1.1\r\nHost: smoke\r\n"
                      b"Content-Type: application/json\r\n"
                      b"Connection: close\r\n"
                      b"Content-Length: %d\r\n\r\n%b" % (len(body), body))
-        reply = b"".join(iter(lambda: conn.recv(65536), b""))
+        return b"".join(iter(lambda: conn.recv(65536), b""))
+
+
+def _stream_request(host, port, payload, timeout=60):
+    """POST /evaluate over a raw socket so the chunk frames stay visible;
+    returns ``(status, de-chunked body, frame count)``."""
+    reply = _raw_post(host, port, payload, timeout)
     head, _, rest = reply.partition(b"\r\n\r\n")
     status = int(head.split(None, 2)[1])
     assert b"transfer-encoding: chunked" in head.lower(), head
@@ -81,6 +100,23 @@ def _stream_request(host, port, payload, timeout=60):
         assert rest[length:length + 2] == b"\r\n", "malformed chunk frame"
         rest = rest[length + 2:]
         frames += 1
+
+
+def _in_process_documents(scale: str, root: dict) -> dict:
+    """``indent -> bytes`` of an in-process ``Middleware.evaluate`` +
+    ``serialize`` over the data set ``repro serve --scale`` loads, after
+    step 5's delta."""
+    sources, _ = make_loaded_sources(scale)
+    try:
+        sources["DB2"].load_rows("cover", [DELTA_ROW])
+        middleware = Middleware(build_hospital_aig(), sources,
+                                unfold_depth="auto")
+        document = middleware.evaluate(dict(root)).document
+        return {indent: serialize(document, indent=indent).encode("utf-8")
+                for indent in (2, None)}
+    finally:
+        for source in sources.values():
+            source.close()
 
 
 def _wait_for_health(host, port, deadline_seconds=30.0):
@@ -195,7 +231,7 @@ def run_smoke(scale: str, clients: int) -> None:
         status, _, body = _request(
             host, port, "POST", "/tenants/hospital/load",
             {"source": "DB2", "relation": "cover",
-             "rows": [["P99999", "T99999"]]})
+             "rows": [list(DELTA_ROW)]})
         assert status == 200, body
         status, headers, _ = _request(host, port, "POST", "/evaluate",
                                       wave_payload)
@@ -204,11 +240,15 @@ def run_smoke(scale: str, clients: int) -> None:
             headers.get("X-Repro-Cache")
         print("- delta ingestion invalidated the response cache")
 
+        oracle = _in_process_documents(scale, payload["root"])
         for indent in (2, None):
             request = {**payload, "indent": indent}
             status, _, plain = _request(host, port, "POST", "/evaluate",
                                         request)
             assert status == 200, f"evaluate indent={indent} -> {status}"
+            assert plain == oracle[indent], \
+                f"plain document differs from in-process evaluate + " \
+                f"serialize at indent={indent}"
             status, streamed, frames = _stream_request(
                 host, port, {**request, "stream": True})
             assert status == 200, f"stream indent={indent} -> {status}"
@@ -216,8 +256,16 @@ def run_smoke(scale: str, clients: int) -> None:
                 f"streamed document differs at indent={indent}"
             assert frames <= len(streamed) / STREAM_FRAME_BYTES + 1, \
                 f"{frames} chunk frames for {len(streamed)} bytes"
-            print(f"- streamed indent={indent}: {len(streamed)} bytes "
-                  f"identical to the plain response, {frames} frame(s)")
+            print(f"- indent={indent}: plain {len(plain)} bytes identical "
+                  f"to in-process evaluate + serialize; streamed identical "
+                  f"to it, {frames} frame(s)")
+
+        reply = _raw_post(host, port, {**payload, "indent": "x",
+                                       "stream": True})
+        assert reply.startswith(b"HTTP/1.1 400 "), reply[:64]
+        assert reply.count(b"HTTP/1.1 ") == 1, \
+            "a second response inside the first"
+        print("- chunked request with a bad indent: one 400 response")
     finally:
         child.terminate()
         try:
