@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from repro.constraints.checker import Violation
 from repro.constraints.model import Constraint
 from repro.constraints.streaming import StreamingConstraintChecker, _Scope
-from repro.xmlmodel.node import XMLElement
+from repro.xmlmodel.node import XMLElement, child_nodes
 
 
 @dataclass
@@ -110,7 +110,7 @@ class _ShardPass(StreamingConstraintChecker):
         capturing = bool(self._captures)
         fields = self._need_fields.get(node.tag, ())
         wanted = self._wanted
-        for child in node.children:
+        for child in child_nodes(node):
             if isinstance(child, XMLElement):
                 if capturing or child.tag in wanted or child.tag in fields:
                     self.feed(child)

@@ -90,7 +90,8 @@ from repro.relational.source import DataSource, Federation
 from repro.sqlq.analyze import scalar_params, set_params
 from repro.sqlq.ast import BaseTable, ColumnRef, Query, SelectItem
 from repro.sqlq.render import render_sqlite
-from repro.xmlmodel.node import XMLElement, new_element, new_text
+from repro.xmlmodel.node import (XMLElement, child_nodes, new_element,
+                                 new_text)
 
 #: Relation name of the per-shard key-range table.
 SHARD_RELATION = "rows"
@@ -437,9 +438,10 @@ def encode_document(root: XMLElement) -> tuple[list, list]:
             labels.append(node.value)
             shape.append(-1)
         else:
+            children = child_nodes(node)
             labels.append(node.tag)
-            shape.append(len(node.children))
-            stack.extend(reversed(node.children))
+            shape.append(len(children))
+            stack.extend(reversed(children))
     return labels, shape
 
 

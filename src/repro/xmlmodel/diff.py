@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.xmlmodel.node import XMLElement, XMLNode, XMLText
+from repro.xmlmodel.node import XMLElement, XMLNode, XMLText, child_nodes
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,17 @@ def _walk(left: XMLNode, right: XMLNode, path: str,
     if left.tag != right.tag:
         differences.append(Difference(path, "tag", left.tag, right.tag))
         return
+    left_children, right_children = child_nodes(left), child_nodes(right)
     left_labels = [c.tag if isinstance(c, XMLElement) else "#text"
-                   for c in left.children]
+                   for c in left_children]
     right_labels = [c.tag if isinstance(c, XMLElement) else "#text"
-                    for c in right.children]
+                    for c in right_children]
     if left_labels != right_labels:
         differences.append(Difference(
             path, "children", str(left_labels), str(right_labels)))
         # still descend over the common prefix for more detail
     position: dict[str, int] = {}
-    for left_child, right_child in zip(left.children, right.children):
+    for left_child, right_child in zip(left_children, right_children):
         if len(differences) >= limit:
             return
         label = (left_child.tag if isinstance(left_child, XMLElement)

@@ -56,16 +56,37 @@ class XMLText(XMLNode):
 
 
 class XMLElement(XMLNode):
-    """An element node with an ordered list of children."""
+    """An element node with an ordered list of children.
 
-    __slots__ = ("tag", "children")
+    A ``<tag>text</tag>`` leaf made by :func:`new_element` keeps its PCDATA
+    as a plain ``str`` in ``_kids`` — one object instead of an element, a
+    list and an :class:`XMLText` — until ``children`` is first read, which
+    makes the one text child and stores its list for good.  No reader
+    does: they take a ``str`` in ``_kids`` as that one child, or go through
+    :func:`child_nodes`.
+    """
+
+    __slots__ = ("tag", "_kids")
 
     def __init__(self, tag: str, children: Sequence[XMLNode] = ()):
         super().__init__()
         self.tag = check_tag(tag)
-        self.children: list[XMLNode] = []
+        self._kids: Union[list[XMLNode], str] = []
         for child in children:
             self.append(child)
+
+    @property
+    def children(self) -> list[XMLNode]:
+        kids = self._kids
+        if kids.__class__ is str:
+            self._kids = []
+            new_text(kids, self)
+            return self._kids
+        return kids
+
+    @children.setter
+    def children(self, children: list[XMLNode]) -> None:
+        self._kids = children
 
     # ------------------------------------------------------------------
     # mutation
@@ -74,6 +95,12 @@ class XMLElement(XMLNode):
         """Append ``child`` (re-parenting it) and return it."""
         if not isinstance(child, XMLNode):
             raise TypeError(f"child must be an XMLNode, got {type(child).__name__}")
+        ancestor: Optional[XMLNode] = self
+        while ancestor is not None:
+            if ancestor is child:
+                raise ValueError(f"{child!r} is this element or one of its "
+                                 f"ancestors: appending it would make a cycle")
+            ancestor = ancestor.parent
         if child.parent is not None:
             siblings = child.parent.children
             del siblings[_position(siblings, child)]
@@ -86,7 +113,8 @@ class XMLElement(XMLNode):
             self.append(child)
 
     def remove(self, child: XMLNode) -> None:
-        del self.children[_position(self.children, child)]
+        children = self.children
+        del children[_position(children, child)]
         child.parent = None
 
     def replace_with_children(self, child: "XMLElement") -> None:
@@ -96,51 +124,60 @@ class XMLElement(XMLNode):
         states behave like element types during computation but are removed
         from the final tree.
         """
-        index = _position(self.children, child)
+        children = self.children
+        index = _position(children, child)
         grandchildren = list(child.children)
         for grandchild in grandchildren:
             grandchild.parent = self
-        child.children = []
+        child._kids = []
         child.parent = None
-        self.children[index:index + 1] = grandchildren
+        children[index:index + 1] = grandchildren
 
     # ------------------------------------------------------------------
     # navigation
     # ------------------------------------------------------------------
     def child_elements(self) -> list["XMLElement"]:
-        return [c for c in self.children if isinstance(c, XMLElement)]
+        return [c for c in child_nodes(self) if isinstance(c, XMLElement)]
 
     def find(self, tag: str) -> Optional["XMLElement"]:
         """First child element with the given tag, or None."""
-        for child in self.children:
-            if isinstance(child, XMLElement) and child.tag == tag:
-                return child
+        kids = self._kids
+        if kids.__class__ is not str:
+            for child in kids:
+                if isinstance(child, XMLElement) and child.tag == tag:
+                    return child
         return None
 
     def find_all(self, tag: str) -> list["XMLElement"]:
         """All child elements with the given tag, in document order."""
-        return [c for c in self.children
+        return [c for c in child_nodes(self)
                 if isinstance(c, XMLElement) and c.tag == tag]
 
     def iter(self, tag: Optional[str] = None) -> Iterator["XMLElement"]:
         """Depth-first pre-order iterator over descendant-or-self elements."""
         if tag is None or self.tag == tag:
             yield self
-        for child in self.children:
+        kids = self._kids
+        if kids.__class__ is str:
+            return
+        for child in kids:
             if isinstance(child, XMLElement):
                 yield from child.iter(tag)
 
     def text_value(self) -> str:
         """Concatenated PCDATA of all descendant text nodes."""
+        if self._kids.__class__ is str:
+            return self._kids
         parts: list[str] = []
         stack: list[XMLNode] = [self]
         while stack:
             node = stack.pop()
             if isinstance(node, XMLText):
                 parts.append(node.value)
+            elif node._kids.__class__ is str:
+                parts.append(node._kids)
             else:
-                assert isinstance(node, XMLElement)
-                stack.extend(reversed(node.children))
+                stack.extend(reversed(node._kids))
         return "".join(parts)
 
     def subelement_value(self, tag: str) -> Optional[str]:
@@ -160,7 +197,10 @@ class XMLElement(XMLNode):
             node = stack.pop()
             count += 1
             if isinstance(node, XMLElement):
-                stack.extend(node.children)
+                if node._kids.__class__ is str:
+                    count += 1      # the text child, not made yet
+                else:
+                    stack.extend(node._kids)
         return count
 
     def path(self) -> str:
@@ -179,17 +219,25 @@ class XMLElement(XMLNode):
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
         """Structural equality: same tag and pairwise-equal children."""
-        if not isinstance(other, XMLElement):
+        if not isinstance(other, XMLElement) or self.tag != other.tag:
             return False
-        if self.tag != other.tag or len(self.children) != len(other.children):
+        mine, theirs = child_nodes(self), child_nodes(other)
+        if len(mine) != len(theirs):
             return False
-        return all(a == b for a, b in zip(self.children, other.children))
+        return all(a == b for a, b in zip(mine, theirs))
 
     def __hash__(self):
         raise TypeError("XML nodes are mutable and unhashable")
 
     def __repr__(self) -> str:
-        return f"XMLElement({self.tag!r}, {len(self.children)} children)"
+        return f"XMLElement({self.tag!r}, {len(child_nodes(self))} children)"
+
+
+def child_nodes(node: XMLElement) -> list[XMLNode]:
+    """``node.children`` for a reader: a text leaf's child is not made but
+    stood in for by a detached :class:`XMLText` of the same value."""
+    kids = node._kids
+    return [XMLText(kids)] if kids.__class__ is str else kids
 
 
 def _position(children: list, child: XMLNode) -> int:
@@ -223,7 +271,8 @@ def check_text(value) -> str:
 # phase's TreeSink: tags checked when the program is compiled, values str
 # from its reader; the shard codec: labels it encoded itself), and whose
 # nodes are brand new, so there is no tag to validate again and no previous
-# parent to detach from.  Anything else goes through ``XMLElement(...)``,
+# parent to detach from; and ``XMLElement.children``, making a leaf's
+# text child on first read.  Anything else goes through ``XMLElement(...)``,
 # ``XMLText(...)`` and ``append``.
 
 _new = object.__new__
@@ -233,19 +282,15 @@ def new_element(tag: str, parent: Optional[XMLElement],
                 text: Optional[str] = None) -> XMLElement:
     """A fresh ``tag`` element appended under ``parent`` (``None``: a
     root), holding one text child when ``text`` is given — the
-    ``<tag>text</tag>`` leaf in one step."""
+    ``<tag>text</tag>`` leaf in one step and one object: ``text`` is kept
+    as it is until ``children`` is read.  ``parent`` was made here without
+    ``text`` (or has had its children read)."""
     node = _new(XMLElement)
     node.tag = tag
     node.parent = parent
-    if text is None:
-        node.children = []
-    else:
-        leaf = _new(XMLText)
-        leaf.value = text
-        leaf.parent = node
-        node.children = [leaf]
+    node._kids = [] if text is None else text
     if parent is not None:
-        parent.children.append(node)
+        parent._kids.append(node)
     return node
 
 
@@ -254,7 +299,7 @@ def new_text(value: str, parent: XMLElement) -> XMLText:
     node = _new(XMLText)
     node.value = value
     node.parent = parent
-    parent.children.append(node)
+    parent._kids.append(node)
     return node
 
 

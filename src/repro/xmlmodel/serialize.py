@@ -69,10 +69,15 @@ def _write(node: XMLElement, out, indent: int, newline: str,
     and anything else one line per child, which compact output — no pad,
     no newline — does not tell apart; so text is held back until the first
     element child (or the end) decides which.  Empty and one-text-child
-    children are written here rather than by a call of their own.
+    children are written here rather than by a call of their own.  A text
+    leaf's ``_kids`` is its PCDATA until its ``children`` is read, and is
+    written from there, never made into a node.
     """
-    tag, children = node.tag, node.children
+    tag, children = node.tag, node._kids
     pad = " " * (indent * level)
+    if children.__class__ is str:           # a text leaf, written alone
+        out(f"{pad}<{tag}>{escape_text(children)}</{tag}>{newline}")
+        return
     if not children:
         out(f"{pad}<{tag}/>{newline}")
         return
@@ -90,12 +95,15 @@ def _write(node: XMLElement, out, indent: int, newline: str,
             for value in held:
                 out(f"{inner}{value}{newline}")
             held = None
-        below = child.children
-        if not below:
-            out(f"{inner}<{child.tag}/>{newline}")
-        elif len(below) == 1 and isinstance(below[0], XMLText):
-            out(f"{inner}<{child.tag}>{escape_text(below[0].value)}"
+        below = child._kids             # a text leaf's str, or a list
+        if (below.__class__ is not str and len(below) == 1
+                and isinstance(below[0], XMLText)):
+            below = below[0].value
+        if below.__class__ is str:
+            out(f"{inner}<{child.tag}>{escape_text(below)}"
                 f"</{child.tag}>{newline}")
+        elif not below:
+            out(f"{inner}<{child.tag}/>{newline}")
         else:
             _write(child, out, indent, newline, level + 1)
     if held is None:

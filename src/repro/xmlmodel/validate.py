@@ -23,7 +23,7 @@ from repro.dtd.model import (
     Sequence,
     Star,
 )
-from repro.xmlmodel.node import XMLElement, XMLNode, XMLText
+from repro.xmlmodel.node import XMLElement, XMLNode, XMLText, child_nodes
 
 
 class _NFA:
@@ -129,13 +129,14 @@ def validate_tree(tree: XMLElement, dtd: DTD) -> list[str]:
             continue
         if node.tag not in compiled:
             compiled[node.tag] = _compile_model(dtd.production(node.tag))
+        children = child_nodes(node)
         labels = [child.tag if isinstance(child, XMLElement) else S
-                  for child in node.children]
+                  for child in children]
         if not compiled[node.tag].matches(labels):
             violations.append(
                 f"{node.path()}: children {labels} do not match "
                 f"production {dtd.production(node.tag)}")
-        for child in node.children:
+        for child in children:
             if isinstance(child, XMLElement):
                 stack.append(child)
     return violations

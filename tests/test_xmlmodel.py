@@ -1,13 +1,24 @@
 """Tests for the XML tree model, serialization, and DTD conformance."""
 
+import gc
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.aig import AIG, ConceptualEvaluator, assign, inh, query
+from repro.constraints import check_constraints
+from repro.datagen import make_loaded_sources
+from repro.datagen.generator import DATES
 from repro.errors import ValidationError
 from repro.dtd import parse_dtd
+from repro.hospital import build_hospital_aig
+from repro.obs import Tracer
 from repro.relational import Catalog, DataSource, SourceSchema
 from repro.relational.schema import relation
+from repro.runtime import Middleware
+from repro.runtime.sharding import decode_document, encode_document
 from repro.xmlmodel import (
     XMLElement,
     XMLText,
@@ -18,7 +29,12 @@ from repro.xmlmodel import (
     text,
     validate_tree,
 )
+from repro.xmlmodel.diff import tree_diff
 from repro.xmlmodel.node import new_element, new_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]
+                       / "benchmarks" / "e2e"))
+from workloads import build_group_aig, make_group_sources  # noqa: E402
 
 
 class TestNodes:
@@ -149,6 +165,22 @@ class TestNodes:
 
     def test_subelement_value_missing_is_none(self):
         assert element("a").subelement_value("b") is None
+
+    def test_append_refuses_the_element_itself_and_its_ancestors(self):
+        # it used to succeed, leaving a parent cycle that made root() and
+        # depth() loop forever and serialize() die with RecursionError
+        tree = element("a", element("b", element("c")))
+        b = tree.children[0]
+        c = b.children[0]
+        for parent, child in ((b, tree), (c, tree), (c, b), (tree, tree),
+                              (c, c)):
+            with pytest.raises(ValueError):
+                parent.append(child)
+        assert tree.parent is None and b.parent is tree and c.parent is b
+        assert c.root() is tree and c.depth() == 2
+        assert serialize(tree) == "<a><b><c/></b></a>"
+        tree.append(c)                  # a descendant is fine: it moves
+        assert serialize(tree) == "<a><b/><c/></a>"
 
 
 class TestInternalStates:
@@ -339,3 +371,141 @@ class TestValidate:
     def test_star_accepts_any_count(self, count):
         report = element("report", *[self.make_patient([]) for _ in range(count)])
         assert conforms_to(report, self.dtd)
+
+
+def lazy_leaves(tree: XMLElement) -> int:
+    """Elements still holding their one text child as a plain ``str``."""
+    return sum(node._kids.__class__ is str for node in tree.iter())
+
+
+def tracked_per_node(tree: XMLElement) -> float:
+    """GC-tracked objects (nodes and their children lists) per node of
+    ``tree``, counted without reading ``children``."""
+    tracked, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        tracked += gc.is_tracked(node)
+        if isinstance(node, XMLElement) and node._kids.__class__ is not str:
+            tracked += gc.is_tracked(node._kids)
+            stack.extend(node._kids)
+    return tracked / tree.size()
+
+
+class TestTrackedObjects:
+    """A ``<tag>text</tag>`` leaf is one object until its ``children`` is
+    read: pinned as a count of GC-tracked objects per document node (the
+    cyclic collector's work grows with it), not as a clock.  Before the
+    leaf kept its text as a ``str`` — an element, a list and an ``XMLText``
+    per leaf — the 200-group document read 1.614 and the hospital ``tiny``
+    documents 1.657."""
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        aig = build_group_aig()
+        tracer = Tracer()
+        report = Middleware(aig, make_group_sources(1, 200),
+                            tracer=tracer).evaluate({"run": "1"})
+        return aig, report.document, tracer
+
+    def test_groups_document(self, groups):
+        _, document, _ = groups
+        assert tracked_per_node(document) <= 0.85
+        assert lazy_leaves(document) == 200 + 200 * 8 * 2
+
+    def test_hospital_tiny_documents(self):
+        # over the ten report dates together: a patient with no visit that
+        # day keeps an empty ``treatments`` and ``bill`` list, so a sparse
+        # day alone reads up to 1.007
+        sources, _ = make_loaded_sources("tiny")
+        middleware = Middleware(build_hospital_aig(), sources)
+        documents = [middleware.evaluate({"date": date}).document
+                     for date in DATES]
+        nodes = sum(document.size() for document in documents)
+        tracked = sum(tracked_per_node(document) * document.size()
+                      for document in documents)
+        assert tracked / nodes <= 1.0
+        assert all(lazy_leaves(document) for document in documents)
+
+    def test_document_nodes_gauge_counts_the_text_not_made(self, groups):
+        _, document, tracer = groups
+        assert tracer.metrics.gauge("document_nodes") == document.size() \
+            == 200 * (1 + 1 + 1 + 1 + 8 * 5) + 1
+
+    def test_readers_never_make_the_text_child(self, groups):
+        aig, document, _ = groups
+        leaves = lazy_leaves(document)
+        before = tracked_per_node(document)
+        eager = parse_xml(serialize(document))
+        assert lazy_leaves(eager) == 0
+        assert serialize(document, indent=2) == serialize(eager, indent=2)
+        assert check_constraints(document, aig.constraints) == []
+        assert conforms_to(document, aig.dtd)
+        assert tree_diff(document, eager) == [] == tree_diff(eager, document)
+        assert document == eager and eager == document
+        group = document.find("group")
+        gid = group.subelement_value("gid")
+        assert gid == eager.find("group").subelement_value("gid")
+        assert group.text_value() == eager.find("group").text_value()
+        assert group.text_value().startswith(gid)
+        assert group.find_all("gid")[0].child_elements() == []
+        assert group.find("gid").find_all("x") == []
+        assert sum(1 for _ in document.iter("mid")) == 200 * 8
+        assert decode_document(*encode_document(document)) == eager
+        assert repr(group.find("gid")) == "XMLElement('gid', 1 children)"
+        assert lazy_leaves(document) == leaves
+        assert tracked_per_node(document) == before
+
+    def test_first_read_makes_one_text_child_kept_from_then_on(self):
+        leaf = new_element("b", new_element("a", None), "x")
+        children = leaf.children
+        assert len(children) == 1 and isinstance(children[0], XMLText)
+        assert children[0].value == "x" and children[0].parent is leaf
+        assert leaf.children is children and leaf._kids is children
+        assert leaf.parent.children == [leaf]
+
+    def test_size_counts_the_text_child_not_made(self):
+        leaf = new_element("b", None, "x")
+        assert leaf.size() == 2 == element("b", "x").size()
+        assert leaf._kids == "x"
+
+    def test_equality_with_an_eager_leaf(self):
+        for value in ("x", ""):
+            lazy, eager = new_element("a", None, value), element("a", value)
+            assert lazy == eager and eager == lazy
+            assert lazy == new_element("a", None, value)
+            assert serialize(lazy) == serialize(eager) == f"<a>{value}</a>"
+        lazy = new_element("a", None, "x")
+        for other in (element("a", "y"), element("a"), element("a", "x", "y"),
+                      element("a", element("x")), element("c", "x"),
+                      new_element("a", None, ""), text("x")):
+            assert lazy != other and other != lazy
+        assert new_element("a", None, "") != element("a")
+        assert lazy._kids == "x"
+
+    @staticmethod
+    def both_leaves():
+        """The same ``<p><b>x</b></p>``, its leaf lazy and eager."""
+        lazy_parent = new_element("p", None)
+        lazy = new_element("b", lazy_parent, "x")
+        eager = element("b", "x")
+        return (lazy_parent, lazy), (element("p", eager), eager)
+
+    @pytest.mark.parametrize("operation", [
+        lambda parent, leaf: leaf.append(element("c")),
+        lambda parent, leaf: leaf.append(text("y")),
+        lambda parent, leaf: leaf.remove(leaf.children[0]),
+        lambda parent, leaf: parent.replace_with_children(leaf),
+        lambda parent, leaf: parent.remove(leaf),
+        lambda parent, leaf: parent.append(element("c", leaf)),
+        lambda parent, leaf: leaf.children.clear(),
+    ])
+    def test_mutations_on_a_lazy_leaf_match_an_eager_one(self, operation):
+        outcomes = []
+        for parent, leaf in self.both_leaves():
+            operation(parent, leaf)
+            for tree in (parent, leaf):
+                assert all(child.parent is node for node in tree.iter()
+                           for child in node.children)
+            outcomes.append((serialize(parent), serialize(leaf),
+                             leaf.parent is parent, parent.size()))
+        assert outcomes[0] == outcomes[1]
