@@ -82,15 +82,15 @@ def _export_observability(tracer, args) -> None:
 
 
 def _backend_value(value: str):
-    """``--backend`` value: one spec, or ``DB1=file,DB3=duckdb`` pairs."""
-    from repro.relational import registered_backends
+    """``--backend`` value: one spec, or ``DB1=file,DB3=file:csv`` pairs."""
+    from repro.errors import SpecError
+    from repro.relational.backends import parse_spec
 
     def checked(spec: str) -> str:
-        base = spec.split(":", 1)[0]
-        if base not in registered_backends():
-            raise argparse.ArgumentTypeError(
-                f"unknown backend {base!r} "
-                f"(registered: {', '.join(registered_backends())})")
+        try:
+            parse_spec(spec)
+        except SpecError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
         return spec
     if "=" not in value:
         return checked(value)
@@ -493,9 +493,10 @@ def main(argv: list[str] | None = None) -> int:
     demo.add_argument("--backend", type=_backend_value, default=None,
                       metavar="SPEC",
                       help="source backend: one spec for all sources "
-                           "(sqlite, duckdb, file, file:parquet) or "
-                           "per-source pairs DB1=file,DB3=duckdb "
-                           "(unlisted sources stay sqlite)")
+                           "(sqlite, sqlite:PATH, file, file:csv, "
+                           "file:csv:DIR) or per-source pairs "
+                           "DB1=file,DB3=file:csv (unlisted sources stay "
+                           "sqlite)")
     demo.add_argument("--no-merge", action="store_true")
     demo.add_argument("--shards", type=_shards_value, default=1, metavar="N",
                       help="evaluate in N worker processes by key-range "

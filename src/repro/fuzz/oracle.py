@@ -20,9 +20,8 @@ evaluates one scenario under the full grid —
   (``report.violations``), plus an abort-consistency probe at one shard
   count — non-partitionable scenarios fall back to the single-process
   path and still must byte-match,
-* cross-backend runs (docs/BACKENDS.md): every source file-backed, every
-  source DuckDB-backed (when the driver is installed), and a mixed
-  per-source assignment — each must produce a byte-identical document
+* cross-backend runs (docs/BACKENDS.md): every source file-backed and a
+  mixed per-source assignment — each must produce a byte-identical document
   and an identical constraint verdict despite the ship-to-inline
   rewrite that temp-table-less backends trigger,
 
@@ -419,22 +418,15 @@ def _check_sharded(report: OracleReport, spec: ScenarioSpec,
 def backend_mixes(source_names) -> dict[str, dict[str, str] | str]:
     """The cross-backend assignments the oracle exercises.
 
-    Always the all-file mix (no temp tables, no writes — the maximal
-    capability gap); the all-duckdb mix when the driver is installed;
-    and a mixed federation cycling every available backend over the
+    The all-file mix (no temp tables, no writes — the maximal capability
+    gap) and a mixed federation alternating file and sqlite over the
     sources in sorted order, so ships cross backend boundaries.
     """
-    from repro.relational.backends import backend_available
-
-    cycle = ["file", "sqlite"]
     mixes: dict[str, dict[str, str] | str] = {"backends-file": "file"}
-    if backend_available("duckdb"):
-        mixes["backends-duckdb"] = "duckdb"
-        cycle.append("duckdb")
     names = sorted(source_names)
     if len(names) > 1:
         mixes["backends-mixed"] = {
-            name: cycle[index % len(cycle)]
+            name: ("file", "sqlite")[index % 2]
             for index, name in enumerate(names)}
     return mixes
 

@@ -57,7 +57,7 @@ def make_sources(backend: str | dict[str, str] | None = None
     ``backend`` selects the storage engine: ``None`` (sqlite), one
     backend spec for every source (``"file:csv"``), or a mapping of
     source name to spec for mixed federations
-    (``{"DB1": "duckdb", "DB3": "file"}``; unmapped sources default
+    (``{"DB1": "file", "DB3": "file:csv"}``; unmapped sources default
     to sqlite).  Specs are resolved by
     :func:`repro.relational.backends.create_backend`.
     """

@@ -3,7 +3,7 @@
 The paper evaluates AIGs over several relational databases that "may have
 different systems and may even reside in different sites".  Here each logical
 source is a :class:`DataSource` behind a pluggable storage backend
-(``sqlite3`` by default; DuckDB and a read-only file backend live in
+(``sqlite3`` by default; a read-only CSV file backend lives beside it in
 :mod:`repro.relational.backends`, see docs/BACKENDS.md), plus a
 distinguished :class:`Mediator` source that joins shipped results for the
 sources that cannot receive them.  Inter-site data transfer is simulated by
@@ -15,8 +15,6 @@ bandwidths).  :mod:`repro.relational.statistics` implements the per-source
 from repro.relational.backends import (
     Backend,
     BackendCapabilities,
-    BackendUnavailable,
-    backend_available,
     create_backend,
     registered_backends,
 )
@@ -35,8 +33,6 @@ from repro.relational.xmlsource import ShredSpec, shred, shred_spec, xml_source
 __all__ = [
     "Backend",
     "BackendCapabilities",
-    "BackendUnavailable",
-    "backend_available",
     "create_backend",
     "registered_backends",
     "Column",

@@ -1,111 +1,82 @@
 """Backend registry: spec strings to :class:`Backend` instances.
 
 A *backend spec* is a string naming a registered backend plus optional
-colon-separated options (interpreted by the factory):
+colon-separated options:
 
 * ``"sqlite"`` — the default in-memory sqlite3 engine
 * ``"sqlite:/path/to.db"`` — sqlite3 on a database file
-* ``"duckdb"`` — in-memory DuckDB (requires the optional ``duckdb``
-  package)
-* ``"file"`` / ``"file:csv"`` / ``"file:parquet"`` — read-only file
-  tables in a fresh temp directory (parquet requires ``pyarrow``)
-* ``"file:csv:/data/dir"`` — file tables rooted at a directory
+* ``"file"`` / ``"file:csv"`` — read-only CSV tables in a fresh temp
+  directory
+* ``"file:csv:/data/dir"`` — CSV tables rooted at a directory
 
 :func:`create_backend` builds a backend for one source schema;
-:func:`backend_available` probes whether a backend's optional driver is
-importable without constructing anything (used for clean test skips and
-for the fuzz oracle's environment-aware mix selection).
+:func:`parse_spec` validates a spec without constructing anything (the
+CLI checks ``--backend`` with it at argument parsing).
 """
 
 from __future__ import annotations
 
 from repro.errors import SpecError
-from repro.relational.backends.base import (
-    Backend,
-    BackendCapabilities,
-    BackendUnavailable,
-    sqlite_affinity,
-)
-from repro.relational.backends.duckdb_backend import DuckDBBackend
+from repro.relational.backends.base import Backend, BackendCapabilities
 from repro.relational.backends.file_backend import FileBackend
 from repro.relational.backends.sqlite3_backend import Sqlite3Backend
 
 __all__ = [
     "Backend",
     "BackendCapabilities",
-    "BackendUnavailable",
-    "DuckDBBackend",
     "FileBackend",
     "Sqlite3Backend",
-    "backend_available",
     "create_backend",
+    "parse_spec",
     "registered_backends",
-    "sqlite_affinity",
 ]
 
-
-def _make_sqlite(schema, options: list[str]):
-    path = options[0] if options else None
-    return Sqlite3Backend(schema, path=path)
+#: Every valid spec shape, for error messages.
+SPELLINGS = "sqlite, sqlite:PATH, file, file:csv, file:csv:DIR"
 
 
-def _make_duckdb(schema, options: list[str]):
-    if options:
-        raise SpecError(f"duckdb backend takes no options, got {options!r}")
-    return DuckDBBackend(schema)
+def _sqlite_options(options: str) -> dict:
+    return {"path": options or None}
 
 
-def _make_file(schema, options: list[str]):
-    file_format = options[0] if options and options[0] else "csv"
-    root = options[1] if len(options) > 1 else None
-    return FileBackend(schema, root=root, file_format=file_format)
+def _file_options(options: str) -> dict:
+    file_format, _, root = options.partition(":")
+    if file_format not in ("", "csv"):
+        raise SpecError(f"unknown file backend format {file_format!r} "
+                        f"(valid spellings: {SPELLINGS})")
+    return {"root": root or None}
 
 
 _FACTORIES = {
-    "sqlite": _make_sqlite,
-    "duckdb": _make_duckdb,
-    "file": _make_file,
+    "sqlite": (Sqlite3Backend, _sqlite_options),
+    "file": (FileBackend, _file_options),
 }
 
 
 def registered_backends() -> list[str]:
-    """Names of every registered backend (installed or not)."""
+    """Names of every registered backend."""
     return sorted(_FACTORIES)
 
 
-def backend_available(name: str) -> bool:
-    """Whether a backend's optional driver is importable."""
-    base = name.split(":", 1)[0]
-    if base not in _FACTORIES:
-        return False
-    if base == "duckdb":
-        try:
-            import duckdb  # noqa: F401
-        except ImportError:
-            return False
-        return True
-    if name.startswith("file:parquet"):
-        try:
-            import pyarrow  # noqa: F401
-            import pyarrow.parquet  # noqa: F401
-        except ImportError:
-            return False
-        return True
-    return True
+def parse_spec(spec) -> tuple[type, dict]:
+    """The backend class and constructor options a spec names; raises
+    :class:`~repro.errors.SpecError` on anything but :data:`SPELLINGS`."""
+    if not isinstance(spec, str) or not spec:
+        raise SpecError(f"backend spec must be a non-empty string or "
+                        f"Backend instance, got {spec!r}")
+    name, _, options = spec.partition(":")
+    if name not in _FACTORIES:
+        raise SpecError(f"unknown backend {name!r} "
+                        f"(valid spellings: {SPELLINGS})")
+    backend_class, parse = _FACTORIES[name]
+    return backend_class, parse(options)
 
 
 def create_backend(spec, schema) -> Backend:
     """Build a backend from a spec string (or pass through an instance)."""
     if isinstance(spec, Backend):
         return spec
-    if not isinstance(spec, str) or not spec:
-        raise SpecError(f"backend spec must be a non-empty string or "
-                        f"Backend instance, got {spec!r}")
-    name, _, rest = spec.partition(":")
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise SpecError(f"unknown backend {name!r} "
-                        f"(registered: {registered_backends()})")
-    backend = factory(schema, rest.split(":") if rest else [])
+    backend_class, options = parse_spec(spec)
+    backend = backend_class(schema, **options)
     backend.spec = spec
     return backend

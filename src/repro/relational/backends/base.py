@@ -31,72 +31,14 @@ from dataclasses import dataclass
 from repro.errors import EvaluationError
 
 
-class BackendUnavailable(EvaluationError):
-    """The backend's driver (duckdb, pyarrow, ...) is not installed."""
-
-
 @dataclass(frozen=True)
 class BackendCapabilities:
-    """What one backend implementation can do.
-
-    ``attachable`` means the backend exposes a SQLite URI that a
-    :class:`~repro.relational.source.Federation` can ``ATTACH`` directly;
-    non-attachable backends are *materialized* into the federation
-    connection instead (a typed copy of every base relation).
-    """
+    """What one backend implementation can do."""
 
     backend: str
     supports_temp_tables: bool = True
     supports_writes: bool = True
-    supports_deadlines: bool = True
     blob_affinity: bool = True
-    attachable: bool = True
-
-
-def sqlite_affinity(sqltype: str, value):
-    """Apply SQLite's column-affinity conversion rules in Python.
-
-    Strictly-typed engines (DuckDB, Arrow) have no affinity, so their
-    backends coerce values *before* insertion to reproduce what SQLite
-    would have stored: TEXT affinity renders numbers as text, INTEGER
-    affinity parses lossless numeric text, REAL affinity parses floats.
-    Values that do not convert are stored unchanged — exactly SQLite's
-    behavior for, say, ``'abc'`` in an INTEGER column.
-    """
-    if value is None or isinstance(value, (bytes, bytearray)):
-        return value
-    if sqltype == "TEXT":
-        if isinstance(value, bool):
-            return str(int(value))
-        if isinstance(value, (int, float)):
-            return repr(value) if isinstance(value, float) else str(value)
-        return value
-    if sqltype == "INTEGER":
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, float):
-            return int(value) if value == int(value) else value
-        if isinstance(value, str):
-            try:
-                as_float = float(value)
-            except ValueError:
-                return value
-            if as_float == int(as_float):
-                return int(as_float)
-            return as_float
-        return value
-    if sqltype == "REAL":
-        if isinstance(value, bool):
-            return float(int(value))
-        if isinstance(value, int):
-            return float(value)
-        if isinstance(value, str):
-            try:
-                return float(value)
-            except ValueError:
-                return value
-        return value
-    return value  # BLOB: no affinity, value round-trips unchanged
 
 
 class Backend:
@@ -148,17 +90,9 @@ class Backend:
         return [description[0] for description in cursor.description]
 
     def fetch_rows(self, cursor) -> list[tuple]:
-        """Drain a cursor into plain tuples.
-
-        The engine concatenates and slices rows (``row + (id,)``,
-        ``row[1:n] + (row[-1],)``), which silently breaks on drivers that
-        return lists or driver-specific row objects — so the base
-        implementation normalizes every row to a tuple.  Backends whose
-        driver already returns tuples override this with a bare
-        ``fetchall`` (see the sqlite3 backend).
-        """
-        return [row if type(row) is tuple else tuple(row)
-                for row in cursor.fetchall()]
+        """Drain a cursor into plain tuples (the engine concatenates and
+        slices rows: ``row + (id,)``)."""
+        return cursor.fetchall()
 
     # -- transactions ---------------------------------------------------
     def begin(self, connection) -> None:
@@ -192,22 +126,10 @@ class Backend:
         """Whether a driver error is the deadline interrupt firing."""
         return False
 
-    def temp_columns_ddl(self, columns, rows) -> tuple[str, object]:
-        """Column DDL for a shipped temp table (may sniff ``rows``).
-
-        Engines with optional typing take bare column names; strictly
-        typed engines materialize the row iterable, infer a type per
-        column, and return the (possibly materialized) rows alongside.
-        """
-        return ", ".join(f'"{c}"' for c in columns), rows
-
     # -- schema / loading ----------------------------------------------
-    def create_table_sql(self, relation_schema) -> str:
-        return relation_schema.create_table_sql()
-
     def create_base_tables(self, connection) -> None:
         for relation_schema in self.schema.relations:
-            connection.execute(self.create_table_sql(relation_schema))
+            connection.execute(relation_schema.create_table_sql())
 
     def load_rows(self, connection, relation_schema, rows) -> None:
         """Bulk-insert rows into a base relation (the datagen path).

@@ -1,19 +1,19 @@
-"""Read-only file backend: CSV or Parquet tables behind a scan engine.
+"""Read-only file backend: CSV tables behind a scan engine.
 
-Each base relation is stored as one file (``<relation>.csv`` or
-``<relation>.parquet``) under the backend's data directory; queries run
-against an embedded SQLite *scan engine* whose typed tables are loaded
-from those files, so the declared column affinities apply to decoded
-file values exactly as they apply to Python values in the default
-backend — the property the cross-backend differential oracle asserts
-byte-for-byte.
+Each base relation is stored as one ``<relation>.csv`` file under the
+backend's data directory; queries run against an embedded SQLite *scan
+engine* whose typed tables are loaded from those files, so the declared
+column affinities apply to decoded file values exactly as they apply to
+Python values in the default backend — the property the cross-backend
+differential oracle asserts byte-for-byte.
 
 The SQL interface is read-only (``supports_writes=False``): data reaches
-the source only through :meth:`FileBackend.load_rows`, which appends to
-the file and reloads the table from it, keeping the file the source of
-truth.  The backend declares ``supports_temp_tables=False`` — a file
-directory cannot receive shipped intermediate tables — which makes the
-execution engine rewrite every ship into an inline literal row set
+the source only through :meth:`FileBackend.load_rows`, which inserts the
+rows into the scan engine in one transaction and appends them to the
+file only once that commits, keeping the file the source of truth.  The
+backend declares ``supports_temp_tables=False`` — a file directory
+cannot receive shipped intermediate tables — which makes the execution
+engine rewrite every ship into an inline literal row set
 (docs/BACKENDS.md, "IN-list rewrite").  It is also not ATTACH-able, so
 the conceptual evaluator's Federation materializes it instead; both
 degraded paths are exercised by the always-available test environment.
@@ -22,24 +22,19 @@ CSV encoding: ``\\N`` is NULL, a leading backslash in a text value is
 doubled, integers render with ``str`` and floats with ``repr``.  Decoded
 fields are inserted as text and the scan engine's column affinity
 restores numerics — the same conversion SQLite applies to typed Python
-values, so both storage paths agree.  Parquet files (requires
-``pyarrow``) store typed values directly; column types map to
-``string``/``int64``/``float64`` after affinity coercion.
+values, so both storage paths agree.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 import shutil
 import tempfile
 
 from repro.errors import SpecError
-from repro.relational.backends.base import (
-    BackendCapabilities,
-    BackendUnavailable,
-    sqlite_affinity,
-)
+from repro.relational.backends.base import BackendCapabilities
 from repro.relational.backends.sqlite3_backend import Sqlite3Backend
 
 #: CSV field encoding of SQL NULL.
@@ -69,19 +64,12 @@ def _decode_field(field: str):
     return field
 
 
-def _pyarrow():
-    try:
-        import pyarrow
-        import pyarrow.parquet
-    except ImportError as error:
-        raise BackendUnavailable(
-            "the parquet file backend requires pyarrow, which is not "
-            "installed") from error
-    return pyarrow
+def _decode_rows(reader) -> list[tuple]:
+    return [tuple(map(_decode_field, row)) for row in reader]
 
 
 class FileBackend(Sqlite3Backend):
-    """Read-only CSV/Parquet source (see module docstring).
+    """Read-only CSV source (see module docstring).
 
     Subclasses the sqlite3 backend because the scan engine *is* an
     embedded SQLite session — connections, deadline interruption and
@@ -94,17 +82,9 @@ class FileBackend(Sqlite3Backend):
         backend="file",
         supports_temp_tables=False,
         supports_writes=False,
-        supports_deadlines=True,
-        blob_affinity=False,
-        attachable=False)
+        blob_affinity=False)
 
-    def __init__(self, schema, root: str | None = None,
-                 file_format: str = "csv"):
-        if file_format not in ("csv", "parquet"):
-            raise SpecError(f"unknown file backend format {file_format!r} "
-                            f"(use 'csv' or 'parquet')")
-        if file_format == "parquet":
-            _pyarrow()  # fail fast when the optional dep is missing
+    def __init__(self, schema, root: str | None = None):
         for relation_schema in schema.relations:
             for column in relation_schema.columns:
                 if column.sqltype == "BLOB":
@@ -113,8 +93,7 @@ class FileBackend(Sqlite3Backend):
                         f"column {column.name!r} is BLOB, which files "
                         f"cannot round-trip")
         super().__init__(schema)
-        self.file_format = file_format
-        self._owns_root = root is None
+        self._owns_root = not root
         self.root = root or tempfile.mkdtemp(
             prefix=f"repro_file_{schema.source}_")
         os.makedirs(self.root, exist_ok=True)
@@ -125,90 +104,48 @@ class FileBackend(Sqlite3Backend):
 
     # -- storage --------------------------------------------------------
     def table_path(self, relation_name: str) -> str:
-        return os.path.join(self.root,
-                            f"{relation_name}.{self.file_format}")
+        return os.path.join(self.root, f"{relation_name}.csv")
 
     def create_base_tables(self, connection) -> None:
         super().create_base_tables(connection)
         for relation_schema in self.schema.relations:
-            if os.path.exists(self.table_path(relation_schema.name)):
-                self._reload_table(connection, relation_schema)
+            path = self.table_path(relation_schema.name)
+            if os.path.exists(path):
+                with open(path, newline="", encoding="utf-8") as handle:
+                    reader = csv.reader(handle)
+                    header = next(reader, None)
+                    if header is not None and \
+                            header != list(relation_schema.column_names):
+                        raise SpecError(
+                            f"file backend: {path} header {header!r} does "
+                            f"not match relation {relation_schema.name!r}")
+                    self._insert(connection, relation_schema,
+                                 _decode_rows(reader))
 
     def load_rows(self, connection, relation_schema, rows) -> None:
-        rows = [tuple(row) for row in rows]
-        if self.file_format == "csv":
-            self._append_csv(relation_schema, rows)
-        else:
-            self._append_parquet(relation_schema, rows)
-        self._reload_table(connection, relation_schema)
-
-    def _append_csv(self, relation_schema, rows) -> None:
+        """Insert into the scan engine first, append to the file after
+        the commit: a refused load (a duplicate key) leaves both as they
+        were."""
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows(
+            [_encode_field(value) for value in row] for row in rows)
+        text.seek(0)
+        self._insert(connection, relation_schema,
+                     _decode_rows(csv.reader(text)))
         path = self.table_path(relation_schema.name)
         write_header = not os.path.exists(path)
         with open(path, "a", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
             if write_header:
-                writer.writerow(relation_schema.column_names)
-            for row in rows:
-                writer.writerow([_encode_field(value) for value in row])
+                csv.writer(handle).writerow(relation_schema.column_names)
+            handle.write(text.getvalue())
 
-    def _append_parquet(self, relation_schema, rows) -> None:
-        pyarrow = _pyarrow()
-        path = self.table_path(relation_schema.name)
-        coerced = [
-            [sqlite_affinity(column.sqltype, row[index])
-             for row in rows]
-            for index, column in enumerate(relation_schema.columns)]
-        types = {"TEXT": pyarrow.string(), "INTEGER": pyarrow.int64(),
-                 "REAL": pyarrow.float64()}
-        arrays = []
-        for values, column in zip(coerced, relation_schema.columns):
-            try:
-                arrays.append(pyarrow.array(
-                    values, type=types[column.sqltype]))
-            except (pyarrow.lib.ArrowInvalid,
-                    pyarrow.lib.ArrowTypeError) as error:
-                raise SpecError(
-                    f"parquet file backend: column {column.name!r} "
-                    f"({column.sqltype}) cannot store {error}") from None
-        table = pyarrow.Table.from_arrays(
-            arrays, names=list(relation_schema.column_names))
-        if os.path.exists(path):
-            existing = pyarrow.parquet.read_table(path)
-            table = pyarrow.concat_tables([existing, table])
-        pyarrow.parquet.write_table(table, path)
-
-    def _read_rows(self, relation_schema) -> list[tuple]:
-        path = self.table_path(relation_schema.name)
-        if not os.path.exists(path):
-            return []
-        if self.file_format == "csv":
-            with open(path, newline="", encoding="utf-8") as handle:
-                reader = csv.reader(handle)
-                header = next(reader, None)
-                if header is not None and \
-                        header != list(relation_schema.column_names):
-                    raise SpecError(
-                        f"file backend: {path} header {header!r} does not "
-                        f"match relation {relation_schema.name!r}")
-                return [tuple(_decode_field(field) for field in row)
-                        for row in reader]
-        pyarrow = _pyarrow()
-        table = pyarrow.parquet.read_table(path)
-        return [tuple(row) for row in zip(
-            *(column.to_pylist() for column in table.columns))]
-
-    def _reload_table(self, connection, relation_schema) -> None:
-        rows = self._read_rows(relation_schema)
+    def _insert(self, connection, relation_schema, rows) -> None:
         connection.execute("BEGIN")
         try:
-            connection.execute(f'DELETE FROM "{relation_schema.name}"')
-            if rows:
-                placeholders = ", ".join(
-                    "?" * len(relation_schema.columns))
-                connection.executemany(
-                    f'INSERT INTO "{relation_schema.name}" '
-                    f'VALUES ({placeholders})', rows)
+            self.executemany(
+                connection,
+                f'INSERT INTO "{relation_schema.name}" VALUES '
+                f'({", ".join("?" * len(relation_schema.columns))})', rows)
             connection.execute("COMMIT")
         except BaseException:
             self.rollback_open(connection)

@@ -32,9 +32,7 @@ class Sqlite3Backend(Backend):
         backend="sqlite",
         supports_temp_tables=True,
         supports_writes=True,
-        supports_deadlines=True,
-        blob_affinity=True,
-        attachable=True)
+        blob_affinity=True)
     error_types = (sqlite3.Error,)
 
     def __init__(self, schema, path: str | None = None):
@@ -68,13 +66,7 @@ class Sqlite3Backend(Backend):
         connection.executescript(sql)
         connection.commit()
 
-    def fetch_rows(self, cursor) -> list[tuple]:
-        return cursor.fetchall()  # sqlite3 rows are already tuples
-
     # -- transactions ---------------------------------------------------
-    def commit(self, connection) -> None:
-        connection.execute("COMMIT")
-
     def rollback_open(self, connection) -> bool:
         try:
             if connection.in_transaction:
@@ -108,10 +100,7 @@ class Sqlite3Backend(Backend):
         connection.commit()
 
     def load_rows(self, connection, relation_schema, rows) -> None:
-        placeholders = ", ".join("?" * len(relation_schema.columns))
-        connection.executemany(
-            f"INSERT INTO {relation_schema.name} VALUES ({placeholders})",
-            rows)
+        super().load_rows(connection, relation_schema, rows)
         connection.commit()
 
     def table_names(self, connection) -> list[str]:

@@ -169,7 +169,7 @@ class DataSource:
     ``execute`` call, and ``total_queries``/``total_seconds`` accumulate.
 
     ``backend`` selects the engine (docs/BACKENDS.md): a registry spec
-    string (``"sqlite"``, ``"duckdb"``, ``"file:csv"``, ...) or a
+    string (``"sqlite"``, ``"sqlite:/x.db"``, ``"file:csv"``, ...) or a
     constructed :class:`~repro.relational.backends.Backend`.  The default
     is the historical in-memory sqlite3 engine; ``path`` is a sqlite-only
     shorthand for a file-backed database and cannot be combined with an
@@ -233,7 +233,13 @@ class DataSource:
         return self.backend.connect()
 
     def _create_base_tables(self) -> None:
-        self.backend.create_base_tables(self.connection)
+        try:
+            self.backend.create_base_tables(self.connection)
+        except self._error_types as error:
+            self.close()
+            raise EvaluationError(
+                f"source {self.name!r}: creating the base tables at "
+                f"{self.uri or self.backend.spec} failed: {error}") from error
 
     # ------------------------------------------------------------------
     # loading
@@ -246,7 +252,12 @@ class DataSource:
         instead of issuing SQL INSERTs.
         """
         relation_schema = self.schema.relation_schema(relation_name)
-        self.backend.load_rows(self.connection, relation_schema, rows)
+        try:
+            self.backend.load_rows(self.connection, relation_schema, rows)
+        except self._error_types as error:
+            raise EvaluationError(
+                f"source {self.name!r}: loading rows into "
+                f"{relation_name!r} failed: {error}") from error
         self.bump_version(relation_name)
 
     # ------------------------------------------------------------------
@@ -298,9 +309,8 @@ class DataSource:
                 deadline: float | None = None) -> ResultSet:
         """Run a SELECT, returning a ResultSet; timing is recorded.
 
-        ``deadline`` bounds *in-flight* work in seconds: on backends that
-        support interruption (``capabilities.supports_deadlines``) the
-        running statement is aborted once it elapses, and injected slow
+        ``deadline`` bounds *in-flight* work in seconds: the backend
+        aborts the running statement once it elapses, and injected slow
         faults (Python-side sleeps the engine can never see) are clipped
         at the deadline inside :meth:`_faulted_sleep`.  Both paths raise
         :class:`~repro.resilience.retry.QueryDeadlineExceeded` wrapped in
@@ -414,7 +424,7 @@ class DataSource:
             self._temp_counter += 1
             name = f"__ship_{self._temp_counter}"
         backend = self.backend
-        ddl_columns, rows = backend.temp_columns_ddl(columns, rows)
+        quoted = ", ".join(f'"{column}"' for column in columns)
         try:
             if self.fault_injector is not None:
                 delay = self.fault_injector.on_statement(self.name)
@@ -422,7 +432,7 @@ class DataSource:
                     time.sleep(delay)
             backend.begin(conn)
             backend.execute(conn, f'DROP TABLE IF EXISTS "{name}"')
-            backend.execute(conn, f'CREATE TABLE "{name}" ({ddl_columns})')
+            backend.execute(conn, f'CREATE TABLE "{name}" ({quoted})')
             if rows:
                 placeholders = ", ".join("?" * len(columns))
                 backend.executemany(
@@ -516,8 +526,8 @@ class Federation:
     queries at the individual sources, which is what the equality tests
     between the two evaluation paths exercise.
 
-    Sources on attachable backends (the sqlite default) are ATTACHed by
-    URI and stay live; sources on other backends are *materialized* — an
+    Sources whose backend has an attach URI (the sqlite default) are
+    ATTACHed by it and stay live; the others are *materialized* — an
     in-memory schema is attached under the source's name, its base
     relations created with their declared types, and the rows copied in
     through the source's own ``execute``.  A federation is built per use
@@ -530,8 +540,7 @@ class Federation:
         self.connection = sqlite3.connect(":memory:", isolation_level=None)
         self.connection.execute("PRAGMA read_uncommitted=ON")
         for source in sources:
-            if source.uri is not None and \
-                    source.backend.capabilities.attachable:
+            if source.uri is not None:
                 self.connection.execute(
                     "ATTACH DATABASE ? AS " + f'"{source.name}"',
                     (source.uri,))
@@ -539,7 +548,7 @@ class Federation:
                 self._materialize(source)
 
     def _materialize(self, source: DataSource) -> None:
-        """Copy a non-attachable source's base relations into the federation."""
+        """Copy a source's base relations into the federation (no URI)."""
         self.connection.execute(
             "ATTACH DATABASE ':memory:' AS " + f'"{source.name}"')
         for relation_schema in source.schema.relations:

@@ -58,7 +58,7 @@ class InlineTable:
 
 
 def _inline_literal(value) -> str:
-    """One SQL literal for an inline row set (sqlite + duckdb syntax)."""
+    """One SQL literal for an inline row set (SQLite syntax)."""
     if value is None:
         return "NULL"
     if isinstance(value, bool):

@@ -1,45 +1,33 @@
 """Cross-backend conformance and differential tests (docs/BACKENDS.md).
 
-Every registered backend must present the same relational contract to
-the engine: tuple rows, SQLite NULL ordering, SQLite column-affinity
-storage semantics, honest capability flags, and version counters that
-move only on base-table writes.  On top of the per-backend conformance
+Both registered backends (sqlite3, and CSV files scanned by SQLite) must
+present the same relational contract to the engine: tuple rows, SQLite
+NULL ordering, SQLite column-affinity storage semantics, honest
+capability flags, deadline interruption, and version counters that move
+only on base-table writes.  On top of the per-backend conformance
 suite, the differential tests assert that the hospital pipeline
 produces byte-identical documents over every backend mix — including
 the ship-to-inline rewrite that no-temp-table backends trigger — and
 that sharding falls back cleanly when a backend lacks BLOB affinity.
-
-Backends whose optional driver (duckdb, pyarrow) is not installed skip
-cleanly; the CI ``optional-backends`` job runs them with drivers
-present.
 """
+
+import os
+import time
 
 import pytest
 
 from repro.errors import EvaluationError, SpecError
 from repro.relational import (
-    Backend,
     DataSource,
     SourceSchema,
-    backend_available,
     create_backend,
     registered_backends,
 )
-from repro.relational.backends import Sqlite3Backend, sqlite_affinity
+from repro.relational.backends import Sqlite3Backend
 from repro.relational.schema import relation
 
-needs_duckdb = pytest.mark.skipif(not backend_available("duckdb"),
-                                  reason="duckdb not installed")
-needs_pyarrow = pytest.mark.skipif(not backend_available("file:parquet"),
-                                   reason="pyarrow not installed")
-
-#: Every registered backend spec, optional ones marked for clean skips.
-BACKEND_SPECS = [
-    "sqlite",
-    "file",
-    pytest.param("file:parquet", marks=needs_pyarrow),
-    pytest.param("duckdb", marks=needs_duckdb),
-]
+#: Every registered backend spec.
+BACKEND_SPECS = ["sqlite", "file"]
 
 TYPED_SCHEMA = SourceSchema("S1", (
     relation("typed", "t:TEXT", "i:INTEGER", "r:REAL"),
@@ -74,7 +62,7 @@ class TestConformance:
 
     def test_null_ordering_matches_sqlite(self, typed_source):
         # SQLite sorts NULLs first ascending, last descending; every
-        # backend must agree (DuckDB is pinned via default_null_order).
+        # backend must agree.
         typed_source.load_rows("plain",
                                [("k1", None), ("k2", "x"), ("k3", None)])
         ascending = typed_source.execute(
@@ -86,8 +74,8 @@ class TestConformance:
 
     def test_affinity_matches_sqlite(self, typed_source):
         # TEXT renders numbers as text, INTEGER parses lossless numeric
-        # text, REAL parses floats — convertible values only, so the
-        # rows are representable on strictly typed engines too.
+        # text, REAL parses floats — whether the values arrive as Python
+        # objects or as decoded CSV text.
         typed_source.load_rows("typed", [(7, "12", "2.5"),
                                          (2.5, 3.0, 4)])
         result = typed_source.execute(
@@ -131,33 +119,23 @@ class TestConformance:
         names = typed_source.table_names()
         assert {"typed", "plain"} <= set(names)
 
+    def test_deadline_interrupts_a_runaway_statement(self, typed_source):
+        from repro.resilience.retry import QueryDeadlineExceeded
+
+        start = time.perf_counter()
+        with pytest.raises(EvaluationError) as caught:
+            typed_source.execute(
+                "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL "
+                "SELECT n + 1 FROM r) SELECT COUNT(*) FROM r",
+                deadline=0.05)
+        assert isinstance(caught.value.__cause__, QueryDeadlineExceeded)
+        assert time.perf_counter() - start < 1.0
+
 
 # ----------------------------------------------------------------------
-# affinity edge cases the strict engines cannot represent
+# affinity keeps what it cannot convert
 # ----------------------------------------------------------------------
 class TestAffinityFunction:
-    def test_text_affinity(self):
-        assert sqlite_affinity("TEXT", 7) == "7"
-        assert sqlite_affinity("TEXT", 2.5) == "2.5"
-        assert sqlite_affinity("TEXT", "x") == "x"
-        assert sqlite_affinity("TEXT", None) is None
-
-    def test_integer_affinity(self):
-        assert sqlite_affinity("INTEGER", "12") == 12
-        assert sqlite_affinity("INTEGER", "12.0") == 12
-        assert sqlite_affinity("INTEGER", "1.5") == 1.5
-        assert sqlite_affinity("INTEGER", "abc") == "abc"
-        assert sqlite_affinity("INTEGER", 3.0) == 3
-
-    def test_real_affinity(self):
-        assert sqlite_affinity("REAL", "2.5") == 2.5
-        assert sqlite_affinity("REAL", 4) == 4.0
-        assert sqlite_affinity("REAL", "abc") == "abc"
-
-    def test_blob_affinity_is_identity(self):
-        assert sqlite_affinity("BLOB", b"\x00\xff") == b"\x00\xff"
-        assert sqlite_affinity("BLOB", "kept") == "kept"
-
     def test_sqlite_keeps_unconvertible_text_in_integer_column(self):
         source = DataSource(TYPED_SCHEMA)
         source.load_rows("typed", [("t", "abc", "r")])
@@ -170,7 +148,7 @@ class TestAffinityFunction:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_registered_backends(self):
-        assert registered_backends() == ["duckdb", "file", "sqlite"]
+        assert registered_backends() == ["file", "sqlite"]
 
     def test_unknown_spec_raises(self):
         with pytest.raises(SpecError, match="unknown backend"):
@@ -179,12 +157,8 @@ class TestRegistry:
             create_backend("", TYPED_SCHEMA)
         with pytest.raises(SpecError):
             create_backend(42, TYPED_SCHEMA)
-
-    def test_backend_available(self):
-        assert backend_available("sqlite")
-        assert backend_available("file")
-        assert backend_available("file:csv")
-        assert not backend_available("oracle12c")
+        with pytest.raises(SpecError, match="valid spellings: sqlite"):
+            create_backend("file:xml", TYPED_SCHEMA)
 
     def test_instance_passes_through(self):
         backend = Sqlite3Backend(TYPED_SCHEMA)
@@ -198,6 +172,13 @@ class TestRegistry:
     def test_path_and_backend_are_exclusive(self):
         with pytest.raises(EvaluationError, match="not both"):
             DataSource(TYPED_SCHEMA, path="/tmp/x.db", backend="sqlite")
+
+    def test_sqlite_file_holding_the_schema_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "s1.db"
+        DataSource(TYPED_SCHEMA, backend=f"sqlite:{path}").close()
+        with pytest.raises(EvaluationError,
+                           match=f"'S1'.*file:{path}.*already exists"):
+            DataSource(TYPED_SCHEMA, backend=f"sqlite:{path}")
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +208,31 @@ class TestFileBackend:
         source = DataSource(TYPED_SCHEMA, backend="file")
         root = source.backend.root
         source.close()
-        import os
         assert not os.path.exists(root)
+
+    def test_empty_directory_option_is_a_temp_root(self):
+        source = DataSource(TYPED_SCHEMA, backend="file:csv:")
+        root = source.backend.root
+        assert os.path.isdir(root)
+        source.close()
+        assert not os.path.exists(root)
+
+    def test_refused_load_leaves_the_file_intact(self, tmp_path):
+        root = str(tmp_path / "tables")
+        source = DataSource(TYPED_SCHEMA, backend=f"file:csv:{root}")
+        source.load_rows("plain", [("k1", "v1")])
+        path = source.backend.table_path("plain")
+        with open(path, encoding="utf-8") as handle:
+            before = handle.read()
+        with pytest.raises(EvaluationError, match="'S1'.*'plain'"):
+            source.load_rows("plain", [("k2", "v2"), ("k1", "dup")])
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == before
+        assert source.execute('SELECT * FROM "plain"').rows == [("k1", "v1")]
+        source.close()
+        again = DataSource(TYPED_SCHEMA, backend=f"file:csv:{root}")
+        assert again.execute('SELECT * FROM "plain"').rows == [("k1", "v1")]
+        again.close()
 
     def test_blob_columns_are_rejected(self):
         schema = SourceSchema("S1", (relation("b", "c:BLOB"),))
@@ -237,41 +241,11 @@ class TestFileBackend:
 
 
 # ----------------------------------------------------------------------
-# backend-agnostic row shapes (regression: drivers returning sequences)
-# ----------------------------------------------------------------------
-class _SequenceCursor:
-    """A DB-API cursor whose rows are lists, not tuples."""
-
-    description = [("a", None), ("b", None)]
-
-    def __init__(self, rows):
-        self._rows = [list(row) for row in rows]
-
-    def fetchall(self):
-        rows, self._rows = self._rows, []
-        return rows
-
-
-class TestSequenceRows:
-    ROWS = [("k1", 1), ("k2", 2), ("k3", 3)]
-
-    def test_base_fetch_rows_normalizes_to_tuples(self):
-        rows = Backend(TYPED_SCHEMA).fetch_rows(_SequenceCursor(self.ROWS))
-        assert rows == list(self.ROWS)
-        assert all(type(row) is tuple for row in rows)
-        # the engine concatenates rows with id tuples — must not break
-        assert rows[0] + (9,) == ("k1", 1, 9)
-
-
-# ----------------------------------------------------------------------
 # differential: the hospital pipeline over backend mixes
 # ----------------------------------------------------------------------
 HOSPITAL_MIXES = [
     pytest.param("file", id="all-file"),
     pytest.param({"DB1": "file", "DB3": "file"}, id="mixed-file-sqlite"),
-    pytest.param("duckdb", id="all-duckdb", marks=needs_duckdb),
-    pytest.param({"DB1": "duckdb", "DB2": "file"}, id="mixed-three-way",
-                 marks=needs_duckdb),
 ]
 
 
@@ -303,7 +277,7 @@ class TestHospitalDifferential:
         tracer = Tracer()
         xml, _ = _hospital_run(backend, tracer=tracer)
         assert xml == sqlite_xml
-        # file/duckdb sources cannot host temp tables: the engine must
+        # file sources cannot host temp tables: the engine must
         # have rewritten at least one ship inline
         assert tracer.metrics.counter("ship_rewrites") > 0
 

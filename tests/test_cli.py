@@ -36,6 +36,18 @@ class TestCLI:
             assert "unrecognized arguments: --workers" in \
                 capsys.readouterr().err
 
+    def test_demo_bad_backend_spec(self, capsys):
+        # the whole spec is checked at parsing, not just the name before
+        # the first colon
+        for value in ("DB1=file:xml", "DB1=file,DB3=sqlite3", "file:tsv"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["demo", "--backend", value])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --backend" in err
+            assert "valid spellings: sqlite, sqlite:PATH, file, file:csv, " \
+                "file:csv:DIR" in err
+
     def test_check(self, capsys):
         assert main(["check", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out

@@ -126,7 +126,7 @@ class TestRecursionHandling:
     def test_probe_federation_is_closed(self, hospital_aig, tiny_sources,
                                         monkeypatch):
         # The blocked-query probe federates the sources per call; on
-        # non-attachable backends that copies every base relation, so
+        # backends without an attach URI that copies every base relation, so
         # each one must be closed when its probe returns.
         import sqlite3
         import repro.relational.source as source_module
