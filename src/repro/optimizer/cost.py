@@ -23,6 +23,7 @@ Two layers:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import PlanError
@@ -59,6 +60,31 @@ MEDIATOR_OVERHEAD = 0.01
 DEFAULT_COLUMN_BYTES = 8.0
 
 
+class LazyDistinct(Mapping):
+    """Output column -> distinct count, each resolved the first time it is
+    read and kept: a column nobody reads is never sent to the catalog.
+    Iterating it (``dict(...)``, ``items()``, ``==``) reads every column.
+    """
+
+    def __init__(self, resolvers: dict):
+        self._resolvers = resolvers
+        self._values: dict[str, float] = {}
+
+    def __getitem__(self, column: str) -> float:
+        if column not in self._values:
+            self._values[column] = self._resolvers[column]()
+        return self._values[column]
+
+    def __contains__(self, column) -> bool:
+        return column in self._resolvers
+
+    def __iter__(self):
+        return iter(self._resolvers)
+
+    def __len__(self) -> int:
+        return len(self._resolvers)
+
+
 @dataclass
 class NodeEstimate:
     """Estimated output of one QDG node."""
@@ -66,15 +92,16 @@ class NodeEstimate:
     cardinality: float
     row_bytes: float
     eval_seconds: float
-    distinct: dict[str, float] = field(default_factory=dict)
+    distinct: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def size_bytes(self) -> float:
         return self.cardinality * self.row_bytes
 
-    def distinct_count(self, column: str) -> float:
-        value = self.distinct.get(column, self.cardinality)
-        return max(1.0, min(value, max(self.cardinality, 1.0)))
+    def distinct_or(self, column: str, default: float) -> float:
+        """The distinct count of output ``column`` (read now if lazy), or
+        ``default`` for a column the node does not output."""
+        return self.distinct[column] if column in self.distinct else default
 
 
 class CostModel:
@@ -131,8 +158,8 @@ class CostModel:
         rows = max(float(measured["rows"]), 0.0)
         row_bytes = float(measured["bytes"]) / max(rows, 1.0)
         seconds = max(float(measured["seconds"]), 0.0)
-        return NodeEstimate(rows, row_bytes, seconds,
-                            dict(estimate.distinct))
+        # the same map, still lazy: copying it would read every column
+        return NodeEstimate(rows, row_bytes, seconds, estimate.distinct)
 
     def estimate_merged(self, node,
                         estimates: dict[str, NodeEstimate]) -> NodeEstimate:
@@ -170,7 +197,7 @@ class CostModel:
     def _estimate_query(self, query: Query,
                         estimates: dict[str, NodeEstimate]) -> NodeEstimate:
         cards: dict[str, float] = {}
-        distincts: dict[str, dict[str, float]] = {}
+        producers: dict[str, NodeEstimate] = {}
         base_stats: dict[str, object] = {}
         for item in query.from_items:
             if isinstance(item, BaseTable):
@@ -184,7 +211,7 @@ class CostModel:
                         f"estimating a query before its input "
                         f"{item.producer!r}")
                 cards[item.alias] = max(1.0, producer.cardinality)
-                distincts[item.alias] = producer.distinct
+                producers[item.alias] = producer
             else:
                 assert isinstance(item, SetParamTable)
                 cards[item.alias] = 100.0  # unresolved set parameter
@@ -193,8 +220,10 @@ class CostModel:
             if ref.table in base_stats:  # asks for this column, no other
                 return max(1.0,
                            base_stats[ref.table].distinct_count(ref.column))
-            return max(1.0, distincts.get(ref.table, {}).get(
-                ref.column, cards.get(ref.table, 100.0)))
+            default = cards.get(ref.table, 100.0)
+            producer = producers.get(ref.table)
+            return max(1.0, default if producer is None
+                       else producer.distinct_or(ref.column, default))
 
         cardinality = 1.0
         for alias_card in cards.values():
@@ -223,15 +252,19 @@ class CostModel:
                 cardinality *= 0.5
         cardinality = max(cardinality, 0.0)
 
-        output_distinct: dict[str, float] = {}
+        # Each output column's distinct count is read when a consumer's
+        # join or this query's DISTINCT asks for it, and not before.
+        ceiling = max(cardinality, 1.0)
+        resolvers = {}
         row_bytes = 2.0
         for item in query.select:
             if isinstance(item.expr, ColumnRef):
-                output_distinct[item.alias] = min(distinct_of(item.expr),
-                                                  max(cardinality, 1.0))
+                resolvers[item.alias] = (
+                    lambda ref=item.expr: min(distinct_of(ref), ceiling))
             else:
-                output_distinct[item.alias] = 1.0
+                resolvers[item.alias] = lambda: 1.0
             row_bytes += DEFAULT_COLUMN_BYTES
+        output_distinct = LazyDistinct(resolvers)
         if query.distinct:
             bound = 1.0
             for value in output_distinct.values():

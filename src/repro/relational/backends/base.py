@@ -132,17 +132,24 @@ class Backend:
             connection.execute(relation_schema.create_table_sql())
 
     def load_rows(self, connection, relation_schema, rows) -> None:
-        """Bulk-insert rows into a base relation (the datagen path).
+        """Bulk-insert rows into a base relation in one transaction: a
+        refused row (a duplicate key) rolls the whole batch back.
 
-        Read-only backends (``supports_writes=False``) still implement
-        this — it is how scenario data is materialized into them — just
+        Read-only backends (``supports_writes=False``) load through here
+        too — it is how scenario data is materialized into them — just
         not through the SQL interface.
         """
         placeholders = ", ".join("?" * len(relation_schema.columns))
-        self.executemany(
-            connection,
-            f'INSERT INTO "{relation_schema.name}" VALUES ({placeholders})',
-            rows)
+        self.begin(connection)
+        try:
+            self.executemany(
+                connection,
+                f'INSERT INTO "{relation_schema.name}" VALUES '
+                f'({placeholders})', rows)
+            self.commit(connection)
+        except BaseException:
+            self.rollback_open(connection)
+            raise
 
     def table_names(self, connection) -> list[str]:
         raise NotImplementedError

@@ -119,37 +119,25 @@ class FileBackend(Sqlite3Backend):
                         raise SpecError(
                             f"file backend: {path} header {header!r} does "
                             f"not match relation {relation_schema.name!r}")
-                    self._insert(connection, relation_schema,
-                                 _decode_rows(reader))
+                    super().load_rows(connection, relation_schema,
+                                      _decode_rows(reader))
 
     def load_rows(self, connection, relation_schema, rows) -> None:
-        """Insert into the scan engine first, append to the file after
-        the commit: a refused load (a duplicate key) leaves both as they
-        were."""
+        """Insert into the scan engine first (one transaction, as every
+        backend loads), append to the file after the commit: a refused
+        load (a duplicate key) leaves both as they were."""
         text = io.StringIO(newline="")
         csv.writer(text).writerows(
             [_encode_field(value) for value in row] for row in rows)
         text.seek(0)
-        self._insert(connection, relation_schema,
-                     _decode_rows(csv.reader(text)))
+        super().load_rows(connection, relation_schema,
+                          _decode_rows(csv.reader(text)))
         path = self.table_path(relation_schema.name)
         write_header = not os.path.exists(path)
         with open(path, "a", newline="", encoding="utf-8") as handle:
             if write_header:
                 csv.writer(handle).writerow(relation_schema.column_names)
             handle.write(text.getvalue())
-
-    def _insert(self, connection, relation_schema, rows) -> None:
-        connection.execute("BEGIN")
-        try:
-            self.executemany(
-                connection,
-                f'INSERT INTO "{relation_schema.name}" VALUES '
-                f'({", ".join("?" * len(relation_schema.columns))})', rows)
-            connection.execute("COMMIT")
-        except BaseException:
-            self.rollback_open(connection)
-            raise
 
     def close(self) -> None:
         if self._owns_root:

@@ -99,10 +99,6 @@ class Sqlite3Backend(Backend):
         super().create_base_tables(connection)
         connection.commit()
 
-    def load_rows(self, connection, relation_schema, rows) -> None:
-        super().load_rows(connection, relation_schema, rows)
-        connection.commit()
-
     def table_names(self, connection) -> list[str]:
         cursor = connection.execute(
             "SELECT name FROM sqlite_master WHERE type='table' ORDER BY name")

@@ -251,16 +251,18 @@ class Middleware:
         #: the prepared-plan cache: the check-then-insert and the
         #: stale-generation sweep must be atomic or two concurrent callers
         #: duplicate optimization work and interleave ``del``/insert.
-        #: ``_run_lock`` serializes the execution+tagging phase — sources
+        #: ``run_lock`` serializes the execution+tagging phase — sources
         #: are *single-flight* (one query at a time, see
         #: :class:`~repro.relational.source.DataSource`), the engine's
         #: mediator cache tables are named per-run, and the incremental
         #: result caches are committed mid-run, so overlapping executions
         #: on one instance would corrupt each other.  Reentrant so
         #: ``evaluate_batch`` can hold it across its member evaluations.
+        #: A writer to the sources outside a run (the service's delta
+        #: load) holds it too, so the write lands between two runs.
         self._prepared: dict = {}
         self._prepare_lock = threading.Lock()
-        self._run_lock = threading.RLock()
+        self.run_lock = threading.RLock()
         #: Optimization passes actually executed (cache misses in
         #: :meth:`prepare`).  A counting hook for tests and the service
         #: layer: under concurrent reuse this must grow once per distinct
@@ -296,7 +298,7 @@ class Middleware:
             # incremental caches are per-process state and deliberately
             # stay untouched on sharded runs.
             from repro.runtime.sharding import evaluate_sharded
-            with self._run_lock:
+            with self.run_lock:
                 sharded = evaluate_sharded(self, dict(root_inh), tracer)
             if sharded is not None:
                 return sharded
@@ -433,7 +435,7 @@ class Middleware:
             return entry
         # A miss reads statistics; sources are single-flight, so it waits
         # for a running evaluation (run lock first, as invalidate_plans).
-        with self._run_lock, self._prepare_lock:
+        with self.run_lock, self._prepare_lock:
             entry = self._prepared.get(key)
             if entry is not None:
                 return entry
@@ -489,7 +491,7 @@ class Middleware:
         sweeping the mediator tables (and result caches) out from under
         it.
         """
-        with self._run_lock:
+        with self.run_lock:
             with self._prepare_lock:
                 self._prepared = {}
                 self.stats.invalidate()
@@ -513,7 +515,7 @@ class Middleware:
         member evaluations nest): no other caller's evaluation interleaves
         with the batch.
         """
-        with self._run_lock:
+        with self.run_lock:
             return [self.evaluate(dict(values), tracer=tracer)
                     for values in root_inh_values]
 
@@ -571,11 +573,11 @@ class Middleware:
             lines.append("-- incremental cache state --")
             # Run lock: a concurrent evaluation must not swap the result
             # caches (or the last root attributes) mid-report.
-            self._run_lock.acquire()
+            self.run_lock.acquire()
             try:
                 lines.extend(self._explain_cache_state(depth, graph))
             finally:
-                self._run_lock.release()
+                self.run_lock.release()
         return "\n".join(lines)
 
     def _explain_cache_state(self, depth, graph) -> list[str]:
@@ -631,7 +633,7 @@ class Middleware:
         must prove its depth sufficient before they see a single event.
         ``report(run)`` fills the caller's report, gauges and ledger record.
         """
-        with self._run_lock:
+        with self.run_lock:
             depth = self._initial_depth()
             while True:
                 run = self._run_at_depth(root_inh, depth, tracer, span,

@@ -182,13 +182,19 @@ class EvaluationService:
 
     def load_rows(self, tenant: str, source: str, relation: str,
                   rows: list) -> dict:
-        """Delta ingestion: bulk-insert + version bump on a base table."""
+        """Delta ingestion: bulk-insert + version bump on a base table.
+
+        Sources are single-flight: the load waits for a running evaluation
+        of the tenant (its middleware's run lock), so a document reads the
+        relation wholly before or wholly after the write.
+        """
         state = self.registry.get(tenant)
         if source not in state.sources:
             raise EvaluationError(f"tenant {tenant!r} has no source "
                                   f"{source!r}")
-        state.sources[source].load_rows(relation,
-                                        [tuple(row) for row in rows])
+        with state.middleware.run_lock:
+            state.sources[source].load_rows(relation,
+                                            [tuple(row) for row in rows])
         self.metrics.add("service_deltas_ingested", 1)
         return {"tenant": tenant, "source": source, "relation": relation,
                 "rows": len(rows),

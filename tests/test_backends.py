@@ -93,6 +93,22 @@ class TestConformance:
             typed_source.create_temp_table(["c"], [("x",)], "tmp_probe")
             assert typed_source.table_version("plain") == before + 1
 
+    def test_refused_load_changes_nothing(self, typed_source):
+        # one transaction: rows before the duplicate are rolled back too,
+        # and the version stays, so no cache keeps serving the old rows
+        # as if they were current
+        typed_source.load_rows("plain", [("k1", "v1")])
+        before = typed_source.table_version("plain")
+        with pytest.raises(EvaluationError, match="'S1'.*'plain'"):
+            typed_source.load_rows("plain", [("k2", "v2"), ("k1", "dup"),
+                                             ("k3", "v3")])
+        assert typed_source.row_count("plain") == 1
+        assert typed_source.table_version("plain") == before
+        # the connection is clean: the next load commits
+        typed_source.load_rows("plain", [("k2", "v2")])
+        assert typed_source.row_count("plain") == 2
+        assert typed_source.table_version("plain") == before + 1
+
     def test_capability_flags_are_honest(self, typed_source):
         capabilities = typed_source.capabilities
         if capabilities.supports_temp_tables:

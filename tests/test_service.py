@@ -323,6 +323,23 @@ def _request(server, method, path, payload=None, headers=None):
         conn.close()
 
 
+def _covered_visit(dataset, date) -> list:
+    """A ``visitInfo`` row on ``date``: an existing patient visits a
+    treatment their policy covers.  No key/inclusion constraint moves, but
+    the document gains a treatment subtree (coverage is what makes the
+    visit visible, Example 1.1)."""
+    covered = set(map(tuple, dataset.cover))
+    existing = {(row[0], row[1]) for row in dataset.visit_info
+                if row[2] == date}
+    ssn, trid = next(
+        (patient_ssn, cover_trid)
+        for patient_ssn, _, policy in dataset.patient
+        for cover_policy, cover_trid in covered
+        if cover_policy == policy
+        and (patient_ssn, cover_trid) not in existing)
+    return [ssn, trid, date]
+
+
 def _count_writes(monkeypatch) -> list:
     """Wrap every handler's ``wfile``; returns the list that receives the
     length of each write."""
@@ -552,23 +569,10 @@ class TestHTTPSurface:
         _, _, before = _request(
             server, "POST", "/evaluate",
             {"tenant": "hospital", "root": {"date": date}})
-        # an existing patient visits a treatment their policy covers, on
-        # the report date: no key/inclusion constraint moves, but the
-        # document gains a treatment subtree (coverage is what makes the
-        # visit visible, Example 1.1)
-        covered = set(map(tuple, dataset.cover))
-        existing = {(row[0], row[1]) for row in dataset.visit_info
-                    if row[2] == date}
-        ssn, trid = next(
-            (patient_ssn, cover_trid)
-            for patient_ssn, _, policy in dataset.patient
-            for cover_policy, cover_trid in covered
-            if cover_policy == policy
-            and (patient_ssn, cover_trid) not in existing)
         status, _, body = _request(
             server, "POST", "/tenants/hospital/load",
             {"source": "DB1", "relation": "visitInfo",
-             "rows": [[ssn, trid, date]]})
+             "rows": [_covered_visit(dataset, date)]})
         assert status == 200
         assert json.loads(body)["rows"] == 1
         status, headers, after = _request(
@@ -725,6 +729,75 @@ class TestBreakersAtAdmission:
             service.evaluate("frail", {"date": dataset.busiest_date()})
         counters = service.metrics.snapshot()["counters"]
         assert counters.get("service_breaker_rejections", 0) == 1
+
+
+class TestDeltaLoadDuringARun:
+    """Sources are single-flight: a delta load waits for the tenant's
+    running evaluation instead of writing between its statements."""
+
+    def test_load_lands_after_the_running_evaluation(self):
+        from repro.resilience import FaultInjector
+
+        def in_process(delta=None) -> bytes:
+            sources, _ = make_loaded_sources("tiny", seed=5)
+            try:
+                if delta is not None:
+                    sources["DB1"].load_rows("visitInfo", [tuple(delta)])
+                document = Middleware(build_hospital_aig(), sources,
+                                      unfold_depth=8).evaluate(root).document
+                return serialize(document).encode("utf-8")
+            finally:
+                for source in sources.values():
+                    source.close()
+
+        service = EvaluationService()
+        sources, dataset = make_loaded_sources("tiny", seed=5)
+        root = {"date": dataset.busiest_date()}
+        delta = _covered_visit(dataset, root["date"])
+        service.register_tenant("hospital", build_hospital_aig(), sources,
+                                {"unfold_depth": 8})
+        statements = []
+        for name, source in sources.items():
+            backend = source.backend
+            backend.execute = (
+                lambda connection, sql, params=(), _name=name,
+                _run=backend.execute: (statements.append((_name, sql)),
+                                       _run(connection, sql, params))[1])
+            backend.executemany = (
+                lambda connection, sql, rows, _name=name,
+                _run=backend.executemany: (statements.append((_name, sql)),
+                                           _run(connection, sql, rows))[1])
+        # the run parks on DB1's first statement, before reading visitInfo
+        injector = FaultInjector.from_spec("DB1:slow@1:0.5").install(sources)
+        parked = threading.Event()
+        on_statement = injector.on_statement
+        injector.on_statement = lambda name: (
+            parked.set() if name == "DB1" else None, on_statement(name))[1]
+        replies = []
+        with _serving(service) as server:
+            running = threading.Thread(target=lambda: replies.append(
+                _request(server, "POST", "/evaluate",
+                         {"tenant": "hospital", "root": root})))
+            running.start()
+            assert parked.wait(30)
+            status, _, _ = _request(
+                server, "POST", "/tenants/hospital/load",
+                {"source": "DB1", "relation": "visitInfo", "rows": [delta]})
+            running.join(60)
+            assert not running.is_alive()
+            assert status == 200
+            # the run's statements and the load's, nothing else yet
+            before_next = list(statements)
+            after = _request(server, "POST", "/evaluate",
+                             {"tenant": "hospital", "root": root})
+        (run_status, _, body), = replies
+        assert run_status == 200
+        # the load is one statement, after the run's last
+        assert [sql for _, sql in before_next
+                if "visitInfo" in sql and sql.startswith("INSERT")] == [
+            before_next[-1][1]]
+        assert body == in_process()
+        assert after[2] == in_process(delta) != body
 
 
 # ----------------------------------------------------------------------

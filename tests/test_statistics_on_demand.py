@@ -39,9 +39,12 @@ _spec.loader.exec_module(plan_identity)  # also puts benchmarks/e2e on the path
 from workloads import (build_catalog_aig,  # noqa: E402
                        close_sources, make_catalog_sources)
 
-CATALOG_READS = {("WH", "items", "cardinality", None)} | {
-    ("WH", "items", "distinct", column)
-    for column in ("day", "sku", "title", "price", "vendor")}
+#: the cold ``catalog-stream`` plan is one node nothing joins against: its
+#: ``$day`` filter is the one distinct count an estimate consumes
+CATALOG_READS = {("WH", "items", "cardinality", None),
+                 ("WH", "items", "distinct", "day")}
+#: every read a :class:`StatisticsCatalog` can issue starts so
+CATALOG_SQL = ("SELECT COUNT(", "SELECT CAST(")
 
 
 def spy(sources: dict) -> list:
@@ -84,21 +87,21 @@ class TestColdPath:
         report = middleware.evaluate_stream({"day": "2026-08-03"},
                                             chunks.append)
         reads = asked(middleware)
-        assert set(reads) == CATALOG_READS and len(reads) == 6
+        assert set(reads) == CATALOG_READS and len(reads) == 2
         # $day is a parameter, not a literal: no most-common-value query,
         # and no column the query does not reference was looked at
         assert not any("GROUP BY" in sql or '"u' in sql
                        for _, sql in statements)
-        # 6 catalog reads + the plan's one statement, which alone is
+        # 2 catalog reads + the plan's one statement, which alone is
         # counted as a query
-        assert len(statements) == 7
+        assert len(statements) == 3
         assert report.queries_executed == 1
         assert sources["WH"].total_queries == 1
         # a second prepare of the same plan, and of another depth, hit the
         # memo
         middleware.prepare(None)
         middleware.prepare(2)
-        assert len(asked(middleware)) == 6 and len(statements) == 7
+        assert len(asked(middleware)) == 2 and len(statements) == 3
 
     def test_each_statistic_is_read_once_across_threads(self):
         sources = make_catalog_sources(1, 2000)
@@ -128,7 +131,7 @@ class TestColdPath:
         assert errors == []
         reads = asked(middleware)
         assert sorted(reads, key=str) == sorted(CATALOG_READS, key=str)
-        assert sum("COUNT(" in sql for _, sql in statements) == 6
+        assert sum("COUNT(" in sql for _, sql in statements) == 2
 
     def test_hospital_reads_only_referenced_columns(self):
         sources, dataset = make_loaded_sources("tiny", seed=5)
@@ -149,14 +152,16 @@ class TestColdPath:
         source = DataSource(SourceSchema("DB", (relation("t", "k", "v"),)))
         source.load_rows("t", [(f"id{i}", "hot") for i in range(90)]
                          + [(f"id{90 + i}", f"cold{i}") for i in range(10)])
+        # the selected column's distinct count is never wanted: nothing
+        # joins against the estimate and the query is no DISTINCT
         for text, kinds in (
                 ("select t.k from DB:t t where t.v = $x",
-                 ["cardinality", "distinct", "distinct"]),
+                 ["cardinality", "distinct"]),
                 ("select t.k from DB:t t where t.v = 'hot'",
-                 ["cardinality", "distinct", "mcv", "distinct"]),
+                 ["cardinality", "distinct", "mcv"]),
                 # an all-distinct column has no common value to ask for
                 ("select t.v from DB:t t where t.k = 'id3'",
-                 ["cardinality", "distinct", "distinct"])):
+                 ["cardinality", "distinct"])):
             catalog = StatisticsCatalog.from_sources([source])
             CostModel(catalog)._estimate_query(parse_query(text), {})
             assert [read[2] for read in catalog.reads] == kinds, text
@@ -175,11 +180,103 @@ class TestColdPath:
         assert {by_id[span.parent_id].name for span in spans} <= {
             "specialize", "build-qdg", "merge+schedule", "decompose"}
         counters = tracer.metrics.snapshot()["counters"]
-        assert counters["statistics_reads"] == 6
+        assert counters["statistics_reads"] == 2
         assert "statistics_read_failures" not in counters
         text = middleware.explain()
         assert "-- statistics read" in text
-        assert "  WH:items distinct(vendor)  " in text
+        assert "  WH:items distinct(day)  " in text
+
+
+class TestConsumedDistinct:
+    """An estimate's output distinct counts are read where a join or a
+    ``DISTINCT`` consumes them, inside ``prepare``, and nowhere else."""
+
+    @staticmethod
+    def _model():
+        source = DataSource(SourceSchema("DB", (
+            relation("t", "k", "v", "w"), relation("u", "k", "x"))))
+        source.load_rows("t", [(f"k{i % 7}", f"v{i % 3}", "w")
+                               for i in range(50)])
+        source.load_rows("u", [(f"k{i}", f"x{i}") for i in range(20)])
+        catalog = StatisticsCatalog.from_sources([source])
+        return catalog, CostModel(catalog)
+
+    def test_a_join_reads_the_producers_join_column_only(self):
+        catalog, model = self._model()
+        producer = model._estimate_query(
+            parse_query("select t.k, t.v, t.w from DB:t t"), {})
+        assert [read[:4] for read in catalog.reads] == [
+            ("DB", "t", "cardinality", None)]
+        model._estimate_query(
+            parse_query("select u.x, p.v from DB:u u, @producer p "
+                        "where u.k = p.k"), {"producer": producer})
+        assert [read[:4] for read in catalog.reads][1:] == [
+            ("DB", "u", "cardinality", None),
+            ("DB", "u", "distinct", "k"),
+            ("DB", "t", "distinct", "k")]
+        # read once: the producer keeps the value
+        assert producer.distinct["k"] == 7
+        assert len(catalog.reads) == 4
+
+    def test_select_distinct_reads_every_output_column(self):
+        catalog, model = self._model()
+        estimate = model._estimate_query(
+            parse_query("select distinct t.k, t.v from DB:t t"), {})
+        assert [read[2:4] for read in catalog.reads] == [
+            ("cardinality", None), ("distinct", "k"), ("distinct", "v")]
+        assert estimate.cardinality == 21
+
+    def test_reads_are_the_same_with_a_feedback_store(self):
+        from repro.obs.feedback import CostFeedbackStore
+        sources, dataset = make_loaded_sources("tiny", seed=5)
+        date = dataset.busiest_date()
+        store = CostFeedbackStore()
+
+        def evaluated(**config):
+            middleware = Middleware(build_hospital_aig(), sources,
+                                    Network.mbps(1.0), **config)
+            middleware.evaluate({"date": date})
+            return middleware
+
+        plain = evaluated()
+        evaluated(cost_feedback=store)
+        assert store.generation > 0
+        # a fresh catalog planned from the store's corrections
+        corrected = evaluated(cost_feedback=store)
+        assert asked(corrected) == asked(plain)
+        catalog = make_catalog_sources(1, 200)
+        for _ in range(2):
+            middleware = Middleware(build_catalog_aig(), catalog,
+                                    cost_feedback=store)
+            middleware.evaluate_stream({"day": "2026-08-03"},
+                                       lambda chunk: None)
+            assert set(asked(middleware)) == CATALOG_READS
+        close_sources(sources)
+        close_sources(catalog)
+
+    @pytest.mark.parametrize("workload", ["hospital", "catalog"])
+    def test_no_read_after_prepare_returns(self, workload):
+        if workload == "hospital":
+            sources, dataset = make_loaded_sources("tiny", seed=5)
+            # deep enough that no run re-prepares at a doubled depth
+            middleware = Middleware(build_hospital_aig(), sources,
+                                    Network.mbps(1.0), unfold_depth=8)
+            root = {"date": dataset.busiest_date()}
+        else:
+            sources = make_catalog_sources(1, 200)
+            middleware = Middleware(build_catalog_aig(), sources)
+            root = {"day": "2026-08-03"}
+        middleware.prepare(middleware._initial_depth())
+        reads = list(middleware.stats.reads)
+        statements = spy(sources)
+        middleware.evaluate(dict(root))
+        middleware.evaluate_stream(dict(root), lambda chunk: None)
+        middleware.explain()
+        middleware.calibration_report()
+        assert statements and not any(sql.lstrip().startswith(CATALOG_SQL)
+                                      for _, sql in statements)
+        assert middleware.stats.reads == reads
+        close_sources(sources)
 
 
 class TestStaleStatistics:
@@ -211,7 +308,7 @@ class TestStaleStatistics:
                                         sources, {"incremental": False})
         # registration prepared the plan: the first request reads nothing
         assert state.middleware.prepare_count == 1
-        assert len(state.middleware.stats.reads) == 6
+        assert len(state.middleware.stats.reads) == 2
         before = state.middleware.prepare(None)[3]
         server, _ = start_background(service)
 
@@ -317,12 +414,13 @@ class TestPlanIdentity:
         try:
             aig = scenario.build_aig()
             depth = Middleware(aig, sources, **config)._initial_depth()
-            same, on_demand = plan_identity.identical(aig, sources, depth,
-                                                      **config)
+            # the reads as prepare left them: the signature reads the rest
+            same, on_demand, reads = plan_identity.identical(
+                aig, sources, depth, **config)
             assert same
             assert on_demand.stats.read_failures == 0
             if label == "catalog-stream":
-                assert set(asked(on_demand)) == CATALOG_READS
+                assert set(reads) == CATALOG_READS and len(reads) == 2
         finally:
             close_sources(sources)
 
@@ -335,7 +433,7 @@ class TestPlanIdentity:
             try:
                 depth = Middleware(aig, sources)._initial_depth()
                 for merging in (True, False):
-                    same, on_demand = plan_identity.identical(
+                    same, on_demand, _ = plan_identity.identical(
                         aig, sources, depth, merging=merging)
                     assert same, (seed, mix, merging)
                     assert on_demand.stats.read_failures == 0

@@ -32,7 +32,11 @@ from repro.relational import collect_stats  # noqa: E402
 
 
 def signature(entry) -> tuple:
-    """What ``prepare()`` decided, in a form ``==`` compares exactly."""
+    """What ``prepare()`` decided, in a form ``==`` compares exactly.
+
+    Reads every output column's distinct count, which a plan leaves unread
+    where no join or ``DISTINCT`` consumes it: take ``stats.reads`` first.
+    """
     graph, plan, _, cost, estimates = entry
     return (cost, sorted(graph.nodes),
             {source: list(sequence) for source, sequence in plan.items()},
@@ -48,14 +52,18 @@ def eager_snapshot(middleware: Middleware) -> None:
             middleware.stats.set_stats(name, relation, stats)
 
 
-def identical(aig, sources, depth=None, **config) -> tuple[bool, Middleware]:
+def identical(aig, sources, depth=None, **config
+              ) -> tuple[bool, Middleware, list]:
     """``prepare(depth)`` on demand == over an eager snapshot; also returns
-    the on-demand middleware (its ``stats.reads`` say what was asked)."""
+    the on-demand middleware and what its ``prepare`` read, taken before
+    the comparison's own reads."""
     asked = Middleware(aig, sources, **config)
     scanned = Middleware(aig, sources, **config)
     eager_snapshot(scanned)
-    same = signature(asked.prepare(depth)) == signature(scanned.prepare(depth))
-    return same and not scanned.stats.reads, asked
+    entry = asked.prepare(depth)
+    reads = [read[:4] for read in asked.stats.reads]
+    same = signature(entry) == signature(scanned.prepare(depth))
+    return same and not scanned.stats.reads, asked, reads
 
 
 def cases():
@@ -87,7 +95,7 @@ def main() -> int:
             prepared = time.perf_counter()
             produce(scenario, cold, dict(scenario.roots[0]))
             done = time.perf_counter()
-            same, _ = identical(aig, sources, depth, **config)
+            same, _, _ = identical(aig, sources, depth, **config)
             failures += not same
             reads = cold.stats.reads
             print(f"{label}: plan {'identical' if same else 'DIFFERS'} to the "

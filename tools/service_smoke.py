@@ -23,7 +23,12 @@ TCP.  It checks the full loop a production probe would:
 7. send a chunked request with a bad ``indent``: it must be refused
    with 400 as the one response on the socket, never a ``200`` header
    followed by a second response;
-8. terminate the child and require a clean exit.
+8. fire a delta load that adds a visible visit in the middle of a burst
+   of misses from several clients: the load waits for the evaluation
+   running on the tenant, so every body must equal the in-process
+   document before the write or the one after it — the latter for every
+   request sent after the load returned;
+9. terminate the child and require a clean exit.
 
 Usage (CI runs this after the unit suite)::
 
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import queue
 import re
 import socket
 import subprocess
@@ -55,6 +61,11 @@ from repro.xmlmodel import serialize
 ADDRESS_RE = re.compile(r"listening on http://([0-9.]+):(\d+)")
 #: step 5's delta: a cover row no patient's policy matches
 DELTA_ROW = ("P99999", "T99999")
+#: step 8's burst: every (date, indent) pair is a miss before the write
+BURST_DATES = [f"2003-06-{day:02d}" for day in range(4, 10)]
+BURST_INDENTS = (None, 2)
+#: step 8's delta lands on this date
+BURST_DELTA_DATE = "2003-06-06"
 
 
 def _request(host, port, method, path, payload=None, timeout=60):
@@ -117,6 +128,96 @@ def _in_process_documents(scale: str, root: dict) -> dict:
     finally:
         for source in sources.values():
             source.close()
+
+
+def _covered_visit(dataset, date: str) -> tuple:
+    """A ``visitInfo`` row on ``date`` the document shows: an existing
+    patient visits a treatment their policy covers, not yet visited."""
+    existing = {(row[0], row[1]) for row in dataset.visit_info
+                if row[2] == date}
+    return next((ssn, trid, date)
+                for ssn, _, policy in dataset.patient
+                for cover_policy, trid in sorted(set(dataset.cover))
+                if cover_policy == policy and (ssn, trid) not in existing)
+
+
+def _burst_oracle(scale: str) -> tuple:
+    """Step 8's delta row, and ``(date, indent) -> bytes`` of in-process
+    documents before and after it is loaded (step 5's row in both)."""
+    sources, dataset = make_loaded_sources(scale)
+    try:
+        sources["DB2"].load_rows("cover", [DELTA_ROW])
+        delta = _covered_visit(dataset, BURST_DELTA_DATE)
+        documents = []
+        for rows in ((), [delta]):
+            if rows:
+                sources["DB1"].load_rows("visitInfo", rows)
+            middleware = Middleware(build_hospital_aig(), sources,
+                                    unfold_depth="auto")
+            documents.append({
+                (date, indent): serialize(
+                    middleware.evaluate({"date": date}).document,
+                    indent=indent).encode("utf-8")
+                for date in BURST_DATES for indent in BURST_INDENTS})
+        return delta, documents[0], documents[1]
+    finally:
+        for source in sources.values():
+            source.close()
+
+
+def _burst_with_load(host, port, delta, clients: int) -> list:
+    """``clients`` threads request every ``(date, indent)`` pair; the delta
+    load is posted once a third of the replies are in, and every pair is
+    requested again after it returned.  Returns ``(key, body, sent after
+    the load returned, received before the load was sent)`` per request."""
+    keys = [(date, indent) for date in BURST_DATES
+            for indent in BURST_INDENTS]
+    work = queue.Queue()
+    lock = threading.Lock()
+    results, errors = [], []
+    load_sent = False
+    third = threading.Event()
+
+    def client():
+        while (item := work.get()) is not None:
+            key, after_load = item
+            try:
+                date, indent = key
+                status, _, body = _request(
+                    host, port, "POST", "/evaluate",
+                    {"tenant": "hospital", "root": {"date": date},
+                     "indent": indent})
+                assert status == 200, f"burst {key} -> {status}"
+            except Exception as error:  # noqa: BLE001 - reported by caller
+                errors.append(error)
+                third.set()
+                continue
+            with lock:
+                results.append((key, body, after_load, not load_sent))
+                if len(results) * 3 >= len(keys):
+                    third.set()
+
+    threads = [threading.Thread(target=client) for _ in range(clients)]
+    for thread in threads:
+        thread.start()
+    for key in keys:
+        work.put((key, False))
+    third.wait(120)
+    with lock:
+        load_sent = True
+    status, _, body = _request(host, port, "POST", "/tenants/hospital/load",
+                               {"source": "DB1", "relation": "visitInfo",
+                                "rows": [list(delta)]})
+    for key in keys:
+        work.put((key, True))
+    for thread in threads:
+        work.put(None)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    assert status == 200, body
+    return results
 
 
 def _wait_for_health(host, port, deadline_seconds=30.0):
@@ -266,6 +367,22 @@ def run_smoke(scale: str, clients: int) -> None:
         assert reply.count(b"HTTP/1.1 ") == 1, \
             "a second response inside the first"
         print("- chunked request with a bad indent: one 400 response")
+
+        delta, before, after = _burst_oracle(scale)
+        changed = {key for key in before if before[key] != after[key]}
+        assert changed, "the burst's delta changes no document"
+        results = _burst_with_load(host, port, delta, min(clients, 4))
+        for key, body, after_load, before_load in results:
+            assert body in (before[key], after[key]), \
+                f"burst {key}: a document neither before nor after the load"
+            if after_load:
+                assert body == after[key], f"burst {key}: stale after load"
+            if before_load:
+                assert body == before[key], f"burst {key}: write seen early"
+        print(f"- delta load inside a burst of {len(results)} misses: every "
+              f"body the document before or after the write "
+              f"({sum(body != before[key] for key, body, _, _ in results)} "
+              f"after, on {len(changed)} changed document(s))")
     finally:
         child.terminate()
         try:
