@@ -68,7 +68,6 @@ from repro.relational import (
 from repro.relational.schema import (
     Column,
     RelationSchema,
-    SourceCapabilities,
     relation,
 )
 from repro.aig import (
@@ -110,7 +109,6 @@ __all__ = [
     "Key", "InclusionConstraint", "foreign_key", "check_constraints",
     # relational substrate
     "Catalog", "SourceSchema", "RelationSchema", "Column", "relation",
-    "SourceCapabilities",
     "DataSource", "Mediator", "Federation", "Network", "StatisticsCatalog",
     # AIG
     "AIG", "ChoiceBranch", "ConceptualEvaluator", "Rows",

@@ -213,8 +213,7 @@ def _profile(args) -> int:
     from repro import Middleware, Network
     from repro.datagen import make_loaded_sources
     from repro.hospital import build_hospital_aig
-    from repro.obs import CostFeedbackStore, build_profile, \
-        profile_evaluation
+    from repro.obs import CostFeedbackStore, profile_evaluation
 
     aig = build_hospital_aig()
     sources, dataset = make_loaded_sources(args.scale)
@@ -232,11 +231,12 @@ def _profile(args) -> int:
                             cost_feedback=feedback,
                             ledger=args.ledger)
     for run in range(1, args.runs + 1):
-        report, text = profile_evaluation(middleware, {"date": date})
+        _, calibration, text = profile_evaluation(middleware,
+                                                  {"date": date})
         if args.runs > 1:
             print(f"-- run {run}/{args.runs} --")
         print(text)
-        aggregates = middleware.calibration_report().aggregates()
+        aggregates = calibration.aggregates()
         print(f"calibrate: q-error median rows "
               f"{aggregates['rows_q_error']['median']:.2f}, seconds "
               f"{aggregates['seconds_q_error']['median']:.2f} "
@@ -246,16 +246,12 @@ def _profile(args) -> int:
             print()
     print("statistics read:", *middleware.stats.describe_reads(), sep="\n")
     if args.json:
-        profiled = build_profile(middleware._last_graph,
-                                 middleware._last_estimates,
-                                 middleware._last_result.timings)
-        payload = {"nodes": [node.to_dict() for node in profiled],
-                   "calibration":
-                       middleware.calibration_report().aggregates()}
+        payload = {"nodes": [node.to_dict() for node in calibration.nodes],
+                   "calibration": aggregates}
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"profile: {len(profiled)} node(s) -> {args.json}")
+        print(f"profile: {len(calibration.nodes)} node(s) -> {args.json}")
     if args.ledger:
         print(f"ledger: {args.runs} record(s) appended -> {args.ledger}")
     _export_observability(tracer, args)
@@ -303,7 +299,7 @@ def _explain(args) -> int:
         # EXPLAIN ANALYZE: evaluate under measurement, then print the
         # plan followed by the est-vs-measured annotation of what ran.
         from repro.obs import profile_evaluation
-        _, analyze_text = profile_evaluation(
+        _, _, analyze_text = profile_evaluation(
             middleware, {"date": dataset.busiest_date()})
         print(middleware.explain(middleware._last_depth))
         print()

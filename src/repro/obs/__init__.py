@@ -22,9 +22,9 @@ Zero-dependency (stdlib only).  The subsystem's pieces:
 * :mod:`repro.obs.feedback` — the cost-feedback store: EWMA of measured
   per-node costs keyed by structural fingerprint, consulted by the cost
   model via ``Middleware(cost_feedback=...)``.
-* :mod:`repro.obs.profile` — EXPLAIN ANALYZE: the executed plan annotated
-  with estimated vs measured rows/seconds and per-node q-error
-  (``python -m repro profile`` / ``explain --analyze``).
+* :mod:`repro.obs.profile` — EXPLAIN ANALYZE: the calibration records of
+  a run rendered in plan order with per-node status and the worst
+  offenders (``python -m repro profile`` / ``explain --analyze``).
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and metric names.
 """
@@ -54,12 +54,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetrics,
 )
-from repro.obs.profile import (
-    ProfiledNode,
-    build_profile,
-    profile_evaluation,
-    render_profile,
-)
+from repro.obs.profile import profile_evaluation, render_profile
 from repro.obs.tracer import MAIN_TRACK, NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -70,6 +65,6 @@ __all__ = [
     "CalibrationReport", "NodeCalibration", "build_calibration", "q_error",
     "RunLedger", "build_run_record", "metrics_delta",
     "CostFeedbackStore",
-    "ProfiledNode", "build_profile", "render_profile", "profile_evaluation",
+    "render_profile", "profile_evaluation",
     "configure_logging", "level_for",
 ]

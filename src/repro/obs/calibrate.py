@@ -47,11 +47,15 @@ def q_error(modeled: float, measured: float, floor: float = EPSILON) -> float:
 
 @dataclass
 class NodeCalibration:
-    """Modeled-vs-measured record for one executed QDG node."""
+    """Modeled-vs-measured record for one executed QDG node — the one
+    join behind both ``repro calibrate`` and EXPLAIN ANALYZE."""
 
     name: str
     source: str
     kind: str
+    members: int                 # >1 for merged groups
+    cached: bool                 # replayed from the incremental cache
+    checks: str                  # a guard's kind and constraint
     modeled_rows: float
     measured_rows: int
     modeled_bytes: float
@@ -77,9 +81,22 @@ class NodeCalibration:
         return ((self.modeled_seconds - self.measured_seconds)
                 / max(self.measured_seconds, EPSILON))
 
+    @property
+    def status(self) -> str:
+        flags = []
+        if self.members > 1:
+            flags.append(f"merged x{self.members}")
+        if self.cached:
+            flags.append("cached")
+        if self.kind in ("guard", "collect", "condition"):
+            flags.append(f"{self.kind} {self.checks}".rstrip())
+        return ",".join(flags)
+
     def to_dict(self) -> dict:
         return {
             "name": self.name, "source": self.source, "kind": self.kind,
+            "members": self.members, "cached": self.cached,
+            "checks": self.checks,
             "modeled_rows": round(self.modeled_rows, 3),
             "measured_rows": self.measured_rows,
             "rows_q_error": round(self.rows_q, 4),
@@ -160,18 +177,24 @@ def build_calibration(graph, estimates: dict,
     per-node :class:`~repro.optimizer.cost.NodeEstimate` map used to plan
     it; ``timings`` the per-node
     :class:`~repro.runtime.engine.NodeTiming` map the engine measured.
-    Nodes lacking either side (e.g. an aborted run) are skipped.
+    Nodes lacking either side (e.g. an aborted run) are skipped; the
+    rest are listed in topological order.
     """
     nodes: list[NodeCalibration] = []
-    for name, node in sorted(graph.nodes.items()):
-        estimate = estimates.get(name)
-        timing = timings.get(name)
+    for node in graph.topological_order():
+        estimate = estimates.get(node.name)
+        timing = timings.get(node.name)
         if estimate is None or timing is None:
             continue
+        members = getattr(node, "members", None)
         nodes.append(NodeCalibration(
-            name=name,
+            name=node.name,
             source=node.source,
             kind=node.kind,
+            members=len(members) if members else 1,
+            cached=timing.cached,
+            checks=(f"{node.guard.kind} {node.guard.constraint}"
+                    if node.kind == "guard" else ""),
             modeled_rows=estimate.cardinality,
             measured_rows=timing.output_rows,
             modeled_bytes=estimate.size_bytes,

@@ -362,9 +362,7 @@ class _Builder:
         function = self._site_query(occurrence)
         rewritten, inputs, root_params = self._rewrite(
             function, parent, gating=occurrence.choice_edges_gating())
-        steps = plan_steps(rewritten, occurrence.path, self.stats,
-                           mediator_name=MEDIATOR_NAME,
-                           capabilities=self.aig.catalog.capabilities_of)
+        steps = plan_steps(rewritten, occurrence.path, self.stats)
         final_name = self._add_steps(steps, occurrence.path, "step",
                                      root_params)
         self.plan.table_of[occurrence.path] = final_name
@@ -685,9 +683,7 @@ class _Builder:
         rewritten, inputs, root_params = self._rewrite(rule.condition,
                                                        occurrence, gating)
         name = f"cond:{occurrence.path}"
-        steps = plan_steps(rewritten, name, self.stats,
-                           mediator_name=MEDIATOR_NAME,
-                           capabilities=self.aig.catalog.capabilities_of)
+        steps = plan_steps(rewritten, name, self.stats)
         self._add_steps(steps, name, "condition", root_params)
         self.plan.condition_of[occurrence.path] = name
 

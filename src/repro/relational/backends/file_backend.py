@@ -19,7 +19,8 @@ the conceptual evaluator's Federation materializes it instead; both
 degraded paths are exercised by the always-available test environment.
 
 CSV encoding: ``\\N`` is NULL, a leading backslash in a text value is
-doubled, integers render with ``str`` and floats with ``repr``.  Decoded
+doubled, integers render with ``str`` and floats with ``repr`` (±inf as
+``9e999`` / ``-9e999``, or ``Inf`` / ``-Inf`` in a TEXT column).  Decoded
 fields are inserted as text and the scan engine's column affinity
 restores numerics — the same conversion SQLite applies to typed Python
 values, so both storage paths agree.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import shutil
 import tempfile
@@ -41,7 +43,7 @@ from repro.relational.backends.sqlite3_backend import Sqlite3Backend
 NULL_SENTINEL = "\\N"
 
 
-def _encode_field(value) -> str:
+def _encode_field(value, text_column: bool = False) -> str:
     if value is None:
         return NULL_SENTINEL
     if isinstance(value, (bytes, bytearray)):
@@ -49,6 +51,13 @@ def _encode_field(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
+        if math.isinf(value):
+            # What SQLite stores for a REAL ±inf: the text it converts
+            # the REAL to in a TEXT column, else a literal that overflows
+            # back to the REAL ('inf' would stay text and sort wrongly).
+            if text_column:
+                return "Inf" if value > 0 else "-Inf"
+            return "9e999" if value > 0 else "-9e999"
         return repr(value)
     text = str(value)
     if text.startswith("\\"):
@@ -126,9 +135,13 @@ class FileBackend(Sqlite3Backend):
         """Insert into the scan engine first (one transaction, as every
         backend loads), append to the file after the commit: a refused
         load (a duplicate key) leaves both as they were."""
+        text_columns = [column.sqltype == "TEXT"
+                        for column in relation_schema.columns]
         text = io.StringIO(newline="")
         csv.writer(text).writerows(
-            [_encode_field(value) for value in row] for row in rows)
+            [_encode_field(value, text_column)
+             for value, text_column in zip(row, text_columns)]
+            for row in rows)
         text.seek(0)
         super().load_rows(connection, relation_schema,
                           _decode_rows(csv.reader(text)))

@@ -7,7 +7,7 @@ consults when resolving references and checking column names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SpecError
 
@@ -15,7 +15,7 @@ from repro.errors import SpecError
 #: affinity, so values round-trip with their Python types intact — the
 #: sharding layer declares shard-chunk relations as BLOB so re-inserted
 #: driving rows compare exactly like the originals.
-_ALLOWED_TYPES = {"TEXT", "INTEGER", "REAL", "BLOB"}
+_ALLOWED_TYPES = {"TEXT", "INTEGER", "REAL", "NUMERIC", "BLOB"}
 
 
 @dataclass(frozen=True)
@@ -75,29 +75,11 @@ def relation(name: str, *columns: str, key: tuple[str, ...] = ()) -> RelationSch
 
 
 @dataclass(frozen=True)
-class SourceCapabilities:
-    """What a source's query interface supports (Section 7 / Garlic).
-
-    ``accepts_temp_tables=False`` models a wrapper-style source that can
-    evaluate local selections and joins but cannot receive shipped
-    intermediate tables; the planner then splits any step that would feed it
-    a temp table into a local *fetch* plus a mediator-side join.
-    """
-
-    accepts_temp_tables: bool = True
-
-
-#: The default, fully-capable relational source.
-FULL_CAPABILITIES = SourceCapabilities()
-
-
-@dataclass(frozen=True)
 class SourceSchema:
     """All relations hosted by one data source."""
 
     source: str
     relations: tuple[RelationSchema, ...] = ()
-    capabilities: SourceCapabilities = FULL_CAPABILITIES
 
     def __post_init__(self):
         names = [r.name for r in self.relations]
@@ -134,12 +116,6 @@ class Catalog:
             return self._by_name[name]
         except KeyError:
             raise SpecError(f"unknown source {name!r}") from None
-
-    def capabilities_of(self, source_name: str) -> SourceCapabilities:
-        """A source's declared capabilities (fully capable if unknown)."""
-        if source_name in self._by_name:
-            return self._by_name[source_name].capabilities
-        return FULL_CAPABILITIES
 
     def resolve(self, qualified: str) -> tuple[str, RelationSchema]:
         """``"DB1:patient"`` -> ``("DB1", <schema of patient>)``."""

@@ -6,7 +6,7 @@ interface mirrors what the middleware needs: execute a query, create and
 populate a temporary table with shipped inputs, and expose timing so measured
 evaluation costs can feed the cost model.  The :class:`Mediator` is itself a
 source (the paper treats it as "a special data source Mediator"); it runs
-the mediator-site join steps of sources that cannot receive temp tables.
+the plan steps that read no base table.
 
 Engine specifics — opening connections, cursor semantics, transactions,
 deadline interruption, bulk loading — live in
@@ -502,9 +502,9 @@ class Mediator(DataSource):
     suggested adding "a relational query-processor on the middleware" as a
     simple extension.  Collect nodes and guards are middleware processing
     in application code here too (:mod:`repro.runtime.collect`); this
-    SQLite engine runs only the mediator-site joins that
-    :func:`repro.sqlq.planner.plan_steps` plans around a source that cannot
-    receive temp tables, over inputs shipped in by ``cache_result``.
+    SQLite engine runs only the steps that read no base table, which
+    :func:`repro.sqlq.planner.plan_steps` places at the mediator, over
+    inputs shipped in by ``cache_result``.
     """
 
     def __init__(self):

@@ -19,6 +19,8 @@ database if some member is a set".
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import PlanError, SpecError
 from repro.sqlq.ast import (
     BaseTable,
@@ -63,8 +65,13 @@ def _inline_literal(value) -> str:
         return "NULL"
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, (int, float)):
-        return repr(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        if math.isinf(value):
+            # SQLite has no infinity literal; 9e999 overflows to REAL ±inf.
+            return "9e999" if value > 0 else "-9e999"
+        return repr(value)
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, (bytes, bytearray)):
         return "X'" + bytes(value).hex() + "'"
     escaped = str(value).replace("'", "''")

@@ -32,6 +32,7 @@ BACKEND_SPECS = ["sqlite", "file"]
 TYPED_SCHEMA = SourceSchema("S1", (
     relation("typed", "t:TEXT", "i:INTEGER", "r:REAL"),
     relation("plain", "a", "b", key=("a",)),
+    relation("extremes", "r:REAL", "i:INTEGER", "n:NUMERIC", "t:TEXT"),
 ))
 
 
@@ -81,6 +82,24 @@ class TestConformance:
         result = typed_source.execute(
             'SELECT "t", "i", "r" FROM "typed" ORDER BY "i"')
         assert result.rows == [("2.5", 3, 4.0), ("7", 12, 2.5)]
+
+    def test_infinities_match_sqlite(self, typed_source):
+        # ±inf is a REAL in every numeric column and SQLite's own 'Inf'
+        # text in a TEXT column, so both sort the same on every backend.
+        inf = float("inf")
+        typed_source.load_rows("extremes",
+                               [(2.5,) * 4, (inf,) * 4, (-inf,) * 4])
+
+        def ordered(column):
+            return typed_source.execute(
+                f'SELECT "{column}", typeof("{column}") FROM "extremes" '
+                f'ORDER BY "{column}"').rows
+
+        for column in ("r", "i", "n"):
+            assert ordered(column) == [(-inf, "real"), (2.5, "real"),
+                                       (inf, "real")], column
+        assert ordered("t") == [("-Inf", "text"), ("2.5", "text"),
+                                ("Inf", "text")]
 
     def test_version_counter_moves_on_loads_only(self, typed_source):
         before = typed_source.table_version("plain")
@@ -343,3 +362,59 @@ class TestHospitalDifferential:
             for source in sources.values():
                 source.close()
         assert documents[0] == documents[1]
+
+
+# ----------------------------------------------------------------------
+# the inline ship rewrite carries every value SQLite can hold
+# ----------------------------------------------------------------------
+VALUES_SCHEMA = SourceSchema("A", (relation("vals", "k", "x:REAL"),))
+TAGS_SCHEMA = SourceSchema("B", (relation("tags", "x:REAL", "label"),))
+TAGS_DTD = """
+<!ELEMENT root (row*)>
+<!ELEMENT row (k, label)>
+<!ELEMENT k (#PCDATA)>
+<!ELEMENT label (#PCDATA)>
+"""
+
+
+class TestInlineShip:
+    @staticmethod
+    def _run(tags_backend, tracer=None):
+        from repro import Middleware, serialize
+        from repro.aig import AIG, assign, inh, query
+        from repro.dtd import parse_dtd
+        from repro.relational import Catalog
+
+        inf = float("inf")
+        aig = AIG(parse_dtd(TAGS_DTD),
+                  Catalog([VALUES_SCHEMA, TAGS_SCHEMA]), root_inh=("run",))
+        aig.inh("row", "k", "label")
+        # vals is the smaller table, so the plan reads it first and ships
+        # its rows, infinities included, into B
+        aig.rule("root", inh={"row": query(
+            "select v.k, t.label from A:vals v, B:tags t "
+            "where t.x = v.x")})
+        aig.rule("row", inh={"k": assign(val=inh("k")),
+                             "label": assign(val=inh("label"))})
+        values = DataSource(VALUES_SCHEMA)
+        values.load_rows("vals", [("up", inf), ("down", -inf),
+                                  ("mid", 2.5)])
+        tags = DataSource(TAGS_SCHEMA, backend=tags_backend)
+        tags.load_rows("tags", [(inf, "top"), (-inf, "bottom"),
+                                (2.5, "middle"), (1.0, "unused")])
+        try:
+            report = Middleware(aig.validate(), {"A": values, "B": tags},
+                                tracer=tracer).evaluate({"run": "r"})
+            return serialize(report.document, indent=2)
+        finally:
+            values.close()
+            tags.close()
+
+    def test_infinity_ships_inline_into_a_file_source(self):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        xml = self._run("file", tracer)
+        assert xml == self._run(None)
+        assert xml.count("<row>") == 3
+        assert tracer.metrics.counter("ship_rewrites") > 0

@@ -7,8 +7,8 @@ a collect node.  Both run in process, over the result sets the engine
 holds: no mediator statement.  These tests pin that on the groups and
 hospital AIGs, that a collection program's rows are SQLite's over the
 same table, that a source-side reader and the incremental store get the
-collected rows, and that no failure path of the mediator joins that
-remain strands a ``cache_*`` table.
+collected rows, and that no failure path of the one SQL job left to the
+mediator — a step that reads no base table — strands a ``cache_*`` table.
 """
 
 from contextlib import contextmanager
@@ -34,7 +34,6 @@ from repro.runtime import Middleware
 from repro.runtime.engine import Engine, _with_ids
 from repro.xmlmodel import serialize
 from tests.conftest import load_tiny_hospital
-from tests.test_capabilities import restricted_hospital_aig
 
 # the groups-constraints document: root -> group* -> member*
 GROUP_DTD = """
@@ -288,14 +287,59 @@ def test_report_mode_violation_leaves_no_cache_tables():
     assert cache_tables(middleware.mediator) == []
 
 
+#: Q4 over the shipped set alone: no base table, so the step runs at the
+#: mediator, over the ``trIdS`` rows shipped in as ``cache_N`` tables.
+MEDIATOR_Q4_TEXT = "select s.trId, s.trId as price from $trIdS s"
+
+
+def mediator_bill_aig() -> AIG:
+    """σ0 with the bill's items read from ``$trIdS`` alone."""
+    from repro.aig import collect, singleton, syn, union
+    from repro.hospital.aig_def import Q1_TEXT, Q2_TEXT, Q3_TEXT
+    from repro.hospital.schema import hospital_catalog, hospital_dtd
+    aig = AIG(hospital_dtd(), hospital_catalog(), root_inh=("date",))
+    aig.inh("patient", "date", "SSN", "pname", "policy")
+    aig.inh("treatments", "date", "SSN", "policy")
+    aig.syn("treatments", sets={"trIdS": ("trId",)})
+    aig.inh("treatment", "trId", "tname")
+    aig.syn("treatment", sets={"trIdS": ("trId",)})
+    aig.inh("procedure", "trId")
+    aig.syn("procedure", sets={"trIdS": ("trId",)})
+    aig.inh("bill", sets={"trIdS": ("trId",)})
+    aig.inh("item", "trId", "price")
+    aig.rule("report", inh={"patient": query(Q1_TEXT)})
+    aig.rule("patient", inh={
+        "SSN": assign(val=inh("SSN")),
+        "pname": assign(val=inh("pname")),
+        "treatments": assign(date=inh("date"), SSN=inh("SSN"),
+                             policy=inh("policy")),
+        "bill": assign(trIdS=syn("treatments", "trIdS")),
+    })
+    aig.rule("treatments", inh={"treatment": query(Q2_TEXT)},
+             syn=assign(trIdS=collect("treatment", "trIdS")))
+    aig.rule("treatment", inh={
+        "trId": assign(val=inh("trId")),
+        "tname": assign(val=inh("tname")),
+        "procedure": assign(trId=inh("trId")),
+    }, syn=assign(trIdS=union(syn("procedure", "trIdS"),
+                              singleton(trId=syn("trId", "val")))))
+    aig.rule("procedure", inh={"treatment": query(Q3_TEXT)},
+             syn=assign(trIdS=collect("treatment", "trIdS")))
+    aig.rule("bill", inh={"item": query(MEDIATOR_Q4_TEXT)})
+    aig.rule("item", inh={"trId": assign(val=inh("trId")),
+                          "price": assign(val=inh("price"))})
+    aig.key("patient", "item", "trId")
+    aig.inclusion("patient", "treatment", "trId", "item", "trId")
+    return aig.validate()
+
+
 @contextmanager
-def restricted_mix(**kwargs):
-    """σ0 over a catalog where DB2 takes no temp tables, DB2 on the CSV
-    backend: its join steps split into a fetch at DB2 and a join at the
-    mediator, which receives the fetched rows and the other inputs."""
-    sources, dataset = make_loaded_sources("tiny", backend={"DB2": "file"})
+def mediator_mix(**kwargs):
+    """σ0 with a bill step that reads no base table, so the mediator
+    receives the shipped ``trIdS`` rows and runs the step."""
+    sources, dataset = make_loaded_sources("tiny")
     try:
-        yield (Middleware(restricted_hospital_aig("DB2"), sources,
+        yield (Middleware(mediator_bill_aig(), sources,
                           Network.mbps(1.0), **kwargs),
                {"date": dataset.busiest_date()})
     finally:
@@ -303,11 +347,24 @@ def restricted_mix(**kwargs):
             source.close()
 
 
+def test_a_step_without_a_base_table_runs_at_the_mediator():
+    tracer = Tracer()
+    with mediator_mix(tracer=tracer) as (middleware, root):
+        report = middleware.evaluate(root)
+        reference = ConceptualEvaluator(
+            mediator_bill_aig(),
+            list(middleware.sources.values())).evaluate(root)
+    assert report.document == reference
+    assert list(report.document.iter("item"))
+    assert tracer.metrics.counter("mediator_cache_tables") > 0
+    assert cache_tables(middleware.mediator) == []
+
+
 def test_mediator_fault_at_every_statement_leaves_no_cache_tables():
     """Fail the N-th mediator statement for every N the run reaches."""
     failures = 0
     for index in range(1, 200):
-        with restricted_mix() as (middleware, root):
+        with mediator_mix() as (middleware, root):
             injector = FaultInjector.from_spec(
                 f"{MEDIATOR_NAME}:error@{index}").install(
                     {MEDIATOR_NAME: middleware.mediator})
@@ -317,21 +374,22 @@ def test_mediator_fault_at_every_statement_leaves_no_cache_tables():
                 failures += 1
             assert cache_tables(middleware.mediator) == [], \
                 f"statement {index}"
-            if not injector.fired:      # a clean run: count its joins
+            if not injector.fired:      # a clean run: count its steps
                 joins = [n for n in middleware._last_graph.nodes.values()
                          if n.source == MEDIATOR_NAME and n.kind == "step"]
                 break
     else:
         pytest.fail("the run never got past the injected fault")
-    # each shipped input and each join is a statement whose fault aborts
+    # each shipped input and each mediator step is a statement whose
+    # fault aborts
     assert joins and failures == index - 1 > len(joins)
 
 
 def test_retry_after_a_mediator_fault_reuses_the_table_and_recovers():
-    with restricted_mix() as (middleware, root):
+    with mediator_mix() as (middleware, root):
         expected = serialize(middleware.evaluate(root).document)
     for index in range(1, 200):
-        with restricted_mix(retry_policy=RetryPolicy(
+        with mediator_mix(retry_policy=RetryPolicy(
                 retries=1, base_delay=0.0001)) as (middleware, root):
             injector = FaultInjector.from_spec(
                 f"{MEDIATOR_NAME}:error@{index}").install(

@@ -26,7 +26,6 @@ from repro.obs import (
     CostFeedbackStore,
     RunLedger,
     Tracer,
-    build_profile,
     profile_evaluation,
     prometheus_text,
     write_prometheus,
@@ -336,14 +335,13 @@ class TestCostFeedback:
 class TestExplainAnalyze:
     def test_render_joins_est_and_measured(self):
         middleware = fresh_middleware()
-        report, text = profile_evaluation(middleware, {"date": "d1"})
+        report, calibration, text = profile_evaluation(middleware,
+                                                       {"date": "d1"})
         assert "EXPLAIN ANALYZE" in text
         assert "rows est/act" in text
         assert "summary:" in text
         assert f"{report.node_count} node(s)" in text
-        profiled = build_profile(middleware._last_graph,
-                                 middleware._last_estimates,
-                                 middleware._last_result.timings)
+        profiled = calibration.nodes
         assert profiled
         rendered_names = text
         for node in profiled:
@@ -359,7 +357,7 @@ class TestExplainAnalyze:
 
     def test_worst_offenders_flagged_cold(self):
         middleware = fresh_middleware()
-        _, text = profile_evaluation(middleware, {"date": "d1"})
+        _, _, text = profile_evaluation(middleware, {"date": "d1"})
         # the untuned model mis-prices the tiny dataset, so a cold run
         # must flag offenders
         assert "worst cost-model offenders" in text
@@ -384,6 +382,10 @@ class TestExplainAnalyze:
         assert "repro_evaluation_latency_seconds" in prom
         payload = json.loads((tmp_path / "profile.json").read_text())
         assert payload["nodes"]
+        # one record shape: the same keys as `repro calibrate --json`
+        for node in payload["nodes"]:
+            assert {"checks", "members", "modeled_seconds",
+                    "measured_seconds", "bytes_q_error"} <= set(node)
         assert payload["calibration"]["seconds_q_error"]["median"] < 2.0
 
     def test_cli_profile_appends_to_a_ledger_with_removed_knobs(
