@@ -11,7 +11,8 @@ evaluates one scenario under the full grid —
   when the report-mode verdict is non-empty),
 * incremental cold / warm / delta runs (the delta mutates the dataset by
   duplicating a row, then compares against a *fresh* conceptual baseline
-  over the mutated data),
+  over the mutated data), and a return to the root after a run on other
+  root values, which must replay every node,
 * a fault-injected-then-recovered run (an ``error@1`` fault with a
   retry budget must leave the output untouched),
 * sharded multi-process runs (``shards`` ∈ {2, 3, 4}, docs/SHARDING.md):
@@ -242,7 +243,8 @@ def _streamed(report: OracleReport, config: str, middleware,
 def _check_incremental(report: OracleReport, spec: ScenarioSpec,
                        base_xml: str, base_verdict: list[str]) -> None:
     """Cold, warm, and delta runs of one incremental middleware, the
-    delta document also streamed through it."""
+    delta document also streamed through it; then a return to the root
+    after a run on other root values, which must replay everything."""
     from repro.constraints import check_constraints
     from repro.runtime import Middleware
     from repro.xmlmodel import conforms_to, serialize
@@ -251,8 +253,9 @@ def _check_incremental(report: OracleReport, spec: ScenarioSpec,
     middleware = Middleware(aig, sources, violation_mode="report",
                             incremental=True)
 
-    def run(tag: str, expected_xml: str, expected_verdict: list[str]):
-        result = middleware.evaluate(dict(spec.root_values))
+    def run(tag: str, expected_xml: str, expected_verdict: list[str],
+            root: dict = spec.root_values):
+        result = middleware.evaluate(dict(root))
         document = result.document
         _compare(report, f"incremental-{tag}",
                  serialize(document, indent=2),
@@ -271,22 +274,58 @@ def _check_incremental(report: OracleReport, spec: ScenarioSpec,
             f"expected 0"))
 
     table = _delta_table(spec)
+    current = spec.clone()      # the scenario as the live sources hold it
     if table is None:
         report.results.append(ConfigResult(
             "incremental-delta", True, "skipped: no mutable table"))
+        delta_xml, delta_verdict = base_xml, base_verdict
+    else:
+        duplicated = table.rows[0]
+        current.table(table.source, table.name).rows.append(duplicated)
+        delta_xml, delta_verdict = _baseline(current)
+        # mutate the live source the incremental middleware is watching
+        sources[table.source].load_rows(table.name, [duplicated])
+        run("delta", delta_xml, delta_verdict)
+        # byte equality with the conformant baseline implies conformance
+        _compare(report, "incremental-delta-stream",
+                 *_streamed(report, "incremental-delta-stream", middleware,
+                            spec, aig),
+                 delta_xml, delta_verdict, conformant=True)
+
+    if not spec.root_values:
+        report.results.append(ConfigResult(
+            "incremental-return", True, "skipped: no root attributes"))
         return
-    delta_spec = spec.clone()
-    duplicated = table.rows[0]
-    delta_spec.table(table.source, table.name).rows.append(duplicated)
-    delta_xml, delta_verdict = _baseline(delta_spec)
-    # mutate the live source the incremental middleware is watching
-    sources[table.source].load_rows(table.name, [duplicated])
-    run("delta", delta_xml, delta_verdict)
-    # byte equality with the conformant baseline implies conformance
-    _compare(report, "incremental-delta-stream",
-             *_streamed(report, "incremental-delta-stream", middleware,
-                        spec, aig),
-             delta_xml, delta_verdict, conformant=True)
+    # another root in between, on values no table holds, must not evict
+    # this root's entries; a root the conceptual evaluator refuses (a
+    # choice condition with no value) must be refused here too
+    held = {value for relation in current.tables for row in relation.rows
+            for value in row}
+    other_root = {}
+    for name, value in spec.root_values.items():
+        other_root[name] = f"{value}~"
+        while other_root[name] in held:
+            other_root[name] += "~"
+    current.root_values = other_root
+    try:
+        other_xml, other_verdict = _baseline(current)
+    except ReproError:
+        try:
+            middleware.evaluate(dict(other_root))
+        except ReproError:
+            pass
+        else:
+            report.divergences.append(Divergence(
+                "incremental-other", "error",
+                "answered a root the conceptual evaluator refuses"))
+    else:
+        run("other", other_xml, other_verdict, other_root)
+    back = run("return", delta_xml, delta_verdict)
+    if back.queries_executed != 0:
+        report.divergences.append(Divergence(
+            "incremental-return", "reuse",
+            f"return to the root executed {back.queries_executed} "
+            f"query(ies), expected 0"))
 
 
 def _check_fault_recovery(report: OracleReport, spec: ScenarioSpec,

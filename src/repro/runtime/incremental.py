@@ -41,24 +41,84 @@ anything that changed).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import sys
+from collections import OrderedDict
+from dataclasses import dataclass
 
+from repro.relational.source import ResultSet
 from repro.sqlq.ast import BaseTable
+
+
+#: Root bindings the store keeps per node name, the least recently used
+#: evicted first: the service's default response-cache size, so a node's
+#: results outlive no fewer documents than the response cache holds.
+BINDINGS_PER_NODE = 64
 
 
 @dataclass
 class CachedNodeResult:
-    """One node's cached execution outcome, keyed by its fingerprint."""
+    """One node's cached execution outcome and the fingerprint it was
+    computed under."""
 
     fingerprint: str
     outputs: dict                   # output name -> ResultSet
 
 
-@dataclass
 class ResultCache:
-    """The middleware's cross-evaluation cache for one unfold depth."""
+    """The middleware's cross-evaluation store for one unfold depth.
 
-    entries: dict = field(default_factory=dict)   # node name -> CachedNodeResult
+    An entry is keyed by ``(node name, root binding)``: the root values
+    the node's cone reads (:func:`compute_fingerprints`).  Evaluations
+    that differ only in a root value a node does not read share its entry,
+    so a node that reads none is cached once for every root; a node that
+    does keeps one entry per binding, up to :data:`BINDINGS_PER_NODE`
+    (least recently used evicted first).  A write does not add entries:
+    the next evaluation of a binding replaces its stale entry in place.
+    """
+
+    def __init__(self):
+        # node name -> OrderedDict(binding -> CachedNodeResult), LRU first
+        self._nodes: dict = {}
+
+    def __len__(self) -> int:
+        return sum(map(len, self._nodes.values()))
+
+    def bindings(self, name: str) -> list:
+        """The root bindings held for ``name``, least recently used first."""
+        return list(self._nodes.get(name, ()))
+
+    def lookup(self, name: str, binding: frozenset):
+        """The entry committed for ``name`` under ``binding``, or None."""
+        return self._nodes.get(name, {}).get(binding)
+
+    def commit(self, increment: "IncrementalPlan", fresh: dict) -> None:
+        """Fold one successful run into the store: ``fresh`` (node name ->
+        :class:`CachedNodeResult` of the nodes that executed) under this
+        run's bindings, and every replayed entry marked used."""
+        bindings = increment.bindings
+        for name in increment.reusable:
+            self._nodes[name].move_to_end(bindings[name])
+        for name, entry in fresh.items():
+            held = self._nodes.setdefault(name, OrderedDict())
+            held[bindings[name]] = CachedNodeResult(
+                entry.fingerprint,
+                {output: _canonical(result)
+                 for output, result in entry.outputs.items()})
+            held.move_to_end(bindings[name])
+            if len(held) > BINDINGS_PER_NODE:
+                held.popitem(last=False)
+
+
+def _canonical(result: ResultSet) -> ResultSet:
+    """``result`` with every ``str`` value interned, so the entries of
+    many bindings hold an equal value once (an interned string is mortal:
+    it leaves the table with its last reference)."""
+    types = result.column_types()
+    if not result.rows or not any(kind <= {str} for kind in types):
+        return result
+    columns = [map(sys.intern, column) if kind <= {str} else column
+               for column, kind in zip(zip(*result.rows), types)]
+    return ResultSet(result.columns, list(zip(*columns)))
 
 
 @dataclass
@@ -66,22 +126,29 @@ class IncrementalPlan:
     """What one evaluation may reuse and what it must re-execute."""
 
     fingerprints: dict              # node name -> fingerprint
+    bindings: dict                  # node name -> root binding
     reusable: dict                  # node name -> CachedNodeResult
     tainted: set                    # node names that must execute
 
 
-def compute_fingerprints(graph, sources, root_inh: dict) -> dict:
-    """Content fingerprint per QDG node, in topological order.
+def compute_fingerprints(graph, sources, root_inh: dict) -> tuple:
+    """Content fingerprint and root binding per QDG node, in topological
+    order: ``(fingerprints, bindings)``.
 
     The hash covers everything that determines a node's output: its SQL
     text or collection programs, the root-attribute values it reads (a
     value is hashed as data, whatever it looks like), the versions of the
     base relations it scans, and — transitively, via the producers'
-    fingerprints — the same for everything upstream.
+    fingerprints — the same for everything upstream.  The binding is the
+    root-value part alone: the ``(root member, repr(value))`` pairs the
+    node or any node of its producer cone reads, empty for a node that
+    reads none.
     """
     fingerprints: dict = {}
+    bindings: dict = {}
     for node in graph.topological_order():
         parts: list = [node.kind, node.source]
+        reads: set = set()
         members = getattr(node, "members", None) or (node,)
         for member in members:
             if member.query is not None:
@@ -95,14 +162,20 @@ def compute_fingerprints(graph, sources, root_inh: dict) -> dict:
             for program in member.collections:
                 parts.append(repr(program))
                 for name in program.root_members():
-                    parts.append((name, repr(root_inh.get(name))))
-            for param, inh_member in sorted(member.root_params.items()):
-                parts.append((param, repr(root_inh.get(inh_member))))
+                    read = (name, repr(root_inh.get(name)))
+                    parts.append(read)
+                    reads.add(read)
+            for _, inh_member in sorted(member.root_params.items()):
+                read = (inh_member, repr(root_inh.get(inh_member)))
+                parts.append(read)
+                reads.add(read)
         for producer in graph.producer_names(node):
             parts.append(fingerprints[producer])
+            reads.update(bindings[producer])
         digest = hashlib.sha256(repr(parts).encode()).hexdigest()
         fingerprints[node.name] = digest
-    return fingerprints
+        bindings[node.name] = frozenset(reads)
+    return fingerprints, bindings
 
 
 def structural_fingerprint(node) -> str:
@@ -179,25 +252,24 @@ def aig_fingerprint(aig) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def plan_increment(graph, entries: dict, fingerprints: dict
-                   ) -> IncrementalPlan:
+def plan_increment(graph, store: ResultCache, fingerprints: dict,
+                   bindings: dict) -> IncrementalPlan:
     """Split the graph into a reusable (clean) set and a tainted cone.
 
     Directly tainted nodes are those whose fingerprint differs from the
-    cached entry (or that have no entry); the tainted set is their
-    downstream closure over the graph.  Fingerprint chaining makes the
+    entry ``store`` holds under the node's current root binding (or that
+    have no such entry); the tainted set is their downstream closure over
+    the graph.  Fingerprint chaining makes the
     closure redundant in theory — a consumer of a changed producer hashes
     differently by construction — but computing it through
     :meth:`~repro.optimizer.qdg.QueryDependencyGraph.taint_cone` keeps
     the invariant explicit and collision-proof: a reused node's producers
     are always reused too.
     """
-    direct = set()
-    for name in graph.nodes:
-        entry = entries.get(name)
-        if entry is None or entry.fingerprint != fingerprints[name]:
-            direct.add(name)
+    found = {name: store.lookup(name, bindings[name]) for name in graph.nodes}
+    direct = {name for name, entry in found.items()
+              if entry is None or entry.fingerprint != fingerprints[name]}
     tainted = graph.taint_cone(direct)
-    reusable = {name: entries[name] for name in graph.nodes
+    reusable = {name: entry for name, entry in found.items()
                 if name not in tainted}
-    return IncrementalPlan(fingerprints, reusable, tainted)
+    return IncrementalPlan(fingerprints, bindings, reusable, tainted)

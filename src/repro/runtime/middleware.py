@@ -583,15 +583,13 @@ class Middleware:
     def _explain_cache_state(self, depth, graph) -> list[str]:
         lines: list[str] = []
         store = self._result_caches.get(depth)
-        if (store is None or not store.entries
-                or not hasattr(self, "_last_root_inh")):
+        if not store or not hasattr(self, "_last_root_inh"):
             lines.append("  (cache cold: no committed evaluation at "
                          "this depth yet)")
         else:
-            fingerprints = compute_fingerprints(graph, self.sources,
-                                                self._last_root_inh)
-            increment = plan_increment(graph, store.entries,
-                                       fingerprints)
+            increment = plan_increment(
+                graph, store, *compute_fingerprints(graph, self.sources,
+                                                    self._last_root_inh))
             for node in graph.topological_order():
                 state = ("cached " if node.name in increment.reusable
                          else "TAINTED")
@@ -670,10 +668,10 @@ class Middleware:
             if self.incremental:
                 store = self._result_caches.setdefault(depth, ResultCache())
                 with tracer.span("fingerprint", "optimize"):
-                    fingerprints = compute_fingerprints(graph, self.sources,
-                                                        root_inh)
-                    increment = plan_increment(graph, store.entries,
-                                               fingerprints)
+                    fingerprints, bindings = compute_fingerprints(
+                        graph, self.sources, root_inh)
+                    increment = plan_increment(graph, store, fingerprints,
+                                               bindings)
                 tracer.metrics.set_gauge("incremental_reused_nodes",
                                          len(increment.reusable))
                 tracer.metrics.set_gauge("incremental_tainted_nodes",
@@ -723,7 +721,7 @@ class Middleware:
                 # poison the cache — the next evaluation simply finds the
                 # previous (still fingerprint-valid) entries.
                 if store is not None and result.failure_report is None:
-                    store.entries.update(result.cache_entries)
+                    store.commit(increment, result.cache_entries)
             finally:
                 engine.cleanup()
             tracer.metrics.set_gauge("unfold_depth",

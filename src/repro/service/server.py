@@ -195,6 +195,9 @@ class EvaluationService:
         with state.middleware.run_lock:
             state.sources[source].load_rows(relation,
                                             [tuple(row) for row in rows])
+        # each cached response of the tenant is keyed by the version
+        # vector the load moved past: none can be served again
+        self._drop_cached(tenant)
         self.metrics.add("service_deltas_ingested", 1)
         return {"tenant": tenant, "source": source, "relation": relation,
                 "rows": len(rows),

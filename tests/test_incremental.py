@@ -20,7 +20,8 @@ from repro.relational import Catalog, DataSource, Network
 from repro.relational.statistics import StatisticsCatalog
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.runtime import Middleware
-from repro.runtime.incremental import compute_fingerprints, plan_increment
+from repro.runtime.incremental import (BINDINGS_PER_NODE,
+                                      compute_fingerprints, plan_increment)
 from repro.xmlmodel import serialize
 from tests.conftest import load_tiny_hospital
 from tests.test_mediator_resident import (HDR_SCHEMA, conceptual,
@@ -156,6 +157,83 @@ class TestDeltaReevaluation:
         assert warm.reused_nodes > 0
         assert serialize(warm.document) == \
             _cold_document(sources, date, merging=False)
+
+
+class TestBindingKeyedStore:
+    """The store keys an entry by node name *and* root binding: a miss on
+    one date after a write replays what the write left clean, whatever
+    date ran last."""
+
+    @staticmethod
+    def stored(middleware, root: dict) -> dict:
+        """node name -> the entry the store holds for ``root``'s binding."""
+        graph = middleware._last_graph
+        store = middleware._result_caches[middleware._last_depth]
+        return plan_increment(graph, store, *compute_fingerprints(
+            graph, middleware.sources, root)).reusable
+
+    def test_a_write_between_two_dates_leaves_both_replayable(self):
+        sources, dataset = make_loaded_sources("tiny", seed=36)
+        dates = sorted({row[2] for row in dataset.visit_info})[:2]
+        middleware = _middleware(sources)
+        for date in dates:
+            middleware.evaluate({"date": date})
+        sources["DB3"].execute(
+            "UPDATE billing SET price = price + 1 WHERE rowid % 10 = 0")
+        for date in dates:
+            delta = middleware.evaluate({"date": date})
+            assert delta.reused_nodes > 0, date
+            assert serialize(delta.document) == _cold_document(sources, date)
+        again = middleware.evaluate({"date": dates[0]})
+        assert again.queries_executed == 0
+        assert serialize(again.document) == _cold_document(sources, dates[0])
+
+    def test_each_node_keeps_its_least_recently_used_bindings(self):
+        middleware, _ = hdr_middleware(b=Const("k"), incremental=True)
+        middleware.evaluate({"p": "v0", "q": "y"})
+        store = middleware._result_caches[middleware._last_depth]
+        graph = middleware._last_graph
+        guard = next(node.name for node in graph.nodes.values()
+                     if node.kind == "guard")
+        (step,) = set(graph.nodes) - {guard}
+        for index in range(1, BINDINGS_PER_NODE):
+            middleware.evaluate({"p": f"v{index}", "q": "y"})
+            assert len(store.bindings(guard)) == index + 1
+        # v0, the oldest binding, is used again: v1 becomes the eldest
+        assert middleware.evaluate({"p": "v0", "q": "y"}).queries_executed \
+            == 0
+        middleware.evaluate({"p": f"v{BINDINGS_PER_NODE}", "q": "y"})
+        held = store.bindings(guard)
+        assert len(held) == BINDINGS_PER_NODE
+        assert frozenset({("p", "'v1'")}) not in held
+        assert held[-2:] == [frozenset({("p", "'v0'")}),
+                             frozenset({("p", f"'v{BINDINGS_PER_NODE}'")})]
+        # the step reads no root value: one entry serves every root
+        assert store.bindings(step) == [frozenset()]
+        assert middleware.evaluate({"p": "v1", "q": "z"}).queries_executed \
+            == 1
+        assert len(store.bindings(guard)) == BINDINGS_PER_NODE
+
+    def test_two_dates_hold_an_equal_string_once(self):
+        sources, dataset = make_loaded_sources("tiny", seed=37)
+        dates = sorted({row[2] for row in dataset.visit_info})[:2]
+        middleware = _middleware(sources)
+        for date in dates:
+            middleware.evaluate({"date": date})
+        first: dict = {}
+        for entry in self.stored(middleware, {"date": dates[0]}).values():
+            for result in entry.outputs.values():
+                for row in result.rows:
+                    for value in row:
+                        if type(value) is str:
+                            first.setdefault(value, value)
+        shared = [value for entry in
+                  self.stored(middleware, {"date": dates[1]}).values()
+                  for result in entry.outputs.values()
+                  for row in result.rows for value in row
+                  if type(value) is str and len(value) > 1 and value in first]
+        assert shared
+        assert all(value is first[value] for value in shared)
 
 
 class TestTaggingCost:
@@ -303,8 +381,8 @@ class TestProgramFingerprints:
         middleware.evaluate(dict(before))
         graph = middleware._last_graph
         store = middleware._result_caches[middleware._last_depth]
-        fingerprints = compute_fingerprints(graph, middleware.sources, after)
-        return plan_increment(graph, store.entries, fingerprints).tainted
+        return plan_increment(graph, store, *compute_fingerprints(
+            graph, middleware.sources, after)).tainted
 
     def test_a_root_attribute_only_a_guard_reads_taints_its_cone(self):
         middleware, _ = hdr_middleware(incremental=True)

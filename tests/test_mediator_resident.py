@@ -32,6 +32,7 @@ from repro.relational.source import (MEDIATOR_NAME, DataSource, Mediator,
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.runtime import Middleware
 from repro.runtime.engine import Engine, _with_ids
+from repro.runtime.incremental import compute_fingerprints, plan_increment
 from repro.xmlmodel import serialize
 from tests.conftest import load_tiny_hospital
 
@@ -243,7 +244,10 @@ def test_delta_run_replays_a_clean_collect_into_a_tainted_consumer():
     middleware, sources, tracer = _hospital(incremental=True)
     cold = middleware.evaluate({"date": "d1"})
     store = middleware._result_caches[cold.unfold_depth]
-    kept = [entry.outputs[name] for name, entry in store.entries.items()
+    graph = middleware._last_graph
+    stored = plan_increment(graph, store, *compute_fingerprints(
+        graph, sources, {"date": "d1"})).reusable
+    kept = [entry.outputs[name] for name, entry in stored.items()
             if name.startswith("collect:")]
     assert kept and all(result.rows for result in kept)
 

@@ -293,6 +293,22 @@ class TestEviction:
         counters = service.metrics.snapshot()["counters"]
         assert counters.get("service_tenant_evictions") == 1
 
+    def test_a_load_drops_the_tenants_cached_responses(self, world):
+        aig, _, _ = world
+        service = EvaluationService()
+        sources, dataset = make_loaded_sources("tiny", seed=5)
+        service.register_tenant("a", aig, sources)
+        dates = sorted({row[2] for row in dataset.visit_info})[:2]
+        for date in dates:
+            service.evaluate("a", {"date": date})
+        assert service.health()["response_cache_entries"] == 2
+        # a trId no treatment references: the documents do not change
+        service.load_rows("a", "DB3", "billing", [["ZZ1", "100"]])
+        assert service.health()["response_cache_entries"] == 0
+        for date in dates:
+            _, info = service.evaluate("a", {"date": date})
+            assert (info["phase"], info["cached"]) == ("delta", False)
+
 
 # ----------------------------------------------------------------------
 # full service over HTTP

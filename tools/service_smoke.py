@@ -12,12 +12,15 @@ TCP.  It checks the full loop a production probe would:
 4. scrape ``GET /metrics`` and assert the coalescing/caching counters
    prove the wave shared work instead of re-evaluating per request;
 5. exercise delta ingestion (``POST /tenants/hospital/load``) and
-   confirm the version bump invalidates the response cache;
+   confirm the version bump invalidates the response cache; the two
+   dates evaluated before the write then answer as ``delta`` runs (the
+   incremental store replays what the write left clean, for each date),
+   byte-identical to an in-process ``Middleware.evaluate`` +
+   ``serialize`` over the same ``--scale`` data set (with step 5's row);
 6. request the document pretty-printed and compact, plain and as a
    chunked stream (``"stream": true``).  Both deliveries share one
-   evaluation path, so the plain body is held to an independent oracle:
-   an in-process ``Middleware.evaluate`` + ``serialize`` over the same
-   ``--scale`` data set (with step 5's row).  De-chunked, the stream
+   evaluation path, so the plain body is held to the same in-process
+   oracle.  De-chunked, the stream
    must equal the plain body byte for byte, in frames of at least
    16 KiB;
 7. send a chunked request with a bad ``indent``: it must be refused
@@ -113,18 +116,22 @@ def _stream_request(host, port, payload, timeout=60):
         frames += 1
 
 
-def _in_process_documents(scale: str, root: dict) -> dict:
-    """``indent -> bytes`` of an in-process ``Middleware.evaluate`` +
-    ``serialize`` over the data set ``repro serve --scale`` loads, after
+def _in_process_documents(scale: str, dates: list) -> dict:
+    """``(date, indent) -> bytes`` of an in-process ``Middleware.evaluate``
+    + ``serialize`` over the data set ``repro serve --scale`` loads, after
     step 5's delta."""
     sources, _ = make_loaded_sources(scale)
     try:
         sources["DB2"].load_rows("cover", [DELTA_ROW])
         middleware = Middleware(build_hospital_aig(), sources,
                                 unfold_depth="auto")
-        document = middleware.evaluate(dict(root)).document
-        return {indent: serialize(document, indent=indent).encode("utf-8")
-                for indent in (2, None)}
+        documents = {}
+        for date in dates:
+            document = middleware.evaluate({"date": date}).document
+            for indent in (2, None):
+                documents[date, indent] = serialize(
+                    document, indent=indent).encode("utf-8")
+        return documents
     finally:
         for source in sources.values():
             source.close()
@@ -334,20 +341,34 @@ def run_smoke(scale: str, clients: int) -> None:
             {"source": "DB2", "relation": "cover",
              "rows": [list(DELTA_ROW)]})
         assert status == 200, body
-        status, headers, _ = _request(host, port, "POST", "/evaluate",
-                                      wave_payload)
-        assert status == 200
-        assert headers.get("X-Repro-Cache") == "miss", \
-            headers.get("X-Repro-Cache")
-        print("- delta ingestion invalidated the response cache")
+        date, wave_date = payload["root"]["date"], \
+            wave_payload["root"]["date"]
+        oracle = _in_process_documents(scale, [date, wave_date])
+        # both dates ran before the write: each miss replays what the
+        # write left clean under its own root binding
+        for probe in (wave_payload, payload):
+            status, headers, body = _request(host, port, "POST",
+                                             "/evaluate", probe)
+            probe_date = probe["root"]["date"]
+            assert status == 200, f"evaluate {probe_date} -> {status}"
+            assert headers.get("X-Repro-Cache") == "miss", \
+                headers.get("X-Repro-Cache")
+            assert headers.get("X-Repro-Phase") == "delta", \
+                f"{probe_date} after the write: phase " \
+                f"{headers.get('X-Repro-Phase')}, expected delta"
+            assert body == oracle[probe_date, None], \
+                f"{probe_date} after the write differs from in-process " \
+                f"evaluate + serialize"
+        print("- delta ingestion invalidated the response cache; "
+              f"{wave_date} and {date} answered as delta runs, identical "
+              "to in-process evaluate + serialize")
 
-        oracle = _in_process_documents(scale, payload["root"])
         for indent in (2, None):
             request = {**payload, "indent": indent}
             status, _, plain = _request(host, port, "POST", "/evaluate",
                                         request)
             assert status == 200, f"evaluate indent={indent} -> {status}"
-            assert plain == oracle[indent], \
+            assert plain == oracle[date, indent], \
                 f"plain document differs from in-process evaluate + " \
                 f"serialize at indent={indent}"
             status, streamed, frames = _stream_request(
