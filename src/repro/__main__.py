@@ -294,24 +294,23 @@ def _explain(args) -> int:
                             merging=not args.no_merge,
                             unfold_depth=args.depth,
                             incremental=args.incremental)
-    depth = args.depth
+    analyze_text = None
     if args.analyze:
         # EXPLAIN ANALYZE: evaluate under measurement, then print the
         # plan followed by the est-vs-measured annotation of what ran.
         from repro.obs import profile_evaluation
         _, _, analyze_text = profile_evaluation(
             middleware, {"date": dataset.busiest_date()})
-        print(middleware.explain(middleware._last_depth))
+    elif args.incremental:
+        # Warm the cache so the report can show per-node taint state.
+        middleware.evaluate({"date": dataset.busiest_date()})
+    # After a run, the runtime re-unrolling loop may have settled on a
+    # deeper unfolding than requested: explain the plan that ran.
+    ran = middleware.last_plan
+    print(middleware.explain(args.depth if ran is None else ran.depth))
+    if analyze_text is not None:
         print()
         print(analyze_text)
-        return 0
-    if args.incremental:
-        # Warm the cache so the report can show per-node taint state; the
-        # runtime re-unrolling loop may have settled on a deeper unfolding
-        # than requested — explain the depth that actually evaluated.
-        middleware.evaluate({"date": dataset.busiest_date()})
-        depth = middleware._last_depth
-    print(middleware.explain(depth))
     return 0
 
 

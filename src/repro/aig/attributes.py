@@ -161,18 +161,3 @@ def empty_value(schema: AttrSchema) -> AttrValue:
     for member, fields in schema.bags.items():
         value[member] = Rows.empty(fields, distinct=False)
     return value
-
-
-def check_value(schema: AttrSchema, value: AttrValue, where: str) -> None:
-    """Validate a runtime value against its schema (used in tests/debug)."""
-    for member in schema.scalars:
-        if member not in value:
-            raise SpecError(f"{where}: missing scalar member {member!r}")
-        if isinstance(value[member], Rows):
-            raise SpecError(f"{where}: scalar member {member!r} holds rows")
-    for member in list(schema.sets) + list(schema.bags):
-        if member not in value:
-            raise SpecError(f"{where}: missing collection member {member!r}")
-        if not isinstance(value[member], Rows):
-            raise SpecError(
-                f"{where}: collection member {member!r} holds a scalar")

@@ -58,9 +58,6 @@ class SequenceRule:
                 return function
         return assign()
 
-    def children_with_rules(self) -> list[str]:
-        return [name for name, _ in self.inh]
-
 
 @dataclass(frozen=True)
 class ChoiceBranch:

@@ -39,9 +39,6 @@ class SpecializedAIG:
     def guards(self):
         return self.aig.guards
 
-    def plan_for(self, site: QuerySite) -> list[PlanStep]:
-        return self.decompositions[site]
-
 
 def specialize(aig: AIG,
                stats: StatisticsCatalog | None = None,

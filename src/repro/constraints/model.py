@@ -90,18 +90,6 @@ class InclusionConstraint:
             raise ConstraintError(
                 f"{self}: source and target field tuples differ in length")
 
-    @property
-    def source_field(self) -> str:
-        if len(self.source_fields) != 1:
-            raise ConstraintError(f"{self} is composite; use .source_fields")
-        return self.source_fields[0]
-
-    @property
-    def target_field(self) -> str:
-        if len(self.target_fields) != 1:
-            raise ConstraintError(f"{self} is composite; use .target_fields")
-        return self.target_fields[0]
-
     def __str__(self) -> str:
         def shown(fields):
             return (fields[0] if len(fields) == 1

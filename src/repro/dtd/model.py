@@ -231,11 +231,6 @@ class DTD:
                         f"production of {element_type!r} references undeclared "
                         f"element type {name!r}")
 
-    @property
-    def element_types(self) -> list[str]:
-        """``Ele``, in declaration order."""
-        return list(self.productions)
-
     def production(self, element_type: str) -> ContentModel:
         try:
             return self.productions[element_type]

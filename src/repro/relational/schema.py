@@ -52,9 +52,6 @@ class RelationSchema:
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
-
     def create_table_sql(self) -> str:
         parts = [f"{c.name} {c.sqltype}" for c in self.columns]
         if self.key:

@@ -12,6 +12,8 @@ phases (Sections 5.1, 5.5).
 * :mod:`repro.runtime.tagging` — the tagging plan: sort-merge the cached
   output relations into the final XML tree, erase internal states and
   unfolding suffixes, check guards.
+* :mod:`repro.runtime.prepared` — a plan as a value: prepare (unfold,
+  specialize, QDG, merge + schedule) and explain one, no middleware needed.
 * :mod:`repro.runtime.middleware` — the facade: AIG in, document out.
 
 Failure handling (retries, circuit breakers, degraded runs) lives in

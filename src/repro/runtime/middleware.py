@@ -40,29 +40,23 @@ from repro.relational.statistics import StatisticsCatalog
 from repro.xmlmodel.node import XMLElement
 from repro.xmlmodel.serialize import StreamSerializer
 from repro.aig.grammar import AIG
-from repro.compilation.specialize import specialize
-from repro.optimizer.cost import CostModel
-from repro.optimizer.merge import merge as merge_graph, unmerged_plan
-from repro.optimizer.qdg import build_qdg
 from repro.runtime.engine import Engine, EngineResult
 from repro.runtime.incremental import (
     ResultCache,
     compute_fingerprints,
     plan_increment,
 )
-from repro.runtime.recursion import unfold_aig
+from repro.runtime.prepared import PreparedPlan, explain_plan, prepare_plan
 from repro.runtime.tagging import (NullEventSink, TreeSink, stream_document,
                                    tagging_program)
 
 logger = logging.getLogger("repro.middleware")
 
 
-@dataclass
-class ExecutionReport:
-    """What one middleware evaluation did and how long it (would have)
-    taken."""
+@dataclass(kw_only=True)
+class _Report:
+    """What every evaluation did and how long it (would have) taken."""
 
-    document: XMLElement
     response_time: float            # simulated seconds (eval + comm)
     estimated_cost: float           # optimizer's predicted cost(P)
     measured_seconds: float         # actual wall time of execution phase
@@ -71,7 +65,6 @@ class ExecutionReport:
     node_count: int                 # QDG size after optimization
     merged: bool
     unfold_depth: int | None
-    optimization_seconds: float = 0.0
     #: Report-mode findings: single-process, the violated ``Constraint``s
     #: (the guards that fired); sharded, the located ``Violation``s of the
     #: reconciled verdict, as ``check_constraints`` lists them.
@@ -85,6 +78,14 @@ class ExecutionReport:
     #: cold at this depth).
     reused_nodes: int = 0
     tainted_nodes: int = 0
+
+
+@dataclass(kw_only=True)
+class ExecutionReport(_Report):
+    """What one middleware evaluation (``evaluate``) did: the document."""
+
+    document: XMLElement
+    optimization_seconds: float = 0.0
     #: Sharded evaluation (``Middleware(shards=N)``, docs/SHARDING.md):
     #: worker-process count of the run (1 = single-process path), rows of
     #: the driving query each shard evaluated, parent-side reconcile wall
@@ -97,8 +98,8 @@ class ExecutionReport:
     shard_peak_rss: list = field(default_factory=list)
 
 
-@dataclass
-class StreamReport:
+@dataclass(kw_only=True)
+class StreamReport(_Report):
     """What one streaming evaluation (``evaluate_stream``) did.
 
     No ``document``: the tree is never materialized — serialized bytes went
@@ -107,21 +108,9 @@ class StreamReport:
     ``check_constraints`` over the materialized document).
     """
 
-    response_time: float
-    estimated_cost: float
-    measured_seconds: float
-    queries_executed: int
-    bytes_shipped: int
-    node_count: int
-    merged: bool
-    unfold_depth: int | None
     elements: int                   # elements streamed
     characters: int                 # characters written
-    violations: list = field(default_factory=list)
     constraint_violations: list = field(default_factory=list)
-    failure_report: object = None
-    reused_nodes: int = 0           # as on ExecutionReport
-    tainted_nodes: int = 0
 
 
 class _ByteCount:
@@ -144,7 +133,7 @@ class _Run:
     """What one successful pass of the evaluation driver produced, for
     :meth:`Middleware.evaluate` / ``evaluate_stream`` to report from."""
 
-    graph: object
+    plan: PreparedPlan
     result: EngineResult
     sinks: list                     # the event sinks that consumed it
     elements: int                   # elements the tagger emitted
@@ -183,33 +172,53 @@ class Middleware:
         #: Reads nothing yet: the ``prepare`` that asks for a statistic does.
         self.stats = StatisticsCatalog.from_sources(list(sources.values()))
         self._chain_depth: tuple = (None, None)  # (table versions, depth)
+        # Every knob is checked here, so a bad value (a service tenant's
+        # JSON config) is refused at construction, never at a run.
+        from repro.resilience.breaker import BreakerBoard, BreakerPolicy
+        from repro.resilience.retry import RetryPolicy
+        if type(retry_policy) is int:
+            retry_policy = RetryPolicy(retries=retry_policy)
+
+        def positive(value) -> bool:
+            return type(value) is int and value > 0
+        for name, value, ok, expected in (
+                ("merging", merging, type(merging) is bool, "true or false"),
+                ("incremental", incremental, type(incremental) is bool,
+                 "true or false"),
+                ("unfold_depth", unfold_depth, unfold_depth == "auto"
+                 or positive(unfold_depth), "a positive integer or 'auto'"),
+                ("max_unfold_depth", max_unfold_depth,
+                 positive(max_unfold_depth), "a positive integer"),
+                ("shards", shards, positive(shards), "a positive integer"),
+                ("violation_mode", violation_mode,
+                 violation_mode in ("abort", "report"),
+                 "'abort' or 'report'"),
+                ("on_source_failure", on_source_failure,
+                 on_source_failure in ("abort", "degrade"),
+                 "'abort' or 'degrade'"),
+                ("deadline", deadline, deadline is None or (
+                    type(deadline) in (int, float) and deadline > 0),
+                 "a positive number of seconds or null"),
+                ("retry_policy", retry_policy, retry_policy is None
+                 or isinstance(retry_policy, RetryPolicy),
+                 "a RetryPolicy or int"),
+                ("breaker_policy", breaker_policy, breaker_policy is None
+                 or isinstance(breaker_policy, BreakerPolicy),
+                 "a BreakerPolicy")):
+            if not ok:
+                raise EvaluationError(
+                    f"{name} must be {expected}, got {value!r}")
         self.merging = merging
         self.unfold_depth = unfold_depth
         self.max_unfold_depth = max_unfold_depth
         self.violation_mode = violation_mode
-        from repro.resilience.retry import RetryPolicy
-        if isinstance(retry_policy, int) and not isinstance(retry_policy,
-                                                            bool):
-            retry_policy = RetryPolicy(retries=retry_policy)
-        if retry_policy is not None and not isinstance(retry_policy,
-                                                       RetryPolicy):
-            raise EvaluationError(
-                f"retry_policy must be a RetryPolicy or int, "
-                f"got {retry_policy!r}")
         self.retry_policy = retry_policy
         self.deadline = deadline
-        if on_source_failure not in ("abort", "degrade"):
-            raise EvaluationError(
-                f"on_source_failure must be 'abort' or 'degrade', "
-                f"got {on_source_failure!r}")
         self.on_source_failure = on_source_failure
         #: Breaker state persists *across* evaluations — an open breaker
         #: from one daily report still refuses the source in the next.
-        self.breakers = None
-        if breaker_policy is not None:
-            from repro.resilience.breaker import BreakerBoard
-            self.breakers = BreakerBoard(
-                breaker_policy, listener=self._on_breaker_transition)
+        self.breakers = None if breaker_policy is None else BreakerBoard(
+            breaker_policy, listener=self._on_breaker_transition)
         #: The middleware owns one persistent mediator shared by every
         #: evaluation: its connection and compiled statements stay warm
         #: across runs, and ``invalidate_plans`` can actually drop stray
@@ -242,27 +251,24 @@ class Middleware:
         #: eligible set-valued production and run the key ranges in worker
         #: processes, falling back to the single-process path when the AIG
         #: is not partitionable.
-        if isinstance(shards, bool) or not isinstance(shards, int) \
-                or shards < 1:
-            raise EvaluationError(
-                f"shards must be a positive integer, got {shards!r}")
         self.shards = shards
-        #: Concurrency control (docs/SERVICE.md).  ``_prepare_lock`` guards
-        #: the prepared-plan cache: the check-then-insert and the
-        #: stale-generation sweep must be atomic or two concurrent callers
-        #: duplicate optimization work and interleave ``del``/insert.
-        #: ``run_lock`` serializes the execution+tagging phase — sources
-        #: are *single-flight* (one query at a time, see
-        #: :class:`~repro.relational.source.DataSource`), the engine's
-        #: mediator cache tables are named per-run, and the incremental
-        #: result caches are committed mid-run, so overlapping executions
-        #: on one instance would corrupt each other.  Reentrant so
-        #: ``evaluate_batch`` can hold it across its member evaluations.
-        #: A writer to the sources outside a run (the service's delta
-        #: load) holds it too, so the write lands between two runs.
+        #: Concurrency control (docs/SERVICE.md).  ``run_lock`` serializes
+        #: the execution+tagging phase — sources are *single-flight* (one
+        #: query at a time, see :class:`~repro.relational.source.
+        #: DataSource`), the engine's mediator cache tables are named
+        #: per-run, and the incremental result caches are committed
+        #: mid-run, so overlapping executions on one instance would corrupt
+        #: each other.  Reentrant so ``evaluate_batch`` can hold it across
+        #: its member evaluations.  A writer to the sources outside a run
+        #: (the service's delta load) holds it too, so the write lands
+        #: between two runs.  It also guards every write to the
+        #: prepared-plan cache (``_prepared``), so a plan is optimized once.
         self._prepared: dict = {}
-        self._prepare_lock = threading.Lock()
         self.run_lock = threading.RLock()
+        #: The plan the most recent successful evaluation ran (``None``
+        #: before the first): what ``calibration_report`` and ``repro
+        #: explain`` describe.
+        self.last_plan: PreparedPlan | None = None
         #: Optimization passes actually executed (cache misses in
         #: :meth:`prepare`).  A counting hook for tests and the service
         #: layer: under concurrent reuse this must grow once per distinct
@@ -397,7 +403,7 @@ class Middleware:
         if not recursive_types(self.aig.dtd):
             return None
         if self.unfold_depth != "auto":
-            return int(self.unfold_depth)
+            return self.unfold_depth
         from repro.runtime.recursion import (chain_queries,
                                              estimate_recursion_depth)
         versions = [self.stats.table_version(item.source, item.relation)
@@ -408,9 +414,10 @@ class Middleware:
                 self.aig, self.sources, self.max_unfold_depth))
         return self._chain_depth[1] or 4
 
-    def prepare(self, depth: int | None = None, tracer=None):
-        """Pre-processing + optimization only: returns (graph, plan,
-        tagging plan, estimated cost, estimates).
+    def prepare(self, depth: int | None = None,
+                tracer=None) -> PreparedPlan:
+        """Pre-processing + optimization only: :func:`~repro.runtime.
+        prepared.prepare_plan` of this middleware's AIG at ``depth``.
 
         Results are cached per depth — the whole pipeline up to execution is
         input-independent, so evaluating many root attributes (the paper's
@@ -418,60 +425,38 @@ class Middleware:
         store attached, the cache key also carries the store's generation:
         the plan is re-optimized exactly when new measurements arrived.
 
-        Thread-safe: the cache probe, the stale-generation sweep, and the
-        insert run under ``_prepare_lock``, so concurrent callers of a
-        shared middleware never duplicate optimization work (asserted via
-        :attr:`prepare_count`) and never interleave the sweep's ``del``
-        with another caller's insert.  ``tracer`` (optional) scopes this
-        call's spans and gauges to a per-request tracer instead of the
-        instance-wide one — see docs/SERVICE.md.
+        Thread-safe: a hit is one lock-free dict probe; a miss re-probes,
+        sweeps stale generations and inserts under ``run_lock``, so
+        concurrent callers of a shared middleware never duplicate
+        optimization work (asserted via :attr:`prepare_count`).  ``tracer``
+        (optional) scopes this call's spans and gauges to a per-request
+        tracer instead of the instance-wide one — see docs/SERVICE.md.
         """
-        tracer = self.tracer if tracer is None else tracer
         generation = (self.cost_feedback.generation
                       if self.cost_feedback is not None else None)
         key = (depth, generation)
-        entry = self._prepared.get(key)
-        if entry is not None:
-            return entry
+        prepared = self._prepared.get(key)
+        if prepared is not None:
+            return prepared
         # A miss reads statistics; sources are single-flight, so it waits
-        # for a running evaluation (run lock first, as invalidate_plans).
-        with self.run_lock, self._prepare_lock:
-            entry = self._prepared.get(key)
-            if entry is not None:
-                return entry
-            self.stats.tracer = tracer  # this prepare's reads are its spans
+        # for a running evaluation.
+        with self.run_lock:
+            prepared = self._prepared.get(key)
+            if prepared is not None:
+                return prepared
             # Stale generations of the same depth are never consulted
             # again — drop them so feedback-driven re-prepares don't grow
             # the cache without bound.
             for stale in [item for item in self._prepared
                           if item[0] == depth]:
                 del self._prepared[stale]
-            working = self.aig
-            if depth is not None:
-                with tracer.span("unfold", "unfold", depth=depth):
-                    working = unfold_aig(self.aig, depth)
-            spec = specialize(working, self.stats, tracer=tracer)
-            with tracer.span("build-qdg", "qdg"):
-                graph, tagging_plan = build_qdg(spec, self.stats)
-            model = CostModel(self.stats, feedback=self.cost_feedback)
-            with tracer.span("merge+schedule", "optimize",
-                             merging=self.merging) as optimize_span:
-                if self.merging:
-                    graph, plan, cost, estimates = merge_graph(
-                        graph, model, self.network, tracer=tracer)
-                else:
-                    plan, cost, estimates = unmerged_plan(graph, model,
-                                                          self.network)
-                optimize_span.set(nodes=len(graph), predicted_cost=cost)
-            tracer.metrics.set_gauge("qdg_nodes", len(graph))
-            tracer.metrics.set_gauge("plan_cost_estimate_seconds", cost)
-            logger.info("prepared plan (depth=%s): %d node(s), predicted "
-                        "cost %.3fs, merging %s", depth, len(graph), cost,
-                        "on" if self.merging else "off")
-            entry = (graph, plan, tagging_plan, cost, estimates)
-            self._prepared[key] = entry
+            prepared = prepare_plan(
+                self.aig, self.stats, self.network, depth,
+                merging=self.merging, feedback=self.cost_feedback,
+                tracer=self.tracer if tracer is None else tracer)
+            self._prepared[key] = prepared
             self.prepare_count += 1
-            return entry
+            return prepared
 
     def invalidate_plans(self) -> None:
         """Drop cached plans and the statistics read for them, incremental
@@ -492,9 +477,8 @@ class Middleware:
         it.
         """
         with self.run_lock:
-            with self._prepare_lock:
-                self._prepared = {}
-                self.stats.invalidate()
+            self._prepared = {}
+            self.stats.invalidate()
             self._result_caches = {}
             for table in self.mediator.table_names():
                 try:
@@ -520,84 +504,41 @@ class Middleware:
                     for values in root_inh_values]
 
     def explain(self, depth: int | None = None) -> str:
-        """A human-readable report of the optimization decisions.
-
-        Covers what EXPLAIN covers for a DBMS: the recursion unfolding, the
-        decomposed multi-source sites, every query-dependency-graph node
-        with its estimated cardinality, the per-source schedules with ℓevel
-        priorities, the merges chosen, and the predicted ``cost(P)``.
-        """
-        from repro.optimizer.schedule import levels
-
+        """:func:`~repro.runtime.prepared.explain_plan` of the plan at
+        ``depth`` (default: the initial estimate), then the statistics read
+        so far and, with ``incremental``, each node's cache state."""
         if depth is None:
             depth = self._initial_depth()
-        graph, plan, tagging_plan, cost, estimates = self.prepare(depth)
-        priority = levels(graph, estimates, self.network)
-        lines = ["== AIG middleware plan =="]
-        if depth is not None:
-            lines.append(f"recursion unfolded to depth {depth}")
-        lines.append(f"{len(graph)} plan nodes over sources "
-                     f"{', '.join(graph.sources())}")
-        lines.append("")
-        lines.append("-- query dependency graph (topological) --")
-        for node in graph.topological_order():
-            estimate = estimates.get(node.name)
-            cardinality = (f"~{estimate.cardinality:.0f} rows"
-                           if estimate else "?")
-            lines.append(f"  [{node.kind:9s}] {node.name} @{node.source} "
-                         f"({cardinality})")
-            members = getattr(node, "members", None)
-            if members:
-                for member in members:
-                    lines.append(f"      + {member.name}")
-            if node.kind == "guard":
-                lines.append(f"      {node.guard.kind}  "
-                             f"{node.guard.constraint}")
-            for producer in node.inputs:
-                lines.append(f"      <- {producer}")
-        lines.append("")
-        lines.append("-- schedule (Algorithm Schedule, ℓevel priority) --")
-        for source, sequence in sorted(plan.items()):
-            lines.append(f"  {source}:")
-            for name in sequence:
-                lines.append(f"    ℓ={priority[name]:9.3f}  {name}")
-        lines.append("")
-        lines.append(f"predicted cost(P): {cost:.3f}s "
-                     f"(merging {'on' if self.merging else 'off'}, "
-                     f"{self.network})")
+        prepared = self.prepare(depth)
+        lines = explain_plan(prepared, self.network)
         lines.append("")
         lines.append("-- statistics read (asked of the sources so far) --")
         lines.extend(self.stats.describe_reads())
         if self.incremental:
             lines.append("")
             lines.append("-- incremental cache state --")
+            graph, increment = prepared.graph, None
             # Run lock: a concurrent evaluation must not swap the result
             # caches (or the last root attributes) mid-report.
-            self.run_lock.acquire()
-            try:
-                lines.extend(self._explain_cache_state(depth, graph))
-            finally:
-                self.run_lock.release()
+            with self.run_lock:
+                store = self._result_caches.get(depth)
+                if store and hasattr(self, "_last_root_inh"):
+                    increment = plan_increment(graph, store,
+                                               *compute_fingerprints(
+                                                   graph, self.sources,
+                                                   self._last_root_inh))
+            if increment is None:
+                lines.append("  (cache cold: no committed evaluation at "
+                             "this depth yet)")
+            else:
+                for node in graph.topological_order():
+                    state = ("cached " if node.name in increment.reusable
+                             else "TAINTED")
+                    lines.append(f"  [{state}] {node.name} @{node.source}")
+                lines.append(f"  {len(increment.reusable)} node(s) "
+                             f"reusable, {len(increment.tainted)} tainted "
+                             f"(vs last evaluation's root attributes)")
         return "\n".join(lines)
-
-    def _explain_cache_state(self, depth, graph) -> list[str]:
-        lines: list[str] = []
-        store = self._result_caches.get(depth)
-        if not store or not hasattr(self, "_last_root_inh"):
-            lines.append("  (cache cold: no committed evaluation at "
-                         "this depth yet)")
-        else:
-            increment = plan_increment(
-                graph, store, *compute_fingerprints(graph, self.sources,
-                                                    self._last_root_inh))
-            for node in graph.topological_order():
-                state = ("cached " if node.name in increment.reusable
-                         else "TAINTED")
-                lines.append(f"  [{state}] {node.name} @{node.source}")
-            lines.append(f"  {len(increment.reusable)} node(s) "
-                         f"reusable, {len(increment.tainted)} tainted "
-                         f"(vs last evaluation's root attributes)")
-        return lines
 
     def calibration_report(self):
         """Modeled-vs-measured cost report for the most recent evaluation.
@@ -609,14 +550,15 @@ class Middleware:
         :class:`~repro.errors.EvaluationError` before any evaluation ran.
         """
         from repro.obs.calibrate import build_calibration
-        if not hasattr(self, "_last_result"):
+        if self.last_plan is None:
             raise EvaluationError(
                 "calibration_report() requires a prior evaluate() run")
         # Join against the estimates that *planned* the last run (not a
         # fresh prepare): with cost feedback attached, a re-prepare would
         # already fold in what the run just measured and the report would
         # grade the model against its own answer key.
-        return build_calibration(self._last_graph, self._last_estimates,
+        return build_calibration(self.last_plan.graph,
+                                 self.last_plan.estimates,
                                  self._last_result.timings)
 
     # ------------------------------------------------------------------
@@ -658,8 +600,8 @@ class Middleware:
                           if self.ledger is not None else None)
         with tracer.span(span, "pipeline", depth=depth):
             optimization_started = time.perf_counter()
-            graph, plan, tagging_plan, estimated_cost, estimates = \
-                self.prepare(depth, tracer=tracer)
+            prepared = self.prepare(depth, tracer=tracer)
+            graph, tagging_plan = prepared.graph, prepared.tagging_plan
             optimization_seconds = (time.perf_counter()
                                     - optimization_started)
             store = None
@@ -677,7 +619,7 @@ class Middleware:
                 tracer.metrics.set_gauge("incremental_tainted_nodes",
                                          len(increment.tainted))
                 self._last_root_inh = dict(root_inh)
-            engine = Engine(graph, plan, self.sources, self.network,
+            engine = Engine(graph, prepared.plan, self.sources, self.network,
                             mediator=self.mediator,
                             violation_mode=self.violation_mode,
                             tracer=tracer,
@@ -730,26 +672,24 @@ class Middleware:
             tracer.metrics.observe("evaluation_latency_seconds",
                                    result.measured_seconds)
         self._last_result = result
-        self._last_depth = depth
-        self._last_graph = graph
-        self._last_estimates = estimates
+        self.last_plan = prepared
         if (self.cost_feedback is not None
                 and result.failure_report is None):
             self.cost_feedback.observe_run(graph, result.timings)
         tainted_nodes = len(increment.tainted) if increment else 0
         return _Run(
-            graph=graph, result=result, sinks=sinks, elements=elements,
+            plan=prepared, result=result, sinks=sinks, elements=elements,
             nodes=elements + count.texts,
             optimization_seconds=optimization_seconds,
             metrics_before=metrics_before,
             report=dict(
                 response_time=result.response_time,
-                estimated_cost=estimated_cost,
+                estimated_cost=prepared.cost,
                 measured_seconds=result.measured_seconds,
                 queries_executed=result.queries_executed,
                 bytes_shipped=result.bytes_shipped,
                 node_count=len(graph),
-                merged=self.merging,
+                merged=prepared.merged,
                 unfold_depth=depth,
                 violations=list(result.violations),
                 failure_report=result.failure_report,
@@ -778,11 +718,12 @@ class Middleware:
         """Append one run record to the attached ledger."""
         from repro.obs.ledger import build_run_record, metrics_delta
         result = run.result
+        plan = run.plan
         plan_info = {
-            "estimated_cost": round(run.report["estimated_cost"], 6),
+            "estimated_cost": round(plan.cost, 6),
             "response_time": round(result.response_time, 6),
-            "node_count": len(run.graph),
-            "unfold_depth": run.report["unfold_depth"],
+            "node_count": len(plan.graph),
+            "unfold_depth": plan.depth,
         }
         run_info = {
             "measured_seconds": round(result.measured_seconds, 6),
@@ -797,7 +738,7 @@ class Middleware:
         }
         constraint_records = [str(violation) for violation in violations]
         record = build_run_record(
-            kind, run.graph, result.timings,
+            kind, plan.graph, result.timings,
             config=self._config_dict(),
             plan_info=plan_info,
             run_info=run_info,

@@ -15,7 +15,7 @@ evaluation device, not an interface change).
 The middleware uses a user-supplied depth estimate ``d``; if at runtime the
 deepest unfolded level still produces rows (the recursion was deeper than
 estimated), evaluation is repeated with a larger ``d`` — the runtime loop of
-Section 5.5.  ``deepest_level_types`` identifies the copies to watch.
+Section 5.5.
 """
 
 from __future__ import annotations
@@ -79,24 +79,6 @@ def unfold_aig(aig: AIG, depth: int) -> AIG:
         unfolded.rules[new_type] = _remap_rule(rule, old_model, new_model,
                                                new_type)
     return unfolded
-
-
-def deepest_level_types(unfolded_dtd) -> set[str]:
-    """Element types whose production was truncated (budget 0): the copies
-    to watch for runtime re-unfolding.
-
-    A truncated copy is one whose production differs in shape from deeper
-    copies — concretely, a ``name#0`` copy of a star production that became
-    ``EMPTY``, or a choice that lost alternatives.
-    """
-    watched: set[str] = set()
-    for element_type, model in unfolded_dtd.productions.items():
-        if base_name(element_type) == element_type:
-            continue
-        suffix = element_type.rsplit("#", 1)[1]
-        if suffix == "0" and isinstance(model, (Empty, Choice)):
-            watched.add(element_type)
-    return watched
 
 
 # ----------------------------------------------------------------------

@@ -100,12 +100,15 @@ class TenantState:
     def describe(self) -> dict:
         """JSON-safe summary for ``GET /tenants``."""
         middleware = self.middleware
+        plan = middleware.last_plan
         return {
             "name": self.name,
             "fingerprint": self.fingerprint,
             "plan_key": self.plan_key,
             "sources": sorted(self.sources),
-            "prepared_plans": len(middleware._prepared),
+            "last_plan": None if plan is None else {
+                "unfold_depth": plan.depth, "nodes": len(plan.graph),
+                "predicted_cost": round(plan.cost, 6)},
             "prepare_count": middleware.prepare_count,
             "incremental": middleware.incremental,
             "breakers": (middleware.breakers.states()

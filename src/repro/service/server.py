@@ -134,6 +134,14 @@ class EvaluationService:
     def register_scenario(self, name: str, scenario: dict,
                           config: dict | None = None) -> TenantState:
         """Register from a JSON scenario description (``POST /tenants``)."""
+        # Keys naming a file the server writes are the operator's
+        # (``repro serve --ledger/--feedback``, ``register_tenant``).
+        refused = sorted(set(config or ()) & {"cost_feedback", "ledger"})
+        if refused:
+            raise EvaluationError(
+                f"config key(s) {', '.join(refused)} name a server-side "
+                f"file and are operator-only (repro serve --ledger / "
+                f"--feedback)")
         kind = scenario.get("kind", "spec")
         if kind == "hospital":
             from repro.datagen import make_loaded_sources

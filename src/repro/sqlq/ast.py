@@ -196,12 +196,6 @@ class Query:
         added = tuple(i for i in items if i.alias not in existing)
         return replace(self, select=self.select + added)
 
-    def with_extra_from(self, *items: FromItem) -> "Query":
-        return replace(self, from_items=self.from_items + tuple(items))
-
-    def with_extra_where(self, *predicates: Predicate) -> "Query":
-        return replace(self, where=self.where + tuple(predicates))
-
     def __str__(self) -> str:
         parts = ["select "]
         if self.distinct:

@@ -17,6 +17,7 @@ invariants that makes safe:
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -51,7 +52,8 @@ def _run_threads(count, target):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
     if errors:
         raise errors[0]
 
@@ -113,6 +115,35 @@ class TestConcurrentMiddleware:
         _run_threads(8, worker)
         assert shared.prepare_count == 1
         assert all(entry is entries[0] for entry in entries)
+
+    def test_racing_prepares_compile_each_depth_once(self, world):
+        # more threads than cores, switching every few microseconds: a
+        # miss re-probes under the run lock, so no depth compiles twice
+        # and no caller gets another caller's plan
+        aig, sources, _ = world
+        shared = Middleware(aig, sources, Network.mbps(1.0))
+        barrier = threading.Barrier(12)
+        seen = {depth: set() for depth in (3, 4, 5)}
+        lock = threading.Lock()
+
+        def worker(index):
+            barrier.wait(timeout=60)
+            for step in range(3):
+                depth = 3 + (index + step) % 3
+                prepared = shared.prepare(depth, tracer=Tracer())
+                with lock:
+                    seen[depth].add(prepared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(12, worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared.prepare_count == 3
+        assert {depth: [plan.depth for plan in plans]
+                for depth, plans in seen.items()} == \
+            {3: [3], 4: [4], 5: [5]}
 
     def test_invalidate_during_concurrent_evaluations(self, world):
         aig, sources, dataset = world

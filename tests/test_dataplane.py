@@ -302,10 +302,11 @@ class TestPushdown:
     def test_streaming_tagging_peak_below_document_size(self):
         aig, sources = build_wide_scenario()
         middleware = Middleware(aig, sources)
-        graph, plan, tagging_plan, _, _ = middleware.prepare(None)
+        prepared = middleware.prepare(None)
+        tagging_plan = prepared.tagging_plan
         from repro.runtime.engine import Engine
-        engine = Engine(graph, plan, sources, middleware.network,
-                        mediator=middleware.mediator,
+        engine = Engine(prepared.graph, prepared.plan, sources,
+                        middleware.network, mediator=middleware.mediator,
                         tagging_plan=tagging_plan)
         try:
             result = engine.run({"day": "d1"})

@@ -79,7 +79,9 @@ def prepared_and_run(middleware, depth, root) -> list[str]:
     """The checked order of the plan at ``depth``, after a run that executed
     its nodes in it and whose statements arrived in it, each at its node's
     source — one per node, none for a node run in process."""
-    graph, plan, tagging_plan, _, _ = middleware.prepare(depth)
+    prepared = middleware.prepare(depth)
+    graph, plan, tagging_plan = (prepared.graph, prepared.plan,
+                                 prepared.tagging_plan)
     order = checked_order(graph, plan)
     executed, received = run_recorded(middleware, graph, plan, tagging_plan,
                                       root)
@@ -144,7 +146,7 @@ class TestOneThread:
             source.execute = sampling
         before = threading.active_count()
         report = middleware.evaluate({"date": "d1"})
-        in_process = [node for node in middleware._last_graph.nodes.values()
+        in_process = [node for node in middleware.last_plan.graph.nodes.values()
                       if node.collections]
         assert len(in_process) == 3
         assert len(during) == report.queries_executed - 3 >= 12
@@ -159,8 +161,9 @@ class TestRefusedBeforeTheFirstStatement:
         load_tiny_hospital(sources)
         middleware = Middleware(build_hospital_aig(), sources,
                                 Network.mbps(1.0), merging=False)
-        graph, plan, tagging_plan, _, _ = middleware.prepare(4)
-        return middleware, graph, plan, tagging_plan
+        prepared = middleware.prepare(4)
+        return (middleware, prepared.graph, prepared.plan,
+                prepared.tagging_plan)
 
     def refused(self, prepared, plan, match):
         middleware, graph, _, tagging_plan = prepared

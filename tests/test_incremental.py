@@ -167,8 +167,8 @@ class TestBindingKeyedStore:
     @staticmethod
     def stored(middleware, root: dict) -> dict:
         """node name -> the entry the store holds for ``root``'s binding."""
-        graph = middleware._last_graph
-        store = middleware._result_caches[middleware._last_depth]
+        graph = middleware.last_plan.graph
+        store = middleware._result_caches[middleware.last_plan.depth]
         return plan_increment(graph, store, *compute_fingerprints(
             graph, middleware.sources, root)).reusable
 
@@ -191,8 +191,8 @@ class TestBindingKeyedStore:
     def test_each_node_keeps_its_least_recently_used_bindings(self):
         middleware, _ = hdr_middleware(b=Const("k"), incremental=True)
         middleware.evaluate({"p": "v0", "q": "y"})
-        store = middleware._result_caches[middleware._last_depth]
-        graph = middleware._last_graph
+        store = middleware._result_caches[middleware.last_plan.depth]
+        graph = middleware.last_plan.graph
         guard = next(node.name for node in graph.nodes.values()
                      if node.kind == "guard")
         (step,) = set(graph.nodes) - {guard}
@@ -379,8 +379,8 @@ class TestProgramFingerprints:
     def tainted(middleware, before: dict, after: dict) -> set:
         """The nodes a change of root attributes re-taints, after a run."""
         middleware.evaluate(dict(before))
-        graph = middleware._last_graph
-        store = middleware._result_caches[middleware._last_depth]
+        graph = middleware.last_plan.graph
+        store = middleware._result_caches[middleware.last_plan.depth]
         return plan_increment(graph, store, *compute_fingerprints(
             graph, middleware.sources, after)).tainted
 
@@ -388,9 +388,9 @@ class TestProgramFingerprints:
         middleware, _ = hdr_middleware(incremental=True)
         before, after = {"p": "x", "q": "y"}, {"p": "x2", "q": "y"}
         tainted = self.tainted(middleware, before, after)
-        (guard,) = [n for n in middleware._last_graph.nodes.values()
+        (guard,) = [n for n in middleware.last_plan.graph.nodes.values()
                     if n.kind == "guard"]
-        assert tainted == middleware._last_graph.taint_cone(
+        assert tainted == middleware.last_plan.graph.taint_cone(
             [guard.name]) == {guard.name}
         report = middleware.evaluate(dict(after))
         assert (report.queries_executed, report.reused_nodes) == (1, 1)
@@ -411,7 +411,7 @@ class TestProgramFingerprints:
         middleware = Middleware(aig.validate(), {"S": source},
                                 merging=False, incremental=True)
         tainted = self.tainted(middleware, {"p": "1"}, {"p": "2"})
-        graph = middleware._last_graph
+        graph = middleware.last_plan.graph
         (collect,) = [n for n in graph.nodes.values() if n.kind == "collect"]
         assert collect.collections[0].root_members() == ["p"]
         assert tainted == graph.taint_cone([collect.name])

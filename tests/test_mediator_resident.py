@@ -181,7 +181,7 @@ def test_guards_read_collects_without_a_round_trip(tiny_sources):
     calls = count_mediator_calls(middleware)
     report = middleware.evaluate({"run": "r"})
     assert report.violations == []
-    graph = middleware._last_graph
+    graph = middleware.last_plan.graph
     guards = [n for n in graph.nodes.values() if n.kind == "guard"]
     assert not [n for n in graph.nodes.values() if n.kind == "collect"]
     assert len(guards) == len(middleware.aig.constraints) == 7
@@ -199,7 +199,7 @@ def test_guards_read_collects_without_a_round_trip(tiny_sources):
                             unfold_depth=8)
     calls = count_mediator_calls(middleware)
     report = middleware.evaluate({"date": "d1"})
-    kinds = [n.kind for n in middleware._last_graph.nodes.values()]
+    kinds = [n.kind for n in middleware.last_plan.graph.nodes.values()]
     assert (kinds.count("collect"), kinds.count("guard")) == (1, 2)
     assert report.queries_executed == len(kinds)
     assert calls == []
@@ -225,7 +225,7 @@ def test_source_side_set_parameter_gets_the_rows():
     assert serialize(report.document) == serialize(conceptual)
     assert "<price>75</price>" in serialize(report.document)
 
-    graph, cache = middleware._last_graph, middleware._last_result.cache
+    graph, cache = middleware.last_plan.graph, middleware._last_result.cache
     shipped_out = {name for node in graph.nodes.values()
                    if node.source != MEDIATOR_NAME for name in node.inputs
                    if graph.node_for(name).kind == "collect"}
@@ -244,7 +244,7 @@ def test_delta_run_replays_a_clean_collect_into_a_tainted_consumer():
     middleware, sources, tracer = _hospital(incremental=True)
     cold = middleware.evaluate({"date": "d1"})
     store = middleware._result_caches[cold.unfold_depth]
-    graph = middleware._last_graph
+    graph = middleware.last_plan.graph
     stored = plan_increment(graph, store, *compute_fingerprints(
         graph, sources, {"date": "d1"})).reusable
     kept = [entry.outputs[name] for name, entry in stored.items()
@@ -379,7 +379,7 @@ def test_mediator_fault_at_every_statement_leaves_no_cache_tables():
             assert cache_tables(middleware.mediator) == [], \
                 f"statement {index}"
             if not injector.fired:      # a clean run: count its steps
-                joins = [n for n in middleware._last_graph.nodes.values()
+                joins = [n for n in middleware.last_plan.graph.nodes.values()
                          if n.source == MEDIATOR_NAME and n.kind == "step"]
                 break
     else:
@@ -449,7 +449,7 @@ def conceptual(middleware, root):
 
 
 def the_guard(middleware):
-    (guard,) = [node for node in middleware._last_graph.nodes.values()
+    (guard,) = [node for node in middleware.last_plan.graph.nodes.values()
                 if node.kind == "guard"]
     return guard
 

@@ -50,11 +50,13 @@ class TestMiddlewarePrepare:
     def test_prepare_exposes_optimization_artifacts(self, hospital_aig,
                                                     tiny_sources):
         middleware = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0))
-        graph, plan, tagging_plan, cost, estimates = middleware.prepare(3)
+        prepared = middleware.prepare(3)
+        graph = prepared.graph
+        assert (prepared.depth, prepared.merged) == (3, True)
         assert len(graph) > 5
-        assert cost > 0
-        assert set(estimates) >= set(graph.nodes)
-        scheduled = {name for seq in plan.values() for name in seq}
+        assert prepared.cost > 0
+        assert set(prepared.estimates) >= set(graph.nodes)
+        scheduled = {name for seq in prepared.plan.values() for name in seq}
         assert scheduled == set(graph.nodes)
 
     def test_prepare_without_merging(self, hospital_aig, tiny_sources):
@@ -62,8 +64,9 @@ class TestMiddlewarePrepare:
                             merging=True).prepare(3)
         plain = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
                            merging=False).prepare(3)
-        assert len(merged[0]) <= len(plain[0])
-        assert merged[3] <= plain[3] + 1e-9  # estimated cost
+        assert len(merged.graph) <= len(plain.graph)
+        assert merged.cost <= plain.cost + 1e-9
+        assert not plain.merged
 
 
 class TestPlanCostProperties:

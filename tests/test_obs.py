@@ -422,9 +422,9 @@ class TestCalibration:
         report = middleware.calibration_report()
         assert report.nodes
         by_name = {node.name: node for node in report.nodes}
-        graph, _, _, _, estimates = middleware.prepare(
-            middleware._last_depth)
-        executed = set(graph.nodes) & set(estimates)
+        prepared = middleware.prepare(middleware.last_plan.depth)
+        assert prepared is middleware.last_plan
+        executed = set(prepared.graph.nodes) & set(prepared.estimates)
         assert set(by_name) == executed
         for node in report.nodes:
             assert node.rows_q >= 1.0
@@ -449,8 +449,8 @@ class TestCalibration:
     def test_build_calibration_skips_unjoined(self):
         middleware, _ = traced_middleware()
         middleware.evaluate({"date": "d1"})
-        graph, _, _, _, estimates = middleware.prepare(
-            middleware._last_depth)
+        graph, estimates = (middleware.last_plan.graph,
+                            middleware.last_plan.estimates)
         timings = middleware._last_result.timings
         partial = dict(list(timings.items())[:2])
         report = build_calibration(graph, estimates, partial)

@@ -186,9 +186,10 @@ class TestDecomposerSubsumesPushdown:
         looked_at, findings = 0, []
         for aig, sources in scenarios():
             depth = 4 if recursive_types(aig.dtd) else None
-            graph, _, tagging_plan, _, _ = Middleware(
-                aig, sources, merging=False).prepare(depth)
-            steps, found = _pushdown_left_undone(graph, tagging_plan)
+            prepared = Middleware(aig, sources,
+                                  merging=False).prepare(depth)
+            steps, found = _pushdown_left_undone(prepared.graph,
+                                                 prepared.tagging_plan)
             looked_at += steps
             findings += found
             for source in sources.values():

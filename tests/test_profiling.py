@@ -48,27 +48,27 @@ class TestStructuralFingerprints:
         second = fresh_middleware()
         first.evaluate({"date": "d1"})
         second.evaluate({"date": "d2"})    # different root value
-        assert plan_fingerprint(first._last_graph) == \
-            plan_fingerprint(second._last_graph)
+        assert plan_fingerprint(first.last_plan.graph) == \
+            plan_fingerprint(second.last_plan.graph)
         firsts = {name: structural_fingerprint(node)
-                  for name, node in first._last_graph.nodes.items()}
+                  for name, node in first.last_plan.graph.nodes.items()}
         seconds = {name: structural_fingerprint(node)
-                   for name, node in second._last_graph.nodes.items()}
+                   for name, node in second.last_plan.graph.nodes.items()}
         assert firsts == seconds
 
     def test_data_changes_do_not_move_fingerprints(self):
         middleware = fresh_middleware()
         middleware.evaluate({"date": "d1"})
-        before = plan_fingerprint(middleware._last_graph)
+        before = plan_fingerprint(middleware.last_plan.graph)
         middleware.sources["DB3"].execute_script(
             "DELETE FROM billing WHERE trId='t4'")
-        assert plan_fingerprint(middleware._last_graph) == before
+        assert plan_fingerprint(middleware.last_plan.graph) == before
 
     def test_distinct_nodes_distinct_fingerprints(self):
         middleware = fresh_middleware()
         middleware.evaluate({"date": "d1"})
         prints = [structural_fingerprint(node)
-                  for node in middleware._last_graph.nodes.values()]
+                  for node in middleware.last_plan.graph.nodes.values()]
         assert len(set(prints)) == len(prints)
 
 
@@ -303,15 +303,15 @@ class TestCostFeedback:
     def test_generation_gates_the_prepared_plan_cache(self):
         middleware = fresh_middleware(cost_feedback=CostFeedbackStore())
         middleware.evaluate({"date": "d1"})
-        first_estimates = middleware._last_estimates
+        first_estimates = middleware.last_plan.estimates
         middleware.evaluate({"date": "d1"})
-        assert middleware._last_estimates is not first_estimates
+        assert middleware.last_plan.estimates is not first_estimates
         # without feedback the prepared plan is reused as before
         plain = fresh_middleware()
         plain.evaluate({"date": "d1"})
-        cached = plain._last_estimates
+        cached = plain.last_plan.estimates
         plain.evaluate({"date": "d1"})
-        assert plain._last_estimates is cached
+        assert plain.last_plan.estimates is cached
 
     def test_ewma_tracks_drift(self):
         store = CostFeedbackStore(alpha=0.5)

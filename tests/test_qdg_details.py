@@ -356,7 +356,7 @@ def test_fused_guards_over_multi_branch_collections(tiny_sources, violated):
     middleware = Middleware(aig, tiny_sources, unfold_depth=3,
                             violation_mode="report")
     report = middleware.evaluate({"date": "d1"})
-    guards = [n for n in middleware._last_graph.nodes.values()
+    guards = [n for n in middleware.last_plan.graph.nodes.values()
               if n.kind == "guard"]
     assert len(guards) == 2
     for guard in guards:      # one branch per unfolded treatment level
@@ -383,7 +383,7 @@ def test_fused_guard_over_choice_gated_branches(duplicate):
     middleware = Middleware(aig, {"FS": source}, unfold_depth=3,
                             violation_mode="report")
     report = middleware.evaluate({})
-    (guard,) = [n for n in middleware._last_graph.nodes.values()
+    (guard,) = [n for n in middleware.last_plan.graph.nodes.values()
                 if n.kind == "guard"]
     (program,) = guard.collections
     gates = [gate for branch in program.branches for gate in branch.gates]
@@ -408,7 +408,7 @@ def test_each_collection_and_index_is_built_once_per_run(tiny_sources):
                             group_sources(groups=50, members=members),
                             tracer=tracer)
     middleware.evaluate({"run": "r"})
-    guards = [n for n in middleware._last_graph.nodes.values()
+    guards = [n for n in middleware.last_plan.graph.nodes.values()
               if n.kind == "guard"]
     assert len(guards) == 7
     assert tracer.metrics.counter("collections_built") == 4
@@ -420,7 +420,7 @@ def test_each_collection_and_index_is_built_once_per_run(tiny_sources):
     middleware = Middleware(build_hospital_aig(), tiny_sources,
                             unfold_depth=8, tracer=tracer)
     middleware.evaluate({"date": "d1"})
-    graph = middleware._last_graph
+    graph = middleware.last_plan.graph
     (collect,) = [n for n in graph.nodes.values() if n.kind == "collect"]
     chain = {table for node in graph.nodes.values()
              for program in node.collections

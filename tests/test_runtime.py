@@ -175,7 +175,7 @@ class TestRecursionHandling:
         assert attached == [["DB4"], ["DB4"]]
         assert serialize(report.document) == serialize(fixed.document)
         plan_statements = {
-            name: sum(len(middleware.prepare(depth)[1][name])
+            name: sum(len(middleware.prepare(depth).plan[name])
                       for depth in (2, 4, 8)) for name in sources}
         copies = {"DB4": 2 * len(sources["DB4"].schema.relations)}
         assert {name: source.total_queries - asked[name]

@@ -173,6 +173,18 @@ class TestRegistry:
         assert again is first
         assert again.middleware.prepare_count == 1  # plans stayed warm
 
+    def test_describe_reports_the_plan_that_last_ran(self, world):
+        aig, sources, dataset = world
+        state = TenantRegistry().register("t", aig, sources,
+                                          {"unfold_depth": 4})
+        assert state.describe()["last_plan"] is None
+        report = state.middleware.evaluate(
+            {"date": dataset.busiest_date()})
+        assert state.describe()["last_plan"] == {
+            "unfold_depth": report.unfold_depth,
+            "nodes": report.node_count,
+            "predicted_cost": round(report.estimated_cost, 6)}
+
     def test_config_change_swaps_instance(self, world):
         aig, sources, _ = world
         registry = TenantRegistry()
@@ -635,6 +647,41 @@ class TestHTTPSurface:
         status, _, body = _request(server, "GET", "/tenants")
         assert "lanes" not in [t["name"]
                                for t in json.loads(body)["tenants"]]
+
+    def test_file_naming_config_keys_are_operator_only(self, served,
+                                                       tmp_path):
+        # a client must not make the server create or append to a file
+        _, server, _ = served
+        for key in ("ledger", "cost_feedback"):
+            path = tmp_path / f"{key}.jsonl"
+            status, _, body = _request(
+                server, "POST", "/tenants",
+                {"name": "writer",
+                 "scenario": {"kind": "hospital", "scale": "tiny"},
+                 "config": {key: str(path)}})
+            assert status == 422
+            assert key in body.decode()
+            assert not path.exists()
+        status, _, body = _request(server, "GET", "/tenants")
+        assert "writer" not in [t["name"]
+                                for t in json.loads(body)["tenants"]]
+
+    @pytest.mark.parametrize("knob, value", [
+        ("unfold_depth", "abc"), ("unfold_depth", 0), ("deadline", "soon"),
+        ("merging", "no"), ("violation_mode", "nope"),
+        ("max_unfold_depth", -1), ("breaker_policy", 3)])
+    def test_bad_knob_value_is_refused_at_registration(self, served, knob,
+                                                       value):
+        _, server, _ = served
+        status, _, body = _request(
+            server, "POST", "/tenants",
+            {"name": "knobs",
+             "scenario": {"kind": "hospital", "scale": "tiny"},
+             "config": {knob: value}})
+        assert status == 422
+        assert knob in body.decode()
+        with pytest.raises(EvaluationError, match=knob):
+            Middleware(build_hospital_aig(), make_sources(), **{knob: value})
 
     def test_invalidate_endpoint(self, served):
         service, server, dataset = served

@@ -286,15 +286,15 @@ class TestStaleStatistics:
     def test_reprepare_after_invalidation_reads_current_values(self):
         sources = make_catalog_sources(1, 500)
         middleware = Middleware(build_catalog_aig(), sources)
-        before = middleware.prepare(None)[3]
+        before = middleware.prepare(None).cost
         grown = make_catalog_sources(2, 5500)["WH"].execute(
             "SELECT * FROM items").rows[500:]
         sources["WH"].load_rows("items", grown)
-        assert middleware.prepare(None)[3] == before     # still cached
+        assert middleware.prepare(None).cost == before     # still cached
         middleware.invalidate_plans()
         assert middleware.stats.reads == []
-        after = middleware.prepare(None)[3]
-        fresh = Middleware(build_catalog_aig(), sources).prepare(None)[3]
+        after = middleware.prepare(None).cost
+        fresh = Middleware(build_catalog_aig(), sources).prepare(None).cost
         assert after == fresh != before
 
     def test_invalidate_endpoint_refreshes_statistics(self):
@@ -309,7 +309,7 @@ class TestStaleStatistics:
         # registration prepared the plan: the first request reads nothing
         assert state.middleware.prepare_count == 1
         assert len(state.middleware.stats.reads) == 2
-        before = state.middleware.prepare(None)[3]
+        before = state.middleware.prepare(None).cost
         server, _ = start_background(service)
 
         def post(path, payload=None):
@@ -335,8 +335,8 @@ class TestStaleStatistics:
         finally:
             server.shutdown()
             server.server_close()
-        after = state.middleware.prepare(None)[3]
-        fresh = Middleware(build_catalog_aig(), sources).prepare(None)[3]
+        after = state.middleware.prepare(None).cost
+        fresh = Middleware(build_catalog_aig(), sources).prepare(None).cost
         assert after == fresh != before
 
 
@@ -379,7 +379,7 @@ class TestChainStatistic:
         assert {name: source.total_queries - counts[name]
                 for name, source in sources.items()} == {
             name: len(sequence) for name, sequence
-            in middleware.prepare(second.unfold_depth)[1].items()
+            in middleware.prepare(second.unfold_depth).plan.items()
             if name in sources}
         assert first.unfold_depth == second.unfold_depth == depth
         assert serialize(first.document) == serialize(second.document) \

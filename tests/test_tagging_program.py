@@ -114,9 +114,11 @@ class Tagged:
         self.aig = aig
         self.middleware = Middleware(aig, sources, **options)
         depth = self.middleware.evaluate(dict(self.root)).unfold_depth
-        graph, plan, self.plan, _, _ = self.middleware.prepare(depth)
+        prepared = self.middleware.prepare(depth)
+        self.plan = prepared.tagging_plan
         self.rename = base_name if depth is not None else None
-        self.engine = Engine(graph, plan, sources, self.middleware.network,
+        self.engine = Engine(prepared.graph, prepared.plan, sources,
+                             self.middleware.network,
                              mediator=self.middleware.mediator,
                              tagging_plan=self.plan)
         self.cache = dict(self.engine.run(dict(self.root)).cache)
@@ -365,10 +367,10 @@ class TestCompileOnce:
             middleware.evaluate({"date": "d1"})
             middleware.evaluate_stream({"date": "d1"}, lambda chunk: None)
         assert compiled == [base_name]
-        plan = middleware.prepare(4)[2]
+        plan = middleware.prepare(4).tagging_plan
         assert list(plan._programs) == [base_name]
         middleware.invalidate_plans()
-        fresh = middleware.prepare(4)[2]
+        fresh = middleware.prepare(4).tagging_plan
         assert fresh is not plan and not fresh._programs
         middleware.evaluate({"date": "d1"})
         assert compiled == [base_name, base_name]
@@ -411,13 +413,13 @@ class TestDryRunOnlyWhereAChoiceCanTruncate:
         load_tiny_hospital(sources)
         middleware = Middleware(build_hospital_aig(), sources)
         for depth in range(1, 9):
-            plan = middleware.prepare(depth)[2]
+            plan = middleware.prepare(depth).tagging_plan
             assert not TaggingProgram(plan, base_name).truncatable, depth
 
     @pytest.mark.parametrize("depth", [1, 3, 5])
     def test_recursion_through_a_choice_is_truncatable(self, depth):
         middleware = Middleware(build_fs_aig(), {"FS": load(TREE_ROWS)})
-        plan = middleware.prepare(depth)[2]
+        plan = middleware.prepare(depth).tagging_plan
         assert TaggingProgram(plan, base_name).truncatable
 
     def test_hospital_stream_is_tagged_once(self):
@@ -457,7 +459,7 @@ class TestDryRunOnlyWhereAChoiceCanTruncate:
         attempts = [span.attrs["depth"] for span in tracer.spans
                     if span.name == "evaluate-stream"]
         assert attempts == ([1, 2, 4, 8] if estimate == 1 else [5])
-        truncatable = [TaggingProgram(middleware.prepare(depth)[2],
+        truncatable = [TaggingProgram(middleware.prepare(depth).tagging_plan,
                                       base_name).truncatable
                        for depth in attempts]
         assert names.count("tagging-dryrun") == sum(truncatable) >= 1

@@ -4,7 +4,7 @@
 A fresh ``Middleware`` reads a statistic from its sources the first time the
 planner or the cost model asks for it (``relational/statistics.py``).  The
 values are the ones an eager scan reads, only later and fewer, so
-``prepare()`` must return the same ``(cost, plan, per-node estimates)`` over
+``prepare()`` must return the same cost, plan and per-node estimates over
 the on-demand catalog as over a snapshot of every statistic of the same
 sources (``collect_stats`` -> ``set_stats``).  ``identical`` is that
 comparison for any ``(aig, sources)``; ``tests/test_statistics_on_demand.py``
@@ -31,18 +31,20 @@ from repro import Middleware, Network  # noqa: E402
 from repro.relational import collect_stats  # noqa: E402
 
 
-def signature(entry) -> tuple:
-    """What ``prepare()`` decided, in a form ``==`` compares exactly.
+def signature(prepared) -> tuple:
+    """What ``prepare()`` decided (a ``PreparedPlan``), in a form ``==``
+    compares exactly.
 
     Reads every output column's distinct count, which a plan leaves unread
     where no join or ``DISTINCT`` consumes it: take ``stats.reads`` first.
     """
-    graph, plan, _, cost, estimates = entry
-    return (cost, sorted(graph.nodes),
-            {source: list(sequence) for source, sequence in plan.items()},
+    return (prepared.depth, prepared.merged, prepared.cost,
+            sorted(prepared.graph.nodes),
+            {source: list(sequence)
+             for source, sequence in prepared.plan.items()},
             {name: (estimate.cardinality, estimate.row_bytes,
                     estimate.eval_seconds, dict(estimate.distinct))
-             for name, estimate in estimates.items()})
+             for name, estimate in prepared.estimates.items()})
 
 
 def eager_snapshot(middleware: Middleware) -> None:
@@ -60,9 +62,9 @@ def identical(aig, sources, depth=None, **config
     asked = Middleware(aig, sources, **config)
     scanned = Middleware(aig, sources, **config)
     eager_snapshot(scanned)
-    entry = asked.prepare(depth)
+    prepared = asked.prepare(depth)
     reads = [read[:4] for read in asked.stats.reads]
-    same = signature(entry) == signature(scanned.prepare(depth))
+    same = signature(prepared) == signature(scanned.prepare(depth))
     return same and not scanned.stats.reads, asked, reads
 
 
