@@ -304,10 +304,9 @@ def _explain(args) -> int:
     elif args.incremental:
         # Warm the cache so the report can show per-node taint state.
         middleware.evaluate({"date": dataset.busiest_date()})
-    # After a run, the runtime re-unrolling loop may have settled on a
-    # deeper unfolding than requested: explain the plan that ran.
-    ran = middleware.last_plan
-    print(middleware.explain(args.depth if ran is None else ran.depth))
+    # After a run, at the depth the re-unrolling loop settled on: the plan
+    # that ran, which is the one the next run starts from.
+    print(middleware.explain())
     if analyze_text is not None:
         print()
         print(analyze_text)

@@ -391,28 +391,32 @@ class Middleware:
                          preflight=True, report=report)
 
     def _initial_depth(self) -> int | None:
-        """The user estimate, or a data-driven one for ``"auto"`` (``None``
-        without recursion).
+        """The depth the next run starts at (``None`` without recursion):
+        the depth the last run settled on, or the estimate after a write
+        to a chain relation.
 
-        "auto" implements Section 7's chain-statistics idea via
-        :func:`repro.runtime.recursion.estimate_recursion_depth`, read
-        again only after a write to a chain relation; when the recursive
-        queries do not match the probe pattern, a conservative default of
-        4 is used and the runtime re-unrolling loop covers the rest.
+        The estimate is the user's fixed depth, or for ``"auto"`` a
+        data-driven one (Section 7's chain-statistics idea, via
+        :func:`repro.runtime.recursion.estimate_recursion_depth`); when the
+        recursive queries do not match the probe pattern, a conservative
+        default of 4 is used and the runtime re-unrolling loop covers the
+        rest.  Both are kept with the chain relations' versions, and
+        :meth:`_run` replaces the estimate with the depth that fit.
         """
         if not recursive_types(self.aig.dtd):
             return None
-        if self.unfold_depth != "auto":
-            return self.unfold_depth
         from repro.runtime.recursion import (chain_queries,
                                              estimate_recursion_depth)
         versions = [self.stats.table_version(item.source, item.relation)
                     for query in chain_queries(self.aig)
                     for item in query.from_items]
         if self._chain_depth[0] != versions:
-            self._chain_depth = (versions, estimate_recursion_depth(
-                self.aig, self.sources, self.max_unfold_depth))
-        return self._chain_depth[1] or 4
+            estimate = self.unfold_depth
+            if estimate == "auto":
+                estimate = estimate_recursion_depth(
+                    self.aig, self.sources, self.max_unfold_depth) or 4
+            self._chain_depth = (versions, estimate)
+        return self._chain_depth[1]
 
     def prepare(self, depth: int | None = None,
                 tracer=None) -> PreparedPlan:
@@ -505,8 +509,9 @@ class Middleware:
 
     def explain(self, depth: int | None = None) -> str:
         """:func:`~repro.runtime.prepared.explain_plan` of the plan at
-        ``depth`` (default: the initial estimate), then the statistics read
-        so far and, with ``incremental``, each node's cache state."""
+        ``depth`` (default: the depth the next run will use), then the
+        statistics read so far and, with ``incremental``, each node's cache
+        state."""
         if depth is None:
             depth = self._initial_depth()
         prepared = self.prepare(depth)
@@ -575,10 +580,14 @@ class Middleware:
         """
         with self.run_lock:
             depth = self._initial_depth()
+            versions = self._chain_depth[0]
             while True:
                 run = self._run_at_depth(root_inh, depth, tracer, span,
                                          open_sinks, preflight)
                 if run is not None:
+                    if depth is not None:
+                        # the next run starts where this one fitted
+                        self._chain_depth = (versions, depth)
                     return report(run)
                 logger.warning("recursion deeper than unfolding estimate "
                                "%s; re-unrolling at depth %s", depth,

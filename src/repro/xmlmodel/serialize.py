@@ -10,6 +10,7 @@ documents never contain those.
 from __future__ import annotations
 
 from itertools import count, repeat
+from operator import itemgetter
 
 from repro.errors import ValidationError
 from repro.xmlmodel.node import XMLElement, XMLNode, XMLText
@@ -29,8 +30,14 @@ def escape_text(value: str) -> str:
 #: leaves as a few big chunks, never as one document-sized string.
 GROUP_WRITE_ROWS = 64
 
+#: Pieces of the event path (a line each when pretty-printed) gathered
+#: before they reach ``write`` as one chunk.
+WRITE_PIECES = 256
+
 #: Joins a column of values so one ``escape_text`` pass escapes them all.
 _SEPARATOR = "\x1f"
+
+_first = itemgetter(0)
 
 
 def _escape_column(values: list[str]) -> list[str]:
@@ -112,6 +119,18 @@ def _write(node: XMLElement, out, indent: int, newline: str,
         out(f"{pad}<{tag}>{''.join(held)}</{tag}>{newline}")
 
 
+class _Pads(dict):
+    """``pads[level]``: the indentation of ``level``, made on first use."""
+
+    def __init__(self, indent: int):
+        super().__init__()
+        self.indent = indent
+
+    def __missing__(self, level: int) -> str:
+        pad = self[level] = " " * (self.indent * level)
+        return pad
+
+
 class StreamSerializer:
     """Incremental writer producing byte-identical output to
     :func:`serialize` without ever holding the tree or the document string.
@@ -120,9 +139,15 @@ class StreamSerializer:
     protocol emitted by :func:`repro.runtime.tagging.stream_document`).
     Formatting decisions that :func:`serialize` makes by inspecting a
     node's children (self-closing empty elements, one-line text-only
-    elements under pretty-printing) are deferred here by buffering only
-    the *current deepest* element's text until its first child or its end
-    event — O(depth) state, not O(document).
+    elements under pretty-printing) are deferred here by holding only the
+    *top* element's text until its first child or its end event.  Only the
+    top element can be undecided — a child's ``start`` commits its parent —
+    so the state is the stack of open tags, one ``opened`` flag and the
+    top's held texts: O(depth), not O(document).
+
+    Written pieces are gathered and reach ``write`` joined: when
+    :data:`WRITE_PIECES` are held, around each batch of a fragment group,
+    and when the document closes.
 
     A :class:`~repro.runtime.tagging.Fragment` group is written
     natively (:meth:`fragments`): a fragment's format depends only on its
@@ -136,81 +161,100 @@ class StreamSerializer:
     def __init__(self, write, indent: int | None = None):
         self._out = write
         self.indent = indent
-        #: frames of [tag, opened, buffered_text_values]
-        self._stack: list[list] = []
+        self._nl = "" if indent is None else "\n"
+        self._pads = _Pads(indent or 0)
+        self._tags: list[str] = []      # the open elements, root first
+        self._opened = True     # the top is committed (or nothing is open)
+        self._texts: list[str] = []     # the undecided top's text
+        self._pieces: list[str] = []    # written, not yet handed to write
         self.characters = 0
         self._templates: dict[tuple, str] = {}
 
-    def _emit(self, chunk: str) -> None:
-        self.characters += len(chunk)
-        self._out(chunk)
-
-    def _pad(self, level: int) -> str:
-        return "" if self.indent is None else " " * (self.indent * level)
-
-    @property
-    def _nl(self) -> str:
-        return "" if self.indent is None else "\n"
+    def _flush(self) -> None:
+        pieces = self._pieces
+        if pieces:
+            chunk = "".join(pieces)
+            pieces.clear()
+            self.characters += len(chunk)
+            self._out(chunk)
 
     def _open_top(self) -> None:
-        """Commit the top frame to multiline form (it has element children)."""
-        frame = self._stack[-1]
-        if frame[1]:
-            return
-        level = len(self._stack) - 1
-        self._emit(f"{self._pad(level)}<{frame[0]}>{self._nl}")
-        frame[1] = True
-        for value in frame[2]:
-            self._emit(self._pad(level + 1) + escape_text(value) + self._nl)
-        frame[2] = []
+        """Commit the undecided top element to multiline form: it has an
+        element child."""
+        level = len(self._tags) - 1
+        nl, pieces = self._nl, self._pieces
+        pieces.append(f"{self._pads[level]}<{self._tags[-1]}>{nl}")
+        if self._texts:
+            pad = self._pads[level + 1]
+            for value in self._texts:
+                pieces.append(f"{pad}{escape_text(value)}{nl}")
+            self._texts = []
+        self._opened = True
+        if len(pieces) >= WRITE_PIECES:
+            self._flush()
 
     def start(self, tag: str) -> None:
-        if self._stack:
+        if not self._opened:
             self._open_top()
-        self._stack.append([tag, False, []])
+        self._tags.append(tag)
+        self._opened = False
 
     def text(self, value: str) -> None:
-        frame = self._stack[-1]
-        if frame[1]:
-            self._emit(self._pad(len(self._stack)) + escape_text(value)
-                       + self._nl)
-        else:
-            frame[2].append(value)
+        if not self._opened:
+            self._texts.append(value)
+            return
+        pieces = self._pieces
+        pieces.append(f"{self._pads[len(self._tags)]}{escape_text(value)}"
+                      f"{self._nl}")
+        if len(pieces) >= WRITE_PIECES:
+            self._flush()
 
     def end(self) -> None:
-        tag, opened, texts = self._stack.pop()
-        level = len(self._stack)
-        if opened:
-            self._emit(f"{self._pad(level)}</{tag}>{self._nl}")
-        elif texts:
-            content = "".join(escape_text(v) for v in texts)
-            self._emit(f"{self._pad(level)}<{tag}>{content}</{tag}>"
-                       f"{self._nl}")
+        tags = self._tags
+        tag = tags.pop()
+        pad = self._pads[len(tags)]
+        if self._opened:
+            piece = f"{pad}</{tag}>{self._nl}"
+        elif self._texts:
+            # escaping maps characters one by one: one pass for all texts
+            piece = (f"{pad}<{tag}>{escape_text(''.join(self._texts))}"
+                     f"</{tag}>{self._nl}")
+            self._texts = []
         else:
-            self._emit(f"{self._pad(level)}<{tag}/>{self._nl}")
+            piece = f"{pad}<{tag}/>{self._nl}"
+        self._opened = True     # the parent: this element's start opened it
+        pieces = self._pieces
+        pieces.append(piece)
+        if not tags or len(pieces) >= WRITE_PIECES:
+            self._flush()
 
     def fragments(self, fragment, count: int, columns) -> None:
         """Write a group of ``count`` instances of ``fragment``: its
         template filled from ``columns`` (one list of ``count`` strings per
         PCDATA slot), each escaped in one pass per batch."""
-        stack = self._stack
-        if count and stack and not stack[-1][1]:
+        if count and not self._opened:
             self._open_top()
-        key = (fragment, len(stack))
+        level = len(self._tags)
+        key = (fragment, level)
         template = self._templates.get(key)
         if template is None:
             template = self._templates[key] = self._template(*key)
         if count == 1:
             # a lone fragment (most calls on nested documents): no batch
-            self._emit(template % tuple([escape_text(column[0])
-                                         for column in columns]))
+            pieces = self._pieces
+            pieces.append(template % tuple(
+                _escape_column(list(map(_first, columns)))))
+            if not level or len(pieces) >= WRITE_PIECES:
+                self._flush()
             return
+        self._flush()
         for start in range(0, count, GROUP_WRITE_ROWS):
             stop = min(start + GROUP_WRITE_ROWS, count)
             values = zip(*[_escape_column(column[start:stop])
                            for column in columns]
                          ) if columns else repeat((), stop - start)
-            self._emit("".join(map(template.__mod__, values)))
+            self._pieces.append("".join(map(template.__mod__, values)))
+            self._flush()
 
     def _template(self, fragment, level: int) -> str:
         """What the event path writes for ``fragment`` opened at ``level``,
@@ -225,8 +269,9 @@ class StreamSerializer:
         def rendered(value: str) -> str:
             parts: list[str] = []
             at_level = StreamSerializer(parts.append, self.indent)
-            at_level._stack = [[None, True, []] for _ in range(level)]
+            at_level._tags = [None] * level
             fragment.replay(at_level, 1, [[value]] * len(fragment.sources))
+            at_level._flush()
             return "".join(parts)
 
         constant = rendered("")

@@ -10,11 +10,15 @@ Covers the layers the plane cuts through:
 * ``StreamingConstraintChecker``: verdicts identical to the tree checker,
   both replayed over crafted trees and through the full pipeline;
 * tracemalloc bounds: streaming tagging allocates less than the document
-  it emits, and materializing peaks at >= 5x the whole streamed path.
+  it emits, and materializing peaks at >= 5x the whole streamed path;
+* the event path's batches: pieces reach ``write`` joined, at most
+  ``WRITE_PIECES`` at a time, pinned as counts, not clocks.
 """
 
 import hashlib
+import importlib
 import io
+import sys
 import tracemalloc
 
 import pytest
@@ -28,15 +32,22 @@ from repro.constraints import (
     StreamingConstraintChecker,
     check_constraints,
 )
+from repro.datagen import make_loaded_sources
+from repro.datagen.generator import DATES
 from repro.dtd import parse_dtd
+from repro.dtd.analysis import base_name
 from repro.hospital import build_hospital_aig, make_sources
 from repro.relational import Catalog, DataSource, SourceSchema
 from repro.relational.schema import relation
 from repro.runtime import Middleware
+from repro.runtime.engine import Engine
 from repro.runtime.tagging import NullEventSink, stream_document
 from repro.xmlmodel import StreamSerializer, XMLElement, XMLText, serialize
 from tests.conftest import load_tiny_hospital
 from tests.test_recursive_choice import TREE_ROWS, build_fs_aig, load
+
+# the module: the package's ``serialize`` attribute is the function
+serialize_module = importlib.import_module("repro.xmlmodel.serialize")
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +121,102 @@ class TestStreamSerializer:
         serializer = StreamSerializer(buffer.write, indent=2)
         replay(tree, serializer)
         assert serializer.characters == len(buffer.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# the event path: pieces reach write joined, in bounded batches
+# ---------------------------------------------------------------------------
+
+class TestEventPathBatches:
+    """Hospital ``tiny`` on its second date: 283 elements that reach the
+    serializer as single events and lone fragments, nearly all of them
+    outside any sibling group, so the event path's gathering decides the
+    ``write`` calls."""
+
+    #: Python-level calls per element of one ``stream_document`` into the
+    #: serializer.  A frame per element and a ``write`` per piece measured
+    #: 8.64; one tag stack and gathered pieces 5.16.  15 % headroom.
+    CALLS_PER_ELEMENT = 6.0
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        sources, _ = make_loaded_sources("tiny")
+        yield Middleware(build_hospital_aig(), sources), sources
+        for source in sources.values():
+            source.close()
+
+    @staticmethod
+    def streamed(middleware, monkeypatch, bound=None):
+        """``evaluate_stream`` into ``chunks.append``, with the number of
+        pieces each ``write`` joined."""
+        chunks: list[str] = []
+        joined: list[int] = []
+        flush = StreamSerializer._flush
+
+        def counting_flush(serializer):
+            # the document's serializer, not one deriving a template
+            if serializer._out == chunks.append and serializer._pieces:
+                joined.append(len(serializer._pieces))
+            flush(serializer)
+
+        monkeypatch.setattr(StreamSerializer, "_flush", counting_flush)
+        if bound is not None:
+            monkeypatch.setattr(serialize_module, "WRITE_PIECES", bound)
+        report = middleware.evaluate_stream({"date": DATES[1]},
+                                            chunks.append, indent=2)
+        assert len(joined) == len(chunks)
+        return report, chunks, joined
+
+    def test_a_write_per_sixteen_elements_at_most(self, tiny, monkeypatch):
+        report, chunks, _ = self.streamed(tiny[0], monkeypatch)
+        assert report.elements == 283
+        # a write per piece was 258 calls
+        assert len(chunks) <= report.elements // 16
+
+    @pytest.mark.parametrize("bound", [None, 1, 7])
+    def test_every_chunk_within_the_flush_bound(self, tiny, monkeypatch,
+                                                bound):
+        middleware = tiny[0]
+        expected = serialize(middleware.evaluate(
+            {"date": DATES[1]}).document, indent=2)
+        report, chunks, joined = self.streamed(middleware, monkeypatch,
+                                               bound)
+        assert "".join(chunks) == expected
+        assert max(joined) <= serialize_module.WRITE_PIECES
+        assert report.characters == sum(map(len, chunks)) == len(expected)
+
+    def test_python_calls_per_element(self, tiny):
+        middleware, sources = tiny
+        root = {"date": DATES[1]}
+        middleware.evaluate_stream(dict(root), lambda chunk: None)
+        prepared = middleware.last_plan
+        engine = Engine(prepared.graph, prepared.plan, sources,
+                        middleware.network, mediator=middleware.mediator,
+                        tagging_plan=prepared.tagging_plan)
+        calls = 0
+
+        def profiler(frame, event, argument):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        try:
+            cache = engine.run(dict(root)).cache
+            chunks: list[str] = []
+            serializer = StreamSerializer(chunks.append, indent=2)
+            previous = sys.getprofile()
+            sys.setprofile(profiler)
+            try:
+                elements = stream_document(prepared.tagging_plan, cache,
+                                           dict(root), serializer,
+                                           rename=base_name)
+            finally:
+                sys.setprofile(previous)
+        finally:
+            engine.cleanup()
+        assert elements == 283
+        assert calls / elements <= self.CALLS_PER_ELEMENT, \
+            f"{calls} Python-level calls for {int(elements)} elements"
 
 
 # ---------------------------------------------------------------------------

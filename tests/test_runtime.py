@@ -18,6 +18,7 @@ from repro.relational.schema import relation
 from repro.aig import ConceptualEvaluator
 from repro.constraints import check_constraints
 from repro.hospital import build_hospital_aig, make_sources
+from repro.obs import Tracer
 from repro.runtime import Middleware
 from repro.xmlmodel import conforms_to, serialize
 from tests.conftest import load_tiny_hospital
@@ -122,6 +123,39 @@ class TestRecursionHandling:
         conceptual = ConceptualEvaluator(
             hospital_aig, list(tiny_sources.values())).evaluate({"date": "d1"})
         assert report.document == conceptual
+
+    def test_the_next_run_starts_at_the_depth_that_fit(self, hospital_aig,
+                                                       tiny_sources):
+        tracer = Tracer()
+        middleware = Middleware(hospital_aig, tiny_sources,
+                                Network.mbps(1.0), unfold_depth=1,
+                                tracer=tracer)
+
+        def reunrollings():
+            return tracer.metrics.counter("recursion_reunrollings")
+
+        first = middleware.evaluate({"date": "d1"})
+        learned = reunrollings()
+        assert learned > 0 and first.unfold_depth > 1
+        # explain shows the depth the next run will use
+        assert (f"recursion unfolded to depth {first.unfold_depth}"
+                in middleware.explain())
+        second = middleware.evaluate({"date": "d1"})
+        assert reunrollings() == learned
+        assert second.unfold_depth == first.unfold_depth
+        fresh = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
+                           unfold_depth=1).evaluate({"date": "d1"})
+        assert serialize(second.document) == serialize(fresh.document)
+        # a write elsewhere keeps the depth ...
+        tiny_sources["DB3"].load_rows("billing", [("t99", "9")])
+        middleware.evaluate({"date": "d1"})
+        assert reunrollings() == learned
+        # ... one to a chain relation starts again at the estimate
+        tiny_sources["DB4"].load_rows("treatment", [("t99", "z")])
+        assert "recursion unfolded to depth 1" in middleware.explain()
+        again = middleware.evaluate({"date": "d1"})
+        assert reunrollings() == 2 * learned
+        assert serialize(again.document) == serialize(fresh.document)
 
     def test_probe_federation_is_closed(self, hospital_aig, tiny_sources,
                                         monkeypatch):

@@ -241,6 +241,20 @@ class TestFragmentPathEqualsEventPath:
         else:
             assert len(started) == count - count.in_fragments
 
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_a_one_fragment_document_is_written_whole(self, indent):
+        # "card" reaches the serializer as one lone fragment with no open
+        # element: no ``end`` closes the document, the fragment itself must
+        # hand its pieces to ``write``
+        scenario = Tagged("card")
+        try:
+            text, serializer, count = scenario.written(indent)
+            assert count.in_fragments == count
+            assert text == serialize(scenario.tree(), indent=indent)
+            assert text and serializer.characters == len(text)
+        finally:
+            scenario.engine.cleanup()
+
     def test_replay_is_the_event_path(self, tagged):
         # a serializer stripped of its native method gets the same bytes
         class EventsOnly:
