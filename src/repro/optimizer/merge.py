@@ -5,9 +5,9 @@ the scheduled plan cost; merge them (``mergePair``); repeat until no pair
 helps.  Merging two queries yields a single node that is executed once:
 
 * **independent** queries merge by *outer union* — realized at execution as
-  one statement ``SELECT '<member>' AS __tag, …padded columns… UNION ALL …``
-  with a discriminator column, so consumers (and the tagging phase) extract
-  exactly their member's slice before use;
+  one statement ``SELECT <member index> AS __tag, …padded columns… UNION
+  ALL …`` with an integer discriminator column, so consumers (and the
+  tagging phase) extract exactly their member's slice before use;
 * **dependent** queries (``Q1 ->G Q2``) merge by *inlining*: ``Q1`` becomes
   a CTE the ``Q2`` branch reads, the paper's outer-join-style inlining.
 

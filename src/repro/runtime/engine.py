@@ -12,9 +12,12 @@ and the *actual* byte sizes of the shipped tables, priced by the
 ``comp_time`` recursion the optimizer chose the plan by.
 
 Merged nodes (Algorithm Merge) render as a single statement — CTEs for the
-members in dependency order, outer-unioned with a ``__tag`` discriminator —
-and the result is split back into per-member cached tables, so consumers and
-the tagging phase are oblivious to merging.
+members in dependency order, outer-unioned with the member's index as an
+integer ``__tag`` discriminator — and the result is split back into
+per-member cached tables by a stable sort on the tag and one ``itemgetter``
+pass per member, so consumers and the tagging phase are oblivious to
+merging.  Only a member a sibling inlines is numbered inside the statement
+(``ROW_NUMBER``); the others are numbered in the split, as a plain step is.
 
 Collect and guard nodes keep the mediator site in the plan but issue no
 statement: their collection programs run in process over the result sets
@@ -26,9 +29,10 @@ from __future__ import annotations
 
 import logging
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import count
-from operator import add
+from itertools import count, repeat
+from operator import add, itemgetter
 
 from repro.errors import EvaluationAborted, EvaluationError, PlanError
 from repro.obs.tracer import MAIN_TRACK, NULL_TRACER
@@ -243,72 +247,85 @@ class Engine:
 
     # -- merged nodes -----------------------------------------------------
     def _execute_merged(self, node, source, cache, root_inh, shipped=None):
+        """Run a merged node as one statement and split it per member.
+
+        Each member is a CTE; a member a sibling inlines is numbered by
+        ``ROW_NUMBER`` inside the statement (the sibling joins on its
+        ``__id``), any other member selects ``NULL`` for ``__id`` and is
+        numbered 1..n here, as :func:`_with_ids` numbers a plain step.  The
+        discriminator is the member's index; the split is one stable sort
+        on it, a ``bisect`` per member and one ``itemgetter`` pass per
+        slice — no Python work per row.
+        """
         members = self._topo_members(node)
-        external_inputs = [name for name in node.inputs]
         with self.tracer.span("materialize", "ship",
                               node=node.name) as materialize_span:
             bindings, rows_materialized = self._materialize_inputs(
-                external_inputs, source, cache, shipped)
+                node.inputs, source, cache, shipped)
         materialize_seconds = materialize_span.duration
-        member_names = {member.name for member in members}
         cte_names = {member.name: f"__m{index}"
                      for index, member in enumerate(members)}
+        inlined = {name for member in members for name in member.inputs
+                   if name in cte_names}
 
         with_parts: list[str] = []
         all_params: list[object] = []
-        widths = [len(member.output_columns) for member in members]
-        total_width = max(widths)
+        total_width = max(len(member.output_columns) for member in members)
         union_parts: list[str] = []
-        for member in members:
+        for tag, member in enumerate(members):
+            cte = cte_names[member.name]
             member_bindings = dict(bindings)
-            for input_name in member.inputs:
-                if input_name in member_names:
-                    member_bindings[input_name] = cte_names[input_name]
+            member_bindings.update((name, cte_names[name])
+                                   for name in member.inputs
+                                   if name in cte_names)
             scalar_values = {param: root_inh[mem]
                              for param, mem in member.root_params.items()}
             sql, params = render_sqlite(member.query, scalar_values,
                                         member_bindings)
-            # Members that other members inline need the __id path-encoding
-            # column *inside* the statement; assigning it via ROW_NUMBER and
-            # carrying it through the union keeps the cached slices and the
-            # in-statement references consistent.
-            with_parts.append(
-                f"{cte_names[member.name]} AS "
-                f"(SELECT *, ROW_NUMBER() OVER () AS {ID_COLUMN} "
-                f"FROM ({sql}))")
             all_params.extend(params)
+            if member.name in inlined:
+                with_parts.append(
+                    f"{cte} AS (SELECT *, ROW_NUMBER() OVER () AS "
+                    f"{ID_COLUMN} FROM ({sql}))")
+                row_id = f'"{ID_COLUMN}"'
+            else:
+                with_parts.append(f"{cte} AS ({sql})")
+                row_id = "NULL"
             columns = [f'"{c}"' for c in member.output_columns]
             padding = ["NULL"] * (total_width - len(columns))
-            select_list = ", ".join(
-                [f"'{member.name}' AS __tag"] + columns + padding
-                + [f'"{ID_COLUMN}"'])
-            union_parts.append(
-                f"SELECT {select_list} FROM {cte_names[member.name]}")
+            select_list = ", ".join([f"{tag} AS __tag"] + columns + padding
+                                    + [row_id])
+            union_parts.append(f"SELECT {select_list} FROM {cte}")
         statement = ("WITH " + ", ".join(with_parts) + " "
                      + " UNION ALL ".join(union_parts))
         result = source.execute(statement, tuple(all_params),
                                 deadline=self.deadline)
         elapsed = source.last_execution_seconds + materialize_seconds
 
-        tagged: dict[str, list[tuple]] = {member.name: []
-                                          for member in members}
-        for row in result.rows:
-            tagged[row[0]].append(row)
+        # Stable, so each member keeps its fetch order; O(n) when the rows
+        # arrive in UNION ALL order, and still right when they do not.
+        first = itemgetter(0)
+        rows = sorted(result.rows, key=first)
         outputs: dict[str, ResultSet] = {}
-        for member in members:
-            arity = len(member.output_columns)
-            rows = [row[1:arity + 1] + (row[-1],)
-                    for row in tagged[member.name]]
+        start = 0
+        for tag, member in enumerate(members):
+            end = bisect_right(rows, tag, lo=start, key=first)
+            block = rows[start:end]
+            start = end
+            indexes = list(range(1, len(member.output_columns) + 1))
+            if member.name in inlined:
+                slice_rows = list(_columns_at(block, indexes + [-1]))
+            else:
+                slice_rows = list(map(add, _columns_at(block, indexes),
+                                      zip(count(1))))
             slice_result = ResultSet(
                 intern_columns(list(member.output_columns) + [ID_COLUMN]),
-                rows)
+                slice_rows)
             if member.kind == "condition":
                 slice_result = _normalize_condition(slice_result,
                                                     member.name)
             outputs[member.name] = slice_result
-        # The merged node itself needs a cache entry so bookkeeping works.
-        outputs[node.name] = ResultSet(["__tag"],
-                                       [(m.name,) for m in members])
+        outputs[node.name] = merged_entry(node)
         return elapsed, outputs, rows_materialized
 
     def _topo_members(self, node):
@@ -453,6 +470,24 @@ def _normalize_condition(result, node_name: str):
                 f"{selector!r}") from None
         normalized.append((as_int,) + row[1:])
     return ResultSet(intern_columns(result.columns), normalized)
+
+
+def merged_entry(node) -> ResultSet:
+    """A merged node's own cache entry: one row per member name.  It is
+    bookkeeping, not output — an executed and a skipped merged node both
+    hold it, and neither counts it among the rows or bytes put out."""
+    return ResultSet(["__tag"], [(member.name,) for member in node.members])
+
+
+def _columns_at(rows, indexes):
+    """Each row's values at ``indexes`` as a tuple, in one C-level pass
+    (``itemgetter()`` raises and ``itemgetter(i)`` returns a scalar, so
+    zero and one index are spelled out)."""
+    if len(indexes) > 1:
+        return map(itemgetter(*indexes), rows)
+    if indexes:
+        return zip(map(itemgetter(indexes[0]), rows))
+    return repeat((), len(rows))
 
 
 def _with_ids(result):

@@ -31,7 +31,12 @@ from repro.relational.source import MEDIATOR_NAME, ResultSet, intern_columns
 from repro.resilience.report import DegradedSubtree, FailureReport
 from repro.resilience.retry import QueryDeadlineExceeded, is_transient
 from repro.runtime.collect import describe_witness
-from repro.runtime.engine import ID_COLUMN, EngineResult, NodeTiming
+from repro.runtime.engine import (
+    ID_COLUMN,
+    EngineResult,
+    NodeTiming,
+    merged_entry,
+)
 from repro.runtime.incremental import CachedNodeResult
 
 logger = logging.getLogger("repro.executor")
@@ -270,10 +275,11 @@ class PlanExecutor:
             put out); a guard that found a witness is a violation, and the
             witness goes on its ``span`` and into the warning."""
             cache.update(outputs)
-            output_rows = sum(len(r) for r in outputs.values())
+            results = _put_out(node, outputs)
+            output_rows = sum(map(len, results))
             timings[node.name] = NodeTiming(
                 node.name, node.source, eval_seconds, 0.0, output_rows,
-                sum(r.width_bytes() for r in outputs.values()),
+                sum(r.width_bytes() for r in results),
                 rows_materialized, cached=cached)
             primary = outputs.get(node.name)
             if node.kind == "guard" and primary is not None and len(primary):
@@ -305,8 +311,8 @@ class PlanExecutor:
                                                                span)
                     span.set(eval_seconds=eval_seconds,
                              rows_materialized=rows,
-                             output_rows=sum(len(r)
-                                             for r in outputs.values()))
+                             output_rows=sum(map(
+                                 len, _put_out(node, outputs))))
                 except BaseException as exc:   # judged outside the span
                     error = exc
             if error is not None:
@@ -404,10 +410,19 @@ def _empty_outputs(node) -> dict[str, ResultSet]:
         outputs = {member.name: ResultSet(
             intern_columns(list(member.output_columns) + [ID_COLUMN]), [])
             for member in members}
-        outputs[node.name] = ResultSet(["__tag"], [])
+        outputs[node.name] = merged_entry(node)
         return outputs
     return {node.name: ResultSet(
         intern_columns(list(node.output_columns) + [ID_COLUMN]), [])}
+
+
+def _put_out(node, outputs: dict) -> list[ResultSet]:
+    """The results a node put out: a merged node's member slices, without
+    its bookkeeping entry (:func:`~repro.runtime.engine.merged_entry`)."""
+    members = getattr(node, "members", None)
+    if members:
+        return [outputs[member.name] for member in members]
+    return list(outputs.values())
 
 
 def _drop_shipped_tables(sources: dict, shipped: dict) -> None:
