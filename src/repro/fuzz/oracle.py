@@ -64,7 +64,7 @@ class Divergence:
     """One observed disagreement between a configuration and the baseline."""
 
     config: str
-    kind: str       # "xml" | "conformance" | "violations" | "error" | ...
+    kind: str   # "xml" | "built-xml" | "conformance" | "violations" | ...
     detail: str
 
     def __str__(self) -> str:
@@ -126,12 +126,17 @@ def _first_difference(expected: str, actual: str, context: int = 40) -> str:
 
 def _compare(report: OracleReport, config: str, xml: str,
              verdict: list[str], base_xml: str,
-             base_verdict: list[str], conformant: bool) -> None:
+             base_verdict: list[str], conformant: bool,
+             built_xml: str | None = None) -> None:
     ok = True
     if xml != base_xml:
         ok = False
         report.divergences.append(Divergence(
             config, "xml", _first_difference(base_xml, xml)))
+    if built_xml is not None and built_xml != xml:
+        ok = False
+        report.divergences.append(Divergence(
+            config, "built-xml", _first_difference(xml, built_xml)))
     if not conformant:
         ok = False
         report.divergences.append(Divergence(
@@ -145,7 +150,9 @@ def _compare(report: OracleReport, config: str, xml: str,
 
 
 def _evaluate_middleware(spec: ScenarioSpec, **kwargs):
-    """One fresh middleware run → (xml, verdict, conformant)."""
+    """One fresh middleware run → (xml, verdict, conformant, built xml):
+    written as ``evaluate`` leaves it and again once the checkers have
+    built every fragment group, which must give the same bytes."""
     from repro.constraints import check_constraints
     from repro.runtime import Middleware
     from repro.xmlmodel import conforms_to, serialize
@@ -158,7 +165,8 @@ def _evaluate_middleware(spec: ScenarioSpec, **kwargs):
     xml = serialize(document, indent=2)
     verdict = sorted(str(v) for v in
                      check_constraints(document, aig.constraints))
-    return xml, verdict, conforms_to(document, aig.dtd)
+    return (xml, verdict, conforms_to(document, aig.dtd),
+            serialize(document, indent=2))
 
 
 # ----------------------------------------------------------------------
@@ -533,14 +541,15 @@ def run_oracle(spec: ScenarioSpec,
         if not selected(name):
             continue
         try:
-            xml, verdict, conformant = _evaluate_middleware(spec, **kwargs)
+            xml, verdict, conformant, built_xml = _evaluate_middleware(
+                spec, **kwargs)
         except ReproError as error:
             report.divergences.append(Divergence(
                 name, "error", f"{type(error).__name__}: {error}"))
             report.results.append(ConfigResult(name, False))
             continue
         _compare(report, name, xml, verdict, base_xml, base_verdict,
-                 conformant)
+                 conformant, built_xml)
 
     if selected("abort-consistency"):
         try:

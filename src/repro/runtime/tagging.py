@@ -128,10 +128,10 @@ class Fragment:
     get a fragment one sibling group at a time — ``count`` instances, one
     column of ``count`` strings per slot, a lone fragment being a group of
     one: natively through ``fragments(fragment, count, columns)``, or as
-    the same events through :meth:`replay`.
+    the same events through :meth:`replay`; :meth:`build` makes a tree's.
     """
 
-    __slots__ = ("index", "ops", "elements", "texts", "sources")
+    __slots__ = ("index", "ops", "elements", "texts", "sources", "whole")
 
     def __init__(self, index: int):
         self.index = index                  # position in program.fragments
@@ -139,6 +139,7 @@ class Fragment:
         self.elements = 0
         self.texts = 0
         self.sources: list[tuple[str, object]] = []
+        self.whole = False  # a group of it is all its parent holds
 
     def replay(self, sink, count: int, columns) -> None:
         """Expand a group into ``start``/``text``/``end`` events on
@@ -160,6 +161,23 @@ class Fragment:
                     start(tag)
                 else:
                     end()
+
+    def build(self, parent: XMLElement, count: int, columns) -> None:
+        """Make a group's elements under ``parent`` with the trusted
+        constructors: the tags were checked when the program was compiled
+        and the values are ``str`` from the program's reader."""
+        new_element = xmlnode.new_element
+        ops = self.ops
+        for values in _instances(count, columns):
+            for op, tag, argument in ops:
+                if op == _SLOT:
+                    new_element(tag, parent, values[argument])
+                elif op == _LEAF:
+                    new_element(tag, parent, argument)
+                elif op == _OPEN:
+                    parent = new_element(tag, parent)
+                else:
+                    parent = parent.parent
 
 
 def _instances(count: int, columns):
@@ -188,11 +206,11 @@ class TreeSink:
     left in ``root`` once the stream has ended.
 
     Every node comes from the trusted constructors of
-    :mod:`repro.xmlmodel.node`.  A group of fragments is instantiated as a
-    unit from the compiled ops: the tags were checked when the program was
-    compiled and the values are ``str`` from the program's reader.
-    ``start`` and ``text`` check their argument, because any driver can
-    call them.
+    :mod:`repro.xmlmodel.node`; ``start`` and ``text`` check their
+    argument, because any driver can call them.  A group of fragments is
+    made by :meth:`Fragment.build`, unless it is all its parent holds
+    (:attr:`Fragment.whole`): then the parent keeps it unbuilt for its
+    first reader.
     """
 
     def __init__(self):
@@ -216,19 +234,10 @@ class TreeSink:
         if parent is None:
             # the document is this one fragment: only ``start`` sets a root
             fragment.replay(self, count, columns)
-            return
-        new_element = xmlnode.new_element
-        ops = fragment.ops
-        for values in _instances(count, columns):
-            for op, tag, argument in ops:
-                if op == _SLOT:
-                    new_element(tag, parent, values[argument])
-                elif op == _LEAF:
-                    new_element(tag, parent, argument)
-                elif op == _OPEN:
-                    parent = new_element(tag, parent)
-                else:
-                    parent = parent.parent
+        elif fragment.whole:
+            parent._kids = (fragment, count, columns)
+        else:
+            fragment.build(parent, count, columns)
 
 
 def _fragment_writer(sink):
@@ -391,6 +400,13 @@ class TaggingProgram:
                               self._content(occurrence)))
         return items
 
+    def _only(self, occurrence: Occurrence):
+        """:meth:`_fold_runs` of the one child a star or choice holds."""
+        item = self._fold_runs([occurrence])[0]
+        if isinstance(item, Fragment):
+            item.whole = True
+        return item
+
     def _fold(self, occurrence: Occurrence, fragment: Fragment) -> None:
         tag = self._tag(occurrence)
         fragment.elements += 1
@@ -462,7 +478,7 @@ class TaggingProgram:
     def _iteration(self, occurrence: Occurrence):
         slot = self._slot(occurrence)
         parent_id = self._anchor_id(occurrence.parent_anchor())
-        item = self._fold_runs([occurrence])[0]
+        item = self._only(occurrence)
         if isinstance(item, Fragment):
             fragment, index, count = item, item.index, item.elements
             texts = item.texts
@@ -503,7 +519,7 @@ class TaggingProgram:
             [child.element_type for child in occurrence.children])
         branches = [
             None if name is None else
-            self._step(self._fold_runs([occurrence.child(name)])[0])
+            self._step(self._only(occurrence.child(name)))
             for name in targets]
         if None in branches:
             self.truncatable = True

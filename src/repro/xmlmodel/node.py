@@ -58,12 +58,18 @@ class XMLText(XMLNode):
 class XMLElement(XMLNode):
     """An element node with an ordered list of children.
 
-    A ``<tag>text</tag>`` leaf made by :func:`new_element` keeps its PCDATA
-    as a plain ``str`` in ``_kids`` — one object instead of an element, a
-    list and an :class:`XMLText` — until ``children`` is first read, which
-    makes the one text child and stores its list for good.  No reader
-    does: they take a ``str`` in ``_kids`` as that one child, or go through
-    :func:`child_nodes`.
+    ``_kids`` is the children list, or until ``children`` is first read
+    one of two stand-ins: a ``<tag>text</tag>`` leaf's PCDATA as a plain
+    ``str`` (kept by :func:`new_element`: one object instead of an
+    element, a list and an :class:`XMLText`), or a pending group
+    ``(fragment, count, columns)`` — a tagging fragment group that is the
+    whole content, kept unbuilt by the tree sink.  The first read makes
+    the list (``fragment.build`` makes a group's elements) and keeps it,
+    so a mutation always sees real nodes.  Readers that hand out nodes
+    (``find``, ``find_all``, ``iter``, ``text_value``, ``==``,
+    :func:`child_nodes`) build a group but take a ``str`` as the one text
+    child; ``size`` and ``serialize`` build nothing.  As a read can write
+    ``_kids``, a tree belongs to one caller; the service never builds one.
     """
 
     __slots__ = ("tag", "_kids")
@@ -71,7 +77,7 @@ class XMLElement(XMLNode):
     def __init__(self, tag: str, children: Sequence[XMLNode] = ()):
         super().__init__()
         self.tag = check_tag(tag)
-        self._kids: Union[list[XMLNode], str] = []
+        self._kids: Union[list[XMLNode], str, tuple] = []
         for child in children:
             self.append(child)
 
@@ -81,8 +87,12 @@ class XMLElement(XMLNode):
         if kids.__class__ is str:
             self._kids = []
             new_text(kids, self)
-            return self._kids
-        return kids
+        elif kids.__class__ is tuple:
+            self._kids = []
+            kids[0].build(self, *kids[1:])
+        else:
+            return kids
+        return self._kids
 
     @children.setter
     def children(self, children: list[XMLNode]) -> None:
@@ -141,9 +151,8 @@ class XMLElement(XMLNode):
 
     def find(self, tag: str) -> Optional["XMLElement"]:
         """First child element with the given tag, or None."""
-        kids = self._kids
-        if kids.__class__ is not str:
-            for child in kids:
+        if self._kids.__class__ is not str:
+            for child in self.children:
                 if isinstance(child, XMLElement) and child.tag == tag:
                     return child
         return None
@@ -160,7 +169,7 @@ class XMLElement(XMLNode):
         kids = self._kids
         if kids.__class__ is str:
             return
-        for child in kids:
+        for child in kids if kids.__class__ is list else self.children:
             if isinstance(child, XMLElement):
                 yield from child.iter(tag)
 
@@ -177,7 +186,7 @@ class XMLElement(XMLNode):
             elif node._kids.__class__ is str:
                 parts.append(node._kids)
             else:
-                stack.extend(reversed(node._kids))
+                stack.extend(reversed(node.children))
         return "".join(parts)
 
     def subelement_value(self, tag: str) -> Optional[str]:
@@ -197,10 +206,13 @@ class XMLElement(XMLNode):
             node = stack.pop()
             count += 1
             if isinstance(node, XMLElement):
-                if node._kids.__class__ is str:
+                kids = node._kids
+                if kids.__class__ is str:
                     count += 1      # the text child, not made yet
+                elif kids.__class__ is tuple:   # a group, not built yet
+                    count += kids[1] * (kids[0].elements + kids[0].texts)
                 else:
-                    stack.extend(node._kids)
+                    stack.extend(kids)
         return count
 
     def path(self) -> str:
@@ -237,7 +249,7 @@ def child_nodes(node: XMLElement) -> list[XMLNode]:
     """``node.children`` for a reader: a text leaf's child is not made but
     stood in for by a detached :class:`XMLText` of the same value."""
     kids = node._kids
-    return [XMLText(kids)] if kids.__class__ is str else kids
+    return [XMLText(kids)] if kids.__class__ is str else node.children
 
 
 def _position(children: list, child: XMLNode) -> int:
@@ -268,12 +280,12 @@ def check_text(value) -> str:
 # ----------------------------------------------------------------------
 # The one place a node is made without ``__init__``.  For callers that
 # build a whole tree out of labels they have already checked (the tagging
-# phase's TreeSink: tags checked when the program is compiled, values str
-# from its reader; the shard codec: labels it encoded itself), and whose
-# nodes are brand new, so there is no tag to validate again and no previous
-# parent to detach from; and ``XMLElement.children``, making a leaf's
-# text child on first read.  Anything else goes through ``XMLElement(...)``,
-# ``XMLText(...)`` and ``append``.
+# phase's TreeSink and ``Fragment.build``: tags checked when the program is
+# compiled, values str from its reader; the shard codec: labels it encoded
+# itself), and whose nodes are brand new, so there is no tag to validate
+# again and no previous parent to detach from; and ``XMLElement.children``,
+# making a leaf's text child on first read.  Anything else goes through
+# ``XMLElement(...)``, ``XMLText(...)`` and ``append``.
 
 _new = object.__new__
 

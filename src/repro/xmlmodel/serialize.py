@@ -60,63 +60,41 @@ def serialize(node: XMLNode, indent: int | None = None) -> str:
 
     With ``indent=None`` the output is compact (no insignificant whitespace);
     with an integer it is pretty-printed, with text-only elements kept on one
-    line so PCDATA round-trips exactly.
+    line so PCDATA round-trips exactly.  One walk drives a
+    :class:`StreamSerializer`, reading each ``_kids`` as it is: a text leaf
+    (its PCDATA a ``str`` or one text child) and an empty element are one
+    ``leaf`` each, and a pending group goes to ``fragments`` unbuilt.
     """
-    newline = "" if indent is None else "\n"
     if isinstance(node, XMLText):
-        return escape_text(node.value) + newline
+        return escape_text(node.value) + ("" if indent is None else "\n")
     parts: list[str] = []
-    _write(node, parts.append, indent or 0, newline, 0)
-    return "".join(parts)
+    writer = StreamSerializer(parts.append, indent)
+    start, text, end = writer.start, writer.text, writer.end
+    leaf, fragments = writer.leaf, writer.fragments
 
-
-def _write(node: XMLElement, out, indent: int, newline: str,
-           level: int) -> None:
-    """One pass over ``node.children``.  A text-only element is one line
-    and anything else one line per child, which compact output — no pad,
-    no newline — does not tell apart; so text is held back until the first
-    element child (or the end) decides which.  Empty and one-text-child
-    children are written here rather than by a call of their own.  A text
-    leaf's ``_kids`` is its PCDATA until its ``children`` is read, and is
-    written from there, never made into a node.
-    """
-    tag, children = node.tag, node._kids
-    pad = " " * (indent * level)
-    if children.__class__ is str:           # a text leaf, written alone
-        out(f"{pad}<{tag}>{escape_text(children)}</{tag}>{newline}")
-        return
-    if not children:
-        out(f"{pad}<{tag}/>{newline}")
-        return
-    inner = " " * (indent * (level + 1))
-    held: list[str] | None = []       # None once the start tag is written
-    for child in children:
-        if isinstance(child, XMLText):
-            if held is None:
-                out(f"{inner}{escape_text(child.value)}{newline}")
+    def write(children) -> None:
+        for child in children:
+            if isinstance(child, XMLText):
+                text(child.value)
+                continue
+            kids = child._kids
+            if kids.__class__ is str:
+                leaf(child.tag, kids)
+            elif kids.__class__ is tuple:
+                start(child.tag)
+                fragments(*kids)
+                end()
+            elif not kids:
+                leaf(child.tag, None)
+            elif len(kids) == 1 and isinstance(kids[0], XMLText):
+                leaf(child.tag, kids[0].value)
             else:
-                held.append(escape_text(child.value))
-            continue
-        if held is not None:
-            out(f"{pad}<{tag}>{newline}")
-            for value in held:
-                out(f"{inner}{value}{newline}")
-            held = None
-        below = child._kids             # a text leaf's str, or a list
-        if (below.__class__ is not str and len(below) == 1
-                and isinstance(below[0], XMLText)):
-            below = below[0].value
-        if below.__class__ is str:
-            out(f"{inner}<{child.tag}>{escape_text(below)}"
-                f"</{child.tag}>{newline}")
-        elif not below:
-            out(f"{inner}<{child.tag}/>{newline}")
-        else:
-            _write(child, out, indent, newline, level + 1)
-    if held is None:
-        out(f"{pad}</{tag}>{newline}")
-    else:
-        out(f"{pad}<{tag}>{''.join(held)}</{tag}>{newline}")
+                start(child.tag)
+                write(kids)
+                end()
+
+    write((node,))
+    return "".join(parts)
 
 
 class _Pads(dict):
@@ -132,15 +110,16 @@ class _Pads(dict):
 
 
 class StreamSerializer:
-    """Incremental writer producing byte-identical output to
-    :func:`serialize` without ever holding the tree or the document string.
+    """The one XML writer: incremental, it never holds the tree or the
+    document string.  :func:`serialize` drives it over a tree.
 
     Drive it with ``start(tag)`` / ``text(value)`` / ``end()`` events (the
-    protocol emitted by :func:`repro.runtime.tagging.stream_document`).
-    Formatting decisions that :func:`serialize` makes by inspecting a
-    node's children (self-closing empty elements, one-line text-only
-    elements under pretty-printing) are deferred here by holding only the
-    *top* element's text until its first child or its end event.  Only the
+    protocol emitted by :func:`repro.runtime.tagging.stream_document`),
+    and ``leaf(tag, value)`` for an element whose children are known to be
+    one text or none.  Formatting decisions that depend on an element's
+    children (self-closing empty elements, one-line text-only elements
+    under pretty-printing) are deferred by holding only the *top*
+    element's text until its first child or its end event.  Only the
     top element can be undecided — a child's ``start`` commits its parent —
     so the state is the stack of open tags, one ``opened`` flag and the
     top's held texts: O(depth), not O(document).
@@ -226,6 +205,20 @@ class StreamSerializer:
         pieces = self._pieces
         pieces.append(piece)
         if not tags or len(pieces) >= WRITE_PIECES:
+            self._flush()
+
+    def leaf(self, tag: str, value: str | None) -> None:
+        """``start(tag)``, ``text(value)`` and ``end()`` as one piece;
+        ``value=None`` is an empty element, ``<tag/>``."""
+        if not self._opened:
+            self._open_top()
+        tags, pieces = self._tags, self._pieces
+        if value is None:
+            pieces.append(f"{self._pads[len(tags)]}<{tag}/>{self._nl}")
+        else:
+            pieces.append(f"{self._pads[len(tags)]}<{tag}>"
+                          f"{escape_text(value)}</{tag}>{self._nl}")
+        if len(pieces) >= WRITE_PIECES or not tags:
             self._flush()
 
     def fragments(self, fragment, count: int, columns) -> None:

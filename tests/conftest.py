@@ -59,6 +59,19 @@ def load_tiny_hospital(sources, with_recursion=True):
                                          ("t3", "75"), ("t4", "5")])
 
 
+def pending_groups(tree) -> list[tuple]:
+    """The fragment groups ``(fragment, count, columns)`` that elements of
+    ``tree`` still hold unbuilt, found without reading ``children``."""
+    held, stack = [], [tree]
+    while stack:
+        kids = stack.pop()._kids
+        if kids.__class__ is tuple:
+            held.append(kids)
+        elif kids.__class__ is list:
+            stack.extend(kid for kid in kids if hasattr(kid, "_kids"))
+    return held
+
+
 @pytest.fixture
 def tiny_sources():
     sources = make_sources()

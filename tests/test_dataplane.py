@@ -2,8 +2,10 @@
 
 Covers the layers the plane cuts through:
 
-* ``StreamSerializer``: property-tested byte equivalence with
-  :func:`serialize` on arbitrary trees, and full-pipeline equivalence of
+* ``StreamSerializer`` and :func:`serialize`, which drives it over a tree:
+  property-tested byte equivalence with the independent reference writer
+  (``tests/reference_writer.py``) on arbitrary trees and on trees holding
+  unbuilt fragment groups, and full-pipeline equivalence of
   ``evaluate_stream`` with ``serialize(evaluate().document)`` on star,
   recursion-through-sequence (hospital) and recursion-through-choice (fs)
   scenarios;
@@ -18,6 +20,7 @@ Covers the layers the plane cuts through:
 import hashlib
 import importlib
 import io
+import random
 import sys
 import tracemalloc
 
@@ -36,6 +39,8 @@ from repro.datagen import make_loaded_sources
 from repro.datagen.generator import DATES
 from repro.dtd import parse_dtd
 from repro.dtd.analysis import base_name
+from repro.fuzz import generate_scenario
+from repro.fuzz.spec import build_scenario
 from repro.hospital import build_hospital_aig, make_sources
 from repro.relational import Catalog, DataSource, SourceSchema
 from repro.relational.schema import relation
@@ -43,7 +48,10 @@ from repro.runtime import Middleware
 from repro.runtime.engine import Engine
 from repro.runtime.tagging import NullEventSink, stream_document
 from repro.xmlmodel import StreamSerializer, XMLElement, XMLText, serialize
-from tests.conftest import load_tiny_hospital
+from repro.xmlmodel.node import new_element
+from tests.conftest import load_tiny_hospital, pending_groups
+from tests.reference_writer import reference_serialize
+from tests.test_mediator_resident import build_group_aig, group_sources
 from tests.test_recursive_choice import TREE_ROWS, build_fs_aig, load
 
 # the module: the package's ``serialize`` attribute is the function
@@ -95,11 +103,17 @@ _trees = st.recursive(
 
 
 class TestStreamSerializer:
+    # ``serialize`` drives ``StreamSerializer`` over the tree, so both are
+    # compared with ``reference_serialize``, a writer sharing no code with
+    # either
+
     @settings(max_examples=200, deadline=None)
     @given(tree=st.builds(lambda t: XMLElement("root", [t]), _trees),
            indent=st.sampled_from([None, 0, 1, 2, 4]))
     def test_equivalent_to_serialize(self, tree, indent):
-        assert stream_bytes(tree, indent) == serialize(tree, indent=indent)
+        expected = reference_serialize(tree, indent)
+        assert serialize(tree, indent=indent) == expected
+        assert stream_bytes(tree, indent) == expected
 
     def test_edge_shapes(self):
         shapes = [
@@ -113,7 +127,8 @@ class TestStreamSerializer:
         for tree in shapes:
             for indent in (None, 2):
                 assert stream_bytes(tree, indent) == \
-                    serialize(tree, indent=indent), tree
+                    serialize(tree, indent=indent) == \
+                    reference_serialize(tree, indent), tree
 
     def test_character_count(self):
         tree = XMLElement("r", [XMLElement("a", [XMLText("hi")])])
@@ -121,6 +136,112 @@ class TestStreamSerializer:
         serializer = StreamSerializer(buffer.write, indent=2)
         replay(tree, serializer)
         assert serializer.characters == len(buffer.getvalue())
+
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    @pytest.mark.parametrize("value", ["", None, "a&b<c>d\"e'f", "x"])
+    def test_leaf_is_its_events(self, value, indent):
+        # ``leaf`` is ``start`` / ``text`` / ``end`` in one piece: the same
+        # chunks reach ``write``, alone at the root, committing an undecided
+        # parent, and landing before, on and after the flush boundary
+        # (``<p>`` is the parent's piece, so leaf n is piece n + 1)
+        def events(serializer, tag):
+            serializer.start(tag)
+            if value is not None:
+                serializer.text(value)
+            serializer.end()
+
+        def leaf(serializer, tag):
+            serializer.leaf(tag, value)
+
+        def chunks(drive, write):
+            written: list[str] = []
+            drive(StreamSerializer(written.append, indent=indent), write)
+            return written
+
+        def beside_text(serializer, write):
+            serializer.start("p")
+            serializer.text("t")
+            write(serializer, "a")
+            serializer.end()
+
+        def run_of(count):
+            def drive(serializer, write):
+                serializer.start("p")
+                for _ in range(count):
+                    write(serializer, "a")
+                serializer.end()
+            return drive
+
+        def alone(serializer, write):
+            write(serializer, "a")
+
+        boundary = serialize_module.WRITE_PIECES - 1
+        drives = [alone, beside_text] + [
+            run_of(count) for count in (boundary - 1, boundary, boundary + 1)]
+        for drive in drives:
+            assert chunks(drive, leaf) == chunks(drive, events)
+        # the same shapes as trees, their leaves as ``new_element`` keeps
+        # them, written by ``serialize`` and by the reference writer
+        lone = new_element("a", None, value)
+        mixed = XMLElement("p", [XMLText("t")])
+        new_element("a", mixed, value)
+        run = new_element("p", None)
+        for _ in range(boundary):
+            new_element("a", run, value)
+        for tree in (lone, mixed, run):
+            assert serialize(tree, indent=indent) == \
+                reference_serialize(tree, indent)
+        assert serialize(lone, indent=indent) == "".join(chunks(alone, leaf))
+        assert serialize(run, indent=indent) == \
+            "".join(chunks(run_of(boundary), leaf))
+
+
+def read_at_random(tree: XMLElement, rng: random.Random) -> None:
+    """Read ``children`` on a random part of ``tree``: the groups met on
+    the way are built, the rest stay pending, and some text leaves get
+    their text child."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if rng.random() < 0.5:
+            stack.extend(child for child in node.children
+                         if isinstance(child, XMLElement))
+
+
+class TestPendingGroupsWritten:
+    """A tree from ``TreeSink`` keeps a fragment group that is an element's
+    whole content unbuilt: ``serialize`` hands it to
+    ``StreamSerializer.fragments`` as it is and writes a built one event by
+    event.  The reference writer reads every group built."""
+
+    @pytest.fixture(scope="class")
+    def middlewares(self):
+        hospital_sources, _ = make_loaded_sources("tiny")
+        made = [(Middleware(build_hospital_aig(), hospital_sources),
+                 {"date": DATES[0]}),
+                (Middleware(build_group_aig(), group_sources(groups=50)),
+                 {"run": "1"})]
+        for seed in range(4):
+            spec = generate_scenario(seed)
+            aig, sources = build_scenario(spec)
+            made.append((Middleware(aig, sources, violation_mode="report"),
+                         dict(spec.root_values)))
+        return made
+
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partly_read_trees(self, middlewares, seed, indent):
+        rng = random.Random(seed)
+        for position, (middleware, root) in enumerate(middlewares):
+            document = middleware.evaluate(dict(root)).document
+            read_at_random(document, rng)
+            held = len(pending_groups(document))
+            if position < 2:
+                assert held, "hospital and groups keep a group unbuilt"
+            written = serialize(document, indent=indent)
+            assert len(pending_groups(document)) == held
+            assert written == reference_serialize(document, indent)
+            assert pending_groups(document) == []
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +559,17 @@ class TestPushdown:
     def test_tree_peak_at_least_5x_streamed_peak(self):
         """Materializing (tree + rendered string) peaks at >= 5x streaming
         into a hashing writer, bytes equal: the floor the retired data-plane
-        bench held at 20 000 catalog rows (recorded ratios 5.9-8.5)."""
+        bench held at 20 000 catalog rows (recorded ratios 5.9-8.5).  A
+        tree is materialized by reading it: ``evaluate`` leaves the feed's
+        one fragment group unbuilt until a reader asks, and ``serialize``
+        alone does not, so that path peaks lower still."""
         aig, sources = build_wide_scenario(rows=2000, body_chars=24,
                                            listing=LISTING)
 
-        def materialized():
+        def materialized(read=True):
             report = Middleware(aig, sources).evaluate({"day": "d1"})
+            if read:
+                assert sum(1 for _ in report.document.iter()) > 2000
             return serialize(report.document, indent=2)
 
         def streamed():
@@ -461,11 +587,16 @@ class TestPushdown:
                 tracemalloc.stop()
 
         xml, tree_peak = traced_peak(materialized)
+        unread_xml, unread_peak = traced_peak(
+            lambda: materialized(read=False))
         stream_sha, stream_peak = traced_peak(streamed)
         assert stream_sha == hashlib.sha256(xml.encode("utf-8")).hexdigest()
+        assert unread_xml == xml
         assert tree_peak >= 5 * stream_peak, \
             f"tree path peaked at {tree_peak}B, streamed at {stream_peak}B " \
             f"({tree_peak / stream_peak:.2f}x)"
+        assert unread_peak < tree_peak, \
+            f"unread tree path peaked at {unread_peak}B, read at {tree_peak}B"
 
     def test_null_event_sink_accepts_events(self):
         sink = NullEventSink()

@@ -93,6 +93,18 @@ class TestOracle:
         assert not report.ok
         assert any(d.kind == "xml" for d in report.divergences)
 
+    def test_unbuilt_group_writer_checked_against_built_write(
+            self, monkeypatch):
+        # a writer that loses every unbuilt fragment group: the document
+        # ``evaluate`` returns is written wrong, and written right once
+        # the checkers have built its groups
+        from repro.xmlmodel.serialize import StreamSerializer
+        monkeypatch.setattr(StreamSerializer, "fragments",
+                            lambda self, fragment, count, columns: None)
+        report = run_oracle(generate_scenario(1), configs=("merged",))
+        kinds = {d.kind for d in report.divergences}
+        assert kinds == {"xml", "built-xml"}, report.divergences
+
 
 class TestBackendAxis:
     """The cross-backend oracle axis (docs/BACKENDS.md): one pinned

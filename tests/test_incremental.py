@@ -23,7 +23,7 @@ from repro.runtime import Middleware
 from repro.runtime.incremental import (BINDINGS_PER_NODE,
                                       compute_fingerprints, plan_increment)
 from repro.xmlmodel import serialize
-from tests.conftest import load_tiny_hospital
+from tests.conftest import load_tiny_hospital, pending_groups
 from tests.test_mediator_resident import (HDR_SCHEMA, conceptual,
                                           hdr_middleware)
 
@@ -242,7 +242,10 @@ class TestTaggingCost:
         # subtree memo lost on: every iteration subtree was deep-copied
         # at every nesting level (~6x the document in constructions).
         # An element is made by XMLElement(...) or by the trusted
-        # constructor the tree sink uses; both are counted.
+        # constructor the tree sink uses; both are counted.  A fragment
+        # group that is an element's whole content is made on first read,
+        # so the count is taken after a walk that reads every element:
+        # each is made exactly once, by the tree sink or by that read.
         from repro.xmlmodel import node
         constructed = []
         real_init, real_new = node.XMLElement.__init__, node.new_element
@@ -260,10 +263,20 @@ class TestTaggingCost:
         sources = make_sources()
         load_tiny_hospital(sources)
         middleware = _middleware(sources)
+        held = {}
         for date in ("d1", "d2", "d1", "d2"):
             constructed.clear()
             document = middleware.evaluate({"date": date}).document
-            assert len(constructed) == sum(1 for _ in document.iter()) > 1
+            unread = len(constructed)
+            held[date] = len(pending_groups(document))
+            elements = sum(1 for _ in document.iter())
+            assert len(constructed) == elements > 1
+            if held[date]:
+                assert unread < elements
+            else:
+                assert unread == elements
+        # d1's ``bill`` elements hold only their ``item`` groups
+        assert held == {"d1": 2, "d2": 0}
 
 
 class TestStreamReuse:

@@ -6,10 +6,12 @@ sinks as one ``Fragment``, a sibling group at a time.  A sink may take
 groups natively (``StreamSerializer``: one ``%``-template per row;
 ``TreeSink``: the fragment's ops run over the trusted node constructors) or
 receive them through the shared ``Fragment.replay`` (the streaming checker).
-The recursive ``serialize`` over the ``TreeSink`` tree shares no code with
-``StreamSerializer.fragments``, so byte equality of the two is the
-"fragment path == event path" property; ``ValidatedTreeSink`` below is the
-tree the same events make through ``XMLElement(...)`` / ``append``.
+``tests/reference_writer.py`` writes the ``TreeSink`` tree with every
+group built and shares no code with ``StreamSerializer``, so byte equality
+of the two is the "fragment path == event path" property
+(:func:`tree_bytes` checks ``serialize`` of the tree as tagging left it
+against it); ``ValidatedTreeSink`` below is the tree the same events make
+through ``XMLElement(...)`` / ``append``.
 """
 
 import pytest
@@ -38,6 +40,7 @@ from repro.runtime.tagging import (
 )
 from repro.xmlmodel import StreamSerializer, XMLElement, XMLText, serialize
 from tests.conftest import load_tiny_hospital
+from tests.reference_writer import reference_serialize
 from tests.test_mediator_resident import build_group_aig, group_sources
 from tests.test_recursive_choice import TREE_ROWS, build_fs_aig, load
 
@@ -138,6 +141,14 @@ class Tagged:
         return "".join(chunks), serializer, count
 
 
+def tree_bytes(document, indent=None) -> str:
+    """``serialize(document, indent)``, checked against the reference
+    writer over the same tree with every group built."""
+    written = serialize(document, indent=indent)
+    assert written == reference_serialize(document, indent)
+    return written
+
+
 class ValidatedTreeSink:
     """Events only, every node through the validating constructors."""
 
@@ -195,7 +206,7 @@ class TestFragmentPathEqualsEventPath:
     def test_serializer_alone(self, tagged, indent):
         document = tagged.tree()
         text, serializer, count = tagged.written(indent)
-        assert text == serialize(document, indent=indent)
+        assert text == tree_bytes(document, indent)
         assert serializer.characters == len(text)
         assert count == sum(1 for _ in document.iter())
         assert 0 < count.in_fragments <= count
@@ -207,7 +218,7 @@ class TestFragmentPathEqualsEventPath:
         document = tagged.tree()
         checker = StreamingConstraintChecker(tagged.aig.constraints)
         text, _, _ = tagged.written(indent, checker)
-        assert text == serialize(document, indent=indent)
+        assert text == tree_bytes(document, indent)
         assert [str(v) for v in checker.result()] == \
             [str(v) for v in check_constraints(document,
                                                tagged.aig.constraints)]
@@ -217,7 +228,7 @@ class TestFragmentPathEqualsEventPath:
         tagged.stream(trusted, validated)
         assert_well_formed(trusted.root, validated.root)
         for indent in (None, 0, 2):
-            assert serialize(trusted.root, indent=indent) == \
+            assert tree_bytes(trusted.root, indent) == \
                 tagged.written(indent)[0]
 
     def test_tree_beside_serializer_both_native(self, tagged, monkeypatch):
@@ -233,7 +244,7 @@ class TestFragmentPathEqualsEventPath:
         monkeypatch.setattr(TreeSink, "start", counting_start)
         sink = TreeSink()
         text, _, count = tagged.written(2, sink)
-        assert text == serialize(sink.root, indent=2)
+        assert text == tree_bytes(sink.root, 2)
         if count.in_fragments == count:
             # "card": the document is one fragment, delivered with no open
             # element — replayed, because only ``start`` sets a root
@@ -250,7 +261,7 @@ class TestFragmentPathEqualsEventPath:
         try:
             text, serializer, count = scenario.written(indent)
             assert count.in_fragments == count
-            assert text == serialize(scenario.tree(), indent=indent)
+            assert text == tree_bytes(scenario.tree(), indent)
             assert text and serializer.characters == len(text)
         finally:
             scenario.engine.cleanup()
@@ -299,7 +310,7 @@ class TestAdversarialValues:
         stream_document(scenario.plan, cache, {"day": "d1"},
                         StreamSerializer(chunks.append, indent=indent),
                         validated, rename=rename)
-        assert "".join(chunks) == serialize(document, indent=indent)
+        assert "".join(chunks) == tree_bytes(document, indent)
         assert_well_formed(document, validated.root)
         assert len(document.children) == len(rows)
         for product in document.children:
@@ -348,7 +359,7 @@ class TestProvenanceBeyondTheOwnRow:
             scenario.plan._programs.clear()
             document = scenario.tree()
             text, _, count = scenario.written(2)
-            assert text == serialize(document, indent=2)
+            assert text == tree_bytes(document, 2)
             groups = document.children
             assert len(groups) == 6
             for element in groups:
