@@ -84,7 +84,7 @@ def _export_observability(tracer, args) -> None:
 def _backend_value(value: str):
     """``--backend`` value: one spec, or ``DB1=file,DB3=file:csv`` pairs."""
     from repro.errors import SpecError
-    from repro.relational.backends import parse_spec
+    from repro.relational.source import parse_spec
 
     def checked(spec: str) -> str:
         try:
@@ -114,7 +114,7 @@ def _demo(args) -> int:
     backend = args.backend
     sources, dataset = make_loaded_sources(args.scale, backend=backend)
     if backend is not None:
-        assigned = ", ".join(f"{name}={source.backend.spec}"
+        assigned = ", ".join(f"{name}={source.spec}"
                              for name, source in sorted(sources.items()))
         print(f"backends: {assigned}")
     date = args.date or dataset.busiest_date()

@@ -89,10 +89,3 @@ def classify_rules(aig: AIG) -> dict[str, list[tuple[str, bool]]]:
                               is_copy_rule(branch.inh)))
         result[element_type] = sites
     return result
-
-
-def copy_rule_fraction(aig: AIG) -> float:
-    """Share of rule sites that are CSRs (reported by benches)."""
-    sites = [flag for per_type in classify_rules(aig).values()
-             for _, flag in per_type]
-    return sum(sites) / len(sites) if sites else 0.0

@@ -103,31 +103,6 @@ class Occurrence:
         assert self.has_table and self.parent is not None
         return self.parent.anchor
 
-    def anchor_chain_to(self, group: "Occurrence") -> list["Occurrence"]:
-        """Tables to join from this (tabled) occurrence up to ``group``.
-
-        Returns ``[self, a1, a2, ...]`` where each subsequent element is the
-        previous one's parent anchor, stopping when the parent anchor *is*
-        ``group`` (exclusive).  Joining ``t_i.__parent = t_{i+1}.__id``
-        along the list maps each of self's rows to its ``group`` row (the
-        last element's ``__parent``).
-        """
-        assert self.has_table
-        chain: list[Occurrence] = [self]
-        current: Occurrence = self
-        while True:
-            if current.parent is None:
-                raise CompilationError(
-                    f"{group.path} is not an ancestor of {self.path}")
-            up = current.parent.anchor
-            if up is group:
-                return chain
-            if up.parent is None:
-                raise CompilationError(
-                    f"{group.path} is not an ancestor of {self.path}")
-            chain.append(up)
-            current = up
-
     def choice_edges_gating(self) -> list["Occurrence"]:
         """Choice-child occurrences on the path from self (inclusive) up to
         the parent anchor (exclusive) — the branch memberships that gate

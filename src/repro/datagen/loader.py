@@ -20,7 +20,7 @@ def load_dataset(dataset: HospitalDataset,
     """
     if not enforce_billing_key:
         previous = sources.get("DB3")
-        spec = previous.backend.spec if previous is not None else None
+        spec = previous.spec if previous is not None else None
         if previous is not None:
             previous.close()
         sources["DB3"] = DataSource(

@@ -236,34 +236,6 @@ class QueryDependencyGraph:
     def sources(self) -> list[str]:
         return sorted({node.source for node in self.nodes.values()})
 
-    def to_dot(self, estimates: dict | None = None) -> str:
-        """Graphviz DOT rendering (nodes clustered by source).
-
-        With ``estimates`` each node label includes its estimated output
-        cardinality — handy when eyeballing why Merge chose a pair.
-        """
-        lines = ["digraph qdg {", "  rankdir=LR;", "  node [shape=box];"]
-        by_source: dict[str, list[QueryNode]] = {}
-        for node in self.nodes.values():
-            by_source.setdefault(node.source, []).append(node)
-        for index, (source, nodes) in enumerate(sorted(by_source.items())):
-            lines.append(f'  subgraph cluster_{index} {{')
-            lines.append(f'    label="{source}";')
-            for node in nodes:
-                label = node.name.replace('"', "'")
-                if estimates and node.name in estimates:
-                    label += f"\\n~{estimates[node.name].cardinality:.0f} rows"
-                shape = {"guard": "octagon", "collect": "ellipse",
-                         "condition": "diamond"}.get(node.kind, "box")
-                lines.append(f'    "{node.name}" [label="{label}" '
-                             f'shape={shape}];')
-            lines.append("  }")
-        for node in self.nodes.values():
-            for producer in self.producer_names(node):
-                lines.append(f'  "{producer}" -> "{node.name}";')
-        lines.append("}")
-        return "\n".join(lines)
-
     def __len__(self) -> int:
         return len(self.nodes)
 

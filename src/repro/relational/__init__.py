@@ -2,9 +2,9 @@
 
 The paper evaluates AIGs over several relational databases that "may have
 different systems and may even reside in different sites".  Here each logical
-source is a :class:`DataSource` behind a pluggable storage backend
-(``sqlite3`` by default; a read-only CSV file backend lives beside it in
-:mod:`repro.relational.backends`, see docs/BACKENDS.md), plus a
+source is a :class:`DataSource` over its own ``sqlite3`` database (or, as
+the one variant, a read-only CSV source whose files the same engine
+loads, :mod:`repro.relational.csvstore`; see docs/BACKENDS.md), plus a
 distinguished :class:`Mediator` source that joins shipped results for the
 sources that cannot receive them.  Inter-site data transfer is simulated by
 :class:`Network` (the paper, too, *simulated* transfers at configurable
@@ -12,12 +12,6 @@ bandwidths).  :mod:`repro.relational.statistics` implements the per-source
 "query costing API" inputs: table cardinalities, distinct counts, and widths.
 """
 
-from repro.relational.backends import (
-    Backend,
-    BackendCapabilities,
-    create_backend,
-    registered_backends,
-)
 from repro.relational.schema import Column, RelationSchema, SourceSchema, Catalog
 from repro.relational.source import (
     DataSource,
@@ -31,10 +25,6 @@ from repro.relational.statistics import TableStats, collect_stats, StatisticsCat
 from repro.relational.xmlsource import ShredSpec, shred, shred_spec, xml_source
 
 __all__ = [
-    "Backend",
-    "BackendCapabilities",
-    "create_backend",
-    "registered_backends",
     "Column",
     "RelationSchema",
     "SourceSchema",

@@ -1,4 +1,4 @@
-"""Data sources behind pluggable backends (sqlite3 by default).
+"""Data sources: one SQLite database per logical source.
 
 Each :class:`DataSource` owns an independent database — the stand-in for
 the paper's per-site DB2 instances (see DESIGN.md, substitutions).  The
@@ -8,16 +8,15 @@ evaluation costs can feed the cost model.  The :class:`Mediator` is itself a
 source (the paper treats it as "a special data source Mediator"); it runs
 the plan steps that read no base table.
 
-Engine specifics — opening connections, cursor semantics, transactions,
-deadline interruption, bulk loading — live in
-:mod:`repro.relational.backends` (docs/BACKENDS.md); this module keeps the
-engine-agnostic orchestration: version counters, fault injection and
-metrics.  ``DataSource(schema)`` without a ``backend`` argument behaves
-exactly as the historical sqlite3-only class.
+A source opens and drives its own connections; its storage spec
+(:data:`SPELLINGS`, docs/BACKENDS.md) picks an in-memory database, a
+database file, or the read-only CSV source, whose tables the same engine
+loads from a :class:`~repro.relational.csvstore.CsvStore`.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 import sqlite3
@@ -27,20 +26,65 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, SpecError
+from repro.relational.csvstore import CsvStore
 from repro.relational.schema import SourceSchema
+from repro.resilience.retry import (PROGRESS_HANDLER_OPCODES,
+                                    QueryDeadlineExceeded,
+                                    make_deadline_handler)
 
 logger = logging.getLogger("repro.source")
 
 #: Reserved name of the mediator pseudo-source.
 MEDIATOR_NAME = "Mediator"
 
-#: Re-exported for backward compatibility (the constant moved into the
-#: sqlite3 backend with the rest of the engine specifics).
-from repro.relational.backends.sqlite3_backend import (  # noqa: E402
-    STATEMENT_CACHE_SIZE,
-    Sqlite3Backend,
-)
+#: Every valid storage spec shape, for error messages.
+SPELLINGS = "sqlite, sqlite:PATH, file, file:csv, file:csv:DIR"
+
+
+def parse_spec(spec) -> tuple[str, str | None]:
+    """``(kind, location)`` of a storage spec — ``("sqlite", PATH or
+    None)`` or ``("file", DIR or None)``; raises
+    :class:`~repro.errors.SpecError` on anything but :data:`SPELLINGS`
+    (the CLI checks ``--backend`` with it at argument parsing)."""
+    if not isinstance(spec, str) or not spec:
+        raise SpecError(f"backend spec must be a non-empty string, "
+                        f"got {spec!r}")
+    kind, _, options = spec.partition(":")
+    if kind == "sqlite":
+        return kind, options or None
+    if kind != "file":
+        raise SpecError(f"unknown backend {kind!r} "
+                        f"(valid spellings: {SPELLINGS})")
+    file_format, _, root = options.partition(":")
+    if file_format not in ("", "csv"):
+        raise SpecError(f"unknown file backend format {file_format!r} "
+                        f"(valid spellings: {SPELLINGS})")
+    return kind, root or None
+
+
+@dataclass(frozen=True)
+class Capabilities:
+    """What a source's storage takes: the engine reads
+    ``supports_temp_tables`` (False: ship inline, docs/BACKENDS.md) and
+    the shard layer ``blob_affinity``."""
+
+    backend: str
+    supports_temp_tables: bool
+    supports_writes: bool
+    blob_affinity: bool
+
+
+SQLITE_CAPABILITIES = Capabilities("sqlite", True, True, True)
+CSV_CAPABILITIES = Capabilities("file", False, False, False)
+
+#: Compiled-statement cache size per connection.  The execution engine
+#: re-issues structurally identical statements (shipping inserts, cached
+#: plan queries across evaluations), so a larger cache means SQLite
+#: re-uses prepared statements instead of re-parsing.
+STATEMENT_CACHE_SIZE = 256
+
+_shared_memory_counter = itertools.count(1)
 
 #: Upper bound on distinct column layouts kept by :func:`intern_columns`.
 #: Long-lived processes (fuzz loops, a resident middleware) see an
@@ -75,12 +119,6 @@ def intern_columns(names) -> list[str]:
     return shared
 
 
-def intern_cache_size() -> int:
-    """Number of column layouts currently interned (for tests/metrics)."""
-    with _interned_columns_lock:
-        return len(_interned_columns)
-
-
 #: the exact types ``isinstance(value, (int, float))`` accepts
 _NUMBERS = {int, float, bool}
 
@@ -113,9 +151,6 @@ class ResultSet:
     def column(self, name: str) -> list:
         index = self.column_index(name)
         return [row[index] for row in self.rows]
-
-    def as_dicts(self) -> list[dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
 
     def project(self, names: list[str]) -> "ResultSet":
         indexes = [self.column_index(n) for n in names]
@@ -161,19 +196,19 @@ class ResultSet:
 
 
 class DataSource:
-    """One logical relational source (its own database, backend-pluggable).
+    """One logical relational source: its own SQLite database.
 
     ``schema`` describes the base relations; temp tables for shipped inputs
     are created on demand and live beside them.  All execution is instrumented:
     ``last_execution_seconds`` holds the wall-clock time of the most recent
     ``execute`` call, and ``total_queries``/``total_seconds`` accumulate.
 
-    ``backend`` selects the engine (docs/BACKENDS.md): a registry spec
-    string (``"sqlite"``, ``"sqlite:/x.db"``, ``"file:csv"``, ...) or a
-    constructed :class:`~repro.relational.backends.Backend`.  The default
-    is the historical in-memory sqlite3 engine; ``path`` is a sqlite-only
-    shorthand for a file-backed database and cannot be combined with an
-    explicit backend.
+    ``backend`` is the storage spec (:data:`SPELLINGS`, docs/BACKENDS.md):
+    ``None`` or ``"sqlite"`` is a shared-cache in-memory database,
+    ``"sqlite:PATH"`` a database file, and ``"file"`` /
+    ``"file:csv[:DIR]"`` the read-only CSV source — the same engine over
+    tables loaded from a :class:`~repro.relational.csvstore.CsvStore`,
+    which takes no writes, no shipped temp tables and no ATTACH.
 
     Thread-safety rules (see docs/INTERNALS.md, "Execution order"): a
     source is *single-flight* — at most one statement may run against it at
@@ -182,29 +217,24 @@ class DataSource:
     the caller (``Middleware``'s run lock), not here.
     """
 
-    def __init__(self, schema: SourceSchema, path: str | None = None,
-                 backend=None):
-        from repro.relational.backends import create_backend
+    def __init__(self, schema: SourceSchema, backend: str | None = None):
         self.schema = schema
         self.name = schema.source
-        if backend is None:
-            backend = Sqlite3Backend(schema, path=path)
-        elif path is not None:
-            raise EvaluationError(
-                "DataSource: pass either path= (sqlite shorthand) or "
-                "backend=, not both")
+        #: The storage spec this source was built from (``"sqlite"``, ...).
+        self.spec = "sqlite" if backend is None else backend
+        kind, location = parse_spec(self.spec)
+        self.csv_store = CsvStore(schema, location) if kind == "file" else None
+        if kind == "sqlite" and location:
+            self._database = f"file:{location}"
         else:
-            backend = create_backend(backend, schema)
-        self.backend = backend
-        #: SQLite URI other connections can ATTACH (None for backends the
-        #: Federation must materialize instead).
-        self.uri = backend.attach_uri()
-        #: Driver errors wrapped into EvaluationError.  sqlite3.Error is
-        #: always included: the mediator-side machinery (fault injectors,
-        #: deadline aborts via QueryDeadlineExceeded) raises sqlite3
-        #: errors regardless of the backend behind the source.
-        self._error_types = tuple(dict.fromkeys(
-            (*backend.error_types, sqlite3.Error)))
+            self._database = (f"file:repro_{schema.source}_"
+                              f"{next(_shared_memory_counter)}"
+                              f"?mode=memory&cache=shared")
+        #: SQLite URI other connections can ATTACH (None for the CSV
+        #: source, which the Federation materializes instead).
+        self.uri = self._database if self.csv_store is None else None
+        self.capabilities = (SQLITE_CAPABILITIES if self.csv_store is None
+                             else CSV_CAPABILITIES)
         self._closed = False
         self.connection = self._connect()
         self.last_execution_seconds = 0.0
@@ -224,41 +254,91 @@ class DataSource:
             for relation_schema in schema.relations}
         self._create_base_tables()
 
-    @property
-    def capabilities(self):
-        """The backend's :class:`~repro.relational.backends.BackendCapabilities`."""
-        return self.backend.capabilities
-
-    def _connect(self):
-        return self.backend.connect()
+    def _connect(self) -> sqlite3.Connection:
+        # Autocommit (isolation_level=None): shared-cache readers must not
+        # hold transactions open, or cross-connection access deadlocks.
+        # check_same_thread=False because the service evaluates on
+        # whichever request thread holds the run lock; exclusivity is
+        # enforced by that lock, not by SQLite.
+        connection = sqlite3.connect(
+            self._database, uri=True, isolation_level=None,
+            check_same_thread=False,
+            cached_statements=STATEMENT_CACHE_SIZE)
+        connection.execute("PRAGMA synchronous=OFF")
+        return connection
 
     def _create_base_tables(self) -> None:
         try:
-            self.backend.create_base_tables(self.connection)
-        except self._error_types as error:
+            for relation_schema in self.schema.relations:
+                self.connection.execute(relation_schema.create_table_sql())
+            if self.csv_store is not None:
+                for relation_schema in self.schema.relations:
+                    self._insert(relation_schema,
+                                 self.csv_store.read(relation_schema))
+                self._set_query_only(True)
+        except sqlite3.Error as error:
             self.close()
             raise EvaluationError(
                 f"source {self.name!r}: creating the base tables at "
-                f"{self.uri or self.backend.spec} failed: {error}") from error
+                f"{self.uri or self.spec} failed: {error}") from error
+
+    def _set_query_only(self, on: bool) -> None:
+        """The CSV source's engine refuses every write but a load's."""
+        self.connection.execute(f"PRAGMA query_only={int(on)}")
 
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
     def load_rows(self, relation_name: str, rows: list[tuple]) -> None:
-        """Bulk-insert rows into a base relation.
+        """Bulk-insert rows into a base relation, in one transaction: a
+        refused row (a duplicate key) rolls the whole batch back.
 
-        This is the materialization path and works on every backend —
-        including read-only ones, where the backend writes its files
-        instead of issuing SQL INSERTs.
+        This is the materialization path, and the only one into the
+        read-only CSV source: its engine takes the rows first, and its
+        file gets them only once that commits, so a refused load leaves
+        both as they were.
         """
         relation_schema = self.schema.relation_schema(relation_name)
+        text = None
+        if self.csv_store is not None:
+            text, rows = self.csv_store.encode(relation_schema, rows)
         try:
-            self.backend.load_rows(self.connection, relation_schema, rows)
-        except self._error_types as error:
+            self._insert(relation_schema, rows)
+        except sqlite3.Error as error:
             raise EvaluationError(
                 f"source {self.name!r}: loading rows into "
                 f"{relation_name!r} failed: {error}") from error
+        if text is not None:
+            self.csv_store.append(relation_schema, text)
         self.bump_version(relation_name)
+
+    def _insert(self, relation_schema, rows) -> None:
+        connection = self.connection
+        placeholders = ", ".join("?" * len(relation_schema.columns))
+        if self.csv_store is not None:
+            self._set_query_only(False)
+        try:
+            connection.execute("BEGIN")
+            connection.executemany(
+                f'INSERT INTO "{relation_schema.name}" VALUES '
+                f'({placeholders})', rows)
+            connection.execute("COMMIT")
+        except BaseException:
+            self._rollback()
+            raise
+        finally:
+            if self.csv_store is not None:
+                self._set_query_only(True)
+
+    def _rollback(self) -> bool:
+        """Roll back an open transaction; True if the connection is clean
+        (False: even the rollback failed)."""
+        try:
+            if self.connection.in_transaction:
+                self.connection.execute("ROLLBACK")
+        except sqlite3.Error:
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # table versions (incremental re-evaluation)
@@ -307,65 +387,71 @@ class DataSource:
     # ------------------------------------------------------------------
     def execute(self, sql: str, params: tuple = (),
                 deadline: float | None = None) -> ResultSet:
-        """Run a SELECT, returning a ResultSet; timing is recorded.
+        """Run a statement, returning a ResultSet; timing is recorded.
 
-        ``deadline`` bounds *in-flight* work in seconds: the backend
-        aborts the running statement once it elapses, and injected slow
-        faults (Python-side sleeps the engine can never see) are clipped
-        at the deadline inside :meth:`_faulted_sleep`.  Both paths raise
+        ``deadline`` bounds *in-flight* work in seconds: SQLite's progress
+        handler aborts the running statement once it elapses, and
+        injected slow faults (Python-side sleeps the engine can never
+        see) are clipped at the deadline inside :meth:`_faulted_sleep`.
+        Both paths raise
         :class:`~repro.resilience.retry.QueryDeadlineExceeded` wrapped in
         an :class:`~repro.errors.EvaluationError`.  A statement that
         *completes* keeps its rows even when total elapsed time lands
         slightly past the deadline — discarding finished work would make a
         near-deadline query deterministically fail every retry despite the
-        backend succeeding.
+        engine succeeding.
 
-        Read-only backends (``supports_writes=False``) reject write
-        statements here; their data arrives through :meth:`load_rows`.
+        A statement is a write if the engine changed rows for it
+        (``total_changes``, so ``WITH ... INSERT`` counts) or if it is not
+        a query at all (DDL); a write bumps the versions of the relations
+        it names.  The CSV source's engine is ``query_only``, so it
+        refuses every write here; its data arrives through
+        :meth:`load_rows`.
         """
         conn = self.connection
-        head = sql.lstrip()[:16].upper()
-        is_read = head.startswith(("SELECT", "WITH", "PRAGMA", "EXPLAIN"))
-        if not is_read and not self.backend.capabilities.supports_writes:
-            raise EvaluationError(
-                f"source {self.name!r}: backend "
-                f"{self.backend.capabilities.backend!r} is read-only; "
-                f"rejected: {sql}")
         start = time.perf_counter()
-        deadline_installed = False
         try:
+            changes = conn.total_changes
             if self.fault_injector is not None:
                 delay = self.fault_injector.on_statement(self.name)
                 if delay > 0.0:
                     self._faulted_sleep(delay, deadline, start)
             if deadline is not None:
-                deadline_installed = self.backend.install_deadline(
-                    conn, start, deadline)
+                conn.set_progress_handler(
+                    make_deadline_handler(time.perf_counter, start,
+                                          deadline),
+                    PROGRESS_HANDLER_OPCODES)
             try:
-                cursor = self.backend.execute(conn, sql, params)
-                rows = self.backend.fetch_rows(cursor)
-            except self._error_types as error:
-                if (deadline is not None
-                        and self.backend.is_deadline_interrupt(error)
+                cursor = conn.execute(sql, params)
+                rows = cursor.fetchall()
+            except sqlite3.OperationalError as error:
+                if (deadline is not None and "interrupt" in str(error)
                         and time.perf_counter() - start > deadline):
-                    from repro.resilience.retry import QueryDeadlineExceeded
                     raise QueryDeadlineExceeded(
                         f"statement exceeded its {deadline:g}s deadline"
                     ) from error
                 raise
             finally:
-                if deadline_installed:
-                    self.backend.clear_deadline(conn)
-        except self._error_types as error:
+                if deadline is not None:
+                    conn.set_progress_handler(None, 0)
+        except sqlite3.Error as error:
+            if (self.csv_store is not None and getattr(
+                    error, "sqlite_errorname", "") == "SQLITE_READONLY"):
+                raise EvaluationError(
+                    f"source {self.name!r}: backend 'file' is read-only; "
+                    f"rejected: {sql}") from error
             raise EvaluationError(
                 f"source {self.name!r}: SQL failed: {error}\n  {sql}") from error
         elapsed = time.perf_counter() - start
         self.last_execution_seconds = elapsed
         self.total_queries += 1
         self.total_seconds += elapsed
-        if not is_read:
+        if conn.total_changes != changes or not sql.lstrip()[:16].upper(
+                ).startswith(("SELECT", "WITH", "PRAGMA", "EXPLAIN")):
             self._note_write(sql)
-        columns = intern_columns(self.backend.describe(cursor))
+        description = cursor.description
+        columns = intern_columns(
+            [column[0] for column in description] if description else ())
         return ResultSet(columns, rows)
 
     def _faulted_sleep(self, delay: float, deadline: float | None,
@@ -379,7 +465,6 @@ class DataSource:
         if deadline is not None:
             remaining = deadline - (time.perf_counter() - start)
             if delay > remaining:
-                from repro.resilience.retry import QueryDeadlineExceeded
                 time.sleep(max(0.0, remaining))
                 raise QueryDeadlineExceeded(
                     f"injected {delay:g}s slow query exceeded the "
@@ -387,12 +472,16 @@ class DataSource:
         time.sleep(delay)
 
     def execute_script(self, sql: str) -> None:
-        if not self.backend.capabilities.supports_writes:
+        if self.csv_store is not None:
             raise EvaluationError(
-                f"source {self.name!r}: backend "
-                f"{self.backend.capabilities.backend!r} is read-only; "
+                f"source {self.name!r}: backend 'file' is read-only; "
                 f"scripts are not allowed")
-        self.backend.execute_script(self.connection, sql)
+        try:
+            self.connection.executescript(sql)
+            self.connection.commit()
+        except sqlite3.Error as error:
+            raise EvaluationError(
+                f"source {self.name!r}: script failed: {error}") from error
         self._note_write(sql)
 
     # ------------------------------------------------------------------
@@ -408,39 +497,35 @@ class DataSource:
         insert inside one explicit transaction, so the engine journals the
         table once instead of once per statement.
 
-        Backends without temp-table support never get here on the normal
-        path — the execution engine rewrites their ships into inline
-        literal row sets (docs/BACKENDS.md) — so a call is a planner bug
-        and raises.
+        The CSV source never gets here on the normal path — the execution
+        engine rewrites its ships into inline literal row sets
+        (docs/BACKENDS.md) — so a call is a planner bug and raises.
         """
-        if not self.backend.capabilities.supports_temp_tables:
+        if self.csv_store is not None:
             raise EvaluationError(
-                f"source {self.name!r}: backend "
-                f"{self.backend.capabilities.backend!r} cannot receive "
+                f"source {self.name!r}: backend 'file' cannot receive "
                 f"shipped temp tables (the engine should have rewritten "
                 f"this ship inline)")
         conn = self.connection
         if name is None:
             self._temp_counter += 1
             name = f"__ship_{self._temp_counter}"
-        backend = self.backend
         quoted = ", ".join(f'"{column}"' for column in columns)
         try:
             if self.fault_injector is not None:
                 delay = self.fault_injector.on_statement(self.name)
                 if delay > 0.0:
                     time.sleep(delay)
-            backend.begin(conn)
-            backend.execute(conn, f'DROP TABLE IF EXISTS "{name}"')
-            backend.execute(conn, f'CREATE TABLE "{name}" ({quoted})')
+            conn.execute("BEGIN")
+            conn.execute(f'DROP TABLE IF EXISTS "{name}"')
+            conn.execute(f'CREATE TABLE "{name}" ({quoted})')
             if rows:
                 placeholders = ", ".join("?" * len(columns))
-                backend.executemany(
-                    conn, f'INSERT INTO "{name}" VALUES ({placeholders})',
-                    rows)
-            backend.commit(conn)
-        except self._error_types as error:
-            if not backend.rollback_open(conn):
+                conn.executemany(
+                    f'INSERT INTO "{name}" VALUES ({placeholders})', rows)
+            conn.execute("COMMIT")
+        except sqlite3.Error as error:
+            if not self._rollback():
                 # A swallowed rollback hides a dead connection: the next
                 # statement on it fails with a confusing open-transaction
                 # error.  Keep raising the original shipment error, but
@@ -454,11 +539,22 @@ class DataSource:
         return name
 
     def drop_table(self, name: str) -> None:
-        self.backend.execute(self.connection,
-                             f'DROP TABLE IF EXISTS "{name}"')
+        try:
+            self.connection.execute(f'DROP TABLE IF EXISTS "{name}"')
+        except sqlite3.Error as error:
+            raise EvaluationError(
+                f"source {self.name!r}: dropping {name!r} failed: "
+                f"{error}") from error
 
     def table_names(self) -> list[str]:
-        return self.backend.table_names(self.connection)
+        try:
+            return [row[0] for row in self.connection.execute(
+                "SELECT name FROM sqlite_master WHERE type='table' "
+                "ORDER BY name")]
+        except sqlite3.Error as error:
+            raise EvaluationError(
+                f"source {self.name!r}: listing tables failed: "
+                f"{error}") from error
 
     def row_count(self, table: str) -> int:
         return self.execute(f'SELECT COUNT(*) FROM "{table}"').rows[0][0]
@@ -472,24 +568,19 @@ class DataSource:
         try:
             connection = self._connect()
             try:
-                return self.backend.fetch_rows(
-                    self.backend.execute(connection, sql))
+                return connection.execute(sql).fetchall()
             finally:
-                self.backend.close_connection(connection)
-        except self._error_types as error:
+                connection.close()
+        except sqlite3.Error as error:
             raise EvaluationError(
                 f"source {self.name!r}: statistics read failed: {error}\n"
                 f"  {sql}") from error
 
-    def reset_metrics(self) -> None:
-        self.last_execution_seconds = 0.0
-        self.total_queries = 0
-        self.total_seconds = 0.0
-
     def close(self) -> None:
         self._closed = True
-        self.backend.close_connection(self.connection)
-        self.backend.close()
+        self.connection.close()
+        if self.csv_store is not None:
+            self.csv_store.close()
 
     def __repr__(self) -> str:
         return f"DataSource({self.name!r})"
@@ -526,8 +617,8 @@ class Federation:
     queries at the individual sources, which is what the equality tests
     between the two evaluation paths exercise.
 
-    Sources whose backend has an attach URI (the sqlite default) are
-    ATTACHed by it and stay live; the others are *materialized* — an
+    Sources with an attach URI (every ``sqlite`` source) are ATTACHed by
+    it and stay live; the CSV source is *materialized* — an
     in-memory schema is attached under the source's name, its base
     relations created with their declared types, and the rows copied in
     through the source's own ``execute``.  A federation is built per use

@@ -157,7 +157,3 @@ class BreakerBoard:
         with self._lock:
             breakers = list(self._breakers.values())
         return {breaker.source: breaker.state for breaker in breakers}
-
-    def open_sources(self) -> list[str]:
-        return sorted(source for source, state in self.states().items()
-                      if state != CLOSED)

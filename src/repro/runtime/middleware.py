@@ -484,7 +484,13 @@ class Middleware:
             self._prepared = {}
             self.stats.invalidate()
             self._result_caches = {}
-            for table in self.mediator.table_names():
+            try:
+                tables = self.mediator.table_names()
+            except EvaluationError as error:
+                logger.warning("invalidate_plans: sweeping the mediator "
+                               "failed: %s", error)
+                return
+            for table in tables:
                 try:
                     self.mediator.drop_table(table)
                 except EvaluationError as error:

@@ -384,7 +384,7 @@ def build_shard_tasks(middleware, root_inh: dict,
         if capabilities is not None and not capabilities.blob_affinity:
             # The shard-chunk relation stores pickled driving rows in
             # BLOB columns and relies on affinity-free round-tripping;
-            # strictly typed backends cannot host it.
+            # the CSV source cannot host it.
             return None
     spec = find_partition(middleware.aig)
     if spec is None:

@@ -14,7 +14,7 @@ set-valued parameters used as relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 from repro.errors import SpecError
@@ -190,11 +190,6 @@ class Query:
     @property
     def output_names(self) -> list[str]:
         return [item.alias for item in self.select]
-
-    def with_extra_select(self, *items: SelectItem) -> "Query":
-        existing = set(self.output_names)
-        added = tuple(i for i in items if i.alias not in existing)
-        return replace(self, select=self.select + added)
 
     def __str__(self) -> str:
         parts = ["select "]

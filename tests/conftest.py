@@ -72,6 +72,28 @@ def pending_groups(tree) -> list[tuple]:
     return held
 
 
+def trace_statements(sources: dict) -> list:
+    """Every statement the engine runs for ``sources``, as ``(source,
+    sql)`` with parameters bound: SQLite's trace callback on each source's
+    open connection and on every connection it opens later (its
+    statistics reads).  Plan statements, shipments (one entry per
+    inserted row), loads and catalog reads all show; transaction control
+    (``BEGIN`` / ``COMMIT`` / ``ROLLBACK``) does not."""
+    seen = []
+    for name, source in sources.items():
+        def trace(sql, _name=name):
+            if sql not in ("BEGIN", "COMMIT", "ROLLBACK"):
+                seen.append((_name, sql))
+
+        def connect(_connect=source._connect, _trace=trace):
+            connection = _connect()
+            connection.set_trace_callback(_trace)
+            return connection
+        source.connection.set_trace_callback(trace)
+        source._connect = connect
+    return seen
+
+
 @pytest.fixture
 def tiny_sources():
     sources = make_sources()

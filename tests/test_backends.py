@@ -1,14 +1,15 @@
-"""Cross-backend conformance and differential tests (docs/BACKENDS.md).
+"""Cross-storage conformance and differential tests (docs/BACKENDS.md).
 
-Both registered backends (sqlite3, and CSV files scanned by SQLite) must
-present the same relational contract to the engine: tuple rows, SQLite
-NULL ordering, SQLite column-affinity storage semantics, honest
-capability flags, deadline interruption, and version counters that move
-only on base-table writes.  On top of the per-backend conformance
-suite, the differential tests assert that the hospital pipeline
-produces byte-identical documents over every backend mix — including
-the ship-to-inline rewrite that no-temp-table backends trigger — and
-that sharding falls back cleanly when a backend lacks BLOB affinity.
+Both storage specs (a sqlite3 database, and the read-only CSV source
+whose files the same engine loads) must present the same relational
+contract to the engine: tuple rows, SQLite NULL ordering, SQLite
+column-affinity storage semantics, honest capability flags, deadline
+interruption, and version counters that move on every base-table write
+and only then.  On top of the per-spec conformance suite, the
+differential tests assert that the hospital pipeline produces
+byte-identical documents over every storage mix — including the
+ship-to-inline rewrite that the CSV source triggers — and that sharding
+falls back cleanly when a source lacks BLOB affinity.
 """
 
 import os
@@ -17,16 +18,11 @@ import time
 import pytest
 
 from repro.errors import EvaluationError, SpecError
-from repro.relational import (
-    DataSource,
-    SourceSchema,
-    create_backend,
-    registered_backends,
-)
-from repro.relational.backends import Sqlite3Backend
+from repro.relational import DataSource, SourceSchema
 from repro.relational.schema import relation
+from repro.relational.source import parse_spec
 
-#: Every registered backend spec.
+#: One spec of each storage kind.
 BACKEND_SPECS = ["sqlite", "file"]
 
 TYPED_SCHEMA = SourceSchema("S1", (
@@ -150,6 +146,46 @@ class TestConformance:
                 typed_source.execute(
                     """INSERT INTO "plain" VALUES ('w', 'x')""")
 
+    @pytest.mark.parametrize("sql", [
+        """WITH x(v) AS (SELECT 'k2') INSERT INTO "plain" SELECT v, v FROM x""",
+        """WITH x(v) AS (SELECT 'k1') DELETE FROM "plain" WHERE "a" IN x""",
+        """WITH x(v) AS (SELECT 'w') UPDATE "plain" SET "b" = (SELECT v FROM x)""",
+    ], ids=["insert", "delete", "update"])
+    def test_a_write_led_by_with_is_a_write(self, typed_source, sql):
+        # the engine, not the first keyword, says whether rows changed
+        typed_source.load_rows("plain", [("k1", "v1")])
+        before = typed_source.table_version("plain")
+        rows = typed_source.execute('SELECT * FROM "plain"').rows
+        if typed_source.capabilities.supports_writes:
+            typed_source.execute(sql)
+            assert typed_source.execute(
+                'SELECT * FROM "plain"').rows != rows
+            assert typed_source.table_version("plain") == before + 1
+            return
+        path = typed_source.csv_store.table_path("plain")
+        with open(path, encoding="utf-8") as handle:
+            stored = handle.read()
+        with pytest.raises(EvaluationError, match="'S1'.*read-only"):
+            typed_source.execute(sql)
+        assert typed_source.execute('SELECT * FROM "plain"').rows == rows
+        assert typed_source.table_version("plain") == before
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == stored
+        # a load still lands in both afterwards
+        typed_source.load_rows("plain", [("k9", "v9")])
+        assert typed_source.row_count("plain") == 2
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == stored + "k9,v9\n"
+
+    def test_ddl_is_refused_on_the_read_only_source(self, typed_source):
+        if typed_source.capabilities.supports_writes:
+            return
+        for sql in ('CREATE TABLE "extra" (x)', 'DROP TABLE "plain"'):
+            with pytest.raises(EvaluationError, match="read-only"):
+                typed_source.execute(sql)
+        assert "extra" not in typed_source.table_names()
+        assert "plain" in typed_source.table_names()
+
     def test_table_names_lists_base_relations(self, typed_source):
         names = typed_source.table_names()
         assert {"typed", "plain"} <= set(names)
@@ -183,30 +219,33 @@ class TestAffinityFunction:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_registered_backends(self):
-        assert registered_backends() == ["file", "sqlite"]
+        assert [parse_spec(spec) for spec in (
+            "sqlite", "sqlite:/x.db", "file", "file:csv", "file:csv:/d",
+            "file:csv:", "sqlite:")] == [
+            ("sqlite", None), ("sqlite", "/x.db"), ("file", None),
+            ("file", None), ("file", "/d"), ("file", None),
+            ("sqlite", None)]
 
     def test_unknown_spec_raises(self):
-        with pytest.raises(SpecError, match="unknown backend"):
-            create_backend("oracle12c", TYPED_SCHEMA)
-        with pytest.raises(SpecError):
-            create_backend("", TYPED_SCHEMA)
-        with pytest.raises(SpecError):
-            create_backend(42, TYPED_SCHEMA)
-        with pytest.raises(SpecError, match="valid spellings: sqlite"):
-            create_backend("file:xml", TYPED_SCHEMA)
-
-    def test_instance_passes_through(self):
-        backend = Sqlite3Backend(TYPED_SCHEMA)
-        assert create_backend(backend, TYPED_SCHEMA) is backend
+        with pytest.raises(SpecError, match="unknown backend 'oracle12c' "
+                           r"\(valid spellings: sqlite, sqlite:PATH, "
+                           r"file, file:csv, file:csv:DIR\)"):
+            DataSource(TYPED_SCHEMA, backend="oracle12c")
+        with pytest.raises(SpecError, match="non-empty string"):
+            DataSource(TYPED_SCHEMA, backend="")
+        with pytest.raises(SpecError, match="non-empty string, got 42"):
+            DataSource(TYPED_SCHEMA, backend=42)
+        with pytest.raises(SpecError, match="unknown file backend format "
+                           "'xml' .valid spellings: sqlite"):
+            DataSource(TYPED_SCHEMA, backend="file:xml")
 
     def test_spec_is_recorded(self):
         source = DataSource(TYPED_SCHEMA, backend="file:csv")
-        assert source.backend.spec == "file:csv"
+        assert source.spec == "file:csv"
         source.close()
-
-    def test_path_and_backend_are_exclusive(self):
-        with pytest.raises(EvaluationError, match="not both"):
-            DataSource(TYPED_SCHEMA, path="/tmp/x.db", backend="sqlite")
+        source = DataSource(TYPED_SCHEMA)
+        assert source.spec == "sqlite"
+        source.close()
 
     def test_sqlite_file_holding_the_schema_is_a_typed_error(self, tmp_path):
         path = tmp_path / "s1.db"
@@ -241,13 +280,13 @@ class TestFileBackend:
 
     def test_temp_root_is_removed_on_close(self):
         source = DataSource(TYPED_SCHEMA, backend="file")
-        root = source.backend.root
+        root = source.csv_store.root
         source.close()
         assert not os.path.exists(root)
 
     def test_empty_directory_option_is_a_temp_root(self):
         source = DataSource(TYPED_SCHEMA, backend="file:csv:")
-        root = source.backend.root
+        root = source.csv_store.root
         assert os.path.isdir(root)
         source.close()
         assert not os.path.exists(root)
@@ -256,7 +295,7 @@ class TestFileBackend:
         root = str(tmp_path / "tables")
         source = DataSource(TYPED_SCHEMA, backend=f"file:csv:{root}")
         source.load_rows("plain", [("k1", "v1")])
-        path = source.backend.table_path("plain")
+        path = source.csv_store.table_path("plain")
         with open(path, encoding="utf-8") as handle:
             before = handle.read()
         with pytest.raises(EvaluationError, match="'S1'.*'plain'"):

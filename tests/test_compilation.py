@@ -26,6 +26,31 @@ from repro.xmlmodel import conforms_to
 from tests.conftest import load_tiny_hospital
 
 
+def anchor_chain_to(occurrence, group):
+    """Tables to join from a (tabled) occurrence up to ``group``.
+
+    Returns ``[occurrence, a1, a2, ...]`` where each subsequent element is
+    the previous one's parent anchor, stopping when the parent anchor *is*
+    ``group`` (exclusive).  Joining ``t_i.__parent = t_{i+1}.__id`` along
+    the list maps each of the occurrence's rows to its ``group`` row.
+    """
+    assert occurrence.has_table
+    chain = [occurrence]
+    current = occurrence
+    while True:
+        if current.parent is None:
+            raise CompilationError(
+                f"{group.path} is not an ancestor of {occurrence.path}")
+        up = current.parent.anchor
+        if up is group:
+            return chain
+        if up.parent is None:
+            raise CompilationError(
+                f"{group.path} is not an ancestor of {occurrence.path}")
+        chain.append(up)
+        current = up
+
+
 class TestConstraintCompilation:
     def test_guards_created(self, hospital_aig):
         compiled = compile_constraints(hospital_aig)
@@ -198,7 +223,7 @@ class TestOccurrences:
         for step in ("treatments", "treatment", "procedure", "treatment"):
             deep = next(c for c in deep.children
                         if c.element_type.split("#")[0] == step)
-        chain = deep.anchor_chain_to(patient)
+        chain = anchor_chain_to(deep, patient)
         assert chain[0] is deep
         assert len(chain) == 2  # treatment#0, treatment#1
 

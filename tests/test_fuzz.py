@@ -140,15 +140,15 @@ class TestBackendAxis:
     def test_backend_divergence_is_caught(self, monkeypatch):
         # corrupt only the file backend's decode path: the oracle must
         # blame the backends axis, not the engine grid
-        from repro.relational.backends import file_backend
+        from repro.relational import csvstore
 
-        real = file_backend._decode_field
+        real = csvstore._decode_field
 
         def corrupt(text):
             value = real(text)
             return value + "!" if isinstance(value, str) and value else value
 
-        monkeypatch.setattr(file_backend, "_decode_field", corrupt)
+        monkeypatch.setattr(csvstore, "_decode_field", corrupt)
         spec = generate_scenario(5)
         report = run_oracle(spec, configs=("backends",))
         assert not report.ok

@@ -8,6 +8,8 @@ changes, and injected faults.  A failed run must never commit partial
 results into the cache.
 """
 
+import logging
+
 import pytest
 
 from repro.aig import AIG, assign, inh, query, singleton
@@ -381,6 +383,28 @@ class TestInvalidation:
         recold = middleware.evaluate({"date": date})
         assert recold.queries_executed == cold.queries_executed
         assert serialize(recold.document) == serialize(cold.document)
+
+
+    def test_invalidate_plans_after_the_mediator_closed(
+            self, caplog, repro_log_propagation):
+        sources, dataset = make_loaded_sources("tiny", seed=35)
+        middleware = _middleware(sources)
+        middleware.evaluate({"date": dataset.busiest_date()})
+        assert middleware._result_caches and middleware._prepared
+        middleware.mediator.close()
+        with caplog.at_level(logging.WARNING, logger="repro.middleware"):
+            middleware.invalidate_plans()
+        # plans and result caches go anyway; the failed sweep is logged
+        assert middleware._result_caches == {}
+        assert middleware._prepared == {}
+        assert "sweeping the mediator failed" in caplog.text
+        # both sweep steps wrap the engine's error and name the source
+        with pytest.raises(EvaluationError,
+                           match="'Mediator': listing tables failed"):
+            middleware.mediator.table_names()
+        with pytest.raises(EvaluationError,
+                           match="'Mediator': dropping 'cache_1' failed"):
+            middleware.mediator.drop_table("cache_1")
 
 
 class TestProgramFingerprints:

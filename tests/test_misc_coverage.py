@@ -23,7 +23,7 @@ class TestFileBackedSources:
     def test_roundtrip_through_disk(self, tmp_path):
         path = str(tmp_path / "db1.sqlite")
         schema = SourceSchema("DB1", (relation("t", "a", "b"),))
-        source = DataSource(schema, path=path)
+        source = DataSource(schema, backend=f"sqlite:{path}")
         source.load_rows("t", [("x", "1"), ("y", "2")])
         source.close()
         reopened = DataSource.__new__(DataSource)
@@ -39,7 +39,7 @@ class TestFileBackedSources:
         from repro.relational import Federation
         path = str(tmp_path / "db2.sqlite")
         schema = SourceSchema("DB2", (relation("t", "a"),))
-        source = DataSource(schema, path=path)
+        source = DataSource(schema, backend=f"sqlite:{path}")
         source.load_rows("t", [("z",)])
         federation = Federation([source])
         result = federation.execute('SELECT a FROM "DB2"."t"')

@@ -21,7 +21,7 @@ from repro.relational.source import (
     INTERN_CACHE_LIMIT,
     MEDIATOR_NAME,
     ResultSet,
-    intern_cache_size,
+    _interned_columns,
     intern_columns,
 )
 
@@ -85,9 +85,9 @@ class TestDataSource:
 
     def test_metrics_recorded(self):
         source = patient_source()
-        source.reset_metrics()
+        before = source.total_queries
         source.execute("SELECT * FROM patient")
-        assert source.total_queries == 1
+        assert source.total_queries == before + 1
         assert source.last_execution_seconds >= 0
 
     def test_sql_error_wrapped(self):
@@ -119,7 +119,7 @@ class TestResultSet:
     def test_column_access(self):
         result = ResultSet(["a", "b"], [(1, 2), (3, 4)])
         assert result.column("b") == [2, 4]
-        assert result.as_dicts()[0] == {"a": 1, "b": 2}
+        assert dict(zip(result.columns, result.rows[0])) == {"a": 1, "b": 2}
 
     def test_project(self):
         result = ResultSet(["a", "b"], [(1, 2)])
@@ -142,7 +142,7 @@ class TestResultSet:
     def test_intern_cache_is_bounded(self):
         for i in range(INTERN_CACHE_LIMIT + 50):
             intern_columns([f"col_{i}", "b"])
-        assert intern_cache_size() <= INTERN_CACHE_LIMIT
+        assert len(_interned_columns) <= INTERN_CACHE_LIMIT
 
     def test_intern_cache_reuses_shapes(self):
         first = intern_columns(["alpha", "beta"])

@@ -232,7 +232,8 @@ class TestCircuitBreaker:
         board.breaker_for("DB1").record_failure()
         assert board.breaker_for("DB1").state == OPEN
         assert board.breaker_for("DB2").state == CLOSED
-        assert board.open_sources() == ["DB1"]
+        assert [source for source, state in board.states().items()
+                if state != CLOSED] == ["DB1"]
         assert board.states() == {"DB1": OPEN, "DB2": CLOSED}
 
 

@@ -32,7 +32,7 @@ from repro.service import (
 from repro.service.registry import version_vector
 from repro.service.server import STREAM_FRAME_BYTES, start_background
 from repro.xmlmodel.serialize import serialize
-from tests.conftest import load_tiny_hospital
+from tests.conftest import load_tiny_hospital, trace_statements
 
 
 # ----------------------------------------------------------------------
@@ -819,17 +819,7 @@ class TestDeltaLoadDuringARun:
         delta = _covered_visit(dataset, root["date"])
         service.register_tenant("hospital", build_hospital_aig(), sources,
                                 {"unfold_depth": 8})
-        statements = []
-        for name, source in sources.items():
-            backend = source.backend
-            backend.execute = (
-                lambda connection, sql, params=(), _name=name,
-                _run=backend.execute: (statements.append((_name, sql)),
-                                       _run(connection, sql, params))[1])
-            backend.executemany = (
-                lambda connection, sql, rows, _name=name,
-                _run=backend.executemany: (statements.append((_name, sql)),
-                                           _run(connection, sql, rows))[1])
+        statements = trace_statements(sources)
         # the run parks on DB1's first statement, before reading visitInfo
         injector = FaultInjector.from_spec("DB1:slow@1:0.5").install(sources)
         parked = threading.Event()

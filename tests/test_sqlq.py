@@ -1,5 +1,7 @@
 """Tests for the SQL-subset lexer, parser, analyzer, renderer, and planner."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +32,14 @@ from repro.sqlq import (
 )
 from repro.sqlq.analyze import is_multi_source, temp_inputs
 from repro.sqlq.lexer import tokenize
+
+
+def with_extra_select(query, *items):
+    """``query`` with ``items`` appended to its select list, minus those
+    whose alias it already outputs."""
+    existing = set(query.output_names)
+    added = tuple(i for i in items if i.alias not in existing)
+    return replace(query, select=query.select + added)
 
 Q2_TEXT = """
 select t.trId, t.tname
@@ -149,8 +159,8 @@ class TestQueryModel:
 
     def test_with_extra_select_dedups(self):
         query = parse_query("select a.x from DB1:t a")
-        extended = query.with_extra_select(
-            SelectItem(ColumnRef("a", "y"), "y"),
+        extended = with_extra_select(
+            query, SelectItem(ColumnRef("a", "y"), "y"),
             SelectItem(ColumnRef("a", "x"), "x"))
         assert extended.output_names == ["x", "y"]
 

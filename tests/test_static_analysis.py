@@ -17,10 +17,16 @@ from repro.analysis import (
     must_reach,
     must_terminate,
 )
-from repro.analysis.rules_classify import copy_rule_fraction
 from repro.analysis.satisfiability import is_satisfiable, output_constants
 from repro.hospital import build_hospital_aig
 from repro.sqlq import parse_query
+
+
+def copy_rule_fraction(aig) -> float:
+    """Share of rule sites that are CSRs."""
+    sites = [flag for per_type in classify_rules(aig).values()
+             for _, flag in per_type]
+    return sum(sites) / len(sites) if sites else 0.0
 
 
 def catalog():

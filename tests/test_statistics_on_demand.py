@@ -28,7 +28,7 @@ from repro.resilience import FaultInjector
 from repro.runtime import Middleware
 from repro.sqlq import parse_query
 from repro.xmlmodel import serialize
-from tests.conftest import load_tiny_hospital
+from tests.conftest import load_tiny_hospital, trace_statements
 
 _spec = importlib.util.spec_from_file_location(
     "plan_identity", Path(__file__).resolve().parents[1] / "tools"
@@ -47,20 +47,6 @@ CATALOG_READS = {("WH", "items", "cardinality", None),
 CATALOG_SQL = ("SELECT COUNT(", "SELECT CAST(")
 
 
-def spy(sources: dict) -> list:
-    """Every statement any connection of ``sources`` is handed, as
-    ``(source, sql)`` — plan statements, shipments and catalog reads all
-    pass through ``backend.execute``."""
-    seen = []
-    for name, source in sources.items():
-        def logged(connection, sql, params=(), *, _name=name,
-                   _run=source.backend.execute):
-            seen.append((_name, sql))
-            return _run(connection, sql, params)
-        source.backend.execute = logged
-    return seen
-
-
 def asked(middleware) -> list:
     return [read[:4] for read in middleware.stats.reads]
 
@@ -72,7 +58,7 @@ class TestColdPath:
         catalog = make_catalog_sources(1, 200)
         for aig, sources in ((build_hospital_aig(), hospital),
                              (build_catalog_aig(), catalog)):
-            statements = spy(sources)
+            statements = trace_statements(sources)
             middleware = Middleware(aig, sources)
             assert statements == []
             assert middleware.stats.reads == []
@@ -81,7 +67,7 @@ class TestColdPath:
 
     def test_cold_document_reads_what_its_plan_asks_and_nothing_else(self):
         sources = make_catalog_sources(1, 2000)
-        statements = spy(sources)
+        statements = trace_statements(sources)
         middleware = Middleware(build_catalog_aig(), sources)
         chunks = []
         report = middleware.evaluate_stream({"day": "2026-08-03"},
@@ -105,7 +91,7 @@ class TestColdPath:
 
     def test_each_statistic_is_read_once_across_threads(self):
         sources = make_catalog_sources(1, 2000)
-        statements = spy(sources)
+        statements = trace_statements(sources)
         middleware = Middleware(build_catalog_aig(), sources)
         errors = []
 
@@ -268,7 +254,7 @@ class TestConsumedDistinct:
             root = {"day": "2026-08-03"}
         middleware.prepare(middleware._initial_depth())
         reads = list(middleware.stats.reads)
-        statements = spy(sources)
+        statements = trace_statements(sources)
         middleware.evaluate(dict(root))
         middleware.evaluate_stream(dict(root), lambda chunk: None)
         middleware.explain()
