@@ -10,10 +10,11 @@
    disabled to reproduce the Fig. 10 baseline);
 3. **execution** — the plan's static per-source schedules run against the
    real SQLite sources; communication is simulated (Section 5.1);
-4. **tagging** — cached relations are sort-merged into the final document
-   (a tree for ``evaluate``, bytes for ``evaluate_stream``; one path,
-   ``Middleware._run``, with different sinks), unfolding suffixes
-   stripped, so the output conforms to the original DTD.
+4. **tagging** — cached relations are sort-merged into the final document,
+   unfolding suffixes stripped, so the output conforms to the original DTD.
+   One path, ``Middleware._run``, binds the tagging program to the run;
+   ``evaluate_stream`` drives it into its writer, ``evaluate`` hands it
+   back as an unread root that a reader writes, builds or counts.
 
 If the recursion turned out deeper than estimated — the deepest unfolded
 level still finds expandable nodes — the run is repeated with a larger
@@ -47,8 +48,9 @@ from repro.runtime.incremental import (
     plan_increment,
 )
 from repro.runtime.prepared import PreparedPlan, explain_plan, prepare_plan
-from repro.runtime.tagging import (NullEventSink, TreeSink, stream_document,
-                                   tagging_program)
+from repro.runtime.tagging import (NullEventSink, TaggingRun,
+                                   pending_document, tagging_program,
+                                   traced_tagging)
 
 logger = logging.getLogger("repro.middleware")
 
@@ -82,7 +84,14 @@ class _Report:
 
 @dataclass(kw_only=True)
 class ExecutionReport(_Report):
-    """What one middleware evaluation (``evaluate``) did: the document."""
+    """What one middleware evaluation (``evaluate``) did: the document.
+
+    ``document`` is a root whose content is not made yet: it holds the
+    tagging program bound to the run's result sets (:class:`~repro.
+    runtime.tagging.PendingDocument`).  ``serialize`` writes it by the
+    ``evaluate_stream`` path, the first structural read builds the tree
+    and keeps it, ``size`` counts it; a later source write changes none.
+    """
 
     document: XMLElement
     optimization_seconds: float = 0.0
@@ -135,9 +144,7 @@ class _Run:
 
     plan: PreparedPlan
     result: EngineResult
-    sinks: list                     # the event sinks that consumed it
-    elements: int                   # elements the tagger emitted
-    nodes: int                      # ... plus its text nodes
+    taken: object                   # what the caller made of the tagging run
     optimization_seconds: float
     metrics_before: dict | None     # ledger baseline (None = no ledger)
     report: dict                    # fields both report types share
@@ -295,6 +302,12 @@ class Middleware:
         tracer instead of the instance-wide one, so per-run gauges
         (``qdg_nodes``, ``document_nodes``, ...) are never clobbered by a
         concurrent caller's run.
+
+        ``report.document`` is an unread root holding the bound tagging
+        run (see :class:`ExecutionReport`); the ``tagging`` span and the
+        ``document_nodes`` gauge reach ``tracer`` when it is first read.
+        Tagging errors still raise here: a missing input is checked at
+        once, and a program with a choice is dry-run first.
         """
         tracer = self.tracer if tracer is None else tracer
         if self.shards > 1:
@@ -309,13 +322,12 @@ class Middleware:
             if sharded is not None:
                 return sharded
 
-        counted = _ByteCount()
-
         def report(run: _Run) -> ExecutionReport:
-            document = run.sinks[0].root
-            # from the tagger's counts: no walk of the tree
-            tracer.metrics.set_gauge("document_nodes", run.nodes)
+            document = run.taken
             if self.ledger is not None:
+                # the compact bytes: one stream pass over the bound run
+                counted = _ByteCount()
+                document._kids.write(StreamSerializer(counted.write))
                 self._record_run(
                     "evaluate", run, tracer,
                     document_bytes=counted.bytes,
@@ -325,17 +337,8 @@ class Middleware:
                 optimization_seconds=run.optimization_seconds,
                 **run.report)
 
-        def open_sinks() -> list:
-            # A fresh tree per depth attempt: a truncated one stays partial.
-            if self.ledger is None:
-                return [TreeSink()]
-            # the ledger's compact bytes, counted by a serializer sink of
-            # the same tagging pass instead of writing the tree again
-            counted.bytes = 0
-            return [TreeSink(), StreamSerializer(counted.write)]
-
-        return self._run(root_inh, tracer, "evaluate", open_sinks,
-                         preflight=False, report=report)
+        return self._run(root_inh, tracer, "evaluate",
+                         lambda run: pending_document(run, tracer), report)
 
     def evaluate_stream(self, root_inh: dict, write, indent: int | None = None,
                         constraints: list | None = None,
@@ -351,13 +354,13 @@ class Middleware:
         :class:`~repro.constraints.StreamingConstraintChecker` with verdicts
         identical to the tree checker's.
 
-        Where the unfolding cut off a choice alternative
-        (:attr:`~repro.runtime.tagging.TaggingProgram.truncatable`), each
-        depth attempt first dry-runs the stream against a null sink —
-        truncation must surface *before* any byte reaches ``write``, since
-        a stream cannot be retracted the way an unfinished tree can.  Any
-        other unfolding is answered before tagging (a truncated star, by
-        the blocked-query probe) or cannot truncate, and is tagged once.
+        Where the program has a choice, each depth attempt first dry-runs
+        it against a null sink: a choice cut off by the unfolding, or a
+        condition selecting no alternative, must surface *before* any byte
+        reaches ``write``, since a stream cannot be retracted.  A program
+        without one cannot raise mid-document (a truncated star is
+        answered before tagging, by the blocked-query probe) and is tagged
+        once.
         """
         from repro.constraints import StreamingConstraintChecker
 
@@ -370,9 +373,13 @@ class Middleware:
                    if constraints else None)
         sinks = [serializer] if checker is None else [serializer, checker]
 
+        def take(run: TaggingRun):
+            return traced_tagging(tracer, lambda: run.stream(*sinks))
+
         def report(run: _Run) -> StreamReport:
+            elements = int(run.taken)
             found = checker.result() if checker is not None else []
-            tracer.metrics.set_gauge("streamed_elements", run.elements)
+            tracer.metrics.set_gauge("streamed_elements", elements)
             tracer.metrics.set_gauge("document_characters",
                                      serializer.characters)
             if self.ledger is not None:
@@ -380,15 +387,14 @@ class Middleware:
                     "stream", run, tracer,
                     document_bytes=counted.bytes,
                     violations=list(run.result.violations) + list(found),
-                    streamed_elements=run.elements)
+                    streamed_elements=elements)
             return StreamReport(
-                elements=run.elements,
+                elements=elements,
                 characters=serializer.characters,
                 constraint_violations=found,
                 **run.report)
 
-        return self._run(root_inh, tracer, "evaluate-stream", lambda: sinks,
-                         preflight=True, report=report)
+        return self._run(root_inh, tracer, "evaluate-stream", take, report)
 
     def _initial_depth(self) -> int | None:
         """The depth the next run starts at (``None`` without recursion):
@@ -573,23 +579,22 @@ class Middleware:
                                  self._last_result.timings)
 
     # ------------------------------------------------------------------
-    def _run(self, root_inh: dict, tracer, span: str, open_sinks,
-             preflight: bool, report):
+    def _run(self, root_inh: dict, tracer, span: str, take, report):
         """The one evaluation path behind :meth:`evaluate` and
         :meth:`evaluate_stream`: depth attempts under the run lock, the
         unfolding doubled until the recursion fits (Section 5.5).
 
-        ``open_sinks()`` returns the event sinks that consume an attempt's
-        document; ``preflight`` says they cannot be retracted, so an attempt
-        must prove its depth sufficient before they see a single event.
-        ``report(run)`` fills the caller's report, gauges and ledger record.
+        ``take(tagging_run)`` is what the caller does with the
+        :class:`~repro.runtime.tagging.TaggingRun` of the attempt that
+        fits, once it is proven to tag without error: the two entry points
+        differ only there.  ``report(run)`` fills the caller's report,
+        gauges and ledger record.
         """
         with self.run_lock:
             depth = self._initial_depth()
             versions = self._chain_depth[0]
             while True:
-                run = self._run_at_depth(root_inh, depth, tracer, span,
-                                         open_sinks, preflight)
+                run = self._run_at_depth(root_inh, depth, tracer, span, take)
                 if run is not None:
                     if depth is not None:
                         # the next run starts where this one fitted
@@ -606,11 +611,10 @@ class Middleware:
                         f"{self.max_unfold_depth}")
 
     def _run_at_depth(self, root_inh: dict, depth: int | None, tracer,
-                      span: str, open_sinks, preflight: bool) -> _Run | None:
+                      span: str, take) -> _Run | None:
         """One attempt at one unfold depth; ``None`` when the unfolding
         truncated live recursion and the attempt must be repeated deeper
-        (nothing was committed, counted, or shown to the sinks if
-        ``preflight``)."""
+        (nothing was committed, counted, or handed to ``take``)."""
         metrics_before = (tracer.metrics.snapshot()
                           if self.ledger is not None else None)
         with tracer.span(span, "pipeline", depth=depth):
@@ -647,32 +651,23 @@ class Middleware:
                             fingerprints=fingerprints)
             try:
                 result = engine.run(root_inh)
-                rename = base_name if depth is not None else None
-                try:
-                    # only a choice cut off by the unfolding raises
-                    # mid-document; a truncated star is _needs_deeper's
-                    if (preflight and tagging_program(tagging_plan,
-                                                      rename).truncatable):
+                program = tagging_program(
+                    tagging_plan, base_name if depth is not None else None)
+                run = TaggingRun(program, result.cache, root_inh)
+                if program.choices:
+                    # a choice is the only tagging step that raises
+                    # mid-document: prove the run before it is taken
+                    try:
                         with tracer.span("tagging-dryrun", "tagging"):
-                            stream_document(tagging_plan, result.cache,
-                                            root_inh, NullEventSink(),
-                                            rename=rename)
-                    if self._needs_deeper(tagging_plan, result.cache, depth):
+                            run.stream(NullEventSink())
+                    except RecursionTruncated:
+                        # A choice branch was cut off below the estimate
+                        # (the choice analogue of the star-rule
+                        # blocked-query test).
                         return None
-                    sinks = open_sinks()
-                    with tracer.span("tagging", "tagging") as tagging_span:
-                        count = stream_document(tagging_plan, result.cache,
-                                                root_inh, *sinks,
-                                                rename=rename)
-                        elements, in_fragments = int(count), count.in_fragments
-                        tagging_span.set(elements=elements,
-                                         fragment_elements=in_fragments)
-                    tracer.metrics.set_gauge("tagging_fragment_elements",
-                                             in_fragments)
-                except RecursionTruncated:
-                    # A choice branch was cut off below the estimate (the
-                    # choice analogue of the star-rule blocked-query test).
+                if self._needs_deeper(tagging_plan, result.cache, depth):
                     return None
+                taken = take(run)
                 # Commit only after a fully successful, non-degraded run:
                 # a mid-run failure (or a skipped subtree) must never
                 # poison the cache — the next evaluation simply finds the
@@ -693,8 +688,7 @@ class Middleware:
             self.cost_feedback.observe_run(graph, result.timings)
         tainted_nodes = len(increment.tainted) if increment else 0
         return _Run(
-            plan=prepared, result=result, sinks=sinks, elements=elements,
-            nodes=elements + count.texts,
+            plan=prepared, result=result, taken=taken,
             optimization_seconds=optimization_seconds,
             metrics_before=metrics_before,
             report=dict(

@@ -207,19 +207,24 @@ class TreeSink:
 
     Every node comes from the trusted constructors of
     :mod:`repro.xmlmodel.node`; ``start`` and ``text`` check their
-    argument, because any driver can call them.  A group of fragments is
+    argument, because any driver can call them.  Given a ``root``, the
+    first ``start`` opens it instead of making one.  A group of fragments is
     made by :meth:`Fragment.build`, unless it is all its parent holds
     (:attr:`Fragment.whole`): then the parent keeps it unbuilt for its
     first reader.
     """
 
-    def __init__(self):
-        self.root: XMLElement | None = None
+    def __init__(self, root: XMLElement | None = None):
+        self.root = root
         self._open: XMLElement | None = None    # innermost open element
 
     def start(self, tag: str) -> None:
-        node = xmlnode.new_element(xmlnode.check_tag(tag), self._open)
-        if self._open is None:
+        parent = self._open
+        if parent is None and self.root is not None:
+            self._open = self.root
+            return
+        node = xmlnode.new_element(xmlnode.check_tag(tag), parent)
+        if parent is None:
             self.root = node
         self._open = node
 
@@ -299,14 +304,14 @@ def stream_document(plan: TaggingPlan, cache: dict, root_inh: dict,
     leaves no tree to rename afterwards.  The plan is compiled into a
     :class:`TaggingProgram` on first use and the program kept on the plan.
 
-    Raises :class:`~repro.errors.RecursionTruncated` when a choice selects
-    an alternative the unfolding cut off; only a program that is
-    :attr:`TaggingProgram.truncatable` can, so callers whose sink cannot be
-    retracted dry-run such a program with a :class:`NullEventSink` before
-    committing bytes to a real writer.  Returns the number of elements
-    emitted.
+    A choice is the only step that raises mid-document: ``RecursionTruncated``
+    on an alternative the unfolding cut off (:attr:`TaggingProgram.
+    truncatable`), ``EvaluationError`` when none is selected.  ``Middleware``
+    dry-runs every program with a choice against a :class:`NullEventSink`
+    before any sink sees an event.  Returns the number of elements emitted.
     """
-    return tagging_program(plan, rename).run(cache, root_inh, sinks)
+    return TaggingRun(tagging_program(plan, rename), cache,
+                      root_inh).stream(*sinks)
 
 
 def tagging_program(plan: TaggingPlan, rename=None) -> "TaggingProgram":
@@ -327,11 +332,87 @@ def build_document(plan: TaggingPlan, cache: dict, root_inh: dict,
     return sink.root
 
 
-class _Run:
-    """What one document binds a program to."""
+class TaggingRun:
+    """A :class:`TaggingProgram` bound to one document's cached relations
+    and root attributes.  It reads only ``ResultSet``\\ s, whose rows never
+    change, so every :meth:`stream` emits the same document; a pass keeps
+    its sink, current rows and counts here, so one runs at a time."""
 
-    __slots__ = ("sink", "emit", "tables", "conditions", "rows", "columns",
-                 "elements", "fragment_elements", "texts")
+    __slots__ = ("program", "tables", "conditions", "columns", "sink",
+                 "emit", "rows", "elements", "fragment_elements", "texts")
+
+    def __init__(self, program: "TaggingProgram", cache: dict,
+                 root_inh: dict):
+        plan = program.plan
+        for node_name in plan.table_of.values():
+            if node_name not in cache:
+                raise EvaluationError(
+                    f"tagging input {node_name!r} was not produced")
+        self.program = program
+        self.tables = [_Table(cache[plan.table_of[path]],
+                              plan.sort_columns.get(path, []))
+                       for path in program.anchors]
+        self.conditions = [_Table(cache[plan.condition_of[path]], [])
+                           for path in program.choices]
+        self.columns = [program._columns_reader(fragment, self.tables,
+                                                root_inh)
+                        for fragment in program.fragments]
+
+    def stream(self, *sinks) -> ElementCount:
+        """One pass delivering the document to every sink."""
+        self.sink = sinks[0] if len(sinks) == 1 else _Tee(sinks)
+        self.emit = _fragment_writer(self.sink)
+        self.rows = [None] * len(self.tables)
+        self.elements = self.fragment_elements = self.texts = 0
+        self.program._root(self)
+        return ElementCount(self.elements, self.fragment_elements, self.texts)
+
+
+def traced_tagging(tracer, produce) -> ElementCount:
+    """``produce()``, a tagging pass, traced with the tagger's counts."""
+    with tracer.span("tagging", "tagging") as span:
+        count = produce()
+        span.set(elements=int(count), fragment_elements=count.in_fragments)
+    tracer.metrics.set_gauge("tagging_fragment_elements", count.in_fragments)
+    return count
+
+
+class PendingDocument:
+    """What an unread root holds in ``_kids``: its :class:`TaggingRun`,
+    streamed when a reader asks into a serializer (:meth:`write`), a
+    :class:`TreeSink` filling the root (:meth:`build`) or a null sink
+    (:meth:`size`).  The first pass records its counts in ``tracer``."""
+
+    __slots__ = ("run", "tag", "tracer")
+
+    def __init__(self, run: TaggingRun, tracer):
+        self.run, self.tag, self.tracer = run, run.program.root_tag, tracer
+
+    def _produce(self, sink) -> ElementCount:
+        tracer = self.tracer
+        if tracer is None:
+            return self.run.stream(sink)
+        count = traced_tagging(tracer, lambda: self.run.stream(sink))
+        tracer.metrics.set_gauge("document_nodes", count + count.texts)
+        self.tracer = None
+        return count
+
+    def write(self, serializer) -> None:
+        self._produce(serializer)
+
+    def build(self, root: XMLElement) -> None:
+        self._produce(TreeSink(root))
+
+    def size(self) -> int:
+        count = self._produce(NullEventSink())
+        return count + count.texts
+
+
+def pending_document(run: TaggingRun, tracer) -> XMLElement:
+    """An unread root holding ``run``."""
+    root = xmlnode.new_element(run.program.root_tag, None)
+    root._kids = PendingDocument(run, tracer)
+    return root
 
 
 class TaggingProgram:
@@ -342,7 +423,7 @@ class TaggingProgram:
     reads and its compiled children; everything else is folded into
     :class:`Fragment`\\ s.  The program is immutable once built and shared by
     every document (and thread) that runs the plan; per-document state
-    lives in a :class:`_Run`.
+    lives in a :class:`TaggingRun`.
     """
 
     def __init__(self, plan: TaggingPlan, rename=None):
@@ -358,7 +439,10 @@ class TaggingProgram:
         #: some choice has an alternative the unfolding cut off, so a run
         #: may raise :class:`~repro.errors.RecursionTruncated` mid-document
         self.truncatable = False
-        self._root = self._step(self._fold_runs([plan.tree.root])[0])
+        root = self._fold_runs([plan.tree.root])[0]
+        self._root = self._step(root)
+        self.root_tag = root.ops[0][1] if isinstance(root, Fragment) \
+            else root[0]
 
     # -- compilation -----------------------------------------------------
     def _tag(self, occurrence: Occurrence) -> str:
@@ -434,7 +518,7 @@ class TaggingProgram:
             fragment, index, count = item, item.index, item.elements
             texts = item.texts
 
-            def emit_fragment(run: _Run) -> None:
+            def emit_fragment(run: TaggingRun) -> None:
                 run.elements += count
                 run.fragment_elements += count
                 run.texts += texts
@@ -442,7 +526,7 @@ class TaggingProgram:
             return emit_fragment
         tag, content = item
 
-        def emit_element(run: _Run) -> None:
+        def emit_element(run: TaggingRun) -> None:
             run.elements += 1
             sink = run.sink
             sink.start(tag)
@@ -462,7 +546,7 @@ class TaggingProgram:
         steps = [self._step(item)
                  for item in self._fold_runs(occurrence.children)]
 
-        def emit_sequence(run: _Run) -> None:
+        def emit_sequence(run: TaggingRun) -> None:
             for step in steps:
                 step(run)
         return emit_sequence
@@ -483,7 +567,7 @@ class TaggingProgram:
             fragment, index, count = item, item.index, item.elements
             texts = item.texts
 
-            def emit_rows(run: _Run) -> None:
+            def emit_rows(run: TaggingRun) -> None:
                 group = run.tables[slot].by_parent.get(parent_id(run))
                 if not group:
                     return
@@ -495,7 +579,7 @@ class TaggingProgram:
             return emit_rows
         tag, content = item
 
-        def emit_elements(run: _Run) -> None:
+        def emit_elements(run: TaggingRun) -> None:
             group = run.tables[slot].by_parent.get(parent_id(run))
             if not group:
                 return
@@ -524,7 +608,7 @@ class TaggingProgram:
         if None in branches:
             self.truncatable = True
 
-        def emit_choice(run: _Run) -> None:
+        def emit_choice(run: TaggingRun) -> None:
             condition = run.conditions[position]
             rows = condition.rows_for(anchor_id(run))
             if at_root and not rows:
@@ -555,27 +639,6 @@ class TaggingProgram:
         return emit_choice
 
     # -- per-document binding -------------------------------------------
-    def run(self, cache: dict, root_inh: dict, sinks) -> ElementCount:
-        plan = self.plan
-        for node_name in plan.table_of.values():
-            if node_name not in cache:
-                raise EvaluationError(
-                    f"tagging input {node_name!r} was not produced")
-        run = _Run()
-        run.sink = sinks[0] if len(sinks) == 1 else _Tee(sinks)
-        run.emit = _fragment_writer(run.sink)
-        run.tables = [_Table(cache[plan.table_of[path]],
-                             plan.sort_columns.get(path, []))
-                      for path in self.anchors]
-        run.conditions = [_Table(cache[plan.condition_of[path]], [])
-                          for path in self.choices]
-        run.rows = [None] * len(self.anchors)
-        run.columns = [self._columns_reader(fragment, run.tables, root_inh)
-                       for fragment in self.fragments]
-        run.elements = run.fragment_elements = run.texts = 0
-        self._root(run)
-        return ElementCount(run.elements, run.fragment_elements, run.texts)
-
     def _columns_reader(self, fragment: Fragment, tables: list[_Table],
                         root_inh: dict):
         """``(rows, own, group) -> [column of str per slot]`` for

@@ -59,16 +59,17 @@ class XMLElement(XMLNode):
     """An element node with an ordered list of children.
 
     ``_kids`` is the children list, or until ``children`` is first read
-    one of two stand-ins: a ``<tag>text</tag>`` leaf's PCDATA as a plain
+    one of three stand-ins: a ``<tag>text</tag>`` leaf's PCDATA as a plain
     ``str`` (kept by :func:`new_element`: one object instead of an
-    element, a list and an :class:`XMLText`), or a pending group
+    element, a list and an :class:`XMLText`), a pending group
     ``(fragment, count, columns)`` — a tagging fragment group that is the
-    whole content, kept unbuilt by the tree sink.  The first read makes
-    the list (``fragment.build`` makes a group's elements) and keeps it,
-    so a mutation always sees real nodes.  Readers that hand out nodes
-    (``find``, ``find_all``, ``iter``, ``text_value``, ``==``,
-    :func:`child_nodes`) build a group but take a ``str`` as the one text
-    child; ``size`` and ``serialize`` build nothing.  As a read can write
+    whole content, kept unbuilt by the tree sink — or, in the root
+    ``Middleware.evaluate`` returns, a pending document (its tagging run).
+    The first read makes the list (``build`` makes the group or document)
+    and keeps it, so a mutation always sees real nodes.  Readers that hand
+    out nodes (``find``, ``find_all``, ``iter``, ``text_value``, ``==``,
+    :func:`child_nodes`) build but take a ``str`` as the one text child;
+    ``size`` and ``serialize`` build nothing.  As a read can write
     ``_kids``, a tree belongs to one caller; the service never builds one.
     """
 
@@ -90,6 +91,10 @@ class XMLElement(XMLNode):
         elif kids.__class__ is tuple:
             self._kids = []
             kids[0].build(self, *kids[1:])
+        elif kids.__class__ is not list:    # a pending document
+            self._kids = []
+            kids.build(self)
+            return self.children    # its content may be one pending group
         else:
             return kids
         return self._kids
@@ -211,6 +216,8 @@ class XMLElement(XMLNode):
                     count += 1      # the text child, not made yet
                 elif kids.__class__ is tuple:   # a group, not built yet
                     count += kids[1] * (kids[0].elements + kids[0].texts)
+                elif kids.__class__ is not list:    # an unread document
+                    count += kids.size() - 1
                 else:
                     stack.extend(kids)
         return count

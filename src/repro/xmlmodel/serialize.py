@@ -63,7 +63,8 @@ def serialize(node: XMLNode, indent: int | None = None) -> str:
     line so PCDATA round-trips exactly.  One walk drives a
     :class:`StreamSerializer`, reading each ``_kids`` as it is: a text leaf
     (its PCDATA a ``str`` or one text child) and an empty element are one
-    ``leaf`` each, and a pending group goes to ``fragments`` unbuilt.
+    ``leaf`` each, a pending group goes to ``fragments`` unbuilt, and an
+    unread document is tagged into it (the ``evaluate_stream`` path).
     """
     if isinstance(node, XMLText):
         return escape_text(node.value) + ("" if indent is None else "\n")
@@ -84,6 +85,12 @@ def serialize(node: XMLNode, indent: int | None = None) -> str:
                 start(child.tag)
                 fragments(*kids)
                 end()
+            elif kids.__class__ is not list:    # an unread document
+                if kids.tag == child.tag:
+                    kids.write(writer)
+                else:       # its root renamed: written built
+                    child.children
+                    write((child,))
             elif not kids:
                 leaf(child.tag, None)
             elif len(kids) == 1 and isinstance(kids[0], XMLText):

@@ -199,7 +199,9 @@ class TestConcurrentMiddleware:
 
         def worker(index):
             tracer = Tracer()
-            shared.evaluate({"date": date}, tracer=tracer)
+            report = shared.evaluate({"date": date}, tracer=tracer)
+            # the document gauge is recorded when the document is made
+            serialize(report.document)
             with lock:
                 gauges[index] = tracer.metrics.snapshot()["gauges"]
 

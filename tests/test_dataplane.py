@@ -234,6 +234,7 @@ class TestPendingGroupsWritten:
         rng = random.Random(seed)
         for position, (middleware, root) in enumerate(middlewares):
             document = middleware.evaluate(dict(root)).document
+            document.children   # built as the tree sink leaves it
             read_at_random(document, rng)
             held = len(pending_groups(document))
             if position < 2:

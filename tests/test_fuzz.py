@@ -29,17 +29,15 @@ def _seeded_bug(monkeypatch):
     engine bug that only a differential oracle notices."""
     import repro.runtime.middleware as middleware_module
 
-    real = middleware_module.stream_document
+    real = middleware_module.pending_document
 
-    def buggy(plan, cache, root_inh, *sinks, rename=None):
-        elements = real(plan, cache, root_inh, *sinks, rename=rename)
-        for sink in sinks:
-            document = getattr(sink, "root", None)
-            if document is not None and len(document.children) >= 2:
-                document.children.pop()
-        return elements
+    def buggy(run, tracer):
+        document = real(run, tracer)
+        if len(document.children) >= 2:
+            document.children.pop()
+        return document
 
-    monkeypatch.setattr(middleware_module, "stream_document", buggy)
+    monkeypatch.setattr(middleware_module, "pending_document", buggy)
 
 
 class TestGenerator:
@@ -101,6 +99,18 @@ class TestOracle:
         from repro.xmlmodel.serialize import StreamSerializer
         monkeypatch.setattr(StreamSerializer, "fragments",
                             lambda self, fragment, count, columns: None)
+        report = run_oracle(generate_scenario(1), configs=("merged",))
+        kinds = {d.kind for d in report.divergences}
+        assert kinds == {"xml", "built-xml"}, report.divergences
+
+    def test_unread_document_writer_checked_against_built_write(
+            self, monkeypatch):
+        # a writer that ignores the pending document: the document
+        # ``evaluate`` returns is written as an empty root, and written
+        # right once the checkers have built it
+        from repro.runtime.tagging import PendingDocument
+        monkeypatch.setattr(PendingDocument, "write",
+                            lambda self, serializer: None)
         report = run_oracle(generate_scenario(1), configs=("merged",))
         kinds = {d.kind for d in report.divergences}
         assert kinds == {"xml", "built-xml"}, report.divergences

@@ -269,6 +269,8 @@ class TestTaggingCost:
         for date in ("d1", "d2", "d1", "d2"):
             constructed.clear()
             document = middleware.evaluate({"date": date}).document
+            assert len(constructed) == 1    # the root, its content unread
+            document.children   # built as the tree sink leaves it
             unread = len(constructed)
             held[date] = len(pending_groups(document))
             elements = sum(1 for _ in document.iter())

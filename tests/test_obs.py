@@ -240,6 +240,8 @@ class TestInstrumentedRun:
     def run(self):
         middleware, tracer = traced_middleware()
         report = middleware.evaluate({"date": "d1"})
+        # the tagging span and the document gauge: made at the first read
+        serialize(report.document)
         return middleware, tracer, report
 
     def test_span_categories_cover_pipeline(self, run):

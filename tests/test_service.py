@@ -902,7 +902,7 @@ class TestOneEvaluationPath:
             raise AssertionError("a service miss built a tree")
 
         monkeypatch.setattr(Middleware, "evaluate", no_tree)
-        monkeypatch.setattr("repro.runtime.middleware.TreeSink", no_tree)
+        monkeypatch.setattr("repro.runtime.tagging.TreeSink", no_tree)
         for indent in (None, 0, 2):
             body, info = service.evaluate("t", {"date": "d1"},
                                           indent=indent)

@@ -429,9 +429,11 @@ class TestOneWritePerRow:
 
 
 class TestDryRunOnlyWhereAChoiceCanTruncate:
-    """Only a choice whose alternative the unfolding cut off raises
-    ``RecursionTruncated`` mid-document, so only such a program is
-    dry-run before a stream's first byte."""
+    """A choice is the only tagging step that raises mid-document —
+    ``RecursionTruncated`` where the unfolding cut off the alternative it
+    selects, ``EvaluationError`` where its condition selects none — so
+    exactly the programs with a choice are dry-run, by ``evaluate`` and
+    ``evaluate_stream`` alike, before a byte or a node is made."""
 
     def test_hospital_is_not_truncatable_at_any_depth(self):
         sources = make_sources()
@@ -459,6 +461,9 @@ class TestDryRunOnlyWhereAChoiceCanTruncate:
                    tracer=tracer).evaluate_stream({"date": "d1"},
                                                   chunks.append, indent=2)
         names = [span.name for span in tracer.spans]
+        assert not TaggingProgram(
+            Middleware(build_hospital_aig(), sources).prepare(4)
+            .tagging_plan, base_name).choices
         assert "tagging-dryrun" not in names
         assert names.count("tagging") == 1
         assert "".join(chunks) == expected
@@ -468,8 +473,8 @@ class TestDryRunOnlyWhereAChoiceCanTruncate:
         # The data nests three deep.  An odd unfolding cuts ``dir`` off at
         # the choice (truncatable), an even one at the star below it
         # (answered by the probe): from 1 the attempts are 1, 2, 4, 8, and
-        # 5 fits at once.  Each truncatable attempt is dry-run; only the
-        # attempt that fits writes.
+        # 5 fits at once.  Every attempt has a choice, so each is dry-run,
+        # the truncatable ones too; only the attempt that fits writes.
         aig, source = build_fs_aig(), load(TREE_ROWS)
         expected = serialize(Middleware(aig, {"FS": source})
                              .evaluate({}).document, indent=2)
@@ -484,7 +489,8 @@ class TestDryRunOnlyWhereAChoiceCanTruncate:
         attempts = [span.attrs["depth"] for span in tracer.spans
                     if span.name == "evaluate-stream"]
         assert attempts == ([1, 2, 4, 8] if estimate == 1 else [5])
-        truncatable = [TaggingProgram(middleware.prepare(depth).tagging_plan,
-                                      base_name).truncatable
-                       for depth in attempts]
-        assert names.count("tagging-dryrun") == sum(truncatable) >= 1
+        programs = [TaggingProgram(middleware.prepare(depth).tagging_plan,
+                                   base_name) for depth in attempts]
+        assert sum(program.truncatable for program in programs) >= 1
+        assert names.count("tagging-dryrun") == sum(
+            bool(program.choices) for program in programs) == len(attempts)

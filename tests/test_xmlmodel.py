@@ -401,10 +401,12 @@ def tracked_per_node(tree: XMLElement) -> float:
 
 
 def groups_document(groups: int, tracer=None) -> XMLElement:
-    """The groups workload's document over ``groups`` groups, as
-    ``evaluate`` leaves it: each ``members`` holds its group unbuilt."""
-    return Middleware(build_group_aig(), make_group_sources(1, groups),
-                      tracer=tracer).evaluate({"run": "1"}).document
+    """The groups workload's document over ``groups`` groups, as its first
+    read leaves it: each ``members`` holds its group unbuilt."""
+    document = Middleware(build_group_aig(), make_group_sources(1, groups),
+                          tracer=tracer).evaluate({"run": "1"}).document
+    document.children
+    return document
 
 
 class TestTrackedObjects:
@@ -440,6 +442,8 @@ class TestTrackedObjects:
         middleware = Middleware(build_hospital_aig(), sources)
         documents = [middleware.evaluate({"date": date}).document
                      for date in DATES]
+        for document in documents:
+            document.children
         nodes = sum(document.size() for document in documents)
         tracked = sum(tracked_per_node(document) * document.size()
                       for document in documents)
@@ -634,6 +638,9 @@ class TestPendingGroups:
         for middleware, root in runs:
             made.clear()
             document = middleware.evaluate(root).document
+            unread = serialize(document, indent=2)
+            assert made == [document.tag]   # an unread document: no tree
+            document.children   # built as the tree sink leaves it
             tagged = len(made)
             held = sum(count * fragment.elements
                        for fragment, count, _ in pending_groups(document))
@@ -642,4 +649,4 @@ class TestPendingGroups:
             assert len(made) == tagged
             assert sum(1 for _ in document.iter()) == tagged + held
             assert len(made) == tagged + held
-            assert serialize(document, indent=2) == written
+            assert serialize(document, indent=2) == written == unread
