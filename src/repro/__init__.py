@@ -86,7 +86,6 @@ from repro.aig import (
 from repro.compilation import specialize
 from repro.resilience import (
     BreakerPolicy,
-    FailureReport,
     FaultInjector,
     RetryPolicy,
 )
@@ -117,6 +116,6 @@ __all__ = [
     "specialize", "unfold_aig", "strip_unfolding",
     "Middleware", "ExecutionReport",
     # resilience
-    "FaultInjector", "RetryPolicy", "BreakerPolicy", "FailureReport",
+    "FaultInjector", "RetryPolicy", "BreakerPolicy",
     "__version__",
 ]

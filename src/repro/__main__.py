@@ -4,14 +4,14 @@ Commands:
 
 * ``demo [--scale S] [--date D] [--no-merge]
   [--shards N] [--trace FILE] [--metrics] [--metrics-json FILE]
-  [--faults SPEC] [--retries N] [--deadline S] [--degrade]`` — generate a
+  [--faults SPEC] [--retries N] [--deadline S]`` — generate a
   hospital dataset and produce one day's report through the middleware,
   printing summary statistics (add ``--xml`` to dump the document;
   ``--shards N`` partitions the document by key
   range and evaluates in N worker processes — see docs/SHARDING.md;
   ``--trace`` writes a Chrome trace-event JSON loadable in Perfetto /
   ``chrome://tracing`` with one track per source; ``--faults``
-  injects deterministic failures, recovered by ``--retries``/``--degrade``
+  injects deterministic failures, recovered by ``--retries`` or refused
   — see docs/RESILIENCE.md).
 * ``calibrate [--scale S] [--json FILE]`` — run one report
   and print the cost-model calibration: the optimizer's modeled
@@ -40,7 +40,9 @@ Commands:
 * ``explain`` — print the optimizer's plan; ``info`` — component inventory.
 
 Every command accepts ``-v/--verbose`` (repeatable) and ``--quiet``, which
-configure stdlib logging for the ``repro.`` namespace.
+configure stdlib logging for the ``repro.`` namespace.  A command that
+ends in a :class:`~repro.errors.ReproError` prints ``error: <type>:
+<message>`` on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -131,7 +133,6 @@ def _demo(args) -> int:
         tracer=tracer,
         retry_policy=retry_policy,
         deadline=args.deadline,
-        on_source_failure="degrade" if args.degrade else "abort",
         incremental=args.incremental,
         ledger=args.ledger,
         shards=args.shards)
@@ -179,8 +180,6 @@ def _demo(args) -> int:
         fired = ", ".join(str(clause)
                           for _, clause in injector.fired) or "none"
         print(f"faults fired: {fired}")
-    if report.failure_report is not None:
-        print(f"DEGRADED: {report.failure_report.summary()}")
     _export_observability(tracer, args)
     if args.xml:
         print(serialize(report.document, indent=2))
@@ -522,9 +521,6 @@ def main(argv: list[str] | None = None) -> int:
                            "with exponential backoff (default: no retries)")
     demo.add_argument("--deadline", type=float, default=None, metavar="S",
                       help="per-query deadline in seconds")
-    demo.add_argument("--degrade", action="store_true",
-                      help="on unrecoverable source failure, skip optional "
-                           "subtrees instead of aborting")
     demo.add_argument("--incremental", action="store_true",
                       help="enable the cross-evaluation result cache and "
                            "re-evaluate once warm to show the reuse "
@@ -659,7 +655,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     from repro.obs.logconfig import configure_logging
     configure_logging(verbose=args.verbose, quiet=args.quiet)
-    return args.handler(args)
+    from repro.errors import ReproError
+    try:
+        return args.handler(args)
+    except ReproError as error:
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

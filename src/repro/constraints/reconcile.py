@@ -83,7 +83,7 @@ class _ShardPass(StreamingConstraintChecker):
         self._graph = graph
         self._suspects = {index for index, constraint
                           in enumerate(self.constraints)
-                          if suspects is None or constraint in suspects}
+                          if constraint in suspects}
         self._in_slice = False
         self._wanted = _reaching(
             graph, set(self._context_of) | set(self._roles))
@@ -155,9 +155,7 @@ def shard_evidence(document: XMLElement, constraints: list[Constraint],
     ``splice`` is the partition element of ``document`` (its children
     are the slice), ``graph`` the element graph of the DTD the document
     conforms to.  ``suspects`` is the set of constraints whose guard
-    fired on this shard, or ``None`` when guard outcomes cannot be
-    trusted (a degraded run may have skipped guard nodes): then every
-    constraint is judged in the slice.
+    fired on this shard: only they are judged in the slice.
     """
     shard_pass = _ShardPass(constraints, splice, suspects, graph)
     shard_pass.feed(document)

@@ -15,12 +15,12 @@ Record schema (top-level keys, all sorted on disk):
   (:func:`repro.runtime.incremental.plan_fingerprint`), identical across
   re-runs of the same plan — the join key for cross-run analysis;
 * ``config`` — the middleware knobs that shaped the run (merging, unfold
-  depth, violation mode, incremental, failure policy, shards); records
+  depth, violation mode, incremental, deadline, retries, shards); records
   written by older versions carry more keys, which readers ignore;
 * ``plan`` — estimated cost, simulated response time, node count;
 * ``run`` — measured wall seconds, queries executed, bytes shipped,
   cache reuse (reused/tainted node counts), document bytes, violation
-  count, degraded flag, peak RSS in bytes when the platform reports it;
+  count, peak RSS in bytes when the platform reports it;
 * ``nodes`` — per executed QDG node: structural fingerprint, source,
   kind, measured eval/overhead seconds, completion, output rows/bytes,
   and whether it was replayed from the incremental cache;

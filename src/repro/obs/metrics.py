@@ -16,8 +16,7 @@ The resilience layer (:mod:`repro.resilience`, docs/RESILIENCE.md) adds
 its own counter family: ``retry_attempts`` (and per-source
 ``retry_attempts.<src>``), ``retry_recoveries``, ``retries_exhausted``,
 ``deadline_aborts``, ``breaker_transitions`` (and per-source scoped
-variants), and for degraded runs ``degraded_runs``, ``nodes_skipped``,
-``subtrees_degraded``, ``guards_unchecked``.
+variants).
 
 Incremental re-evaluation (``Middleware(incremental=True)``,
 docs/INCREMENTAL.md) adds counters ``incremental_cache_hits`` (nodes

@@ -319,9 +319,9 @@ def comp_time(graph, plan, seconds: dict[str, float], size: dict[str, float],
     ``plan`` maps each source to its ordered query sequence (node names),
     ``seconds`` each node to the time it occupies its source, ``size`` each
     result (node or merged member) to its bytes.  A node absent from
-    ``seconds`` did not run (replayed from the incremental cache, or
-    skipped by degradation): it completes at 0 and occupies no lane, but
-    consumers still pay for its output's transfer.  Every node's output
+    ``seconds`` did not run (replayed from the incremental cache): it
+    completes at 0 and occupies no lane, but consumers still pay for its
+    output's transfer.  Every node's output
     additionally ships to the mediator when the tagging phase needs it
     (``ship_to_mediator``) — unless ``replayed``, which is there already —
     and that final transfer is part of the response time.

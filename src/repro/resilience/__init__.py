@@ -1,4 +1,4 @@
-"""Resilience layer: fault injection, retries, circuit breakers, degradation.
+"""Resilience layer: fault injection, retries, circuit breakers.
 
 The paper's middleware (Section 5) assumes cooperative sources — one query
 processor per site that always answers.  This package supplies the
@@ -15,12 +15,12 @@ production half of the failure story:
 * :mod:`repro.resilience.breaker` — per-source circuit breakers
   (closed -> open -> half-open) consulted by the executor before
   it issues a node.
-* :mod:`repro.resilience.report` — :class:`FailureReport`: the structured
-  record of skipped subtrees and unchecked guards a degraded run emits.
 
-See docs/RESILIENCE.md for the fault-spec grammar, retry/breaker
-semantics, and the degradation rules (which subtrees may legally be
-dropped under the DTD).
+A source that still fails ends the run in a typed error
+(:class:`~repro.errors.EvaluationError` or
+:class:`~repro.errors.SourceUnavailableError`), never in a partial
+document.  See docs/RESILIENCE.md for the fault-spec grammar and the
+retry/breaker semantics.
 """
 
 from repro.resilience.breaker import (
@@ -37,7 +37,6 @@ from repro.resilience.faults import (
     InjectedFault,
     parse_fault_spec,
 )
-from repro.resilience.report import DegradedSubtree, FailureReport
 from repro.resilience.retry import (
     QueryDeadlineExceeded,
     RetryPolicy,
@@ -49,5 +48,4 @@ __all__ = [
     "RetryPolicy", "QueryDeadlineExceeded", "is_transient",
     "BreakerPolicy", "CircuitBreaker", "BreakerBoard",
     "CLOSED", "OPEN", "HALF_OPEN",
-    "FailureReport", "DegradedSubtree",
 ]

@@ -93,9 +93,6 @@ class EngineResult:
     queries_executed: int = 0
     bytes_shipped: int = 0
     violations: list = field(default_factory=list)
-    #: :class:`~repro.resilience.report.FailureReport` of a degraded run
-    #: (None when every node executed).
-    failure_report: object = None
     #: Incremental re-evaluation (docs/INCREMENTAL.md): nodes replayed
     #: from the cross-evaluation cache instead of executing.
     reused_nodes: int = 0
@@ -120,7 +117,6 @@ class Engine:
                  tracer=None,
                  retry_policy=None,
                  breakers=None,
-                 on_source_failure: str = "abort",
                  deadline: float | None = None,
                  tagging_plan=None,
                  reuse: dict | None = None,
@@ -145,17 +141,12 @@ class Engine:
         #: per-node failures; ``breakers`` (a
         #: :class:`~repro.resilience.breaker.BreakerBoard`) is consulted by
         #: the executor before each node; ``deadline`` bounds each
-        #: statement's wall time; ``on_source_failure="degrade"`` skips
-        #: DTD-optional subtrees of a dead source instead of aborting
-        #: (requires ``tagging_plan`` to prove optionality).
-        if on_source_failure not in ("abort", "degrade"):
-            raise PlanError(f"on_source_failure must be 'abort' or "
-                            f"'degrade', got {on_source_failure!r}")
+        #: statement's wall time.
         self.retry_policy = retry_policy
         self.breakers = breakers
-        self.on_source_failure = on_source_failure
         self.deadline = deadline
-        self.tagging_plan = tagging_plan
+        # ``tagging_plan`` is accepted and unread: the benchmark's
+        # ``Pipeline.run_engine`` still passes it.
         #: Incremental re-evaluation (docs/INCREMENTAL.md): ``reuse`` maps
         #: clean node names to their cached results (replayed instead of
         #: executed); ``fingerprints`` holds this run's per-node content

@@ -4,8 +4,8 @@
 :class:`~repro.optimizer.qdg.QueryDependencyGraph` and the plan's static
 per-source schedules (Algorithm Schedule) into the linear order a run
 issues its nodes in; :meth:`PlanExecutor.run` is one loop over that order on
-the calling thread, stepping over nodes replayed from the incremental cache
-or skipped by degradation.  The paper's inter-source parallelism is the
+the calling thread, stepping over nodes replayed from the incremental
+cache.  The paper's inter-source parallelism is the
 cost model's (:func:`repro.optimizer.cost.comp_time`); per-source worker
 lanes were measured against this loop and won on no workload
 (docs/INTERNALS.md, "Execution order").
@@ -23,20 +23,13 @@ import time
 
 from repro.errors import (
     EvaluationAborted,
-    EvaluationError,
     PlanError,
     SourceUnavailableError,
 )
-from repro.relational.source import MEDIATOR_NAME, ResultSet, intern_columns
-from repro.resilience.report import DegradedSubtree, FailureReport
+from repro.relational.source import ResultSet
 from repro.resilience.retry import QueryDeadlineExceeded, is_transient
 from repro.runtime.collect import describe_witness
-from repro.runtime.engine import (
-    ID_COLUMN,
-    EngineResult,
-    NodeTiming,
-    merged_entry,
-)
+from repro.runtime.engine import EngineResult, NodeTiming
 from repro.runtime.incremental import CachedNodeResult
 
 logger = logging.getLogger("repro.executor")
@@ -116,10 +109,7 @@ class PlanExecutor:
         shipped: dict[tuple[str, str], str] = {}
         queries = 0
         violations: list = []
-        skipped: set[str] = set()
         cache_entries: dict[str, CachedNodeResult] = {}
-        failure_report: FailureReport | None = None
-        retry_count = 0
 
         def attempt_node(name: str, node, span):
             """``engine._execute`` under the retry policy and breaker.
@@ -129,7 +119,6 @@ class PlanExecutor:
             attempt's outcome feeds the source's circuit breaker, and an
             open breaker short-circuits remaining attempts.
             """
-            nonlocal retry_count
             policy = engine.retry_policy
             attempts = policy.attempts if policy is not None else 1
             breaker = engine.breaker_for(node.source)
@@ -151,7 +140,6 @@ class PlanExecutor:
                         metrics.add("deadline_aborts", 1)
                     if attempt < attempts and is_transient(error):
                         delay = policy.delay(attempt, name)
-                        retry_count += 1
                         metrics.add("retry_attempts", 1)
                         metrics.add(f"retry_attempts.{node.source}", 1)
                         span.set(retried=attempt)
@@ -172,101 +160,6 @@ class PlanExecutor:
                         span.set(recovered_after_retries=attempt - 1)
                     return result
             raise AssertionError("unreachable")  # pragma: no cover
-
-        def consumer_closure(name: str) -> list[str]:
-            """``name`` plus every transitive consumer (all not yet run)."""
-            consumers = _consumers(graph)
-            closure = [name]
-            seen = {name}
-            frontier = [name]
-            while frontier:
-                for consumer in consumers[frontier.pop()]:
-                    if consumer not in seen:
-                        seen.add(consumer)
-                        closure.append(consumer)
-                        frontier.append(consumer)
-            return closure
-
-        def try_degrade(failed: str, error: BaseException) -> bool:
-            """Skip the failed node's subtree if the DTD allows its absence.
-
-            Degradation is legal only when every tagging table the closure
-            would have produced belongs to a star iteration occurrence
-            (``e*`` — zero instances conform) and no choice-condition node
-            is lost (a missing selector cannot be tagged around).  Guards in
-            the closure are skipped but reported as *unchecked*.
-            """
-            nonlocal failure_report
-            if engine.on_source_failure != "degrade":
-                return False
-            if isinstance(error, EvaluationAborted):
-                return False         # a real constraint violation: surface it
-            if not (isinstance(error, SourceUnavailableError)
-                    or (isinstance(error, EvaluationError)
-                        and is_transient(error))):
-                return False         # logic/plan errors are never degradable
-            plan_info = engine.tagging_plan
-            if plan_info is None:
-                logger.error("on_source_failure='degrade' needs the tagging "
-                             "plan to prove subtree optionality; aborting")
-                return False
-            closure = consumer_closure(failed)
-            table_paths: dict[str, list[str]] = {}
-            for path, producer in plan_info.table_of.items():
-                table_paths.setdefault(graph.resolve(producer),
-                                       []).append(path)
-            condition_nodes = {graph.resolve(producer)
-                               for producer in plan_info.condition_of.values()}
-            subtrees: list[DegradedSubtree] = []
-            unchecked: list[str] = []
-            for name in closure:
-                if name in condition_nodes:
-                    logger.error("cannot degrade %s: choice condition %s "
-                                 "would be lost", failed, name)
-                    return False
-                node = graph.nodes[name]
-                if node.kind == "guard":
-                    unchecked.append(str(node.guard.constraint))
-                    continue
-                for path in table_paths.get(name, ()):
-                    occurrence = plan_info.tree.by_path[path]
-                    if occurrence.kind != "star":
-                        logger.error(
-                            "cannot degrade %s: subtree at %s is required "
-                            "by the DTD (%s occurrence)", failed, path,
-                            occurrence.kind)
-                        return False
-                    subtrees.append(DegradedSubtree(
-                        path, occurrence.element_type, name))
-            if failure_report is None:
-                failure_report = FailureReport()
-            failure_report.failed_nodes[failed] = (
-                f"{type(error).__name__}: {error}")
-            source = graph.nodes[failed].source
-            if (source != MEDIATOR_NAME
-                    and source not in failure_report.sources_down):
-                failure_report.sources_down.append(source)
-            skipped.update(closure)
-            for name in closure:
-                cache.update(_empty_outputs(graph.nodes[name]))
-            failure_report.skipped_nodes.extend(closure)
-            failure_report.degraded_subtrees.extend(subtrees)
-            for constraint in unchecked:
-                if constraint not in failure_report.unchecked_guards:
-                    failure_report.unchecked_guards.append(constraint)
-            metrics.add("nodes_skipped", len(closure))
-            metrics.add("subtrees_degraded", len(subtrees))
-            metrics.add("guards_unchecked", len(unchecked))
-            logger.warning(
-                "degrading after failure of %s on %s: skipping %d node(s), "
-                "%d subtree(s) emitted empty, %d guard(s) unchecked (%s)",
-                failed, source, len(closure), len(subtrees),
-                len(unchecked), error)
-            return True
-
-        def fail(name: str, error: BaseException) -> None:
-            if not try_degrade(name, error):
-                raise error
 
         def complete(node, outputs: dict, eval_seconds: float = 0.0,
                      rows_materialized: int = 0, cached: bool = False,
@@ -304,19 +197,10 @@ class PlanExecutor:
             span = tracer.span(name, SPAN_CATEGORY.get(node.kind, "query"),
                                track=lane, parent=run_span,
                                source=node.source, kind=node.kind)
-            error: BaseException | None = None
             with span:
-                try:
-                    eval_seconds, outputs, rows = attempt_node(name, node,
-                                                               span)
-                    span.set(eval_seconds=eval_seconds,
-                             rows_materialized=rows,
-                             output_rows=sum(map(
-                                 len, _put_out(node, outputs))))
-                except BaseException as exc:   # judged outside the span
-                    error = exc
-            if error is not None:
-                return fail(name, error)
+                eval_seconds, outputs, rows = attempt_node(name, node, span)
+                span.set(eval_seconds=eval_seconds, rows_materialized=rows,
+                         output_rows=sum(map(len, _put_out(node, outputs))))
             queries += 1
             metrics.add(f"lane_busy_seconds.{lane}", span.duration)
             metrics.observe("node_latency_seconds", eval_seconds)
@@ -351,21 +235,20 @@ class PlanExecutor:
                 logger.info("incremental replay: %d node(s) reused, "
                             "%d tainted", len(reuse), len(order) - len(reuse))
             for name in order:
-                if name in reuse or name in skipped:
+                if name in reuse:
                     continue
                 node = graph.nodes[name]
                 # Peek at the source's circuit breaker first (the
                 # non-leasing would_block — attempt_node's blocked() call
                 # is the one that claims the half-open probe): a node bound
-                # for an open source fails immediately (and, in degrade
-                # mode, skips its subtree) without waiting out retries.
+                # for an open source fails immediately without waiting out
+                # retries.
                 breaker = engine.breaker_for(node.source)
                 if breaker is not None and breaker.would_block():
-                    fail(name, SourceUnavailableError(
+                    raise SourceUnavailableError(
                         f"source {node.source!r}: circuit breaker is "
-                        f"{breaker.state}; refusing {name!r}"))
-                else:
-                    execute(name, node)
+                        f"{breaker.state}; refusing {name!r}")
+                execute(name, node)
         finally:
             # Failure-path hygiene: shipped temp tables from completed steps
             # must not outlive the run (a mid-plan abort used to strand
@@ -379,12 +262,6 @@ class PlanExecutor:
         metrics.add("rows_materialized",
                     sum(t.rows_materialized for t in timings.values()))
         metrics.add("violations_found", len(violations))
-        if failure_report is not None:
-            failure_report.retry_attempts = retry_count
-            metrics.add("degraded_runs", 1)
-            run_span.set(degraded=True,
-                         skipped_nodes=len(failure_report.skipped_nodes))
-            logger.warning("run degraded: %s", failure_report.summary())
         run_span.set(queries=queries)
         if engine.fingerprints is not None:
             run_span.set(reused_nodes=len(reuse))
@@ -394,26 +271,8 @@ class PlanExecutor:
         return EngineResult(
             cache=cache, timings=timings, response_time=0.0,
             measured_seconds=measured, queries_executed=queries,
-            violations=violations, failure_report=failure_report,
-            reused_nodes=len(reuse), cache_entries=cache_entries)
-
-
-def _empty_outputs(node) -> dict[str, ResultSet]:
-    """Schema-correct empty results for a skipped node (degradation).
-
-    Shapes match what :meth:`Engine._execute` would have produced — the
-    ``__id`` path-encoding column appended, one slice per merged member —
-    so tagging and downstream bookkeeping are oblivious to the skip.
-    """
-    members = getattr(node, "members", None)
-    if members:
-        outputs = {member.name: ResultSet(
-            intern_columns(list(member.output_columns) + [ID_COLUMN]), [])
-            for member in members}
-        outputs[node.name] = merged_entry(node)
-        return outputs
-    return {node.name: ResultSet(
-        intern_columns(list(node.output_columns) + [ID_COLUMN]), [])}
+            violations=violations, reused_nodes=len(reuse),
+            cache_entries=cache_entries)
 
 
 def _put_out(node, outputs: dict) -> list[ResultSet]:

@@ -32,10 +32,9 @@ clean guard replays its cached — and, in abort mode, necessarily empty —
 result, so report-mode violations are re-reported identically.
 
 Nothing here is committed on failure: the middleware folds freshly
-executed results into the cache only after a fully successful,
-non-degraded run, so a mid-run fault can never poison the cache (stale
-entries stay valid regardless — their fingerprints no longer match
-anything that changed).
+executed results into the cache only after a fully successful run, so
+a mid-run fault can never poison the cache (stale entries stay valid
+regardless — their fingerprints no longer match anything that changed).
 """
 
 from __future__ import annotations

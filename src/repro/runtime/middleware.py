@@ -71,9 +71,6 @@ class _Report:
     #: (the guards that fired); sharded, the located ``Violation``s of the
     #: reconciled verdict, as ``check_constraints`` lists them.
     violations: list = field(default_factory=list)
-    #: :class:`~repro.resilience.report.FailureReport` when the run was
-    #: degraded (subtrees skipped after a source failure), else ``None``.
-    failure_report: object = None
     #: Incremental re-evaluation (``Middleware(incremental=True)``, see
     #: docs/INCREMENTAL.md): nodes replayed from the result cache and
     #: nodes found tainted (0/0 when the feature is off or the cache is
@@ -162,7 +159,6 @@ class Middleware:
                  tracer=None,
                  retry_policy=None,
                  deadline: float | None = None,
-                 on_source_failure: str = "abort",
                  breaker_policy=None,
                  incremental: bool = False,
                  cost_feedback=None,
@@ -200,9 +196,6 @@ class Middleware:
                 ("violation_mode", violation_mode,
                  violation_mode in ("abort", "report"),
                  "'abort' or 'report'"),
-                ("on_source_failure", on_source_failure,
-                 on_source_failure in ("abort", "degrade"),
-                 "'abort' or 'degrade'"),
                 ("deadline", deadline, deadline is None or (
                     type(deadline) in (int, float) and deadline > 0),
                  "a positive number of seconds or null"),
@@ -221,7 +214,6 @@ class Middleware:
         self.violation_mode = violation_mode
         self.retry_policy = retry_policy
         self.deadline = deadline
-        self.on_source_failure = on_source_failure
         #: Breaker state persists *across* evaluations — an open breaker
         #: from one daily report still refuses the source in the next.
         self.breakers = None if breaker_policy is None else BreakerBoard(
@@ -644,9 +636,7 @@ class Middleware:
                             tracer=tracer,
                             retry_policy=self.retry_policy,
                             breakers=self.breakers,
-                            on_source_failure=self.on_source_failure,
                             deadline=self.deadline,
-                            tagging_plan=tagging_plan,
                             reuse=increment.reusable if increment else None,
                             fingerprints=fingerprints)
             try:
@@ -668,11 +658,11 @@ class Middleware:
                 if self._needs_deeper(tagging_plan, result.cache, depth):
                     return None
                 taken = take(run)
-                # Commit only after a fully successful, non-degraded run:
-                # a mid-run failure (or a skipped subtree) must never
-                # poison the cache — the next evaluation simply finds the
-                # previous (still fingerprint-valid) entries.
-                if store is not None and result.failure_report is None:
+                # Commit only after a fully successful run: a mid-run
+                # failure must never poison the cache — the next
+                # evaluation simply finds the previous (still
+                # fingerprint-valid) entries.
+                if store is not None:
                     store.commit(increment, result.cache_entries)
             finally:
                 engine.cleanup()
@@ -683,8 +673,7 @@ class Middleware:
                                    result.measured_seconds)
         self._last_result = result
         self.last_plan = prepared
-        if (self.cost_feedback is not None
-                and result.failure_report is None):
+        if self.cost_feedback is not None:
             self.cost_feedback.observe_run(graph, result.timings)
         tainted_nodes = len(increment.tainted) if increment else 0
         return _Run(
@@ -701,7 +690,6 @@ class Middleware:
                 merged=prepared.merged,
                 unfold_depth=depth,
                 violations=list(result.violations),
-                failure_report=result.failure_report,
                 reused_nodes=result.reused_nodes,
                 tainted_nodes=tainted_nodes))
 
@@ -714,7 +702,6 @@ class Middleware:
             "max_unfold_depth": self.max_unfold_depth,
             "violation_mode": self.violation_mode,
             "incremental": self.incremental,
-            "on_source_failure": self.on_source_failure,
             "deadline": self.deadline,
             "retries": (self.retry_policy.retries
                         if self.retry_policy is not None else None),
@@ -739,7 +726,6 @@ class Middleware:
             "queries_executed": result.queries_executed,
             "bytes_shipped": result.bytes_shipped,
             "document_bytes": document_bytes,
-            "degraded": result.failure_report is not None,
             "violations": len(violations),
             "reused_nodes": result.reused_nodes,
             "tainted_nodes": run.report["tainted_nodes"],

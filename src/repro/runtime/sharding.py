@@ -545,14 +545,11 @@ def _shard_worker_body(payload: bytes) -> bytes:
     # The engine's guard queries already scanned this shard's whole
     # document: constraints whose guard stayed clean cannot have a
     # violation local to the slice, so the checker is told to judge only
-    # the others there.  A degraded run may have skipped guard nodes —
-    # judge everything rather than trust an unchecked guard.
-    suspects = (None if report.failure_report is not None
-                else set(report.violations))
+    # the others there.
     evidence = shard_evidence(
         report.document, task.aig.constraints,
-        _locate_splice(report.document, task.chain), suspects,
-        element_graph(task.aig.dtd))
+        _locate_splice(report.document, task.chain),
+        set(report.violations), element_graph(task.aig.dtd))
     encoded = encode_document(report.document)
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     for source in sources.values():

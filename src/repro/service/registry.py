@@ -33,8 +33,7 @@ from repro.runtime.middleware import Middleware
 #: the config payload is rejected so typos fail loudly, not silently.
 ALLOWED_CONFIG = (
     "merging", "unfold_depth", "max_unfold_depth",
-    "violation_mode", "incremental",
-    "on_source_failure", "deadline", "retry_policy",
+    "violation_mode", "incremental", "deadline", "retry_policy",
     "breaker_policy", "cost_feedback", "ledger",
 )
 
@@ -66,14 +65,14 @@ def version_vector(sources: dict) -> tuple:
 class TenantState:
     """One registered tenant: its scenario, middleware, and identity."""
 
-    def __init__(self, name: str, aig, sources: dict, config: dict):
+    def __init__(self, name: str, aig, sources: dict, config: dict,
+                 fingerprint: str, plan_key: str):
         self.name = name
         self.aig = aig
         self.sources = sources
         self.config = dict(config)
-        self.fingerprint = aig_fingerprint(aig)
-        self.plan_key = (f"{self.fingerprint[:16]}:"
-                         f"{config_key(self.config)[:16]}")
+        self.fingerprint = fingerprint
+        self.plan_key = plan_key
         merged = dict(DEFAULT_CONFIG)
         merged.update(self.config)
         self.middleware = Middleware(aig, sources, **merged)
@@ -196,18 +195,31 @@ class TenantRegistry:
         if unknown:
             raise EvaluationError(
                 f"unknown middleware config key(s): {', '.join(unknown)}")
-        candidate = TenantState(name, aig, sources, config)
+        fingerprint = aig_fingerprint(aig)
+        plan_key = f"{fingerprint[:16]}:{config_key(config)[:16]}"
+        # The plan key needs no Middleware, so a warm re-register builds
+        # nothing; a miss builds outside the lock and looks again.
+        state = self._reuse(name, plan_key)
+        if state is None:
+            candidate = TenantState(name, aig, sources, config,
+                                    fingerprint, plan_key)
+            state = self._reuse(name, plan_key, candidate)
+        return state
+
+    def _reuse(self, name: str, plan_key: str,
+               candidate: TenantState | None = None) -> TenantState | None:
+        """The registered ``name`` if its plan key is ``plan_key``; else
+        ``candidate`` takes its place (``None``: nothing to install)."""
         with self._lock:
-            self._last_access[name] = time.monotonic()
             existing = self._tenants.get(name)
-            if (existing is not None
-                    and existing.plan_key == candidate.plan_key):
-                evicted = self._sweep_locked(protect=name)
+            if existing is not None and existing.plan_key == plan_key:
                 state = existing
+            elif candidate is None:
+                return None
             else:
-                self._tenants[name] = candidate
-                evicted = self._sweep_locked(protect=name)
-                state = candidate
+                state = self._tenants[name] = candidate
+            self._last_access[name] = time.monotonic()
+            evicted = self._sweep_locked(protect=name)
         self._notify(evicted)
         return state
 

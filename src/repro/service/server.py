@@ -48,8 +48,14 @@ import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.errors import EvaluationAborted, EvaluationError, ReproError
+from repro.errors import (
+    EvaluationAborted,
+    EvaluationError,
+    ReproError,
+    SourceUnavailableError,
+)
 from repro.obs import Tracer, prometheus_text
+from repro.resilience.retry import is_transient
 from repro.service.admission import AdmissionController, AdmissionRejected
 from repro.service.coalesce import RequestCoalescer
 from repro.service.registry import TenantRegistry, TenantState
@@ -225,7 +231,7 @@ class EvaluationService:
             return
         blocked = [source for source in sorted(state.sources)
                    if breakers.breaker_for(source).would_block()]
-        if blocked and state.middleware.on_source_failure == "abort":
+        if blocked:
             self.metrics.add("service_breaker_rejections", 1)
             raise ServiceUnavailable(state.name, blocked)
 
@@ -483,12 +489,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except AdmissionRejected as error:
             self.service.metrics.add("service_rejections", 1)
             self._error(429, str(error), {"Retry-After": "1"})
-        except ServiceUnavailable as error:
-            self._error(503, str(error), {"Retry-After": "5"})
         except EvaluationAborted as error:
             self._error(409, f"constraint violation: {error}")
         except ReproError as error:
-            self._error(422, str(error))
+            # A source that is down (or refused by its breaker) is the
+            # service's fault, not the request's: retry later.
+            if (isinstance(error, (ServiceUnavailable,
+                                   SourceUnavailableError))
+                    or is_transient(error)):
+                self._error(503, str(error), {"Retry-After": "5"})
+            else:
+                self._error(422, str(error))
         except Exception as error:  # pragma: no cover - defensive
             logger.exception("POST %s failed", self.path)
             self._error(500, str(error))

@@ -48,6 +48,16 @@ class TestCLI:
             assert "valid spellings: sqlite, sqlite:PATH, file, file:csv, " \
                 "file:csv:DIR" in err
 
+    def test_source_outage_is_refused_in_one_line(self, capsys):
+        assert main(["demo", "--scale", "tiny",
+                     "--faults", "DB3:down@1"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines()
+                   if line.startswith("error: ")]
+        assert line.startswith("error: EvaluationError: ")
+        assert "'DB3'" in line
+
     def test_check(self, capsys):
         assert main(["check", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out

@@ -393,19 +393,6 @@ class TestMergedStatement:
         assert entry.measured_bytes == sum(
             result.width_bytes() for result in member_slices.values())
 
-    def test_a_skipped_merged_node_has_the_executed_shape(self):
-        from repro.runtime.executor import _empty_outputs
-        middleware = groups_middleware(50)
-        middleware.evaluate(GROUPS_ROOT)
-        cache = middleware._last_result.cache
-        (node,) = [node for node in middleware.last_plan.graph.nodes.values()
-                   if getattr(node, "members", None)]
-        empty = _empty_outputs(node)
-        assert empty.keys() == {node.name} | {m.name for m in node.members}
-        for name, result in empty.items():
-            assert result.columns == cache[name].columns
-        assert empty[node.name].rows == cache[node.name].rows
-
     def test_split_calls_do_not_grow_with_rows(self):
         """Python calls (``call`` and ``c_call`` profile events) made
         inside ``_execute_merged``: the same at 50 and 200 groups (450 and

@@ -1,9 +1,9 @@
 """Tests for the resilience layer (repro.resilience + runtime wiring).
 
 Covers the fault-spec grammar, the deterministic retry policy, the
-per-source circuit breaker state machine, per-query deadlines, and
-graceful degradation (skipping DTD-optional subtrees after an
-unrecoverable source failure).
+per-source circuit breaker state machine, per-query deadlines, and the
+one end of an unrecoverable source failure: a typed error, never a
+partial document.
 """
 
 import sqlite3
@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from repro import conforms_to
 from repro.errors import EvaluationError, SourceUnavailableError, SpecError
 from repro.relational import Network
 from repro.resilience import (
@@ -295,39 +294,25 @@ class TestDeadline:
 
 
 class TestDegradation:
-    def test_source_outage_degrades_to_conformant_document(
-            self, hospital_aig, tiny_sources):
-        middleware = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
-                                on_source_failure="degrade")
-        injector = FaultInjector.from_spec("DB3:down@1").install(tiny_sources)
-        try:
-            report = middleware.evaluate({"date": "d1"})
-        finally:
-            injector.uninstall(tiny_sources)
-        failure = report.failure_report
-        assert failure is not None and bool(failure)
-        assert failure.sources_down == ["DB3"]
-        assert failure.skipped_nodes and failure.degraded_subtrees
-        assert failure.unchecked_guards   # item-based constraints unchecked
-        # the partial document still conforms to the original DTD: bills
-        # are present but empty (item* admits zero occurrences)
-        assert conforms_to(report.document, hospital_aig.dtd)
-        assert report.document.find_all("patient")
-        assert not report.document.find_all("item")
-
     def test_abort_mode_still_raises(self, hospital_aig, tiny_sources):
         middleware = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0))
+        written = []
         injector = FaultInjector.from_spec("DB3:down@1").install(tiny_sources)
         try:
             with pytest.raises(EvaluationError):
                 middleware.evaluate({"date": "d1"})
+            # the stream refuses before any byte reaches ``write``
+            with pytest.raises(EvaluationError, match="'DB3'"):
+                middleware.evaluate_stream({"date": "d1"}, written.append)
         finally:
             injector.uninstall(tiny_sources)
+        assert written == []
 
     def test_invalid_failure_mode_rejected(self, hospital_aig, tiny_sources):
-        with pytest.raises(EvaluationError):
+        # a failed source always ends in an error: there is no mode to pick
+        with pytest.raises(TypeError, match="on_source_failure"):
             Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
-                       on_source_failure="ignore")
+                       on_source_failure="abort")
 
     def test_retry_policy_int_convenience(self, hospital_aig, tiny_sources):
         middleware = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
@@ -343,23 +328,20 @@ class TestBreakerIntegration:
             self, hospital_aig, tiny_sources):
         middleware = Middleware(
             hospital_aig, tiny_sources, Network.mbps(1.0),
-            on_source_failure="degrade",
             breaker_policy=BreakerPolicy(failure_threshold=1,
                                          cooldown=3600.0))
         injector = FaultInjector.from_spec("DB3:down@1").install(tiny_sources)
         try:
-            first = middleware.evaluate({"date": "d1"})
+            with pytest.raises(EvaluationError, match="DB3"):
+                middleware.evaluate({"date": "d1"})
             assert middleware.breakers.states()["DB3"] == OPEN
-            second = middleware.evaluate({"date": "d1"})
+            sent = len(injector.fired)        # every DB3 statement fires
+            # the second run is refused at dispatch, not retried against DB3
+            with pytest.raises(SourceUnavailableError, match="DB3"):
+                middleware.evaluate({"date": "d1"})
+            assert len(injector.fired) == sent
         finally:
             injector.uninstall(tiny_sources)
-        for report in (first, second):
-            assert report.failure_report is not None
-            assert "DB3" in report.failure_report.sources_down
-            assert conforms_to(report.document, hospital_aig.dtd)
-        # the second run was refused at dispatch, not retried against DB3
-        assert any("SourceUnavailableError" in text
-                   for text in second.failure_report.failed_nodes.values())
 
     def test_half_open_probe_executes_and_recovers_the_source(
             self, hospital_aig, tiny_sources):
@@ -369,19 +351,17 @@ class TestBreakerIntegration:
         source is usable again, not wedged half-open forever."""
         middleware = Middleware(
             hospital_aig, tiny_sources, Network.mbps(1.0),
-            on_source_failure="degrade",
             breaker_policy=BreakerPolicy(failure_threshold=1, cooldown=0.2))
         clean = Middleware(hospital_aig, tiny_sources,
                            Network.mbps(1.0)).evaluate({"date": "d1"})
         injector = FaultInjector.from_spec("DB3:down@1").install(tiny_sources)
         try:
-            degraded = middleware.evaluate({"date": "d1"})
+            with pytest.raises(EvaluationError, match="DB3"):
+                middleware.evaluate({"date": "d1"})
         finally:
             injector.uninstall(tiny_sources)
-        assert degraded.failure_report is not None
         assert middleware.breakers.states()["DB3"] == OPEN
         time.sleep(0.25)                      # past the cooldown
         recovered = middleware.evaluate({"date": "d1"})
-        assert recovered.failure_report is None
         assert middleware.breakers.states()["DB3"] == CLOSED
         assert serialize(recovered.document) == serialize(clean.document)

@@ -173,6 +173,24 @@ class TestRegistry:
         assert again is first
         assert again.middleware.prepare_count == 1  # plans stayed warm
 
+    def test_identical_registrations_build_one_middleware(self, world,
+                                                           monkeypatch):
+        from repro.service import registry as registry_module
+        built = []
+
+        class Counted(Middleware):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(registry_module, "Middleware", Counted)
+        aig, sources, _ = world
+        registry = TenantRegistry()
+        first = registry.register("t", aig, sources, {"unfold_depth": 4})
+        assert registry.register("t", aig, sources,
+                                 {"unfold_depth": 4}) is first
+        assert len(built) == 1
+
     def test_describe_reports_the_plan_that_last_ran(self, world):
         aig, sources, dataset = world
         state = TenantRegistry().register("t", aig, sources,
@@ -1053,6 +1071,48 @@ class TestStreamStatus:
         assert headers["transfer-encoding"] == "chunked"
         # what was produced arrives, but never the terminator
         assert _dechunk(body) == ((head + "<patient>").encode(), False)
+
+
+class TestSourceOutage:
+    """A source that is down is the service's fault, not the request's:
+    503 with ``Retry-After``, nothing cached, and the first request after
+    the source is back gets the whole document."""
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_outage_is_503_and_caches_nothing(self, stream):
+        from repro.resilience import FaultInjector
+        reference = bytearray()
+        Middleware(build_hospital_aig(), tiny_world(),
+                   unfold_depth=4).evaluate_stream(
+            {"date": "d1"}, lambda chunk: reference.extend(
+                chunk.encode("utf-8")))
+        service = EvaluationService()
+        state = service.register_tenant("t", build_hospital_aig(),
+                                        tiny_world(), {"unfold_depth": 4})
+        request = {"tenant": "t", "root": {"date": "d1"}, "stream": stream}
+        with _serving(service) as server:
+            def cached_entries() -> int:
+                _, _, body = _request(server, "GET", "/health")
+                return json.loads(body)["response_cache_entries"]
+
+            before = cached_entries()
+            injector = FaultInjector.from_spec("DB3:down@1").install(
+                state.sources)
+            try:
+                status, headers, body = _one_response(
+                    _raw_post(server, request))
+            finally:
+                injector.uninstall(state.sources)
+            assert status == 503
+            assert headers["retry-after"]
+            assert "'DB3'" in json.loads(body)["error"]
+            assert cached_entries() == before
+            status, headers, body = _one_response(_raw_post(server, request))
+        assert status == 200
+        if stream:
+            body, terminated = _dechunk(body)
+            assert terminated
+        assert body == bytes(reference)
 
 
 class TestServedMissObservability:

@@ -418,7 +418,9 @@ def split_case(seed):
         # what the engine's guards report: a whole-shard-document check
         fired.append(frozenset(constraint for constraint in constraints
                                if check_constraints(shard, [constraint])))
-        suspects = None if rng.random() < 0.25 else set(fired[-1])
+        # sometimes every constraint is a suspect: the unpruned pass
+        suspects = (set(constraints) if rng.random() < 0.25
+                    else set(fired[-1]))
         evidence = shard_evidence(shard, constraints,
                                   _locate_splice(shard, chain), suspects,
                                   graph)
@@ -459,8 +461,8 @@ class TestOneScopeEngine:
         clean = shard_evidence(document, aig.constraints, document, set(),
                                graph)
         assert clean.slice_elements == 200 * 2
-        judged = shard_evidence(document, aig.constraints, document, None,
-                                graph)
+        judged = shard_evidence(document, aig.constraints, document,
+                                set(aig.constraints), graph)
         assert judged.slice_elements == 200 * 27
         assert reconcile(aig.constraints, [clean]) == []
         assert reconcile(aig.constraints, [judged]) == []
@@ -488,16 +490,16 @@ class TestOneScopeEngine:
         expected = [str(v) for v in check_constraints(document,
                                                       aig.constraints)]
         assert expected
-        for suspects in (None, set(aig.constraints)):
-            pruned = shard_evidence(document, aig.constraints, document,
-                                    suspects, graph)
-            unpruned = shard_evidence(document, aig.constraints, document,
-                                      suspects, everything)
-            assert contents(pruned) == contents(unpruned)
-            assert pruned.slice_elements < unpruned.slice_elements \
-                == sum(1 for _ in document.iter()) - 1
-            assert [str(v) for v in reconcile(
-                aig.constraints, [pruned])] == expected
+        suspects = set(aig.constraints)
+        pruned = shard_evidence(document, aig.constraints, document,
+                                suspects, graph)
+        unpruned = shard_evidence(document, aig.constraints, document,
+                                  suspects, everything)
+        assert contents(pruned) == contents(unpruned)
+        assert pruned.slice_elements < unpruned.slice_elements \
+            == sum(1 for _ in document.iter()) - 1
+        assert [str(v) for v in reconcile(
+            aig.constraints, [pruned])] == expected
         # both constraints' contexts are patients, none suspected: the
         # slice holds nothing a verdict depends on
         assert shard_evidence(document, aig.constraints, document, set(),

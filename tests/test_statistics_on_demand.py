@@ -455,24 +455,20 @@ class TestFailurePaths:
     def test_failed_read_ends_as_a_run_whose_statistics_were_read(
             self, break_it, broken):
         def outcome(middleware):
-            try:
-                report = middleware.evaluate({"date": "d1"})
-            except EvaluationError as error:
-                # up to the shipped table's per-source serial number
-                return type(error).__name__, str(error).splitlines()[0]
-            return (serialize(report.document),
-                    sorted(report.failure_report.failed_nodes),
-                    sorted(report.failure_report.skipped_nodes))
+            with pytest.raises(EvaluationError) as caught:
+                middleware.evaluate({"date": "d1"})
+            # up to the shipped table's per-source serial number
+            return (type(caught.value).__name__,
+                    str(caught.value).splitlines()[0])
 
         # reference: statistics read while the source was whole (where the
         # eager scan used to read them), broken afterwards
-        sources, whole = _tiny(on_source_failure="degrade")
+        sources, whole = _tiny()
         whole.prepare(4)
         break_it(sources)
         expected = outcome(whole)
 
-        sources, middleware = _tiny(on_source_failure="degrade",
-                                    tracer=Tracer())
+        sources, middleware = _tiny(tracer=Tracer())
         break_it(sources)
         assert outcome(middleware) == expected
         failures = middleware.stats.read_failures
