@@ -17,11 +17,11 @@ Commands:
   and print the cost-model calibration: the optimizer's modeled
   ``eval_cost``/``size`` per QDG node joined against measured wall time
   and bytes, with q-error aggregates (see docs/OBSERVABILITY.md).
-* ``profile [--scale S] [--runs N] [--feedback FILE] [--ledger FILE]
+* ``profile [--scale S] [--runs N] [--ledger FILE]
   [--prometheus FILE] [--json FILE]`` — EXPLAIN ANALYZE: evaluate under
   measurement and print the executed plan annotated with estimated vs
-  measured rows/seconds and per-node q-error; ``--runs N`` with a
-  feedback store shows the cost model learning between runs.
+  measured rows/seconds and per-node q-error; ``--runs N`` evaluates N
+  times on one middleware, so the plan is optimized once.
 * ``check [--scale S]`` — the full cross-path equivalence check: conceptual
   vs. optimized evaluation, DTD conformance, constraint satisfaction.
 * ``fuzz [--seeds N] [--start N] [--violate-every N] [--seed-file FILE]
@@ -31,10 +31,10 @@ Commands:
   writing a JSON repro file for any divergence (see docs/TESTING.md).
 * ``serve [--host H] [--port P] [--scale S] [--no-merge]
   [--no-incremental] [--max-inflight N] [--queue-depth N]
-  [--max-tenants N] [--tenant-ttl S] [--ledger FILE] [--feedback FILE]``
+  [--max-tenants N] [--tenant-ttl S] [--ledger FILE]``
   — run the long-lived multi-tenant evaluation service (docs/SERVICE.md):
-  compiled plans, incremental caches, source connections, breakers, and
-  cost-feedback state stay warm across HTTP requests; a hospital tenant
+  compiled plans, incremental caches, source connections and breakers
+  stay warm across HTTP requests; a hospital tenant
   is pre-registered; ``--max-tenants``/``--tenant-ttl`` bound the
   registry with LRU + idle-TTL eviction.
 * ``explain`` — print the optimizer's plan; ``info`` — component inventory.
@@ -147,9 +147,21 @@ def _demo(args) -> int:
         report = middleware.evaluate({"date": date})
         if args.incremental:
             warm = middleware.evaluate({"date": date})
+        _print_demo_summary(args, date, report, warm)
     finally:
+        # a refusal still reports what fired and what was measured
         if injector is not None:
             injector.uninstall(sources)
+            fired = ", ".join(str(clause)
+                              for _, clause in injector.fired) or "none"
+            print(f"faults fired: {fired}")
+        _export_observability(tracer, args)
+    if args.xml:
+        print(serialize(report.document, indent=2))
+    return 0
+
+
+def _print_demo_summary(args, date, report, warm) -> None:
     patients = len(report.document.find_all("patient"))
     print(f"report for {date} ({args.scale} dataset): "
           f"{patients} patients, {report.document.size()} nodes")
@@ -176,14 +188,6 @@ def _demo(args) -> int:
               f"({warm.reused_nodes} node(s) reused), "
               f"{warm.measured_seconds:.4f}s wall ({ratio:.0f}x faster), "
               f"identical={identical}")
-    if injector is not None:
-        fired = ", ".join(str(clause)
-                          for _, clause in injector.fired) or "none"
-        print(f"faults fired: {fired}")
-    _export_observability(tracer, args)
-    if args.xml:
-        print(serialize(report.document, indent=2))
-    return 0
 
 
 def _calibrate(args) -> int:
@@ -212,22 +216,16 @@ def _profile(args) -> int:
     from repro import Middleware, Network
     from repro.datagen import make_loaded_sources
     from repro.hospital import build_hospital_aig
-    from repro.obs import CostFeedbackStore, profile_evaluation
+    from repro.obs import profile_evaluation
 
     aig = build_hospital_aig()
     sources, dataset = make_loaded_sources(args.scale)
     date = args.date or dataset.busiest_date()
     tracer = _make_tracer(args)
-    feedback = None
-    if args.feedback:
-        feedback = CostFeedbackStore(args.feedback)
-    elif args.runs > 1:
-        feedback = CostFeedbackStore()  # in-memory: learn across --runs
     middleware = Middleware(aig, sources, Network.mbps(args.mbps),
                             merging=not args.no_merge,
                             unfold_depth="auto",
                             tracer=tracer,
-                            cost_feedback=feedback,
                             ledger=args.ledger)
     for run in range(1, args.runs + 1):
         _, calibration, text = profile_evaluation(middleware,
@@ -407,8 +405,6 @@ def _serve(args) -> int:
               "unfold_depth": "auto"}
     if args.ledger:
         config["ledger"] = args.ledger
-    if args.feedback:
-        config["cost_feedback"] = args.feedback
     state = service.register_tenant("hospital", aig, sources, config)
     print(f"tenant 'hospital' registered ({args.scale} dataset, "
           f"plan key {state.plan_key})")
@@ -427,17 +423,22 @@ def _faults_value(text: str) -> str:
     return text
 
 
-def _shards_value(text: str) -> int:
-    """argparse type for ``--shards``: a positive int."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
+def _positive(convert, noun: str):
+    """argparse type: ``convert(text)``, refused unless finite and > 0."""
+    def value(text: str):
+        try:
+            number = convert(text)
+        except ValueError:
+            number = None
+        if number is None or not 0 < number < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {noun}, got {text!r}")
+        return number
     return value
+
+
+_positive_int = _positive(int, "integer")
+_positive_number = _positive(float, "number")
 
 
 def _info(args) -> int:
@@ -454,7 +455,7 @@ def _info(args) -> int:
                             "Schedule, Merge"),
         ("repro.runtime", "execution engine, tagging, recursion handling"),
         ("repro.obs", "tracing, metrics, calibration, run ledger, "
-                      "cost feedback, EXPLAIN ANALYZE"),
+                      "EXPLAIN ANALYZE"),
         ("repro.analysis", "termination / reachability / CSR analyses"),
         ("repro.datagen", "Table 1 datasets (ToXgene substitute)"),
     ]
@@ -482,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     demo.add_argument("--scale", default="tiny",
                       choices=["tiny", "small", "medium", "large"])
     demo.add_argument("--date", default=None)
-    demo.add_argument("--mbps", type=float, default=1.0)
+    demo.add_argument("--mbps", type=_positive_number, default=1.0)
     demo.add_argument("--backend", type=_backend_value, default=None,
                       metavar="SPEC",
                       help="source backend: one spec for all sources "
@@ -491,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
                            "DB1=file,DB3=file:csv (unlisted sources stay "
                            "sqlite)")
     demo.add_argument("--no-merge", action="store_true")
-    demo.add_argument("--shards", type=_shards_value, default=1, metavar="N",
+    demo.add_argument("--shards", type=_positive_int, default=1, metavar="N",
                       help="evaluate in N worker processes by key-range "
                            "document partitioning (default 1 = off; see "
                            "docs/SHARDING.md)")
@@ -536,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     calibrate.add_argument("--scale", default="tiny",
                            choices=["tiny", "small", "medium", "large"])
     calibrate.add_argument("--date", default=None)
-    calibrate.add_argument("--mbps", type=float, default=1.0)
+    calibrate.add_argument("--mbps", type=_positive_number, default=1.0)
     calibrate.add_argument("--no-merge", action="store_true")
     calibrate.add_argument("--json", default=None, metavar="FILE",
                            help="also write the report as JSON")
@@ -549,15 +550,12 @@ def main(argv: list[str] | None = None) -> int:
     profile.add_argument("--scale", default="tiny",
                          choices=["tiny", "small", "medium", "large"])
     profile.add_argument("--date", default=None)
-    profile.add_argument("--mbps", type=float, default=1.0)
+    profile.add_argument("--mbps", type=_positive_number, default=1.0)
     profile.add_argument("--no-merge", action="store_true")
-    profile.add_argument("--runs", type=int, default=1, metavar="N",
-                         help="evaluate N times; with >1 run a cost-"
-                              "feedback store is enabled so later runs "
-                              "plan with measured costs")
-    profile.add_argument("--feedback", default=None, metavar="FILE",
-                         help="persist the cost-feedback store at FILE "
-                              "(implies feedback on)")
+    profile.add_argument("--runs", type=_positive_int, default=1,
+                         metavar="N",
+                         help="evaluate N times on one middleware "
+                              "(default 1)")
     profile.add_argument("--ledger", default=None, metavar="FILE",
                          help="append one JSONL run record per evaluation")
     profile.add_argument("--prometheus", default=None, metavar="FILE",
@@ -644,8 +642,6 @@ def main(argv: list[str] | None = None) -> int:
                             "(default: never)")
     serve.add_argument("--ledger", default=None, metavar="FILE",
                        help="append one JSONL run record per evaluation")
-    serve.add_argument("--feedback", default=None, metavar="FILE",
-                       help="persist the cost-feedback store at FILE")
     serve.set_defaults(handler=_serve)
 
     info = commands.add_parser("info", parents=[common],

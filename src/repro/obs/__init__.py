@@ -19,9 +19,6 @@ Zero-dependency (stdlib only).  The subsystem's pieces:
 * :mod:`repro.obs.ledger` — the persistent run ledger: one JSONL record
   per evaluation (plan fingerprint, config, per-node measurements,
   metrics deltas), size-rotated, corruption-tolerant reader.
-* :mod:`repro.obs.feedback` — the cost-feedback store: EWMA of measured
-  per-node costs keyed by structural fingerprint, consulted by the cost
-  model via ``Middleware(cost_feedback=...)``.
 * :mod:`repro.obs.profile` — EXPLAIN ANALYZE: the calibration records of
   a run rendered in plan order with per-node status and the worst
   offenders (``python -m repro profile`` / ``explain --analyze``).
@@ -45,7 +42,6 @@ from repro.obs.export import (
     write_metrics,
     write_prometheus,
 )
-from repro.obs.feedback import CostFeedbackStore
 from repro.obs.ledger import RunLedger, build_run_record, metrics_delta
 from repro.obs.logconfig import configure_logging, level_for
 from repro.obs.metrics import (
@@ -64,7 +60,6 @@ __all__ = [
     "span_rollup", "text_summary", "prometheus_text", "write_prometheus",
     "CalibrationReport", "NodeCalibration", "build_calibration", "q_error",
     "RunLedger", "build_run_record", "metrics_delta",
-    "CostFeedbackStore",
     "render_profile", "profile_evaluation",
     "configure_logging", "level_for",
 ]

@@ -31,8 +31,7 @@ WORST_COUNT = 3
 def render_profile(calibration: CalibrationReport,
                    estimated_cost: float | None = None,
                    response_time: float | None = None,
-                   measured_seconds: float | None = None,
-                   feedback_active: bool = False) -> str:
+                   measured_seconds: float | None = None) -> str:
     """The EXPLAIN ANALYZE text: per-node est vs actual, worst offenders."""
     profiled = calibration.nodes
     lines = ["== EXPLAIN ANALYZE =="]
@@ -73,8 +72,6 @@ def render_profile(calibration: CalibrationReport,
                        f"(q={q_error(estimated_cost, response_time):.2f})")
     if measured_seconds is not None:
         summary.append(f"wall {measured_seconds:.3f}s")
-    if feedback_active:
-        summary.append("cost feedback: ON")
     lines.append("summary: " + "; ".join(summary))
     return "\n".join(lines)
 
@@ -95,6 +92,5 @@ def profile_evaluation(middleware, root_inh: dict):
         calibration,
         estimated_cost=report.estimated_cost,
         response_time=report.response_time,
-        measured_seconds=report.measured_seconds,
-        feedback_active=middleware.cost_feedback is not None)
+        measured_seconds=report.measured_seconds)
     return report, calibration, text

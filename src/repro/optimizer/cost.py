@@ -110,16 +110,11 @@ class CostModel:
     def __init__(self, stats: StatisticsCatalog,
                  overhead: float = QUERY_OVERHEAD,
                  per_input_row: float = PER_INPUT_ROW,
-                 per_output_row: float = PER_OUTPUT_ROW,
-                 feedback=None):
+                 per_output_row: float = PER_OUTPUT_ROW):
         self.stats = stats
         self.overhead = overhead
         self.per_input_row = per_input_row
         self.per_output_row = per_output_row
-        #: Optional :class:`~repro.obs.feedback.CostFeedbackStore`: when
-        #: set, nodes the store has measured before are estimated from
-        #: their across-run EWMA instead of the statistics model.
-        self.feedback = feedback
 
     # ------------------------------------------------------------------
     def estimate_graph(self, graph) -> dict[str, NodeEstimate]:
@@ -134,32 +129,8 @@ class CostModel:
         if getattr(node, "members", None):
             return self.estimate_merged(node, estimates)
         if node.query is not None:
-            estimate = self._estimate_query(node.query, estimates)
-        else:
-            estimate = self._estimate_raw(node, estimates)
-        return self._apply_feedback(node, estimate)
-
-    def _apply_feedback(self, node, estimate: NodeEstimate) -> NodeEstimate:
-        """Replace a model-derived estimate with measured feedback.
-
-        Measured rows/bytes/seconds come from
-        :meth:`repro.obs.feedback.CostFeedbackStore.correction`, keyed by
-        the node's structural fingerprint — so a trial merged group built
-        by Algorithm Merge is corrected exactly when an identical group
-        executed before.  Idempotent: the correction is a function of the
-        node alone, so applying it from both :meth:`estimate_node` and
-        :meth:`estimate_merged` cannot compound.
-        """
-        if self.feedback is None:
-            return estimate
-        measured = self.feedback.correction(node)
-        if measured is None:
-            return estimate
-        rows = max(float(measured["rows"]), 0.0)
-        row_bytes = float(measured["bytes"]) / max(rows, 1.0)
-        seconds = max(float(measured["seconds"]), 0.0)
-        # the same map, still lazy: copying it would read every column
-        return NodeEstimate(rows, row_bytes, seconds, estimate.distinct)
+            return self._estimate_query(node.query, estimates)
+        return self._estimate_raw(node, estimates)
 
     def estimate_merged(self, node,
                         estimates: dict[str, NodeEstimate]) -> NodeEstimate:
@@ -189,9 +160,8 @@ class CostModel:
                           for member in node.members)
         row_bytes = max(estimates[member.name].row_bytes
                         for member in node.members)
-        return self._apply_feedback(
-            node, NodeEstimate(cardinality, row_bytes,
-                               self.overhead + max(work, 0.0)))
+        return NodeEstimate(cardinality, row_bytes,
+                            self.overhead + max(work, 0.0))
 
     # ------------------------------------------------------------------
     def _estimate_query(self, query: Query,

@@ -186,8 +186,7 @@ def structural_fingerprint(node) -> str:
     no root-attribute values, no producer chaining).  Two evaluations of
     the same prepared
     plan therefore key identical nodes identically even after source
-    updates, which is exactly what the cost-feedback store
-    (:mod:`repro.obs.feedback`) and the run ledger need: measured costs
+    updates, which is exactly what the run ledger needs: measured costs
     accumulate across runs of the same plan.
     """
     parts: list = [node.kind, node.source]

@@ -161,7 +161,6 @@ class Middleware:
                  deadline: float | None = None,
                  breaker_policy=None,
                  incremental: bool = False,
-                 cost_feedback=None,
                  ledger=None,
                  shards: int = 1):
         #: Observability handle (see :mod:`repro.obs`): a recording
@@ -229,15 +228,6 @@ class Middleware:
         #: committed only after fully successful runs.
         self.incremental = incremental
         self._result_caches: dict = {}
-        #: Cost feedback (docs/OBSERVABILITY.md): a
-        #: :class:`~repro.obs.feedback.CostFeedbackStore` (or a path to
-        #: persist one at) that absorbs measured per-node costs after every
-        #: successful run and corrects the cost model's estimates on the
-        #: next compile of the same plan.
-        if isinstance(cost_feedback, str):
-            from repro.obs.feedback import CostFeedbackStore
-            cost_feedback = CostFeedbackStore(cost_feedback)
-        self.cost_feedback = cost_feedback
         #: Run ledger (docs/OBSERVABILITY.md): a
         #: :class:`~repro.obs.ledger.RunLedger` (or a path to one) that
         #: gets one JSONL record appended per evaluation.
@@ -271,7 +261,7 @@ class Middleware:
         #: Optimization passes actually executed (cache misses in
         #: :meth:`prepare`).  A counting hook for tests and the service
         #: layer: under concurrent reuse this must grow once per distinct
-        #: ``(depth, feedback generation)``, never once per caller.
+        #: depth, never once per caller.
         self.prepare_count = 0
 
     def _on_breaker_transition(self, source: str, old: str,
@@ -305,7 +295,7 @@ class Middleware:
         if self.shards > 1:
             # Sharded path (docs/SHARDING.md).  Holds the run lock like a
             # normal run: the driving query and source dumps hit the
-            # single-flight sources.  Ledger, cost feedback, and the
+            # single-flight sources.  The ledger and the
             # incremental caches are per-process state and deliberately
             # stay untouched on sharded runs.
             from repro.runtime.sharding import evaluate_sharded
@@ -423,40 +413,29 @@ class Middleware:
 
         Results are cached per depth — the whole pipeline up to execution is
         input-independent, so evaluating many root attributes (the paper's
-        *daily* reports) pays for optimization once.  With a cost-feedback
-        store attached, the cache key also carries the store's generation:
-        the plan is re-optimized exactly when new measurements arrived.
+        *daily* reports) pays for optimization once.
 
-        Thread-safe: a hit is one lock-free dict probe; a miss re-probes,
-        sweeps stale generations and inserts under ``run_lock``, so
+        Thread-safe: a hit is one lock-free dict probe; a miss re-probes
+        and inserts under ``run_lock``, so
         concurrent callers of a shared middleware never duplicate
         optimization work (asserted via :attr:`prepare_count`).  ``tracer``
         (optional) scopes this call's spans and gauges to a per-request
         tracer instead of the instance-wide one — see docs/SERVICE.md.
         """
-        generation = (self.cost_feedback.generation
-                      if self.cost_feedback is not None else None)
-        key = (depth, generation)
-        prepared = self._prepared.get(key)
+        prepared = self._prepared.get(depth)
         if prepared is not None:
             return prepared
         # A miss reads statistics; sources are single-flight, so it waits
         # for a running evaluation.
         with self.run_lock:
-            prepared = self._prepared.get(key)
+            prepared = self._prepared.get(depth)
             if prepared is not None:
                 return prepared
-            # Stale generations of the same depth are never consulted
-            # again — drop them so feedback-driven re-prepares don't grow
-            # the cache without bound.
-            for stale in [item for item in self._prepared
-                          if item[0] == depth]:
-                del self._prepared[stale]
             prepared = prepare_plan(
                 self.aig, self.stats, self.network, depth,
-                merging=self.merging, feedback=self.cost_feedback,
+                merging=self.merging,
                 tracer=self.tracer if tracer is None else tracer)
-            self._prepared[key] = prepared
+            self._prepared[depth] = prepared
             self.prepare_count += 1
             return prepared
 
@@ -562,10 +541,7 @@ class Middleware:
         if self.last_plan is None:
             raise EvaluationError(
                 "calibration_report() requires a prior evaluate() run")
-        # Join against the estimates that *planned* the last run (not a
-        # fresh prepare): with cost feedback attached, a re-prepare would
-        # already fold in what the run just measured and the report would
-        # grade the model against its own answer key.
+        # Join against the estimates that *planned* the last run.
         return build_calibration(self.last_plan.graph,
                                  self.last_plan.estimates,
                                  self._last_result.timings)
@@ -673,8 +649,6 @@ class Middleware:
                                    result.measured_seconds)
         self._last_result = result
         self.last_plan = prepared
-        if self.cost_feedback is not None:
-            self.cost_feedback.observe_run(graph, result.timings)
         tainted_nodes = len(increment.tainted) if increment else 0
         return _Run(
             plan=prepared, result=result, taken=taken,
@@ -705,7 +679,6 @@ class Middleware:
             "deadline": self.deadline,
             "retries": (self.retry_policy.retries
                         if self.retry_policy is not None else None),
-            "cost_feedback": self.cost_feedback is not None,
             "shards": self.shards,
         }
 

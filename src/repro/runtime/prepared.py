@@ -1,7 +1,7 @@
 """A prepared plan as a value: pre-processing + optimization of an AIG at
 one unfold depth (Fig. 5, phases 1–2) and its EXPLAIN text, computed from
 an AIG, a statistics catalog and a network — no ``Middleware`` needed.
-``Middleware.prepare`` caches one per (depth, feedback generation)."""
+``Middleware.prepare`` caches one per depth."""
 
 from __future__ import annotations
 
@@ -34,11 +34,9 @@ class PreparedPlan:
 
 
 def prepare_plan(aig, stats, network, depth: int | None, *, merging: bool,
-                 feedback=None, tracer=NULL_TRACER) -> PreparedPlan:
+                 tracer=NULL_TRACER) -> PreparedPlan:
     """Unfold ``aig`` to ``depth``, specialize, build the QDG and merge +
-    schedule it (or schedule it unmerged); ``feedback`` (a
-    :class:`~repro.obs.feedback.CostFeedbackStore`) corrects the cost
-    model's estimates."""
+    schedule it (or schedule it unmerged)."""
     stats.tracer = tracer  # this prepare's reads are its spans
     working = aig
     if depth is not None:
@@ -47,7 +45,7 @@ def prepare_plan(aig, stats, network, depth: int | None, *, merging: bool,
     spec = specialize(working, stats, tracer=tracer)
     with tracer.span("build-qdg", "qdg"):
         graph, tagging_plan = build_qdg(spec, stats)
-    model = CostModel(stats, feedback=feedback)
+    model = CostModel(stats)
     with tracer.span("merge+schedule", "optimize",
                      merging=merging) as optimize_span:
         if merging:

@@ -25,7 +25,7 @@ The pipeline:
    rule reads its range from a private ``BLOB``-typed shard relation
    (no affinity, so values round-trip exactly), full dumps of the base
    sources, the network model, and a whitelisted config.  Nothing in a
-   task holds a sqlite3 connection, tracer, ledger, or feedback store.
+   task holds a sqlite3 connection, tracer or ledger.
 3. :func:`_shard_worker` (in the worker process) rebuilds the sources,
    runs a fresh :class:`~repro.runtime.middleware.Middleware` in
    report mode, and returns its document plus the constraint
@@ -360,7 +360,7 @@ def _shard_aig(aig: AIG, spec: PartitionSpec, shard_source: str):
 
 
 #: Middleware knobs a worker inherits.  Deliberately excluded: tracer,
-#: ledger, cost_feedback, incremental, retry/breaker/deadline state —
+#: ledger, incremental, retry/breaker/deadline state —
 #: they hold process-local handles (files, sqlite, locks) or cross-run
 #: caches that must not ride a pickle into another process.
 _WORKER_CONFIG_KEYS = (

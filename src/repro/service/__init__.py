@@ -4,16 +4,16 @@ The paper's middleware evaluates one attribute integration grammar per
 invocation; the ROADMAP north star is a long-lived service absorbing
 heavy traffic.  This package is that service: a threaded HTTP front end
 (``repro serve``) over the existing :class:`~repro.runtime.Middleware`,
-keeping compiled plans, incremental result caches, pooled connections,
-circuit breakers, and cost-feedback state warm across requests.
+keeping compiled plans, incremental result caches, pooled connections
+and circuit breakers warm across requests.
 
 Layers, bottom-up:
 
 * :mod:`repro.service.registry` — per-tenant state.  Each tenant owns an
   AIG + sources; ``Middleware`` instances are keyed by the structural
   :func:`~repro.runtime.incremental.aig_fingerprint` plus a config hash,
-  so re-registering an unchanged scenario reuses the warm instance (and
-  its prepared plans) instead of rebuilding.
+  so re-registering an unchanged scenario over the same sources reuses
+  the warm instance (and its prepared plans) instead of rebuilding.
 * :mod:`repro.service.admission` — per-tenant in-flight quotas and
   bounded queueing with fast 429-style rejection once the queue is full.
 * :mod:`repro.service.coalesce` — single-flight request coalescing:

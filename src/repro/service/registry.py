@@ -6,10 +6,11 @@ The registry keeps one :class:`~repro.runtime.Middleware` per tenant,
 keyed by the **plan key**: the structural
 :func:`~repro.runtime.incremental.aig_fingerprint` of the AIG joined
 with a hash of the middleware knobs.  Re-registering a tenant with a
-structurally identical AIG and the same config therefore reuses the
-existing instance — prepared plans, incremental caches, pooled
-connections, breaker state, and cost-feedback generations all stay warm
-— while a changed grammar or config swaps in a fresh instance.
+structurally identical AIG, the same config and the same sources
+mapping therefore reuses the existing instance — prepared plans,
+incremental caches, pooled connections and breaker state all stay warm
+— while a changed grammar, config or sources mapping swaps in a fresh
+instance.
 
 The plan key also feeds the request coalescer
 (:mod:`repro.service.coalesce`): together with the root attributes and
@@ -34,7 +35,7 @@ from repro.runtime.middleware import Middleware
 ALLOWED_CONFIG = (
     "merging", "unfold_depth", "max_unfold_depth",
     "violation_mode", "incremental", "deadline", "retry_policy",
-    "breaker_policy", "cost_feedback", "ledger",
+    "breaker_policy", "ledger",
 )
 
 #: Service default: incremental on (warm requests replay caches).
@@ -124,12 +125,14 @@ class TenantRegistry:
     Both sweeps run opportunistically on every register/get — no
     background thread — and report each eviction through ``on_evict``
     (called *outside* the registry lock, so the service layer can drop
-    response-cache entries and bump counters without deadlocking).
+    response-cache entries and bump counters without deadlocking);
+    ``on_replace`` is told the same way when a register swaps a fresh
+    tenant in for a registered one of that name.
     """
 
     def __init__(self, max_tenants: int | None = None,
                  idle_ttl: float | None = None,
-                 on_evict=None):
+                 on_evict=None, on_replace=None):
         if max_tenants is not None and max_tenants < 1:
             raise EvaluationError(
                 f"max_tenants must be a positive integer, "
@@ -141,6 +144,7 @@ class TenantRegistry:
         self.max_tenants = max_tenants
         self.idle_ttl = idle_ttl
         self.on_evict = on_evict
+        self.on_replace = on_replace
         self.evictions = 0
         self._lock = threading.Lock()
         self._tenants: dict[str, TenantState] = {}
@@ -186,9 +190,11 @@ class TenantRegistry:
         """Create (or warm-reuse) a tenant.
 
         When ``name`` is already registered with a structurally identical
-        AIG and the same config — same plan key — the existing state is
-        returned untouched: its prepared plans and caches stay warm.  A
-        different plan key replaces the tenant with a fresh instance.
+        AIG and the same config — same plan key — over the same
+        ``sources`` object, the existing state is returned untouched: its
+        prepared plans and caches stay warm.  Anything else replaces the
+        tenant with a fresh instance: other sources may hold other rows
+        under the same plan key and version vector.
         """
         config = dict(config or {})
         unknown = sorted(set(config) - set(ALLOWED_CONFIG))
@@ -199,27 +205,33 @@ class TenantRegistry:
         plan_key = f"{fingerprint[:16]}:{config_key(config)[:16]}"
         # The plan key needs no Middleware, so a warm re-register builds
         # nothing; a miss builds outside the lock and looks again.
-        state = self._reuse(name, plan_key)
+        state = self._reuse(name, plan_key, sources)
         if state is None:
             candidate = TenantState(name, aig, sources, config,
                                     fingerprint, plan_key)
-            state = self._reuse(name, plan_key, candidate)
+            state = self._reuse(name, plan_key, sources, candidate)
         return state
 
-    def _reuse(self, name: str, plan_key: str,
+    def _reuse(self, name: str, plan_key: str, sources: dict,
                candidate: TenantState | None = None) -> TenantState | None:
-        """The registered ``name`` if its plan key is ``plan_key``; else
-        ``candidate`` takes its place (``None``: nothing to install)."""
+        """The registered ``name`` if its plan key is ``plan_key`` and its
+        sources are ``sources``; else ``candidate`` takes its place
+        (``None``: nothing to install)."""
+        replaced = False
         with self._lock:
             existing = self._tenants.get(name)
-            if existing is not None and existing.plan_key == plan_key:
+            if (existing is not None and existing.plan_key == plan_key
+                    and existing.sources is sources):
                 state = existing
             elif candidate is None:
                 return None
             else:
+                replaced = existing is not None
                 state = self._tenants[name] = candidate
             self._last_access[name] = time.monotonic()
             evicted = self._sweep_locked(protect=name)
+        if replaced and self.on_replace is not None:
+            self.on_replace(name)
         self._notify(evicted)
         return state
 

@@ -113,7 +113,8 @@ class EvaluationService:
                  tenant_ttl: float | None = None):
         self.registry = TenantRegistry(max_tenants=max_tenants,
                                        idle_ttl=tenant_ttl,
-                                       on_evict=self._on_tenant_evicted)
+                                       on_evict=self._on_tenant_evicted,
+                                       on_replace=self._drop_cached)
         self.admission = AdmissionController(max_inflight, max_queued)
         self.coalescer = RequestCoalescer()
         self.response_cache_size = response_cache
@@ -140,14 +141,12 @@ class EvaluationService:
     def register_scenario(self, name: str, scenario: dict,
                           config: dict | None = None) -> TenantState:
         """Register from a JSON scenario description (``POST /tenants``)."""
-        # Keys naming a file the server writes are the operator's
-        # (``repro serve --ledger/--feedback``, ``register_tenant``).
-        refused = sorted(set(config or ()) & {"cost_feedback", "ledger"})
-        if refused:
+        # The key naming a file the server writes is the operator's
+        # (``repro serve --ledger``, ``register_tenant``).
+        if "ledger" in (config or ()):
             raise EvaluationError(
-                f"config key(s) {', '.join(refused)} name a server-side "
-                f"file and are operator-only (repro serve --ledger / "
-                f"--feedback)")
+                "config key ledger names a server-side file and is "
+                "operator-only (repro serve --ledger)")
         kind = scenario.get("kind", "spec")
         if kind == "hospital":
             from repro.datagen import make_loaded_sources

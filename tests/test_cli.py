@@ -58,6 +58,27 @@ class TestCLI:
         assert line.startswith("error: EvaluationError: ")
         assert "'DB3'" in line
 
+    def test_refusal_still_prints_observability(self, capsys):
+        assert main(["demo", "--scale", "tiny", "--faults", "DB3:down@1",
+                     "--metrics"]) == 1
+        captured = capsys.readouterr()
+        assert "faults fired: DB3:down@1" in captured.out
+        assert "== counters ==" in captured.out
+        assert captured.err.startswith("error: EvaluationError: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--runs", "0"], ["profile", "--runs", "-1"],
+        ["demo", "--mbps", "0"], ["demo", "--mbps", "nan"],
+        ["calibrate", "--mbps", "-2"], ["profile", "--mbps", "0"],
+        ["demo", "--shards", "0"]])
+    def test_numeric_flags_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: expected a positive" in err
+        assert "Traceback" not in err
+
     def test_check(self, capsys):
         assert main(["check", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out

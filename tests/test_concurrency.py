@@ -1,4 +1,4 @@
-"""Concurrent reuse of one shared Middleware, ledger, and feedback store.
+"""Concurrent reuse of one shared Middleware and ledger.
 
 The evaluation service (docs/SERVICE.md) calls ``evaluate`` /
 ``evaluate_batch`` / ``invalidate_plans`` on shared ``Middleware``
@@ -7,13 +7,11 @@ invariants that makes safe:
 
 * byte-identical documents vs sequential runs, under every interleaving;
 * plan preparation never duplicated (``prepare_count`` grows once per
-  distinct depth/generation, not once per caller);
+  distinct depth, not once per caller);
 * per-run gauges don't cross-talk when each caller passes its own
   tracer;
 * ``RunLedger`` rotation and appends never tear or drop records across
-  concurrent writers;
-* ``CostFeedbackStore.save`` snapshots under the lock, so concurrent
-  observers can't tear the written JSON.
+  concurrent writers.
 """
 
 import json
@@ -25,7 +23,6 @@ import pytest
 from repro.datagen import make_loaded_sources
 from repro.hospital import build_hospital_aig
 from repro.obs import Tracer
-from repro.obs.feedback import CostFeedbackStore
 from repro.obs.ledger import RunLedger
 from repro.relational import Network
 from repro.runtime import Middleware
@@ -94,7 +91,7 @@ class TestConcurrentMiddleware:
             shared.evaluate({"date": date}, tracer=Tracer())
 
         _run_threads(8, worker)
-        # One depth in play, no feedback generations: exactly one
+        # One depth in play: exactly one
         # optimization pass no matter how many concurrent callers raced
         # the cold cache.
         assert shared.prepare_count == 1
@@ -275,38 +272,3 @@ class TestLedgerConcurrency:
         # writer must be present
         for writer in range(4):
             assert (writer, total // 4 - 1) in seen
-
-
-class TestFeedbackConcurrency:
-    def test_concurrent_observe_and_save(self, tmp_path):
-        path = str(tmp_path / "feedback.json")
-        store = CostFeedbackStore(path)
-
-        def worker(index):
-            for i in range(30):
-                store.observe(f"node-{index}-{i % 5}", rows=i,
-                              bytes_=i * 10, seconds=i * 0.01)
-                if i % 10 == 9:
-                    store.save()
-
-        _run_threads(6, worker)
-        store.save()
-        # the file on disk is complete, valid JSON with every entry
-        reloaded = CostFeedbackStore(path)
-        assert len(reloaded) == len(store)
-        for index in range(6):
-            assert reloaded.lookup(f"node-{index}-0") is not None
-
-    def test_save_failure_cleans_tmp(self, tmp_path, monkeypatch):
-        store = CostFeedbackStore(str(tmp_path / "feedback.json"))
-        store.observe("node", rows=1, bytes_=1, seconds=1)
-
-        def boom(*args, **kwargs):
-            raise OSError("disk full")
-
-        monkeypatch.setattr("os.replace", boom)
-        with pytest.raises(OSError):
-            store.save()
-        leftovers = [p for p in tmp_path.iterdir()
-                     if p.name.endswith(".tmp")]
-        assert leftovers == []

@@ -522,7 +522,8 @@ def build_wide_scenario(rows=400, body_chars=600, listing=()):
 class TestPushdown:
     @pytest.mark.parametrize("knob", ["pushdown", "columnar",
                                       "query_overhead", "emulate_overheads",
-                                      "scheduling", "stats", "workers"])
+                                      "scheduling", "stats", "workers",
+                                      "cost_feedback"])
     def test_removed_knobs_are_refused(self, knob):
         aig, sources = build_wide_scenario(rows=1, body_chars=6)
         with pytest.raises(TypeError, match=knob):

@@ -1,5 +1,5 @@
-"""Persistent profiling layer: run ledger, cost feedback, EXPLAIN
-ANALYZE, and the Prometheus export.
+"""Persistent profiling layer: run ledger, EXPLAIN ANALYZE, and the
+Prometheus export.
 
 The load-bearing guarantees tested here:
 
@@ -7,9 +7,8 @@ The load-bearing guarantees tested here:
   built middlewares over the same AIG key their plans identically;
 * the run ledger appends one JSONL record per evaluation, rotates at the
   size bound, and its reader tolerates a torn trailing line;
-* the cost-feedback store demonstrably shrinks the calibrate q-error on
-  a warm second run, persists across ``Middleware`` instances, and never
-  changes the produced document;
+* a plan is priced by the cost model alone: repeated evaluations at
+  one depth run the one prepared plan;
 * ``render_profile`` / ``repro profile`` / ``repro explain --analyze``
   annotate every executed node with estimated vs measured numbers;
 * the Prometheus export exposes counters, gauges, and p50/p95/p99
@@ -23,7 +22,6 @@ import pytest
 from repro import Middleware, Network, serialize
 from repro.hospital import build_hospital_aig, make_sources
 from repro.obs import (
-    CostFeedbackStore,
     RunLedger,
     Tracer,
     profile_evaluation,
@@ -177,6 +175,8 @@ class TestMiddlewareLedger:
         assert "columnar_batch_rows" not in new["config"]
         assert old["config"]["workers"] == 1
         assert "workers" not in new["config"]
+        assert old["config"]["cost_feedback"] is False
+        assert "cost_feedback" not in new["config"]
         # the same document, though not the same plan: guards have since
         # been fused with their collections (fewer nodes, new fingerprint)
         assert new["run"]["document_bytes"] == old["run"]["document_bytes"]
@@ -262,74 +262,17 @@ class TestMiddlewareLedger:
         assert serialize(ledgered.document) == serialize(plain.document)
 
 
-class TestCostFeedback:
-    def test_second_run_q_error_strictly_improves(self):
-        middleware = fresh_middleware(cost_feedback=CostFeedbackStore())
+class TestOnePlanPerDepth:
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_repeated_runs_prepare_once(self, incremental):
+        middleware = fresh_middleware(incremental=incremental)
         middleware.evaluate({"date": "d1"})
-        cold = middleware.calibration_report().aggregates()
-        middleware.evaluate({"date": "d1"})
-        warm = middleware.calibration_report().aggregates()
-        assert warm["seconds_q_error"]["median"] < \
-            cold["seconds_q_error"]["median"]
-        assert warm["rows_q_error"]["median"] <= \
-            cold["rows_q_error"]["median"]
-        # warm estimates are measured values: rows become exact
-        assert warm["rows_q_error"]["median"] == pytest.approx(1.0)
-
-    def test_feedback_never_changes_the_document(self):
-        plain = fresh_middleware()
-        learned = fresh_middleware(cost_feedback=CostFeedbackStore())
-        baseline = plain.evaluate({"date": "d1"})
-        first = learned.evaluate({"date": "d1"})
-        second = learned.evaluate({"date": "d1"})
-        assert serialize(first.document) == serialize(baseline.document)
-        assert serialize(second.document) == serialize(baseline.document)
-
-    def test_persists_across_middleware_instances(self, tmp_path):
-        path = str(tmp_path / "feedback.json")
-        first = fresh_middleware(cost_feedback=path)
-        first.evaluate({"date": "d1"})
-        cold = first.calibration_report().aggregates()
-        assert len(first.cost_feedback) > 0
-        # a brand-new middleware (fresh sources, fresh plan) loads the
-        # store from disk and plans its *first* run with measured costs
-        second = fresh_middleware(cost_feedback=path)
-        assert len(second.cost_feedback) == len(first.cost_feedback)
-        second.evaluate({"date": "d1"})
-        warm = second.calibration_report().aggregates()
-        assert warm["seconds_q_error"]["median"] < \
-            cold["seconds_q_error"]["median"]
-
-    def test_generation_gates_the_prepared_plan_cache(self):
-        middleware = fresh_middleware(cost_feedback=CostFeedbackStore())
-        middleware.evaluate({"date": "d1"})
-        first_estimates = middleware.last_plan.estimates
-        middleware.evaluate({"date": "d1"})
-        assert middleware.last_plan.estimates is not first_estimates
-        # without feedback the prepared plan is reused as before
-        plain = fresh_middleware()
-        plain.evaluate({"date": "d1"})
-        cached = plain.last_plan.estimates
-        plain.evaluate({"date": "d1"})
-        assert plain.last_plan.estimates is cached
-
-    def test_ewma_tracks_drift(self):
-        store = CostFeedbackStore(alpha=0.5)
-        store.observe("fp", rows=100, bytes_=800, seconds=1.0)
-        store.observe("fp", rows=200, bytes_=1600, seconds=2.0)
-        entry = store.lookup("fp")
-        assert entry["rows"] == pytest.approx(150.0)
-        assert entry["seconds"] == pytest.approx(1.5)
-        assert entry["samples"] == 2
-
-    def test_corrupt_store_file_starts_empty(self, tmp_path):
-        path = tmp_path / "feedback.json"
-        path.write_text("{not json", encoding="utf-8")
-        store = CostFeedbackStore(str(path))
-        assert len(store) == 0
-        store.observe("fp", 1, 2, 3)
-        store.save()
-        assert json.loads(path.read_text())["entries"]["fp"]["rows"] == 1
+        first = middleware.last_plan
+        for _ in range(3):
+            middleware.evaluate({"date": "d1"})
+        assert middleware.prepare_count == 1
+        assert middleware.last_plan is first
+        assert list(middleware._prepared) == [first.depth]
 
 
 class TestExplainAnalyze:
@@ -373,11 +316,13 @@ class TestExplainAnalyze:
         out = capsys.readouterr().out
         assert "-- run 1/2 --" in out and "-- run 2/2 --" in out
         assert "EXPLAIN ANALYZE" in out
-        assert "cost feedback: ON" in out
         records = RunLedger(str(ledger_path)).records()
         assert len(records) == 2
         assert records[0]["plan_fingerprint"] == \
             records[1]["plan_fingerprint"]
+        # one prepared plan: the model's price is the same on both runs
+        assert records[0]["plan"]["estimated_cost"] == \
+            records[1]["plan"]["estimated_cost"]
         prom = prom_path.read_text()
         assert "repro_evaluation_latency_seconds" in prom
         payload = json.loads((tmp_path / "profile.json").read_text())
@@ -386,7 +331,6 @@ class TestExplainAnalyze:
         for node in payload["nodes"]:
             assert {"checks", "members", "modeled_seconds",
                     "measured_seconds", "bytes_q_error"} <= set(node)
-        assert payload["calibration"]["seconds_q_error"]["median"] < 2.0
 
     def test_cli_profile_appends_to_a_ledger_with_removed_knobs(
             self, tmp_path, capsys):
@@ -397,6 +341,7 @@ class TestExplainAnalyze:
         old, new = RunLedger(str(path)).records()
         assert old["config"]["workers"] == 1
         assert "workers" not in new["config"]
+        assert "cost_feedback" not in new["config"]
         assert new["plan_fingerprint"] and new["nodes"]
 
     def test_cli_explain_analyze(self, capsys):

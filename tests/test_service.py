@@ -191,6 +191,34 @@ class TestRegistry:
                                  {"unfold_depth": 4}) is first
         assert len(built) == 1
 
+    def test_other_sources_swap_the_tenant(self, world):
+        # same AIG, same config, so the same plan key: only the sources
+        # mapping tells the two registrations apart
+        aig, first_sources, _ = world
+        other_sources, _ = make_loaded_sources("tiny", seed=6)
+        registry = TenantRegistry()
+        first = registry.register("t", aig, first_sources, {})
+        second = registry.register("t", aig, other_sources, {})
+        assert second is not first
+        assert second.plan_key == first.plan_key
+        assert second.sources is other_sources
+        assert registry.get("t") is second
+
+    def test_swapped_tenant_serves_no_cached_response(self, world):
+        aig, first_sources, dataset = world
+        other_sources, _ = make_loaded_sources("tiny", seed=6)
+        root = {"date": dataset.busiest_date()}
+        service = EvaluationService()
+        service.register_tenant("t", aig, first_sources, {})
+        first_body, _ = service.evaluate("t", root)
+        assert service.evaluate("t", root)[1]["cached"]
+        service.register_tenant("t", aig, other_sources, {})
+        body, info = service.evaluate("t", root)
+        assert not info["cached"]
+        expected = Middleware(aig, other_sources).evaluate(root)
+        assert body == serialize(expected.document).encode("utf-8")
+        assert body != first_body
+
     def test_describe_reports_the_plan_that_last_ran(self, world):
         aig, sources, dataset = world
         state = TenantRegistry().register("t", aig, sources,

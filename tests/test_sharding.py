@@ -237,15 +237,14 @@ class TestShardedEquivalence:
 class TestSpawnSafety:
     def test_payloads_pickle_with_feedback_and_incremental(self, tmp_path):
         # The regression: a task must never capture sqlite connections,
-        # tracers, ledgers, or feedback stores — even when the parent
-        # middleware has all of them enabled.
-        from repro.obs import CostFeedbackStore, Tracer
+        # tracers, or ledgers — even when the parent middleware has all
+        # of them enabled.
+        from repro.obs import Tracer
         aig = build_aig()
         middleware = Middleware(
             aig, make_sources([("a", "a"), ("b", "b")]),
             violation_mode="report", shards=2, incremental=True,
-            cost_feedback=CostFeedbackStore(), tracer=Tracer(),
-            ledger=str(tmp_path / "ledger.jsonl"))
+            tracer=Tracer(), ledger=str(tmp_path / "ledger.jsonl"))
         built = build_shard_tasks(middleware, {"title": "T"})
         assert built is not None
         _, tasks, total_rows = built
@@ -257,14 +256,14 @@ class TestSpawnSafety:
                 "merging", "unfold_depth", "max_unfold_depth"}
 
     def test_sharded_run_with_feedback_matches_plain(self, tmp_path):
-        from repro.obs import CostFeedbackStore, Tracer
+        from repro.obs import Tracer
         rows = [("a", "b"), ("b", "a")]
         base_xml, _ = baseline(rows)
         aig = build_aig()
         middleware = Middleware(
             aig, make_sources(rows), violation_mode="report", shards=2,
-            incremental=True, cost_feedback=CostFeedbackStore(),
-            tracer=Tracer(), ledger=str(tmp_path / "ledger.jsonl"))
+            incremental=True, tracer=Tracer(),
+            ledger=str(tmp_path / "ledger.jsonl"))
         report = middleware.evaluate({"title": "T"})
         assert serialize(report.document, indent=2) == base_xml
 

@@ -212,34 +212,6 @@ class TestConsumedDistinct:
             ("cardinality", None), ("distinct", "k"), ("distinct", "v")]
         assert estimate.cardinality == 21
 
-    def test_reads_are_the_same_with_a_feedback_store(self):
-        from repro.obs.feedback import CostFeedbackStore
-        sources, dataset = make_loaded_sources("tiny", seed=5)
-        date = dataset.busiest_date()
-        store = CostFeedbackStore()
-
-        def evaluated(**config):
-            middleware = Middleware(build_hospital_aig(), sources,
-                                    Network.mbps(1.0), **config)
-            middleware.evaluate({"date": date})
-            return middleware
-
-        plain = evaluated()
-        evaluated(cost_feedback=store)
-        assert store.generation > 0
-        # a fresh catalog planned from the store's corrections
-        corrected = evaluated(cost_feedback=store)
-        assert asked(corrected) == asked(plain)
-        catalog = make_catalog_sources(1, 200)
-        for _ in range(2):
-            middleware = Middleware(build_catalog_aig(), catalog,
-                                    cost_feedback=store)
-            middleware.evaluate_stream({"day": "2026-08-03"},
-                                       lambda chunk: None)
-            assert set(asked(middleware)) == CATALOG_READS
-        close_sources(sources)
-        close_sources(catalog)
-
     @pytest.mark.parametrize("workload", ["hospital", "catalog"])
     def test_no_read_after_prepare_returns(self, workload):
         if workload == "hospital":
