@@ -83,42 +83,13 @@ def _export_observability(tracer, args) -> None:
         print(text_summary(tracer))
 
 
-def _backend_value(value: str):
-    """``--backend`` value: one spec, or ``DB1=file,DB3=file:csv`` pairs."""
-    from repro.errors import SpecError
-    from repro.relational.source import parse_spec
-
-    def checked(spec: str) -> str:
-        try:
-            parse_spec(spec)
-        except SpecError as error:
-            raise argparse.ArgumentTypeError(str(error)) from None
-        return spec
-    if "=" not in value:
-        return checked(value)
-    assignment = {}
-    for part in value.split(","):
-        name, _, spec = part.partition("=")
-        if not name or not spec:
-            raise argparse.ArgumentTypeError(
-                f"bad assignment {part!r} "
-                f"(expected SOURCE=SPEC, e.g. DB1=file)")
-        assignment[name.strip()] = checked(spec.strip())
-    return assignment
-
-
 def _demo(args) -> int:
     from repro import Middleware, Network, serialize
     from repro.datagen import make_loaded_sources
     from repro.hospital import build_hospital_aig
 
     aig = build_hospital_aig()
-    backend = args.backend
-    sources, dataset = make_loaded_sources(args.scale, backend=backend)
-    if backend is not None:
-        assigned = ", ".join(f"{name}={source.spec}"
-                             for name, source in sorted(sources.items()))
-        print(f"backends: {assigned}")
+    sources, dataset = make_loaded_sources(args.scale)
     date = args.date or dataset.busiest_date()
     tracer = _make_tracer(args)
     retry_policy = None
@@ -303,7 +274,7 @@ def _explain(args) -> int:
         middleware.evaluate({"date": dataset.busiest_date()})
     # After a run, at the depth the re-unrolling loop settled on: the plan
     # that ran, which is the one the next run starts from.
-    print(middleware.explain())
+    print(middleware.explain(timed=args.analyze))
     if analyze_text is not None:
         print()
         print(analyze_text)
@@ -484,13 +455,6 @@ def main(argv: list[str] | None = None) -> int:
                       choices=["tiny", "small", "medium", "large"])
     demo.add_argument("--date", default=None)
     demo.add_argument("--mbps", type=_positive_number, default=1.0)
-    demo.add_argument("--backend", type=_backend_value, default=None,
-                      metavar="SPEC",
-                      help="source backend: one spec for all sources "
-                           "(sqlite, sqlite:PATH, file, file:csv, "
-                           "file:csv:DIR) or per-source pairs "
-                           "DB1=file,DB3=file:csv (unlisted sources stay "
-                           "sqlite)")
     demo.add_argument("--no-merge", action="store_true")
     demo.add_argument("--shards", type=_positive_int, default=1, metavar="N",
                       help="evaluate in N worker processes by key-range "

@@ -20,12 +20,10 @@ def load_dataset(dataset: HospitalDataset,
     """
     if not enforce_billing_key:
         previous = sources.get("DB3")
-        spec = previous.spec if previous is not None else None
         if previous is not None:
             previous.close()
         sources["DB3"] = DataSource(
-            SourceSchema("DB3", (relation("billing", "trId", "price"),)),
-            backend=spec)
+            SourceSchema("DB3", (relation("billing", "trId", "price"),)))
     sources["DB1"].load_rows("patient", dataset.patient)
     sources["DB1"].load_rows("visitInfo", dataset.visit_info)
     sources["DB2"].load_rows("cover", dataset.cover)
@@ -35,12 +33,11 @@ def load_dataset(dataset: HospitalDataset,
 
 
 def make_loaded_sources(scale: str = "small", seed: int = 42,
-                        backend: str | dict[str, str] | None = None,
                         **generate_kwargs
                         ) -> tuple[dict[str, DataSource], HospitalDataset]:
     """Convenience: generate + load in one call."""
     dataset = generate(scale, seed, **generate_kwargs)
-    sources = make_sources(backend=backend)
+    sources = make_sources()
     enforce_key = not generate_kwargs.get("violate_key", False)
     load_dataset(dataset, sources, enforce_billing_key=enforce_key)
     return sources, dataset

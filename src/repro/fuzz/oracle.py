@@ -21,10 +21,6 @@ evaluates one scenario under the full grid —
   (``report.violations``), plus an abort-consistency probe at one shard
   count — non-partitionable scenarios fall back to the single-process
   path and still must byte-match,
-* cross-backend runs (docs/BACKENDS.md): every source file-backed and a
-  mixed per-source assignment — each must produce a byte-identical document
-  and an identical constraint verdict despite the ship-to-inline
-  rewrite that temp-table-less backends trigger,
 
 and records a :class:`Divergence` for every mismatch in serialized XML,
 DTD conformance, or constraint verdicts.  Every configuration gets a
@@ -52,11 +48,11 @@ def _config_name(kwargs: dict) -> str:
 
 
 #: The grid rows plus the special configurations; with the latter's
-#: sub-runs (incremental cold/warm/delta, 2/3/4 shards, backend mixes) one
-#: seed costs ~14 configuration runs.
+#: sub-runs (incremental cold/warm/delta, 2/3/4 shards) one seed costs
+#: ~15 configuration runs.
 ALL_CONFIGS = tuple([_config_name(kwargs) for kwargs in GRID]
                     + ["abort-consistency", "incremental", "fault-recovery",
-                       "streaming", "shards", "backends"])
+                       "streaming", "shards"])
 
 
 @dataclass
@@ -462,55 +458,6 @@ def _check_sharded(report: OracleReport, spec: ScenarioSpec,
         report.results.append(ConfigResult(config, True))
 
 
-def backend_mixes(source_names) -> dict[str, dict[str, str] | str]:
-    """The cross-backend assignments the oracle exercises.
-
-    The all-file mix (no temp tables, no writes — the maximal capability
-    gap) and a mixed federation alternating file and sqlite over the
-    sources in sorted order, so ships cross backend boundaries.
-    """
-    mixes: dict[str, dict[str, str] | str] = {"backends-file": "file"}
-    names = sorted(source_names)
-    if len(names) > 1:
-        mixes["backends-mixed"] = {
-            name: ("file", "sqlite")[index % 2]
-            for index, name in enumerate(names)}
-    return mixes
-
-
-def _check_backends(report: OracleReport, spec: ScenarioSpec,
-                    base_xml: str, base_verdict: list[str]) -> None:
-    """Every backend mix must be invisible in document and verdict."""
-    from repro.constraints import check_constraints
-    from repro.runtime import Middleware
-    from repro.xmlmodel import conforms_to, serialize
-
-    source_names = {table.source for table in spec.tables}
-    if not source_names:
-        report.results.append(ConfigResult(
-            "backends", True, "skipped: no tables"))
-        return
-    for config, mix in backend_mixes(source_names).items():
-        sources = {}
-        try:
-            aig, sources = build_scenario(spec, backends=mix)
-            middleware = Middleware(aig, sources, violation_mode="report")
-            result = middleware.evaluate(dict(spec.root_values))
-        except ReproError as error:
-            report.divergences.append(Divergence(
-                config, "error", f"{type(error).__name__}: {error}"))
-            report.results.append(ConfigResult(config, False))
-            continue
-        finally:
-            for source in sources.values():
-                source.close()
-        document = result.document
-        verdict = sorted(str(v) for v in
-                         check_constraints(document, aig.constraints))
-        _compare(report, config, serialize(document, indent=2), verdict,
-                 base_xml, base_verdict, conforms_to(document, aig.dtd))
-
-
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
@@ -579,10 +526,4 @@ def run_oracle(spec: ScenarioSpec,
                 "streaming", "error", f"{type(error).__name__}: {error}"))
     if selected("shards"):
         _check_sharded(report, spec, base_xml, base_verdict)
-    if selected("backends"):
-        try:
-            _check_backends(report, spec, base_xml, base_verdict)
-        except ReproError as error:
-            report.divergences.append(Divergence(
-                "backends", "error", f"{type(error).__name__}: {error}"))
     return report

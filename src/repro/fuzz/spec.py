@@ -186,15 +186,9 @@ def _decode_func(data: dict):
     raise SpecError(f"malformed function spec {data!r}")
 
 
-def build_scenario(spec: ScenarioSpec,
-                   backends: str | dict[str, str] | None = None):
+def build_scenario(spec: ScenarioSpec):
     """Build ``(aig, sources)`` from a spec; raises SpecError subclasses on
     an ill-formed scenario (the shrinker uses that to reject candidates).
-
-    ``backends`` picks the storage engine per source (the oracle's
-    cross-backend axis): ``None`` for sqlite everywhere, one backend
-    spec for every source, or a mapping of source name to spec (unmapped
-    sources stay sqlite).
     """
     from repro.aig import AIG, ChoiceBranch
     from repro.dtd import parse_dtd
@@ -267,12 +261,7 @@ def build_scenario(spec: ScenarioSpec,
 
     aig.validate()
 
-    if backends is None or isinstance(backends, str):
-        backends = {schema.source: backends for schema in schemas}
-    sources: dict[str, DataSource] = {}
-    for schema in schemas:
-        sources[schema.source] = DataSource(
-            schema, backend=backends.get(schema.source))
+    sources = {schema.source: DataSource(schema) for schema in schemas}
     for table in spec.tables:
         sources[table.source].load_rows(table.name, table.rows)
     return aig, sources

@@ -50,19 +50,6 @@ def hospital_catalog() -> Catalog:
     return Catalog(SOURCE_SCHEMAS)
 
 
-def make_sources(backend: str | dict[str, str] | None = None
-                 ) -> dict[str, DataSource]:
-    """Fresh, empty instances of DB1..DB4.
-
-    ``backend`` selects the storage: ``None`` (sqlite), one spec for
-    every source (``"file:csv"``), or a mapping of source name to spec
-    for mixed federations (``{"DB1": "file", "DB3": "file:csv"}``;
-    unmapped sources default to sqlite).  Each spec goes to
-    :class:`~repro.relational.DataSource` (``SPELLINGS`` in
-    :mod:`repro.relational.source`).
-    """
-    if backend is None or isinstance(backend, str):
-        backend = {schema.source: backend for schema in SOURCE_SCHEMAS}
-    return {schema.source:
-            DataSource(schema, backend=backend.get(schema.source))
-            for schema in SOURCE_SCHEMAS}
+def make_sources() -> dict[str, DataSource]:
+    """Fresh, empty in-memory instances of DB1..DB4."""
+    return {schema.source: DataSource(schema) for schema in SOURCE_SCHEMAS}

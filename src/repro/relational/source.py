@@ -3,15 +3,13 @@
 Each :class:`DataSource` owns an independent database — the stand-in for
 the paper's per-site DB2 instances (see DESIGN.md, substitutions).  The
 interface mirrors what the middleware needs: execute a query, create and
-populate a temporary table with shipped inputs, and expose timing so measured
-evaluation costs can feed the cost model.  The :class:`Mediator` is itself a
-source (the paper treats it as "a special data source Mediator"); it runs
-the plan steps that read no base table.
+populate a temporary table with shipped inputs, and record each
+statement's measured seconds for the run's timings.  The :class:`Mediator`
+is itself a source (the paper treats it as "a special data source
+Mediator"); it runs the plan steps that read no base table.
 
 A source opens and drives its own connections; its storage spec
-(:data:`SPELLINGS`, docs/BACKENDS.md) picks an in-memory database, a
-database file, or the read-only CSV source, whose tables the same engine
-loads from a :class:`~repro.relational.csvstore.CsvStore`.
+(:data:`SPELLINGS`) picks an in-memory database or a database file.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from repro.errors import EvaluationError, SpecError
-from repro.relational.csvstore import CsvStore
 from repro.relational.schema import SourceSchema
 from repro.resilience.retry import (PROGRESS_HANDLER_OPCODES,
                                     QueryDeadlineExceeded,
@@ -39,44 +36,22 @@ logger = logging.getLogger("repro.source")
 MEDIATOR_NAME = "Mediator"
 
 #: Every valid storage spec shape, for error messages.
-SPELLINGS = "sqlite, sqlite:PATH, file, file:csv, file:csv:DIR"
+SPELLINGS = "sqlite, sqlite:PATH"
 
 
-def parse_spec(spec) -> tuple[str, str | None]:
-    """``(kind, location)`` of a storage spec — ``("sqlite", PATH or
-    None)`` or ``("file", DIR or None)``; raises
-    :class:`~repro.errors.SpecError` on anything but :data:`SPELLINGS`
-    (the CLI checks ``--backend`` with it at argument parsing)."""
+def parse_spec(spec) -> str | None:
+    """The database file a storage spec names (``None``: in memory);
+    raises :class:`~repro.errors.SpecError` on anything but
+    :data:`SPELLINGS`."""
     if not isinstance(spec, str) or not spec:
         raise SpecError(f"backend spec must be a non-empty string, "
                         f"got {spec!r}")
-    kind, _, options = spec.partition(":")
-    if kind == "sqlite":
-        return kind, options or None
-    if kind != "file":
-        raise SpecError(f"unknown backend {kind!r} "
+    kind, _, location = spec.partition(":")
+    if kind != "sqlite":
+        raise SpecError(f"unknown backend {spec!r} "
                         f"(valid spellings: {SPELLINGS})")
-    file_format, _, root = options.partition(":")
-    if file_format not in ("", "csv"):
-        raise SpecError(f"unknown file backend format {file_format!r} "
-                        f"(valid spellings: {SPELLINGS})")
-    return kind, root or None
+    return location or None
 
-
-@dataclass(frozen=True)
-class Capabilities:
-    """What a source's storage takes: the engine reads
-    ``supports_temp_tables`` (False: ship inline, docs/BACKENDS.md) and
-    the shard layer ``blob_affinity``."""
-
-    backend: str
-    supports_temp_tables: bool
-    supports_writes: bool
-    blob_affinity: bool
-
-
-SQLITE_CAPABILITIES = Capabilities("sqlite", True, True, True)
-CSV_CAPABILITIES = Capabilities("file", False, False, False)
 
 #: Compiled-statement cache size per connection.  The execution engine
 #: re-issues structurally identical statements (shipping inserts, cached
@@ -203,12 +178,9 @@ class DataSource:
     ``last_execution_seconds`` holds the wall-clock time of the most recent
     ``execute`` call, and ``total_queries``/``total_seconds`` accumulate.
 
-    ``backend`` is the storage spec (:data:`SPELLINGS`, docs/BACKENDS.md):
-    ``None`` or ``"sqlite"`` is a shared-cache in-memory database,
-    ``"sqlite:PATH"`` a database file, and ``"file"`` /
-    ``"file:csv[:DIR]"`` the read-only CSV source — the same engine over
-    tables loaded from a :class:`~repro.relational.csvstore.CsvStore`,
-    which takes no writes, no shipped temp tables and no ATTACH.
+    ``backend`` is the storage spec (:data:`SPELLINGS`): ``None`` or
+    ``"sqlite"`` is a shared-cache in-memory database, ``"sqlite:PATH"``
+    a database file.
 
     Thread-safety rules (see docs/INTERNALS.md, "Execution order"): a
     source is *single-flight* — at most one statement may run against it at
@@ -222,19 +194,12 @@ class DataSource:
         self.name = schema.source
         #: The storage spec this source was built from (``"sqlite"``, ...).
         self.spec = "sqlite" if backend is None else backend
-        kind, location = parse_spec(self.spec)
-        self.csv_store = CsvStore(schema, location) if kind == "file" else None
-        if kind == "sqlite" and location:
-            self._database = f"file:{location}"
-        else:
-            self._database = (f"file:repro_{schema.source}_"
-                              f"{next(_shared_memory_counter)}"
-                              f"?mode=memory&cache=shared")
-        #: SQLite URI other connections can ATTACH (None for the CSV
-        #: source, which the Federation materializes instead).
-        self.uri = self._database if self.csv_store is None else None
-        self.capabilities = (SQLITE_CAPABILITIES if self.csv_store is None
-                             else CSV_CAPABILITIES)
+        location = parse_spec(self.spec)
+        #: SQLite URI of the database, which other connections can ATTACH.
+        self.uri = (f"file:{location}" if location else
+                    f"file:repro_{schema.source}_"
+                    f"{next(_shared_memory_counter)}"
+                    f"?mode=memory&cache=shared")
         self._closed = False
         self.connection = self._connect()
         self.last_execution_seconds = 0.0
@@ -261,7 +226,7 @@ class DataSource:
         # whichever request thread holds the run lock; exclusivity is
         # enforced by that lock, not by SQLite.
         connection = sqlite3.connect(
-            self._database, uri=True, isolation_level=None,
+            self.uri, uri=True, isolation_level=None,
             check_same_thread=False,
             cached_statements=STATEMENT_CACHE_SIZE)
         connection.execute("PRAGMA synchronous=OFF")
@@ -271,20 +236,11 @@ class DataSource:
         try:
             for relation_schema in self.schema.relations:
                 self.connection.execute(relation_schema.create_table_sql())
-            if self.csv_store is not None:
-                for relation_schema in self.schema.relations:
-                    self._insert(relation_schema,
-                                 self.csv_store.read(relation_schema))
-                self._set_query_only(True)
         except sqlite3.Error as error:
             self.close()
             raise EvaluationError(
                 f"source {self.name!r}: creating the base tables at "
-                f"{self.uri or self.spec} failed: {error}") from error
-
-    def _set_query_only(self, on: bool) -> None:
-        """The CSV source's engine refuses every write but a load's."""
-        self.connection.execute(f"PRAGMA query_only={int(on)}")
+                f"{self.uri} failed: {error}") from error
 
     # ------------------------------------------------------------------
     # loading
@@ -292,43 +248,25 @@ class DataSource:
     def load_rows(self, relation_name: str, rows: list[tuple]) -> None:
         """Bulk-insert rows into a base relation, in one transaction: a
         refused row (a duplicate key) rolls the whole batch back.
-
-        This is the materialization path, and the only one into the
-        read-only CSV source: its engine takes the rows first, and its
-        file gets them only once that commits, so a refused load leaves
-        both as they were.
         """
         relation_schema = self.schema.relation_schema(relation_name)
-        text = None
-        if self.csv_store is not None:
-            text, rows = self.csv_store.encode(relation_schema, rows)
-        try:
-            self._insert(relation_schema, rows)
-        except sqlite3.Error as error:
-            raise EvaluationError(
-                f"source {self.name!r}: loading rows into "
-                f"{relation_name!r} failed: {error}") from error
-        if text is not None:
-            self.csv_store.append(relation_schema, text)
-        self.bump_version(relation_name)
-
-    def _insert(self, relation_schema, rows) -> None:
         connection = self.connection
         placeholders = ", ".join("?" * len(relation_schema.columns))
-        if self.csv_store is not None:
-            self._set_query_only(False)
         try:
             connection.execute("BEGIN")
             connection.executemany(
-                f'INSERT INTO "{relation_schema.name}" VALUES '
-                f'({placeholders})', rows)
+                f'INSERT INTO "{relation_name}" VALUES ({placeholders})',
+                rows)
             connection.execute("COMMIT")
+        except sqlite3.Error as error:
+            self._rollback()
+            raise EvaluationError(
+                f"source {self.name!r}: loading rows into "
+                f"{relation_name!r} failed: {error}") from error
         except BaseException:
             self._rollback()
             raise
-        finally:
-            if self.csv_store is not None:
-                self._set_query_only(True)
+        self.bump_version(relation_name)
 
     def _rollback(self) -> bool:
         """Roll back an open transaction; True if the connection is clean
@@ -404,9 +342,7 @@ class DataSource:
         A statement is a write if the engine changed rows for it
         (``total_changes``, so ``WITH ... INSERT`` counts) or if it is not
         a query at all (DDL); a write bumps the versions of the relations
-        it names.  The CSV source's engine is ``query_only``, so it
-        refuses every write here; its data arrives through
-        :meth:`load_rows`.
+        it names.
         """
         conn = self.connection
         start = time.perf_counter()
@@ -435,11 +371,6 @@ class DataSource:
                 if deadline is not None:
                     conn.set_progress_handler(None, 0)
         except sqlite3.Error as error:
-            if (self.csv_store is not None and getattr(
-                    error, "sqlite_errorname", "") == "SQLITE_READONLY"):
-                raise EvaluationError(
-                    f"source {self.name!r}: backend 'file' is read-only; "
-                    f"rejected: {sql}") from error
             raise EvaluationError(
                 f"source {self.name!r}: SQL failed: {error}\n  {sql}") from error
         elapsed = time.perf_counter() - start
@@ -472,10 +403,6 @@ class DataSource:
         time.sleep(delay)
 
     def execute_script(self, sql: str) -> None:
-        if self.csv_store is not None:
-            raise EvaluationError(
-                f"source {self.name!r}: backend 'file' is read-only; "
-                f"scripts are not allowed")
         try:
             self.connection.executescript(sql)
             self.connection.commit()
@@ -496,16 +423,7 @@ class DataSource:
         lands as one batch: DROP/CREATE plus a single ``executemany``
         insert inside one explicit transaction, so the engine journals the
         table once instead of once per statement.
-
-        The CSV source never gets here on the normal path — the execution
-        engine rewrites its ships into inline literal row sets
-        (docs/BACKENDS.md) — so a call is a planner bug and raises.
         """
-        if self.csv_store is not None:
-            raise EvaluationError(
-                f"source {self.name!r}: backend 'file' cannot receive "
-                f"shipped temp tables (the engine should have rewritten "
-                f"this ship inline)")
         conn = self.connection
         if name is None:
             self._temp_counter += 1
@@ -579,8 +497,6 @@ class DataSource:
     def close(self) -> None:
         self._closed = True
         self.connection.close()
-        if self.csv_store is not None:
-            self.csv_store.close()
 
     def __repr__(self) -> str:
         return f"DataSource({self.name!r})"
@@ -617,13 +533,7 @@ class Federation:
     queries at the individual sources, which is what the equality tests
     between the two evaluation paths exercise.
 
-    Sources with an attach URI (every ``sqlite`` source) are ATTACHed by
-    it and stay live; the CSV source is *materialized* — an
-    in-memory schema is attached under the source's name, its base
-    relations created with their declared types, and the rows copied in
-    through the source's own ``execute``.  A federation is built per use
-    (one conceptual evaluation, one shard partitioning), so the copy
-    cannot go stale within its lifetime.
+    Every source is ATTACHed by its URI and stays live.
     """
 
     def __init__(self, sources: list[DataSource]):
@@ -631,31 +541,8 @@ class Federation:
         self.connection = sqlite3.connect(":memory:", isolation_level=None)
         self.connection.execute("PRAGMA read_uncommitted=ON")
         for source in sources:
-            if source.uri is not None:
-                self.connection.execute(
-                    "ATTACH DATABASE ? AS " + f'"{source.name}"',
-                    (source.uri,))
-            else:
-                self._materialize(source)
-
-    def _materialize(self, source: DataSource) -> None:
-        """Copy a source's base relations into the federation (no URI)."""
-        self.connection.execute(
-            "ATTACH DATABASE ':memory:' AS " + f'"{source.name}"')
-        for relation_schema in source.schema.relations:
-            typed = ", ".join(f'"{column.name}" {column.sqltype}'
-                              for column in relation_schema.columns)
             self.connection.execute(
-                f'CREATE TABLE "{source.name}"."{relation_schema.name}" '
-                f'({typed})')
-            result = source.execute(
-                f'SELECT * FROM "{relation_schema.name}"')
-            if result.rows:
-                placeholders = ", ".join(
-                    "?" * len(relation_schema.columns))
-                self.connection.executemany(
-                    f'INSERT INTO "{source.name}"."{relation_schema.name}" '
-                    f'VALUES ({placeholders})', result.rows)
+                "ATTACH DATABASE ? AS " + f'"{source.name}"', (source.uri,))
 
     def execute(self, sql: str, params: tuple = ()) -> ResultSet:
         try:

@@ -173,10 +173,12 @@ class StatisticsCatalog:
                 self.tracer.metrics.add("statistics_reads", 1)
             return self._memo[key]
 
-    def describe_reads(self) -> list[str]:
-        """What the plans asked of their sources, one line per read."""
+    def describe_reads(self, timed: bool = True) -> list[str]:
+        """What the plans asked of their sources, one line per read, with
+        its measured seconds unless ``timed`` is False."""
         return [f"  {source}:{relation} {kind}"
-                f"{'' if column is None else f'({column})'}  {seconds:.4f}s"
+                f"{'' if column is None else f'({column})'}"
+                f"{f'  {seconds:.4f}s' if timed else ''}"
                 for source, relation, kind, column, seconds in self.reads]
 
     def table_version(self, source_name: str, relation_name: str) -> int:

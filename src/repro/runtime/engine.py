@@ -46,17 +46,10 @@ from repro.relational.source import (
     intern_columns,
 )
 from repro.runtime.collect import RunCollections, guard_output
-from repro.sqlq.render import InlineTable, render_sqlite
+from repro.sqlq.render import render_sqlite
 
 #: Hidden row-identity column appended to every cached table.
 ID_COLUMN = "__id"
-
-#: Upper bound on rows inlined as a literal row set when a target
-#: backend cannot receive shipped temp tables (docs/BACKENDS.md).  Inline
-#: SQL grows linearly with the shipment and engines cap expression/query
-#: sizes, so an oversized ship fails fast with a clear error instead of
-#: producing a megabyte statement.
-INLINE_SHIP_ROW_CAP = 5000
 
 logger = logging.getLogger("repro.engine")
 
@@ -347,49 +340,16 @@ class Engine:
         registry, a result already landed at this source is reused instead
         of re-created (ship-once); the *modeled* per-input-row charge still
         counts every consumer, so the simulated clock is unchanged.
-
-        When the target source's backend cannot receive temp tables
-        (``capabilities.supports_temp_tables=False``), the ship is
-        rewritten instead of landed: the input binds as an
-        :class:`~repro.sqlq.render.InlineTable`, which the renderer turns
-        into a literal derived table (or a literal IN-list for set
-        predicates).  Rewrites are capped at :data:`INLINE_SHIP_ROW_CAP`
-        rows and counted in the ``ship_rewrites`` /
-        ``ship_rewrite_rows`` metrics (docs/BACKENDS.md).
         """
         bindings: dict[str, str] = {}
         rows_materialized = 0
         metrics = self.tracer.metrics
-        temp_tables_ok = (source.name == MEDIATOR_NAME
-                          or getattr(source, "capabilities",
-                                     None) is None
-                          or source.capabilities.supports_temp_tables)
         for input_name in input_names:
             if input_name not in cache:
                 raise PlanError(f"input {input_name!r} not yet available")
             result = cache[input_name]
             if source.name == MEDIATOR_NAME:
                 bindings[input_name] = self._cache_table(input_name, cache)
-            elif not temp_tables_ok:
-                # Inline-literal rewrite: no table lands at the source, so
-                # there is nothing to ship-once; the modeled per-input-row
-                # charge still counts every consumer.
-                rows = result.rows
-                if len(rows) > INLINE_SHIP_ROW_CAP:
-                    raise EvaluationError(
-                        f"input {input_name!r} has {len(rows)} rows but "
-                        f"source {source.name!r} (backend "
-                        f"{source.capabilities.backend!r}) cannot receive "
-                        f"temp tables and the inline rewrite is capped at "
-                        f"{INLINE_SHIP_ROW_CAP} rows")
-                rows_materialized += len(rows)
-                with self.tracer.span(f"ship:{input_name}", "ship",
-                                      target=source.name, rows=len(rows),
-                                      inline=True):
-                    bindings[input_name] = InlineTable(result.columns,
-                                                       rows)
-                metrics.add("ship_rewrites", 1)
-                metrics.add("ship_rewrite_rows", len(rows))
             else:
                 rows_materialized += len(result)
                 key = (source.name, input_name)

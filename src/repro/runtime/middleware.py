@@ -490,18 +490,19 @@ class Middleware:
             return [self.evaluate(dict(values), tracer=tracer)
                     for values in root_inh_values]
 
-    def explain(self, depth: int | None = None) -> str:
+    def explain(self, depth: int | None = None, timed: bool = False) -> str:
         """:func:`~repro.runtime.prepared.explain_plan` of the plan at
         ``depth`` (default: the depth the next run will use), then the
         statistics read so far and, with ``incremental``, each node's cache
-        state."""
+        state.  The text is the same on every call for the same plan and
+        reads; ``timed`` adds each read's measured seconds."""
         if depth is None:
             depth = self._initial_depth()
         prepared = self.prepare(depth)
         lines = explain_plan(prepared, self.network)
         lines.append("")
         lines.append("-- statistics read (asked of the sources so far) --")
-        lines.extend(self.stats.describe_reads())
+        lines.extend(self.stats.describe_reads(timed))
         if self.incremental:
             lines.append("")
             lines.append("-- incremental cache state --")

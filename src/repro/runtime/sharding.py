@@ -379,13 +379,6 @@ def build_shard_tasks(middleware, root_inh: dict,
     processes.
     """
     shards = middleware.shards if shards is None else shards
-    for source in middleware.sources.values():
-        capabilities = getattr(source, "capabilities", None)
-        if capabilities is not None and not capabilities.blob_affinity:
-            # The shard-chunk relation stores pickled driving rows in
-            # BLOB columns and relies on affinity-free round-tripping;
-            # the CSV source cannot host it.
-            return None
     spec = find_partition(middleware.aig)
     if spec is None:
         return None

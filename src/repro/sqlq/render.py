@@ -19,9 +19,7 @@ database if some member is a set".
 
 from __future__ import annotations
 
-import math
-
-from repro.errors import PlanError, SpecError
+from repro.errors import PlanError
 from repro.sqlq.ast import (
     BaseTable,
     ColumnRef,
@@ -35,70 +33,6 @@ from repro.sqlq.ast import (
     TempTable,
 )
 from repro.sqlq.analyze import sources_of
-
-
-class InlineTable:
-    """A literal row set standing in for a shipped temp table.
-
-    Bound in ``bindings`` where a physical table name would normally go,
-    for sources whose backend cannot receive temp tables
-    (``supports_temp_tables=False``, see docs/BACKENDS.md).  A FROM-item
-    reference renders as a multi-row ``VALUES`` derived table; an
-    ``IN $set`` predicate renders as a literal IN-list.
-    The execution engine caps the row count before binding one
-    (``repro.runtime.engine.INLINE_SHIP_ROW_CAP``).
-    """
-
-    __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: list[str], rows: list[tuple]):
-        self.columns = list(columns)
-        self.rows = rows
-
-    def __repr__(self) -> str:
-        return f"InlineTable({self.columns!r}, {len(self.rows)} rows)"
-
-
-def _inline_literal(value) -> str:
-    """One SQL literal for an inline row set (SQLite syntax)."""
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        if math.isinf(value):
-            # SQLite has no infinity literal; 9e999 overflows to REAL ±inf.
-            return "9e999" if value > 0 else "-9e999"
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (bytes, bytearray)):
-        return "X'" + bytes(value).hex() + "'"
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"
-
-
-def inline_table_sql(table: InlineTable) -> str:
-    """Render an :class:`InlineTable` as a literal derived-table SELECT.
-
-    A multi-row ``VALUES`` clause, not a ``UNION ALL`` chain: SQLite
-    caps compound SELECTs at 500 terms but explicitly exempts VALUES
-    lists, so this form scales to the full
-    :data:`repro.runtime.engine.INLINE_SHIP_ROW_CAP`.  The wrapper
-    SELECT renames SQLite's positional ``column1..columnN`` to the
-    shipped column names.
-    """
-    if not table.rows:
-        empty = ", ".join(f'NULL AS "{column}"'
-                          for column in table.columns)
-        return f"SELECT {empty} WHERE 0"
-    names = ", ".join(f'"column{position}" AS "{column}"'
-                      for position, column in
-                      enumerate(table.columns, start=1))
-    values = ", ".join(
-        "(" + ", ".join(_inline_literal(value) for value in row) + ")"
-        for row in table.rows)
-    return f"SELECT {names} FROM (VALUES {values})"
 
 
 def render_sqlite(query: Query,
@@ -156,22 +90,14 @@ def render_sqlite(query: Query,
             if physical is None:
                 raise PlanError(f"no binding for temp input "
                                 f"@{item.producer} in query: {query}")
-            if isinstance(physical, InlineTable):
-                from_parts.append(
-                    f'({inline_table_sql(physical)}) AS "{item.alias}"')
-            else:
-                from_parts.append(f'"{physical}" AS "{item.alias}"')
+            from_parts.append(f'"{physical}" AS "{item.alias}"')
         else:
             assert isinstance(item, SetParamTable)
             physical = bindings.get(f"${item.param}")
             if physical is None:
                 raise PlanError(f"no binding for set parameter "
                                 f"${item.param} in query: {query}")
-            if isinstance(physical, InlineTable):
-                from_parts.append(
-                    f'({inline_table_sql(physical)}) AS "{item.alias}"')
-            else:
-                from_parts.append(f'"{physical}" AS "{item.alias}"')
+            from_parts.append(f'"{physical}" AS "{item.alias}"')
     sql_parts.append(", ".join(from_parts))
 
     if query.where:
@@ -188,22 +114,9 @@ def render_sqlite(query: Query,
                     raise PlanError(f"no binding for set parameter "
                                     f"${predicate.param} in query: {query}")
                 field = predicate.field or predicate.column.column
-                if isinstance(physical, InlineTable):
-                    index = physical.columns.index(field)
-                    literals = sorted({_inline_literal(row[index])
-                                       for row in physical.rows
-                                       if row[index] is not None})
-                    if literals:
-                        where_parts.append(
-                            f'{render_expr(predicate.column)} IN '
-                            f'({", ".join(literals)})')
-                    else:
-                        # empty set: nothing matches (NULLs never do)
-                        where_parts.append("1 = 0")
-                else:
-                    where_parts.append(
-                        f'{render_expr(predicate.column)} IN '
-                        f'(SELECT "{field}" FROM "{physical}")')
+                where_parts.append(
+                    f'{render_expr(predicate.column)} IN '
+                    f'(SELECT "{field}" FROM "{physical}")')
         sql_parts.append(" WHERE " + " AND ".join(where_parts))
 
     if ordered:

@@ -1,18 +1,17 @@
-"""Cross-storage conformance and differential tests (docs/BACKENDS.md).
+"""Source storage conformance (docs/INTERNALS.md, "Source storage").
 
-Both storage specs (a sqlite3 database, and the read-only CSV source
-whose files the same engine loads) must present the same relational
+A source is one SQLite database, in memory (``sqlite``) or in a file
+(``sqlite:PATH``).  Both spellings must present the same relational
 contract to the engine: tuple rows, SQLite NULL ordering, SQLite
-column-affinity storage semantics, honest capability flags, deadline
-interruption, and version counters that move on every base-table write
-and only then.  On top of the per-spec conformance suite, the
-differential tests assert that the hospital pipeline produces
-byte-identical documents over every storage mix — including the
-ship-to-inline rewrite that the CSV source triggers — and that sharding
-falls back cleanly when a source lacks BLOB affinity.
+column-affinity storage semantics, shipped inputs landing as temp tables,
+deadline interruption, and version counters that move on every
+base-table write and only then.  On top of the conformance suite, the
+hospital pipeline must produce byte-identical documents whichever
+sources live in files, and every shipped value — ±inf included — must
+land in the receiving source's temp table unchanged.
 """
 
-import os
+import sqlite3
 import time
 
 import pytest
@@ -22,8 +21,10 @@ from repro.relational import DataSource, SourceSchema
 from repro.relational.schema import relation
 from repro.relational.source import parse_spec
 
-#: One spec of each storage kind.
-BACKEND_SPECS = ["sqlite", "file"]
+#: Both storage spellings; ``file`` is a database file under the test's
+#: temporary directory.
+BACKEND_SPECS = [pytest.param("sqlite", id="sqlite"),
+                 pytest.param("sqlite:PATH", id="file")]
 
 TYPED_SCHEMA = SourceSchema("S1", (
     relation("typed", "t:TEXT", "i:INTEGER", "r:REAL"),
@@ -33,8 +34,9 @@ TYPED_SCHEMA = SourceSchema("S1", (
 
 
 @pytest.fixture
-def typed_source(request):
-    source = DataSource(TYPED_SCHEMA, backend=request.param)
+def typed_source(request, tmp_path):
+    spec = request.param.replace("PATH", str(tmp_path / "s1.db"))
+    source = DataSource(TYPED_SCHEMA, backend=spec)
     yield source
     source.close()
 
@@ -45,7 +47,7 @@ def _parametrize_source(cls):
 
 
 # ----------------------------------------------------------------------
-# conformance: identical relational contract on every backend
+# conformance: identical relational contract on both spellings
 # ----------------------------------------------------------------------
 @_parametrize_source
 class TestConformance:
@@ -58,8 +60,7 @@ class TestConformance:
         assert all(type(row) is tuple for row in result.rows)
 
     def test_null_ordering_matches_sqlite(self, typed_source):
-        # SQLite sorts NULLs first ascending, last descending; every
-        # backend must agree.
+        # SQLite sorts NULLs first ascending, last descending.
         typed_source.load_rows("plain",
                                [("k1", None), ("k2", "x"), ("k3", None)])
         ascending = typed_source.execute(
@@ -71,8 +72,7 @@ class TestConformance:
 
     def test_affinity_matches_sqlite(self, typed_source):
         # TEXT renders numbers as text, INTEGER parses lossless numeric
-        # text, REAL parses floats — whether the values arrive as Python
-        # objects or as decoded CSV text.
+        # text, REAL parses floats.
         typed_source.load_rows("typed", [(7, "12", "2.5"),
                                          (2.5, 3.0, 4)])
         result = typed_source.execute(
@@ -81,7 +81,7 @@ class TestConformance:
 
     def test_infinities_match_sqlite(self, typed_source):
         # ±inf is a REAL in every numeric column and SQLite's own 'Inf'
-        # text in a TEXT column, so both sort the same on every backend.
+        # text in a TEXT column.
         inf = float("inf")
         typed_source.load_rows("extremes",
                                [(2.5,) * 4, (inf,) * 4, (-inf,) * 4])
@@ -104,9 +104,8 @@ class TestConformance:
         typed_source.load_rows("plain", [("k1", "v1")])
         assert typed_source.table_version("plain") == before + 1
         # a shipped temp table is not a base-table write
-        if typed_source.capabilities.supports_temp_tables:
-            typed_source.create_temp_table(["c"], [("x",)], "tmp_probe")
-            assert typed_source.table_version("plain") == before + 1
+        typed_source.create_temp_table(["c"], [("x",)], "tmp_probe")
+        assert typed_source.table_version("plain") == before + 1
 
     def test_refused_load_changes_nothing(self, typed_source):
         # one transaction: rows before the duplicate are rolled back too,
@@ -124,27 +123,16 @@ class TestConformance:
         assert typed_source.row_count("plain") == 2
         assert typed_source.table_version("plain") == before + 1
 
-    def test_capability_flags_are_honest(self, typed_source):
-        capabilities = typed_source.capabilities
-        if capabilities.supports_temp_tables:
-            name = typed_source.create_temp_table(
-                ["c1", "c2"], [("a", 1), ("b", 2)], "tmp_honest")
-            result = typed_source.execute(
-                f'SELECT "c1", "c2" FROM "{name}" ORDER BY "c1"')
-            assert result.rows == [("a", 1), ("b", 2)]
-            typed_source.drop_table(name)
-        else:
-            with pytest.raises(EvaluationError):
-                typed_source.create_temp_table(["c1"], [("a",)],
-                                               "tmp_honest")
-        if capabilities.supports_writes:
-            typed_source.execute(
-                """INSERT INTO "plain" VALUES ('w', 'x')""")
-            assert typed_source.row_count("plain") == 1
-        else:
-            with pytest.raises(EvaluationError, match="read-only"):
-                typed_source.execute(
-                    """INSERT INTO "plain" VALUES ('w', 'x')""")
+    def test_takes_temp_tables_and_writes(self, typed_source):
+        name = typed_source.create_temp_table(
+            ["c1", "c2"], [("a", 1), ("b", 2)], "tmp_landed")
+        result = typed_source.execute(
+            f'SELECT "c1", "c2" FROM "{name}" ORDER BY "c1"')
+        assert result.rows == [("a", 1), ("b", 2)]
+        typed_source.drop_table(name)
+        assert name not in typed_source.table_names()
+        typed_source.execute("""INSERT INTO "plain" VALUES ('w', 'x')""")
+        assert typed_source.row_count("plain") == 1
 
     @pytest.mark.parametrize("sql", [
         """WITH x(v) AS (SELECT 'k2') INSERT INTO "plain" SELECT v, v FROM x""",
@@ -156,35 +144,9 @@ class TestConformance:
         typed_source.load_rows("plain", [("k1", "v1")])
         before = typed_source.table_version("plain")
         rows = typed_source.execute('SELECT * FROM "plain"').rows
-        if typed_source.capabilities.supports_writes:
-            typed_source.execute(sql)
-            assert typed_source.execute(
-                'SELECT * FROM "plain"').rows != rows
-            assert typed_source.table_version("plain") == before + 1
-            return
-        path = typed_source.csv_store.table_path("plain")
-        with open(path, encoding="utf-8") as handle:
-            stored = handle.read()
-        with pytest.raises(EvaluationError, match="'S1'.*read-only"):
-            typed_source.execute(sql)
-        assert typed_source.execute('SELECT * FROM "plain"').rows == rows
-        assert typed_source.table_version("plain") == before
-        with open(path, encoding="utf-8") as handle:
-            assert handle.read() == stored
-        # a load still lands in both afterwards
-        typed_source.load_rows("plain", [("k9", "v9")])
-        assert typed_source.row_count("plain") == 2
-        with open(path, encoding="utf-8") as handle:
-            assert handle.read() == stored + "k9,v9\n"
-
-    def test_ddl_is_refused_on_the_read_only_source(self, typed_source):
-        if typed_source.capabilities.supports_writes:
-            return
-        for sql in ('CREATE TABLE "extra" (x)', 'DROP TABLE "plain"'):
-            with pytest.raises(EvaluationError, match="read-only"):
-                typed_source.execute(sql)
-        assert "extra" not in typed_source.table_names()
-        assert "plain" in typed_source.table_names()
+        typed_source.execute(sql)
+        assert typed_source.execute('SELECT * FROM "plain"').rows != rows
+        assert typed_source.table_version("plain") == before + 1
 
     def test_table_names_lists_base_relations(self, typed_source):
         names = typed_source.table_names()
@@ -215,33 +177,34 @@ class TestAffinityFunction:
 
 
 # ----------------------------------------------------------------------
-# registry
+# spec parsing
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_registered_backends(self):
         assert [parse_spec(spec) for spec in (
-            "sqlite", "sqlite:/x.db", "file", "file:csv", "file:csv:/d",
-            "file:csv:", "sqlite:")] == [
-            ("sqlite", None), ("sqlite", "/x.db"), ("file", None),
-            ("file", None), ("file", "/d"), ("file", None),
-            ("sqlite", None)]
+            "sqlite", "sqlite:/x.db", "sqlite:")] == [None, "/x.db", None]
 
     def test_unknown_spec_raises(self):
         with pytest.raises(SpecError, match="unknown backend 'oracle12c' "
-                           r"\(valid spellings: sqlite, sqlite:PATH, "
-                           r"file, file:csv, file:csv:DIR\)"):
+                           r"\(valid spellings: sqlite, sqlite:PATH\)"):
             DataSource(TYPED_SCHEMA, backend="oracle12c")
         with pytest.raises(SpecError, match="non-empty string"):
             DataSource(TYPED_SCHEMA, backend="")
         with pytest.raises(SpecError, match="non-empty string, got 42"):
             DataSource(TYPED_SCHEMA, backend=42)
-        with pytest.raises(SpecError, match="unknown file backend format "
-                           "'xml' .valid spellings: sqlite"):
-            DataSource(TYPED_SCHEMA, backend="file:xml")
 
-    def test_spec_is_recorded(self):
-        source = DataSource(TYPED_SCHEMA, backend="file:csv")
-        assert source.spec == "file:csv"
+    @pytest.mark.parametrize("spec", ["file", "file:xml"] + [
+        f"file:{options}" for options in ("csv", "csv:/d")])
+    def test_file_spellings_are_refused(self, spec):
+        # the read-only CSV source's spellings name no storage any more
+        with pytest.raises(SpecError, match=f"unknown backend '{spec}' "
+                           r"\(valid spellings: sqlite, sqlite:PATH\)$"):
+            parse_spec(spec)
+
+    def test_spec_is_recorded(self, tmp_path):
+        spec = f"sqlite:{tmp_path / 's1.db'}"
+        source = DataSource(TYPED_SCHEMA, backend=spec)
+        assert source.spec == spec
         source.close()
         source = DataSource(TYPED_SCHEMA)
         assert source.spec == "sqlite"
@@ -256,11 +219,22 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# file backend specifics
+# the database file a ``sqlite:PATH`` source writes
 # ----------------------------------------------------------------------
+def _file_rows(path):
+    """The rows of ``plain`` in the database file, read without the source."""
+    connection = sqlite3.connect(path)
+    try:
+        return connection.execute(
+            'SELECT * FROM "plain" ORDER BY 1').fetchall()
+    finally:
+        connection.close()
+
+
 class TestFileBackend:
-    def test_null_and_backslash_round_trip(self):
-        source = DataSource(TYPED_SCHEMA, backend="file")
+    def test_null_and_backslash_round_trip(self, tmp_path):
+        source = DataSource(TYPED_SCHEMA,
+                            backend=f"sqlite:{tmp_path / 's1.db'}")
         source.load_rows("plain", [("k1", None), ("k2", "\\N"),
                                    ("k3", "\\literal"), ("k4", "")])
         result = source.execute(
@@ -270,67 +244,56 @@ class TestFileBackend:
         source.close()
 
     def test_files_survive_reload(self, tmp_path):
-        root = str(tmp_path / "tables")
-        source = DataSource(TYPED_SCHEMA, backend=f"file:csv:{root}")
+        path = tmp_path / "s1.db"
+        source = DataSource(TYPED_SCHEMA, backend=f"sqlite:{path}")
         source.load_rows("plain", [("k1", "v1")])
         source.close()
-        again = DataSource(TYPED_SCHEMA, backend=f"file:csv:{root}")
-        assert again.execute('SELECT * FROM "plain"').rows == [("k1", "v1")]
-        again.close()
-
-    def test_temp_root_is_removed_on_close(self):
-        source = DataSource(TYPED_SCHEMA, backend="file")
-        root = source.csv_store.root
-        source.close()
-        assert not os.path.exists(root)
-
-    def test_empty_directory_option_is_a_temp_root(self):
-        source = DataSource(TYPED_SCHEMA, backend="file:csv:")
-        root = source.csv_store.root
-        assert os.path.isdir(root)
-        source.close()
-        assert not os.path.exists(root)
+        assert _file_rows(path) == [("k1", "v1")]
 
     def test_refused_load_leaves_the_file_intact(self, tmp_path):
-        root = str(tmp_path / "tables")
-        source = DataSource(TYPED_SCHEMA, backend=f"file:csv:{root}")
+        path = tmp_path / "s1.db"
+        source = DataSource(TYPED_SCHEMA, backend=f"sqlite:{path}")
         source.load_rows("plain", [("k1", "v1")])
-        path = source.csv_store.table_path("plain")
-        with open(path, encoding="utf-8") as handle:
-            before = handle.read()
         with pytest.raises(EvaluationError, match="'S1'.*'plain'"):
             source.load_rows("plain", [("k2", "v2"), ("k1", "dup")])
-        with open(path, encoding="utf-8") as handle:
-            assert handle.read() == before
-        assert source.execute('SELECT * FROM "plain"').rows == [("k1", "v1")]
+        assert _file_rows(path) == [("k1", "v1")]
         source.close()
-        again = DataSource(TYPED_SCHEMA, backend=f"file:csv:{root}")
-        assert again.execute('SELECT * FROM "plain"').rows == [("k1", "v1")]
-        again.close()
-
-    def test_blob_columns_are_rejected(self):
-        schema = SourceSchema("S1", (relation("b", "c:BLOB"),))
-        with pytest.raises(SpecError, match="BLOB"):
-            DataSource(schema, backend="file")
+        assert _file_rows(path) == [("k1", "v1")]
 
 
 # ----------------------------------------------------------------------
-# differential: the hospital pipeline over backend mixes
+# differential: the hospital pipeline over database files
 # ----------------------------------------------------------------------
+#: Every hospital source.
+ALL_SOURCES = frozenset({"DB1", "DB2", "DB3", "DB4"})
+
 HOSPITAL_MIXES = [
-    pytest.param("file", id="all-file"),
-    pytest.param({"DB1": "file", "DB3": "file"}, id="mixed-file-sqlite"),
+    pytest.param(ALL_SOURCES, id="all-file"),
+    pytest.param({"DB1", "DB3"}, id="mixed-file-sqlite"),
 ]
 
 
-def _hospital_run(backend, tracer=None, **kwargs):
+def _hospital_sources(in_files=(), directory=None):
+    """Tiny hospital sources, those named in ``in_files`` in database
+    files under ``directory``, the rest in memory."""
+    from repro.datagen import generate, load_dataset
+    from repro.hospital.schema import SOURCE_SCHEMAS
+
+    sources = {schema.source: DataSource(
+        schema, backend=(f"sqlite:{directory / schema.source}.db"
+                         if schema.source in in_files else None))
+        for schema in SOURCE_SCHEMAS}
+    dataset = generate("tiny")
+    load_dataset(dataset, sources)
+    return sources, dataset
+
+
+def _hospital_run(in_files=(), directory=None, tracer=None, **kwargs):
     from repro import Middleware, Network, serialize
-    from repro.datagen import make_loaded_sources
     from repro.hospital import build_hospital_aig
 
-    aig = build_hospital_aig()
-    sources, dataset = make_loaded_sources("tiny", backend=backend)
-    middleware = Middleware(aig, sources, Network.mbps(1.0),
+    sources, dataset = _hospital_sources(in_files, directory)
+    middleware = Middleware(build_hospital_aig(), sources, Network.mbps(1.0),
                             tracer=tracer, **kwargs)
     report = middleware.evaluate({"date": dataset.busiest_date()})
     xml = serialize(report.document, indent=2)
@@ -342,58 +305,37 @@ def _hospital_run(backend, tracer=None, **kwargs):
 class TestHospitalDifferential:
     @pytest.fixture(scope="class")
     def sqlite_xml(self):
-        return _hospital_run(None)[0]
+        return _hospital_run()[0]
 
-    @pytest.mark.parametrize("backend", HOSPITAL_MIXES)
-    def test_documents_are_byte_identical(self, backend, sqlite_xml):
+    @pytest.mark.parametrize("in_files", HOSPITAL_MIXES)
+    def test_documents_are_byte_identical(self, in_files, sqlite_xml,
+                                          tmp_path):
         from repro.obs import Tracer
 
         tracer = Tracer()
-        xml, _ = _hospital_run(backend, tracer=tracer)
+        xml, _ = _hospital_run(in_files, tmp_path, tracer=tracer)
         assert xml == sqlite_xml
-        # file sources cannot host temp tables: the engine must
-        # have rewritten at least one ship inline
-        assert tracer.metrics.counter("ship_rewrites") > 0
+        assert tracer.metrics.counter("temp_tables_created") > 0
 
-    def test_full_grid_over_file_backend(self, sqlite_xml):
+    def test_full_grid_over_file_backend(self, sqlite_xml, tmp_path):
         from repro.fuzz.oracle import GRID
-        from repro.obs import Tracer
 
-        for kwargs in GRID:
-            tracer = Tracer()
-            xml, _ = _hospital_run("file", tracer=tracer, **kwargs)
+        for index, kwargs in enumerate(GRID):
+            directory = tmp_path / str(index)
+            directory.mkdir()
+            xml, _ = _hospital_run(ALL_SOURCES, directory, **kwargs)
             assert xml == sqlite_xml, f"diverged under {kwargs}"
-            assert tracer.metrics.counter("ship_rewrites") > 0, \
-                f"no inline rewrites under {kwargs}"
 
-    def test_sharding_falls_back_without_blob_affinity(self, sqlite_xml):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        xml, report = _hospital_run("file", tracer=tracer, shards=2)
-        assert xml == sqlite_xml
-        assert report.shards == 1
-        assert tracer.metrics.counter("shard_fallbacks") == 1
-
-    def test_inline_ship_cap_is_enforced(self, monkeypatch):
-        import repro.runtime.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "INLINE_SHIP_ROW_CAP", 0)
-        with pytest.raises(EvaluationError,
-                           match="inline rewrite is capped"):
-            _hospital_run("file")
-
-    def test_conceptual_federation_materializes_file_sources(self):
+    def test_conceptual_federation_attaches_database_files(self, tmp_path):
         from repro import serialize
         from repro.aig import ConceptualEvaluator
-        from repro.datagen import make_loaded_sources
         from repro.hospital import build_hospital_aig
 
         documents = []
-        for backend in (None, "file"):
-            aig = build_hospital_aig()
-            sources, dataset = make_loaded_sources("tiny", backend=backend)
-            evaluator = ConceptualEvaluator(aig, list(sources.values()),
+        for in_files in ((), ALL_SOURCES):
+            sources, dataset = _hospital_sources(in_files, tmp_path)
+            evaluator = ConceptualEvaluator(build_hospital_aig(),
+                                            list(sources.values()),
                                             violation_mode="report")
             document = evaluator.evaluate(
                 {"date": dataset.busiest_date()})
@@ -404,7 +346,7 @@ class TestHospitalDifferential:
 
 
 # ----------------------------------------------------------------------
-# the inline ship rewrite carries every value SQLite can hold
+# a shipped input lands as a temp table holding every value SQLite can
 # ----------------------------------------------------------------------
 VALUES_SCHEMA = SourceSchema("A", (relation("vals", "k", "x:REAL"),))
 TAGS_SCHEMA = SourceSchema("B", (relation("tags", "x:REAL", "label"),))
@@ -416,12 +358,12 @@ TAGS_DTD = """
 """
 
 
-class TestInlineShip:
-    @staticmethod
-    def _run(tags_backend, tracer=None):
+class TestShip:
+    def test_infinities_ship_into_a_temp_table(self):
         from repro import Middleware, serialize
         from repro.aig import AIG, assign, inh, query
         from repro.dtd import parse_dtd
+        from repro.obs import Tracer
         from repro.relational import Catalog
 
         inf = float("inf")
@@ -438,22 +380,19 @@ class TestInlineShip:
         values = DataSource(VALUES_SCHEMA)
         values.load_rows("vals", [("up", inf), ("down", -inf),
                                   ("mid", 2.5)])
-        tags = DataSource(TAGS_SCHEMA, backend=tags_backend)
+        tags = DataSource(TAGS_SCHEMA)
         tags.load_rows("tags", [(inf, "top"), (-inf, "bottom"),
                                 (2.5, "middle"), (1.0, "unused")])
+        tracer = Tracer()
         try:
             report = Middleware(aig.validate(), {"A": values, "B": tags},
                                 tracer=tracer).evaluate({"run": "r"})
-            return serialize(report.document, indent=2)
+            xml = serialize(report.document, indent=2)
         finally:
             values.close()
             tags.close()
-
-    def test_infinity_ships_inline_into_a_file_source(self):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        xml = self._run("file", tracer)
-        assert xml == self._run(None)
         assert xml.count("<row>") == 3
-        assert tracer.metrics.counter("ship_rewrites") > 0
+        for label in ("top", "bottom", "middle"):
+            assert f"<label>{label}</label>" in xml
+        assert tracer.metrics.counter("temp_tables_created") == 1
+        assert tracer.metrics.counter("rows_shipped") == 3

@@ -116,56 +116,6 @@ class TestOracle:
         assert kinds == {"xml", "built-xml"}, report.divergences
 
 
-class TestBackendAxis:
-    """The cross-backend oracle axis (docs/BACKENDS.md): one pinned
-    scenario per backend mix must agree with the conceptual baseline."""
-
-    def test_pinned_seed_agrees_across_backend_mixes(self):
-        from repro.fuzz.oracle import backend_mixes
-
-        spec = generate_scenario(5)
-        report = run_oracle(spec, configs=("backends",))
-        assert report.ok, "\n".join(str(d) for d in report.divergences)
-        source_names = {table.source for table in spec.tables}
-        expected = set(backend_mixes(source_names))
-        ran = {result.config for result in report.results}
-        assert expected <= ran
-        assert "backends-file" in ran
-
-    def test_pinned_violating_seed_keeps_its_verdict(self):
-        spec = generate_scenario(2, violate=True)
-        report = run_oracle(spec, configs=("backends",))
-        assert report.ok, "\n".join(str(d) for d in report.divergences)
-        assert report.baseline_violations
-
-    def test_mixed_assignment_cycles_sources(self):
-        from repro.fuzz.oracle import backend_mixes
-
-        mixes = backend_mixes({"S1", "S2", "S3"})
-        mixed = mixes["backends-mixed"]
-        assert mixed["S1"] == "file"
-        assert mixed["S2"] == "sqlite"
-        assert set(mixed) == {"S1", "S2", "S3"}
-
-    def test_backend_divergence_is_caught(self, monkeypatch):
-        # corrupt only the file backend's decode path: the oracle must
-        # blame the backends axis, not the engine grid
-        from repro.relational import csvstore
-
-        real = csvstore._decode_field
-
-        def corrupt(text):
-            value = real(text)
-            return value + "!" if isinstance(value, str) and value else value
-
-        monkeypatch.setattr(csvstore, "_decode_field", corrupt)
-        spec = generate_scenario(5)
-        report = run_oracle(spec, configs=("backends",))
-        assert not report.ok
-        assert all(d.config.startswith("backends") for d in
-                   report.divergences)
-
-
 class TestShrinker:
     @pytest.mark.fuzz
     def test_seeded_bug_shrinks_to_small_repro(self, monkeypatch):

@@ -69,7 +69,6 @@ class TestHospitalPackage:
     ("constraint_enforcement.py", []),
     ("optimizer_walkthrough.py", ["2"]),
     ("recursive_bom.py", []),
-    ("xml_source_integration.py", []),
     ("publications_catalog.py", []),
     ("static_analysis.py", []),
 ])

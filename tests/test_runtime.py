@@ -183,8 +183,8 @@ class TestRecursionHandling:
     def test_probe_federates_only_the_sources_its_query_reads(
             self, hospital_aig, monkeypatch):
         # Q3 reads DB4 (procedure, treatment): each of the two probes on
-        # the way from depth 2 to 8 attaches DB4 alone, so on a backend a
-        # federation must copy, no other source is read beyond its plan.
+        # the way from depth 2 to 8 attaches DB4 alone, and attaching reads
+        # nothing through a source, so every source runs its plan only.
         import repro.relational.source as source_module
         from repro.datagen import make_loaded_sources
         attached = []
@@ -195,7 +195,7 @@ class TestRecursionHandling:
                 super().__init__(sources)
 
         monkeypatch.setattr(source_module, "Federation", Recording)
-        sources, dataset = make_loaded_sources("tiny", backend="file:csv")
+        sources, dataset = make_loaded_sources("tiny")
         root = {"date": dataset.busiest_date()}
         fixed = Middleware(hospital_aig, sources, Network.mbps(1.0),
                            unfold_depth=8).evaluate(root)
@@ -211,11 +211,8 @@ class TestRecursionHandling:
         plan_statements = {
             name: sum(len(middleware.prepare(depth).plan[name])
                       for depth in (2, 4, 8)) for name in sources}
-        copies = {"DB4": 2 * len(sources["DB4"].schema.relations)}
         assert {name: source.total_queries - asked[name]
-                for name, source in sources.items()} == {
-            name: plan_statements[name] + copies.get(name, 0)
-            for name in sources}
+                for name, source in sources.items()} == plan_statements
 
     def test_depth_cap(self, hospital_aig):
         sources = make_sources()

@@ -1,5 +1,7 @@
 """Tests for MCV-based selectivity estimation and Middleware.explain()."""
 
+import re
+
 import pytest
 
 from repro.optimizer import CostModel
@@ -107,3 +109,26 @@ class TestExplain:
         from repro.__main__ import main
         assert main(["explain", "--scale", "tiny", "--depth", "2"]) == 0
         assert "predicted cost(P)" in capsys.readouterr().out
+
+    def test_explain_prints_no_measured_seconds(self, hospital_aig,
+                                                tiny_sources):
+        # the statistics read list is the plan's inputs, not its clock:
+        # two explains of one plan are the same bytes
+        middleware = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0))
+        text = middleware.explain()
+        assert "-- statistics read" in text
+        assert [line for line in text.splitlines()
+                if re.search(r"[0-9.]+s$", line)] == []
+        assert middleware.explain() == text
+        reads = middleware.explain(timed=True).split("-- statistics read")[1]
+        assert all(re.search(r"  [0-9.]+s$", line)
+                   for line in reads.splitlines()[1:])
+
+    def test_cli_explain_analyze_prints_read_seconds(self, capsys):
+        from repro.__main__ import main
+        assert main(["explain", "--scale", "tiny", "--analyze"]) == 0
+        out = capsys.readouterr().out
+        reads = out.split("-- statistics read")[1].split("\n\n")[0]
+        lines = reads.splitlines()[1:]
+        assert lines and all(re.search(r"  [0-9.]+s$", line)
+                             for line in lines)

@@ -16,7 +16,6 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.fuzz import build_scenario, generate_scenario
-from repro.fuzz.oracle import backend_mixes
 from repro.hospital import build_hospital_aig, make_sources
 from repro.datagen import make_loaded_sources
 from repro.obs import Tracer
@@ -170,7 +169,7 @@ class TestColdPath:
         assert "statistics_read_failures" not in counters
         text = middleware.explain()
         assert "-- statistics read" in text
-        assert "  WH:items distinct(day)  " in text
+        assert "  WH:items distinct(day)" in text.splitlines()
 
 
 class TestConsumedDistinct:
@@ -317,8 +316,7 @@ class TestChainStatistic:
             Federation, "close",
             lambda self: (closed.append(self), real_close(self))[1])
 
-        sources, dataset = make_loaded_sources("tiny", seed=5,
-                                               backend="file:csv")
+        sources, dataset = make_loaded_sources("tiny", seed=5)
         date = dataset.busiest_date()
         fixed = Middleware(build_hospital_aig(), sources, Network.mbps(1.0),
                            unfold_depth=8).evaluate({"date": date})
@@ -384,19 +382,17 @@ class TestPlanIdentity:
 
     @pytest.mark.parametrize("seed", range(45))
     def test_fuzz_specs_on_every_backend_mix(self, seed):
-        spec = generate_scenario(seed)
-        names = {table.source for table in spec.tables}
-        for mix in (None, *backend_mixes(names).values()):
-            aig, sources = build_scenario(spec, backends=mix)
-            try:
-                depth = Middleware(aig, sources)._initial_depth()
-                for merging in (True, False):
-                    same, on_demand, _ = plan_identity.identical(
-                        aig, sources, depth, merging=merging)
-                    assert same, (seed, mix, merging)
-                    assert on_demand.stats.read_failures == 0
-            finally:
-                close_sources(sources)
+        # one storage engine now: the name keeps the test ids traceable
+        aig, sources = build_scenario(generate_scenario(seed))
+        try:
+            depth = Middleware(aig, sources)._initial_depth()
+            for merging in (True, False):
+                same, on_demand, _ = plan_identity.identical(
+                    aig, sources, depth, merging=merging)
+                assert same, (seed, merging)
+                assert on_demand.stats.read_failures == 0
+        finally:
+            close_sources(sources)
 
     def test_table_stats_stay_positional_for_synthetic_catalogs(self):
         from repro.relational import TableStats
