@@ -328,13 +328,15 @@ class Middleware:
         """Generate the document as a byte stream through ``write``.
 
         The same evaluation as :meth:`evaluate` — including incremental
-        reuse of cached query results — with the tagging events going to a
-        :class:`~repro.xmlmodel.serialize.StreamSerializer` instead of a
-        tree: the bytes are identical to ``serialize(report.document,
-        indent)`` of a materialized run.  ``constraints`` (optional) are
-        checked on the partial stream by a
-        :class:`~repro.constraints.StreamingConstraintChecker` with verdicts
-        identical to the tree checker's.
+        reuse of cached query results — with the tagging program writing
+        the bytes itself (:meth:`~repro.runtime.tagging.TaggingRun.write`,
+        through a :class:`~repro.xmlmodel.serialize.StreamSerializer`'s
+        pieces) instead of making a tree: they are identical to
+        ``serialize(report.document, indent)``.  ``constraints``
+        (optional) are checked by a
+        :class:`~repro.constraints.StreamingConstraintChecker` on a tagging
+        pass of their own before the write pass, with verdicts identical to
+        the tree checker's.
 
         Where the program has a choice, each depth attempt first dry-runs
         it against a null sink: a choice cut off by the unfolding, or a
@@ -353,10 +355,11 @@ class Middleware:
         serializer = StreamSerializer(write, indent=indent)
         checker = (StreamingConstraintChecker(constraints)
                    if constraints else None)
-        sinks = [serializer] if checker is None else [serializer, checker]
 
         def take(run: TaggingRun):
-            return traced_tagging(tracer, lambda: run.stream(*sinks))
+            if checker is not None:
+                run.stream(checker)     # its own pass, before any byte
+            return traced_tagging(tracer, lambda: run.write(serializer))
 
         def report(run: _Run) -> StreamReport:
             elements = int(run.taken)

@@ -22,8 +22,10 @@ shape of the subtree, so every maximal run of such siblings is folded into a
 PCDATA slots — and handed to the sinks a whole sibling group at a time, in
 one ``fragments(fragment, count, columns)`` call.
 
-Sinks decide what the events become: a tree (:class:`TreeSink`), bytes
-(:class:`~repro.xmlmodel.serialize.StreamSerializer`), constraint verdicts
+Bytes take no events: :meth:`TaggingRun.write` runs the program's writer
+(:meth:`TaggingProgram.writer`), compiled per indentation with every line
+and fragment template of an occurrence fixed by its depth.  Sinks decide
+what events become: a tree (:class:`TreeSink`), constraint verdicts
 (:class:`~repro.constraints.StreamingConstraintChecker`), or nothing
 (:class:`NullEventSink`).  The protocol is ``start(tag)`` / ``text(value)``
 / ``end()`` plus the optional ``fragments``; a sink without it receives the
@@ -44,6 +46,7 @@ from repro.dtd.model import Choice, PCDATA, Sequence, Star
 # builds a tree can be counted in one place (tests/test_incremental.py)
 from repro.xmlmodel import node as xmlnode
 from repro.xmlmodel.node import XMLElement
+from repro.xmlmodel.serialize import StreamSerializer, escape_text, write_group
 from repro.compilation.occurrences import (
     ConstValue,
     Occurrence,
@@ -245,40 +248,6 @@ class TreeSink:
             fragment.build(parent, count, columns)
 
 
-def _fragment_writer(sink):
-    """``sink.fragments`` if the sink takes groups natively, else the
-    shared replay onto its event methods."""
-    native = getattr(sink, "fragments", None)
-    if native is not None:
-        return native
-    return lambda fragment, count, columns: fragment.replay(sink, count,
-                                                            columns)
-
-
-class _Tee:
-    """Several sinks (or none) behind the one sink a program drives."""
-
-    def __init__(self, sinks):
-        self._sinks = sinks
-        self._writers = [_fragment_writer(sink) for sink in sinks]
-
-    def start(self, tag: str) -> None:
-        for sink in self._sinks:
-            sink.start(tag)
-
-    def text(self, value: str) -> None:
-        for sink in self._sinks:
-            sink.text(value)
-
-    def end(self) -> None:
-        for sink in self._sinks:
-            sink.end()
-
-    def fragments(self, fragment: Fragment, count: int, columns) -> None:
-        for write in self._writers:
-            write(fragment, count, columns)
-
-
 class ElementCount(int):
     """Elements emitted by one tagging run; ``in_fragments`` of them were
     delivered inside fragments, beside ``texts`` text nodes (all of them:
@@ -295,7 +264,8 @@ class ElementCount(int):
 def stream_document(plan: TaggingPlan, cache: dict, root_inh: dict,
                     *sinks, rename=None) -> ElementCount:
     """Sort-merge the cached relations into ``start``/``text``/``end``
-    events and fragments, delivered to every sink in document order.
+    events and fragments, delivered in document order to each sink in
+    turn, one pass per sink.
 
     ``sinks`` are objects with ``start(tag)`` / ``text(value)`` / ``end()``
     methods and optionally ``fragments(fragment, count, columns)``.
@@ -310,8 +280,10 @@ def stream_document(plan: TaggingPlan, cache: dict, root_inh: dict,
     dry-runs every program with a choice against a :class:`NullEventSink`
     before any sink sees an event.  Returns the number of elements emitted.
     """
-    return TaggingRun(tagging_program(plan, rename), cache,
-                      root_inh).stream(*sinks)
+    run = TaggingRun(tagging_program(plan, rename), cache, root_inh)
+    for sink in sinks:
+        count = run.stream(sink)
+    return count
 
 
 def tagging_program(plan: TaggingPlan, rename=None) -> "TaggingProgram":
@@ -335,11 +307,12 @@ def build_document(plan: TaggingPlan, cache: dict, root_inh: dict,
 class TaggingRun:
     """A :class:`TaggingProgram` bound to one document's cached relations
     and root attributes.  It reads only ``ResultSet``\\ s, whose rows never
-    change, so every :meth:`stream` emits the same document; a pass keeps
-    its sink, current rows and counts here, so one runs at a time."""
+    change, so every pass makes the same document; a pass keeps its sink or
+    its pieces, current rows and counts here, so one runs at a time."""
 
-    __slots__ = ("program", "tables", "conditions", "columns", "sink",
-                 "emit", "rows", "elements", "fragment_elements", "texts")
+    __slots__ = ("program", "tables", "conditions", "columns", "values",
+                 "sink", "emit", "pieces", "flush", "limit", "rows",
+                 "elements", "fragment_elements", "texts")
 
     def __init__(self, program: "TaggingProgram", cache: dict,
                  root_inh: dict):
@@ -354,18 +327,36 @@ class TaggingRun:
                        for path in program.anchors]
         self.conditions = [_Table(cache[plan.condition_of[path]], [])
                            for path in program.choices]
-        self.columns = [program._columns_reader(fragment, self.tables,
-                                                root_inh)
-                        for fragment in program.fragments]
+        readers = [program._columns_reader(fragment, self.tables, root_inh)
+                   for fragment in program.fragments]
+        self.columns = [group for group, _ in readers]
+        self.values = [one for _, one in readers]
 
-    def stream(self, *sinks) -> ElementCount:
-        """One pass delivering the document to every sink."""
-        self.sink = sinks[0] if len(sinks) == 1 else _Tee(sinks)
-        self.emit = _fragment_writer(self.sink)
+    def _pass(self, body) -> ElementCount:
         self.rows = [None] * len(self.tables)
         self.elements = self.fragment_elements = self.texts = 0
-        self.program._root(self)
+        body(self)
         return ElementCount(self.elements, self.fragment_elements, self.texts)
+
+    def stream(self, sink) -> ElementCount:
+        """One pass delivering the document to ``sink`` as events, a group
+        through ``sink.fragments`` or, without it, :meth:`Fragment.replay`."""
+        self.sink = sink
+        self.emit = getattr(sink, "fragments", None) or (
+            lambda fragment, count, columns: fragment.replay(sink, count,
+                                                             columns))
+        return self._pass(self.program._root)
+
+    def write(self, serializer) -> ElementCount:
+        """One pass writing the document where ``serializer`` stands: the
+        program's writer for that indentation and level appends to the
+        serializer's pieces and flushes through it (no events)."""
+        self.pieces, level, self.limit = serializer.place()
+        self.flush = serializer._flush
+        count = self._pass(self.program.writer(serializer.indent, level))
+        if not level:
+            self.flush()
+        return count
 
 
 def traced_tagging(tracer, produce) -> ElementCount:
@@ -379,32 +370,33 @@ def traced_tagging(tracer, produce) -> ElementCount:
 
 class PendingDocument:
     """What an unread root holds in ``_kids``: its :class:`TaggingRun`,
-    streamed when a reader asks into a serializer (:meth:`write`), a
-    :class:`TreeSink` filling the root (:meth:`build`) or a null sink
-    (:meth:`size`).  The first pass records its counts in ``tracer``."""
+    written when a reader asks into a serializer (:meth:`write`), streamed
+    into a :class:`TreeSink` filling the root (:meth:`build`) or a null
+    sink (:meth:`size`).  The first pass records its counts in
+    ``tracer``."""
 
     __slots__ = ("run", "tag", "tracer")
 
     def __init__(self, run: TaggingRun, tracer):
         self.run, self.tag, self.tracer = run, run.program.root_tag, tracer
 
-    def _produce(self, sink) -> ElementCount:
+    def _produce(self, produce) -> ElementCount:
         tracer = self.tracer
         if tracer is None:
-            return self.run.stream(sink)
-        count = traced_tagging(tracer, lambda: self.run.stream(sink))
+            return produce()
+        count = traced_tagging(tracer, produce)
         tracer.metrics.set_gauge("document_nodes", count + count.texts)
         self.tracer = None
         return count
 
     def write(self, serializer) -> None:
-        self._produce(serializer)
+        self._produce(lambda: self.run.write(serializer))
 
     def build(self, root: XMLElement) -> None:
-        self._produce(TreeSink(root))
+        self._produce(lambda: self.run.stream(TreeSink(root)))
 
     def size(self) -> int:
-        count = self._produce(NullEventSink())
+        count = self._produce(lambda: self.run.stream(NullEventSink()))
         return count + count.texts
 
 
@@ -439,10 +431,13 @@ class TaggingProgram:
         #: some choice has an alternative the unfolding cut off, so a run
         #: may raise :class:`~repro.errors.RecursionTruncated` mid-document
         self.truncatable = False
-        root = self._fold_runs([plan.tree.root])[0]
-        self._root = self._step(root)
-        self.root_tag = root.ops[0][1] if isinstance(root, Fragment) \
-            else root[0]
+        self._folded: dict[tuple, list] = {}
+        #: compiled writers, by (indent, level): see :meth:`writer`
+        self._writers: dict[tuple, object] = {}
+        item = self._item = self._fold_runs([plan.tree.root])[0]
+        self._root = self._step(item)
+        self.root_tag = item.ops[0][1] if isinstance(item, Fragment) \
+            else item[0]
 
     # -- compilation -----------------------------------------------------
     def _tag(self, occurrence: Occurrence) -> str:
@@ -468,8 +463,13 @@ class TaggingProgram:
 
     def _fold_runs(self, siblings: list[Occurrence]) -> list:
         """``siblings`` in order, each maximal static run as one
-        :class:`Fragment` and each other element as ``(tag, content)``."""
-        items: list = []
+        :class:`Fragment` and each other element as ``(tag, occurrence)``;
+        folded once, kept for every compilation of the program."""
+        key = tuple(occurrence.path for occurrence in siblings)
+        items = self._folded.get(key)
+        if items is not None:
+            return items
+        items = self._folded[key] = []
         fragment = None
         for occurrence in siblings:
             if self._is_static(occurrence):
@@ -480,8 +480,7 @@ class TaggingProgram:
                 self._fold(occurrence, fragment)
             else:
                 fragment = None
-                items.append((self._tag(occurrence),
-                              self._content(occurrence)))
+                items.append((self._tag(occurrence), occurrence))
         return items
 
     def _only(self, occurrence: Occurrence):
@@ -524,7 +523,8 @@ class TaggingProgram:
                 run.texts += texts
                 run.emit(fragment, 1, run.columns[index](run.rows))
             return emit_fragment
-        tag, content = item
+        tag, occurrence = item
+        content = self._content(occurrence)
 
         def emit_element(run: TaggingRun) -> None:
             run.elements += 1
@@ -541,7 +541,11 @@ class TaggingProgram:
         if isinstance(model, Star):
             return self._iteration(occurrence.children[0])
         if isinstance(model, Choice):
-            return self._choice(occurrence)
+            select, alternatives = self._selector(occurrence)
+            branches = [None if alternative is None else
+                        self._step(self._only(alternative))
+                        for alternative in alternatives]
+            return lambda run: branches[select(run)](run)
         assert isinstance(model, Sequence)
         steps = [self._step(item)
                  for item in self._fold_runs(occurrence.children)]
@@ -577,7 +581,8 @@ class TaggingProgram:
                 run.emit(fragment, len(group),
                          run.columns[index](run.rows, slot, group))
             return emit_rows
-        tag, content = item
+        tag, child = item
+        content = self._content(child)
 
         def emit_elements(run: TaggingRun) -> None:
             group = run.tables[slot].by_parent.get(parent_id(run))
@@ -593,22 +598,24 @@ class TaggingProgram:
             rows[slot] = None
         return emit_elements
 
-    def _choice(self, occurrence: Occurrence):
-        position = len(self.choices)
-        self.choices.append(occurrence.path)
+    def _selector(self, occurrence: Occurrence):
+        """``(select, alternatives)``: the child occurrences of a choice
+        (``None`` where the unfolding cut one off) and the position the
+        condition picks for the current row, raising on none or a cut one."""
+        if occurrence.path not in self.choices:
+            self.choices.append(occurrence.path)
+        position = self.choices.index(occurrence.path)
         element_type, path = occurrence.element_type, occurrence.path
         at_root = occurrence.anchor.parent is None
         anchor_id = self._anchor_id(occurrence.anchor)
-        targets = self._aig.rule_for(element_type).selector_targets(
-            [child.element_type for child in occurrence.children])
-        branches = [
-            None if name is None else
-            self._step(self._only(occurrence.child(name)))
-            for name in targets]
-        if None in branches:
+        alternatives = [
+            None if name is None else occurrence.child(name)
+            for name in self._aig.rule_for(element_type).selector_targets(
+                [child.element_type for child in occurrence.children])]
+        if None in alternatives:
             self.truncatable = True
 
-        def emit_choice(run: TaggingRun) -> None:
+        def select(run: TaggingRun) -> int:
             condition = run.conditions[position]
             rows = condition.rows_for(anchor_id(run))
             if at_root and not rows:
@@ -625,26 +632,127 @@ class TaggingProgram:
                 raise EvaluationError(
                     f"condition query of {element_type!r} returned "
                     f"non-integer {selector!r}") from None
-            if not 1 <= index <= len(branches):
+            if not 1 <= index <= len(alternatives):
                 raise EvaluationError(
                     f"condition query of {element_type!r} returned "
-                    f"{index}, outside [1, {len(branches)}]")
-            branch = branches[index - 1]
-            if branch is None:
+                    f"{index}, outside [1, {len(alternatives)}]")
+            if alternatives[index - 1] is None:
                 raise RecursionTruncated(
                     f"condition query of {element_type!r} selected "
                     f"an alternative truncated by recursion unfolding; "
                     f"increase the unfold depth")
-            branch(run)
-        return emit_choice
+            return index - 1
+        return select, alternatives
+
+    # -- the writer -------------------------------------------------------
+    def writer(self, indent: int | None, level: int = 0):
+        """``write(run)``, appending to ``run.pieces`` the bytes the event
+        path would make a :class:`StreamSerializer` at ``indent`` write for
+        the document rooted at ``level``.  Compiled on first use and kept:
+        each line and template is fixed by its occurrence's depth."""
+        key = (indent, 0 if indent is None else level)
+        write = self._writers.get(key)
+        if write is None:
+            write = self._writers[key] = self._write_step(
+                self._item, StreamSerializer(None, indent), key[1])
+        return write
+
+    def _write_step(self, item, formats: StreamSerializer, level: int):
+        """The closure writing one item of :meth:`_fold_runs` at
+        ``level``, with the lines and templates of ``formats``."""
+        if isinstance(item, Fragment):
+            index, count, texts = item.index, item.elements, item.texts
+            template = "%s".join(piece.replace("%", "%%") for piece
+                                 in formats.template(item, level))
+
+            def write_fragment(run: TaggingRun) -> None:
+                run.elements += count
+                run.fragment_elements += count
+                run.texts += texts
+                pieces = run.pieces
+                pieces.append(template % tuple(
+                    map(escape_text, run.values[index](run.rows))))
+                if len(pieces) >= run.limit:
+                    run.flush()
+            return write_fragment
+        tag, occurrence = item
+        open_line, close_line, empty_line = formats.lines(tag, level)
+        model = self._model(occurrence)
+        star = isinstance(model, Star)
+        if star:
+            child = occurrence.children[0]
+            slot = self._slot(child)
+            parent_id = self._anchor_id(child.parent_anchor())
+            content = self._write_rows(slot, self._only(child), formats,
+                                       level + 1)
+        elif isinstance(model, Choice):
+            select, alternatives = self._selector(occurrence)
+            branches = [None if alternative is None else self._write_step(
+                            self._only(alternative), formats, level + 1)
+                        for alternative in alternatives]
+
+            def content(run: TaggingRun, group) -> None:
+                branches[select(run)](run)
+        else:
+            steps = [self._write_step(child, formats, level + 1)
+                     for child in self._fold_runs(occurrence.children)]
+            content = None
+
+        def write_element(run: TaggingRun) -> None:
+            run.elements += 1
+            # a star is empty or not by its group of rows
+            group = (run.tables[slot].by_parent.get(parent_id(run))
+                     if star else True)
+            pieces = run.pieces
+            if group:
+                pieces.append(open_line)
+                if len(pieces) >= run.limit:
+                    run.flush()
+                if content is None:
+                    for step in steps:
+                        step(run)
+                else:
+                    content(run, group)
+                pieces.append(close_line)
+            else:
+                pieces.append(empty_line)
+            if len(pieces) >= run.limit:
+                run.flush()
+        return write_element
+
+    def _write_rows(self, slot: int, item, formats: StreamSerializer,
+                    level: int):
+        """``content(run, group)`` writing a star's rows at ``level``:
+        ``item`` once per row of the group, a fragment as one group."""
+        if isinstance(item, Fragment):
+            index, count, texts = item.index, item.elements, item.texts
+            template = formats.template(item, level)
+
+            def write_group_of(run: TaggingRun, group: list) -> None:
+                run.elements += count * len(group)
+                run.fragment_elements += count * len(group)
+                run.texts += texts * len(group)
+                write_group(run.pieces, run.flush, template, len(group),
+                            run.columns[index](run.rows, slot, group))
+            return write_group_of
+        write_row = self._write_step(item, formats, level)
+
+        def write_each(run: TaggingRun, group: list) -> None:
+            rows = run.rows
+            for row in group:
+                rows[slot] = row
+                write_row(run)
+            rows[slot] = None
+        return write_each
 
     # -- per-document binding -------------------------------------------
     def _columns_reader(self, fragment: Fragment, tables: list[_Table],
                         root_inh: dict):
-        """``(rows, own, group) -> [column of str per slot]`` for
-        ``fragment``, with root attributes and column indexes resolved for
-        this document.  ``group`` holds the rows the iteration at anchor
-        ``own`` is emitting (a lone fragment passes neither): a slot read
+        """``read(rows, own, group) -> [column of str per slot]`` and
+        ``read_one(rows) -> [str per slot]`` for ``fragment``, with root
+        attributes and column indexes resolved for this document.  ``group``
+        holds the rows the iteration at anchor ``own`` is emitting (a lone
+        fragment passes neither, or is read by ``read_one``): a slot read
         from that anchor is a column of the group, taken as it is where the
         table holds only ``str``; one read from an enclosing anchor's
         current row or a root attribute is one constant for the group.
@@ -661,6 +769,10 @@ class TaggingProgram:
                                 tables[slot].types[index] <= {str},
                                 text_path))
 
+        def no_row(slot: int, text_path: str) -> EvaluationError:
+            return EvaluationError(f"no current row for {self.anchors[slot]}"
+                                   f" while tagging {text_path}")
+
         def read(rows: list, own: int | None = None,
                  group=(None,)) -> list[list[str]]:
             columns = []
@@ -672,11 +784,21 @@ class TaggingProgram:
                     column = list(column if is_str
                                   else map(_pcdata, column))
                 elif rows[slot] is None:
-                    raise EvaluationError(
-                        f"no current row for {self.anchors[slot]} while "
-                        f"tagging {text_path}")
+                    raise no_row(slot, text_path)
                 else:
                     column = [_pcdata(value_of(rows[slot]))] * len(group)
                 columns.append(column)
             return columns
-        return read
+
+        def read_one(rows: list) -> list[str]:
+            values = []
+            for constant, slot, value_of, is_str, text_path in sources:
+                if slot is None:
+                    values.append(constant)
+                elif rows[slot] is None:
+                    raise no_row(slot, text_path)
+                else:
+                    value = value_of(rows[slot])
+                    values.append(value if is_str else _pcdata(value))
+            return values
+        return read, read_one

@@ -16,7 +16,7 @@ Endpoints (JSON unless noted):
 * ``POST /tenants`` — register: ``{"name", "scenario", "config"}`` where
   ``scenario`` is ``{"kind": "hospital", "scale": ...}`` or
   ``{"kind": "spec", "spec": <fuzz ScenarioSpec dict>}``;
-* ``POST /evaluate`` — ``{"tenant", "root", "indent", "stream",
+* ``POST /evaluate`` — ``{"tenant", "root", "indent" (≤ 16), "stream",
   "include_report"}`` → the serialized XML document.  Every evaluation
   is one ``Middleware.evaluate_stream``, its bytes delivered two ways:
   buffered into the (cached) plain body, or with ``stream`` chunked as
@@ -65,6 +65,10 @@ logger = logging.getLogger("repro.service")
 #: a streamed response leaves in HTTP chunk frames of at least this many
 #: bytes (the last one excepted), one ``wfile.write`` each
 STREAM_FRAME_BYTES = 16 * 1024
+
+#: the largest ``indent`` ``POST /evaluate`` takes: a pretty-printed line
+#: carries ``indent`` spaces per level, so the document grows linearly in it
+MAX_INDENT = 16
 
 
 def utf8_writer(buffer: bytearray, frame=None):
@@ -538,6 +542,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if indent is not None and (type(indent) is not int or indent < 0):
             self._error(400, f"'indent' must be null or a non-negative "
                              f"integer, got {indent!r}")
+            return
+        if indent is not None and indent > MAX_INDENT:
+            self._error(400, f"'indent' must be at most {MAX_INDENT}, "
+                             f"got {indent}")
             return
         if payload.get("stream"):
             self._evaluate_stream(tenant, root, indent)

@@ -9,8 +9,7 @@ documents never contain those.
 
 from __future__ import annotations
 
-from itertools import count, repeat
-from operator import itemgetter
+from itertools import chain, count, repeat
 
 from repro.errors import ValidationError
 from repro.xmlmodel.node import XMLElement, XMLNode, XMLText
@@ -37,8 +36,6 @@ WRITE_PIECES = 256
 #: Joins a column of values so one ``escape_text`` pass escapes them all.
 _SEPARATOR = "\x1f"
 
-_first = itemgetter(0)
-
 
 def _escape_column(values: list[str]) -> list[str]:
     """``escape_text`` of every value, in one pass over their join — or
@@ -47,6 +44,36 @@ def _escape_column(values: list[str]) -> list[str]:
     if len(escaped) != len(values):
         return list(map(escape_text, values))
     return escaped
+
+
+def fill(template: list[str], columns, start: int, stop: int) -> str:
+    """Instances ``start`` to ``stop`` of a fragment group: the constant
+    pieces of its ``template`` interleaved with each slot's column,
+    escaped in one pass per column."""
+    if not columns:
+        return template[0] * (stop - start)
+    parts = [repeat(template[0])]
+    for column, constant in zip(columns, template[1:]):
+        parts += (_escape_column(column[start:stop]), repeat(constant))
+    return "".join(chain.from_iterable(zip(*parts)))
+
+
+def write_group(pieces: list[str], flush, template: list[str], count: int,
+                columns) -> None:
+    """Append a group of ``count`` instances to ``pieces``: as one piece
+    under :data:`GROUP_WRITE_ROWS` rows, else flushed a batch of that many
+    rows at a time.  Both bounds are read here, at each call."""
+    rows = GROUP_WRITE_ROWS
+    if count < rows:
+        pieces.append(fill(template, columns, 0, count))
+        if len(pieces) >= WRITE_PIECES:
+            flush()
+        return
+    flush()
+    for start in range(0, count, rows):
+        pieces.append(fill(template, columns, start,
+                           min(start + rows, count)))
+        flush()
 
 
 def unescape_text(value: str) -> str:
@@ -64,7 +91,8 @@ def serialize(node: XMLNode, indent: int | None = None) -> str:
     :class:`StreamSerializer`, reading each ``_kids`` as it is: a text leaf
     (its PCDATA a ``str`` or one text child) and an empty element are one
     ``leaf`` each, a pending group goes to ``fragments`` unbuilt, and an
-    unread document is tagged into it (the ``evaluate_stream`` path).
+    unread document is written into it by its tagging program, at the
+    level it stands (the ``evaluate_stream`` path).
     """
     if isinstance(node, XMLText):
         return escape_text(node.value) + ("" if indent is None else "\n")
@@ -137,11 +165,14 @@ class StreamSerializer:
 
     A :class:`~repro.runtime.tagging.Fragment` group is written
     natively (:meth:`fragments`): a fragment's format depends only on its
-    shape and the level it starts at, so it is one ``%``-template per
-    (fragment, level) — derived from the event path above, which stays the
-    only place that knows the compact and pretty-printed formats — filled
-    once per instance and written :data:`GROUP_WRITE_ROWS` instances at a
-    time.
+    shape and the level it starts at, so it is one template per (fragment,
+    level) — constant pieces with a slot value between each two — derived
+    from the event path above, which stays the only place that knows the
+    compact and pretty-printed formats, and written by :func:`write_group`.
+
+    An unread document takes no events: its tagging program appends what
+    it compiled from :meth:`lines` and :meth:`template` per (occurrence,
+    indent) to the pieces where the serializer stands (:meth:`place`).
     """
 
     def __init__(self, write, indent: int | None = None):
@@ -232,52 +263,65 @@ class StreamSerializer:
         """Write a group of ``count`` instances of ``fragment``: its
         template filled from ``columns`` (one list of ``count`` strings per
         PCDATA slot), each escaped in one pass per batch."""
-        if count and not self._opened:
-            self._open_top()
-        level = len(self._tags)
+        if not count:
+            return
+        pieces, level, _ = self.place()
         key = (fragment, level)
         template = self._templates.get(key)
         if template is None:
-            template = self._templates[key] = self._template(*key)
-        if count == 1:
-            # a lone fragment (most calls on nested documents): no batch
-            pieces = self._pieces
-            pieces.append(template % tuple(
-                _escape_column(list(map(_first, columns)))))
-            if not level or len(pieces) >= WRITE_PIECES:
-                self._flush()
-            return
-        self._flush()
-        for start in range(0, count, GROUP_WRITE_ROWS):
-            stop = min(start + GROUP_WRITE_ROWS, count)
-            values = zip(*[_escape_column(column[start:stop])
-                           for column in columns]
-                         ) if columns else repeat((), stop - start)
-            self._pieces.append("".join(map(template.__mod__, values)))
+            template = self._templates[key] = self.template(*key)
+        write_group(pieces, self._flush, template, count, columns)
+        if not level:
+            # the document is this one fragment
             self._flush()
 
-    def _template(self, fragment, level: int) -> str:
-        """What the event path writes for ``fragment`` opened at ``level``,
-        with ``%s`` where each slot's escaped value goes.
+    def place(self) -> tuple[list[str], int, int]:
+        """Where an element written whole goes next: the pieces not yet
+        handed to ``write`` (the open element committed), its level, and
+        how many may gather before a :meth:`_flush` (read now)."""
+        if not self._opened:
+            self._open_top()
+        return self._pieces, len(self._tags), WRITE_PIECES
 
-        The fragment is replayed through a serializer of the same
-        indentation standing at that level, with a marker character in
+    def _rendered(self, level: int, drive) -> str:
+        """What ``drive`` writes into a serializer of the same indentation
+        standing at ``level``."""
+        parts: list[str] = []
+        at_level = StreamSerializer(parts.append, self.indent)
+        at_level._tags = [None] * level
+        drive(at_level)
+        at_level._flush()
+        return "".join(parts)
+
+    def lines(self, tag: str, level: int) -> tuple[str, str, str]:
+        """What the event path writes for an element ``tag`` at ``level``:
+        its open and close lines around element children, and its line
+        when it has no child."""
+        def opened(at):
+            at.start(tag)
+            at._open_top()
+        open_line = self._rendered(level, opened)
+        return (open_line, self._rendered(level, lambda at: (
+                    opened(at), at.end()))[len(open_line):],
+                self._rendered(level, lambda at: (at.start(tag), at.end())))
+
+    def template(self, fragment, level: int) -> list[str]:
+        """What the event path writes for ``fragment`` opened at ``level``,
+        cut where each slot's escaped value goes: one more constant piece
+        than the fragment has slots.
+
+        The fragment is replayed at that level with a marker character in
         every slot.  The marker is chosen absent from what the same replay
         writes around empty slots, and ``escape_text`` leaves it alone, so
         it occurs in the output exactly once per slot.
         """
         def rendered(value: str) -> str:
-            parts: list[str] = []
-            at_level = StreamSerializer(parts.append, self.indent)
-            at_level._tags = [None] * level
-            fragment.replay(at_level, 1, [[value]] * len(fragment.sources))
-            at_level._flush()
-            return "".join(parts)
+            return self._rendered(level, lambda at_level: fragment.replay(
+                at_level, 1, [[value]] * len(fragment.sources)))
 
         constant = rendered("")
         marker = next(c for c in map(chr, count(0xE000)) if c not in constant)
-        return "%s".join(piece.replace("%", "%%")
-                         for piece in rendered(marker).split(marker))
+        return rendered(marker).split(marker)
 
 
 def parse_xml(source: str) -> XMLElement:

@@ -13,7 +13,7 @@ Covers the layers the plane cuts through:
   both replayed over crafted trees and through the full pipeline;
 * tracemalloc bounds: streaming tagging allocates less than the document
   it emits, and materializing peaks at >= 5x the whole streamed path;
-* the event path's batches: pieces reach ``write`` joined, at most
+* the write path's batches: pieces reach ``write`` joined, at most
   ``WRITE_PIECES`` at a time, pinned as counts, not clocks.
 """
 
@@ -46,7 +46,8 @@ from repro.relational import Catalog, DataSource, SourceSchema
 from repro.relational.schema import relation
 from repro.runtime import Middleware
 from repro.runtime.engine import Engine
-from repro.runtime.tagging import NullEventSink, stream_document
+from repro.runtime.tagging import (NullEventSink, TaggingRun, stream_document,
+                                   tagging_program)
 from repro.xmlmodel import StreamSerializer, XMLElement, XMLText, serialize
 from repro.xmlmodel.node import new_element
 from tests.conftest import load_tiny_hospital, pending_groups
@@ -246,19 +247,21 @@ class TestPendingGroupsWritten:
 
 
 # ---------------------------------------------------------------------------
-# the event path: pieces reach write joined, in bounded batches
+# the write path: pieces reach write joined, in bounded batches
 # ---------------------------------------------------------------------------
 
 class TestEventPathBatches:
-    """Hospital ``tiny`` on its second date: 283 elements that reach the
-    serializer as single events and lone fragments, nearly all of them
-    outside any sibling group, so the event path's gathering decides the
-    ``write`` calls."""
+    """Hospital ``tiny`` on its second date: 283 elements that the tagging
+    program writes as single lines and lone fragments, nearly all of them
+    outside any sibling group, so the gathering of pieces in the
+    serializer it writes into decides the ``write`` calls."""
 
-    #: Python-level calls per element of one ``stream_document`` into the
-    #: serializer.  A frame per element and a ``write`` per piece measured
-    #: 8.64; one tag stack and gathered pieces 5.16.  15 % headroom.
-    CALLS_PER_ELEMENT = 6.0
+    #: Python-level calls per element of one ``evaluate_stream`` tagging
+    #: pass (bind + write).  Events into the serializer with a frame per
+    #: element and a ``write`` per piece measured 8.64; one tag stack and
+    #: gathered pieces 5.16; the program writing its own lines 2.50
+    #: (708 calls).  15 % headroom.
+    CALLS_PER_ELEMENT = 2.88
 
     @pytest.fixture(scope="class")
     def tiny(self):
@@ -283,7 +286,9 @@ class TestEventPathBatches:
 
         monkeypatch.setattr(StreamSerializer, "_flush", counting_flush)
         if bound is not None:
+            # both bounds are read when written, not when compiled
             monkeypatch.setattr(serialize_module, "WRITE_PIECES", bound)
+            monkeypatch.setattr(serialize_module, "GROUP_WRITE_ROWS", bound)
         report = middleware.evaluate_stream({"date": DATES[1]},
                                             chunks.append, indent=2)
         assert len(joined) == len(chunks)
@@ -310,7 +315,8 @@ class TestEventPathBatches:
     def test_python_calls_per_element(self, tiny):
         middleware, sources = tiny
         root = {"date": DATES[1]}
-        middleware.evaluate_stream(dict(root), lambda chunk: None)
+        # the writer at indent 2 compiled, as by any earlier request
+        middleware.evaluate_stream(dict(root), lambda chunk: None, indent=2)
         prepared = middleware.last_plan
         engine = Engine(prepared.graph, prepared.plan, sources,
                         middleware.network, mediator=middleware.mediator,
@@ -329,9 +335,9 @@ class TestEventPathBatches:
             previous = sys.getprofile()
             sys.setprofile(profiler)
             try:
-                elements = stream_document(prepared.tagging_plan, cache,
-                                           dict(root), serializer,
-                                           rename=base_name)
+                elements = TaggingRun(
+                    tagging_program(prepared.tagging_plan, base_name),
+                    cache, dict(root)).write(serializer)
             finally:
                 sys.setprofile(previous)
         finally:
@@ -390,8 +396,8 @@ class TestStreamingPipeline:
         assert stream.constraint_violations  # the seeded defect is seen
 
     def test_fragment_groups_beside_the_checker(self):
-        # a star of fragments reaches the serializer as one group and the
-        # checker, behind the same tee, as the group's replayed events
+        # a star of fragments is written as one group, and reaches the
+        # checker, in a pass of its own, as the group's replayed events
         from tests.test_mediator_resident import (build_group_aig,
                                                   group_sources)
         aig = build_group_aig()

@@ -30,7 +30,8 @@ from repro.service import (
     TenantRegistry,
 )
 from repro.service.registry import version_vector
-from repro.service.server import STREAM_FRAME_BYTES, start_background
+from repro.service.server import (MAX_INDENT, STREAM_FRAME_BYTES,
+                                  start_background)
 from repro.xmlmodel.serialize import serialize
 from tests.conftest import load_tiny_hospital, trace_statements
 
@@ -1045,6 +1046,29 @@ class TestStreamStatus:
         assert status == 400
         assert "'indent' must be null or a non-negative integer" in \
             json.loads(body)["error"]
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_oversized_indent_is_400_before_any_evaluation(self, refusing,
+                                                           stream):
+        # each pretty line carries indent x depth spaces: an indent of a
+        # million would make a document of gigabytes, and cache it
+        _, server = refusing
+
+        def state() -> tuple:
+            _, _, health = _request(server, "GET", "/health")
+            _, _, metrics = _request(server, "GET", "/metrics.json")
+            return (json.loads(health)["response_cache_entries"],
+                    json.loads(metrics)["counters"].get(
+                        "service_evaluations", 0))
+
+        before = state()
+        status, _, body = _one_response(_raw_post(server, {
+            "tenant": "clean", "root": {"date": "d1"}, "indent": 1000000,
+            "stream": stream}))
+        assert status == 400
+        assert f"'indent' must be at most {MAX_INDENT}" in \
+            json.loads(body)["error"]
+        assert state() == before
 
     @pytest.mark.parametrize("stream", [False, True])
     def test_constraint_abort_is_409(self, refusing, stream):

@@ -3,9 +3,12 @@
 ``stream_document`` compiles a ``TaggingPlan`` once into a
 ``TaggingProgram`` and hands every star/choice-free run of siblings to the
 sinks as one ``Fragment``, a sibling group at a time.  A sink may take
-groups natively (``StreamSerializer``: one ``%``-template per row;
-``TreeSink``: the fragment's ops run over the trusted node constructors) or
-receive them through the shared ``Fragment.replay`` (the streaming checker).
+groups natively (``StreamSerializer``: a template's constant pieces
+interleaved with the columns; ``TreeSink``: the fragment's ops run over the
+trusted node constructors) or receive them through the shared
+``Fragment.replay`` (the streaming checker).  Several sinks get a pass
+each.  The program's own writer is held to the same reference in
+``tests/test_program_writer.py``.
 ``tests/reference_writer.py`` writes the ``TreeSink`` tree with every
 group built and shares no code with ``StreamSerializer``, so byte equality
 of the two is the "fragment path == event path" property
@@ -46,7 +49,7 @@ from tests.test_recursive_choice import TREE_ROWS, build_fs_aig, load
 
 # every PCDATA value of ``product`` is a query column; ``listing`` is
 # constant, one constant carrying what a %-template must escape and the
-# first slot marker ``StreamSerializer`` would otherwise pick
+# first slot marker ``StreamSerializer.template`` would otherwise pick
 CATALOG_DTD = """
     <!ELEMENT catalog (product*)>
     <!ELEMENT product (sku, title, price, listing)>
@@ -232,7 +235,7 @@ class TestFragmentPathEqualsEventPath:
                 tagged.written(indent)[0]
 
     def test_tree_beside_serializer_both_native(self, tagged, monkeypatch):
-        # behind the tee each sink takes a fragment in one native call: the
+        # in its own pass each sink takes a fragment in one native call: the
         # tree sink sees ``start`` only for elements outside fragments
         started = []
         real_start = TreeSink.start
@@ -376,22 +379,35 @@ class TestProvenanceBeyondTheOwnRow:
 
 class TestCompileOnce:
     def test_one_program_per_prepared_plan(self, monkeypatch):
-        compiled = []
+        # one program per prepared plan, and one writer per indent of it
+        compiled, writers = [], []
         real = tagging.TaggingProgram.__init__
+        real_step = tagging.TaggingProgram._write_step
 
         def counting(self, plan, rename=None):
             compiled.append(rename)
             real(self, plan, rename)
 
+        def counting_step(self, item, formats, level):
+            if item is self._item:
+                writers.append((formats.indent, level))
+            return real_step(self, item, formats, level)
+
         monkeypatch.setattr(tagging.TaggingProgram, "__init__", counting)
+        monkeypatch.setattr(tagging.TaggingProgram, "_write_step",
+                            counting_step)
         sources = make_sources()
         load_tiny_hospital(sources)
         middleware = Middleware(build_hospital_aig(), sources,
                                 unfold_depth=4)
         for _ in range(3):
-            middleware.evaluate({"date": "d1"})
-            middleware.evaluate_stream({"date": "d1"}, lambda chunk: None)
+            for indent in (None, 2):
+                serialize(middleware.evaluate({"date": "d1"}).document,
+                          indent=indent)
+                middleware.evaluate_stream({"date": "d1"},
+                                           lambda chunk: None, indent)
         assert compiled == [base_name]
+        assert writers == [(None, 0), (2, 0)]
         plan = middleware.prepare(4).tagging_plan
         assert list(plan._programs) == [base_name]
         middleware.invalidate_plans()
