@@ -359,7 +359,8 @@ class Middleware:
         def take(run: TaggingRun):
             if checker is not None:
                 run.stream(checker)     # its own pass, before any byte
-            return traced_tagging(tracer, lambda: run.write(serializer))
+            return traced_tagging(tracer,
+                                  lambda: run.write(serializer, tracer))
 
         def report(run: _Run) -> StreamReport:
             elements = int(run.taken)

@@ -23,30 +23,32 @@ PCDATA slots — and handed to the sinks a whole sibling group at a time, in
 one ``fragments(fragment, count, columns)`` call.
 
 Bytes take no events: :meth:`TaggingRun.write` runs the program's writer
-(:meth:`TaggingProgram.writer`), compiled per indentation with every line
-and fragment template of an occurrence fixed by its depth.  Sinks decide
-what events become: a tree (:class:`TreeSink`), constraint verdicts
-(:class:`~repro.constraints.StreamingConstraintChecker`), or nothing
-(:class:`NullEventSink`).  The protocol is ``start(tag)`` / ``text(value)``
-/ ``end()`` plus the optional ``fragments``; a sink without it receives the
-group's events through :meth:`Fragment.replay`.  Internal-state nodes
-never produce events (decomposition steps are not element occurrences), and
-unfolding suffixes are stripped by the ``rename`` applied to every tag at
-compile time.
+(:meth:`TaggingProgram.writer`), Python source generated per indentation
+with every line and fragment template of an occurrence fixed by its depth.
+Sinks decide what events become: a tree (:class:`TreeSink`), constraint
+verdicts (:class:`~repro.constraints.StreamingConstraintChecker`), or
+nothing (:class:`NullEventSink`).  The protocol is ``start(tag)`` /
+``text(value)`` / ``end()`` plus the optional ``fragments``; a sink without
+it receives the group's events through :meth:`Fragment.replay`.
+Internal-state nodes never produce events (decomposition steps are not
+element occurrences), and unfolding suffixes are stripped by the ``rename``
+applied to every tag at compile time.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import partial
+from itertools import count as counter, repeat
 from operator import itemgetter
 
 from repro.errors import EvaluationError, RecursionTruncated
 from repro.dtd.model import Choice, PCDATA, Sequence, Star
+from repro.obs.tracer import NULL_TRACER
 # the trusted constructors are reached through the module, so that what
 # builds a tree can be counted in one place (tests/test_incremental.py)
 from repro.xmlmodel import node as xmlnode
 from repro.xmlmodel.node import XMLElement
-from repro.xmlmodel.serialize import StreamSerializer, escape_text, write_group
+from repro.xmlmodel.serialize import _ESCAPES, StreamSerializer, write_group
 from repro.compilation.occurrences import (
     ConstValue,
     Occurrence,
@@ -115,6 +117,56 @@ class _Table:
 
     def index_of(self, column: str) -> int:
         return self.columns.index(column)
+
+
+def _no_row(anchor: str, text_path: str) -> EvaluationError:
+    return EvaluationError(f"no current row for {anchor} while tagging "
+                           f"{text_path}")
+
+
+class _Choice:
+    """A choice occurrence of ``program`` as both passes select from it:
+    its condition table's position, the anchor whose row keys that table
+    and the alternatives (``None`` where the unfolding cut one off)."""
+
+    def __init__(self, program: "TaggingProgram", occurrence: Occurrence):
+        program.choices.append(occurrence.path)
+        self.position, self.anchor = len(program.choices) - 1, \
+            occurrence.anchor
+        self.alternatives = [
+            None if name is None else occurrence.child(name)
+            for name in program._aig.rule_for(occurrence.element_type)
+            .selector_targets([child.element_type
+                               for child in occurrence.children])]
+        program.truncatable |= None in self.alternatives
+        self._query = f"condition query of {occurrence.element_type!r}"
+        self._path = occurrence.path
+
+    def select(self, conditions: list[_Table], parent_id) -> int:
+        """The position of the alternative the condition selects for the
+        instance under ``parent_id``, raising on none or a cut-off one."""
+        condition = conditions[self.position]
+        rows = condition.rows_for(parent_id)
+        if not rows and self.anchor.parent is None:
+            rows = [row for group in condition.by_parent.values()
+                    for row in group]
+        if not rows:
+            raise EvaluationError(f"{self._query} returned no value for an "
+                                  f"instance at {self._path}")
+        selector = rows[0][0]
+        try:
+            index = int(selector)
+        except (TypeError, ValueError):
+            raise EvaluationError(f"{self._query} returned non-integer "
+                                  f"{selector!r}") from None
+        if not 1 <= index <= len(self.alternatives):
+            raise EvaluationError(f"{self._query} returned {index}, outside "
+                                  f"[1, {len(self.alternatives)}]")
+        if self.alternatives[index - 1] is None:
+            raise RecursionTruncated(
+                f"{self._query} selected an alternative truncated by "
+                f"recursion unfolding; increase the unfold depth")
+        return index - 1
 
 
 class Fragment:
@@ -307,12 +359,12 @@ def build_document(plan: TaggingPlan, cache: dict, root_inh: dict,
 class TaggingRun:
     """A :class:`TaggingProgram` bound to one document's cached relations
     and root attributes.  It reads only ``ResultSet``\\ s, whose rows never
-    change, so every pass makes the same document; a pass keeps its sink or
-    its pieces, current rows and counts here, so one runs at a time."""
+    change, so every pass makes the same document; an event pass keeps its
+    sink, current rows and counts here, so one runs at a time."""
 
-    __slots__ = ("program", "tables", "conditions", "columns", "values",
-                 "sink", "emit", "pieces", "flush", "limit", "rows",
-                 "elements", "fragment_elements", "texts")
+    __slots__ = ("program", "tables", "conditions", "columns", "root_inh",
+                 "sink", "emit", "rows", "elements", "fragment_elements",
+                 "texts")
 
     def __init__(self, program: "TaggingProgram", cache: dict,
                  root_inh: dict):
@@ -322,21 +374,15 @@ class TaggingRun:
                 raise EvaluationError(
                     f"tagging input {node_name!r} was not produced")
         self.program = program
+        self.root_inh = root_inh
         self.tables = [_Table(cache[plan.table_of[path]],
                               plan.sort_columns.get(path, []))
                        for path in program.anchors]
         self.conditions = [_Table(cache[plan.condition_of[path]], [])
                            for path in program.choices]
-        readers = [program._columns_reader(fragment, self.tables, root_inh)
-                   for fragment in program.fragments]
-        self.columns = [group for group, _ in readers]
-        self.values = [one for _, one in readers]
-
-    def _pass(self, body) -> ElementCount:
-        self.rows = [None] * len(self.tables)
-        self.elements = self.fragment_elements = self.texts = 0
-        body(self)
-        return ElementCount(self.elements, self.fragment_elements, self.texts)
+        self.columns = [program._columns_reader(fragment, self.tables,
+                                                root_inh)
+                        for fragment in program.fragments]
 
     def stream(self, sink) -> ElementCount:
         """One pass delivering the document to ``sink`` as events, a group
@@ -345,17 +391,22 @@ class TaggingRun:
         self.emit = getattr(sink, "fragments", None) or (
             lambda fragment, count, columns: fragment.replay(sink, count,
                                                              columns))
-        return self._pass(self.program._root)
+        self.rows = [None] * len(self.tables)
+        self.elements = self.fragment_elements = self.texts = 0
+        self.program._root(self)
+        return ElementCount(self.elements, self.fragment_elements, self.texts)
 
-    def write(self, serializer) -> ElementCount:
+    def write(self, serializer, tracer=None) -> ElementCount:
         """One pass writing the document where ``serializer`` stands: the
-        program's writer for that indentation and level appends to the
-        serializer's pieces and flushes through it (no events)."""
-        self.pieces, level, self.limit = serializer.place()
-        self.flush = serializer._flush
-        count = self._pass(self.program.writer(serializer.indent, level))
+        program's writer for that indentation and level (compiled under
+        ``tracer`` on first use) appends to the serializer's pieces and
+        flushes through it (no events)."""
+        pieces, level, limit, group_rows = serializer.place()
+        write = self.program.writer(serializer.indent, level, tracer)
+        count = ElementCount(*write(self, pieces, serializer._flush, limit,
+                                    group_rows))
         if not level:
-            self.flush()
+            serializer._flush()
         return count
 
 
@@ -390,7 +441,7 @@ class PendingDocument:
         return count
 
     def write(self, serializer) -> None:
-        self._produce(lambda: self.run.write(serializer))
+        self._produce(lambda: self.run.write(serializer, self.tracer))
 
     def build(self, root: XMLElement) -> None:
         self._produce(lambda: self.run.stream(TreeSink(root)))
@@ -428,11 +479,12 @@ class TaggingProgram:
         self.anchors: list[str] = []
         #: choice-production occurrence paths, by condition-table position
         self.choices: list[str] = []
+        self._choices: dict[str, _Choice] = {}
         #: some choice has an alternative the unfolding cut off, so a run
         #: may raise :class:`~repro.errors.RecursionTruncated` mid-document
         self.truncatable = False
         self._folded: dict[tuple, list] = {}
-        #: compiled writers, by (indent, level): see :meth:`writer`
+        #: generated writers, by (indent, level): see :meth:`writer`
         self._writers: dict[tuple, object] = {}
         item = self._item = self._fold_runs([plan.tree.root])[0]
         self._root = self._step(item)
@@ -541,11 +593,13 @@ class TaggingProgram:
         if isinstance(model, Star):
             return self._iteration(occurrence.children[0])
         if isinstance(model, Choice):
-            select, alternatives = self._selector(occurrence)
+            choice = self._choice(occurrence)
             branches = [None if alternative is None else
                         self._step(self._only(alternative))
-                        for alternative in alternatives]
-            return lambda run: branches[select(run)](run)
+                        for alternative in choice.alternatives]
+            anchor_id = self._anchor_id(choice.anchor)
+            return lambda run: branches[choice.select(
+                run.conditions, anchor_id(run))](run)
         assert isinstance(model, Sequence)
         steps = [self._step(item)
                  for item in self._fold_runs(occurrence.children)]
@@ -598,161 +652,50 @@ class TaggingProgram:
             rows[slot] = None
         return emit_elements
 
-    def _selector(self, occurrence: Occurrence):
-        """``(select, alternatives)``: the child occurrences of a choice
-        (``None`` where the unfolding cut one off) and the position the
-        condition picks for the current row, raising on none or a cut one."""
-        if occurrence.path not in self.choices:
-            self.choices.append(occurrence.path)
-        position = self.choices.index(occurrence.path)
-        element_type, path = occurrence.element_type, occurrence.path
-        at_root = occurrence.anchor.parent is None
-        anchor_id = self._anchor_id(occurrence.anchor)
-        alternatives = [
-            None if name is None else occurrence.child(name)
-            for name in self._aig.rule_for(element_type).selector_targets(
-                [child.element_type for child in occurrence.children])]
-        if None in alternatives:
-            self.truncatable = True
-
-        def select(run: TaggingRun) -> int:
-            condition = run.conditions[position]
-            rows = condition.rows_for(anchor_id(run))
-            if at_root and not rows:
-                rows = [row for group in condition.by_parent.values()
-                        for row in group]
-            if not rows:
-                raise EvaluationError(
-                    f"condition query of {element_type!r} returned "
-                    f"no value for an instance at {path}")
-            selector = rows[0][0]
-            try:
-                index = int(selector)
-            except (TypeError, ValueError):
-                raise EvaluationError(
-                    f"condition query of {element_type!r} returned "
-                    f"non-integer {selector!r}") from None
-            if not 1 <= index <= len(alternatives):
-                raise EvaluationError(
-                    f"condition query of {element_type!r} returned "
-                    f"{index}, outside [1, {len(alternatives)}]")
-            if alternatives[index - 1] is None:
-                raise RecursionTruncated(
-                    f"condition query of {element_type!r} selected "
-                    f"an alternative truncated by recursion unfolding; "
-                    f"increase the unfold depth")
-            return index - 1
-        return select, alternatives
+    def _choice(self, occurrence: Occurrence) -> _Choice:
+        """The :class:`_Choice` of a choice occurrence, made once."""
+        return self._choices.get(occurrence.path) or self._choices \
+            .setdefault(occurrence.path, _Choice(self, occurrence))
 
     # -- the writer -------------------------------------------------------
-    def writer(self, indent: int | None, level: int = 0):
-        """``write(run)``, appending to ``run.pieces`` the bytes the event
-        path would make a :class:`StreamSerializer` at ``indent`` write for
-        the document rooted at ``level``.  Compiled on first use and kept:
-        each line and template is fixed by its occurrence's depth."""
+    def writer(self, indent: int | None, level: int = 0, tracer=None):
+        """``write(run, pieces, flush, limit, group_rows) -> counts``,
+        appending the bytes the event path would make a
+        :class:`StreamSerializer` at ``indent`` write from ``level``.
+
+        Python source generated by :class:`_WriterSource` and compiled on
+        first use per (indent, level), in a ``tagging-compile`` span: a
+        prologue binding the run's tables, column indexes and root values,
+        then one function per star and per choice (flat at any unfolding
+        depth), each row one ``%``-template of fused lines with its values
+        escaped inline.  The text holds generated names and integer
+        literals only, every string being bound in its namespace; it is
+        kept as the writer's ``source``, for reading."""
         key = (indent, 0 if indent is None else level)
         write = self._writers.get(key)
         if write is None:
-            write = self._writers[key] = self._write_step(
-                self._item, StreamSerializer(None, indent), key[1])
+            write = self._writers[key] = self._compile_writer(*key, tracer)
         return write
 
-    def _write_step(self, item, formats: StreamSerializer, level: int):
-        """The closure writing one item of :meth:`_fold_runs` at
-        ``level``, with the lines and templates of ``formats``."""
-        if isinstance(item, Fragment):
-            index, count, texts = item.index, item.elements, item.texts
-            template = "%s".join(piece.replace("%", "%%") for piece
-                                 in formats.template(item, level))
-
-            def write_fragment(run: TaggingRun) -> None:
-                run.elements += count
-                run.fragment_elements += count
-                run.texts += texts
-                pieces = run.pieces
-                pieces.append(template % tuple(
-                    map(escape_text, run.values[index](run.rows))))
-                if len(pieces) >= run.limit:
-                    run.flush()
-            return write_fragment
-        tag, occurrence = item
-        open_line, close_line, empty_line = formats.lines(tag, level)
-        model = self._model(occurrence)
-        star = isinstance(model, Star)
-        if star:
-            child = occurrence.children[0]
-            slot = self._slot(child)
-            parent_id = self._anchor_id(child.parent_anchor())
-            content = self._write_rows(slot, self._only(child), formats,
-                                       level + 1)
-        elif isinstance(model, Choice):
-            select, alternatives = self._selector(occurrence)
-            branches = [None if alternative is None else self._write_step(
-                            self._only(alternative), formats, level + 1)
-                        for alternative in alternatives]
-
-            def content(run: TaggingRun, group) -> None:
-                branches[select(run)](run)
-        else:
-            steps = [self._write_step(child, formats, level + 1)
-                     for child in self._fold_runs(occurrence.children)]
-            content = None
-
-        def write_element(run: TaggingRun) -> None:
-            run.elements += 1
-            # a star is empty or not by its group of rows
-            group = (run.tables[slot].by_parent.get(parent_id(run))
-                     if star else True)
-            pieces = run.pieces
-            if group:
-                pieces.append(open_line)
-                if len(pieces) >= run.limit:
-                    run.flush()
-                if content is None:
-                    for step in steps:
-                        step(run)
-                else:
-                    content(run, group)
-                pieces.append(close_line)
-            else:
-                pieces.append(empty_line)
-            if len(pieces) >= run.limit:
-                run.flush()
-        return write_element
-
-    def _write_rows(self, slot: int, item, formats: StreamSerializer,
-                    level: int):
-        """``content(run, group)`` writing a star's rows at ``level``:
-        ``item`` once per row of the group, a fragment as one group."""
-        if isinstance(item, Fragment):
-            index, count, texts = item.index, item.elements, item.texts
-            template = formats.template(item, level)
-
-            def write_group_of(run: TaggingRun, group: list) -> None:
-                run.elements += count * len(group)
-                run.fragment_elements += count * len(group)
-                run.texts += texts * len(group)
-                write_group(run.pieces, run.flush, template, len(group),
-                            run.columns[index](run.rows, slot, group))
-            return write_group_of
-        write_row = self._write_step(item, formats, level)
-
-        def write_each(run: TaggingRun, group: list) -> None:
-            rows = run.rows
-            for row in group:
-                rows[slot] = row
-                write_row(run)
-            rows[slot] = None
-        return write_each
+    def _compile_writer(self, indent: int | None, level: int, tracer):
+        with (tracer or NULL_TRACER).span("tagging-compile", "tagging",
+                                          indent=indent, level=level) as span:
+            source = _WriterSource(self, StreamSerializer(None, indent),
+                                   level)
+            text = source.text()
+            exec(compile(text, "<tagging writer>", "exec"), source.namespace)
+            span.set(lines=text.count("\n"))
+        write = source.namespace["write"]
+        write.source = text
+        return write
 
     # -- per-document binding -------------------------------------------
     def _columns_reader(self, fragment: Fragment, tables: list[_Table],
                         root_inh: dict):
-        """``read(rows, own, group) -> [column of str per slot]`` and
-        ``read_one(rows) -> [str per slot]`` for ``fragment``, with root
-        attributes and column indexes resolved for this document.  ``group``
-        holds the rows the iteration at anchor ``own`` is emitting (a lone
-        fragment passes neither, or is read by ``read_one``): a slot read
+        """``read(rows, own, group) -> [column of str per slot]`` for
+        ``fragment``, with root attributes and column indexes resolved for
+        this document.  ``group`` holds the rows the iteration at anchor
+        ``own`` is emitting (a lone fragment passes neither): a slot read
         from that anchor is a column of the group, taken as it is where the
         table holds only ``str``; one read from an enclosing anchor's
         current row or a root attribute is one constant for the group.
@@ -769,10 +712,6 @@ class TaggingProgram:
                                 tables[slot].types[index] <= {str},
                                 text_path))
 
-        def no_row(slot: int, text_path: str) -> EvaluationError:
-            return EvaluationError(f"no current row for {self.anchors[slot]}"
-                                   f" while tagging {text_path}")
-
         def read(rows: list, own: int | None = None,
                  group=(None,)) -> list[list[str]]:
             columns = []
@@ -784,21 +723,268 @@ class TaggingProgram:
                     column = list(column if is_str
                                   else map(_pcdata, column))
                 elif rows[slot] is None:
-                    raise no_row(slot, text_path)
+                    raise _no_row(self.anchors[slot], text_path)
                 else:
                     column = [_pcdata(value_of(rows[slot]))] * len(group)
                 columns.append(column)
             return columns
+        return read
 
-        def read_one(rows: list) -> list[str]:
-            values = []
-            for constant, slot, value_of, is_str, text_path in sources:
-                if slot is None:
-                    values.append(constant)
-                elif rows[slot] is None:
-                    raise no_row(slot, text_path)
-                else:
-                    value = value_of(rows[slot])
-                    values.append(value if is_str else _pcdata(value))
-            return values
-        return read, read_one
+
+#: ``escape_text`` as a generated writer spells it: one ``replace`` per
+#: pair of ``_ESCAPES``, in order, their strings bound as ``a<i>``, ``b<i>``
+_ESCAPE = "".join(f".replace(a{i}, b{i})" for i in range(len(_ESCAPES)))
+
+#: What every generated writer's namespace starts from.
+_NAMESPACE = {"_pcdata": _pcdata, "_join": "".join,
+              "_write_group": write_group, "_str": frozenset({str}),
+              **{f"a{i}": raw for i, (raw, _) in enumerate(_ESCAPES)},
+              **{f"b{i}": entity for i, (_, entity) in enumerate(_ESCAPES)}}
+
+
+class _Unit:
+    """A function of a generated writer being written: its lines, the
+    piece pending at its end (constant parts with one slot expression
+    between each two), its static counts not yet added and the anchors
+    whose rows it reads."""
+
+    def __init__(self, depth: int):
+        self.lines: list[str] = []
+        self.depth = depth
+        self.parts, self.args = [""], []
+        self.counts = [0, 0, 0]     # elements, in fragments, texts
+        self.rows: set[int] = set()
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def add(self, parts, args=()) -> None:
+        """Pend constant ``parts`` with ``args`` between them."""
+        self.parts[-1] += parts[0]
+        self.parts.extend(parts[1:])
+        self.args.extend(args)
+
+    def added(self, depth: int, times: str | None = None,
+              counts=None) -> list[str]:
+        """The lines adding ``counts`` (the static ones, then reset),
+        ``times`` over."""
+        if counts is None:
+            counts, self.counts = self.counts, [0, 0, 0]
+        return [f"{'    ' * depth}{name} += {count}"
+                f"{'' if times is None else ' * ' + times}"
+                for name, count in zip("EFT", counts) if count]
+
+
+class _WriterSource:
+    """The source of one writer of a :class:`TaggingProgram` (see
+    :meth:`TaggingProgram.writer`) and the namespace it runs in.
+
+    The current row of anchor slot ``s`` is the local ``r<s>``: the loop
+    variable of its star's function, passed to every function below that
+    reads it.  What is current is thus fixed where the code is generated;
+    a slot read from an anchor that is not raises the event path's error.
+    """
+
+    def __init__(self, program: TaggingProgram, formats: StreamSerializer,
+                 level: int):
+        self.program, self.formats = program, formats
+        self.namespace = dict(_NAMESPACE)
+        self._names: dict[tuple, str] = {}
+        self._count = counter()
+        self.prologue: list[str] = []
+        self.functions: list[str] = []
+        body = self.body = _Unit(1)
+        self.item(body, program._item, level, ())
+        self.flush(body)
+        body.lines[:0] = body.added(1)
+
+    def text(self) -> str:
+        return "\n".join([
+            "def write(run, pieces, flush, limit, grows):",
+            "    tables, conditions = run.tables, run.conditions",
+            "    root_inh, append = run.root_inh, pieces.append",
+            "    E = F = T = 0", *self.prologue, *self.functions,
+            *self.body.lines, "    return E, F, T", ""])
+
+    # -- names -------------------------------------------------------------
+    def local(self, prefix: str) -> str:
+        return f"{prefix}{next(self._count)}"
+
+    def constant(self, value) -> str:
+        """The name ``value`` is bound to in the namespace."""
+        key = ("k", value if isinstance(value, (str, tuple)) else id(value))
+        if key not in self._names:
+            self._names[key] = self.local("k")
+            self.namespace[self._names[key]] = value
+        return self._names[key]
+
+    def per_run(self, prefix: str, expression: str) -> str:
+        """The local the prologue binds to ``expression``, once a run."""
+        key = ("p", expression)
+        if key not in self._names:
+            self._names[key] = self.local(prefix)
+            self.prologue.append(f"    {self._names[key]} = {expression}")
+        return self._names[key]
+
+    def row_id(self, unit: _Unit, anchor: Occurrence, enclosing) -> str:
+        """The ``__id`` of ``anchor``'s current row."""
+        if anchor.parent is None:
+            return "None"
+        slot = self.program.anchors.index(anchor.path)
+        assert slot in enclosing, anchor.path
+        unit.rows.add(slot)
+        return f"r{slot}[{self.per_run('i', f'tables[{slot}].id_index')}]"
+
+    def value(self, unit: _Unit, source, enclosing) -> str:
+        """A slot's value, unescaped; where its anchor has no current row,
+        the event path's error is raised instead."""
+        text_path, provenance = source
+        if isinstance(provenance, RootValue):
+            member = self.constant(provenance.member)
+            return self.per_run("v", f"_pcdata(root_inh.get({member}))")
+        slot = self.program.anchors.index(provenance.occurrence.path)
+        if slot not in enclosing:
+            error = partial(_no_row, self.program.anchors[slot], text_path)
+            unit.emit(f"raise {self.constant(error)}()")
+            return "None"
+        unit.rows.add(slot)
+        index = self.per_run("c", f"tables[{slot}].index_of("
+                                  f"{self.constant(provenance.column)})")
+        is_str = self.per_run("s", f"tables[{slot}].types[{index}] <= _str")
+        return f"(r{slot}[{index}] if {is_str} else _pcdata(r{slot}[{index}]))"
+
+    # -- pieces ------------------------------------------------------------
+    def take(self, unit: _Unit) -> str | None:
+        """The pending piece as an expression (``None`` if empty), reset."""
+        parts, args = unit.parts, unit.args
+        unit.parts, unit.args = [""], []
+        if not args:
+            return self.constant(parts[0]) if parts[0] else None
+        if parts == ["", ""]:
+            return args[0]
+        template = "%s".join(part.replace("%", "%%") for part in parts)
+        return f"{self.constant(template)} % ({', '.join(args)},)"
+
+    def flush(self, unit: _Unit) -> None:
+        piece = self.take(unit)
+        if piece is not None:
+            unit.emit(f"append({piece})")
+            unit.emit("if len(pieces) >= limit:")
+            unit.emit("    flush()")
+
+    # -- code --------------------------------------------------------------
+    def item(self, unit: _Unit, item, level: int, enclosing: tuple) -> None:
+        """Write one item of :meth:`TaggingProgram._fold_runs` at
+        ``level``; ``enclosing`` holds the slots whose rows are current."""
+        if isinstance(item, Fragment):
+            unit.counts[0] += item.elements
+            unit.counts[1] += item.elements
+            unit.counts[2] += item.texts
+            unit.add(self.formats.template(item, level),
+                     [self.value(unit, source, enclosing) + _ESCAPE
+                      for source in item.sources])
+            return
+        tag, occurrence = item
+        open_line, close_line, empty_line = self.formats.lines(tag, level)
+        unit.counts[0] += 1
+        model = self.program._model(occurrence)
+        if isinstance(model, Star):
+            self.star(unit, occurrence.children[0], level + 1, enclosing,
+                      open_line, close_line, empty_line)
+            return
+        unit.add([open_line])
+        if isinstance(model, Choice):
+            self.flush(unit)
+            self.choice(unit, occurrence, level + 1, enclosing)
+        else:
+            for child in self.program._fold_runs(occurrence.children):
+                self.item(unit, child, level + 1, enclosing)
+        unit.add([close_line])
+
+    def function(self, unit: _Unit, inner: _Unit, params: list[str],
+                 *lines: str) -> None:
+        """Define ``inner`` as a function and call it from ``unit``."""
+        unit.rows |= inner.rows
+        args = ", ".join([*params, *map("r{}".format, sorted(inner.rows))])
+        call = f"{self.local('f')}({args})"
+        self.functions += [f"    def {call}:", "        nonlocal E, F, T",
+                           *lines, *inner.lines]
+        unit.emit(call)
+
+    def star(self, unit: _Unit, child: Occurrence, level: int, enclosing,
+             open_line: str, close_line: str, empty_line: str) -> None:
+        """A star's group looked up where it stands: then its open line,
+        rows and close line, or its empty line; the close or empty line
+        stays pending in a local ``z<n>``."""
+        slot = self.program.anchors.index(child.path)
+        item = self.program._only(child)
+        group, pending = f"g{slot}", self.local("z")
+        by_parent = self.per_run("t", f"tables[{slot}].by_parent")
+        unit.emit(f"{group} = {by_parent}.get("
+                  f"{self.row_id(unit, child.parent_anchor(), enclosing)})")
+        before = list(unit.parts), list(unit.args)
+        unit.emit(f"if {group}:")
+        unit.depth += 1
+        unit.add([open_line])
+        self.flush(unit)
+        if isinstance(item, Fragment):
+            self.group(unit, item, slot, level, enclosing)
+        else:   # a function looping over the rows
+            loop = _Unit(3)
+            self.item(loop, item, level, (*enclosing, slot))
+            self.flush(loop)
+            loop.rows.discard(slot)
+            self.function(unit, loop, [group],
+                          *loop.added(2, f"len({group})"),
+                          f"        for r{slot} in {group}:")
+        unit.emit(f"{pending} = {self.constant(close_line)}")
+        unit.depth -= 1
+        unit.emit("else:")
+        unit.parts, unit.args = before
+        unit.add([empty_line])
+        unit.emit(f"    {pending} = {self.take(unit)}")
+        unit.add(["", ""], [pending])
+
+    def group(self, unit: _Unit, fragment: Fragment, slot: int, level: int,
+              enclosing) -> None:
+        """A star's rows that are one fragment each: one piece under
+        ``grows`` rows, else :func:`write_group`'s batches."""
+        group = f"g{slot}"
+        unit.lines += unit.added(unit.depth, f"len({group})", (
+            fragment.elements, fragment.elements, fragment.texts))
+        values = [self.value(unit, source, (*enclosing, slot))
+                  for source in fragment.sources]
+        unit.rows.discard(slot)
+        template = self.formats.template(fragment, level)
+        unit.add(template, [value + _ESCAPE for value in values])
+        piece = self.take(unit)
+        unit.emit(f"if len({group}) < grows:")
+        unit.emit(f"    append(_join([{piece} for r{slot} in {group}]))"
+                  if values else f"    append({piece} * len({group}))")
+        unit.emit("    if len(pieces) >= limit:")
+        unit.emit("        flush()")
+        columns = ", ".join(f"[{value} for r{slot} in {group}]"
+                            for value in values)
+        unit.emit("else:")
+        unit.emit(f"    _write_group(pieces, flush, "
+                  f"{self.constant(tuple(template))}, len({group}), "
+                  f"[{columns}])")
+
+    def choice(self, unit: _Unit, occurrence: Occurrence, level: int,
+               enclosing) -> None:
+        """A function writing the alternative a choice's condition picks
+        (:meth:`_Choice.select`, raising as the event path does)."""
+        choice, branch = self.program._choice(occurrence), _Unit(3)
+        parent_id = self.row_id(branch, choice.anchor, enclosing)
+        for index, alternative in enumerate(choice.alternatives):
+            if alternative is not None:
+                branch.lines.append(f"        if y == {index}:")
+                start = len(branch.lines)
+                self.item(branch, self.program._only(alternative), level,
+                          enclosing)
+                self.flush(branch)
+                branch.lines[start:start] = branch.added(3)
+                branch.emit("return")
+        select = self.constant(choice.select)
+        self.function(unit, branch, [],
+                      f"        y = {select}(conditions, {parent_id})")

@@ -59,16 +59,13 @@ from repro.resilience.retry import is_transient
 from repro.service.admission import AdmissionController, AdmissionRejected
 from repro.service.coalesce import RequestCoalescer
 from repro.service.registry import TenantRegistry, TenantState
+from repro.xmlmodel.serialize import MAX_INDENT, check_indent  # noqa: F401
 
 logger = logging.getLogger("repro.service")
 
 #: a streamed response leaves in HTTP chunk frames of at least this many
 #: bytes (the last one excepted), one ``wfile.write`` each
 STREAM_FRAME_BYTES = 16 * 1024
-
-#: the largest ``indent`` ``POST /evaluate`` takes: a pretty-printed line
-#: carries ``indent`` spaces per level, so the document grows linearly in it
-MAX_INDENT = 16
 
 
 def utf8_writer(buffer: bytearray, frame=None):
@@ -537,15 +534,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         root = payload.get("root", {})
         indent = payload.get("indent")
-        # bool is an int; a negative indent would write the bytes of 0
-        # under a cache key of its own
-        if indent is not None and (type(indent) is not int or indent < 0):
-            self._error(400, f"'indent' must be null or a non-negative "
-                             f"integer, got {indent!r}")
-            return
-        if indent is not None and indent > MAX_INDENT:
-            self._error(400, f"'indent' must be at most {MAX_INDENT}, "
-                             f"got {indent}")
+        try:
+            check_indent(indent)
+        except (TypeError, ValueError) as error:
+            self._error(400, str(error))
             return
         if payload.get("stream"):
             self._evaluate_stream(tenant, root, indent)

@@ -36,6 +36,22 @@ WRITE_PIECES = 256
 #: Joins a column of values so one ``escape_text`` pass escapes them all.
 _SEPARATOR = "\x1f"
 
+#: The largest indentation a document is written at: a pretty-printed line
+#: carries ``indent`` spaces per level, so the document grows linearly in it.
+MAX_INDENT = 16
+
+
+def check_indent(indent) -> None:
+    """Refuse any ``indent`` but ``None`` or an ``int`` (not ``bool``) in
+    [0, :data:`MAX_INDENT`]: ``TypeError`` for the type, else
+    ``ValueError``."""
+    if indent is not None and (type(indent) is not int or indent < 0):
+        raise (ValueError if type(indent) is int else TypeError)(
+            f"'indent' must be null or a non-negative integer, got {indent!r}")
+    if indent is not None and indent > MAX_INDENT:
+        raise ValueError(f"'indent' must be at most {MAX_INDENT}, "
+                         f"got {indent}")
+
 
 def _escape_column(values: list[str]) -> list[str]:
     """``escape_text`` of every value, in one pass over their join — or
@@ -95,6 +111,7 @@ def serialize(node: XMLNode, indent: int | None = None) -> str:
     level it stands (the ``evaluate_stream`` path).
     """
     if isinstance(node, XMLText):
+        check_indent(indent)
         return escape_text(node.value) + ("" if indent is None else "\n")
     parts: list[str] = []
     writer = StreamSerializer(parts.append, indent)
@@ -176,6 +193,7 @@ class StreamSerializer:
     """
 
     def __init__(self, write, indent: int | None = None):
+        check_indent(indent)
         self._out = write
         self.indent = indent
         self._nl = "" if indent is None else "\n"
@@ -265,7 +283,7 @@ class StreamSerializer:
         PCDATA slot), each escaped in one pass per batch."""
         if not count:
             return
-        pieces, level, _ = self.place()
+        pieces, level, _, _ = self.place()
         key = (fragment, level)
         template = self._templates.get(key)
         if template is None:
@@ -275,13 +293,14 @@ class StreamSerializer:
             # the document is this one fragment
             self._flush()
 
-    def place(self) -> tuple[list[str], int, int]:
+    def place(self) -> tuple[list[str], int, int, int]:
         """Where an element written whole goes next: the pieces not yet
-        handed to ``write`` (the open element committed), its level, and
-        how many may gather before a :meth:`_flush` (read now)."""
+        handed to ``write`` (the open element committed), its level, how
+        many may gather before a :meth:`_flush` and how many rows of a
+        fragment group make one piece (both read now)."""
         if not self._opened:
             self._open_top()
-        return self._pieces, len(self._tags), WRITE_PIECES
+        return self._pieces, len(self._tags), WRITE_PIECES, GROUP_WRITE_ROWS
 
     def _rendered(self, level: int, drive) -> str:
         """What ``drive`` writes into a serializer of the same indentation

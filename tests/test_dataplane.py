@@ -259,9 +259,10 @@ class TestEventPathBatches:
     #: Python-level calls per element of one ``evaluate_stream`` tagging
     #: pass (bind + write).  Events into the serializer with a frame per
     #: element and a ``write`` per piece measured 8.64; one tag stack and
-    #: gathered pieces 5.16; the program writing its own lines 2.50
-    #: (708 calls).  15 % headroom.
-    CALLS_PER_ELEMENT = 2.88
+    #: gathered pieces 5.16; the program writing its own lines through
+    #: closures 2.50 (708 calls); a generated writer, a function per star
+    #: and choice, 0.61 (173 calls).  15 % headroom.
+    CALLS_PER_ELEMENT = 0.70
 
     @pytest.fixture(scope="class")
     def tiny(self):

@@ -93,13 +93,11 @@ class TestOracle:
 
     def test_unbuilt_group_writer_checked_against_built_write(
             self, monkeypatch):
-        # a group fill that loses every row: the document ``evaluate``
-        # returns is written wrong by its tagging program, and written
-        # right once the checkers have built its groups
-        import importlib
-        monkeypatch.setattr(
-            importlib.import_module("repro.xmlmodel.serialize"), "fill",
-            lambda template, columns, start, stop: "")
+        # a generated group piece that loses every row: the document
+        # ``evaluate`` returns is written wrong by its tagging program, and
+        # written right once the checkers have built its groups
+        from repro.runtime import tagging
+        monkeypatch.setitem(tagging._NAMESPACE, "_join", lambda rows: "")
         report = run_oracle(generate_scenario(1), configs=("merged",))
         kinds = {d.kind for d in report.divergences}
         assert kinds == {"xml", "built-xml"}, report.divergences

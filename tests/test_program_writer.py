@@ -8,15 +8,28 @@ with it, so each case here compares the program's bytes with the reference
 writer over the same document built, at indents ``None``, 0, 2 and 7.
 """
 
+import io
+import re
+import tokenize
+
 import pytest
 
+from repro.aig import AIG, Const, assign, inh, query
+from repro.dtd import parse_dtd
+from repro.dtd.analysis import base_name
+from repro.errors import EvaluationError, RecursionTruncated
 from repro.fuzz import generate_scenario
 from repro.fuzz.spec import build_scenario
-from repro.relational import DataSource
+from repro.obs import Tracer
+from repro.relational import Catalog, DataSource, SourceSchema
+from repro.relational.schema import relation
 from repro.runtime import Middleware
-from repro.xmlmodel import element, serialize
-from repro.xmlmodel.serialize import _SEPARATOR
+from repro.runtime.engine import Engine
+from repro.runtime.tagging import NullEventSink, TaggingRun, tagging_program
+from repro.xmlmodel import StreamSerializer, element, serialize
+from repro.xmlmodel.serialize import _SEPARATOR, MAX_INDENT
 from tests.reference_writer import reference_serialize
+from tests.test_recursive_choice import TREE_ROWS, build_fs_aig, load
 from tests.test_tagging_program import (
     CATALOG_SCHEMA,
     DISCOUNT,
@@ -24,7 +37,7 @@ from tests.test_tagging_program import (
     build_catalog_aig,
 )
 
-INDENTS = [None, 0, 2, 7]
+INDENTS = [None, 0, 2, 7, MAX_INDENT]
 
 #: what a ``%``-template or the one-pass column escape could get wrong
 HOSTILE = ["%", "%%", "%s", "%(x)s", _SEPARATOR, "a" + _SEPARATOR + "b",
@@ -46,6 +59,13 @@ def program_bytes(middleware, root, indent) -> str:
                                         indent=indent)
     assert "".join(chunks) == written
     assert report.characters == len(written)
+    # the writer counts what the event path counts
+    run = document._kids.run
+    counted = run.write(StreamSerializer(lambda chunk: None, indent))
+    streamed = run.stream(NullEventSink())
+    assert int(counted) == int(streamed) == report.elements
+    assert (counted.in_fragments, counted.texts) == \
+        (streamed.in_fragments, streamed.texts)
     return written
 
 
@@ -131,3 +151,223 @@ class TestProgramEqualsReference:
                            for line in alone.splitlines()) in written
         else:
             assert alone in written
+
+
+# ---------------------------------------------------------------------------
+# the generated source: flat at any depth, and no data in its text
+# ---------------------------------------------------------------------------
+
+def writer_source(document, indent) -> str:
+    """The generated text of the writer that wrote ``document``."""
+    return document._kids.run.program.writer(indent).source
+
+
+def nesting(source: str) -> int:
+    return max((len(line) - len(line.lstrip(" "))) // 4
+               for line in source.splitlines())
+
+
+def chain_rows(depth: int) -> list[tuple]:
+    """A directory chain ``depth`` deep ending in one file."""
+    rows = [("d0", "root", "level0", "2", "")]
+    rows += [(f"d{level}", f"d{level - 1}", f"level{level}", "2", "")
+             for level in range(1, depth)]
+    return rows + [("leaf", f"d{depth - 1}", "deepfile", "1", "7")]
+
+
+class TestRecursiveChoiceAtMaxDepth:
+    @pytest.fixture(scope="class")
+    def deep(self):
+        # merged, the 64 levels are one statement past SQLite's limit on
+        # references to one table
+        middleware = Middleware(build_fs_aig(), {"FS": load(chain_rows(30))},
+                                unfold_depth=64, merging=False)
+        report = middleware.evaluate({})
+        assert report.unfold_depth == 64
+        return middleware
+
+    @pytest.mark.parametrize("indent", INDENTS)
+    def test_equals_the_reference_writer(self, deep, indent):
+        assert program_bytes(deep, {}, indent) == built_bytes(deep, {},
+                                                              indent)
+
+    def test_nesting_does_not_grow_with_depth(self, deep):
+        shallow = Middleware(build_fs_aig(), {"FS": load(TREE_ROWS)},
+                             unfold_depth=5)
+        sources = [writer_source(middleware.evaluate({}).document, 2)
+                   for middleware in (deep, shallow)]
+        assert len(sources[0]) > 8 * len(sources[1])
+        assert nesting(sources[0]) == nesting(sources[1]) <= 6
+
+
+NAMES_DTD = """
+    <!ELEMENT price-list.v_1 (owner_tag-a.b, items-wrap.w_0)>
+    <!ELEMENT items-wrap.w_0 (line-item.x_2*)>
+    <!ELEMENT line-item.x_2 (sku-code.y_3, sub-lines.q_9)>
+    <!ELEMENT sub-lines.q_9 (sub-line.r_7*)>
+    <!ELEMENT sub-line.r_7 (unit_price-z.4, note-c.d_5)>
+"""
+NAMES_SCHEMA = SourceSchema("WH", (
+    relation("stock_lines", "sku_code_col", "line_id_col", "day_col"),
+    relation("sub_rows", "line_ref_col", "unit_price_col")))
+#: slot values and a constant shaped like Python source
+PYTHONIC = ["'); x = 1 #", "{}", "\\", '"""', "%(a)s", "\\n"]
+
+
+def build_names_aig() -> AIG:
+    aig = AIG(parse_dtd(NAMES_DTD), Catalog([NAMES_SCHEMA]),
+              root_inh=("day_key", "owner_key"))
+    aig.inh("items-wrap.w_0", "day_key")
+    aig.inh("line-item.x_2", "sku_code_col", "line_id_col")
+    aig.inh("sub-lines.q_9", "line_id_col")
+    aig.inh("sub-line.r_7", "unit_price_col")
+    aig.rule("price-list.v_1", inh={
+        "owner_tag-a.b": assign(val=inh("owner_key")),
+        "items-wrap.w_0": assign(day_key=inh("day_key"))})
+    aig.rule("items-wrap.w_0", inh={"line-item.x_2": query(
+        "select s.sku_code_col, s.line_id_col from WH:stock_lines s "
+        "where s.day_col = $day_key")})
+    aig.rule("line-item.x_2", inh={
+        "sku-code.y_3": assign(val=inh("sku_code_col")),
+        "sub-lines.q_9": assign(line_id_col=inh("line_id_col"))})
+    aig.rule("sub-lines.q_9", inh={"sub-line.r_7": query(
+        "select u.unit_price_col from WH:sub_rows u "
+        "where u.line_ref_col = $line_id_col")})
+    aig.rule("sub-line.r_7", inh={
+        "unit_price-z.4": assign(val=inh("unit_price_col")),
+        "note-c.d_5": assign(val=Const(PYTHONIC[0]))})
+    return aig.validate()
+
+
+class TestNothingSplicedIntoTheSource:
+    @pytest.mark.parametrize("indent", INDENTS)
+    def test_names_and_values_stay_out(self, indent):
+        source = DataSource(NAMES_SCHEMA)
+        source.load_rows("stock_lines", [
+            (value, f"l{i}", "d1") for i, value in enumerate(PYTHONIC)])
+        source.load_rows("sub_rows", [
+            (f"l{i}", PYTHONIC[(i + j) % len(PYTHONIC)])
+            for i in range(len(PYTHONIC)) for j in range(i % 3)])
+        middleware = Middleware(build_names_aig(), {"WH": source})
+        root = {"day_key": "d1", "owner_key": PYTHONIC[1]}
+        written = program_bytes(middleware, root, indent)
+        assert written == built_bytes(middleware, root, indent)
+        assert "<sub-line.r_7>" in written and "&apos;); x = 1 #" in written
+        text = writer_source(middleware.evaluate(dict(root)).document,
+                             indent)
+        tags = re.findall(r"<!ELEMENT\s+(\S+)", NAMES_DTD)
+        columns = [column.name for relation in NAMES_SCHEMA.relations
+                   for column in relation.columns]
+        for word in [*tags, *columns, *PYTHONIC, "d1", "day_key"]:
+            assert word not in text, word
+        # names, integer literals and operators: no string, float or
+        # other literal enters the text
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        kinds = {token.type for token in tokens}
+        assert kinds <= {tokenize.NAME, tokenize.NUMBER, tokenize.OP,
+                         tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                         tokenize.DEDENT, tokenize.ENDMARKER}
+        assert all(token.string.isdigit() for token in tokenize
+                   .generate_tokens(io.StringIO(text).readline)
+                   if token.type == tokenize.NUMBER)
+
+
+# ---------------------------------------------------------------------------
+# what a choice raises, written without a dry run
+# ---------------------------------------------------------------------------
+
+def fs_run(depth: int, rows) -> TaggingRun:
+    """A tagging run of the file-system AIG unfolded ``depth`` times over
+    ``rows``, bound straight from an engine run: no dry run."""
+    source = load(rows)
+    middleware = Middleware(build_fs_aig(with_key=False), {"FS": source})
+    prepared = middleware.prepare(depth)
+    engine = Engine(prepared.graph, prepared.plan, {"FS": source},
+                    middleware.network, mediator=middleware.mediator,
+                    tagging_plan=prepared.tagging_plan)
+    try:
+        cache = engine.run({}).cache
+        return TaggingRun(tagging_program(prepared.tagging_plan, base_name),
+                          cache, {})
+    finally:
+        engine.cleanup()
+
+
+def raised(action) -> tuple[type, str]:
+    with pytest.raises((EvaluationError, RecursionTruncated)) as caught:
+        action()
+    return caught.type, str(caught.value)
+
+
+class TestChoiceErrorsWritten:
+    @pytest.mark.parametrize("condition, message", [
+        ({}, "returned no value for an instance at"),
+        ([("x",)], "returned non-integer 'x'"),
+        ([(None,)], "returned non-integer None"),
+        ([("7",)], "returned 7, outside [1, 2]"),
+        ([("0",)], "returned 0, outside [1, 2]"),
+    ])
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_bad_condition(self, condition, message, indent):
+        run = fs_run(5, TREE_ROWS)
+        for table in run.conditions:
+            table.by_parent = ({} if condition == {} else
+                               {key: condition for key in table.by_parent})
+        streamed = raised(lambda: run.stream(NullEventSink()))
+        written = raised(lambda: run.write(
+            StreamSerializer(lambda chunk: None, indent)))
+        assert written == streamed
+        assert written[0] is EvaluationError and message in written[1]
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_truncated_alternative(self, indent):
+        # the data nests three deep; one unfolding cuts ``dir`` off at the
+        # choice
+        run = fs_run(1, TREE_ROWS)
+        assert run.program.truncatable
+        streamed = raised(lambda: run.stream(NullEventSink()))
+        written = raised(lambda: run.write(
+            StreamSerializer(lambda chunk: None, indent)))
+        assert written == streamed
+        assert written[0] is RecursionTruncated
+        assert "truncated by recursion unfolding" in written[1]
+
+
+# ---------------------------------------------------------------------------
+# one compile span per writer, and one indentation rule
+# ---------------------------------------------------------------------------
+
+def test_one_compile_span_per_writer():
+    tracer = Tracer()
+    source = DataSource(CATALOG_SCHEMA)
+    source.load_rows("items", [(f"s{i}", "t", str(i), "d1")
+                               for i in range(3)])
+    middleware = Middleware(build_catalog_aig(), {"WH": source},
+                            tracer=tracer)
+    for _ in range(3):
+        document = middleware.evaluate({"day": "d1"}).document
+        serialize(document, indent=2)
+    spans = [span for span in tracer.spans
+             if span.name == "tagging-compile"]
+    assert len(spans) == 1
+    assert spans[0].category == "tagging"
+    attrs = spans[0].attrs
+    assert (attrs["indent"], attrs["level"]) == (2, 0)
+    assert attrs["lines"] == writer_source(document, 2).count("\n") > 0
+
+
+@pytest.mark.parametrize("indent, error", [
+    (-1, ValueError), (MAX_INDENT + 1, ValueError), (10 ** 6, ValueError),
+    (True, TypeError), (False, TypeError), (2.0, TypeError),
+    ("2", TypeError)])
+def test_indent_outside_the_rule_is_refused(indent, error):
+    middleware = catalog([("s0", "t", "1", "d1")])
+    document = middleware.evaluate({"day": "d1"}).document
+    with pytest.raises(error, match="'indent' must be"):
+        serialize(document, indent=indent)
+    with pytest.raises(error, match="'indent' must be"):
+        middleware.evaluate_stream({"day": "d1"}, lambda chunk: None,
+                                   indent=indent)
+    with pytest.raises(error, match="'indent' must be"):
+        StreamSerializer(lambda chunk: None, indent)
+    assert unread(document)

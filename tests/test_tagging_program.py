@@ -382,20 +382,19 @@ class TestCompileOnce:
         # one program per prepared plan, and one writer per indent of it
         compiled, writers = [], []
         real = tagging.TaggingProgram.__init__
-        real_step = tagging.TaggingProgram._write_step
+        real_compile = tagging.TaggingProgram._compile_writer
 
         def counting(self, plan, rename=None):
             compiled.append(rename)
             real(self, plan, rename)
 
-        def counting_step(self, item, formats, level):
-            if item is self._item:
-                writers.append((formats.indent, level))
-            return real_step(self, item, formats, level)
+        def counting_compile(self, indent, level, tracer):
+            writers.append((indent, level))
+            return real_compile(self, indent, level, tracer)
 
         monkeypatch.setattr(tagging.TaggingProgram, "__init__", counting)
-        monkeypatch.setattr(tagging.TaggingProgram, "_write_step",
-                            counting_step)
+        monkeypatch.setattr(tagging.TaggingProgram, "_compile_writer",
+                            counting_compile)
         sources = make_sources()
         load_tiny_hospital(sources)
         middleware = Middleware(build_hospital_aig(), sources,
