@@ -73,6 +73,12 @@ class FuzzProfile:
 
 DEFAULT_PROFILE = FuzzProfile()
 
+#: The share of pooled values carrying a :data:`MARKUP` tail, drawn from
+#: their own stream so that the scenario shapes do not depend on it: a
+#: column then holds nothing to escape, or something.
+MARKUP_SHARE = 0.3
+MARKUP = ["&", "<", ">", '"', "'", "&<>\"'", "&amp;"]
+
 
 # ----------------------------------------------------------------------
 # the builder
@@ -80,6 +86,7 @@ DEFAULT_PROFILE = FuzzProfile()
 class _Builder:
     def __init__(self, seed: int, profile: FuzzProfile, violate: bool):
         self.rng = stable_rng("fuzz-scenario", seed)
+        self.markup_rng = stable_rng("fuzz-markup", seed)
         self.profile = profile
         self.violate = violate
         self.seed = seed
@@ -117,7 +124,10 @@ class _Builder:
         return self.rng.choice(self.sources)
 
     def _values(self, count: int) -> list[str]:
-        return value_pool(f"x{self._n()}_", count)
+        rng = self.markup_rng
+        return [value + rng.choice(MARKUP)
+                if rng.random() < MARKUP_SHARE else value
+                for value in value_pool(f"x{self._n()}_", count)]
 
     # -- top level -----------------------------------------------------
     def build(self) -> ScenarioSpec:
@@ -291,7 +301,8 @@ class _Builder:
             pool = item_scalars[column]
             kept = rng.choice(pool)
             op = rng.choice(["=", "<>"])
-            where.append(f"t0.{column} {op} '{kept}'")
+            quoted = kept.replace("'", "''")
+            where.append(f"t0.{column} {op} '{quoted}'")
             # domains stay supersets — only row *presence* changed, and
             # domains are only ever used as candidate pools upstream.
 

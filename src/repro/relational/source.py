@@ -109,6 +109,8 @@ class ResultSet:
                                      compare=False)
     _types_cache: list | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    _clean_cache: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -142,6 +144,24 @@ class ResultSet:
             self._types_cache = [set(map(type, map(itemgetter(index), rows)))
                                  for index in range(len(self.columns))]
         return self._types_cache
+
+    def clean_columns(self, indexes, characters: str) -> list[bool]:
+        """Per column at ``indexes``, whether it holds only ``str`` and
+        none of ``characters``: one C-level join and a test per character,
+        computed once per column (rows never change)."""
+        cache = self._clean_cache
+        types = self._types_cache or self.column_types()
+        flags = []
+        for index in indexes:
+            key = (index, characters)
+            if key not in cache:
+                clean = types[index] <= {str}
+                if clean:
+                    joined = "".join(map(itemgetter(index), self.rows))
+                    clean = not any(map(joined.__contains__, characters))
+                cache[key] = clean
+            flags.append(cache[key])
+        return flags
 
     def width_bytes(self) -> int:
         """Actual serialized size estimate (used for communication costs):

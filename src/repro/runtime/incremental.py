@@ -117,7 +117,11 @@ def _canonical(result: ResultSet) -> ResultSet:
         return result
     columns = [map(sys.intern, column) if kind <= {str} else column
                for column, kind in zip(zip(*result.rows), types)]
-    return ResultSet(result.columns, list(zip(*columns)))
+    canonical = ResultSet(result.columns, list(zip(*columns)))
+    # the same values: what is learnt of them holds for both
+    canonical._types_cache = types
+    canonical._clean_cache = result._clean_cache
+    return canonical
 
 
 @dataclass

@@ -89,6 +89,7 @@ class _Table:
     """A cached relation indexed for tagging: rows grouped by parent id."""
 
     def __init__(self, result, sort_columns: list[str]):
+        self.result = result
         columns = self.columns = result.columns
         self.types = result.column_types()
         self.id_index = (columns.index(ID_COLUMN)
@@ -380,13 +381,16 @@ class TaggingRun:
                        for path in program.anchors]
         self.conditions = [_Table(cache[plan.condition_of[path]], [])
                            for path in program.choices]
-        self.columns = [program._columns_reader(fragment, self.tables,
-                                                root_inh)
-                        for fragment in program.fragments]
+        self.columns = None
 
     def stream(self, sink) -> ElementCount:
         """One pass delivering the document to ``sink`` as events, a group
-        through ``sink.fragments`` or, without it, :meth:`Fragment.replay`."""
+        through ``sink.fragments`` or, without it, :meth:`Fragment.replay`
+        (the first binds the column readers, which a write never reads)."""
+        if self.columns is None:
+            self.columns = [self.program._columns_reader(
+                fragment, self.tables, self.root_inh)
+                for fragment in self.program.fragments]
         self.sink = sink
         self.emit = getattr(sink, "fragments", None) or (
             lambda fragment, count, columns: fragment.replay(sink, count,
@@ -665,12 +669,13 @@ class TaggingProgram:
 
         Python source generated by :class:`_WriterSource` and compiled on
         first use per (indent, level), in a ``tagging-compile`` span: a
-        prologue binding the run's tables, column indexes and root values,
-        then one function per star and per choice (flat at any unfolding
-        depth), each row one ``%``-template of fused lines with its values
-        escaped inline.  The text holds generated names and integer
-        literals only, every string being bound in its namespace; it is
-        kept as the writer's ``source``, for reading."""
+        prologue binding the run's tables, column indexes, clean flags and
+        escaped root values, then one function per star and per choice
+        (flat at any unfolding depth), each row one ``%``-template of fused
+        lines with its values escaped inline unless their column is clean
+        (:meth:`ResultSet.clean_columns`).  The text holds generated names
+        and integer literals only, every string being bound in its
+        namespace; it is kept as the writer's ``source``, for reading."""
         key = (indent, 0 if indent is None else level)
         write = self._writers.get(key)
         if write is None:
@@ -736,8 +741,9 @@ class TaggingProgram:
 _ESCAPE = "".join(f".replace(a{i}, b{i})" for i in range(len(_ESCAPES)))
 
 #: What every generated writer's namespace starts from.
-_NAMESPACE = {"_pcdata": _pcdata, "_join": "".join,
+_NAMESPACE = {"_pcdata": _pcdata, "_join": "".join, "_itemgetter": itemgetter,
               "_write_group": write_group, "_str": frozenset({str}),
+              "_markup": "".join(raw for raw, _ in _ESCAPES),
               **{f"a{i}": raw for i, (raw, _) in enumerate(_ESCAPES)},
               **{f"b{i}": entity for i, (_, entity) in enumerate(_ESCAPES)}}
 
@@ -792,6 +798,8 @@ class _WriterSource:
         self._names: dict[tuple, str] = {}
         self._count = counter()
         self.prologue: list[str] = []
+        #: per anchor slot, its column indexes' clean flags, read together
+        self._clean: dict[int, dict[str, str]] = {}
         self.functions: list[str] = []
         body = self.body = _Unit(1)
         self.item(body, program._item, level, ())
@@ -799,11 +807,14 @@ class _WriterSource:
         body.lines[:0] = body.added(1)
 
     def text(self) -> str:
+        clean = [f"    {', '.join(flags.values())}, = tables[{slot}].result"
+                 f".clean_columns(({', '.join(flags)},), _markup)"
+                 for slot, flags in self._clean.items()]
         return "\n".join([
             "def write(run, pieces, flush, limit, grows):",
             "    tables, conditions = run.tables, run.conditions",
             "    root_inh, append = run.root_inh, pieces.append",
-            "    E = F = T = 0", *self.prologue, *self.functions,
+            "    E = F = T = 0", *self.prologue, *clean, *self.functions,
             *self.body.lines, "    return E, F, T", ""])
 
     # -- names -------------------------------------------------------------
@@ -835,23 +846,42 @@ class _WriterSource:
         unit.rows.add(slot)
         return f"r{slot}[{self.per_run('i', f'tables[{slot}].id_index')}]"
 
+    def column(self, slot: int, name: str) -> tuple[str, str, str]:
+        """The locals bound once a run to column ``name`` of anchor
+        ``slot``'s table: its index, whether it holds only ``str`` and
+        whether it is clean (escaping leaves every value as it is)."""
+        index = self.per_run("c", f"tables[{slot}].index_of("
+                                  f"{self.constant(name)})")
+        is_str = self.per_run("s", f"tables[{slot}].types[{index}] <= _str")
+        flags = self._clean.setdefault(slot, {})
+        if index not in flags:
+            flags[index] = self.local("q")
+        return index, is_str, flags[index]
+
+    @staticmethod
+    def escaped(read: str, is_str: str, clean: str) -> str:
+        """``read``, a value of a column :meth:`column` bound, escaped: as it
+        is where the column is clean."""
+        return (f"({read} if {clean} else "
+                f"({read} if {is_str} else _pcdata({read})){_ESCAPE})")
+
     def value(self, unit: _Unit, source, enclosing) -> str:
-        """A slot's value, unescaped; where its anchor has no current row,
-        the event path's error is raised instead."""
+        """A slot's value, escaped: a root value once a run, a column's
+        value as it is where the column is clean.  Where its anchor has no
+        current row, the event path's error is raised instead."""
         text_path, provenance = source
         if isinstance(provenance, RootValue):
             member = self.constant(provenance.member)
-            return self.per_run("v", f"_pcdata(root_inh.get({member}))")
+            return self.per_run("v", f"_pcdata(root_inh.get({member}))"
+                                     f"{_ESCAPE}")
         slot = self.program.anchors.index(provenance.occurrence.path)
         if slot not in enclosing:
             error = partial(_no_row, self.program.anchors[slot], text_path)
             unit.emit(f"raise {self.constant(error)}()")
             return "None"
         unit.rows.add(slot)
-        index = self.per_run("c", f"tables[{slot}].index_of("
-                                  f"{self.constant(provenance.column)})")
-        is_str = self.per_run("s", f"tables[{slot}].types[{index}] <= _str")
-        return f"(r{slot}[{index}] if {is_str} else _pcdata(r{slot}[{index}]))"
+        index, is_str, clean = self.column(slot, provenance.column)
+        return self.escaped(f"r{slot}[{index}]", is_str, clean)
 
     # -- pieces ------------------------------------------------------------
     def take(self, unit: _Unit) -> str | None:
@@ -881,7 +911,7 @@ class _WriterSource:
             unit.counts[1] += item.elements
             unit.counts[2] += item.texts
             unit.add(self.formats.template(item, level),
-                     [self.value(unit, source, enclosing) + _ESCAPE
+                     [self.value(unit, source, enclosing)
                       for source in item.sources])
             return
         tag, occurrence = item
@@ -928,7 +958,7 @@ class _WriterSource:
         unit.add([open_line])
         self.flush(unit)
         if isinstance(item, Fragment):
-            self.group(unit, item, slot, level, enclosing)
+            self.group(unit, item, slot, level)
         else:   # a function looping over the rows
             loop = _Unit(3)
             self.item(loop, item, level, (*enclosing, slot))
@@ -945,30 +975,39 @@ class _WriterSource:
         unit.emit(f"    {pending} = {self.take(unit)}")
         unit.add(["", ""], [pending])
 
-    def group(self, unit: _Unit, fragment: Fragment, slot: int, level: int,
-              enclosing) -> None:
-        """A star's rows that are one fragment each: one piece under
-        ``grows`` rows, else :func:`write_group`'s batches."""
+    def group(self, unit: _Unit, fragment: Fragment, slot: int,
+              level: int) -> None:
+        """A star's rows that are one fragment each, every slot a column of
+        its rows (an iteration occurrence's members are its table's
+        columns): one piece under ``grows`` rows, else :func:`write_group`'s
+        batches, each column read at C level and escaped there unless
+        clean."""
         group = f"g{slot}"
         unit.lines += unit.added(unit.depth, f"len({group})", (
             fragment.elements, fragment.elements, fragment.texts))
-        values = [self.value(unit, source, (*enclosing, slot))
-                  for source in fragment.sources]
-        unit.rows.discard(slot)
+        columns = []
+        for _, provenance in fragment.sources:
+            assert provenance.occurrence.path == self.program.anchors[slot]
+            columns.append(self.column(slot, provenance.column))
         template = self.formats.template(fragment, level)
-        unit.add(template, [value + _ESCAPE for value in values])
+        unit.add(template, [self.escaped(f"r{slot}[{index}]", is_str, clean)
+                            for index, is_str, clean in columns])
         piece = self.take(unit)
         unit.emit(f"if len({group}) < grows:")
         unit.emit(f"    append(_join([{piece} for r{slot} in {group}]))"
-                  if values else f"    append({piece} * len({group}))")
+                  if columns else f"    append({piece} * len({group}))")
         unit.emit("    if len(pieces) >= limit:")
         unit.emit("        flush()")
-        columns = ", ".join(f"[{value} for r{slot} in {group}]"
-                            for value in values)
+        lists, plain = [], []
+        for index, is_str, clean in columns:
+            getter = self.per_run("m", f"_itemgetter({index})")
+            read = f"map({getter}, {group})"
+            lists.append(f"list({read} if {is_str} else map(_pcdata, {read}))")
+            plain.append(clean)
         unit.emit("else:")
         unit.emit(f"    _write_group(pieces, flush, "
                   f"{self.constant(tuple(template))}, len({group}), "
-                  f"[{columns}])")
+                  f"[{', '.join(lists)}], [{', '.join(plain)}])")
 
     def choice(self, unit: _Unit, occurrence: Occurrence, level: int,
                enclosing) -> None:

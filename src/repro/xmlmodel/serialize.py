@@ -62,33 +62,39 @@ def _escape_column(values: list[str]) -> list[str]:
     return escaped
 
 
-def fill(template: list[str], columns, start: int, stop: int) -> str:
+def fill(template: list[str], columns, start: int, stop: int,
+         plain=None) -> str:
     """Instances ``start`` to ``stop`` of a fragment group: the constant
     pieces of its ``template`` interleaved with each slot's column,
-    escaped in one pass per column."""
+    escaped in one pass per column — but a column ``plain`` marks true,
+    whose values escaping leaves as they are."""
     if not columns:
         return template[0] * (stop - start)
     parts = [repeat(template[0])]
-    for column, constant in zip(columns, template[1:]):
-        parts += (_escape_column(column[start:stop]), repeat(constant))
+    for column, constant, as_is in zip(columns, template[1:],
+                                       plain or repeat(False)):
+        column = column[start:stop]
+        parts += (column if as_is else _escape_column(column),
+                  repeat(constant))
     return "".join(chain.from_iterable(zip(*parts)))
 
 
 def write_group(pieces: list[str], flush, template: list[str], count: int,
-                columns) -> None:
-    """Append a group of ``count`` instances to ``pieces``: as one piece
-    under :data:`GROUP_WRITE_ROWS` rows, else flushed a batch of that many
-    rows at a time.  Both bounds are read here, at each call."""
+                columns, plain=None) -> None:
+    """Append a group of ``count`` instances to ``pieces`` (:func:`fill`):
+    as one piece under :data:`GROUP_WRITE_ROWS` rows, else flushed a batch
+    of that many rows at a time.  Both bounds are read here, at each
+    call."""
     rows = GROUP_WRITE_ROWS
     if count < rows:
-        pieces.append(fill(template, columns, 0, count))
+        pieces.append(fill(template, columns, 0, count, plain))
         if len(pieces) >= WRITE_PIECES:
             flush()
         return
     flush()
     for start in range(0, count, rows):
         pieces.append(fill(template, columns, start,
-                           min(start + rows, count)))
+                           min(start + rows, count), plain))
         flush()
 
 

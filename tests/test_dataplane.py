@@ -261,8 +261,10 @@ class TestEventPathBatches:
     #: element and a ``write`` per piece measured 8.64; one tag stack and
     #: gathered pieces 5.16; the program writing its own lines through
     #: closures 2.50 (708 calls); a generated writer, a function per star
-    #: and choice, 0.61 (173 calls).  15 % headroom.
-    CALLS_PER_ELEMENT = 0.70
+    #: and choice, 0.61 (173 calls); with the event path's column readers
+    #: left unbound and one call a table for its clean columns, 0.54 (152
+    #: calls).  15 % headroom.
+    CALLS_PER_ELEMENT = 0.62
 
     @pytest.fixture(scope="class")
     def tiny(self):

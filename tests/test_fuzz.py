@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.aig import ConceptualEvaluator
+from repro.fuzz import generator
 from repro.fuzz import (
     build_scenario,
     from_json,
@@ -57,6 +58,52 @@ class TestGenerator:
                 aig_b, list(sources_b.values()),
                 violation_mode="report").evaluate(dict(again.root_values))
             assert serialize(doc_a) == serialize(doc_b)
+
+    @staticmethod
+    def conceptual_bytes(spec) -> str:
+        aig, sources = build_scenario(spec)
+        return serialize(ConceptualEvaluator(
+            aig, list(sources.values()),
+            violation_mode="report").evaluate(dict(spec.root_values)))
+
+    def test_a_pinned_share_of_values_needs_escaping(self):
+        # pooled values carry the five markup characters, so the oracle
+        # reaches every writer's escaping as well as columns that need none
+        values = marked = documents = 0
+        for seed in range(45):
+            spec = generate_scenario(seed)
+            strings = [value for table in spec.tables for row in table.rows
+                       for value in row if isinstance(value, str)]
+            values += len(strings)
+            marked += sum(any(c in value for c in "&<>\"'")
+                          for value in strings)
+            documents += any(entity in self.conceptual_bytes(spec)
+                             for entity in ("&amp;", "&lt;", "&gt;",
+                                            "&quot;", "&apos;"))
+        assert (marked, values) == (177, 867)
+        assert documents == 18
+
+    def test_markup_moves_no_shape(self, monkeypatch):
+        marked = [generate_scenario(seed) for seed in range(45)]
+        monkeypatch.setattr(generator, "MARKUP_SHARE", 0.0)
+        for seed, spec in enumerate(marked):
+            plain = generate_scenario(seed)
+            assert plain.dtd_text == spec.dtd_text
+            assert [len(table.rows) for table in plain.tables] == \
+                [len(table.rows) for table in spec.tables]
+
+    @pytest.mark.parametrize("seed", [3, 7])  # an '=' and a '<>' filter
+    def test_a_literal_filter_quotes_its_value(self, seed, monkeypatch):
+        monkeypatch.setattr(generator, "MARKUP_SHARE", 0.0)
+        plain = self.conceptual_bytes(generate_scenario(seed))
+        monkeypatch.setattr(generator, "MARKUP_SHARE", 1.0)
+        monkeypatch.setattr(generator, "MARKUP", ["'"])
+        spec = generate_scenario(seed)
+        assert "''" in json.dumps(spec.rules)
+        # every pooled value gained the tail: the filter kept the same rows
+        marked = self.conceptual_bytes(spec)
+        assert "&apos;" in marked
+        assert marked.replace("&apos;", "") == plain
 
     def test_determinism_same_seed_same_spec(self):
         assert to_json(generate_scenario(7)) == to_json(generate_scenario(7))

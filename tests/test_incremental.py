@@ -18,7 +18,7 @@ from repro.dtd import parse_dtd
 from repro.errors import EvaluationAborted, EvaluationError
 from repro.hospital import build_hospital_aig, make_sources
 from repro.datagen import make_loaded_sources
-from repro.relational import Catalog, DataSource, Network
+from repro.relational import Catalog, DataSource, Network, ResultSet
 from repro.relational.statistics import StatisticsCatalog
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.runtime import Middleware
@@ -300,6 +300,46 @@ class TestStreamReuse:
         _middleware(sources, incremental=False).evaluate_stream(
             {"date": date}, fresh.append, indent=2)
         assert "".join(chunks) == "".join(fresh)
+
+
+    @pytest.mark.parametrize("stream_first", [True, False])
+    def test_replayed_results_keep_the_writers_clean_flags(self, monkeypatch,
+                                                           stream_first):
+        # which columns need no escaping is learnt once per result: a
+        # stored result keeps what its run learnt, whether the bytes were
+        # written before the store took it (a stream) or after (an unread
+        # document)
+        learnt = []
+        real = ResultSet.clean_columns
+
+        def counting(result, indexes, characters):
+            learnt.extend(index for index in indexes
+                          if (index, characters) not in result._clean_cache)
+            return real(result, indexes, characters)
+
+        monkeypatch.setattr(ResultSet, "clean_columns", counting)
+        sources, dataset = make_loaded_sources("tiny", seed=35)
+        date = dataset.busiest_date()
+        middleware = _middleware(sources)
+
+        def written(stream: bool) -> int:
+            if stream:
+                middleware.evaluate_stream({"date": date}, lambda chunk: None,
+                                           indent=2)
+            else:
+                serialize(middleware.evaluate({"date": date}).document,
+                          indent=2)
+            count = len(learnt)
+            learnt.clear()
+            return count
+
+        cold = written(stream_first)
+        assert cold > 0
+        assert written(True) == written(False) == 0
+        sources["DB3"].execute(
+            "UPDATE billing SET price = price + 1 WHERE rowid % 10 = 0")
+        assert 0 < written(not stream_first) < cold
+        assert written(stream_first) == 0
 
 
 class TestViolationModes:

@@ -9,6 +9,7 @@ writer over the same document built, at indents ``None``, 0, 2 and 7.
 """
 
 import io
+import operator
 import re
 import tokenize
 
@@ -22,12 +23,14 @@ from repro.fuzz import generate_scenario
 from repro.fuzz.spec import build_scenario
 from repro.obs import Tracer
 from repro.relational import Catalog, DataSource, SourceSchema
+from repro.relational import source as source_module
 from repro.relational.schema import relation
 from repro.runtime import Middleware
 from repro.runtime.engine import Engine
-from repro.runtime.tagging import NullEventSink, TaggingRun, tagging_program
+from repro.runtime.tagging import (NullEventSink, TaggingProgram,
+                                   TaggingRun, TreeSink, tagging_program)
 from repro.xmlmodel import StreamSerializer, element, serialize
-from repro.xmlmodel.serialize import _SEPARATOR, MAX_INDENT
+from repro.xmlmodel.serialize import _SEPARATOR, GROUP_WRITE_ROWS, MAX_INDENT
 from tests.reference_writer import reference_serialize
 from tests.test_recursive_choice import TREE_ROWS, build_fs_aig, load
 from tests.test_tagging_program import (
@@ -151,6 +154,129 @@ class TestProgramEqualsReference:
                            for line in alone.splitlines()) in written
         else:
             assert alone in written
+
+
+# ---------------------------------------------------------------------------
+# escaping decided once per (result, column)
+# ---------------------------------------------------------------------------
+
+MARKUP = "&<>\"'"
+ESCAPED = "&amp;&lt;&gt;&quot;&apos;"
+LARGE = 3 * GROUP_WRITE_ROWS
+
+
+def product_rows(count: int, title=lambda i: f"t{i}", day="d1"):
+    return [(f"s{i:04d}", title(i), str(i), day) for i in range(count)]
+
+
+@pytest.mark.parametrize("indent", INDENTS)
+class TestEscapingPerColumn:
+    def test_one_marked_row_at_the_end_of_a_large_group(self, indent):
+        middleware = catalog(product_rows(
+            LARGE, lambda i: MARKUP if i == LARGE - 1 else f"t{i}"))
+        written = program_bytes(middleware, {"day": "d1"}, indent)
+        assert written == built_bytes(middleware, {"day": "d1"}, indent)
+        assert written.count(ESCAPED) == 1
+        assert written.rindex("<product>") < written.index(ESCAPED)
+
+    @pytest.mark.parametrize("count", [5, LARGE])
+    def test_the_flag_belongs_to_the_result(self, count, indent):
+        # one compiled writer, over a clean column and then a marked one
+        source = DataSource(CATALOG_SCHEMA)
+        source.load_rows("items", product_rows(count) + product_rows(
+            count, lambda i: f"t<{i}", "d2"))
+        middleware = Middleware(build_catalog_aig(), {"WH": source})
+        writers = set()
+        for day in ("d1", "d2", "d1"):
+            written = program_bytes(middleware, {"day": day}, indent)
+            assert written == built_bytes(middleware, {"day": day}, indent)
+            assert written.count("&lt;") == (count if day == "d2" else 0)
+            document = middleware.evaluate({"day": day}).document
+            writers.add(document._kids.run.program.writer(indent))
+        assert len(writers) == 1
+
+    @pytest.mark.parametrize("count", [5, LARGE])
+    def test_int_float_and_none_columns(self, count, indent):
+        middleware = catalog([(i, i + 0.25, None, "d1")
+                              for i in range(count)])
+        written = program_bytes(middleware, {"day": "d1"}, indent)
+        assert written == built_bytes(middleware, {"day": "d1"}, indent)
+        assert written.count("<product>") == count
+        assert f"{count - 1 + 0.25}" in written
+
+    def test_a_root_attribute_holding_entities(self, indent):
+        # in a lone fragment (the card is one), and in a fragment beside a
+        # star (an iteration's own members are columns of its rows)
+        card = Middleware(build_card_aig(), {"WH": DataSource(CATALOG_SCHEMA)})
+        source = DataSource(NAMES_SCHEMA)
+        source.load_rows("stock_lines", [("k", "l0", "d1")])
+        source.load_rows("sub_rows", [("l0", "9")])
+        names = Middleware(build_names_aig(), {"WH": source})
+        for middleware, root in ((card, {"who": MARKUP}), (names, {
+                "day_key": "d1", "owner_key": MARKUP})):
+            written = program_bytes(middleware, root, indent)
+            assert written == built_bytes(middleware, root, indent)
+            assert ESCAPED in written
+            text = writer_source(middleware.evaluate(dict(root)).document,
+                                 indent)
+            # escaped once a run, where the prologue binds it
+            assert re.search(r"^    v\d+ = _pcdata\(.*\.replace\(a4, b4\)$",
+                             text, re.M)
+            assert not re.search(r"\bv\d+\.replace", text)
+
+    @pytest.mark.parametrize("count", [5, LARGE])
+    def test_a_fragment_mixing_clean_and_marked_columns(self, count, indent):
+        middleware = catalog(product_rows(count, lambda i: f"t{i} & co"))
+        written = program_bytes(middleware, {"day": "d1"}, indent)
+        assert written == built_bytes(middleware, {"day": "d1"}, indent)
+        assert written.count("&amp;") == count
+        table = middleware.evaluate({"day": "d1"}).document._kids.run \
+            .tables[0]
+        assert table.result.clean_columns(
+            [table.index_of(name) for name in ("sku", "title", "price")],
+            MARKUP) == [True, False, True]
+
+
+def test_flags_are_computed_once_per_result(monkeypatch):
+    # a write makes one call a table for its flags, and only the first
+    # write of a result reads its columns for them
+    calls, joined = [], []
+    real = source_module.ResultSet.clean_columns
+
+    def counting(result, indexes, characters):
+        calls.append(len(indexes))
+        return real(result, indexes, characters)
+
+    run = catalog(product_rows(LARGE)).evaluate({"day": "d1"}) \
+        .document._kids.run
+    monkeypatch.setattr(source_module.ResultSet, "clean_columns", counting)
+    monkeypatch.setattr(source_module, "itemgetter", lambda index: (
+        joined.append(index) or operator.itemgetter(index)))
+    for indent in (2, 2, None):
+        run.write(StreamSerializer(lambda chunk: None, indent))
+    assert calls == [3, 3, 3]
+    assert sorted(joined) == sorted(
+        run.tables[0].index_of(name) for name in ("sku", "title", "price"))
+
+
+def test_a_write_binds_no_column_reader(monkeypatch):
+    bound = []
+    real = TaggingProgram._columns_reader
+
+    def counting(self, fragment, tables, root_inh):
+        bound.append(fragment)
+        return real(self, fragment, tables, root_inh)
+
+    monkeypatch.setattr(TaggingProgram, "_columns_reader", counting)
+    document = catalog(product_rows(5)).evaluate({"day": "d1"}).document
+    run = document._kids.run
+    written = serialize(document, indent=2)
+    assert bound == []
+    # an event pass after the write binds them and builds the same tree
+    sink = TreeSink()
+    run.stream(sink)
+    assert bound == run.program.fragments
+    assert reference_serialize(sink.root, 2) == written
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,21 @@ TCP.  It checks the full loop a production probe would:
    oracle.  De-chunked, the stream
    must equal the plain body byte for byte, in frames of at least
    16 KiB;
-7. send a chunked request with a bad ``indent``: it must be refused
+7. load a treatment whose name holds ``&``, ``<`` and ``'``, as a
+   procedure step of a treatment the document shows: the next miss is a
+   delta run, replaying the patients' results (which keep what they
+   learnt of which columns need no escaping) while the new results learn
+   it afresh; at indent 2 and compact it must equal the in-process
+   document with the same rows;
+8. send a chunked request with a bad ``indent``: it must be refused
    with 400 as the one response on the socket, never a ``200`` header
    followed by a second response;
-8. fire a delta load that adds a visible visit in the middle of a burst
+9. fire a delta load that adds a visible visit in the middle of a burst
    of misses from several clients: the load waits for the evaluation
    running on the tenant, so every body must equal the in-process
    document before the write or the one after it — the latter for every
    request sent after the load returned;
-9. terminate the child and require a clean exit.
+10. terminate the child and require a clean exit.
 
 Usage (CI runs this after the unit suite)::
 
@@ -55,7 +61,7 @@ import threading
 import time
 from http.client import HTTPConnection
 
-from repro.datagen import make_loaded_sources
+from repro.datagen import generate, make_loaded_sources
 from repro.hospital import build_hospital_aig
 from repro.runtime import Middleware
 from repro.service.server import STREAM_FRAME_BYTES
@@ -64,10 +70,12 @@ from repro.xmlmodel import serialize
 ADDRESS_RE = re.compile(r"listening on http://([0-9.]+):(\d+)")
 #: step 5's delta: a cover row no patient's policy matches
 DELTA_ROW = ("P99999", "T99999")
-#: step 8's burst: every (date, indent) pair is a miss before the write
+#: step 7's treatment: a name the writer must escape
+MARKUP_TREATMENT = ("T-MARKUP", "Ann & <Bob>'s")
+#: step 9's burst: every (date, indent) pair is a miss before the write
 BURST_DATES = [f"2003-06-{day:02d}" for day in range(4, 10)]
 BURST_INDENTS = (None, 2)
-#: step 8's delta lands on this date
+#: step 9's delta lands on this date
 BURST_DELTA_DATE = "2003-06-06"
 
 
@@ -116,13 +124,31 @@ def _stream_request(host, port, payload, timeout=60):
         frames += 1
 
 
-def _in_process_documents(scale: str, dates: list) -> dict:
+def _markup_rows(dataset, date: str) -> list:
+    """Step 7's delta as ``(source, relation, rows)``:
+    :data:`MARKUP_TREATMENT`, billed, as a procedure step of a treatment
+    the document of ``date`` shows.  No patient table is written."""
+    policies = {ssn: policy for ssn, _, policy in dataset.patient}
+    cover = set(dataset.cover)
+    shown = min(tr_id for ssn, tr_id, day in dataset.visit_info
+                if day == date and (policies[ssn], tr_id) in cover)
+    tr_id = MARKUP_TREATMENT[0]
+    return [("DB4", "treatment", [MARKUP_TREATMENT]),
+            ("DB4", "procedure", [(shown, tr_id)]),
+            ("DB3", "billing", [(tr_id, "7")])]
+
+
+def _in_process_documents(scale: str, dates: list,
+                          markup_date: str | None = None) -> dict:
     """``(date, indent) -> bytes`` of an in-process ``Middleware.evaluate``
     + ``serialize`` over the data set ``repro serve --scale`` loads, after
-    step 5's delta."""
-    sources, _ = make_loaded_sources(scale)
+    step 5's delta (and step 7's, visiting on ``markup_date``)."""
+    sources, dataset = make_loaded_sources(scale)
     try:
         sources["DB2"].load_rows("cover", [DELTA_ROW])
+        if markup_date is not None:
+            for source, relation, rows in _markup_rows(dataset, markup_date):
+                sources[source].load_rows(relation, rows)
         middleware = Middleware(build_hospital_aig(), sources,
                                 unfold_depth="auto")
         documents = {}
@@ -148,12 +174,15 @@ def _covered_visit(dataset, date: str) -> tuple:
                 if cover_policy == policy and (ssn, trid) not in existing)
 
 
-def _burst_oracle(scale: str) -> tuple:
-    """Step 8's delta row, and ``(date, indent) -> bytes`` of in-process
-    documents before and after it is loaded (step 5's row in both)."""
+def _burst_oracle(scale: str, markup_date: str) -> tuple:
+    """Step 9's delta row, and ``(date, indent) -> bytes`` of in-process
+    documents before and after it is loaded (step 5's and step 7's rows
+    in both)."""
     sources, dataset = make_loaded_sources(scale)
     try:
         sources["DB2"].load_rows("cover", [DELTA_ROW])
+        for source, relation, rows in _markup_rows(dataset, markup_date):
+            sources[source].load_rows(relation, rows)
         delta = _covered_visit(dataset, BURST_DELTA_DATE)
         documents = []
         for rows in ((), [delta]):
@@ -382,6 +411,31 @@ def run_smoke(scale: str, clients: int) -> None:
                   f"to in-process evaluate + serialize; streamed identical "
                   f"to it, {frames} frame(s)")
 
+        # a name that needs escaping: the rows the write left clean are
+        # replayed with what they learnt, the new ones learn afresh
+        for source, relation, rows in _markup_rows(generate(scale), date):
+            status, _, body = _request(
+                host, port, "POST", "/tenants/hospital/load",
+                {"source": source, "relation": relation,
+                 "rows": [list(row) for row in rows]})
+            assert status == 200, body
+        oracle = _in_process_documents(scale, [date], markup_date=date)
+        escaped = b"Ann &amp; &lt;Bob&gt;&apos;s"
+        for indent in (2, None):
+            status, headers, body = _request(
+                host, port, "POST", "/evaluate", {**payload, "indent": indent})
+            assert status == 200, f"evaluate indent={indent} -> {status}"
+            if indent == 2:
+                assert headers.get("X-Repro-Phase") == "delta", \
+                    headers.get("X-Repro-Phase")
+            assert escaped in body, "the loaded treatment is not shown"
+            assert body == oracle[date, indent], \
+                f"document with the escaped name differs from in-process " \
+                f"evaluate + serialize at indent={indent}"
+        print(f"- a loaded name that needs escaping: {date} answered as a "
+              f"delta run, identical to in-process evaluate + serialize at "
+              f"indent 2 and compact")
+
         reply = _raw_post(host, port, {**payload, "indent": "x",
                                        "stream": True})
         assert reply.startswith(b"HTTP/1.1 400 "), reply[:64]
@@ -389,7 +443,7 @@ def run_smoke(scale: str, clients: int) -> None:
             "a second response inside the first"
         print("- chunked request with a bad indent: one 400 response")
 
-        delta, before, after = _burst_oracle(scale)
+        delta, before, after = _burst_oracle(scale, date)
         changed = {key for key in before if before[key] != after[key]}
         assert changed, "the burst's delta changes no document"
         results = _burst_with_load(host, port, delta, min(clients, 4))
