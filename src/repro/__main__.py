@@ -333,6 +333,10 @@ def _fuzz(args) -> int:
 
     diverged = 0
     configurations = 0
+    # configuration runs / seeds whose plan has a product node, and whose
+    # plan bound a parameter its producing query only projected
+    products = [0, 0]
+    propagated = [0, 0]
     for seed in range(args.start, args.start + args.seeds):
         violate = (args.violate_every > 0
                    and seed % args.violate_every == args.violate_every - 1)
@@ -344,6 +348,11 @@ def _fuzz(args) -> int:
             continue
         report = run_oracle(spec)
         configurations += len(report.results)
+        for tally, fired in ((products, report.products),
+                             (propagated, report.propagated)):
+            if fired:
+                tally[0] += len(report.results)
+                tally[1] += 1
         if args.verbose:
             print(f"seed {seed}: {'ok' if report.ok else 'DIVERGED'} "
                   f"[{spec.production_count()} production(s), "
@@ -356,6 +365,9 @@ def _fuzz(args) -> int:
                else f"{diverged} DIVERGENT seed(s)")
     print(f"fuzz: {args.seeds} seed(s), {configurations} configuration "
           f"run(s), {verdict}")
+    print(f"rewrites: {products[0]} configuration run(s) with a product "
+          f"node ({products[1]} seed(s)), {propagated[0]} with a propagated "
+          f"parameter ({propagated[1]} seed(s))")
     return 0 if diverged == 0 else 1
 
 

@@ -21,8 +21,10 @@ Structural patterns drawn (weighted, budgeted by a production count):
   constants),
 * nested sequences,
 * star productions with single- or multi-source (decomposable) iteration
-  queries, optional parameter pass-through (the paper's Q1 ``$date``)
-  and optional literal filter predicates,
+  queries, optional parameter pass-through (the paper's Q1 ``$date``),
+  which may pass a constant-valued member through, optional literal
+  filter predicates, and nested ones left unbound (a query that reads
+  nothing of its parent, run once and paired with every parent row),
 * choice productions with data-driven condition queries,
 * recursive star productions over a layered DAG (the ``procedure``
   pattern, generalized),
@@ -79,6 +81,18 @@ DEFAULT_PROFILE = FuzzProfile()
 MARKUP_SHARE = 0.3
 MARKUP = ["&", "<", ">", '"', "'", "&<>\"'", "&amp;"]
 
+#: The share of nested stars whose query reads no parent value (no
+#: ``$bind`` on the parent key), and the share of nested sequences that
+#: hand their structural child one more member, assigned a constant — the
+#: constant a pass-through below may project.  Both are drawn from their
+#: own stream, so a scenario that draws neither keeps its shape.
+UNBOUND_SHARE = 0.3
+CONSTANT_SHARE = 0.3
+#: The share of stars below a pass-through that bind the passed member,
+#: from the same stream: where that member's value is a root value or a
+#: constant, the query binds it and reads no copy of it.
+PASSED_BIND_SHARE = 0.9
+
 
 # ----------------------------------------------------------------------
 # the builder
@@ -87,6 +101,9 @@ class _Builder:
     def __init__(self, seed: int, profile: FuzzProfile, violate: bool):
         self.rng = stable_rng("fuzz-scenario", seed)
         self.markup_rng = stable_rng("fuzz-markup", seed)
+        self.rewrite_rng = stable_rng("fuzz-rewrite", seed)
+        #: members some star query passed through (``$m as m``)
+        self.passed: set[str] = set()
         self.profile = profile
         self.violate = violate
         self.seed = seed
@@ -232,9 +249,12 @@ class _Builder:
                        for member, domain in scalars.items()
                        if self.rng.random() < 0.7}
             children.append(child)
+            assigned = {member: {"inh": member} for member in carried}
+            if self.rewrite_rng.random() < CONSTANT_SHARE:
+                member, value = f"k{self._n()}", f"lit{self._n()}"
+                carried[member], assigned[member] = [value], {"const": value}
             if carried:
-                inh_rules[child] = {"assign": {
-                    member: {"inh": member} for member in carried}}
+                inh_rules[child] = {"assign": assigned}
             self._element(child, carried, depth + 1)
         if not leaves_only and self.budget > 0 \
                 and self.rng.random() < 0.2:
@@ -267,6 +287,9 @@ class _Builder:
         rng = self.rng
         bind = sorted(scalars)[rng.randrange(len(scalars))] if scalars \
             else None
+        passed = sorted(self.passed.intersection(scalars))
+        if passed and self.rewrite_rng.random() < PASSED_BIND_SHARE:
+            bind = self.rewrite_rng.choice(passed)
         n_cols = rng.randint(1, 3)
         columns = [f"c{self._n()}" for _ in range(n_cols)]
         table = TableSpec(source=self._source(), name=self._table_name(),
@@ -289,7 +312,10 @@ class _Builder:
 
         selects = [f"t0.{column} as {column}" for column in columns]
         froms = [f"{table.source}:{table.name} t0"]
-        where = [f"t0.pk = ${bind}"] if bind else []
+        # every row under every parent where the parent key goes unread
+        unbound = (bind and not at_root
+                   and self.rewrite_rng.random() < UNBOUND_SHARE)
+        where = [f"t0.pk = ${bind}"] if bind and not unbound else []
         item_scalars: dict[str, list[str]] = {
             columns[0]: [row[1 if bind else 0] for row in table.rows]}
         for offset, column in enumerate(columns[1:]):
@@ -331,6 +357,7 @@ class _Builder:
             if passthrough not in item_scalars:
                 selects.append(f"${passthrough} as {passthrough}")
                 item_scalars[passthrough] = scalars[passthrough][:]
+                self.passed.add(passthrough)
 
         distinct = "distinct " if rng.random() < 0.3 else ""
         text = f"select {distinct}" + ", ".join(selects) \

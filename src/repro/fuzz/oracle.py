@@ -80,6 +80,10 @@ class OracleReport:
     baseline_violations: list[str] = field(default_factory=list)
     results: list[ConfigResult] = field(default_factory=list)
     divergences: list[Divergence] = field(default_factory=list)
+    #: what the merged plan's rewrite did: product nodes, and parameters
+    #: bound where the producing query only projected them
+    products: int = 0
+    propagated: int = 0
 
     @property
     def ok(self) -> bool:
@@ -146,9 +150,10 @@ def _compare(report: OracleReport, config: str, xml: str,
 
 
 def _evaluate_middleware(spec: ScenarioSpec, **kwargs):
-    """One fresh middleware run → (xml, verdict, conformant, built xml):
-    written as ``evaluate`` leaves it and again once the checkers have
-    built every fragment group, which must give the same bytes."""
+    """One fresh middleware run → (xml, verdict, conformant, built xml,
+    plan graph): written as ``evaluate`` leaves it and again once the
+    checkers have built every fragment group, which must give the same
+    bytes."""
     from repro.constraints import check_constraints
     from repro.runtime import Middleware
     from repro.xmlmodel import conforms_to, serialize
@@ -162,7 +167,7 @@ def _evaluate_middleware(spec: ScenarioSpec, **kwargs):
     verdict = sorted(str(v) for v in
                      check_constraints(document, aig.constraints))
     return (xml, verdict, conforms_to(document, aig.dtd),
-            serialize(document, indent=2))
+            serialize(document, indent=2), middleware.last_plan.graph)
 
 
 # ----------------------------------------------------------------------
@@ -488,13 +493,17 @@ def run_oracle(spec: ScenarioSpec,
         if not selected(name):
             continue
         try:
-            xml, verdict, conformant, built_xml = _evaluate_middleware(
-                spec, **kwargs)
+            xml, verdict, conformant, built_xml, graph = \
+                _evaluate_middleware(spec, **kwargs)
         except ReproError as error:
             report.divergences.append(Divergence(
                 name, "error", f"{type(error).__name__}: {error}"))
             report.results.append(ConfigResult(name, False))
             continue
+        if kwargs["merging"]:
+            report.products = sum(node.kind == "product"
+                                  for node in graph.nodes.values())
+            report.propagated = graph.propagated
         _compare(report, name, xml, verdict, base_xml, base_verdict,
                  conformant, built_xml)
 

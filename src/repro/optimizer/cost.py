@@ -130,6 +130,8 @@ class CostModel:
             return self.estimate_merged(node, estimates)
         if node.query is not None:
             return self._estimate_query(node.query, estimates)
+        if node.kind == "product":
+            return self._estimate_product(node, estimates)
         return self._estimate_raw(node, estimates)
 
     def estimate_merged(self, node,
@@ -259,6 +261,25 @@ class CostModel:
         if isinstance(other, Literal) and stats is not None:
             return stats.equality_selectivity(column.column, other.value)
         return 1.0 / distinct_of(column)
+
+    def _estimate_product(self, node, estimates: dict[str, NodeEstimate]
+                          ) -> NodeEstimate:
+        """A product node: its query's rows (priced at their source) times
+        the anchor's, formed at the mediator; ``__parent`` takes one value
+        per anchor row."""
+        query, anchor = (estimates[name] for name in node.inputs)
+        cardinality = query.cardinality * anchor.cardinality
+        resolvers = {column: (lambda column=column:
+                              query.distinct_or(column, query.cardinality))
+                     for column in node.output_columns[:-1]}
+        resolvers["__parent"] = lambda: max(anchor.cardinality, 1.0)
+        eval_seconds = (self.overhead / 5  # mediator-local, no round trip
+                        + self.per_input_row * (query.cardinality
+                                                + anchor.cardinality)
+                        + self.per_output_row * cardinality)
+        return NodeEstimate(cardinality, query.row_bytes
+                            + DEFAULT_COLUMN_BYTES, eval_seconds,
+                            LazyDistinct(resolvers))
 
     def _estimate_raw(self, node,
                       estimates: dict[str, NodeEstimate]) -> NodeEstimate:

@@ -15,7 +15,10 @@ Both cases are uniformly represented by :class:`MergedNode` carrying the
 member nodes in topological order; the engine renders the combined
 statement and re-splits the result by tag, so downstream consumers keep
 referencing the original member names.  The merged graph stays a DAG —
-candidate merges producing a cycle are rejected (step 6 of Fig. 9).
+candidate merges producing a cycle are rejected (step 6 of Fig. 9) — and
+its statements stay linear in their members: SQLite expands every CTE
+reference, so a candidate whose expanded reference count exceeds a
+chain's is refused too (:func:`expanded_references`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.relational.source import MEDIATOR_NAME
 from repro.optimizer.cost import CostModel, NodeEstimate, plan_cost
 from repro.optimizer.qdg import QueryDependencyGraph, QueryNode
 from repro.optimizer.schedule import schedule
+from repro.sqlq.ast import TempTable
 
 #: Node kinds that may participate in merging (AST-rendered queries).
 MERGEABLE_KINDS = {"step", "condition", "merged"}
@@ -88,6 +92,34 @@ def merge_pair(graph: QueryDependencyGraph, first: str,
     return new_graph
 
 
+def expanded_references(members) -> int:
+    """The CTE references a merged statement of ``members`` expands to:
+    each member counted once per path from the final ``UNION ALL`` to it
+    (the union reads each member once; a member reads another once per
+    from-item naming it)."""
+    names = {member.name for member in members}
+    reads = {member.name: [item.producer for item in member.query.from_items
+                           if isinstance(item, TempTable)
+                           and item.producer in names]
+             for member in members}
+    paths: dict[str, int] = {}
+
+    def count(name: str) -> int:
+        if name not in paths:
+            paths[name] = 1 + sum(count(reader)
+                                  for reader, read in reads.items()
+                                  for producer in read if producer == name)
+        return paths[name]
+
+    return sum(map(count, names))
+
+
+def _expands_linearly(node: MergedNode) -> bool:
+    """At most a chain's count, ``n(n+1)/2`` for ``n`` members."""
+    n = len(node.members)
+    return expanded_references(node.members) <= n * (n + 1) // 2
+
+
 def _extend_estimates(graph: QueryDependencyGraph,
                       base: dict[str, NodeEstimate],
                       model: CostModel) -> dict[str, NodeEstimate]:
@@ -124,7 +156,8 @@ def merge(graph: QueryDependencyGraph, model: CostModel, network: Network,
         candidates = _mergeable_pairs(graph)
         for first, second in candidates:
             trial = merge_pair(graph, first, second)
-            if not trial.is_acyclic():
+            if (not _expands_linearly(trial.nodes[trial.resolve(first)])
+                    or not trial.is_acyclic()):
                 continue
             trial_estimates = _extend_estimates(trial, base_estimates, model)
             trial_plan = schedule(trial, trial_estimates, network)

@@ -10,8 +10,13 @@ and turns every query site into *set-oriented*, single-source queries:
   scalar parameters replaced — via copy-chain resolution, i.e. copy
   elimination — by columns of the originating tables, and a ``__parent``
   column (the paper's path encoding) is projected through so every output
-  row knows which ancestor row it belongs to.  Multi-source rewritten
-  queries are decomposed by the left-deep planner into single-source steps.
+  row knows which ancestor row it belongs to.  A parameter the producing
+  query only projects (hospital Q1's ``$date as date``) is chased on to
+  its origin, so a root value stays a parameter and a constant a literal.
+  A query that then reads nothing of its anchor runs once at its source,
+  and a mediator *product* node pairs each of its rows with every anchor
+  row.  Multi-source rewritten queries are decomposed by the left-deep
+  planner into single-source steps.
 
 * Each **collection** compiles to a :class:`CollectionProgram`: per
   extraction of the relevant occurrence tables, a :class:`Branch` that
@@ -120,16 +125,24 @@ class QueryNode:
 
     name: str
     source: str                      # executing source ("Mediator" allowed)
-    kind: str                        # 'step' | 'collect' | 'condition' | 'guard'
+    #: 'step' | 'condition' | 'product' | 'collect' | 'guard'
+    kind: str
     query: Query | None = None       # AST payload (step/condition nodes)
     #: collect nodes: their one program; guards: the bag (``unique``) or
     #: the left and right sides (``subset``) — all run in process
     collections: tuple[CollectionProgram, ...] = ()
-    inputs: tuple[str, ...] = ()     # producer node names
+    #: producer node names; a product node's are (query, anchor table)
+    inputs: tuple[str, ...] = ()
     output_columns: tuple[str, ...] = ()
     ship_to_mediator: bool = False   # needed by the tagging phase
     root_params: dict[str, str] = field(default_factory=dict)
     guard = None                     # set on guard nodes
+
+    @property
+    def in_process(self) -> bool:
+        """A collect, guard or product node: run in Python over the result
+        sets the engine holds, no statement issued."""
+        return bool(self.collections) or self.kind == "product"
 
     def __repr__(self) -> str:
         return f"QueryNode({self.name!r}@{self.source}, {self.kind})"
@@ -147,6 +160,9 @@ class QueryDependencyGraph:
     def __init__(self):
         self.nodes: dict[str, QueryNode] = {}
         self.aliases: dict[str, str] = {}
+        #: scalar parameters bound as a root parameter or a literal where
+        #: the producing query only projected them (see ``_Builder._chase``)
+        self.propagated = 0
 
     def add(self, node: QueryNode) -> QueryNode:
         if node.name in self.nodes:
@@ -231,6 +247,7 @@ class QueryDependencyGraph:
         duplicate = QueryDependencyGraph()
         duplicate.nodes = dict(self.nodes)
         duplicate.aliases = dict(self.aliases)
+        duplicate.propagated = self.propagated
         return duplicate
 
     def sources(self) -> list[str]:
@@ -330,24 +347,43 @@ class _Builder:
         return function
 
     def _build_tabled(self, occurrence: Occurrence) -> None:
-        parent = occurrence.parent
         function = self._site_query(occurrence)
-        rewritten, inputs, root_params = self._rewrite(
-            function, parent, gating=occurrence.choice_edges_gating())
-        steps = plan_steps(rewritten, occurrence.path, self.stats)
-        final_name = self._add_steps(steps, occurrence.path, "step",
-                                     root_params)
-        self.plan.table_of[occurrence.path] = final_name
+        self._add_site(occurrence.path, "step", function, occurrence.parent,
+                       occurrence.choice_edges_gating())
+        self.plan.table_of[occurrence.path] = occurrence.path
         self.plan.sort_columns[occurrence.path] = list(
             function.query.output_names)
 
+    def _add_site(self, name: str, kind: str, function: QueryFunc,
+                  parent: Occurrence, gating: list[Occurrence]) -> None:
+        """The nodes of one query site, the last one named ``name``: its
+        rewritten query's steps, or — for a query that reads nothing of a
+        non-root anchor — the query's steps named ``<name>.q`` and the
+        mediator product node ``name`` pairing each of their rows with
+        every anchor row."""
+        rewritten, root_params, anchor = self._rewrite(function, parent,
+                                                       gating)
+        if anchor is None:
+            self._add_steps(plan_steps(rewritten, name, self.stats), name,
+                            kind, root_params)
+            return
+        query_name = f"{name}.q"
+        self._add_steps(plan_steps(rewritten, query_name, self.stats),
+                        query_name, kind, root_params, ship=False)
+        self.graph.add(QueryNode(
+            name=name, source=MEDIATOR_NAME, kind="product",
+            inputs=(query_name, self.plan.table_of[anchor.path]),
+            output_columns=tuple(rewritten.output_names) + ("__parent",),
+            ship_to_mediator=True))
+
     def _add_steps(self, steps, final_name: str, final_kind: str,
-                   root_params: dict[str, str]) -> str:
+                   root_params: dict[str, str], ship: bool = True) -> str:
         """Register a decomposition chain; the last step takes
-        ``final_name``/``final_kind``.  Step queries already reference each
-        other by their plan-step names; only the final rename needs
-        propagating (no chain step consumes the final one, so the rename map
-        stays empty in practice but is kept for safety)."""
+        ``final_name``/``final_kind`` (and ships to the mediator for the
+        tagging phase unless ``ship`` is false).  Step queries already
+        reference each other by their plan-step names; only the final
+        rename needs propagating (no chain step consumes the final one, so
+        the rename map stays empty in practice but is kept for safety)."""
         renames: dict[str, str] = {}
         node_name = final_name
         for index, step in enumerate(steps):
@@ -363,7 +399,7 @@ class _Builder:
                 query=step_query,
                 inputs=tuple(sorted(temp_inputs(step_query))),
                 output_columns=tuple(step_query.output_names),
-                ship_to_mediator=is_last,
+                ship_to_mediator=is_last and ship,
                 root_params={p: m for p, m in root_params.items()
                              if p in scalar_params(step_query)},
             ))
@@ -389,14 +425,18 @@ class _Builder:
     # set-oriented rewriting
     # ------------------------------------------------------------------
     def _rewrite(self, function: QueryFunc, parent: Occurrence,
-                 gating: list[Occurrence] | None = None
-                 ) -> tuple[Query, set[str], dict[str, str]]:
+                 gating: list[Occurrence]
+                 ) -> tuple[Query, dict[str, str], Occurrence | None]:
         """Rewrite a per-tuple query into its set-oriented form.
 
         ``gating`` lists choice-child occurrences whose branch must have
         been selected for the produced rows to exist; the rewritten query
-        joins the corresponding condition tables.  Returns (rewritten query,
-        producer node inputs, root-param map).
+        joins the corresponding condition tables.  The anchor context is
+        joined only for what the query reads.  Returns (rewritten query,
+        root-param map, anchor): ``anchor`` is ``None`` unless the query
+        reads nothing of its non-root anchor, in which case the rewritten
+        query is ``Q`` alone and each of its rows belongs to every row of
+        ``anchor``'s table.
         """
         query = function.query
         anchor = parent.anchor
@@ -407,6 +447,8 @@ class _Builder:
         for param in sorted(scalar_params(query)):
             ref = function.binding_for(param)
             provenance = self._resolve_scalar(ref, parent)
+            if isinstance(provenance, TableColumn):
+                provenance = self._chase(provenance)
             if isinstance(provenance, RootValue):
                 root_params[param] = provenance.member
             elif isinstance(provenance, ConstValue):
@@ -427,7 +469,6 @@ class _Builder:
                                  item.alias) for item in query.select]
         new_where = []
         new_from = list(query.from_items)
-        extra_inputs: set[str] = set()
 
         for predicate in query.where:
             if isinstance(predicate, Comparison):
@@ -439,7 +480,6 @@ class _Builder:
                 node_name, alias, group = set_replacements[predicate.param]
                 columns = self._collect_columns(predicate.param, node_name)
                 new_from.append(TempTable(node_name, alias, columns))
-                extra_inputs.add(node_name)
                 field_name = predicate.field or predicate.column.column
                 new_where.append(Comparison(
                     predicate.column, "=", ColumnRef(alias, field_name)))
@@ -451,7 +491,6 @@ class _Builder:
                 node_name, _, group = set_replacements[item.param]
                 columns = self._collect_columns(item.param, node_name)
                 replaced_from.append(TempTable(node_name, item.alias, columns))
-                extra_inputs.add(node_name)
                 self._add_group_predicate(new_where, item.alias, group,
                                           context)
             else:
@@ -459,7 +498,7 @@ class _Builder:
 
         # Choice gating: rows only exist when every enclosing choice picked
         # this branch — join the condition tables on the anchor row.
-        for gate_index, gate in enumerate(gating or []):
+        for gate_index, gate in enumerate(gating):
             choice_parent = gate.parent
             condition_node = self.plan.condition_of[choice_parent.path]
             selector = self.graph.nodes[condition_node].output_columns[0]
@@ -468,30 +507,48 @@ class _Builder:
             replaced_from.append(TempTable(
                 condition_node, alias,
                 self.graph.nodes[condition_node].output_columns))
-            extra_inputs.add(condition_node)
             new_where.append(Comparison(ColumnRef(alias, selector), "=",
                                         Literal(branch_index)))
             if choice_parent.anchor.parent is not None:
-                context.ensure_anchor()
                 new_where.append(Comparison(
                     ColumnRef(alias, "__parent"), "=",
                     ColumnRef(context.alias_for(choice_parent.anchor),
                               "__id")))
 
         # Project the anchor row id through as the path-encoding column.
-        if context.used or parent.anchor.parent is not None:
-            context.ensure_anchor()
-        for from_item, producer in context.from_items(self):
-            replaced_from.append(from_item)
-            extra_inputs.add(producer)
+        replaced_from.extend(context.from_items(self))
         new_where.extend(context.join_predicates())
         if context.used:
             new_select.append(SelectItem(
                 ColumnRef(CONTEXT_ALIAS, "__id"), "__parent"))
-
         rewritten = Query(tuple(new_select), tuple(replaced_from),
                           tuple(new_where), query.distinct)
-        return rewritten, extra_inputs, root_params
+        # A query that reads nothing of a non-root anchor runs once; its
+        # product with the anchor rows is formed in process.
+        uncorrelated = not context.used and anchor.parent is not None
+        return rewritten, root_params, anchor if uncorrelated else None
+
+    def _chase(self, column: TableColumn) -> Provenance:
+        """Section 4's copy elimination carried through a projection.
+
+        A column its producing site query projects as a bare ``$p`` holds
+        ``p``'s value, so the chase goes on through ``p``'s binding at the
+        producer's parent.  Where it ends at a root value or a constant,
+        that is the column's provenance; where it ends at a table column,
+        ``column`` stays (the context join stays).
+        """
+        current = column
+        while isinstance(current, TableColumn):
+            function = self._site_query(current.occurrence)
+            projected = next(item.expr for item in function.query.select
+                             if item.alias == current.column)
+            if not isinstance(projected, Param):
+                return column
+            current = self._resolve_scalar(
+                function.binding_for(projected.name),
+                current.occurrence.parent)
+        self.graph.propagated += 1
+        return current
 
     def _subst(self, expression, replacements):
         if isinstance(expression, Param) and expression.name in replacements:
@@ -652,11 +709,8 @@ class _Builder:
         assert isinstance(rule, ChoiceRule)
         gating = (occurrence.choice_edges_gating()
                   if occurrence.parent is not None else [])
-        rewritten, inputs, root_params = self._rewrite(rule.condition,
-                                                       occurrence, gating)
         name = f"cond:{occurrence.path}"
-        steps = plan_steps(rewritten, name, self.stats)
-        self._add_steps(steps, name, "condition", root_params)
+        self._add_site(name, "condition", rule.condition, occurrence, gating)
         self.plan.condition_of[occurrence.path] = name
 
     # ------------------------------------------------------------------
@@ -708,12 +762,6 @@ class _ContextJoins:
         self.needed: list[Occurrence] = []   # chain from anchor upward
         self.used = False
 
-    def ensure_anchor(self) -> None:
-        if self.anchor.parent is not None:
-            self.used = True
-            if not self.needed:
-                self.needed = [self.anchor]
-
     def alias_for(self, occurrence: Occurrence) -> str:
         """Alias of ``occurrence``'s table, extending the chain as needed."""
         if occurrence.parent is None:
@@ -731,13 +779,13 @@ class _ContextJoins:
         index = self.needed.index(occurrence)
         return CONTEXT_ALIAS if index == 0 else f"{CONTEXT_ALIAS}{index}"
 
-    def from_items(self, builder: _Builder):
+    def from_items(self, builder: _Builder) -> list[TempTable]:
         items = []
         for index, occurrence in enumerate(self.needed):
             alias = CONTEXT_ALIAS if index == 0 else f"{CONTEXT_ALIAS}{index}"
             table = builder.plan.table_of[occurrence.path]
             columns = builder.graph.nodes[table].output_columns
-            items.append((TempTable(table, alias, columns), table))
+            items.append(TempTable(table, alias, columns))
         return items
 
     def join_predicates(self):

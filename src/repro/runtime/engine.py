@@ -19,10 +19,12 @@ pass per member, so consumers and the tagging phase are oblivious to
 merging.  Only a member a sibling inlines is numbered inside the statement
 (``ROW_NUMBER``); the others are numbered in the split, as a plain step is.
 
-Collect and guard nodes keep the mediator site in the plan but issue no
-statement: their collection programs run in process over the result sets
-of their inputs (:mod:`repro.runtime.collect`); a guard that finds a
-witness aborts the run with :class:`~repro.errors.EvaluationAborted`.
+Collect, guard and product nodes keep the mediator site in the plan but
+issue no statement: collection programs run in process over the result
+sets of their inputs (:mod:`repro.runtime.collect`), a guard that finds a
+witness aborts the run with :class:`~repro.errors.EvaluationAborted`, and
+a product node pairs every row of a query that read nothing of its anchor
+with every anchor row.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import logging
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from operator import add, itemgetter
 
 from repro.errors import EvaluationAborted, EvaluationError, PlanError
@@ -194,7 +196,7 @@ class Engine:
         if getattr(node, "members", None):
             return self._execute_merged(node, source, cache, root_inh,
                                         shipped)
-        if node.collections:
+        if node.in_process:
             return self._execute_in_process(node, cache, root_inh)
         return self._execute_query(node, source, cache, root_inh, shipped)
 
@@ -215,13 +217,16 @@ class Engine:
         elapsed = source.last_execution_seconds + materialize_seconds
         return elapsed, {node.name: output}, rows_materialized
 
-    # -- collect / guard nodes: in process ------------------------------
+    # -- collect / guard / product nodes: in process ---------------------
     def _execute_in_process(self, node, cache, root_inh):
-        """A collect node's rows or a guard's witness, from the result
-        sets in ``cache``; root attribute values are Python values."""
+        """A collect node's rows, a guard's witness or a product, from the
+        result sets in ``cache``; root attribute values are Python
+        values."""
         started = time.perf_counter()
         if node.kind == "guard":
             output = guard_output(node, self.collections, cache, root_inh)
+        elif node.kind == "product":
+            output = _product(node, cache)
         else:
             (program,) = node.collections
             output = ResultSet(intern_columns(node.output_columns),
@@ -439,6 +444,22 @@ def _columns_at(rows, indexes):
     if indexes:
         return zip(map(itemgetter(indexes[0]), rows))
     return repeat((), len(rows))
+
+
+def _product(node, cache) -> ResultSet:
+    """A product node's rows: each row of its query (``__id`` dropped)
+    once per row of its anchor table, anchor-major, ``__parent`` the
+    anchor row's ``__id`` — what joining the anchor in SQL returned — and
+    numbered 1..n as :func:`_with_ids` numbers a step."""
+    query, anchor = (cache[name] for name in node.inputs)
+    width = len(node.output_columns) - 1
+    rows = list(_columns_at(query.rows, list(range(width))))
+    parents = chain.from_iterable(map(
+        repeat, map(itemgetter(anchor.columns.index(ID_COLUMN)),
+                    anchor.rows), repeat(len(rows))))
+    return ResultSet(
+        intern_columns(list(node.output_columns) + [ID_COLUMN]),
+        list(map(add, rows * len(anchor), zip(parents, count(1)))))
 
 
 def _with_ids(result):

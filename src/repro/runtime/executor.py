@@ -36,7 +36,8 @@ logger = logging.getLogger("repro.executor")
 
 #: Trace-span category per QDG node kind (see docs/OBSERVABILITY.md).
 SPAN_CATEGORY = {"step": "query", "merged": "query", "collect": "collect",
-                 "condition": "condition", "guard": "guard"}
+                 "condition": "condition", "guard": "guard",
+                 "product": "product"}
 
 
 def dispatch_order(graph, plan: dict) -> list[str]:

@@ -38,7 +38,7 @@ applied to every tag at compile time.
 from __future__ import annotations
 
 from functools import partial
-from itertools import count as counter, repeat
+from itertools import chain, count as counter, repeat
 from operator import itemgetter
 
 from repro.errors import EvaluationError, RecursionTruncated
@@ -73,7 +73,8 @@ def _sort_key(indexes: list[int], types: list[set]):
     :meth:`ResultSet.column_types`) the values compare exactly as their
     ``(True, str(value))`` pairs do, so the key is read at C level.
     """
-    if all(types[index] <= {str} for index in indexes):
+    if {str}.issuperset(chain.from_iterable(map(types.__getitem__,
+                                                indexes))):
         return itemgetter(*indexes)
 
     def key(row: tuple) -> list:
@@ -98,14 +99,14 @@ class _Table:
         if PARENT_COLUMN in columns:
             parent_index = columns.index(PARENT_COLUMN)
             by_parent = self.by_parent
-            for row in result:
+            for row in result.rows:
                 group = by_parent.get(row[parent_index])
                 if group is None:
                     by_parent[row[parent_index]] = [row]
                 else:
                     group.append(row)
         else:
-            self.by_parent[None] = list(result)
+            self.by_parent[None] = list(result.rows)
         sort_indexes = [columns.index(c) for c in sort_columns
                         if c in columns]
         if sort_indexes:
@@ -118,6 +119,13 @@ class _Table:
 
     def index_of(self, column: str) -> int:
         return self.columns.index(column)
+
+    def clean_columns(self, names, characters: str) -> list:
+        """The indexes of the columns ``names``, then whether each is clean
+        (:meth:`ResultSet.clean_columns`): what a writer's prologue binds
+        for this table, in one call."""
+        indexes = list(map(self.columns.index, names))
+        return indexes + self.result.clean_columns(indexes, characters)
 
 
 def _no_row(anchor: str, text_path: str) -> EvaluationError:
@@ -798,8 +806,9 @@ class _WriterSource:
         self._names: dict[tuple, str] = {}
         self._count = counter()
         self.prologue: list[str] = []
-        #: per anchor slot, its column indexes' clean flags, read together
-        self._clean: dict[int, dict[str, str]] = {}
+        #: per anchor slot, the locals of each column it reads — its index
+        #: and clean flag — bound together once a run
+        self._clean: dict[int, dict[str, tuple[str, str]]] = {}
         self.functions: list[str] = []
         body = self.body = _Unit(1)
         self.item(body, program._item, level, ())
@@ -807,14 +816,15 @@ class _WriterSource:
         body.lines[:0] = body.added(1)
 
     def text(self) -> str:
-        clean = [f"    {', '.join(flags.values())}, = tables[{slot}].result"
-                 f".clean_columns(({', '.join(flags)},), _markup)"
-                 for slot, flags in self._clean.items()]
+        clean = [f"    {', '.join(sum(zip(*columns.values()), ()))}, = "
+                 f"tables[{slot}].clean_columns(("
+                 f"{', '.join(map(self.constant, columns))},), _markup)"
+                 for slot, columns in self._clean.items()]
         return "\n".join([
             "def write(run, pieces, flush, limit, grows):",
             "    tables, conditions = run.tables, run.conditions",
             "    root_inh, append = run.root_inh, pieces.append",
-            "    E = F = T = 0", *self.prologue, *clean, *self.functions,
+            "    E = F = T = 0", *clean, *self.prologue, *self.functions,
             *self.body.lines, "    return E, F, T", ""])
 
     # -- names -------------------------------------------------------------
@@ -850,13 +860,12 @@ class _WriterSource:
         """The locals bound once a run to column ``name`` of anchor
         ``slot``'s table: its index, whether it holds only ``str`` and
         whether it is clean (escaping leaves every value as it is)."""
-        index = self.per_run("c", f"tables[{slot}].index_of("
-                                  f"{self.constant(name)})")
+        columns = self._clean.setdefault(slot, {})
+        if name not in columns:
+            columns[name] = self.local("c"), self.local("q")
+        index, clean = columns[name]
         is_str = self.per_run("s", f"tables[{slot}].types[{index}] <= _str")
-        flags = self._clean.setdefault(slot, {})
-        if index not in flags:
-            flags[index] = self.local("q")
-        return index, is_str, flags[index]
+        return index, is_str, clean
 
     @staticmethod
     def escaped(read: str, is_str: str, clean: str) -> str:

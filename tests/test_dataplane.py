@@ -263,8 +263,10 @@ class TestEventPathBatches:
     #: closures 2.50 (708 calls); a generated writer, a function per star
     #: and choice, 0.61 (173 calls); with the event path's column readers
     #: left unbound and one call a table for its clean columns, 0.54 (152
-    #: calls).  15 % headroom.
-    CALLS_PER_ELEMENT = 0.62
+    #: calls); with that call also giving the column indexes, the sort key
+    #: tested without a generator and the rows grouped without
+    #: ``ResultSet.__iter__``, 0.35 (98 calls).  15 % headroom.
+    CALLS_PER_ELEMENT = 0.40
 
     @pytest.fixture(scope="class")
     def tiny(self):

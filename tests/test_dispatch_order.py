@@ -87,7 +87,7 @@ def prepared_and_run(middleware, depth, root) -> list[str]:
                                       root)
     assert executed == order
     assert received == [(graph.nodes[name].source, name) for name in order
-                        if not graph.nodes[name].collections]
+                        if not graph.nodes[name].in_process]
     return order
 
 

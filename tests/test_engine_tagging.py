@@ -261,12 +261,15 @@ def round_robin(result):
 
 
 class TestMergedStatement:
-    def test_groups_statement_has_one_window(self, monkeypatch):
+    def test_groups_statement_has_no_window(self, monkeypatch):
+        # the members query reads nothing of its group, so it runs once
+        # beside the groups query and neither member inlines the other
         seen = spy_merged(monkeypatch)
         groups_middleware(50).evaluate(GROUPS_ROOT)
         ((node, sql, _),) = seen
         assert len(node.members) == 2
-        assert sql.count("ROW_NUMBER") == 1
+        assert inlined_members(node) == set()
+        assert sql.count("ROW_NUMBER") == 0
         # the discriminator is the member's index, no name is quoted in
         for member in node.members:
             assert f"'{member.name}'" not in sql
@@ -389,7 +392,8 @@ class TestMergedStatement:
                     middleware.calibration_report().nodes
                     if entry.name == node.name]
         assert entry.measured_rows == sum(map(len, member_slices.values()))
-        assert entry.measured_rows == 50 + 50 * 8
+        # 50 groups and the 8 members once: the product is not a slice
+        assert entry.measured_rows == 50 + 8
         assert entry.measured_bytes == sum(
             result.width_bytes() for result in member_slices.values())
 

@@ -21,6 +21,7 @@ from repro.fuzz import (
     shrink,
     to_json,
 )
+from repro.runtime import Middleware
 from repro.xmlmodel import serialize
 
 
@@ -80,8 +81,25 @@ class TestGenerator:
             documents += any(entity in self.conceptual_bytes(spec)
                              for entity in ("&amp;", "&lt;", "&gt;",
                                             "&quot;", "&apos;"))
-        assert (marked, values) == (177, 867)
-        assert documents == 18
+        assert (marked, values) == (160, 836)
+        assert documents == 16
+
+    def test_both_rewrites_are_drawn(self):
+        # seeds 0-44: a nested star left unbound, or one bound to a passed
+        # member whose value is a root value or a constant, gives a query
+        # that reads nothing of its anchor (a product node); a pass-through
+        # read below gives a propagated parameter
+        products = propagated = 0
+        for seed in range(45):
+            spec = generate_scenario(seed)
+            aig, sources = build_scenario(spec)
+            middleware = Middleware(aig, sources, violation_mode="report")
+            middleware.evaluate(dict(spec.root_values))
+            graph = middleware.last_plan.graph
+            products += any(node.kind == "product"
+                            for node in graph.nodes.values())
+            propagated += bool(graph.propagated)
+        assert (products, propagated) == (7, 5)
 
     def test_markup_moves_no_shape(self, monkeypatch):
         marked = [generate_scenario(seed) for seed in range(45)]
@@ -191,6 +209,18 @@ class TestCLI:
         assert main(["fuzz", "--seeds", "3"]) == 0
         out = capsys.readouterr().out
         assert "zero divergence" in out
+
+    def test_fuzz_command_counts_the_rewrites(self, capsys):
+        from repro.__main__ import main
+        # seed 11 draws a product node and a propagated parameter
+        assert main(["fuzz", "--seeds", "1", "--start", "11"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [line for line in out.splitlines()
+                   if line.startswith("rewrites: ")]
+        runs = out.split(" configuration run(s), ")[0].rsplit(" ", 1)[-1]
+        assert line == (f"rewrites: {runs} configuration run(s) with a "
+                        f"product node (1 seed(s)), {runs} with a "
+                        f"propagated parameter (1 seed(s))")
 
     def test_fuzz_command_seed_file_round_trip(self, tmp_path, capsys):
         from repro.__main__ import main

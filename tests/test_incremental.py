@@ -507,3 +507,39 @@ class TestProgramFingerprints:
                             {"p": "{root:q}", "q": "2"}) == set()
         assert self.tainted(middleware, before,
                             {"p": "{root:q2}", "q": "1"}) != set()
+
+
+class TestProductReuse:
+    """A product node (a members query that reads nothing of its group,
+    paired with every group row in process) is fingerprinted through its
+    two producers: a write to either relation re-runs it, and it is
+    replayed otherwise."""
+
+    @pytest.mark.parametrize("merging", [True, False])
+    @pytest.mark.parametrize("written", [None, "members", "groups"])
+    def test_a_write_to_either_input_reruns_the_product(self, merging,
+                                                        written):
+        from repro.aig import ConceptualEvaluator
+        from repro.obs import Tracer
+        from tests.test_mediator_resident import (build_group_aig,
+                                                  group_sources)
+        tracer = Tracer()
+        sources = group_sources()
+        middleware = Middleware(build_group_aig(), sources, incremental=True,
+                                merging=merging, tracer=tracer)
+        middleware.evaluate({"run": "r"})
+        (product,) = [node.name for node in
+                      middleware.last_plan.graph.nodes.values()
+                      if node.kind == "product"]
+        assert len(tracer.spans_by_category("product")) == 1
+        if written == "members":
+            sources["S"].load_rows("members", [("x", "m9", "90")])
+        elif written == "groups":
+            sources["S"].load_rows("groups", [("g9",)])
+        report = middleware.evaluate({"run": "r"})
+        reran = len(tracer.spans_by_category("product")) == 2
+        assert reran is (written is not None)
+        assert (product in middleware._last_result.cache_entries) is reran
+        conceptual = ConceptualEvaluator(
+            middleware.aig, list(sources.values())).evaluate({"run": "r"})
+        assert serialize(report.document) == serialize(conceptual)

@@ -173,8 +173,9 @@ def count_mediator_calls(middleware) -> list:
 
 def test_guards_read_collects_without_a_round_trip(tiny_sources):
     """Zero mediator calls per document on the groups AIG (7 guards over
-    one merged source output) and on the hospital AIG (a collect node and
-    two guards over the unfolded treatment chain)."""
+    one merged source output, the members through the product node that
+    pairs them with every group) and on the hospital AIG (a collect node
+    and two guards over the unfolded treatment chain)."""
     tracer = Tracer()
     middleware = Middleware(build_group_aig(), group_sources(),
                             tracer=tracer)
@@ -185,8 +186,13 @@ def test_guards_read_collects_without_a_round_trip(tiny_sources):
     guards = [n for n in graph.nodes.values() if n.kind == "guard"]
     assert not [n for n in graph.nodes.values() if n.kind == "collect"]
     assert len(guards) == len(middleware.aig.constraints) == 7
+    (merged,) = [n for n in graph.nodes.values() if n.source == "S"]
     for guard in guards:
-        assert {graph.node_for(name).source for name in guard.inputs} == {"S"}
+        for name in guard.inputs:
+            node = graph.node_for(name)
+            if node.kind == "product":
+                node = graph.node_for(node.inputs[0])
+            assert node is merged
     assert calls == []
     assert tracer.metrics.counter("mediator_cache_tables") == 0
     assert tracer.metrics.counter("temp_tables_created") == 0

@@ -109,12 +109,15 @@ def _column_refs(query):
 
 
 def _intermediate_steps(graph, tagging_plan):
-    """Decomposition steps whose output only their consumers read."""
+    """Decomposition steps whose output only their consumers read (a
+    product node's query is a whole site query, not one of them)."""
     read_by_tagging = set(tagging_plan.table_of.values()) | set(
         tagging_plan.condition_of.values())
+    multiplied = {node.inputs[0] for node in graph.nodes.values()
+                  if node.kind == "product"}
     return [node for node in graph.nodes.values()
             if node.kind == "step" and not node.ship_to_mediator
-            and node.name not in read_by_tagging]
+            and node.name not in read_by_tagging | multiplied]
 
 
 def _pushdown_left_undone(graph, tagging_plan):

@@ -458,3 +458,172 @@ def test_each_collection_and_index_is_built_once_per_run(tiny_sources):
     assert tracer.metrics.counter("collection_indexes_built") == 7
     # the treatment chain once, the bill items once
     assert tracer.metrics.counter("collections_built") == 2
+
+
+# ----------------------------------------------------------------------
+# the anchor is joined only for what a query reads
+# ----------------------------------------------------------------------
+def rendered(node) -> str:
+    """A step's SQL with every input bound to its producer's name."""
+    from repro.sqlq.render import render_sqlite
+    values = {param: "?" for param in node.root_params}
+    return render_sqlite(node.query, values,
+                         {name: name for name in node.inputs})[0]
+
+
+def test_an_uncorrelated_members_query_runs_once_beside_a_product():
+    middleware = Middleware(build_group_aig(), group_sources(), merging=False)
+    graph = middleware.prepare().graph
+    product = graph.nodes["root/group/members/member"]
+    assert product.kind == "product" and product.source == MEDIATOR_NAME
+    assert product.inputs == ("root/group/members/member.q", "root/group")
+    assert product.output_columns == ("mid", "score", "__parent")
+    step = graph.nodes[product.inputs[0]]
+    assert step.kind == "step" and step.source == "S"
+    assert not step.ship_to_mediator
+    assert "__ctx" not in rendered(step)
+    assert rendered(step) == ('SELECT "m"."mid" AS "mid", "m"."score" AS '
+                              '"score" FROM "members" AS "m"')
+    assert graph.consumers(step.name) == [product]
+
+    # each member row once per group, anchor-major, numbered 1..n
+    result = middleware.evaluate({"run": "r"})
+    rows = middleware._last_result.cache[product.name].rows
+    assert rows == [(mid, score, group, 3 * (group - 1) + index)
+                    for group in range(1, 7)
+                    for index, (mid, score) in enumerate(
+                        (("m1", "10"), ("m2", "20"), ("m3", "30")), 1)]
+    conceptual = ConceptualEvaluator(
+        middleware.aig, list(middleware.sources.values())).evaluate(
+            {"run": "r"})
+    from repro.xmlmodel import serialize
+    assert serialize(result.document) == serialize(conceptual)
+
+
+def test_a_projected_root_parameter_stays_a_parameter(hospital_aig,
+                                                      tiny_sources):
+    """Hospital Q1 projects ``$date as date``; the DB1 visit step binds
+    the date itself instead of joining it back from the patient table."""
+    graph = Middleware(hospital_aig, tiny_sources).prepare(3).graph
+    (step,) = [member for node in graph.nodes.values()
+               for member in getattr(node, "members", None) or (node,)
+               if member.name.endswith("treatment#2.s1")]
+    assert step.source == "DB1"
+    assert step.root_params == {"date": "date"}
+    sql = rendered(step)
+    assert '"i"."date" = ?' in sql
+    assert '"__ctx"."date"' not in sql
+    # the SSN is still the patient row's: that join stays
+    assert '"i"."SSN" = "__ctx"."SSN"' in sql
+    assert graph.propagated == 1
+    assert not [node for node in graph.nodes.values()
+                if node.kind == "product"]
+
+
+EDGE_DTD = """
+<!ELEMENT root (group*)>
+<!ELEMENT group (gid, kind, members, tags)>
+<!ELEMENT kind (plain | bare)>
+<!ELEMENT plain (item*)>
+<!ELEMENT bare EMPTY>
+<!ELEMENT item (name)>
+<!ELEMENT members (member*)>
+<!ELEMENT member (mid, subs)>
+<!ELEMENT subs (sub*)>
+<!ELEMENT sub (name)>
+<!ELEMENT tags (tag*)>
+<!ELEMENT tag (mid)>
+<!ELEMENT gid (#PCDATA)>
+<!ELEMENT mid (#PCDATA)>
+<!ELEMENT name (#PCDATA)>
+"""
+EDGE_SCHEMA = SourceSchema("S", (
+    relation("groups", "gid", "kind"), relation("items", "name"),
+    relation("members", "mid"), relation("subs", "gid", "name"),
+    relation("tags", "mid")))
+
+
+def build_edge_aig() -> AIG:
+    """Three queries that read no column of their anchor's table yet must
+    join it: one under a choice, one over a set parameter grouped by the
+    anchor, one reading a column its producer projects from a higher
+    table."""
+    from repro.aig import ChoiceBranch, collect, singleton, syn
+    aig = AIG(parse_dtd(EDGE_DTD), Catalog([EDGE_SCHEMA]))
+    aig.inh("group", "gid", "kind")
+    aig.inh("kind", "gid")
+    aig.inh("plain", "gid")
+    aig.inh("item", "name")
+    aig.inh("members", "gid")
+    aig.inh("member", "gid", "mid")
+    aig.inh("subs", "gid")
+    aig.inh("sub", "name")
+    aig.inh("tags", sets={"mids": ("mid",)})
+    aig.inh("tag", "mid")
+    aig.syn("members", sets={"mids": ("mid",)})
+    aig.syn("member", sets={"mids": ("mid",)})
+    aig.rule("root", inh={"group": query(
+        "select g.gid, g.kind from S:groups g")})
+    aig.rule("group", inh={
+        "gid": assign(val=inh("gid")), "kind": assign(gid=inh("gid")),
+        "members": assign(gid=inh("gid")),
+        "tags": assign(mids=syn("members", "mids"))})
+    aig.rule("kind", condition=query(
+        "select g.kind from S:groups g where g.gid = $gid"),
+        branches={"plain": ChoiceBranch(inh=assign(gid=inh("gid"))),
+                  "bare": ChoiceBranch(inh=assign())})
+    # gated: reads nothing of the group, but only where `plain` was picked
+    aig.rule("plain", inh={"item": query("select i.name from S:items i")})
+    aig.rule("item", inh={"name": assign(val=inh("name"))})
+    # projects the group's gid: a higher table's column, not a root value
+    aig.rule("members", inh={"member": query(
+        "select $gid as gid, m.mid from S:members m")},
+        syn=assign(mids=collect("member", "mids")))
+    aig.rule("member", inh={"mid": assign(val=inh("mid")),
+                            "subs": assign(gid=inh("gid"))},
+             syn=assign(mids=singleton(mid=syn("mid", "val"))))
+    aig.rule("subs", inh={"sub": query(
+        "select s.name from S:subs s where s.gid = $gid")})
+    aig.rule("sub", inh={"name": assign(val=inh("name"))})
+    # a set parameter grouped by the group row
+    aig.rule("tags", inh={"tag": query(
+        "select t.mid from S:tags t where t.mid in $mids")})
+    aig.rule("tag", inh={"mid": assign(val=inh("mid"))})
+    return aig.validate()
+
+
+def edge_sources() -> dict:
+    source = DataSource(EDGE_SCHEMA)
+    source.load_rows("groups", [("g0", "1"), ("g1", "2"), ("g2", "1")])
+    source.load_rows("items", [("a",), ("b",)])
+    source.load_rows("members", [("m1",), ("m2",)])
+    source.load_rows("subs", [("g0", "s0"), ("g1", "s1"), ("g1", "s2")])
+    source.load_rows("tags", [("m1",), ("m3",)])
+    return {"S": source}
+
+
+@pytest.mark.parametrize("merging", [True, False])
+def test_a_query_joins_its_anchor_where_it_must(merging):
+    from repro.xmlmodel import serialize
+    middleware = Middleware(build_edge_aig(), edge_sources(),
+                            merging=merging)
+    result = middleware.evaluate({})
+    graph = middleware.last_plan.graph
+    assert not [node for node in graph.nodes.values()
+                if node.kind == "product"]
+    assert graph.propagated == 0
+    steps = {node.name.rsplit("/", 1)[-1]: node
+             for node in graph.nodes.values() for node in
+             (getattr(node, "members", None) or (node,))
+             if node.kind == "step"}
+    # gated: joins the condition table and, through it, the group row
+    assert '"__cond0"."__parent" = "__ctx"."__id"' in rendered(steps["item"])
+    # grouped by the group row
+    assert '"__set_mids"."__group" = "__ctx"."__id"' in rendered(
+        steps["tag"])
+    # the gid chased to the group table: read from the member row
+    assert '"s"."gid" = "__ctx"."gid"' in rendered(steps["sub"])
+    assert steps["sub"].inputs == ("root/group/members/member",)
+    conceptual = ConceptualEvaluator(
+        middleware.aig, list(middleware.sources.values())).evaluate({})
+    assert serialize(result.document) == serialize(conceptual)

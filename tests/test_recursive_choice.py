@@ -196,3 +196,36 @@ class TestRecursionThroughChoice:
             depth_probe = depth_probe.find("node") or \
                 depth_probe.find("content") or depth_probe.find("dir")
             assert depth_probe is not None
+
+    def test_ten_deep_chain_with_the_default_middleware(self):
+        """Ten directories re-unroll the default depth 4 up to 32.  There a
+        level's CTE may name the level above twice (context and
+        condition), so SQLite's expansion of a statement merging every
+        level doubles every two levels and runs out of references to
+        ``entries``: Merge refuses a pair whose statement expands past a
+        chain's count."""
+        from repro.xmlmodel import serialize
+        rows = [(f"d{level}", f"d{level - 1}" if level else "root",
+                 f"level{level}", "2", "") for level in range(10)]
+        rows.append(("leaf", "d9", "deepfile", "1", "1"))
+        aig = build_fs_aig()
+        merged = Middleware(aig, {"FS": load(rows)}).evaluate({})
+        assert merged.unfold_depth == 32
+        unmerged = Middleware(aig, {"FS": load(rows)},
+                              merging=False).evaluate({})
+        reference = ConceptualEvaluator(aig, [load(rows)]).evaluate({})
+        assert serialize(merged.document) == serialize(unmerged.document) \
+            == serialize(reference)
+
+    def test_merged_statements_expand_linearly(self):
+        """Every merged statement of the deep plan expands to at most a
+        chain's CTE references, ``n(n+1)/2`` for ``n`` members."""
+        from repro.optimizer.merge import expanded_references
+        middleware = Middleware(build_fs_aig(), {"FS": load(TREE_ROWS)})
+        graph = middleware.prepare(32).graph
+        merged = [node for node in graph.nodes.values()
+                  if getattr(node, "members", None)]
+        assert merged
+        for node in merged:
+            n = len(node.members)
+            assert expanded_references(node.members) <= n * (n + 1) // 2
