@@ -84,11 +84,7 @@ from repro.aig import (
     union,
 )
 from repro.compilation import specialize
-from repro.resilience import (
-    BreakerPolicy,
-    FaultInjector,
-    RetryPolicy,
-)
+from repro.resilience import FaultInjector
 from repro.runtime import ExecutionReport, Middleware, strip_unfolding, unfold_aig
 
 __version__ = "1.0.0"
@@ -116,6 +112,6 @@ __all__ = [
     "specialize", "unfold_aig", "strip_unfolding",
     "Middleware", "ExecutionReport",
     # resilience
-    "FaultInjector", "RetryPolicy", "BreakerPolicy",
+    "FaultInjector",
     "__version__",
 ]

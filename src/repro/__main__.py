@@ -4,15 +4,15 @@ Commands:
 
 * ``demo [--scale S] [--date D] [--no-merge]
   [--shards N] [--trace FILE] [--metrics] [--metrics-json FILE]
-  [--faults SPEC] [--retries N] [--deadline S]`` — generate a
+  [--faults SPEC] [--deadline S]`` — generate a
   hospital dataset and produce one day's report through the middleware,
   printing summary statistics (add ``--xml`` to dump the document;
   ``--shards N`` partitions the document by key
   range and evaluates in N worker processes — see docs/SHARDING.md;
   ``--trace`` writes a Chrome trace-event JSON loadable in Perfetto /
   ``chrome://tracing`` with one track per source; ``--faults``
-  injects deterministic failures, recovered by ``--retries`` or refused
-  — see docs/RESILIENCE.md).
+  injects deterministic failures, each refused with a typed error — see
+  docs/RESILIENCE.md).
 * ``calibrate [--scale S] [--json FILE]`` — run one report
   and print the cost-model calibration: the optimizer's modeled
   ``eval_cost``/``size`` per QDG node joined against measured wall time
@@ -27,14 +27,14 @@ Commands:
 * ``fuzz [--seeds N] [--start N] [--violate-every N] [--seed-file FILE]
   [--shrink] [--out DIR]`` — differential fuzzing: seeded random AIGs
   evaluated under the full configuration grid (conceptual vs. middleware
-  × merging × incremental × fault-recovery),
+  × merging × incremental × fault refusal),
   writing a JSON repro file for any divergence (see docs/TESTING.md).
 * ``serve [--host H] [--port P] [--scale S] [--no-merge]
   [--no-incremental] [--max-inflight N] [--queue-depth N]
   [--max-tenants N] [--tenant-ttl S] [--ledger FILE]``
   — run the long-lived multi-tenant evaluation service (docs/SERVICE.md):
-  compiled plans, incremental caches, source connections and breakers
-  stay warm across HTTP requests; a hospital tenant
+  compiled plans, incremental caches and source connections stay warm
+  across HTTP requests; a hospital tenant
   is pre-registered; ``--max-tenants``/``--tenant-ttl`` bound the
   registry with LRU + idle-TTL eviction.
 * ``explain`` — print the optimizer's plan; ``info`` — component inventory.
@@ -92,17 +92,11 @@ def _demo(args) -> int:
     sources, dataset = make_loaded_sources(args.scale)
     date = args.date or dataset.busiest_date()
     tracer = _make_tracer(args)
-    retry_policy = None
-    if args.retries is not None:
-        from repro.resilience import RetryPolicy
-        retry_policy = RetryPolicy(retries=args.retries,
-                                   seed=args.fault_seed)
     middleware = Middleware(
         aig, sources, Network.mbps(args.mbps),
         merging=not args.no_merge,
         unfold_depth="auto",
         tracer=tracer,
-        retry_policy=retry_policy,
         deadline=args.deadline,
         incremental=args.incremental,
         ledger=args.ledger,
@@ -110,9 +104,9 @@ def _demo(args) -> int:
     injector = None
     if args.faults:
         from repro.resilience import FaultInjector
-        injector = FaultInjector.from_spec(args.faults, seed=args.fault_seed)
+        injector = FaultInjector.from_spec(args.faults)
         injector.install(sources)
-        print(f"faults: {args.faults} (seed {args.fault_seed})")
+        print(f"faults: {args.faults}")
     warm = None
     try:
         report = middleware.evaluate({"date": date})
@@ -289,8 +283,8 @@ def _fuzz(args) -> int:
                             generate_scenario, run_oracle, shrink, to_json)
 
     if not args.verbose:
-        # report-mode guard findings and retry warnings are *expected*
-        # on violation-injected and fault-injected iterations
+        # report-mode guard findings are *expected* on
+        # violation-injected iterations
         logging.getLogger("repro").setLevel(logging.ERROR)
 
     def artifact(name: str, spec, report) -> str:
@@ -490,12 +484,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="inject deterministic faults, e.g. "
                            "'DB2:error@3,DB1:slow@2:0.05' "
                            "(see docs/RESILIENCE.md)")
-    demo.add_argument("--fault-seed", type=int, default=0, metavar="N",
-                      help="seed for fault injection and retry jitter "
-                           "(default 0)")
-    demo.add_argument("--retries", type=int, default=None, metavar="N",
-                      help="retry transient query failures up to N times "
-                           "with exponential backoff (default: no retries)")
     demo.add_argument("--deadline", type=float, default=None, metavar="S",
                       help="per-query deadline in seconds")
     demo.add_argument("--incremental", action="store_true",

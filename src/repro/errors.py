@@ -75,11 +75,14 @@ class EvaluationAborted(EvaluationError):
 
 
 class SourceUnavailableError(EvaluationError):
-    """A data source was not called because its circuit breaker is open.
+    """A data source's engine failed a statement: locked or busy, an
+    interrupt (a deadline), an injected fault, a missing table — any
+    :class:`sqlite3.OperationalError`.
 
-    Raised by the executor's lane dispatcher (see
-    :mod:`repro.resilience.breaker`) so a source that has repeatedly failed
-    is not hammered with further queries while it recovers.
+    Raised by :class:`~repro.relational.source.DataSource` at its
+    statement boundary, the one place that decides what is the source's
+    fault; the run it was part of ends at once, and the service answers it
+    503 with ``Retry-After``.
     """
 
 

@@ -13,7 +13,7 @@ instead of the single hand-built hospital grammar:
   schemas + rules + constraint-satisfying or violation-injected data).
 * :mod:`repro.fuzz.oracle` — the cross-configuration equivalence oracle
   (conceptual vs. middleware × merging × incremental ×
-  fault-recovery).
+  fault refusal).
 * :mod:`repro.fuzz.shrink` — minimizes a diverging scenario to a small
   repro file.
 

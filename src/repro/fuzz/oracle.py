@@ -13,8 +13,10 @@ evaluates one scenario under the full grid —
   duplicating a row, then compares against a *fresh* conceptual baseline
   over the mutated data), and a return to the root after a run on other
   root values, which must replay every node,
-* a fault-injected-then-recovered run (an ``error@1`` fault with a
-  retry budget must leave the output untouched),
+* a fault-refusal run (an ``error@1`` fault ends the run in
+  :class:`~repro.errors.SourceUnavailableError` naming the source, every
+  source keeps the table set it started with, and the next run, with the
+  injector uninstalled, writes the baseline bytes),
 * sharded multi-process runs (``shards`` ∈ {2, 3, 4}, docs/SHARDING.md):
   byte-identical document, identical tree-checker verdict over the merged
   document, *and* an identical cross-shard *reconciled* verdict
@@ -30,7 +32,6 @@ between runs.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from repro.errors import EvaluationAborted, ReproError
@@ -51,7 +52,7 @@ def _config_name(kwargs: dict) -> str:
 #: sub-runs (incremental cold/warm/delta, 2/3/4 shards) one seed costs
 #: ~15 configuration runs.
 ALL_CONFIGS = tuple([_config_name(kwargs) for kwargs in GRID]
-                    + ["abort-consistency", "incremental", "fault-recovery",
+                    + ["abort-consistency", "incremental", "fault-refusal",
                        "streaming", "shards"])
 
 
@@ -337,43 +338,52 @@ def _check_incremental(report: OracleReport, spec: ScenarioSpec,
             f"query(ies), expected 0"))
 
 
-def _check_fault_recovery(report: OracleReport, spec: ScenarioSpec,
-                          base_xml: str, base_verdict: list[str]) -> None:
-    """An injected first-statement error plus retries must be invisible."""
+def _check_fault_refusal(report: OracleReport, spec: ScenarioSpec,
+                         base_xml: str, base_verdict: list[str]) -> None:
+    """An injected first-statement error is refused, leaves no table
+    behind, and the next run is whole."""
     from repro.constraints import check_constraints
-    from repro.resilience import FaultInjector, RetryPolicy
+    from repro.errors import SourceUnavailableError
+    from repro.resilience import FaultInjector
     from repro.runtime import Middleware
     from repro.xmlmodel import conforms_to, serialize
 
-    config = "fault-recovery"
+    config = "fault-refusal"
     aig, sources = build_scenario(spec)
     faulted = spec.tables[0].source if spec.tables else None
     if faulted is None:
         report.results.append(ConfigResult(config, True, "skipped: no "
                                            "tables"))
         return
-    # Construct first: the constructor's statistics scan (COUNT(*) per
-    # relation) is not a retried query path, so the injector must only
-    # see the evaluation itself.
-    middleware = Middleware(
-        aig, sources, violation_mode="report",
-        retry_policy=RetryPolicy(retries=2, base_delay=0.0,
-                                 max_delay=0.0, jitter=0.0,
-                                 seed=spec.seed))
-    injector = FaultInjector.from_spec(f"{faulted}:error@1",
-                                       seed=spec.seed)
-    injector.install(sources)
-    # the injected fault *will* fire and be retried — don't let the
-    # executor's expected retry warning spam every fuzz iteration
-    executor_logger = logging.getLogger("repro.executor")
-    previous_level = executor_logger.level
-    executor_logger.setLevel(logging.ERROR)
+    middleware = Middleware(aig, sources, violation_mode="report")
+    everything = {**sources, middleware.mediator.name: middleware.mediator}
+    tables = {name: source.table_names()
+              for name, source in everything.items()}
+    injector = FaultInjector.from_spec(f"{faulted}:error@1").install(sources)
+    refusal = None
     try:
-        result = middleware.evaluate(dict(spec.root_values))
+        middleware.evaluate(dict(spec.root_values))
+    except SourceUnavailableError as error:
+        refusal = error
     finally:
-        executor_logger.setLevel(previous_level)
         injector.uninstall(sources)
-    document = result.document
+    problem = None
+    if injector.fired and (refusal is None
+                           or repr(faulted) not in str(refusal)):
+        problem = (f"the fault on {faulted!r} fired but the run ended in "
+                   f"{refusal!r}")
+    elif refusal is not None and not injector.fired:
+        problem = f"refused with no fault fired: {refusal}"
+    else:
+        left = {name: source.table_names()
+                for name, source in everything.items()}
+        if left != tables:
+            problem = f"tables before {tables!r}, after {left!r}"
+    if problem is not None:
+        report.divergences.append(Divergence(config, "refusal", problem))
+        report.results.append(ConfigResult(config, False))
+        return
+    document = middleware.evaluate(dict(spec.root_values)).document
     _compare(report, config, serialize(document, indent=2),
              sorted(str(v) for v in
                     check_constraints(document, aig.constraints)),
@@ -520,12 +530,12 @@ def run_oracle(spec: ScenarioSpec,
         except ReproError as error:
             report.divergences.append(Divergence(
                 "incremental", "error", f"{type(error).__name__}: {error}"))
-    if selected("fault-recovery"):
+    if selected("fault-refusal"):
         try:
-            _check_fault_recovery(report, spec, base_xml, base_verdict)
+            _check_fault_refusal(report, spec, base_xml, base_verdict)
         except ReproError as error:
             report.divergences.append(Divergence(
-                "fault-recovery", "error",
+                "fault-refusal", "error",
                 f"{type(error).__name__}: {error}"))
     if selected("streaming"):
         try:

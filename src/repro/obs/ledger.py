@@ -15,7 +15,7 @@ Record schema (top-level keys, all sorted on disk):
   (:func:`repro.runtime.incremental.plan_fingerprint`), identical across
   re-runs of the same plan — the join key for cross-run analysis;
 * ``config`` — the middleware knobs that shaped the run (merging, unfold
-  depth, violation mode, incremental, deadline, retries, shards); records
+  depth, violation mode, incremental, deadline, shards); records
   written by older versions carry more keys, which readers ignore;
 * ``plan`` — estimated cost, simulated response time, node count;
 * ``run`` — measured wall seconds, queries executed, bytes shipped,
@@ -25,7 +25,7 @@ Record schema (top-level keys, all sorted on disk):
   kind, measured eval/overhead seconds, completion, output rows/bytes,
   and whether it was replayed from the incremental cache;
 * ``metrics`` — this run's delta of the tracer's counters (and final
-  gauges), e.g. retry/breaker/incremental activity — empty when
+  gauges), e.g. deadline/incremental activity — empty when
   tracing is off;
 * ``constraints`` — violation verdicts (name, kind, count per finding).
 

@@ -13,10 +13,8 @@ A :class:`MetricsRegistry` is a flat, thread-safe map of named numbers:
   (:func:`repro.obs.export.prometheus_text`) renders them as summaries.
 
 The resilience layer (:mod:`repro.resilience`, docs/RESILIENCE.md) adds
-its own counter family: ``retry_attempts`` (and per-source
-``retry_attempts.<src>``), ``retry_recoveries``, ``retries_exhausted``,
-``deadline_aborts``, ``breaker_transitions`` (and per-source scoped
-variants).
+one counter: ``deadline_aborts``, one per statement its deadline cut
+short.
 
 Incremental re-evaluation (``Middleware(incremental=True)``,
 docs/INCREMENTAL.md) adds counters ``incremental_cache_hits`` (nodes

@@ -24,11 +24,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from repro.errors import EvaluationError, SpecError
+from repro.errors import EvaluationError, SourceUnavailableError, SpecError
 from repro.relational.schema import SourceSchema
-from repro.resilience.retry import (PROGRESS_HANDLER_OPCODES,
-                                    QueryDeadlineExceeded,
-                                    make_deadline_handler)
+from repro.resilience.deadline import (PROGRESS_HANDLER_OPCODES,
+                                       QueryDeadlineExceeded,
+                                       make_deadline_handler)
 
 logger = logging.getLogger("repro.source")
 
@@ -58,6 +58,12 @@ def parse_spec(spec) -> str | None:
 #: plan queries across evaluations), so a larger cache means SQLite
 #: re-uses prepared statements instead of re-parsing.
 STATEMENT_CACHE_SIZE = 256
+
+#: How long a statement waits for another connection's lock on the
+#: database before SQLite fails it with ``database is locked`` (the
+#: ``sqlite3.connect`` default, named).  It is the only wait for a locked
+#: file source: a statement that fails is refused, never retried.
+BUSY_TIMEOUT_SECONDS = 5.0
 
 _shared_memory_counter = itertools.count(1)
 
@@ -190,6 +196,19 @@ class ResultSet:
         return total
 
 
+def _statement_error(message: str, error: sqlite3.Error) -> EvaluationError:
+    """The one place that decides what is the source's fault: an
+    :class:`sqlite3.OperationalError` (locked or busy, an interrupt or
+    deadline, an injected fault, a missing table) is the source's engine
+    failing, :class:`~repro.errors.SourceUnavailableError`; any other
+    error is the statement's own, a plain
+    :class:`~repro.errors.EvaluationError`."""
+    kind = (SourceUnavailableError
+            if isinstance(error, sqlite3.OperationalError)
+            else EvaluationError)
+    return kind(message)
+
+
 class DataSource:
     """One logical relational source: its own SQLite database.
 
@@ -246,7 +265,8 @@ class DataSource:
         # whichever request thread holds the run lock; exclusivity is
         # enforced by that lock, not by SQLite.
         connection = sqlite3.connect(
-            self.uri, uri=True, isolation_level=None,
+            self.uri, uri=True, timeout=BUSY_TIMEOUT_SECONDS,
+            isolation_level=None,
             check_same_thread=False,
             cached_statements=STATEMENT_CACHE_SIZE)
         connection.execute("PRAGMA synchronous=OFF")
@@ -280,9 +300,9 @@ class DataSource:
             connection.execute("COMMIT")
         except sqlite3.Error as error:
             self._rollback()
-            raise EvaluationError(
+            raise _statement_error(
                 f"source {self.name!r}: loading rows into "
-                f"{relation_name!r} failed: {error}") from error
+                f"{relation_name!r} failed: {error}", error) from error
         except BaseException:
             self._rollback()
             raise
@@ -352,12 +372,12 @@ class DataSource:
         injected slow faults (Python-side sleeps the engine can never
         see) are clipped at the deadline inside :meth:`_faulted_sleep`.
         Both paths raise
-        :class:`~repro.resilience.retry.QueryDeadlineExceeded` wrapped in
-        an :class:`~repro.errors.EvaluationError`.  A statement that
-        *completes* keeps its rows even when total elapsed time lands
-        slightly past the deadline — discarding finished work would make a
-        near-deadline query deterministically fail every retry despite the
-        engine succeeding.
+        :class:`~repro.resilience.deadline.QueryDeadlineExceeded` wrapped
+        in a :class:`~repro.errors.SourceUnavailableError`, as any
+        ``OperationalError`` is.  A statement that *completes* keeps its
+        rows even when total elapsed time lands slightly past the deadline
+        — discarding finished work would make a near-deadline query fail
+        although the engine succeeded.
 
         A statement is a write if the engine changed rows for it
         (``total_changes``, so ``WITH ... INSERT`` counts) or if it is not
@@ -391,8 +411,9 @@ class DataSource:
                 if deadline is not None:
                     conn.set_progress_handler(None, 0)
         except sqlite3.Error as error:
-            raise EvaluationError(
-                f"source {self.name!r}: SQL failed: {error}\n  {sql}") from error
+            raise _statement_error(
+                f"source {self.name!r}: SQL failed: {error}\n  {sql}",
+                error) from error
         elapsed = time.perf_counter() - start
         self.last_execution_seconds = elapsed
         self.total_queries += 1
@@ -427,8 +448,9 @@ class DataSource:
             self.connection.executescript(sql)
             self.connection.commit()
         except sqlite3.Error as error:
-            raise EvaluationError(
-                f"source {self.name!r}: script failed: {error}") from error
+            raise _statement_error(
+                f"source {self.name!r}: script failed: {error}",
+                error) from error
         self._note_write(sql)
 
     # ------------------------------------------------------------------
@@ -442,7 +464,11 @@ class DataSource:
         (via the mediator) to every dependent site".  The whole shipment
         lands as one batch: DROP/CREATE plus a single ``executemany``
         insert inside one explicit transaction, so the engine journals the
-        table once instead of once per statement.
+        table once instead of once per statement.  The transaction takes
+        its write lock at ``BEGIN IMMEDIATE``: a deferred one would read
+        the schema first and then fail at once, without the busy timeout's
+        wait, if another connection to a file source had begun to write
+        in between.
         """
         conn = self.connection
         if name is None:
@@ -454,7 +480,7 @@ class DataSource:
                 delay = self.fault_injector.on_statement(self.name)
                 if delay > 0.0:
                     time.sleep(delay)
-            conn.execute("BEGIN")
+            conn.execute("BEGIN IMMEDIATE")
             conn.execute(f'DROP TABLE IF EXISTS "{name}"')
             conn.execute(f'CREATE TABLE "{name}" ({quoted})')
             if rows:
@@ -471,18 +497,18 @@ class DataSource:
                 logger.warning(
                     "source %s: rollback after failed shipment into %r "
                     "also failed", self.name, name)
-            raise EvaluationError(
+            raise _statement_error(
                 f"source {self.name!r}: shipping into {name!r} failed: "
-                f"{error}") from error
+                f"{error}", error) from error
         return name
 
     def drop_table(self, name: str) -> None:
         try:
             self.connection.execute(f'DROP TABLE IF EXISTS "{name}"')
         except sqlite3.Error as error:
-            raise EvaluationError(
+            raise _statement_error(
                 f"source {self.name!r}: dropping {name!r} failed: "
-                f"{error}") from error
+                f"{error}", error) from error
 
     def table_names(self) -> list[str]:
         try:
@@ -490,9 +516,9 @@ class DataSource:
                 "SELECT name FROM sqlite_master WHERE type='table' "
                 "ORDER BY name")]
         except sqlite3.Error as error:
-            raise EvaluationError(
+            raise _statement_error(
                 f"source {self.name!r}: listing tables failed: "
-                f"{error}") from error
+                f"{error}", error) from error
 
     def row_count(self, table: str) -> int:
         return self.execute(f'SELECT COUNT(*) FROM "{table}"').rows[0][0]
@@ -510,9 +536,9 @@ class DataSource:
             finally:
                 connection.close()
         except sqlite3.Error as error:
-            raise EvaluationError(
+            raise _statement_error(
                 f"source {self.name!r}: statistics read failed: {error}\n"
-                f"  {sql}") from error
+                f"  {sql}", error) from error
 
     def close(self) -> None:
         self._closed = True

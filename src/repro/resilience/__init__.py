@@ -1,4 +1,4 @@
-"""Resilience layer: fault injection, retries, circuit breakers.
+"""Resilience layer: fault injection and per-statement deadlines.
 
 The paper's middleware (Section 5) assumes cooperative sources — one query
 processor per site that always answers.  This package supplies the
@@ -6,46 +6,28 @@ production half of the failure story:
 
 * :mod:`repro.resilience.faults` — a deterministic, programmable
   fault-injection harness installed on :class:`~repro.relational.source.
-  DataSource` (transient errors, slow queries, dropped connections,
-  outages), addressed by per-source statement index so every run of a plan
-  sees identical failures.
-* :mod:`repro.resilience.retry` — :class:`RetryPolicy` (exponential
-  backoff, seeded jitter, per-query attempt budget) and per-query
-  deadlines enforced through SQLite's progress handler.
-* :mod:`repro.resilience.breaker` — per-source circuit breakers
-  (closed -> open -> half-open) consulted by the executor before
-  it issues a node.
+  DataSource` (transient errors, slow queries, outages), addressed by
+  per-source statement index so every run of a plan sees identical
+  failures.
+* :mod:`repro.resilience.deadline` — per-statement deadlines enforced
+  through SQLite's progress handler.
 
-A source that still fails ends the run in a typed error
-(:class:`~repro.errors.EvaluationError` or
-:class:`~repro.errors.SourceUnavailableError`), never in a partial
-document.  See docs/RESILIENCE.md for the fault-spec grammar and the
-retry/breaker semantics.
+A statement that fails ends the run at once in a typed refusal
+(:class:`~repro.errors.SourceUnavailableError` for a failure of the
+source's engine, :class:`~repro.errors.EvaluationError` otherwise), never
+in a partial document.  See docs/RESILIENCE.md for the fault-spec grammar
+and the refusal table.
 """
 
-from repro.resilience.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerBoard,
-    BreakerPolicy,
-    CircuitBreaker,
-)
+from repro.resilience.deadline import QueryDeadlineExceeded
 from repro.resilience.faults import (
     FaultClause,
     FaultInjector,
     InjectedFault,
     parse_fault_spec,
 )
-from repro.resilience.retry import (
-    QueryDeadlineExceeded,
-    RetryPolicy,
-    is_transient,
-)
 
 __all__ = [
     "FaultClause", "FaultInjector", "InjectedFault", "parse_fault_spec",
-    "RetryPolicy", "QueryDeadlineExceeded", "is_transient",
-    "BreakerPolicy", "CircuitBreaker", "BreakerBoard",
-    "CLOSED", "OPEN", "HALF_OPEN",
+    "QueryDeadlineExceeded",
 ]

@@ -16,16 +16,14 @@ Spec grammar (see docs/RESILIENCE.md)::
     clause   := SOURCE ":" kind "@" N [ ":" ARG ]
     kind     := "error"       -- transient OperationalError on the N-th statement
               | "slow"        -- delay the N-th statement by ARG seconds
-              | "drop"        -- simulate a dropped connection on the N-th statement
               | "down"        -- every statement from the N-th on fails (outage)
 
     e.g.  "DB2:error@3,DB1:slow@2:0.05,DB3:down@1"
 
 Injected statement faults raise :class:`sqlite3.OperationalError` *inside*
-the source's normal error path, so they are wrapped into
-:class:`~repro.errors.EvaluationError` with the operational cause attached
-— indistinguishable from a real flaky backend, and recognized as transient
-by :func:`repro.resilience.retry.is_transient`.
+the source's normal error path, so the source refuses them as it refuses a
+real failure of its engine: :class:`~repro.errors.SourceUnavailableError`
+with the operational cause attached.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.errors import SpecError
 
 #: The fault kinds, all fired at the statement boundary.
-STATEMENT_KINDS = ("error", "slow", "drop", "down")
+STATEMENT_KINDS = ("error", "slow", "down")
 
 
 class InjectedFault(sqlite3.OperationalError):
@@ -50,7 +48,7 @@ class FaultClause:
     """One parsed clause of a fault spec."""
 
     source: str
-    kind: str            # 'error' | 'slow' | 'drop' | 'down'
+    kind: str            # 'error' | 'slow' | 'down'
     at: int              # 1-based operation index on that source
     arg: float = 0.0     # seconds for 'slow'
 
@@ -101,16 +99,10 @@ def parse_fault_spec(spec: str) -> list[FaultClause]:
 
 @dataclass
 class FaultInjector:
-    """Seeded, programmable fault schedule over a set of sources.
-
-    The ``seed`` does not randomize the faults themselves (clauses are
-    exact); it is carried alongside so retry jitter and any future
-    probabilistic kinds derive from one number, making a whole
-    fault+recovery run reproducible from ``(spec, seed)``.
-    """
+    """Programmable fault schedule over a set of sources: the clauses are
+    exact, so a faulted run is reproducible from its spec alone."""
 
     clauses: list[FaultClause] = field(default_factory=list)
-    seed: int = 0
 
     def __post_init__(self):
         self._lock = threading.Lock()
@@ -121,8 +113,8 @@ class FaultInjector:
             self._by_source.setdefault(clause.source, []).append(clause)
 
     @classmethod
-    def from_spec(cls, spec: str, seed: int = 0) -> "FaultInjector":
-        return cls(parse_fault_spec(spec), seed)
+    def from_spec(cls, spec: str) -> "FaultInjector":
+        return cls(parse_fault_spec(spec))
 
     # ------------------------------------------------------------------
     def install(self, sources: dict) -> "FaultInjector":
@@ -143,7 +135,7 @@ class FaultInjector:
         """Called before each statement executes on ``source_name``.
 
         Returns a delay in seconds to sleep (``slow`` faults) and raises
-        :class:`InjectedFault` for ``error``/``drop``/``down`` hits.
+        :class:`InjectedFault` for ``error``/``down`` hits.
         """
         if source_name not in self._by_source:
             return 0.0
@@ -157,10 +149,6 @@ class FaultInjector:
             return 0.0
         if hit.kind == "slow":
             return hit.arg
-        if hit.kind == "drop":
-            raise InjectedFault(
-                f"injected fault {hit}: connection to {source_name!r} "
-                f"dropped mid-query")
         if hit.kind == "down":
             raise InjectedFault(
                 f"injected fault {hit}: source {source_name!r} is down")

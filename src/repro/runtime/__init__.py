@@ -16,10 +16,10 @@ phases (Sections 5.1, 5.5).
   specialize, QDG, merge + schedule) and explain one, no middleware needed.
 * :mod:`repro.runtime.middleware` — the facade: AIG in, document out.
 
-Failure handling (retries, circuit breakers) lives in
-:mod:`repro.resilience` and is wired through ``Middleware``'s
-``retry_policy`` / ``deadline`` / ``breaker_policy`` parameters; a source
-that still fails ends the run in a typed error — see docs/RESILIENCE.md.
+A statement that fails ends the run at once in a typed refusal
+(:class:`~repro.errors.SourceUnavailableError` when the source's engine
+failed it); ``Middleware``'s ``deadline`` bounds each statement, and
+:mod:`repro.resilience` injects faults — see docs/RESILIENCE.md.
 """
 
 from repro.runtime.recursion import unfold_aig, strip_unfolding

@@ -110,8 +110,6 @@ class Engine:
                  query_overhead: float | None = None,
                  violation_mode: str = "abort",
                  tracer=None,
-                 retry_policy=None,
-                 breakers=None,
                  deadline: float | None = None,
                  tagging_plan=None,
                  reuse: dict | None = None,
@@ -131,14 +129,8 @@ class Engine:
             raise PlanError(f"violation_mode must be 'abort' or 'report', "
                             f"got {violation_mode!r}")
         self.violation_mode = violation_mode
-        #: Resilience (see :mod:`repro.resilience`): a
-        #: :class:`~repro.resilience.retry.RetryPolicy` retries transient
-        #: per-node failures; ``breakers`` (a
-        #: :class:`~repro.resilience.breaker.BreakerBoard`) is consulted by
-        #: the executor before each node; ``deadline`` bounds each
-        #: statement's wall time.
-        self.retry_policy = retry_policy
-        self.breakers = breakers
+        #: Bounds each statement's wall time (see
+        #: :mod:`repro.resilience.deadline`).
         self.deadline = deadline
         # ``tagging_plan`` is accepted and unread: the benchmark's
         # ``Pipeline.run_engine`` still passes it.
@@ -152,13 +144,6 @@ class Engine:
         self.collections = RunCollections(self.tracer.metrics)
         self._physical: dict[str, str] = {}
         self._physical_counter = 0
-
-    def breaker_for(self, source_name: str):
-        """The circuit breaker guarding ``source_name`` (None when breakers
-        are disabled; the mediator is never guarded — it is in-process)."""
-        if self.breakers is None or source_name == MEDIATOR_NAME:
-            return None
-        return self.breakers.breaker_for(source_name)
 
     # ------------------------------------------------------------------
     def run(self, root_inh: dict) -> EngineResult:

@@ -27,7 +27,7 @@ from repro.errors import (
     SourceUnavailableError,
 )
 from repro.relational.source import ResultSet
-from repro.resilience.retry import QueryDeadlineExceeded, is_transient
+from repro.resilience.deadline import QueryDeadlineExceeded
 from repro.runtime.collect import describe_witness
 from repro.runtime.engine import EngineResult, NodeTiming
 from repro.runtime.incremental import CachedNodeResult
@@ -112,56 +112,6 @@ class PlanExecutor:
         violations: list = []
         cache_entries: dict[str, CachedNodeResult] = {}
 
-        def attempt_node(name: str, node, span):
-            """``engine._execute`` under the retry policy and breaker.
-
-            Transient failures (see :func:`repro.resilience.retry.
-            is_transient`) are retried with deterministic backoff; every
-            attempt's outcome feeds the source's circuit breaker, and an
-            open breaker short-circuits remaining attempts.
-            """
-            policy = engine.retry_policy
-            attempts = policy.attempts if policy is not None else 1
-            breaker = engine.breaker_for(node.source)
-            last_error: BaseException | None = None
-            for attempt in range(1, attempts + 1):
-                if breaker is not None and breaker.blocked():
-                    raise SourceUnavailableError(
-                        f"source {node.source!r}: circuit breaker is "
-                        f"{breaker.state}; refusing {name!r}"
-                    ) from last_error
-                try:
-                    result = engine._execute(node, cache, root_inh,
-                                             shipped=shipped)
-                except Exception as error:
-                    last_error = error
-                    if breaker is not None:
-                        breaker.record_failure()
-                    if _caused_by(error, QueryDeadlineExceeded):
-                        metrics.add("deadline_aborts", 1)
-                    if attempt < attempts and is_transient(error):
-                        delay = policy.delay(attempt, name)
-                        metrics.add("retry_attempts", 1)
-                        metrics.add(f"retry_attempts.{node.source}", 1)
-                        span.set(retried=attempt)
-                        logger.warning(
-                            "node %s on %s failed (attempt %d/%d): %s; "
-                            "retrying in %.3fs", name, node.source,
-                            attempt, attempts, error, delay)
-                        time.sleep(delay)
-                        continue
-                    if attempt > 1:
-                        metrics.add("retries_exhausted", 1)
-                    raise
-                else:
-                    if breaker is not None:
-                        breaker.record_success()
-                    if attempt > 1:
-                        metrics.add("retry_recoveries", 1)
-                        span.set(recovered_after_retries=attempt - 1)
-                    return result
-            raise AssertionError("unreachable")  # pragma: no cover
-
         def complete(node, outputs: dict, eval_seconds: float = 0.0,
                      rows_materialized: int = 0, cached: bool = False,
                      span=None) -> int:
@@ -199,7 +149,13 @@ class PlanExecutor:
                                track=lane, parent=run_span,
                                source=node.source, kind=node.kind)
             with span:
-                eval_seconds, outputs, rows = attempt_node(name, node, span)
+                try:
+                    eval_seconds, outputs, rows = engine._execute(
+                        node, cache, root_inh, shipped=shipped)
+                except SourceUnavailableError as error:
+                    if isinstance(error.__cause__, QueryDeadlineExceeded):
+                        metrics.add("deadline_aborts", 1)
+                    raise
                 span.set(eval_seconds=eval_seconds, rows_materialized=rows,
                          output_rows=sum(map(len, _put_out(node, outputs))))
             queries += 1
@@ -238,18 +194,7 @@ class PlanExecutor:
             for name in order:
                 if name in reuse:
                     continue
-                node = graph.nodes[name]
-                # Peek at the source's circuit breaker first (the
-                # non-leasing would_block — attempt_node's blocked() call
-                # is the one that claims the half-open probe): a node bound
-                # for an open source fails immediately without waiting out
-                # retries.
-                breaker = engine.breaker_for(node.source)
-                if breaker is not None and breaker.would_block():
-                    raise SourceUnavailableError(
-                        f"source {node.source!r}: circuit breaker is "
-                        f"{breaker.state}; refusing {name!r}")
-                execute(name, node)
+                execute(name, graph.nodes[name])
         finally:
             # Failure-path hygiene: shipped temp tables from completed steps
             # must not outlive the run (a mid-plan abort used to strand
@@ -300,14 +245,3 @@ def _drop_shipped_tables(sources: dict, shipped: dict) -> None:
                            table, source_name, error)
     shipped.clear()
 
-
-def _caused_by(error: BaseException, exc_type: type) -> bool:
-    """Does ``error`` or its ``__cause__`` chain contain ``exc_type``?"""
-    seen = set()
-    current: BaseException | None = error
-    while current is not None and id(current) not in seen:
-        seen.add(id(current))
-        if isinstance(current, exc_type):
-            return True
-        current = current.__cause__
-    return False

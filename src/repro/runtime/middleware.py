@@ -157,9 +157,7 @@ class Middleware:
                  max_unfold_depth: int = 64,
                  violation_mode: str = "abort",
                  tracer=None,
-                 retry_policy=None,
                  deadline: float | None = None,
-                 breaker_policy=None,
                  incremental: bool = False,
                  ledger=None,
                  shards: int = 1):
@@ -176,11 +174,6 @@ class Middleware:
         self._chain_depth: tuple = (None, None)  # (table versions, depth)
         # Every knob is checked here, so a bad value (a service tenant's
         # JSON config) is refused at construction, never at a run.
-        from repro.resilience.breaker import BreakerBoard, BreakerPolicy
-        from repro.resilience.retry import RetryPolicy
-        if type(retry_policy) is int:
-            retry_policy = RetryPolicy(retries=retry_policy)
-
         def positive(value) -> bool:
             return type(value) is int and value > 0
         for name, value, ok, expected in (
@@ -197,13 +190,7 @@ class Middleware:
                  "'abort' or 'report'"),
                 ("deadline", deadline, deadline is None or (
                     type(deadline) in (int, float) and deadline > 0),
-                 "a positive number of seconds or null"),
-                ("retry_policy", retry_policy, retry_policy is None
-                 or isinstance(retry_policy, RetryPolicy),
-                 "a RetryPolicy or int"),
-                ("breaker_policy", breaker_policy, breaker_policy is None
-                 or isinstance(breaker_policy, BreakerPolicy),
-                 "a BreakerPolicy")):
+                 "a positive number of seconds or null")):
             if not ok:
                 raise EvaluationError(
                     f"{name} must be {expected}, got {value!r}")
@@ -211,12 +198,7 @@ class Middleware:
         self.unfold_depth = unfold_depth
         self.max_unfold_depth = max_unfold_depth
         self.violation_mode = violation_mode
-        self.retry_policy = retry_policy
         self.deadline = deadline
-        #: Breaker state persists *across* evaluations — an open breaker
-        #: from one daily report still refuses the source in the next.
-        self.breakers = None if breaker_policy is None else BreakerBoard(
-            breaker_policy, listener=self._on_breaker_transition)
         #: The middleware owns one persistent mediator shared by every
         #: evaluation: its connection and compiled statements stay warm
         #: across runs, and ``invalidate_plans`` can actually drop stray
@@ -263,12 +245,6 @@ class Middleware:
         #: layer: under concurrent reuse this must grow once per distinct
         #: depth, never once per caller.
         self.prepare_count = 0
-
-    def _on_breaker_transition(self, source: str, old: str,
-                               new: str) -> None:
-        logger.warning("circuit breaker for %s: %s -> %s", source, old, new)
-        self.tracer.metrics.add("breaker_transitions", 1)
-        self.tracer.metrics.add(f"breaker_transitions.{source}", 1)
 
     # ------------------------------------------------------------------
     def evaluate(self, root_inh: dict, tracer=None) -> ExecutionReport:
@@ -615,8 +591,6 @@ class Middleware:
                             mediator=self.mediator,
                             violation_mode=self.violation_mode,
                             tracer=tracer,
-                            retry_policy=self.retry_policy,
-                            breakers=self.breakers,
                             deadline=self.deadline,
                             reuse=increment.reusable if increment else None,
                             fingerprints=fingerprints)
@@ -682,8 +656,6 @@ class Middleware:
             "violation_mode": self.violation_mode,
             "incremental": self.incremental,
             "deadline": self.deadline,
-            "retries": (self.retry_policy.retries
-                        if self.retry_policy is not None else None),
             "shards": self.shards,
         }
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import atexit
 import gc
+import logging
 import multiprocessing
 import pickle
 import threading
@@ -130,6 +131,9 @@ class ShardTask:
     root_inh: dict
     config: dict
     chain: tuple
+    #: the parent's effective ``repro`` log level, which the worker takes
+    #: for the task (a spawned process starts at the default WARNING)
+    log_level: int
 
 
 @dataclass
@@ -360,9 +364,9 @@ def _shard_aig(aig: AIG, spec: PartitionSpec, shard_source: str):
 
 
 #: Middleware knobs a worker inherits.  Deliberately excluded: tracer,
-#: ledger, incremental, retry/breaker/deadline state —
-#: they hold process-local handles (files, sqlite, locks) or cross-run
-#: caches that must not ride a pickle into another process.
+#: ledger, incremental, deadline — they hold process-local handles
+#: (files, sqlite, locks) or cross-run caches that must not ride a pickle
+#: into another process.
 _WORKER_CONFIG_KEYS = (
     "merging", "unfold_depth", "max_unfold_depth",
 )
@@ -404,7 +408,9 @@ def build_shard_tasks(middleware, root_inh: dict,
                        shard_schema=shard_schema, chunk=chunk,
                        network=middleware.network,
                        root_inh=dict(root_inh), config=config,
-                       chain=spec.chain)
+                       chain=spec.chain,
+                       log_level=logging.getLogger("repro")
+                       .getEffectiveLevel())
              for chunk in chunks]
     return spec, tasks, count
 
@@ -519,6 +525,7 @@ def _shard_worker_body(payload: bytes) -> bytes:
     from repro.runtime.middleware import Middleware
 
     task: ShardTask = pickle.loads(payload)
+    logging.getLogger("repro").setLevel(task.log_level)
     sources = {}
     for name, (schema, relations) in pickle.loads(task.source_dump).items():
         source = DataSource(schema)

@@ -4,8 +4,8 @@ The paper's middleware evaluates one attribute integration grammar per
 invocation; the ROADMAP north star is a long-lived service absorbing
 heavy traffic.  This package is that service: a threaded HTTP front end
 (``repro serve``) over the existing :class:`~repro.runtime.Middleware`,
-keeping compiled plans, incremental result caches, pooled connections
-and circuit breakers warm across requests.
+keeping compiled plans, incremental result caches and source
+connections warm across requests.
 
 Layers, bottom-up:
 
@@ -35,7 +35,6 @@ from repro.service.registry import TenantRegistry, TenantState
 from repro.service.server import (
     EvaluationService,
     ServiceHTTPServer,
-    ServiceUnavailable,
     make_server,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "EvaluationService",
     "RequestCoalescer",
     "ServiceHTTPServer",
-    "ServiceUnavailable",
     "TenantRegistry",
     "TenantState",
     "make_server",

@@ -8,8 +8,7 @@ keyed by the **plan key**: the structural
 with a hash of the middleware knobs.  Re-registering a tenant with a
 structurally identical AIG, the same config and the same sources
 mapping therefore reuses the existing instance — prepared plans,
-incremental caches, pooled connections and breaker state all stay warm
-— while a changed grammar, config or sources mapping swaps in a fresh
+incremental caches and source connections all stay warm — while a changed grammar, config or sources mapping swaps in a fresh
 instance.
 
 The plan key also feeds the request coalescer
@@ -34,8 +33,7 @@ from repro.runtime.middleware import Middleware
 #: the config payload is rejected so typos fail loudly, not silently.
 ALLOWED_CONFIG = (
     "merging", "unfold_depth", "max_unfold_depth",
-    "violation_mode", "incremental", "deadline", "retry_policy",
-    "breaker_policy", "ledger",
+    "violation_mode", "incremental", "deadline", "ledger",
 )
 
 #: Service default: incremental on (warm requests replay caches).
@@ -111,8 +109,6 @@ class TenantState:
                 "predicted_cost": round(plan.cost, 6)},
             "prepare_count": middleware.prepare_count,
             "incremental": middleware.incremental,
-            "breakers": (middleware.breakers.states()
-                         if middleware.breakers is not None else {}),
         }
 
 

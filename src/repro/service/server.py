@@ -9,7 +9,7 @@ connects don't see resets).
 
 Endpoints (JSON unless noted):
 
-* ``GET  /health`` — status, tenants, admission gates, breaker states;
+* ``GET  /health`` — status, tenants, admission gates, cached responses;
 * ``GET  /metrics`` — Prometheus text exposition of the service registry;
 * ``GET  /metrics.json`` — the same registry as a JSON snapshot;
 * ``GET  /tenants`` — registered tenants with plan keys and cache state;
@@ -55,7 +55,6 @@ from repro.errors import (
     SourceUnavailableError,
 )
 from repro.obs import Tracer, prometheus_text
-from repro.resilience.retry import is_transient
 from repro.service.admission import AdmissionController, AdmissionRejected
 from repro.service.coalesce import RequestCoalescer
 from repro.service.registry import TenantRegistry, TenantState
@@ -81,17 +80,6 @@ def utf8_writer(buffer: bytearray, frame=None):
         if len(buffer) >= STREAM_FRAME_BYTES:
             frame()
     return write
-
-
-class ServiceUnavailable(ReproError):
-    """A tenant's open circuit breakers refuse work at admission (503)."""
-
-    def __init__(self, tenant: str, sources: list[str]):
-        self.tenant = tenant
-        self.sources = sources
-        super().__init__(
-            f"tenant {tenant!r}: circuit breaker open for "
-            f"{', '.join(sources)}")
 
 
 class EvaluationService:
@@ -225,16 +213,6 @@ class EvaluationService:
         return {"tenant": tenant, "invalidated": True}
 
     # -- evaluation -----------------------------------------------------
-    def _check_breakers(self, state: TenantState) -> None:
-        breakers = state.middleware.breakers
-        if breakers is None:
-            return
-        blocked = [source for source in sorted(state.sources)
-                   if breakers.breaker_for(source).would_block()]
-        if blocked:
-            self.metrics.add("service_breaker_rejections", 1)
-            raise ServiceUnavailable(state.name, blocked)
-
     @staticmethod
     def _phase(report) -> str:
         """cold = nothing reused; warm = pure cache replay; delta =
@@ -285,7 +263,6 @@ class EvaluationService:
         or ``invalidate`` evicts the tenant.
         """
         state = self.registry.get(tenant)
-        self._check_breakers(state)
         self.metrics.add("service_requests", 1)
         arrived = time.perf_counter()
         key = state.coalesce_key(root_inh, indent)
@@ -341,7 +318,6 @@ class EvaluationService:
         ``stream``).
         """
         state = self.registry.get(tenant)
-        self._check_breakers(state)
         self.metrics.add("service_requests", 1)
         arrived = time.perf_counter()
         report = self._evaluate_into(state, root_inh, write, indent)
@@ -352,10 +328,6 @@ class EvaluationService:
 
     # -- introspection --------------------------------------------------
     def health(self) -> dict:
-        breakers = {}
-        for description in self.registry.describe():
-            if description["breakers"]:
-                breakers[description["name"]] = description["breakers"]
         return {
             "status": "ok",
             "uptime_seconds": round(time.time() - self.started, 3),
@@ -363,7 +335,6 @@ class EvaluationService:
             "admission": self.admission.snapshot(),
             "coalescing_inflight": self.coalescer.inflight(),
             "response_cache_entries": len(self._response_cache),
-            "breakers": breakers,
         }
 
     def prometheus(self) -> str:
@@ -491,15 +462,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._error(429, str(error), {"Retry-After": "1"})
         except EvaluationAborted as error:
             self._error(409, f"constraint violation: {error}")
+        except SourceUnavailableError as error:
+            # A source that failed a statement is the service's fault,
+            # not the request's: retry later.
+            self._error(503, str(error), {"Retry-After": "5"})
         except ReproError as error:
-            # A source that is down (or refused by its breaker) is the
-            # service's fault, not the request's: retry later.
-            if (isinstance(error, (ServiceUnavailable,
-                                   SourceUnavailableError))
-                    or is_transient(error)):
-                self._error(503, str(error), {"Retry-After": "5"})
-            else:
-                self._error(422, str(error))
+            self._error(422, str(error))
         except Exception as error:  # pragma: no cover - defensive
             logger.exception("POST %s failed", self.path)
             self._error(500, str(error))
@@ -556,7 +524,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _evaluate_stream(self, tenant: str, root: dict,
                          indent: int | None) -> None:
         # The status line leaves with the first frame (or the terminator),
-        # so a refusal before it — unknown tenant, breaker, admission,
+        # so a refusal before it — unknown tenant, failed source, admission,
         # constraint abort, an error in the first frame's worth of
         # tagging — gets its own status from do_POST.  A failure after it
         # can only truncate: the client sees a missing terminator, never

@@ -153,7 +153,7 @@ class TestConformance:
         assert {"typed", "plain"} <= set(names)
 
     def test_deadline_interrupts_a_runaway_statement(self, typed_source):
-        from repro.resilience.retry import QueryDeadlineExceeded
+        from repro.resilience.deadline import QueryDeadlineExceeded
 
         start = time.perf_counter()
         with pytest.raises(EvaluationError) as caught:
@@ -260,6 +260,40 @@ class TestFileBackend:
         source.close()
         assert _file_rows(path) == [("k1", "v1")]
 
+    def test_a_shipment_waits_for_another_writer(self, tmp_path):
+        """Another connection holds the file's write lock for 0.2 s.  A
+        shipment whose transaction read the schema before asking for the
+        write lock would fail at once (SQLite skips the busy handler for a
+        reader that wants to write); it asks at ``BEGIN IMMEDIATE`` and
+        waits the lock out."""
+        import threading
+
+        path = tmp_path / "s1.db"
+        source = DataSource(TYPED_SCHEMA, backend=f"sqlite:{path}")
+        locked = threading.Event()
+
+        def hold_the_write_lock():
+            other = sqlite3.connect(path, isolation_level=None)
+            try:
+                other.execute("BEGIN IMMEDIATE")
+                other.execute("INSERT INTO plain VALUES ('k1', 'v1')")
+                locked.set()
+                time.sleep(0.2)
+                other.execute("COMMIT")
+            finally:
+                other.close()
+
+        holder = threading.Thread(target=hold_the_write_lock)
+        holder.start()
+        try:
+            assert locked.wait(10)
+            table = source.create_temp_table(["x"], [(1,), (2,)])
+        finally:
+            holder.join()
+        assert source.execute(f'SELECT "x" FROM "{table}"').rows == [
+            (1,), (2,)]
+        source.close()
+
 
 # ----------------------------------------------------------------------
 # differential: the hospital pipeline over database files
@@ -325,6 +359,52 @@ class TestHospitalDifferential:
             directory.mkdir()
             xml, _ = _hospital_run(ALL_SOURCES, directory, **kwargs)
             assert xml == sqlite_xml, f"diverged under {kwargs}"
+
+    def test_a_locked_file_source_waits_out_the_lock(self, sqlite_xml,
+                                                     tmp_path):
+        """Another connection holds DB2's file ``BEGIN EXCLUSIVE`` for
+        0.2 s while the document is evaluated: SQLite's busy timeout, the
+        only wait there is, waits it out, and the bytes are the unlocked
+        run's."""
+        import threading
+
+        from repro import Middleware, Network, serialize
+        from repro.hospital import build_hospital_aig
+        from repro.relational.source import BUSY_TIMEOUT_SECONDS
+
+        sources, dataset = _hospital_sources(ALL_SOURCES, tmp_path)
+        assert sources["DB2"].connection.execute(
+            "PRAGMA busy_timeout").fetchone() == (
+                int(BUSY_TIMEOUT_SECONDS * 1000),)
+        middleware = Middleware(build_hospital_aig(), sources,
+                                Network.mbps(1.0))
+        locked = threading.Event()
+
+        def hold_the_lock():
+            other = sqlite3.connect(tmp_path / "DB2.db",
+                                    isolation_level=None)
+            try:
+                other.execute("BEGIN EXCLUSIVE")
+                locked.set()
+                time.sleep(0.2)
+                other.execute("COMMIT")
+            finally:
+                other.close()
+
+        holder = threading.Thread(target=hold_the_lock)
+        holder.start()
+        try:
+            assert locked.wait(10)
+            started = time.perf_counter()
+            report = middleware.evaluate({"date": dataset.busiest_date()})
+            waited = time.perf_counter() - started
+        finally:
+            holder.join()
+        xml = serialize(report.document, indent=2)
+        for source in sources.values():
+            source.close()
+        assert xml == sqlite_xml
+        assert waited >= 0.1         # DB2 was reached under the lock
 
     def test_conceptual_federation_attaches_database_files(self, tmp_path):
         from repro import serialize

@@ -53,8 +53,22 @@ class TestCLI:
         assert "Traceback" not in err
         (line,) = [line for line in err.splitlines()
                    if line.startswith("error: ")]
-        assert line.startswith("error: EvaluationError: ")
+        assert line.startswith("error: SourceUnavailableError: ")
         assert "'DB3'" in line
+
+    def test_a_transient_error_is_refused_and_nothing_retries(self, capsys):
+        assert main(["demo", "--scale", "tiny",
+                     "--faults", "DB2:error@2"]) == 1
+        captured = capsys.readouterr()
+        assert "faults fired: DB2:error@2" in captured.out
+        (line,) = [line for line in captured.err.splitlines()
+                   if line.startswith("error: ")]
+        assert line.startswith("error: SourceUnavailableError: ")
+        assert "'DB2'" in line
+        with pytest.raises(SystemExit) as exit_info:
+            main(["demo", "--retries", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --retries" in capsys.readouterr().err
 
     def test_refusal_still_prints_observability(self, capsys):
         assert main(["demo", "--scale", "tiny", "--faults", "DB3:down@1",
@@ -62,7 +76,7 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "faults fired: DB3:down@1" in captured.out
         assert "== counters ==" in captured.out
-        assert captured.err.startswith("error: EvaluationError: ")
+        assert captured.err.startswith("error: SourceUnavailableError: ")
 
     @pytest.mark.parametrize("argv", [
         ["profile", "--runs", "0"], ["profile", "--runs", "-1"],

@@ -2,9 +2,9 @@
 
 A production data-integration system meets broken schemas, dropped tables,
 closed connections, and malformed inputs; every failure should surface as a
-typed `ReproError` with context — never a silent wrong answer.  With the
-resilience layer (docs/RESILIENCE.md) a *transient* failure must also
-recover deterministically: same fault seed + retry policy, same document.
+typed `ReproError` with context — never a silent wrong answer.  A
+*transient* failure (docs/RESILIENCE.md) is refused at once too, and the
+next run, once the fault has cleared, is whole and byte-identical.
 """
 
 import logging
@@ -16,13 +16,14 @@ from repro.errors import (
     EvaluationError,
     PlanError,
     ReproError,
+    SourceUnavailableError,
     SpecError,
 )
 from repro.aig import ConceptualEvaluator
 from repro.hospital import build_hospital_aig, make_sources
 from repro.relational import DataSource, Network, SourceSchema
 from repro.relational.schema import relation
-from repro.resilience import FaultInjector, RetryPolicy
+from repro.resilience import FaultInjector
 from repro.runtime import Middleware
 from repro.xmlmodel import serialize
 from tests.conftest import load_tiny_hospital
@@ -141,46 +142,61 @@ class TestPartialStateIsolation:
         assert report.document.tag == "report"
 
 
-def _evaluate_with_faults(faults=None, retries=0):
-    """One full evaluation on a fresh tiny dataset, optional fault spec."""
+def _evaluate_with_faults(faults=None):
+    """A faulted evaluation on a fresh tiny dataset, then the same
+    middleware again with the injector uninstalled: ``(refusal or None,
+    the next run's report, injector)``."""
     sources = make_sources()
     load_tiny_hospital(sources)
-    middleware = Middleware(
-        build_hospital_aig(), sources, Network.mbps(1.0),
-        retry_policy=RetryPolicy(retries=retries, base_delay=0.001)
-        if retries else None)
-    injector = None
-    if faults:
-        injector = FaultInjector.from_spec(faults).install(sources)
+    middleware = Middleware(build_hospital_aig(), sources, Network.mbps(1.0))
+    injector = FaultInjector.from_spec(faults or "").install(sources)
+    refusal = None
     try:
-        report = middleware.evaluate({"date": "d1"})
+        middleware.evaluate({"date": "d1"})
+    except EvaluationError as error:
+        refusal = error
     finally:
-        if injector is not None:
-            injector.uninstall(sources)
-    return report, sources, injector
+        injector.uninstall(sources)
+    return refusal, middleware.evaluate({"date": "d1"}), injector
 
 
 class TestTransientRecovery:
-    """Satellite: transient faults recovered by retry leave no trace.
+    """Satellite: a transient fault is refused at once, and the caller's
+    retry is whole.
 
-    With a fixed fault seed and retry policy, the recovered run must
-    produce a byte-identical document and violation list to the fault-free
-    run.
+    Nothing inside a run retries a failed statement: the run that meets
+    the fault ends in a :class:`SourceUnavailableError` naming the source,
+    and the run the caller retries, once the fault has cleared, produces
+    a byte-identical document and violation list to the fault-free run.
     """
 
     def test_retried_run_is_byte_identical(self):
-        baseline, _, _ = _evaluate_with_faults()
-        recovered, _, injector = _evaluate_with_faults(
-            faults="DB1:error@1,DB2:error@2", retries=2)
-        # the clauses, in the order the dispatch order reaches them
+        _, baseline, _ = _evaluate_with_faults()
+        refusal, recovered, injector = _evaluate_with_faults(
+            faults="DB1:error@1,DB2:error@2")
+        assert isinstance(refusal, SourceUnavailableError)
+        assert "'DB1'" in str(refusal)
+        # the run ended at the first fault: DB2's clause never fired
         assert [(name, str(clause)) for name, clause in injector.fired] == [
-            ("DB1", "DB1:error@1"), ("DB2", "DB2:error@2")]
+            ("DB1", "DB1:error@1")]
         assert serialize(recovered.document) == serialize(baseline.document)
         assert recovered.violations == baseline.violations
 
     def test_retries_exhausted_still_fails_loudly(self):
-        with pytest.raises(EvaluationError):
-            _evaluate_with_faults(faults="DB1:down@1", retries=2)
+        """A caller that retries a source which stays down gets the same
+        refusal each time, one statement per run."""
+        sources = make_sources()
+        load_tiny_hospital(sources)
+        middleware = Middleware(build_hospital_aig(), sources,
+                                Network.mbps(1.0))
+        injector = FaultInjector.from_spec("DB1:down@1").install(sources)
+        try:
+            for attempt in range(1, 4):
+                with pytest.raises(SourceUnavailableError, match="'DB1'"):
+                    middleware.evaluate({"date": "d1"})
+                assert len(injector.fired) == attempt
+        finally:
+            injector.uninstall(sources)
 
 
 class TestFailureCleanup:

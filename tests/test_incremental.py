@@ -15,12 +15,13 @@ import pytest
 from repro.aig import AIG, assign, inh, query, singleton
 from repro.aig.functions import Const
 from repro.dtd import parse_dtd
-from repro.errors import EvaluationAborted, EvaluationError
+from repro.errors import (EvaluationAborted, EvaluationError,
+                          SourceUnavailableError)
 from repro.hospital import build_hospital_aig, make_sources
 from repro.datagen import make_loaded_sources
 from repro.relational import Catalog, DataSource, Network, ResultSet
 from repro.relational.statistics import StatisticsCatalog
-from repro.resilience import FaultInjector, RetryPolicy
+from repro.resilience import FaultInjector
 from repro.runtime import Middleware
 from repro.runtime.incremental import (BINDINGS_PER_NODE,
                                       compute_fingerprints, plan_increment)
@@ -371,19 +372,22 @@ class TestViolationModes:
 
 class TestFaultInterplay:
     def test_transient_fault_during_delta_run_recovers_identically(self):
+        """The delta run that meets the fault is refused; the next one,
+        fault cleared, writes the cold post-delta document."""
         sources = make_sources()
         load_tiny_hospital(sources)
-        middleware = _middleware(
-            sources, retry_policy=RetryPolicy(retries=2, base_delay=0.001))
+        middleware = _middleware(sources)
         middleware.evaluate({"date": "d1"})
         sources["DB3"].execute(
             "UPDATE billing SET price='999' WHERE trId='t1'")
         injector = FaultInjector.from_spec("DB3:error@1").install(sources)
         try:
-            recovered = middleware.evaluate({"date": "d1"})
+            with pytest.raises(SourceUnavailableError, match="'DB3'"):
+                middleware.evaluate({"date": "d1"})
         finally:
             injector.uninstall(sources)
         assert injector.fired, "fault never fired — spec index is stale"
+        recovered = middleware.evaluate({"date": "d1"})
         assert serialize(recovered.document) == _cold_document(sources, "d1")
 
     def test_hard_failure_leaves_cache_usable(self):

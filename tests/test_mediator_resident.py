@@ -20,7 +20,8 @@ from repro.aig.functions import Const
 from repro.compilation import specialize
 from repro.dtd import parse_dtd
 from repro.datagen import make_loaded_sources
-from repro.errors import EvaluationAborted, EvaluationError
+from repro.errors import (EvaluationAborted, EvaluationError,
+                          SourceUnavailableError)
 from repro.hospital import build_hospital_aig, make_sources
 from repro.obs import Tracer
 from repro.optimizer.qdg import (Branch, CollectionProgram,
@@ -29,7 +30,7 @@ from repro.relational import Network
 from repro.relational.schema import Catalog, SourceSchema, relation
 from repro.relational.source import (MEDIATOR_NAME, DataSource, Mediator,
                                      ResultSet)
-from repro.resilience import FaultInjector, RetryPolicy
+from repro.resilience import FaultInjector
 from repro.runtime import Middleware
 from repro.runtime.engine import Engine, _with_ids
 from repro.runtime.incremental import compute_fingerprints, plan_increment
@@ -395,15 +396,23 @@ def test_mediator_fault_at_every_statement_leaves_no_cache_tables():
     assert joins and failures == index - 1 > len(joins)
 
 
-def test_retry_after_a_mediator_fault_reuses_the_table_and_recovers():
+def test_a_mediator_fault_is_refused_and_the_next_run_recovers():
     with mediator_mix() as (middleware, root):
         expected = serialize(middleware.evaluate(root).document)
     for index in range(1, 200):
-        with mediator_mix(retry_policy=RetryPolicy(
-                retries=1, base_delay=0.0001)) as (middleware, root):
+        with mediator_mix() as (middleware, root):
             injector = FaultInjector.from_spec(
                 f"{MEDIATOR_NAME}:error@{index}").install(
                     {MEDIATOR_NAME: middleware.mediator})
+            try:
+                middleware.evaluate(root)
+            except SourceUnavailableError as error:
+                assert repr(MEDIATOR_NAME) in str(error), \
+                    f"statement {index}"
+            else:
+                assert not injector.fired, f"statement {index}"
+            finally:
+                injector.uninstall({MEDIATOR_NAME: middleware.mediator})
             report = middleware.evaluate(root)
             assert serialize(report.document) == expected, \
                 f"statement {index}"

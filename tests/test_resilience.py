@@ -1,9 +1,9 @@
 """Tests for the resilience layer (repro.resilience + runtime wiring).
 
-Covers the fault-spec grammar, the deterministic retry policy, the
-per-source circuit breaker state machine, per-query deadlines, and the
-one end of an unrecoverable source failure: a typed error, never a
-partial document.
+Covers the fault-spec grammar, where a source decides that a failure is
+its own (:class:`SourceUnavailableError`), per-query deadlines, and the
+one end of a source failure: a typed refusal at once, never a retry and
+never a partial document.
 """
 
 import sqlite3
@@ -12,24 +12,16 @@ import time
 import pytest
 
 from repro.errors import EvaluationError, SourceUnavailableError, SpecError
+from repro.obs import Tracer
 from repro.relational import Network
 from repro.resilience import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerBoard,
-    BreakerPolicy,
-    CircuitBreaker,
     FaultClause,
     FaultInjector,
     InjectedFault,
     QueryDeadlineExceeded,
-    RetryPolicy,
-    is_transient,
     parse_fault_spec,
 )
 from repro.runtime import Middleware
-from repro.xmlmodel import serialize
 
 
 class TestFaultSpec:
@@ -40,7 +32,7 @@ class TestFaultSpec:
                            FaultClause("DB3", "down", 1)]
 
     def test_clause_roundtrips_through_str(self):
-        for text in ("DB2:error@3", "DB1:slow@2:0.05", "DB4:drop@1"):
+        for text in ("DB2:error@3", "DB1:slow@2:0.05", "DB4:down@1"):
             (clause,) = parse_fault_spec(text)
             assert str(clause) == text
 
@@ -64,8 +56,14 @@ class TestFaultSpec:
         """``acquire`` named the connection-lease boundary; with one
         connection per source there is none, and the spelling is refused
         with the kinds that remain."""
-        with pytest.raises(SpecError, match="error, slow, drop, down"):
+        with pytest.raises(SpecError, match="error, slow, down"):
             FaultInjector.from_spec("DB3:acquire@1")
+
+    def test_the_drop_kind_went_with_the_retries(self):
+        """``drop`` raised exactly what ``error`` raises; with nothing to
+        tell them apart it is refused with the kinds that remain."""
+        with pytest.raises(SpecError, match="error, slow, down"):
+            FaultInjector.from_spec("DB4:drop@1")
 
 
 class TestFaultInjector:
@@ -76,7 +74,7 @@ class TestFaultInjector:
             with pytest.raises(EvaluationError) as excinfo:
                 tiny_sources["DB1"].execute("SELECT 1")      # index 2: boom
             assert isinstance(excinfo.value.__cause__, InjectedFault)
-            assert is_transient(excinfo.value)
+            assert isinstance(excinfo.value, SourceUnavailableError)
             tiny_sources["DB1"].execute("SELECT 1")          # index 3: fine
             assert [str(c) for _, c in injector.fired] == ["DB1:error@2"]
         finally:
@@ -104,136 +102,41 @@ class TestFaultInjector:
             injector.uninstall(tiny_sources)
 
 
-class TestRetryPolicy:
-    def test_attempts_counts_first_try_plus_retries(self):
-        assert RetryPolicy(retries=0).attempts == 1
-        assert RetryPolicy(retries=2).attempts == 3
-
-    def test_delay_is_deterministic_per_seed_key_attempt(self):
-        policy = RetryPolicy(seed=7)
-        assert policy.delay(1, "Q1") == policy.delay(1, "Q1")
-        assert policy.delay(1, "Q1") != policy.delay(1, "Q2")
-        assert policy.delay(1, "Q1") != RetryPolicy(seed=8).delay(1, "Q1")
-
-    def test_delay_backs_off_exponentially_within_bounds(self):
-        policy = RetryPolicy(base_delay=0.01, max_delay=0.05, jitter=0.5)
-        for attempt, backoff in ((1, 0.01), (2, 0.02), (3, 0.04), (4, 0.05)):
-            delay = policy.delay(attempt, "n")
-            assert backoff <= delay <= backoff * 1.5
-
-    def test_zero_jitter_gives_exact_backoff(self):
-        policy = RetryPolicy(base_delay=0.01, jitter=0.0)
-        assert policy.delay(2, "n") == 0.02
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(EvaluationError):
-            RetryPolicy(retries=-1)
-
-
 class TestTransientClassification:
-    def test_operational_errors_are_transient(self):
-        assert is_transient(sqlite3.OperationalError("db is locked"))
+    """The source decides, at its statement boundary, what is its own
+    fault: any ``sqlite3.OperationalError`` is a
+    :class:`SourceUnavailableError` (503 over HTTP), anything else a plain
+    :class:`EvaluationError`."""
 
-    def test_wrapped_operational_cause_is_transient(self):
-        error = EvaluationError("source 'DB1': SQL failed")
-        error.__cause__ = sqlite3.OperationalError("disk I/O error")
-        assert is_transient(error)
+    def test_operational_errors_are_transient(self, tiny_sources):
+        with pytest.raises(SourceUnavailableError, match="'DB1'") as caught:
+            tiny_sources["DB1"].execute('SELECT * FROM "no_such_table"')
+        assert isinstance(caught.value.__cause__, sqlite3.OperationalError)
 
-    def test_logic_errors_are_not_transient(self):
-        assert not is_transient(EvaluationError("no such column"))
-        assert not is_transient(ValueError("nope"))
-        error = EvaluationError("wrapped")
-        error.__cause__ = sqlite3.ProgrammingError("bad SQL")
-        assert not is_transient(error)
+    def test_wrapped_operational_cause_is_transient(self, tiny_sources):
+        """A shipment, the mediator's too, is refused like a query."""
+        from repro.relational import Mediator
+        mediator = Mediator()
+        injector = FaultInjector.from_spec(
+            "DB2:error@1,Mediator:error@1").install(
+                {"DB2": tiny_sources["DB2"], "Mediator": mediator})
+        try:
+            for source in (tiny_sources["DB2"], mediator):
+                with pytest.raises(SourceUnavailableError) as caught:
+                    source.create_temp_table(["x"], [(1,)])
+                assert isinstance(caught.value.__cause__, InjectedFault)
+                assert not any(name.startswith("__ship_")
+                               for name in source.table_names())
+        finally:
+            injector.uninstall({"DB2": tiny_sources["DB2"],
+                                "Mediator": mediator})
+            mediator.close()
 
-
-class _FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def make(self, threshold=2, cooldown=10.0):
-        clock = _FakeClock()
-        transitions = []
-        breaker = CircuitBreaker(
-            "DB1", BreakerPolicy(threshold, cooldown), clock=clock,
-            listener=lambda src, old, new: transitions.append((old, new)))
-        return breaker, clock, transitions
-
-    def test_opens_after_consecutive_failures(self):
-        breaker, _, transitions = self.make(threshold=2)
-        assert breaker.state == CLOSED and not breaker.blocked()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-        breaker.record_failure()
-        assert breaker.state == OPEN and breaker.blocked()
-        assert transitions == [(CLOSED, OPEN)]
-
-    def test_success_resets_the_failure_streak(self):
-        breaker, _, _ = self.make(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-
-    def test_half_open_admits_a_single_probe(self):
-        breaker, clock, _ = self.make(threshold=1, cooldown=10.0)
-        breaker.record_failure()
-        assert breaker.blocked()
-        clock.now = 11.0
-        assert not breaker.blocked()          # the probe lease
-        assert breaker.state == HALF_OPEN
-        assert breaker.blocked()              # everyone else waits
-
-    def test_probe_success_closes(self):
-        breaker, clock, transitions = self.make(threshold=1, cooldown=10.0)
-        breaker.record_failure()
-        clock.now = 11.0
-        assert not breaker.blocked()
-        breaker.record_success()
-        assert breaker.state == CLOSED and not breaker.blocked()
-        assert transitions == [(CLOSED, OPEN), (OPEN, HALF_OPEN),
-                               (HALF_OPEN, CLOSED)]
-
-    def test_probe_failure_reopens(self):
-        breaker, clock, _ = self.make(threshold=1, cooldown=10.0)
-        breaker.record_failure()
-        clock.now = 11.0
-        assert not breaker.blocked()
-        breaker.record_failure()
-        assert breaker.state == OPEN and breaker.blocked()
-        clock.now = 22.0
-        assert not breaker.blocked()          # cooldown restarts
-
-    def test_would_block_is_a_non_leasing_peek(self):
-        breaker, clock, _ = self.make(threshold=1, cooldown=10.0)
-        assert not breaker.would_block()      # closed: admitted
-        breaker.record_failure()
-        assert breaker.would_block()          # open: refused
-        clock.now = 11.0
-        # peeking any number of times never claims the half-open probe...
-        assert not breaker.would_block()
-        assert not breaker.would_block()
-        assert breaker.state == HALF_OPEN
-        # ...so the executing call can still lease it, and once leased the
-        # peek reports blocked until the probe reports back.
-        assert not breaker.blocked()
-        assert breaker.would_block()
-        breaker.record_success()
-        assert breaker.state == CLOSED and not breaker.would_block()
-
-    def test_board_is_per_source(self):
-        board = BreakerBoard(BreakerPolicy(1, 10.0), clock=_FakeClock())
-        board.breaker_for("DB1").record_failure()
-        assert board.breaker_for("DB1").state == OPEN
-        assert board.breaker_for("DB2").state == CLOSED
-        assert [source for source, state in board.states().items()
-                if state != CLOSED] == ["DB1"]
-        assert board.states() == {"DB1": OPEN, "DB2": CLOSED}
+    def test_logic_errors_are_not_transient(self, tiny_sources):
+        with pytest.raises(EvaluationError) as caught:
+            tiny_sources["DB1"].execute("SELECT ?", ())
+        assert not isinstance(caught.value, SourceUnavailableError)
+        assert isinstance(caught.value.__cause__, sqlite3.ProgrammingError)
 
 
 class TestDeadline:
@@ -257,7 +160,7 @@ class TestDeadline:
         with pytest.raises(EvaluationError) as excinfo:
             tiny_sources["DB1"].execute(sql, deadline=0.02)
         assert isinstance(excinfo.value.__cause__, QueryDeadlineExceeded)
-        assert is_transient(excinfo.value)
+        assert isinstance(excinfo.value, SourceUnavailableError)
 
     def test_fast_statements_unaffected(self, tiny_sources):
         result = tiny_sources["DB1"].execute(
@@ -268,8 +171,8 @@ class TestDeadline:
             self, tiny_sources, monkeypatch):
         """The deadline cuts in-flight work short; it must not discard the
         rows of a statement that already completed.  (A query that
-        deterministically finishes slightly late would otherwise fail
-        every retry despite the backend succeeding.)"""
+        finishes slightly late would otherwise fail although the backend
+        succeeded.)"""
         import repro.relational.source as source_module
 
         class LateClock:
@@ -293,6 +196,33 @@ class TestDeadline:
         assert result.rows[0][0] == 2
 
 
+    @pytest.mark.parametrize("merging", [True, False])
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_a_deadline_abort_is_its_statements_first_attempt(
+            self, hospital_aig, tiny_sources, merging, incremental):
+        """One statement attempt, one ``deadline_aborts``, one refusal —
+        the run never waits the deadline out a second time."""
+        tracer = Tracer()
+        middleware = Middleware(hospital_aig, tiny_sources,
+                                Network.mbps(1.0), tracer=tracer,
+                                deadline=0.05, merging=merging,
+                                incremental=incremental)
+        # a second attempt at DB1's first statement would fire slow@2
+        injector = FaultInjector.from_spec(
+            "DB1:slow@1:5,DB1:slow@2:5").install(tiny_sources)
+        try:
+            started = time.perf_counter()
+            with pytest.raises(SourceUnavailableError, match="'DB1'"):
+                middleware.evaluate({"date": "d1"})
+            elapsed = time.perf_counter() - started
+        finally:
+            injector.uninstall(tiny_sources)
+        assert [str(clause) for _, clause in injector.fired] == [
+            "DB1:slow@1:5"]
+        assert tracer.metrics.counter("deadline_aborts") == 1
+        assert elapsed < 2.0
+
+
 class TestDegradation:
     def test_abort_mode_still_raises(self, hospital_aig, tiny_sources):
         middleware = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0))
@@ -314,54 +244,10 @@ class TestDegradation:
             Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
                        on_source_failure="abort")
 
-    def test_retry_policy_int_convenience(self, hospital_aig, tiny_sources):
-        middleware = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
-                                retry_policy=3)
-        assert middleware.retry_policy.retries == 3
-        with pytest.raises(EvaluationError):
+    @pytest.mark.parametrize("knob", ["retry_policy", "breaker_policy"])
+    def test_retry_and_breaker_knobs_are_gone(self, hospital_aig,
+                                              tiny_sources, knob):
+        # a failed statement is refused at once: there is nothing to tune
+        with pytest.raises(TypeError, match=knob):
             Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
-                       retry_policy="lots")
-
-
-class TestBreakerIntegration:
-    def test_open_breaker_fails_fast_across_evaluations(
-            self, hospital_aig, tiny_sources):
-        middleware = Middleware(
-            hospital_aig, tiny_sources, Network.mbps(1.0),
-            breaker_policy=BreakerPolicy(failure_threshold=1,
-                                         cooldown=3600.0))
-        injector = FaultInjector.from_spec("DB3:down@1").install(tiny_sources)
-        try:
-            with pytest.raises(EvaluationError, match="DB3"):
-                middleware.evaluate({"date": "d1"})
-            assert middleware.breakers.states()["DB3"] == OPEN
-            sent = len(injector.fired)        # every DB3 statement fires
-            # the second run is refused at dispatch, not retried against DB3
-            with pytest.raises(SourceUnavailableError, match="DB3"):
-                middleware.evaluate({"date": "d1"})
-            assert len(injector.fired) == sent
-        finally:
-            injector.uninstall(tiny_sources)
-
-    def test_half_open_probe_executes_and_recovers_the_source(
-            self, hospital_aig, tiny_sources):
-        """Executor-level half-open recovery: once the cooldown elapses the
-        probe query must actually run (not be refused by a second leasing
-        breaker check) and its success must close the breaker — a tripped
-        source is usable again, not wedged half-open forever."""
-        middleware = Middleware(
-            hospital_aig, tiny_sources, Network.mbps(1.0),
-            breaker_policy=BreakerPolicy(failure_threshold=1, cooldown=0.2))
-        clean = Middleware(hospital_aig, tiny_sources,
-                           Network.mbps(1.0)).evaluate({"date": "d1"})
-        injector = FaultInjector.from_spec("DB3:down@1").install(tiny_sources)
-        try:
-            with pytest.raises(EvaluationError, match="DB3"):
-                middleware.evaluate({"date": "d1"})
-        finally:
-            injector.uninstall(tiny_sources)
-        assert middleware.breakers.states()["DB3"] == OPEN
-        time.sleep(0.25)                      # past the cooldown
-        recovered = middleware.evaluate({"date": "d1"})
-        assert middleware.breakers.states()["DB3"] == CLOSED
-        assert serialize(recovered.document) == serialize(clean.document)
+                       **{knob: 2})

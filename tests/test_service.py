@@ -520,6 +520,7 @@ class TestHTTPSurface:
         payload = json.loads(body)
         assert payload["status"] == "ok"
         assert "hospital" in payload["tenants"]
+        assert "breakers" not in payload
 
     def test_one_write_per_plain_response(self, served, monkeypatch):
         # Headers and body as two sends stall a keep-alive connection
@@ -695,6 +696,21 @@ class TestHTTPSurface:
         assert "lanes" not in [t["name"]
                                for t in json.loads(body)["tenants"]]
 
+    @pytest.mark.parametrize("key, value", [
+        ("retry_policy", 2),
+        ("breaker_policy", {"failure_threshold": 1, "cooldown": 60})],
+        ids=["retry_policy", "breaker_policy"])
+    def test_retry_and_breaker_keys_are_unknown(self, served, key, value):
+        # a failed statement is refused at once: nothing to configure
+        _, server, _ = served
+        status, _, body = _request(
+            server, "POST", "/tenants",
+            {"name": "frail",
+             "scenario": {"kind": "hospital", "scale": "tiny"},
+             "config": {key: value}})
+        assert status == 422
+        assert f"unknown middleware config key(s): {key}" in body.decode()
+
     def test_file_naming_config_keys_are_operator_only(self, served,
                                                        tmp_path):
         # a client must not make the server create or append to a file
@@ -716,7 +732,7 @@ class TestHTTPSurface:
     @pytest.mark.parametrize("knob, value", [
         ("unfold_depth", "abc"), ("unfold_depth", 0), ("deadline", "soon"),
         ("merging", "no"), ("violation_mode", "nope"),
-        ("max_unfold_depth", -1), ("breaker_policy", 3)])
+        ("max_unfold_depth", -1)])
     def test_bad_knob_value_is_refused_at_registration(self, served, knob,
                                                        value):
         _, server, _ = served
@@ -819,26 +835,6 @@ class TestHTTPSurface:
             response.read()
         finally:
             conn.close()
-
-
-class TestBreakersAtAdmission:
-    def test_open_breaker_rejects_503(self):
-        from repro.resilience.breaker import BreakerPolicy
-        service = EvaluationService()
-        sources, dataset = make_loaded_sources("tiny", seed=5)
-        state = service.register_tenant(
-            "frail", build_hospital_aig(), sources,
-            {"unfold_depth": 8,
-             "breaker_policy": BreakerPolicy(failure_threshold=1,
-                                             cooldown=3600.0)})
-        breaker = state.middleware.breakers.breaker_for("DB1")
-        while breaker.state != "open":
-            breaker.record_failure()
-        from repro.service import ServiceUnavailable
-        with pytest.raises(ServiceUnavailable):
-            service.evaluate("frail", {"date": dataset.busiest_date()})
-        counters = service.metrics.snapshot()["counters"]
-        assert counters.get("service_breaker_rejections", 0) == 1
 
 
 class TestDeltaLoadDuringARun:
@@ -1126,12 +1122,13 @@ class TestStreamStatus:
 
 
 class TestSourceOutage:
-    """A source that is down is the service's fault, not the request's:
-    503 with ``Retry-After``, nothing cached, and the first request after
-    the source is back gets the whole document."""
+    """A source that fails a statement is the service's fault, not the
+    request's: 503 with ``Retry-After`` as the one response (no 200 status
+    line first), nothing cached, and the first request after the fault
+    has cleared gets the whole document."""
 
-    @pytest.mark.parametrize("stream", [False, True])
-    def test_outage_is_503_and_caches_nothing(self, stream):
+    @staticmethod
+    def _refused_then_whole(faults: str, stream: bool, config: dict):
         from repro.resilience import FaultInjector
         reference = bytearray()
         Middleware(build_hospital_aig(), tiny_world(),
@@ -1140,7 +1137,7 @@ class TestSourceOutage:
                 chunk.encode("utf-8")))
         service = EvaluationService()
         state = service.register_tenant("t", build_hospital_aig(),
-                                        tiny_world(), {"unfold_depth": 4})
+                                        tiny_world(), config)
         request = {"tenant": "t", "root": {"date": "d1"}, "stream": stream}
         with _serving(service) as server:
             def cached_entries() -> int:
@@ -1148,7 +1145,7 @@ class TestSourceOutage:
                 return json.loads(body)["response_cache_entries"]
 
             before = cached_entries()
-            injector = FaultInjector.from_spec("DB3:down@1").install(
+            injector = FaultInjector.from_spec(faults).install(
                 state.sources)
             try:
                 status, headers, body = _one_response(
@@ -1157,7 +1154,7 @@ class TestSourceOutage:
                 injector.uninstall(state.sources)
             assert status == 503
             assert headers["retry-after"]
-            assert "'DB3'" in json.loads(body)["error"]
+            assert f"'{faults.split(':')[0]}'" in json.loads(body)["error"]
             assert cached_entries() == before
             status, headers, body = _one_response(_raw_post(server, request))
         assert status == 200
@@ -1165,6 +1162,19 @@ class TestSourceOutage:
             body, terminated = _dechunk(body)
             assert terminated
         assert body == bytes(reference)
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_outage_is_503_and_caches_nothing(self, stream):
+        self._refused_then_whole("DB3:down@1", stream, {"unfold_depth": 4})
+
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("faults, deadline", [
+        ("DB3:error@1", None), ("DB1:slow@1:0.2", 0.05)])
+    def test_every_fault_kind_is_refused(self, faults, deadline, stream):
+        """``error`` and a ``slow`` statement cut by the deadline end as
+        the outage does (``down`` is the test above)."""
+        self._refused_then_whole(faults, stream, {"unfold_depth": 4,
+                                                  "deadline": deadline})
 
 
 class TestServedMissObservability:

@@ -514,3 +514,29 @@ class TestOracleAxis:
         assert {"shards-2", "shards-3", "shards-4",
                 "shards-abort"} <= names
         assert report.ok, [str(d) for d in report.divergences]
+
+    def test_workers_log_at_the_parents_level(self, tmp_path):
+        """``repro fuzz`` lowers ``repro`` to ERROR, and a spawned worker
+        takes that level: seed 9's shard workers find a guard violation
+        and say nothing.  Under ``--verbose`` the same workers print it
+        (bare, through the last-resort handler — the parent's lines carry
+        a timestamp)."""
+        import subprocess
+        import sys
+
+        import repro
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
+
+        def fuzz(*flags):
+            run = subprocess.run(
+                [sys.executable, "-m", "repro", "fuzz", "--start", "9",
+                 "--seeds", "1", "--out", str(tmp_path), *flags],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert run.returncode == 0, run.stdout + run.stderr
+            return run.stderr
+
+        assert fuzz() == ""
+        assert any(line.startswith("constraint guard ")
+                   for line in fuzz("--verbose").splitlines())
+
