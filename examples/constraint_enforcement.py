@@ -5,9 +5,9 @@ Shows how the two XML constraints of Example 1.1,
     Key:  patient(item.trId -> item)
     IC:   patient(treatment.trId ⊆ item.trId)
 
-are compiled into synthesized bag/set members and guards, and how evaluation
-aborts the moment a guard fails — on both evaluation paths — using datasets
-with injected violations.
+are compiled into synthesized bag/set members and guards, and how an
+evaluation whose guards fail is refused, naming every violated constraint
+once, using datasets with injected violations.
 
 Run:  python examples/constraint_enforcement.py
 """
@@ -42,6 +42,21 @@ def run_expecting(description, evaluate) -> None:
         print(f"  {description}: ABORTED -> {aborted}")
 
 
+def refuse_first_violating_report(aig, **violations) -> None:
+    bad = generate("tiny", seed=3, **violations)
+    sources = make_sources()
+    load_dataset(bad, sources, enforce_billing_key=False)
+    for date in sorted({row[2] for row in bad.visit_info}):
+        try:
+            Middleware(aig, sources, Network.mbps(1.0)).evaluate(
+                {"date": date})
+        except EvaluationAborted as aborted:
+            print(f"  report for {date}: ABORTED -> {aborted}")
+            break
+    else:
+        print("  (violating rows never visited — all reports clean)")
+
+
 def main() -> None:
     show_compiled_guards()
     aig = build_hospital_aig()
@@ -55,32 +70,14 @@ def main() -> None:
         aig, sources, Network.mbps(1.0)).evaluate({"date": date}))
 
     print("\ninclusion violation injected (a treatment with no bill entry):")
-    bad = generate("tiny", seed=3, violate_inclusion=True)
-    sources = make_sources()
-    load_dataset(bad, sources)
-    for date in sorted({row[2] for row in bad.visit_info}):
-        try:
-            Middleware(aig, sources, Network.mbps(1.0)).evaluate(
-                {"date": date})
-        except EvaluationAborted as aborted:
-            print(f"  report for {date}: ABORTED -> {aborted}")
-            break
-    else:
-        print("  (violating treatment never visited — all reports clean)")
+    refuse_first_violating_report(aig, violate_inclusion=True)
 
     print("\nkey violation injected (duplicate billing rows):")
-    bad = generate("tiny", seed=3, violate_key=True)
-    sources = make_sources()
-    load_dataset(bad, sources, enforce_billing_key=False)
-    for date in sorted({row[2] for row in bad.visit_info}):
-        try:
-            Middleware(aig, sources, Network.mbps(1.0)).evaluate(
-                {"date": date})
-        except EvaluationAborted as aborted:
-            print(f"  report for {date}: ABORTED -> {aborted}")
-            break
-    else:
-        print("  (duplicated treatment never visited — all reports clean)")
+    refuse_first_violating_report(aig, violate_key=True)
+
+    print("\nboth injected: one refusal names both constraints")
+    refuse_first_violating_report(aig, violate_inclusion=True,
+                                  violate_key=True)
 
 
 if __name__ == "__main__":

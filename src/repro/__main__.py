@@ -283,8 +283,8 @@ def _fuzz(args) -> int:
                             generate_scenario, run_oracle, shrink, to_json)
 
     if not args.verbose:
-        # report-mode guard findings are *expected* on
-        # violation-injected iterations
+        # guard findings (and the refusals they end in) are *expected*
+        # on violation-injected iterations
         logging.getLogger("repro").setLevel(logging.ERROR)
 
     def artifact(name: str, spec, report) -> str:

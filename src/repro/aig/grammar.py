@@ -303,6 +303,13 @@ class AIG:
         duplicate.internal_states = set(self.internal_states)
         return duplicate
 
+    def without_constraints(self) -> "AIG":
+        """A clone declaring no constraint: it compiles no guard and
+        derives the same documents (Section 3.3), violating ones too."""
+        duplicate = self.clone()
+        duplicate.constraints = []
+        return duplicate
+
     def __repr__(self) -> str:
         return (f"AIG(root={self.dtd.root!r}, "
                 f"{len(self.dtd.productions)} element types, "

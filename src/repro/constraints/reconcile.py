@@ -10,11 +10,11 @@ only splits its work:
 * **worker** (:func:`shard_evidence`): the finished shard document goes
   once through the streaming checker.  A scope that opens and closes
   inside the slice sees everything its verdict depends on and is judged
-  on the spot, as in any stream — and only for the *suspects*, the
-  constraints whose engine guard fired on this shard (a clean guard
-  proves the shard's own document has no violation).  A scope outside
-  the slice (the partition element, its ancestors, their other
-  descendants — identical in every shard) is shipped unjudged as it
+  on the spot, as in any stream — and only for the *suspects* (a
+  constraint a clean guard proved holds on the shard's own document need
+  not be; a sharded worker runs no guard, so it names every constraint).
+  A scope outside the slice (the partition element, its ancestors, their
+  other descendants — identical in every shard) is shipped unjudged as it
   closed, its key counts split into what the slice contributed
   (``inside``) and the replicated rest (``counts``).
 * **parent** (:func:`reconcile`): shipped scopes are merged by position
@@ -154,8 +154,8 @@ def shard_evidence(document: XMLElement, constraints: list[Constraint],
 
     ``splice`` is the partition element of ``document`` (its children
     are the slice), ``graph`` the element graph of the DTD the document
-    conforms to.  ``suspects`` is the set of constraints whose guard
-    fired on this shard: only they are judged in the slice.
+    conforms to.  ``suspects`` is the set of constraints judged in the
+    slice: all of them unless a guard proved the others hold there.
     """
     shard_pass = _ShardPass(constraints, splice, suspects, graph)
     shard_pass.feed(document)

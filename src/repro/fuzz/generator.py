@@ -150,16 +150,11 @@ class _Builder:
     def build(self) -> ScenarioSpec:
         root_value = "r000"
         scalars = {"k0": [root_value]}
-        if self.violate:
-            # Force the constraint-carrying pattern at the root so the
-            # injected violation is always reachable.
-            self._sequence("root", scalars, depth=0, force_pattern=True)
+        self.budget -= 1
+        if self.rng.random() < 0.5:
+            self._star("root", scalars, depth=0)
         else:
-            self.budget -= 1
-            if self.rng.random() < 0.5:
-                self._star("root", scalars, depth=0)
-            else:
-                self._sequence("root", scalars, depth=0)
+            self._sequence("root", scalars, depth=0)
         # parse_dtd takes the first declared element as the root; sequence
         # builders append parents after their children, so reorder.
         self.productions.sort(key=lambda entry: entry[0] != "root")
@@ -225,8 +220,7 @@ class _Builder:
 
     # -- sequences -----------------------------------------------------
     def _sequence(self, name: str, scalars: dict[str, list[str]],
-                  depth: int, leaves_only: bool = False,
-                  force_pattern: bool = False) -> None:
+                  depth: int, leaves_only: bool = False) -> None:
         self._declare_inh(name, scalars)
         children: list[str] = []
         inh_rules: dict[str, dict] = {}
@@ -238,8 +232,12 @@ class _Builder:
                 inh_rules[leaf] = func
 
         add_leaves(self.rng.randint(1, self.profile.max_leaves))
-        if force_pattern or (not leaves_only and self.budget >= 4
-                             and scalars and self.rng.random() < 0.45):
+        # A violation-injected seed puts the constraint-carrying pattern
+        # in the first sequence that can hold it, and draws the rest of
+        # its tree as a clean seed does.
+        if scalars and (self.violate and self.violated is None
+                        or not leaves_only and self.budget >= 4
+                        and self.rng.random() < 0.45):
             self._collector_consumer(name, scalars, children, inh_rules)
         if not leaves_only and self.budget > 0 \
                 and self.rng.random() < 0.75:
@@ -574,7 +572,7 @@ def generate_scenario(seed: int, *, violate: bool = False,
     """Generate one certified scenario for ``seed``.
 
     Certification builds the spec into live objects, validates the AIG,
-    runs the conceptual evaluator (violation_mode="report"), and checks
+    runs the conceptual evaluator in report mode, and checks
     the expected constraint verdict; uncertifiable candidates (which
     indicate a generator blind spot, not an engine bug) are regenerated
     from derived sub-seeds.

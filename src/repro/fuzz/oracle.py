@@ -2,13 +2,17 @@
 
 The conceptual one-sweep evaluation (§3.2) is the ground truth: its
 document, serialized canonically, and its post-hoc constraint verdict
-define what *every* optimized configuration must reproduce.  The oracle
-evaluates one scenario under the full grid —
+define what *every* optimized configuration must reproduce.  A
+middleware run declares the scenario's constraints, so it must be
+refused exactly when that verdict is non-empty, naming exactly the
+constraints the verdict names; the document a refused configuration
+would have derived is then taken from the same configuration over the
+AIG with its constraints removed (a guard never changes a document,
+§3.3) and judged by the checker.  The oracle evaluates one scenario
+under the full grid —
 
 * middleware with merging on and off (both byte-compared against the
   conceptual document),
-* abort-mode consistency (``violation_mode="abort"`` must raise exactly
-  when the report-mode verdict is non-empty),
 * incremental cold / warm / delta runs (the delta mutates the dataset by
   duplicating a row, then compares against a *fresh* conceptual baseline
   over the mutated data), and a return to the root after a run on other
@@ -17,16 +21,18 @@ evaluates one scenario under the full grid —
   :class:`~repro.errors.SourceUnavailableError` naming the source, every
   source keeps the table set it started with, and the next run, with the
   injector uninstalled, writes the baseline bytes),
+* the streaming data plane (the same bytes, none of them written by a
+  refused run),
 * sharded multi-process runs (``shards`` ∈ {2, 3, 4}, docs/SHARDING.md):
-  byte-identical document, identical tree-checker verdict over the merged
-  document, *and* an identical cross-shard *reconciled* verdict
-  (``report.violations``), plus an abort-consistency probe at one shard
-  count — non-partitionable scenarios fall back to the single-process
-  path and still must byte-match,
+  byte-identical document and tree-checker verdict over the merged
+  document, and a refusal whose located, cross-shard *reconciled*
+  violations equal the baseline verdict string for string —
+  non-partitionable scenarios fall back to the single-process path and
+  still must byte-match,
 
 and records a :class:`Divergence` for every mismatch in serialized XML,
-DTD conformance, or constraint verdicts.  Every configuration gets a
-fresh ``(AIG, sources)`` built from the spec so state cannot leak
+DTD conformance, constraint verdicts or refusals.  Every configuration
+gets a fresh ``(AIG, sources)`` built from the spec so state cannot leak
 between runs.
 """
 
@@ -50,10 +56,10 @@ def _config_name(kwargs: dict) -> str:
 
 #: The grid rows plus the special configurations; with the latter's
 #: sub-runs (incremental cold/warm/delta, 2/3/4 shards) one seed costs
-#: ~15 configuration runs.
+#: ~14 configuration runs.
 ALL_CONFIGS = tuple([_config_name(kwargs) for kwargs in GRID]
-                    + ["abort-consistency", "incremental", "fault-refusal",
-                       "streaming", "shards"])
+                    + ["incremental", "fault-refusal", "streaming",
+                       "shards"])
 
 
 @dataclass
@@ -91,9 +97,20 @@ class OracleReport:
         return not self.divergences
 
 
+@dataclass(frozen=True)
+class Baseline:
+    """What the conceptual evaluation of one scenario derives."""
+
+    xml: str
+    #: ``check_constraints`` over its document, as sorted strings
+    verdict: list[str]
+    #: the constraints that verdict names, sorted
+    named: list[str]
+
+
 # ----------------------------------------------------------------------
-def _baseline(spec: ScenarioSpec):
-    """Conceptual evaluation: (serialized xml, sorted violation strings)."""
+def _baseline(spec: ScenarioSpec) -> Baseline:
+    """Conceptual evaluation, judged by the tree checker."""
     from repro.aig import ConceptualEvaluator
     from repro.constraints import check_constraints
     from repro.xmlmodel import conforms_to, serialize
@@ -104,10 +121,10 @@ def _baseline(spec: ScenarioSpec):
     document = evaluator.evaluate(dict(spec.root_values))
     if not conforms_to(document, aig.dtd):
         raise ReproError("baseline conceptual document violates its DTD")
-    xml = serialize(document, indent=2)
-    verdict = sorted(str(v) for v in
-                     check_constraints(document, aig.constraints))
-    return xml, verdict
+    found = check_constraints(document, aig.constraints)
+    return Baseline(serialize(document, indent=2),
+                    sorted(str(v) for v in found),
+                    sorted({str(v.constraint) for v in found}))
 
 
 def _first_difference(expected: str, actual: str, context: int = 40) -> str:
@@ -125,15 +142,17 @@ def _first_difference(expected: str, actual: str, context: int = 40) -> str:
     return f"{note}one output is a prefix of the other"
 
 
-def _compare(report: OracleReport, config: str, xml: str,
-             verdict: list[str], base_xml: str,
-             base_verdict: list[str], conformant: bool,
+def _compare(report: OracleReport, config: str, base: Baseline, xml: str,
+             verdict: list[str] | None = None, conformant: bool = True,
              built_xml: str | None = None) -> None:
+    """``xml`` against the baseline's bytes and, when given, ``verdict``
+    against its verdict (byte equality with the conformant baseline
+    implies both conformance and the verdict)."""
     ok = True
-    if xml != base_xml:
+    if xml != base.xml:
         ok = False
         report.divergences.append(Divergence(
-            config, "xml", _first_difference(base_xml, xml)))
+            config, "xml", _first_difference(base.xml, xml)))
     if built_xml is not None and built_xml != xml:
         ok = False
         report.divergences.append(Divergence(
@@ -142,62 +161,87 @@ def _compare(report: OracleReport, config: str, xml: str,
         ok = False
         report.divergences.append(Divergence(
             config, "conformance", "document does not conform to the DTD"))
-    if verdict != base_verdict:
+    if verdict is not None and verdict != base.verdict:
         ok = False
         report.divergences.append(Divergence(
             config, "violations",
-            f"expected {base_verdict!r}, got {verdict!r}"))
+            f"expected {base.verdict!r}, got {verdict!r}"))
     report.results.append(ConfigResult(config, ok))
 
 
-def _evaluate_middleware(spec: ScenarioSpec, **kwargs):
+def _judged(document, aig):
+    """(indented xml, sorted tree-checker verdict, conformance)."""
+    from repro.constraints import check_constraints
+    from repro.xmlmodel import conforms_to, serialize
+
+    return (serialize(document, indent=2),
+            sorted(str(v) for v in
+                   check_constraints(document, aig.constraints)),
+            conforms_to(document, aig.dtd))
+
+
+def _pair(aig, sources, **kwargs):
+    """A middleware over ``aig`` and one over it with no constraint, on
+    the same sources: the run that may be refused, and the one that
+    derives the document a refused run would have."""
+    from repro.runtime import Middleware
+
+    return (Middleware(aig, sources, **kwargs),
+            Middleware(aig.without_constraints(), sources, **kwargs))
+
+
+def _checked(report: OracleReport, config: str, base: Baseline, pair,
+             run, located: bool = False):
+    """``run(middleware)`` on the middleware declaring the constraints;
+    where that is refused, on the one declaring none.
+
+    A refusal must happen iff ``base`` finds a violation, and name the
+    constraints it names — with ``located`` (a sharded run's reconciled
+    verdict), every violation it finds, string for string.
+    """
+    checked, unchecked = pair
+    try:
+        outcome = run(checked)
+    except EvaluationAborted as refusal:
+        if located:
+            named = sorted(str(v) for v in refusal.violations)
+            expected = base.verdict
+        else:
+            named = sorted({str(v) for v in refusal.violations})
+            expected = base.named
+        if named != expected:
+            report.divergences.append(Divergence(
+                config, "refusal",
+                f"refused naming {named!r}, the baseline {expected!r}"))
+        return run(unchecked)
+    if base.verdict:
+        report.divergences.append(Divergence(
+            config, "refusal",
+            f"not refused, the baseline finds {base.verdict!r}"))
+    return outcome
+
+
+def _evaluate_middleware(report: OracleReport, config: str,
+                         spec: ScenarioSpec, base: Baseline, **kwargs):
     """One fresh middleware run → (xml, verdict, conformant, built xml,
     plan graph): written as ``evaluate`` leaves it and again once the
     checkers have built every fragment group, which must give the same
     bytes."""
-    from repro.constraints import check_constraints
-    from repro.runtime import Middleware
-    from repro.xmlmodel import conforms_to, serialize
+    from repro.xmlmodel import serialize
 
     aig, sources = build_scenario(spec)
-    middleware = Middleware(aig, sources, violation_mode="report",
-                            **kwargs)
-    result = middleware.evaluate(dict(spec.root_values))
+    middleware, result = _checked(
+        report, config, base, _pair(aig, sources, **kwargs),
+        lambda middleware: (middleware,
+                            middleware.evaluate(dict(spec.root_values))))
     document = result.document
-    xml = serialize(document, indent=2)
-    verdict = sorted(str(v) for v in
-                     check_constraints(document, aig.constraints))
-    return (xml, verdict, conforms_to(document, aig.dtd),
-            serialize(document, indent=2), middleware.last_plan.graph)
+    return (*_judged(document, aig), serialize(document, indent=2),
+            middleware.last_plan.graph)
 
 
 # ----------------------------------------------------------------------
 # special configurations
 # ----------------------------------------------------------------------
-def _check_abort_consistency(report: OracleReport, spec: ScenarioSpec,
-                             base_verdict: list[str]) -> None:
-    """``violation_mode="abort"`` must raise iff the verdict is non-empty."""
-    from repro.runtime import Middleware
-
-    config = "abort-consistency"
-    aig, sources = build_scenario(spec)
-    middleware = Middleware(aig, sources, violation_mode="abort")
-    try:
-        middleware.evaluate(dict(spec.root_values))
-        aborted = False
-    except EvaluationAborted:
-        aborted = True
-    expected = bool(base_verdict)
-    if aborted != expected:
-        report.divergences.append(Divergence(
-            config, "abort",
-            f"abort mode {'raised' if aborted else 'did not raise'} but "
-            f"report mode found {len(base_verdict)} violation(s)"))
-        report.results.append(ConfigResult(config, False))
-    else:
-        report.results.append(ConfigResult(config, True))
-
-
 def _delta_table(spec: ScenarioSpec):
     """A table safe to mutate for the incremental delta run.
 
@@ -222,23 +266,33 @@ def _delta_table(spec: ScenarioSpec):
     return None
 
 
-def _streamed(report: OracleReport, config: str, middleware,
-              spec: ScenarioSpec, aig):
-    """``evaluate_stream`` → (xml, the streaming checker's verdict).
+def _check_streamed(report: OracleReport, config: str, pair,
+                    spec: ScenarioSpec, base: Baseline) -> None:
+    """``evaluate_stream`` must write the baseline's bytes, and a refused
+    stream none.
 
-    That stream is pretty-printed with the checker beside the serializer.
-    A second one, compact with the serializer as the only sink — the path
-    on which fragments go straight from the tagging program into the
-    ``indent=None`` templates — is compared here, with the same
-    middleware's tree.
+    That stream is pretty-printed.  A second one, compact — the path on
+    which fragments go straight from the tagging program into the
+    ``indent=None`` templates — is compared here with the tree of the
+    middleware that wrote the first.
     """
     import io
     from repro.xmlmodel import serialize
 
     root = spec.root_values
     buffer = io.StringIO()
-    result = middleware.evaluate_stream(dict(root), buffer.write, indent=2,
-                                        constraints=aig.constraints)
+
+    def stream(middleware):
+        if buffer.tell():
+            report.divergences.append(Divergence(
+                config, "refusal",
+                f"a refused stream wrote {buffer.tell()} character(s)"))
+            buffer.seek(0)
+            buffer.truncate()
+        middleware.evaluate_stream(dict(root), buffer.write, indent=2)
+        return middleware
+
+    middleware = _checked(report, config, base, pair, stream)
     alone = io.StringIO()
     middleware.evaluate_stream(dict(root), alone.write)
     expected = serialize(middleware.evaluate(dict(root)).document)
@@ -246,37 +300,32 @@ def _streamed(report: OracleReport, config: str, middleware,
         report.divergences.append(Divergence(
             config, "xml-compact",
             _first_difference(expected, alone.getvalue())))
-    return buffer.getvalue(), sorted(str(v) for v in
-                                     result.constraint_violations)
+    _compare(report, config, base, buffer.getvalue())
 
 
 def _check_incremental(report: OracleReport, spec: ScenarioSpec,
-                       base_xml: str, base_verdict: list[str]) -> None:
+                       base: Baseline) -> None:
     """Cold, warm, and delta runs of one incremental middleware, the
     delta document also streamed through it; then a return to the root
-    after a run on other root values, which must replay everything."""
-    from repro.constraints import check_constraints
-    from repro.runtime import Middleware
-    from repro.xmlmodel import conforms_to, serialize
+    after a run on other root values, which must replay everything.
 
+    A run that is refused goes to an incremental middleware declaring no
+    constraint, on the same sources; a run and its repeat (warm after
+    cold, return after delta) share a verdict, so they go to the same
+    one, and the repeat's reuse is that middleware's."""
     aig, sources = build_scenario(spec)
-    middleware = Middleware(aig, sources, violation_mode="report",
-                            incremental=True)
+    pair = _pair(aig, sources, incremental=True)
 
-    def run(tag: str, expected_xml: str, expected_verdict: list[str],
-            root: dict = spec.root_values):
-        result = middleware.evaluate(dict(root))
-        document = result.document
-        _compare(report, f"incremental-{tag}",
-                 serialize(document, indent=2),
-                 sorted(str(v) for v in
-                        check_constraints(document, aig.constraints)),
-                 expected_xml, expected_verdict,
-                 conforms_to(document, aig.dtd))
+    def run(tag: str, expected: Baseline, root: dict = spec.root_values):
+        config = f"incremental-{tag}"
+        result = _checked(report, config, expected, pair,
+                          lambda middleware: middleware.evaluate(dict(root)))
+        xml, verdict, conformant = _judged(result.document, aig)
+        _compare(report, config, expected, xml, verdict, conformant)
         return result
 
-    run("cold", base_xml, base_verdict)
-    warm = run("warm", base_xml, base_verdict)
+    run("cold", base)
+    warm = run("warm", base)
     if warm.queries_executed != 0:
         report.divergences.append(Divergence(
             "incremental-warm", "reuse",
@@ -288,19 +337,16 @@ def _check_incremental(report: OracleReport, spec: ScenarioSpec,
     if table is None:
         report.results.append(ConfigResult(
             "incremental-delta", True, "skipped: no mutable table"))
-        delta_xml, delta_verdict = base_xml, base_verdict
+        delta = base
     else:
         duplicated = table.rows[0]
         current.table(table.source, table.name).rows.append(duplicated)
-        delta_xml, delta_verdict = _baseline(current)
-        # mutate the live source the incremental middleware is watching
+        delta = _baseline(current)
+        # mutate the live source the incremental middlewares are watching
         sources[table.source].load_rows(table.name, [duplicated])
-        run("delta", delta_xml, delta_verdict)
-        # byte equality with the conformant baseline implies conformance
-        _compare(report, "incremental-delta-stream",
-                 *_streamed(report, "incremental-delta-stream", middleware,
-                            spec, aig),
-                 delta_xml, delta_verdict, conformant=True)
+        run("delta", delta)
+        _check_streamed(report, "incremental-delta-stream", pair, spec,
+                        delta)
 
     if not spec.root_values:
         report.results.append(ConfigResult(
@@ -318,10 +364,10 @@ def _check_incremental(report: OracleReport, spec: ScenarioSpec,
             other_root[name] += "~"
     current.root_values = other_root
     try:
-        other_xml, other_verdict = _baseline(current)
+        other = _baseline(current)
     except ReproError:
         try:
-            middleware.evaluate(dict(other_root))
+            pair[0].evaluate(dict(other_root))
         except ReproError:
             pass
         else:
@@ -329,8 +375,8 @@ def _check_incremental(report: OracleReport, spec: ScenarioSpec,
                 "incremental-other", "error",
                 "answered a root the conceptual evaluator refuses"))
     else:
-        run("other", other_xml, other_verdict, other_root)
-    back = run("return", delta_xml, delta_verdict)
+        run("other", other, other_root)
+    back = run("return", delta)
     if back.queries_executed != 0:
         report.divergences.append(Divergence(
             "incremental-return", "reuse",
@@ -339,14 +385,11 @@ def _check_incremental(report: OracleReport, spec: ScenarioSpec,
 
 
 def _check_fault_refusal(report: OracleReport, spec: ScenarioSpec,
-                         base_xml: str, base_verdict: list[str]) -> None:
+                         base: Baseline) -> None:
     """An injected first-statement error is refused, leaves no table
     behind, and the next run is whole."""
-    from repro.constraints import check_constraints
     from repro.errors import SourceUnavailableError
     from repro.resilience import FaultInjector
-    from repro.runtime import Middleware
-    from repro.xmlmodel import conforms_to, serialize
 
     config = "fault-refusal"
     aig, sources = build_scenario(spec)
@@ -355,7 +398,8 @@ def _check_fault_refusal(report: OracleReport, spec: ScenarioSpec,
         report.results.append(ConfigResult(config, True, "skipped: no "
                                            "tables"))
         return
-    middleware = Middleware(aig, sources, violation_mode="report")
+    pair = _pair(aig, sources)
+    middleware = pair[0]
     everything = {**sources, middleware.mediator.name: middleware.mediator}
     tables = {name: source.table_names()
               for name, source in everything.items()}
@@ -383,94 +427,48 @@ def _check_fault_refusal(report: OracleReport, spec: ScenarioSpec,
         report.divergences.append(Divergence(config, "refusal", problem))
         report.results.append(ConfigResult(config, False))
         return
-    document = middleware.evaluate(dict(spec.root_values)).document
-    _compare(report, config, serialize(document, indent=2),
-             sorted(str(v) for v in
-                    check_constraints(document, aig.constraints)),
-             base_xml, base_verdict, conforms_to(document, aig.dtd))
+    result = _checked(report, config, base, pair,
+                      lambda middleware: middleware.evaluate(
+                          dict(spec.root_values)))
+    _compare(report, config, base, *_judged(result.document, aig))
 
 
 def _check_streaming(report: OracleReport, spec: ScenarioSpec,
-                     base_xml: str, base_verdict: list[str]) -> None:
+                     base: Baseline) -> None:
     """The streaming data plane (``evaluate_stream``) must write
-    byte-identical XML and the streaming constraint checker must return
-    the same verdicts — without ever materializing the tree."""
-    from repro.runtime import Middleware
-
+    byte-identical XML without ever materializing the tree."""
     aig, sources = build_scenario(spec)
-    middleware = Middleware(aig, sources, violation_mode="report")
-    # byte equality with the conformant baseline implies conformance
-    _compare(report, "streaming",
-             *_streamed(report, "streaming", middleware, spec, aig),
-             base_xml, base_verdict, conformant=True)
+    _check_streamed(report, "streaming", _pair(aig, sources), spec, base)
 
 
 def _check_sharded(report: OracleReport, spec: ScenarioSpec,
-                   base_xml: str, base_verdict: list[str]) -> None:
+                   base: Baseline) -> None:
     """Sharded multi-process runs at several shard counts.
 
-    Three-way comparison per count: the merged document's bytes, the
-    tree checker's verdict over it, and — the actual reconcile test —
-    the cross-shard *reconciled* verdict the middleware returns in
-    ``report.violations``.  Scenarios with no eligible partition
-    production run the single-process fallback (``result.shards == 1``)
-    and are still byte-compared.
+    Per count: the merged document's bytes and the tree checker's
+    verdict over it, and — the actual reconcile test — a refusal's
+    cross-shard *reconciled* violations, which must equal the baseline
+    verdict string for string.  Scenarios with no eligible partition
+    production run the single-process fallback (``result.shards == 1``,
+    a refusal naming constraints) and are still byte-compared.
     """
-    from repro.constraints import check_constraints
-    from repro.runtime import Middleware
-    from repro.xmlmodel import conforms_to, serialize
+    from repro.runtime.sharding import find_partition
 
     for shards in (2, 3, 4):
         config = f"shards-{shards}"
         try:
             aig, sources = build_scenario(spec)
-            middleware = Middleware(aig, sources, violation_mode="report",
-                                    shards=shards)
-            result = middleware.evaluate(dict(spec.root_values))
+            result = _checked(
+                report, config, base, _pair(aig, sources, shards=shards),
+                lambda middleware: middleware.evaluate(
+                    dict(spec.root_values)),
+                located=find_partition(aig) is not None)
         except ReproError as error:
             report.divergences.append(Divergence(
                 config, "error", f"{type(error).__name__}: {error}"))
             report.results.append(ConfigResult(config, False))
             continue
-        document = result.document
-        verdict = sorted(str(v) for v in
-                         check_constraints(document, aig.constraints))
-        if result.shards > 1:
-            reconciled = sorted(str(v) for v in result.violations)
-            if reconciled != base_verdict:
-                report.divergences.append(Divergence(
-                    config, "violations",
-                    f"reconciled verdict: expected {base_verdict!r}, "
-                    f"got {reconciled!r}"))
-        _compare(report, config, serialize(document, indent=2), verdict,
-                 base_xml, base_verdict, conforms_to(document, aig.dtd))
-
-    # abort mode through the sharded path must raise exactly when the
-    # reconciled verdict is non-empty
-    config = "shards-abort"
-    try:
-        aig, sources = build_scenario(spec)
-        middleware = Middleware(aig, sources, violation_mode="abort",
-                                shards=2)
-        try:
-            middleware.evaluate(dict(spec.root_values))
-            aborted = False
-        except EvaluationAborted:
-            aborted = True
-    except ReproError as error:
-        report.divergences.append(Divergence(
-            config, "error", f"{type(error).__name__}: {error}"))
-        report.results.append(ConfigResult(config, False))
-        return
-    expected = bool(base_verdict)
-    if aborted != expected:
-        report.divergences.append(Divergence(
-            config, "abort",
-            f"sharded abort mode {'raised' if aborted else 'did not raise'} "
-            f"but report mode found {len(base_verdict)} violation(s)"))
-        report.results.append(ConfigResult(config, False))
-    else:
-        report.results.append(ConfigResult(config, True))
+        _compare(report, config, base, *_judged(result.document, aig))
 
 
 # ----------------------------------------------------------------------
@@ -487,8 +485,8 @@ def run_oracle(spec: ScenarioSpec,
     one strategy is itself a differential finding.
     """
     report = OracleReport(seed=spec.seed)
-    base_xml, base_verdict = _baseline(spec)
-    report.baseline_violations = base_verdict
+    base = _baseline(spec)
+    report.baseline_violations = base.verdict
 
     wanted = set(configs) if configs is not None else None
 
@@ -504,7 +502,7 @@ def run_oracle(spec: ScenarioSpec,
             continue
         try:
             xml, verdict, conformant, built_xml, graph = \
-                _evaluate_middleware(spec, **kwargs)
+                _evaluate_middleware(report, name, spec, base, **kwargs)
         except ReproError as error:
             report.divergences.append(Divergence(
                 name, "error", f"{type(error).__name__}: {error}"))
@@ -514,35 +512,18 @@ def run_oracle(spec: ScenarioSpec,
             report.products = sum(node.kind == "product"
                                   for node in graph.nodes.values())
             report.propagated = graph.propagated
-        _compare(report, name, xml, verdict, base_xml, base_verdict,
-                 conformant, built_xml)
+        _compare(report, name, base, xml, verdict, conformant, built_xml)
 
-    if selected("abort-consistency"):
+    for name, check in (("incremental", _check_incremental),
+                        ("fault-refusal", _check_fault_refusal),
+                        ("streaming", _check_streaming)):
+        if not selected(name):
+            continue
         try:
-            _check_abort_consistency(report, spec, base_verdict)
+            check(report, spec, base)
         except ReproError as error:
             report.divergences.append(Divergence(
-                "abort-consistency", "error",
-                f"{type(error).__name__}: {error}"))
-    if selected("incremental"):
-        try:
-            _check_incremental(report, spec, base_xml, base_verdict)
-        except ReproError as error:
-            report.divergences.append(Divergence(
-                "incremental", "error", f"{type(error).__name__}: {error}"))
-    if selected("fault-refusal"):
-        try:
-            _check_fault_refusal(report, spec, base_xml, base_verdict)
-        except ReproError as error:
-            report.divergences.append(Divergence(
-                "fault-refusal", "error",
-                f"{type(error).__name__}: {error}"))
-    if selected("streaming"):
-        try:
-            _check_streaming(report, spec, base_xml, base_verdict)
-        except ReproError as error:
-            report.divergences.append(Divergence(
-                "streaming", "error", f"{type(error).__name__}: {error}"))
+                name, "error", f"{type(error).__name__}: {error}"))
     if selected("shards"):
-        _check_sharded(report, spec, base_xml, base_verdict)
+        _check_sharded(report, spec, base)
     return report

@@ -15,19 +15,22 @@ Record schema (top-level keys, all sorted on disk):
   (:func:`repro.runtime.incremental.plan_fingerprint`), identical across
   re-runs of the same plan — the join key for cross-run analysis;
 * ``config`` — the middleware knobs that shaped the run (merging, unfold
-  depth, violation mode, incremental, deadline, shards); records
-  written by older versions carry more keys, which readers ignore;
+  depth, incremental, deadline, shards); records written by older
+  versions carry more keys, which readers ignore;
 * ``plan`` — estimated cost, simulated response time, node count;
 * ``run`` — measured wall seconds, queries executed, bytes shipped,
-  cache reuse (reused/tainted node counts), document bytes, violation
-  count, peak RSS in bytes when the platform reports it;
+  cache reuse (reused/tainted node counts), document bytes, peak RSS in
+  bytes when the platform reports it;
 * ``nodes`` — per executed QDG node: structural fingerprint, source,
   kind, measured eval/overhead seconds, completion, output rows/bytes,
   and whether it was replayed from the incremental cache;
 * ``metrics`` — this run's delta of the tracer's counters (and final
   gauges), e.g. deadline/incremental activity — empty when
-  tracing is off;
-* ``constraints`` — violation verdicts (name, kind, count per finding).
+  tracing is off.
+
+Only a whole document is recorded: a run refused for a violated
+constraint writes no record (older records carry a ``constraints`` list
+and a ``run.violations`` count, always empty, which readers ignore).
 
 Rotation is size-bounded: when appending would push the file past
 ``max_bytes``, the file shifts to ``<path>.1`` (existing backups shift
@@ -200,8 +203,7 @@ def metrics_delta(before: dict, after: dict) -> dict:
 
 def build_run_record(kind: str, graph, timings: dict, config: dict,
                      plan_info: dict, run_info: dict,
-                     metrics: dict | None = None,
-                     constraints: list | None = None) -> dict:
+                     metrics: dict | None = None) -> dict:
     """Assemble one ledger record from an evaluation's artifacts.
 
     ``graph`` is the executed (possibly merged) QDG; ``timings`` the
@@ -240,6 +242,5 @@ def build_run_record(kind: str, graph, timings: dict, config: dict,
         "nodes": nodes,
         "metrics": metrics if metrics is not None else
             {"counters": {}, "gauges": {}, "histograms": {}},
-        "constraints": list(constraints or []),
     }
     return record

@@ -248,6 +248,10 @@ class DataSource:
         #: consulted at the statement boundary when installed.
         self.fault_injector = None
         self._temp_counter = 0
+        #: Tables a failed ``drop_table`` left behind: the next shipment
+        #: drops them in its own transaction (a ``__ship_N`` name is never
+        #: reused, so nothing else would).
+        self._stranded: list[str] = []
         #: Per-relation monotonic version counters (see docs/INCREMENTAL.md):
         #: bumped on every committed write to a base relation, never by
         #: temp-table shipments.  The incremental result cache fingerprints
@@ -468,7 +472,8 @@ class DataSource:
         its write lock at ``BEGIN IMMEDIATE``: a deferred one would read
         the schema first and then fail at once, without the busy timeout's
         wait, if another connection to a file source had begun to write
-        in between.
+        in between.  The tables a failed drop stranded go in the same
+        transaction.
         """
         conn = self.connection
         if name is None:
@@ -481,6 +486,8 @@ class DataSource:
                 if delay > 0.0:
                     time.sleep(delay)
             conn.execute("BEGIN IMMEDIATE")
+            for stranded in self._stranded:
+                conn.execute(f'DROP TABLE IF EXISTS "{stranded}"')
             conn.execute(f'DROP TABLE IF EXISTS "{name}"')
             conn.execute(f'CREATE TABLE "{name}" ({quoted})')
             if rows:
@@ -488,6 +495,7 @@ class DataSource:
                 conn.executemany(
                     f'INSERT INTO "{name}" VALUES ({placeholders})', rows)
             conn.execute("COMMIT")
+            self._stranded.clear()
         except sqlite3.Error as error:
             if not self._rollback():
                 # A swallowed rollback hides a dead connection: the next
@@ -506,6 +514,8 @@ class DataSource:
         try:
             self.connection.execute(f'DROP TABLE IF EXISTS "{name}"')
         except sqlite3.Error as error:
+            if name not in self._stranded:
+                self._stranded.append(name)
             raise _statement_error(
                 f"source {self.name!r}: dropping {name!r} failed: "
                 f"{error}", error) from error

@@ -22,9 +22,10 @@ merging.  Only a member a sibling inlines is numbered inside the statement
 Collect, guard and product nodes keep the mediator site in the plan but
 issue no statement: collection programs run in process over the result
 sets of their inputs (:mod:`repro.runtime.collect`), a guard that finds a
-witness aborts the run with :class:`~repro.errors.EvaluationAborted`, and
-a product node pairs every row of a query that read nothing of its anchor
-with every anchor row.
+witness names its constraint in ``EngineResult.violations`` (the
+middleware refuses such a run with :class:`~repro.errors.EvaluationAborted`
+once every guard ran), and a product node pairs every row of a query that
+read nothing of its anchor with every anchor row.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from operator import add, itemgetter
 
-from repro.errors import EvaluationAborted, EvaluationError, PlanError
+from repro.errors import EvaluationError, PlanError
 from repro.obs.tracer import MAIN_TRACK, NULL_TRACER
 from repro.optimizer.cost import QUERY_OVERHEAD, run_cost
 from repro.relational.network import Network
@@ -87,6 +88,8 @@ class EngineResult:
     measured_seconds: float                # wall clock actually spent
     queries_executed: int = 0
     bytes_shipped: int = 0
+    #: the constraints whose guard found a witness, once each, in the
+    #: order the guards ran
     violations: list = field(default_factory=list)
     #: Incremental re-evaluation (docs/INCREMENTAL.md): nodes replayed
     #: from the cross-evaluation cache instead of executing.
@@ -108,7 +111,6 @@ class Engine:
     def __init__(self, graph, plan: dict, sources: dict[str, DataSource],
                  network: Network, mediator: Mediator | None = None,
                  query_overhead: float | None = None,
-                 violation_mode: str = "abort",
                  tracer=None,
                  deadline: float | None = None,
                  tagging_plan=None,
@@ -125,10 +127,6 @@ class Engine:
         #: deployment, charged by :func:`~repro.optimizer.cost.run_cost`.
         self.query_overhead = (QUERY_OVERHEAD if query_overhead is None
                                else query_overhead)
-        if violation_mode not in ("abort", "report"):
-            raise PlanError(f"violation_mode must be 'abort' or 'report', "
-                            f"got {violation_mode!r}")
-        self.violation_mode = violation_mode
         #: Bounds each statement's wall time (see
         #: :mod:`repro.resilience.deadline`).
         self.deadline = deadline

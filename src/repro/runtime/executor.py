@@ -21,11 +21,7 @@ from __future__ import annotations
 import logging
 import time
 
-from repro.errors import (
-    EvaluationAborted,
-    PlanError,
-    SourceUnavailableError,
-)
+from repro.errors import PlanError, SourceUnavailableError
 from repro.relational.source import ResultSet
 from repro.resilience.deadline import QueryDeadlineExceeded
 from repro.runtime.collect import describe_witness
@@ -116,8 +112,9 @@ class PlanExecutor:
                      rows_materialized: int = 0, cached: bool = False,
                      span=None) -> int:
             """Keep a node's outputs and timing record (returns the rows it
-            put out); a guard that found a witness is a violation, and the
-            witness goes on its ``span`` and into the warning."""
+            put out); a guard that found a witness names its constraint
+            among the run's violations (once), and the witness goes on its
+            ``span`` and into the warning."""
             cache.update(outputs)
             results = _put_out(node, outputs)
             output_rows = sum(map(len, results))
@@ -133,9 +130,8 @@ class PlanExecutor:
                 logger.warning("constraint guard %s found a violation of "
                                "%s: %s", node.name, node.guard.constraint,
                                witness)
-                if engine.violation_mode == "abort":
-                    raise EvaluationAborted([node.guard.constraint])
-                violations.append(node.guard.constraint)
+                if node.guard.constraint not in violations:
+                    violations.append(node.guard.constraint)
             return output_rows
 
         def execute(name: str, node) -> None:

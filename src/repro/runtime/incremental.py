@@ -28,8 +28,8 @@ memo measured slower than rebuilding, see docs/INCREMENTAL.md):
 Guards re-run whole whenever any of their inputs is tainted (the *full
 re-check fallback*: an inclusion constraint spanning a tainted and a clean
 region is re-validated over the full collections, never over a delta); a
-clean guard replays its cached — and, in abort mode, necessarily empty —
-result, so report-mode violations are re-reported identically.
+clean guard replays its cached — and necessarily empty — result, since a
+run a guard refused commits nothing.
 
 Nothing here is committed on failure: the middleware folds freshly
 executed results into the cache only after a fully successful run, so

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import (
+    EvaluationAborted,
     EvaluationError,
     RecursionDepthExceeded,
     RecursionTruncated,
@@ -67,10 +68,6 @@ class _Report:
     node_count: int                 # QDG size after optimization
     merged: bool
     unfold_depth: int | None
-    #: Report-mode findings: single-process, the violated ``Constraint``s
-    #: (the guards that fired); sharded, the located ``Violation``s of the
-    #: reconciled verdict, as ``check_constraints`` lists them.
-    violations: list = field(default_factory=list)
     #: Incremental re-evaluation (``Middleware(incremental=True)``, see
     #: docs/INCREMENTAL.md): nodes replayed from the result cache and
     #: nodes found tainted (0/0 when the feature is off or the cache is
@@ -109,14 +106,11 @@ class StreamReport(_Report):
     """What one streaming evaluation (``evaluate_stream``) did.
 
     No ``document``: the tree is never materialized — serialized bytes went
-    straight to the caller's writer.  ``constraint_violations`` holds the
-    streaming checker's verdicts when constraints were passed (identical to
-    ``check_constraints`` over the materialized document).
+    straight to the caller's writer.
     """
 
     elements: int                   # elements streamed
     characters: int                 # characters written
-    constraint_violations: list = field(default_factory=list)
 
 
 class _ByteCount:
@@ -155,7 +149,6 @@ class Middleware:
                  merging: bool = True,
                  unfold_depth: int | str = 4,
                  max_unfold_depth: int = 64,
-                 violation_mode: str = "abort",
                  tracer=None,
                  deadline: float | None = None,
                  incremental: bool = False,
@@ -185,9 +178,6 @@ class Middleware:
                 ("max_unfold_depth", max_unfold_depth,
                  positive(max_unfold_depth), "a positive integer"),
                 ("shards", shards, positive(shards), "a positive integer"),
-                ("violation_mode", violation_mode,
-                 violation_mode in ("abort", "report"),
-                 "'abort' or 'report'"),
                 ("deadline", deadline, deadline is None or (
                     type(deadline) in (int, float) and deadline > 0),
                  "a positive number of seconds or null")):
@@ -197,7 +187,6 @@ class Middleware:
         self.merging = merging
         self.unfold_depth = unfold_depth
         self.max_unfold_depth = max_unfold_depth
-        self.violation_mode = violation_mode
         self.deadline = deadline
         #: The middleware owns one persistent mediator shared by every
         #: evaluation: its connection and compiled statements stay warm
@@ -249,7 +238,8 @@ class Middleware:
     # ------------------------------------------------------------------
     def evaluate(self, root_inh: dict, tracer=None) -> ExecutionReport:
         """Generate the document; raises
-        :class:`~repro.errors.EvaluationAborted` on constraint violation.
+        :class:`~repro.errors.EvaluationAborted` naming every violated
+        constraint, once each, when a guard found a witness.
 
         Safe to call from concurrent threads on one shared instance: plan
         preparation is shared (and never duplicated) across callers, while
@@ -286,10 +276,8 @@ class Middleware:
                 # the compact bytes: one stream pass over the bound run
                 counted = _ByteCount()
                 document._kids.write(StreamSerializer(counted.write))
-                self._record_run(
-                    "evaluate", run, tracer,
-                    document_bytes=counted.bytes,
-                    violations=run.result.violations)
+                self._record_run("evaluate", run, tracer,
+                                 document_bytes=counted.bytes)
             return ExecutionReport(
                 document=document,
                 optimization_seconds=run.optimization_seconds,
@@ -299,7 +287,6 @@ class Middleware:
                          lambda run: pending_document(run, tracer), report)
 
     def evaluate_stream(self, root_inh: dict, write, indent: int | None = None,
-                        constraints: list | None = None,
                         tracer=None) -> StreamReport:
         """Generate the document as a byte stream through ``write``.
 
@@ -308,11 +295,8 @@ class Middleware:
         the bytes itself (:meth:`~repro.runtime.tagging.TaggingRun.write`,
         through a :class:`~repro.xmlmodel.serialize.StreamSerializer`'s
         pieces) instead of making a tree: they are identical to
-        ``serialize(report.document, indent)``.  ``constraints``
-        (optional) are checked by a
-        :class:`~repro.constraints.StreamingConstraintChecker` on a tagging
-        pass of their own before the write pass, with verdicts identical to
-        the tree checker's.
+        ``serialize(report.document, indent)``.  A violated constraint is
+        refused before the first byte, as :meth:`evaluate` refuses it.
 
         Where the program has a choice, each depth attempt first dry-runs
         it against a null sink: a choice cut off by the unfolding, or a
@@ -322,38 +306,28 @@ class Middleware:
         answered before tagging, by the blocked-query probe) and is tagged
         once.
         """
-        from repro.constraints import StreamingConstraintChecker
-
         tracer = self.tracer if tracer is None else tracer
         counted = _ByteCount(write)
         if self.ledger is not None:
             write = counted.write    # the ledger records bytes
         serializer = StreamSerializer(write, indent=indent)
-        checker = (StreamingConstraintChecker(constraints)
-                   if constraints else None)
 
         def take(run: TaggingRun):
-            if checker is not None:
-                run.stream(checker)     # its own pass, before any byte
             return traced_tagging(tracer,
                                   lambda: run.write(serializer, tracer))
 
         def report(run: _Run) -> StreamReport:
             elements = int(run.taken)
-            found = checker.result() if checker is not None else []
             tracer.metrics.set_gauge("streamed_elements", elements)
             tracer.metrics.set_gauge("document_characters",
                                      serializer.characters)
             if self.ledger is not None:
-                self._record_run(
-                    "stream", run, tracer,
-                    document_bytes=counted.bytes,
-                    violations=list(run.result.violations) + list(found),
-                    streamed_elements=elements)
+                self._record_run("stream", run, tracer,
+                                 document_bytes=counted.bytes,
+                                 streamed_elements=elements)
             return StreamReport(
                 elements=elements,
                 characters=serializer.characters,
-                constraint_violations=found,
                 **run.report)
 
         return self._run(root_inh, tracer, "evaluate-stream", take, report)
@@ -563,7 +537,13 @@ class Middleware:
                       span: str, take) -> _Run | None:
         """One attempt at one unfold depth; ``None`` when the unfolding
         truncated live recursion and the attempt must be repeated deeper
-        (nothing was committed, counted, or handed to ``take``)."""
+        (nothing was committed, counted, or handed to ``take``).
+
+        Every guard runs; a violation found at the depth that fits ends
+        the run in one :class:`~repro.errors.EvaluationAborted` naming
+        each violated constraint — before ``take``, so no byte is written
+        and nothing is committed (a truncated depth's findings are never
+        reported: the deeper attempt judges the whole document)."""
         metrics_before = (tracer.metrics.snapshot()
                           if self.ledger is not None else None)
         with tracer.span(span, "pipeline", depth=depth):
@@ -589,7 +569,6 @@ class Middleware:
                 self._last_root_inh = dict(root_inh)
             engine = Engine(graph, prepared.plan, self.sources, self.network,
                             mediator=self.mediator,
-                            violation_mode=self.violation_mode,
                             tracer=tracer,
                             deadline=self.deadline,
                             reuse=increment.reusable if increment else None,
@@ -612,6 +591,8 @@ class Middleware:
                         return None
                 if self._needs_deeper(tagging_plan, result.cache, depth):
                     return None
+                if result.violations:
+                    raise EvaluationAborted(result.violations)
                 taken = take(run)
                 # Commit only after a fully successful run: a mid-run
                 # failure must never poison the cache — the next
@@ -642,7 +623,6 @@ class Middleware:
                 node_count=len(graph),
                 merged=prepared.merged,
                 unfold_depth=depth,
-                violations=list(result.violations),
                 reused_nodes=result.reused_nodes,
                 tainted_nodes=tainted_nodes))
 
@@ -653,14 +633,13 @@ class Middleware:
             "merging": self.merging,
             "unfold_depth": self.unfold_depth,
             "max_unfold_depth": self.max_unfold_depth,
-            "violation_mode": self.violation_mode,
             "incremental": self.incremental,
             "deadline": self.deadline,
             "shards": self.shards,
         }
 
     def _record_run(self, kind: str, run: _Run, tracer,
-                    document_bytes: int, violations: list, **extra) -> None:
+                    document_bytes: int, **extra) -> None:
         """Append one run record to the attached ledger."""
         from repro.obs.ledger import build_run_record, metrics_delta
         result = run.result
@@ -676,20 +655,17 @@ class Middleware:
             "queries_executed": result.queries_executed,
             "bytes_shipped": result.bytes_shipped,
             "document_bytes": document_bytes,
-            "violations": len(violations),
             "reused_nodes": result.reused_nodes,
             "tainted_nodes": run.report["tainted_nodes"],
             **extra,
         }
-        constraint_records = [str(violation) for violation in violations]
         record = build_run_record(
             kind, plan.graph, result.timings,
             config=self._config_dict(),
             plan_info=plan_info,
             run_info=run_info,
             metrics=metrics_delta(run.metrics_before,
-                                  tracer.metrics.snapshot()),
-            constraints=constraint_records)
+                                  tracer.metrics.snapshot()))
         self.ledger.append(record)
 
     # ------------------------------------------------------------------

@@ -27,10 +27,10 @@ The pipeline:
    sources, the network model, and a whitelisted config.  Nothing in a
    task holds a sqlite3 connection, tracer or ledger.
 3. :func:`_shard_worker` (in the worker process) rebuilds the sources,
-   runs a fresh :class:`~repro.runtime.middleware.Middleware` in
-   report mode, and returns its document plus the constraint
-   *evidence* of one pass of the streaming checker over it
-   (:func:`repro.constraints.reconcile.shard_evidence`).
+   runs a fresh :class:`~repro.runtime.middleware.Middleware` on the
+   shard AIG with its constraints removed, and returns its document plus
+   the constraint *evidence* of one pass of the streaming checker over
+   it (:func:`repro.constraints.reconcile.shard_evidence`).
 4. :func:`evaluate_sharded` (back in the parent) splices the shard
    documents at the partition production — order-preserving, so the
    result is byte-identical to the single-process document — and
@@ -38,11 +38,12 @@ The pipeline:
    (:func:`repro.constraints.reconcile.reconcile`): the scopes no slice
    could decide are merged and judged by the same streaming checker.
 
-Workers always run in report mode: a guard aborting inside one shard
-could fire on a constraint that another shard's rows satisfy (or miss
-one only the union violates).  The *reconciled* verdict is the sharded
-run's verdict; in abort mode the parent raises
-:class:`~repro.errors.EvaluationAborted` exactly when it is non-empty.
+Workers compile no guards: a guard inside one shard could fire on a
+constraint that another shard's rows satisfy (or miss one only the union
+violates), and guards never change the document (Section 3.3).  The
+*reconciled* verdict is the sharded run's verdict: the parent raises
+:class:`~repro.errors.EvaluationAborted` with its located violations
+exactly when it is non-empty.
 
 Worker processes are spawned (never forked: the parent holds sqlite
 connections and locks) and kept in a module-level pool so repeated
@@ -498,9 +499,9 @@ def _shard_worker(payload: bytes) -> bytes:
     """Evaluate one shard task end to end; runs in a worker process.
 
     Takes and returns pickled bytes so the parent can meter IPC volume
-    exactly.  Always evaluates in report mode — a shard-local guard
-    verdict is meaningless before reconciliation — and returns the
-    evidence the parent needs for the global constraint pass.
+    exactly.  Evaluates the shard AIG without its constraints — a
+    shard-local guard verdict is meaningless before reconciliation — and
+    returns the evidence the parent needs for the global constraint pass.
     """
     # Pause the cyclic collector for the task body: evaluation garbage
     # is acyclic (freed by refcount) while the document tree is cyclic
@@ -539,17 +540,14 @@ def _shard_worker_body(payload: bytes) -> bytes:
         shard_store.load_rows(SHARD_RELATION,
                               [tuple(row) for row in task.chunk])
     sources[task.shard_schema.source] = shard_store
-    middleware = Middleware(task.aig, sources, task.network,
-                            violation_mode="report", **task.config)
+    middleware = Middleware(task.aig.without_constraints(), sources,
+                            task.network, **task.config)
     report = middleware.evaluate(dict(task.root_inh))
-    # The engine's guard queries already scanned this shard's whole
-    # document: constraints whose guard stayed clean cannot have a
-    # violation local to the slice, so the checker is told to judge only
-    # the others there.
+    # No guard ran, so every constraint is judged in the slice.
     evidence = shard_evidence(
         report.document, task.aig.constraints,
         _locate_splice(report.document, task.chain),
-        set(report.violations), element_graph(task.aig.dtd))
+        set(task.aig.constraints), element_graph(task.aig.dtd))
     encoded = encode_document(report.document)
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     for source in sources.values():
@@ -636,10 +634,10 @@ def evaluate_sharded(middleware, root_inh: dict, tracer):
     Called by :meth:`Middleware.evaluate` under the run lock when
     ``shards > 1``.  Returns a regular
     :class:`~repro.runtime.middleware.ExecutionReport` whose document is
-    byte-identical to the single-process engine's and whose
-    ``violations`` carry the *reconciled* cross-shard verdict; raises
-    :class:`~repro.errors.EvaluationAborted` in abort mode exactly when
-    that verdict is non-empty.
+    byte-identical to the single-process engine's; raises
+    :class:`~repro.errors.EvaluationAborted` with the *reconciled*
+    cross-shard verdict (located, as ``check_constraints`` lists them)
+    exactly when that verdict is non-empty.
     """
     from repro.runtime.middleware import ExecutionReport
 
@@ -687,7 +685,7 @@ def evaluate_sharded(middleware, root_inh: dict, tracer):
         violations = reconcile(middleware.aig.constraints,
                                [result.evidence for result in results])
     reconcile_seconds = time.perf_counter() - reconcile_started
-    if middleware.violation_mode == "abort" and violations:
+    if violations:
         raise EvaluationAborted(violations)
     measured_seconds = time.perf_counter() - started
 
@@ -714,7 +712,6 @@ def evaluate_sharded(middleware, root_inh: dict, tracer):
         node_count=results[0].node_count,
         merged=middleware.merging,
         unfold_depth=results[0].unfold_depth,
-        violations=violations,
         shards=shards,
         shard_rows=[result.rows for result in results],
         reconcile_seconds=reconcile_seconds,

@@ -33,7 +33,7 @@ from repro.runtime.middleware import Middleware
 #: the config payload is rejected so typos fail loudly, not silently.
 ALLOWED_CONFIG = (
     "merging", "unfold_depth", "max_unfold_depth",
-    "violation_mode", "incremental", "deadline", "ledger",
+    "incremental", "deadline", "ledger",
 )
 
 #: Service default: incremental on (warm requests replay caches).

@@ -299,7 +299,6 @@ class EvaluationService:
             "reused_nodes": report.reused_nodes,
             "response_time": round(report.response_time, 6),
             "document_bytes": len(body),
-            "violations": [str(v) for v in report.violations],
         }
         if not coalesced:
             # a cache hit is a warm answer that executed nothing, so the

@@ -295,6 +295,34 @@ class TestFileBackend:
         source.close()
 
 
+    def test_a_table_a_failed_drop_left_goes_with_the_next_shipment(
+            self, tmp_path, monkeypatch):
+        """A drop refused under another connection's lock leaves its
+        ``__ship_N`` behind; the next shipment drops it in its own
+        transaction, so no shipped table outlives the source's next
+        one."""
+        from repro.errors import SourceUnavailableError
+        from repro.relational import source as source_module
+
+        monkeypatch.setattr(source_module, "BUSY_TIMEOUT_SECONDS", 0.05)
+        path = tmp_path / "s1.db"
+        source = DataSource(TYPED_SCHEMA, backend=f"sqlite:{path}")
+        shipped = source.create_temp_table(["x"], [(1,)])
+        other = sqlite3.connect(path, isolation_level=None)
+        try:
+            other.execute("BEGIN EXCLUSIVE")
+            with pytest.raises(SourceUnavailableError, match=shipped):
+                source.drop_table(shipped)
+            other.execute("COMMIT")
+        finally:
+            other.close()
+        assert shipped in source.table_names()
+        following = source.create_temp_table(["x"], [(2,)])
+        assert shipped not in source.table_names()
+        assert following in source.table_names()
+        source.close()
+
+
 # ----------------------------------------------------------------------
 # differential: the hospital pipeline over database files
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ from repro.datagen import make_loaded_sources
 from repro.datagen.generator import DATES
 from repro.dtd import parse_dtd
 from repro.dtd.analysis import base_name
+from repro.errors import EvaluationAborted
 from repro.fuzz import generate_scenario
 from repro.fuzz.spec import build_scenario
 from repro.hospital import build_hospital_aig, make_sources
@@ -225,8 +226,7 @@ class TestPendingGroupsWritten:
         for seed in range(4):
             spec = generate_scenario(seed)
             aig, sources = build_scenario(spec)
-            made.append((Middleware(aig, sources, violation_mode="report"),
-                         dict(spec.root_values)))
+            made.append((Middleware(aig, sources), dict(spec.root_values)))
         return made
 
     @pytest.mark.parametrize("indent", [None, 0, 2])
@@ -356,25 +356,48 @@ class TestEventPathBatches:
 # full-pipeline streaming == materialized tree, bytes and verdicts
 # ---------------------------------------------------------------------------
 
-def _assert_stream_matches(aig, sources, root_inh, constraints=None,
-                           **kwargs):
-    materialized = Middleware(aig, dict(sources), **kwargs)
+def _assert_stream_matches(aig, sources, root_inh, constraints=None):
+    """``evaluate_stream`` writes ``serialize(evaluate().document)``; with
+    ``constraints``, the streaming checker fed by the tagging program's
+    own pass (a fragment group replayed as events) gives the tree
+    checker's verdict over that document."""
+    materialized = Middleware(aig, dict(sources))
     result = materialized.evaluate(dict(root_inh))
-    streaming = Middleware(aig, dict(sources), **kwargs)
+    found = None
+    if constraints:
+        checker = StreamingConstraintChecker(constraints)
+        result.document._kids.run.stream(checker)   # before it is read
+        found = checker.result()
+    streaming = Middleware(aig, dict(sources))
     for indent in (None, 2):
         expected = serialize(result.document, indent=indent)
         buffer = io.StringIO()
         stream = streaming.evaluate_stream(
-            dict(root_inh), buffer.write, indent=indent,
-            constraints=constraints)
+            dict(root_inh), buffer.write, indent=indent)
         assert buffer.getvalue() == expected
         assert stream.elements == sum(1 for _ in result.document.iter())
-        if constraints:
-            tree_verdict = [str(v) for v in
-                            check_constraints(result.document, constraints)]
-            stream_verdict = [str(v) for v in stream.constraint_violations]
-            assert stream_verdict == tree_verdict
-    return result, stream
+    if constraints:
+        tree_verdict = [str(v) for v in
+                        check_constraints(result.document, constraints)]
+        assert [str(v) for v in found] == tree_verdict
+    return result, found
+
+
+def _assert_violation_refused(aig, sources, root_inh):
+    """``aig`` declaring its constraints refuses the document, before a
+    byte of its stream; without them the same document derives, and the
+    checker fed by its tagging pass finds what the tree checker finds."""
+    written = io.StringIO()
+    with pytest.raises(EvaluationAborted) as refused:
+        Middleware(aig, dict(sources)).evaluate_stream(dict(root_inh),
+                                                       written.write)
+    assert written.getvalue() == ""
+    _, found = _assert_stream_matches(aig.without_constraints(), sources,
+                                      root_inh, aig.constraints)
+    # each violated constraint named once
+    assert sorted(map(str, refused.value.violations)) == sorted(
+        {str(violation.constraint) for violation in found})
+    return found
 
 
 class TestStreamingPipeline:
@@ -395,31 +418,25 @@ class TestStreamingPipeline:
         load_tiny_hospital(sources)
         # drop t4's billing row -> the t4 treatment has no matching item
         sources["DB3"].execute("DELETE FROM billing WHERE trId = 't4'")
-        _, stream = _assert_stream_matches(
-            aig, sources, {"date": "d1"},
-            constraints=aig.constraints, violation_mode="report")
-        assert stream.constraint_violations  # the seeded defect is seen
+        found = _assert_violation_refused(aig, sources, {"date": "d1"})
+        assert found  # the seeded defect is seen
 
     def test_fragment_groups_beside_the_checker(self):
         # a star of fragments is written as one group, and reaches the
-        # checker, in a pass of its own, as the group's replayed events
+        # checker as the group's replayed events
         from tests.test_mediator_resident import (build_group_aig,
                                                   group_sources)
         aig = build_group_aig()
         members = [(f"m{n % 70}", str(n)) for n in range(100)]
-        _, stream = _assert_stream_matches(
-            aig, group_sources(3, members), {"run": "1"},
-            constraints=aig.constraints, violation_mode="report")
-        assert len(stream.constraint_violations) == 3    # one per group
+        found = _assert_violation_refused(aig, group_sources(3, members),
+                                          {"run": "1"})
+        assert len(found) == 3    # one per group
 
     def test_streaming_key_violation_matches_tree_checker(self):
         aig = build_fs_aig()
         rows = TREE_ROWS + [("n6", "n4", "readme", "1", "3")]  # dup fname
-        _, stream = _assert_stream_matches(
-            aig, {"FS": load(rows)}, {},
-            constraints=aig.constraints, violation_mode="report")
-        assert any("duplicate" in str(v)
-                   for v in stream.constraint_violations)
+        found = _assert_violation_refused(aig, {"FS": load(rows)}, {})
+        assert any("duplicate" in str(v) for v in found)
 
 
 # ---------------------------------------------------------------------------

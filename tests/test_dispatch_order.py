@@ -120,8 +120,7 @@ class TestOrderOnEveryPlan:
         for merging in (True, False):
             aig, sources = build_scenario(spec)
             try:
-                middleware = Middleware(aig, sources, merging=merging,
-                                        violation_mode="report")
+                middleware = Middleware(aig, sources, merging=merging)
                 prepared_and_run(middleware, middleware._initial_depth(),
                                  spec.root_values)
             finally:

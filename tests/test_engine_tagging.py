@@ -322,8 +322,7 @@ class TestMergedStatement:
         runs = {}
         for merging in (True, False):
             aig, sources = build_scenario(spec)
-            middleware = Middleware(aig, sources, violation_mode="report",
-                                    merging=merging)
+            middleware = Middleware(aig, sources, merging=merging)
             middleware.evaluate(dict(spec.root_values))
             runs[merging] = middleware
         merged = [node for node in runs[True].last_plan.graph.nodes.values()

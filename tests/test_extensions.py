@@ -3,12 +3,13 @@
 * data-driven recursion-depth estimation (Section 7),
 * composite (multi-field) keys and inclusion constraints (Section 2's
   "the same framework can be used to handle constraints in XML Schema"),
-* violation report mode (the hook Section 3.3 leaves for repairing).
+* the conceptual evaluator's violation report mode (the hook Section 3.3
+  leaves for repairing); the middleware refuses instead.
 """
 
 import pytest
 
-from repro.errors import ConstraintError, EvaluationError
+from repro.errors import ConstraintError, EvaluationAborted, EvaluationError
 from repro.aig import ConceptualEvaluator
 from repro.constraints import (
     InclusionConstraint,
@@ -173,17 +174,24 @@ class TestReportMode:
         assert any("⊆" in str(v) for v in evaluator.violations)
 
     def test_middleware_report_mode(self, hospital_aig):
+        """The middleware has no report mode: what the conceptual one
+        lists is a refusal naming the same constraint, and the document
+        derives, conforming, once the AIG declares no constraint."""
         sources = self.make_violating_sources()
-        middleware = Middleware(hospital_aig, sources, Network.mbps(1.0),
-                                violation_mode="report")
-        report = middleware.evaluate({"date": "d1"})
+        with pytest.raises(EvaluationAborted) as refused:
+            Middleware(hospital_aig, sources, Network.mbps(1.0)).evaluate(
+                {"date": "d1"})
+        assert [str(v) for v in refused.value.violations] == [
+            str(hospital_aig.constraints[1])]
+        assert "⊆" in str(refused.value)
+        report = Middleware(hospital_aig.without_constraints(), sources,
+                            Network.mbps(1.0)).evaluate({"date": "d1"})
         assert conforms_to(report.document, hospital_aig.dtd)
-        assert report.violations
 
     def test_clean_data_reports_nothing(self, hospital_aig, tiny_sources):
-        report = Middleware(hospital_aig, tiny_sources, Network.mbps(1.0),
-                            violation_mode="report").evaluate({"date": "d1"})
-        assert report.violations == []
+        report = Middleware(hospital_aig, tiny_sources,
+                            Network.mbps(1.0)).evaluate({"date": "d1"})
+        assert conforms_to(report.document, hospital_aig.dtd)
 
     def test_invalid_mode_rejected(self, hospital_aig, tiny_sources):
         with pytest.raises(EvaluationError):

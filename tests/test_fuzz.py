@@ -93,7 +93,7 @@ class TestGenerator:
         for seed in range(45):
             spec = generate_scenario(seed)
             aig, sources = build_scenario(spec)
-            middleware = Middleware(aig, sources, violation_mode="report")
+            middleware = Middleware(aig, sources)
             middleware.evaluate(dict(spec.root_values))
             graph = middleware.last_plan.graph
             products += any(node.kind == "product"
@@ -129,8 +129,7 @@ class TestGenerator:
     def test_violation_injection_yields_violations(self):
         spec = generate_scenario(3, violate=True)
         assert spec.notes["violated"] in ("key", "inclusion")
-        report = run_oracle(spec, configs=("merged-w1",
-                                           "abort-consistency"))
+        report = run_oracle(spec, configs=("merged",))
         assert report.ok
         assert report.baseline_violations
 

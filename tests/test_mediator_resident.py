@@ -181,8 +181,7 @@ def test_guards_read_collects_without_a_round_trip(tiny_sources):
     middleware = Middleware(build_group_aig(), group_sources(),
                             tracer=tracer)
     calls = count_mediator_calls(middleware)
-    report = middleware.evaluate({"run": "r"})
-    assert report.violations == []
+    report = middleware.evaluate({"run": "r"})   # no guard fired
     graph = middleware.last_plan.graph
     guards = [n for n in graph.nodes.values() if n.kind == "guard"]
     assert not [n for n in graph.nodes.values() if n.kind == "collect"]
@@ -289,12 +288,13 @@ def test_guard_abort_leaves_no_cache_tables():
     assert cache_tables(middleware.mediator) == []
 
 
-def test_report_mode_violation_leaves_no_cache_tables():
+def test_refused_stream_leaves_no_cache_tables():
     middleware = Middleware(build_group_aig(),
-                            group_sources(members=DUPLICATE_MID),
-                            violation_mode="report")
-    report = middleware.evaluate({"run": "r"})
-    assert report.violations
+                            group_sources(members=DUPLICATE_MID))
+    written = []
+    with pytest.raises(EvaluationAborted):
+        middleware.evaluate_stream({"run": "r"}, written.append)
+    assert written == []
     assert cache_tables(middleware.mediator) == []
 
 
@@ -451,8 +451,7 @@ def hdr_middleware(a=inh("p"), b=inh("q"), **kwargs):
     aig.key("root", "hdr", ("a", "b"))
     source = DataSource(HDR_SCHEMA)
     source.load_rows("t", [("1",), ("2",)])
-    middleware = Middleware(aig.validate(), {"S": source},
-                            violation_mode="report", **kwargs)
+    middleware = Middleware(aig.validate(), {"S": source}, **kwargs)
     return middleware, count_mediator_calls(middleware)
 
 
@@ -480,7 +479,7 @@ def test_a_root_value_that_names_a_slot_is_data(q):
     # the bag is the two values as given, read by name from the root
     (program,) = the_guard(middleware).collections
     assert program.root_members() == ["p", "q"] and calls == []
-    assert (document, report.violations) == conceptual(middleware, root)
+    assert (document, []) == conceptual(middleware, root)
 
 
 def test_a_plan_constant_that_names_a_slot_is_text():
@@ -493,4 +492,4 @@ def test_a_plan_constant_that_names_a_slot_is_text():
     assert program.root_members() == ["q"] and calls == []
     ((branch),) = program.branches
     assert ("const", "it's {root:q}") in branch.values
-    assert (document, report.violations) == conceptual(middleware, root)
+    assert (document, []) == conceptual(middleware, root)

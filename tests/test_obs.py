@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from repro import Middleware, Network, serialize
+from repro import EvaluationAborted, Middleware, Network, serialize
 from repro.hospital import build_hospital_aig, make_sources
 from repro.obs import (
     MAIN_TRACK, MetricsRegistry, NullTracer, NULL_TRACER, Tracer,
@@ -31,13 +31,13 @@ from repro.__main__ import main
 from tests.conftest import load_tiny_hospital
 
 
-def traced_middleware(violation_mode="abort", sources=None):
+def traced_middleware(sources=None):
     if sources is None:
         sources = make_sources()
         load_tiny_hospital(sources)
     tracer = Tracer()
     middleware = Middleware(build_hospital_aig(), sources, Network.mbps(1.0),
-                            violation_mode=violation_mode, tracer=tracer)
+                            tracer=tracer)
     return middleware, tracer
 
 
@@ -393,21 +393,20 @@ class TestTracingEquivalence:
         assert snap["histograms"]["node_latency_seconds"]["count"] > 0
 
     def test_violations_identical(self):
-        results = []
+        refusals = []
         for tracer in (None, Tracer()):
             sources = make_sources()
             load_tiny_hospital(sources)
             sources["DB3"].execute_script(
                 "DELETE FROM billing WHERE trId='t4'")
             middleware = Middleware(build_hospital_aig(), sources,
-                                    Network.mbps(1.0),
-                                    violation_mode="report", tracer=tracer)
-            results.append(middleware.evaluate({"date": "d1"}))
-        off, on = results
-        assert [str(v) for v in on.violations] == \
-            [str(v) for v in off.violations]
-        assert len(on.violations) >= 1
-        assert serialize(on.document) == serialize(off.document)
+                                    Network.mbps(1.0), tracer=tracer)
+            with pytest.raises(EvaluationAborted) as refused:
+                middleware.evaluate({"date": "d1"})
+            refusals.append([str(v) for v in refused.value.violations])
+        off, on = refusals
+        assert on == off
+        assert len(on) >= 1
 
 
 class TestCalibration:

@@ -52,8 +52,7 @@ def scenarios() -> list:
     for seed in range(4):
         spec = generate_scenario(seed)
         aig, fuzz_sources = build_scenario(spec)
-        made.append((Middleware(aig, fuzz_sources, violation_mode="report"),
-                     dict(spec.root_values)))
+        made.append((Middleware(aig, fuzz_sources), dict(spec.root_values)))
     return made
 
 

@@ -90,7 +90,7 @@ class TestProgramEqualsReference:
     def test_fuzz_scenarios(self, seed, indent):
         spec = generate_scenario(seed)
         aig, sources = build_scenario(spec)
-        middleware = Middleware(aig, sources, violation_mode="report")
+        middleware = Middleware(aig, sources)
         root = dict(spec.root_values)
         assert program_bytes(middleware, root, indent) == \
             built_bytes(middleware, root, indent)
@@ -101,8 +101,8 @@ class TestProgramEqualsReference:
         for seed in range(12):
             spec = generate_scenario(seed)
             aig, sources = build_scenario(spec)
-            report = Middleware(aig, sources, violation_mode="report") \
-                .evaluate(dict(spec.root_values))
+            report = Middleware(aig, sources).evaluate(
+                dict(spec.root_values))
             program = report.document._kids.run.program
             if program.choices:
                 kinds.add("choice")

@@ -53,7 +53,6 @@ class TestEquivalenceGrid:
         report = _run(scale)
         assert serialize(report.document) == serialize(baseline.document)
         assert serialize(report.document) == serialize(conceptual)
-        assert report.violations == baseline.violations == []
         assert report.bytes_shipped == baseline.bytes_shipped
         # The modeled clock is a function of per-source order and the
         # measurements; only the measured eval component wobbles.
@@ -71,19 +70,21 @@ class TestViolationEquivalence:
         sources["DB3"].load_rows("billing", [("t1", "777")])
         return sources
 
-    def test_report_mode_violations_identical(self, hospital_aig):
-        reports = []
+    def test_refusals_identical(self, hospital_aig):
+        from repro.errors import EvaluationAborted
+        refusals, documents = [], []
         for _ in range(2):
-            middleware = Middleware(hospital_aig,
-                                    self._sources_with_key_violation(),
-                                    Network.mbps(1.0),
-                                    violation_mode="report")
-            reports.append(middleware.evaluate({"date": "d1"}))
-        first, second = reports
-        assert len(first.violations) >= 1
-        assert [str(v) for v in second.violations] == \
-            [str(v) for v in first.violations]
-        assert serialize(second.document) == serialize(first.document)
+            sources = self._sources_with_key_violation()
+            middleware = Middleware(hospital_aig, sources, Network.mbps(1.0))
+            with pytest.raises(EvaluationAborted) as refused:
+                middleware.evaluate({"date": "d1"})
+            refusals.append([str(v) for v in refused.value.violations])
+            documents.append(serialize(Middleware(
+                hospital_aig.without_constraints(), sources,
+                Network.mbps(1.0)).evaluate({"date": "d1"}).document))
+        first, second = refusals
+        assert first == second == [str(hospital_aig.constraints[0])]
+        assert documents[0] == documents[1]
 
     def test_abort_mode_aborts(self, hospital_aig):
         from repro.errors import EvaluationAborted

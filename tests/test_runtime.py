@@ -114,6 +114,70 @@ class TestGuardsAtRuntime:
         assert conforms_to(report.document, hospital_aig.dtd)
 
 
+#: hospital ``tiny``, seed 3, with a treatment no bill item matches and a
+#: duplicated bill item: on this date both constraints are violated, one
+#: only below the first unfolding (depth 4 re-unrolls to 8)
+TWO_VIOLATIONS_DATE = "2003-06-01"
+
+
+def two_violations():
+    from repro.datagen import make_loaded_sources
+    sources, _ = make_loaded_sources("tiny", seed=3, violate_inclusion=True,
+                                     violate_key=True)
+    return sources
+
+
+class TestOneRefusal:
+    """Every guard of a run runs; a run where any fired ends in one
+    refusal naming each violated constraint once, in guard order, raised
+    once the unfolding has settled and before anything is tagged."""
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    @pytest.mark.parametrize("merging", [True, False])
+    def test_both_violated_constraints_are_named(self, merging, incremental):
+        aig = build_hospital_aig()
+        key, inclusion = aig.constraints
+        sources = two_violations()
+        middleware = Middleware(aig, sources, merging=merging,
+                                incremental=incremental)
+        with pytest.raises(EvaluationAborted) as refused:
+            middleware.evaluate({"date": TWO_VIOLATIONS_DATE})
+        assert refused.value.violations == [inclusion, key]
+        # what the tree checker finds in the document itself
+        document = Middleware(aig.without_constraints(), sources).evaluate(
+            {"date": TWO_VIOLATIONS_DATE}).document
+        assert {violation.constraint for violation in check_constraints(
+            document, aig.constraints)} == {key, inclusion}
+        # nothing was committed to the incremental store
+        assert all(len(store) == 0
+                   for store in middleware._result_caches.values())
+
+    def test_the_refusal_comes_from_the_settled_depth(self):
+        tracer = Tracer()
+        middleware = Middleware(build_hospital_aig(), two_violations(),
+                                tracer=tracer)
+        written = []
+        with pytest.raises(EvaluationAborted) as refused:
+            middleware.evaluate_stream({"date": TWO_VIOLATIONS_DATE},
+                                       written.append)
+        assert written == []
+        assert len(refused.value.violations) == 2
+        spans = {span.span_id: span for span in tracer.spans}
+
+        def depth_of(span):
+            while span.name != "evaluate-stream":
+                span = spans[span.parent_id]
+            return span.attrs["depth"]
+
+        # a guard fired at the truncated depth 4 too: that attempt was
+        # repeated deeper, not refused
+        fired = [depth_of(span) for span in tracer.spans_by_category("guard")
+                 if "witness" in span.attrs]
+        assert fired[0] == 4 and fired.count(8) == 2
+        assert [depth_of(span) for span in tracer.spans
+                if span.name == "evaluate-stream"] == [4, 8]
+
+
 class TestRecursionHandling:
     def test_auto_extends_depth(self, hospital_aig, tiny_sources):
         middleware = Middleware(hospital_aig, tiny_sources,

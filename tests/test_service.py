@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.datagen import make_loaded_sources
-from repro.errors import EvaluationError
+from repro.errors import EvaluationAborted, EvaluationError
 from repro.hospital import build_hospital_aig, make_sources
 from repro.obs import RunLedger
 from repro.relational import Network
@@ -731,7 +731,7 @@ class TestHTTPSurface:
 
     @pytest.mark.parametrize("knob, value", [
         ("unfold_depth", "abc"), ("unfold_depth", 0), ("deadline", "soon"),
-        ("merging", "no"), ("violation_mode", "nope"),
+        ("merging", "no"), ("incremental", "yes"),
         ("max_unfold_depth", -1)])
     def test_bad_knob_value_is_refused_at_registration(self, served, knob,
                                                        value):
@@ -745,6 +745,21 @@ class TestHTTPSurface:
         assert knob in body.decode()
         with pytest.raises(EvaluationError, match=knob):
             Middleware(build_hospital_aig(), make_sources(), **{knob: value})
+
+    def test_violation_mode_is_an_unknown_key(self, served):
+        # a violated constraint is a refusal for every tenant: there is no
+        # mode to choose, in the service or in process
+        _, server, _ = served
+        status, _, body = _request(
+            server, "POST", "/tenants",
+            {"name": "reporting",
+             "scenario": {"kind": "hospital", "scale": "tiny"},
+             "config": {"violation_mode": "report"}})
+        assert status == 422
+        assert "violation_mode" in body.decode()
+        with pytest.raises(TypeError, match="violation_mode"):
+            Middleware(build_hospital_aig(), make_sources(),
+                       violation_mode="report")
 
     def test_invalidate_endpoint(self, served):
         service, server, dataset = served
@@ -954,16 +969,14 @@ class TestOneEvaluationPath:
             assert info["document_bytes"] == len(body)
             assert body.isascii() is not non_ascii
 
-    @pytest.mark.parametrize("mode", ["abort", "report"])
-    def test_info_and_headers_match_in_process_evaluate(self, mode):
-        config = {"unfold_depth": 4, "violation_mode": mode}
-        violating = mode == "report"
-        reference_sources = tiny_world(violating=violating)
+    def test_info_and_headers_match_in_process_evaluate(self):
+        config = {"unfold_depth": 4}
+        reference_sources = tiny_world()
         reference = Middleware(build_hospital_aig(), reference_sources,
                                incremental=True, **config)
         service = EvaluationService()
-        service.register_tenant("t", build_hospital_aig(),
-                                tiny_world(violating=violating), config)
+        service.register_tenant("t", build_hospital_aig(), tiny_world(),
+                                config)
         request = {"tenant": "t", "root": {"date": "d1"}, "indent": 2,
                    "include_report": True}
 
@@ -974,7 +987,6 @@ class TestOneEvaluationPath:
                 "phase": EvaluationService._phase(report),
                 "queries_executed": report.queries_executed,
                 "reused_nodes": report.reused_nodes,
-                "violations": [str(v) for v in report.violations],
                 "document_bytes": len(document.encode("utf-8"))}
 
         with _serving(service) as server:
@@ -1011,13 +1023,13 @@ class TestOneEvaluationPath:
                                queries_executed=0, response_time=0.0,
                                seconds=hit["seconds"])
         assert miss["phase"] == "delta"
-        assert bool(miss["violations"]) is violating
+        assert "violations" not in miss
 
 
 @pytest.fixture(scope="module")
 def refusing():
     """A service whose ``clean`` tenant admits one evaluation and queues
-    one, beside a tenant that violates a constraint in abort mode."""
+    one, beside a tenant that violates a constraint."""
     service = EvaluationService(max_inflight=1, max_queued=1)
     for name, violating in (("clean", False), ("violating", True)):
         service.register_tenant(name, build_hospital_aig(),
@@ -1068,13 +1080,27 @@ class TestStreamStatus:
 
     @pytest.mark.parametrize("stream", [False, True])
     def test_constraint_abort_is_409(self, refusing, stream):
+        # the only answer to a violation, buffered or streamed: one
+        # response (no 200 status line went out first) naming what the
+        # in-process run names, and nothing cached
         _, server = refusing
+
+        def cached() -> int:
+            _, _, health = _request(server, "GET", "/health")
+            return json.loads(health)["response_cache_entries"]
+
+        before = cached()
         status, headers, body = _one_response(_raw_post(server, {
             "tenant": "violating", "root": {"date": "d1"},
             "stream": stream}))
         assert status == 409
         assert headers["content-type"] == "application/json"
-        assert json.loads(body)["error"].startswith("constraint violation")
+        with pytest.raises(EvaluationAborted) as refused:
+            Middleware(build_hospital_aig(), tiny_world(violating=True),
+                       unfold_depth=4).evaluate({"date": "d1"})
+        assert json.loads(body)["error"] == \
+            f"constraint violation: {refused.value}"
+        assert cached() == before
 
     def test_exhausted_admission_on_stream_is_429(self, refusing):
         service, server = refusing

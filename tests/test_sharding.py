@@ -88,16 +88,20 @@ def make_sources(rows, items=()):
     return {"S": source}
 
 
-def run(rows, items=(), shards=1, mode="report", **kwargs):
+def run(rows, items=(), shards=1, checked=True, **kwargs):
+    """One evaluation of the AIG, declaring its constraints or (not
+    ``checked``) none, so that a violating document derives."""
     aig = build_aig()
-    middleware = Middleware(aig, make_sources(rows, items),
-                            violation_mode=mode, shards=shards, **kwargs)
+    middleware = Middleware(aig if checked else aig.without_constraints(),
+                            make_sources(rows, items), shards=shards,
+                            **kwargs)
     report = middleware.evaluate({"title": "T"})
     return aig, report
 
 
 def baseline(rows, items=()):
-    aig, report = run(rows, items, shards=1)
+    """The single-process document and the tree checker's verdict."""
+    aig, report = run(rows, items, shards=1, checked=False)
     xml = serialize(report.document, indent=2)
     verdict = sorted(str(v) for v in check_constraints(report.document,
                                                        aig.constraints))
@@ -105,16 +109,23 @@ def baseline(rows, items=()):
 
 
 def assert_equivalent(rows, items=(), shards=(2, 3, 4)):
+    """Per shard count: refused exactly when the baseline verdict is not
+    empty, naming its violations string for string (the reconciled,
+    located verdict); the same document without the constraints."""
     base_xml, base_verdict = baseline(rows, items)
     for count in shards:
-        aig, report = run(rows, items, shards=count)
+        try:
+            run(rows, items, shards=count)
+            reconciled = []
+        except EvaluationAborted as refused:
+            reconciled = sorted(str(v) for v in refused.violations)
+        assert reconciled == base_verdict
+        aig, report = run(rows, items, shards=count, checked=False)
         assert report.shards == count
         assert serialize(report.document, indent=2) == base_xml
         tree_verdict = sorted(str(v) for v in check_constraints(
             report.document, aig.constraints))
         assert tree_verdict == base_verdict
-        reconciled = sorted(str(v) for v in report.violations)
-        assert reconciled == base_verdict
     return base_verdict
 
 
@@ -153,8 +164,7 @@ class TestFindPartition:
         dtd = parse_dtd("<!ELEMENT root (meta)> <!ELEMENT meta (#PCDATA)>")
         aig = AIG(dtd, Catalog([]), root_inh=("title",))
         aig.rule("root", inh={"meta": assign(val=inh("title"))})
-        middleware = Middleware(aig.validate(), {}, shards=4,
-                                violation_mode="report")
+        middleware = Middleware(aig.validate(), {}, shards=4)
         report = middleware.evaluate({"title": "T"})
         assert report.shards == 1
         assert report.document.find("meta").text_value() == "T"
@@ -223,15 +233,32 @@ class TestShardedEquivalence:
         rows = [("dup", "dup"), ("dup", "dup")]
         _, base_verdict = baseline(rows)
         with pytest.raises(EvaluationAborted) as excinfo:
-            run(rows, shards=2, mode="abort")
+            run(rows, shards=2)
         assert sorted(str(v) for v in
                       excinfo.value.violations) == base_verdict
 
+    def test_two_violations_are_located_across_two_shards(self):
+        # the hospital partitions at its root star: the reconciled refusal
+        # lists the tree checker's verdict over the document
+        from tests.test_runtime import TWO_VIOLATIONS_DATE, two_violations
+        from repro.hospital import build_hospital_aig
+        aig = build_hospital_aig()
+        sources = two_violations()
+        root = {"date": TWO_VIOLATIONS_DATE}
+        with pytest.raises(EvaluationAborted) as refused:
+            Middleware(aig, sources, shards=2).evaluate(dict(root))
+        document = Middleware(aig.without_constraints(), sources).evaluate(
+            dict(root)).document
+        expected = check_constraints(document, aig.constraints)
+        assert {violation.constraint for violation in expected} == \
+            set(aig.constraints)
+        assert sorted(map(str, refused.value.violations)) == \
+            sorted(map(str, expected))
+
     def test_abort_mode_passes_clean_data(self):
         rows = [("a", "b"), ("b", "a")]
-        _, report = run(rows, shards=2, mode="abort")
+        _, report = run(rows, shards=2)      # not refused
         assert report.shards == 2
-        assert report.violations == []
 
 
 class TestSpawnSafety:
@@ -243,7 +270,7 @@ class TestSpawnSafety:
         aig = build_aig()
         middleware = Middleware(
             aig, make_sources([("a", "a"), ("b", "b")]),
-            violation_mode="report", shards=2, incremental=True,
+            shards=2, incremental=True,
             tracer=Tracer(), ledger=str(tmp_path / "ledger.jsonl"))
         built = build_shard_tasks(middleware, {"title": "T"})
         assert built is not None
@@ -261,7 +288,7 @@ class TestSpawnSafety:
         base_xml, _ = baseline(rows)
         aig = build_aig()
         middleware = Middleware(
-            aig, make_sources(rows), violation_mode="report", shards=2,
+            aig, make_sources(rows), shards=2,
             incremental=True, tracer=Tracer(),
             ledger=str(tmp_path / "ledger.jsonl"))
         report = middleware.evaluate({"title": "T"})
@@ -274,8 +301,7 @@ class TestReportAndMetrics:
         rows = [(f"e{i}", f"e{i}") for i in range(5)]
         aig = build_aig()
         tracer = Tracer()
-        middleware = Middleware(aig, make_sources(rows),
-                                violation_mode="report", shards=3,
+        middleware = Middleware(aig, make_sources(rows), shards=3,
                                 tracer=tracer)
         report = middleware.evaluate({"title": "T"})
         assert report.shards == 3
@@ -307,7 +333,7 @@ class TestReportAndMetrics:
             tracer = Tracer()
             with pytest.raises(EvaluationAborted):
                 run([("dup", "dup"), ("dup", "dup")], shards=shards,
-                    mode="abort", tracer=tracer)
+                    tracer=tracer)
             counters = tracer.metrics.snapshot()["counters"]
             assert counters.get("evaluations", 0) == 0
 
@@ -318,7 +344,7 @@ class TestReportAndMetrics:
         aig.rule("root", inh={"meta": assign(val=inh("title"))})
         tracer = Tracer()
         middleware = Middleware(aig.validate(), {}, shards=2,
-                                violation_mode="report", tracer=tracer)
+                                tracer=tracer)
         middleware.evaluate({"title": "T"})
         assert tracer.metrics.snapshot()["counters"]["shard_fallbacks"] == 1
 
@@ -451,8 +477,7 @@ class TestOneScopeEngine:
         aig = build_group_aig()
         members = tuple((f"m{i}", str(10 + i)) for i in range(8))
         document = Middleware(
-            aig, group_sources(200, members),
-            violation_mode="report").evaluate({"run": "1"}).document
+            aig, group_sources(200, members)).evaluate({"run": "1"}).document
         assert sum(1 for _ in document.iter()) == 1 + 200 * 27
         graph = element_graph(aig.dtd)
         # guards clean: only root(group.gid -> group) has a scope open
@@ -474,7 +499,7 @@ class TestOneScopeEngine:
         del dataset.billing[::3]    # treatments no bill item matches
         sources = make_sources()
         load_dataset(dataset, sources)
-        document = Middleware(aig, sources, violation_mode="report").evaluate(
+        document = Middleware(aig.without_constraints(), sources).evaluate(
             {"date": dataset.busiest_date()}).document
         graph = element_graph(aig.dtd)
         everything = {tag: set(graph) for tag in graph}
@@ -511,32 +536,43 @@ class TestOracleAxis:
         spec = generate_scenario(3, violate=True)
         report = run_oracle(spec, configs=("shards",))
         names = {result.config for result in report.results}
-        assert {"shards-2", "shards-3", "shards-4",
-                "shards-abort"} <= names
+        assert {"shards-2", "shards-3", "shards-4"} <= names
         assert report.ok, [str(d) for d in report.divergences]
 
     def test_workers_log_at_the_parents_level(self, tmp_path):
-        """``repro fuzz`` lowers ``repro`` to ERROR, and a spawned worker
-        takes that level: seed 9's shard workers find a guard violation
-        and say nothing.  Under ``--verbose`` the same workers print it
-        (bare, through the last-resort handler — the parent's lines carry
-        a timestamp)."""
+        """A spawned worker takes the parent's ``repro`` level: at unfold
+        depth 1 the hospital's shard workers re-unroll their recursion,
+        which they say under WARNING (bare, through the last-resort
+        handler; the parent evaluates nothing itself) and not under
+        ERROR."""
         import subprocess
         import sys
 
         import repro
         env = {**os.environ,
                "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
+        script = tmp_path / "sharded.py"
+        script.write_text(
+            "import logging, sys\n"
+            "from repro.datagen import make_loaded_sources\n"
+            "from repro.hospital import build_hospital_aig\n"
+            "from repro.runtime import Middleware\n"
+            "if __name__ == '__main__':\n"
+            "    logging.getLogger('repro').setLevel(sys.argv[1])\n"
+            "    sources, dataset = make_loaded_sources('tiny')\n"
+            "    Middleware(build_hospital_aig(), sources, shards=2,\n"
+            "               unfold_depth=1).evaluate(\n"
+            "        {'date': dataset.busiest_date()})\n")
 
-        def fuzz(*flags):
+        def stderr(level):
             run = subprocess.run(
-                [sys.executable, "-m", "repro", "fuzz", "--start", "9",
-                 "--seeds", "1", "--out", str(tmp_path), *flags],
+                [sys.executable, str(script), level],
                 capture_output=True, text=True, env=env, timeout=300)
             assert run.returncode == 0, run.stdout + run.stderr
             return run.stderr
 
-        assert fuzz() == ""
-        assert any(line.startswith("constraint guard ")
-                   for line in fuzz("--verbose").splitlines())
+        assert stderr("ERROR") == ""
+        assert any(line.startswith("recursion deeper than unfolding "
+                                   "estimate")
+                   for line in stderr("WARNING").splitlines())
 
