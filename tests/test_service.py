@@ -969,19 +969,28 @@ class TestOneEvaluationPath:
             assert info["document_bytes"] == len(body)
             assert body.isascii() is not non_ascii
 
-    def test_info_and_headers_match_in_process_evaluate(self):
+    @pytest.mark.parametrize("mode", ["abort", "report"])
+    def test_info_and_headers_match_in_process_evaluate(self, mode):
+        # "abort" serves the clean tiny world; "report" serves one whose
+        # data violates a constraint, where the in-process run has no
+        # report to give: there every request, warm or not, is the same
+        # refusal the in-process run raises
+        violating = mode == "report"
         config = {"unfold_depth": 4}
-        reference_sources = tiny_world()
+        reference_sources = tiny_world(violating=violating)
         reference = Middleware(build_hospital_aig(), reference_sources,
                                incremental=True, **config)
         service = EvaluationService()
-        service.register_tenant("t", build_hospital_aig(), tiny_world(),
-                                config)
+        service.register_tenant("t", build_hospital_aig(),
+                                tiny_world(violating=violating), config)
         request = {"tenant": "t", "root": {"date": "d1"}, "indent": 2,
                    "include_report": True}
 
-        def expected() -> tuple[str, dict]:
-            report = reference.evaluate({"date": "d1"})
+        def expected() -> tuple[str | None, dict]:
+            try:
+                report = reference.evaluate({"date": "d1"})
+            except EvaluationAborted as refused:
+                return None, {"error": f"constraint violation: {refused}"}
             document = serialize(report.document, indent=2)
             return document, {
                 "phase": EvaluationService._phase(report),
@@ -990,22 +999,26 @@ class TestOneEvaluationPath:
                 "document_bytes": len(document.encode("utf-8"))}
 
         with _serving(service) as server:
-            def served() -> tuple[str, dict]:
+            def served() -> tuple[str | None, dict]:
                 status, headers, body = _request(server, "POST",
                                                  "/evaluate", request)
-                assert status == 200
                 payload = json.loads(body)
+                if status == 409:
+                    assert not [name for name in headers
+                                if name.startswith("X-Repro")]
+                    return None, payload
+                assert status == 200
                 info = payload["report"]
                 assert headers["X-Repro-Phase"] == info["phase"]
                 assert headers["X-Repro-Cache"] == \
                     ("hit" if info["cached"] else "miss")
                 return payload["document"], info
 
-            def assert_miss() -> tuple[str, dict]:
+            def assert_miss() -> tuple[str | None, dict]:
                 document, info = served()
                 want_document, want = expected()
                 assert document == want_document
-                assert not info["cached"]
+                assert not info.get("cached")
                 assert {key: info[key] for key in want} == want
                 return document, info
 
@@ -1018,10 +1031,16 @@ class TestOneEvaluationPath:
             assert status == 200
             document, miss = assert_miss()                  # the write's
             hit_document, hit = served()
-            assert hit_document == document
-            assert hit == dict(miss, phase="warm", cached=True,
-                               queries_executed=0, response_time=0.0,
-                               seconds=hit["seconds"])
+            _, _, health = _request(server, "GET", "/health")
+        assert hit_document == document
+        if violating:
+            # a refusal is never cached: the repeat refuses again
+            assert hit == miss
+            assert json.loads(health)["response_cache_entries"] == 0
+            return
+        assert hit == dict(miss, phase="warm", cached=True,
+                           queries_executed=0, response_time=0.0,
+                           seconds=hit["seconds"])
         assert miss["phase"] == "delta"
         assert "violations" not in miss
 
